@@ -245,7 +245,7 @@ def valency_conditioned_counts(
     for record, sentence in zip(records, sentences):
         if valency_mode == "lexicon":
             assert lexicon is not None
-            valency = lexicon.get(sentence.node(sentence.root_index).lemma)
+            valency = lexicon.get(sentence.lemmas[sentence.root_index - 1] if sentence.lemmas else None)
             if valency is None:
                 misses += 1
                 continue

@@ -12,7 +12,10 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .errors import INPUT_ERRORS, ConfigError, ConstraintUnsatisfiable
@@ -39,20 +42,21 @@ _EXTENSION_FORMATS = {
     ".ndjson": "canonical",
 }
 
-_CONFIG_KEYS = {
-    "inputs",
-    "sl_min",
-    "sl_max",
-    "dist_sls",
-    "min_bucket",
-    "valency_mode",
-    "lexicon_path",
-    "entropy_base",
-    "log_base",
-    "seed",
-    "output_dir",
-    "drop_punct",
-}
+# Config-file keys are the RunConfig fields; values are checked against their annotations.
+_CONFIG_ANNOTATIONS = {f.name: str(f.type) for f in fields(RunConfig)}
+_CONFIG_TYPES = get_type_hints(RunConfig)
+
+
+def _json_matches(value: object, hint: object) -> bool:
+    """Whether a JSON value fits a RunConfig annotation; a JSON list stands for list or tuple."""
+    if get_origin(hint) in (Union, UnionType):
+        return any(_json_matches(value, arg) for arg in get_args(hint))
+    if get_origin(hint) in (list, tuple):
+        item = get_args(hint)[0]
+        return isinstance(value, list) and all(_json_matches(v, item) for v in value)
+    if hint is type(None):
+        return value is None
+    return type(value) is hint  # exact: a bool is no int, an int no float
 
 
 def infer_format(path: str) -> str:
@@ -71,6 +75,14 @@ def _parse_dist_sls(value: str) -> tuple[int, ...]:
         raise ConfigError(f"--dist-sls expects a comma-separated integer list, got {value!r}") from None
 
 
+def _is_input_entry(entry: object) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("path"), str)
+        and isinstance(entry.get("format", ""), (str, type(None)))
+    )
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, the optional JSON config file, and explicit flags."""
     values: dict[str, object] = {}
@@ -84,41 +96,35 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"{args.config}: top level must be an object")
         for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
+            if key not in _CONFIG_ANNOTATIONS:
                 raise ConfigError(f"{args.config}: unknown config key {key!r}")
+            if key == "inputs":
+                expected = 'a list of {"path": str, "format"?: str} objects'
+                ok = isinstance(value, list) and all(map(_is_input_entry, value))
+            else:
+                expected = _CONFIG_ANNOTATIONS[key]
+                ok = _json_matches(value, _CONFIG_TYPES[key])
+            if not ok:
+                raise ConfigError(f"{args.config}: {key!r} must be {expected}, got {json.dumps(value)}")
             values[key] = value
+        if "dist_sls" in values:
+            values["dist_sls"] = tuple(values["dist_sls"])
 
-    for key in (
-        "sl_min",
-        "sl_max",
-        "min_bucket",
-        "valency_mode",
-        "lexicon_path",
-        "entropy_base",
-        "log_base",
-        "seed",
-        "output_dir",
-        "drop_punct",
-    ):
+    for key in _CONFIG_ANNOTATIONS:
         flag = getattr(args, key, None)
-        if flag is not None:
+        if key not in ("inputs", "dist_sls") and flag is not None:
             values[key] = flag
     if getattr(args, "dist_sls", None) is not None:
         values["dist_sls"] = _parse_dist_sls(args.dist_sls)
-    elif "dist_sls" in values:
-        values["dist_sls"] = tuple(int(sl) for sl in values["dist_sls"])  # from config file
 
     if getattr(args, "inputs", None):
         fmt = getattr(args, "format", None)
         values["inputs"] = [(path, fmt or infer_format(path)) for path in args.inputs]
     elif "inputs" in values:
-        file_inputs = []
-        for entry in values["inputs"]:
-            if not isinstance(entry, dict) or "path" not in entry:
-                raise ConfigError("config 'inputs' entries must be objects with a 'path'")
-            path = str(entry["path"])
-            file_inputs.append((path, str(entry.get("format") or infer_format(path))))
-        values["inputs"] = file_inputs
+        values["inputs"] = [
+            (entry["path"], entry.get("format") or infer_format(entry["path"]))
+            for entry in values["inputs"]
+        ]
 
     config = RunConfig(**values)  # type: ignore[arg-type]
     config.validate()

@@ -15,10 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Mapping
 
-from .errors import InvalidTree, RootHasNoDD, TooShort
-from .treebank import Sentence
+from .errors import RootHasNoDD, TooShort
+from .treebank import Sentence, tree_depths
 
 
 def dd(sentence: Sentence, index: int) -> int:
@@ -31,35 +32,18 @@ def dd(sentence: Sentence, index: int) -> int:
 
 def hd(sentence: Sentence, index: int) -> int:
     """Hierarchical distance (head links to the root) of the node at ``index``."""
-    nodes = sentence.nodes
-    steps = 0
-    v = index
-    while nodes[v - 1].head != 0:
-        v = nodes[v - 1].head
-        steps += 1
-        if steps > len(nodes):
-            raise InvalidTree(f"{sentence.id}: head chain from node {index} does not terminate")
-    return steps
+    return node_depths(sentence)[index - 1]
 
 
 def node_depths(sentence: Sentence) -> list[int]:
-    """HD of every node, as a list indexed by position - 1. Root depth is 0."""
-    nodes = sentence.nodes
-    n = len(nodes)
-    depth = [-1] * (n + 1)
-    for start in range(1, n + 1):
-        chain = []
-        v = start
-        while v != 0 and depth[v] < 0:
-            chain.append(v)
-            v = nodes[v - 1].head
-            if len(chain) > n:
-                raise InvalidTree(f"{sentence.id}: head chain from node {start} does not terminate")
-        base = -1 if v == 0 else depth[v]
-        for u in reversed(chain):
-            base += 1
-            depth[u] = base
-    return depth[1:]
+    """HD of every node, as a list indexed by position - 1. Root depth is 0.
+
+    Uses the depths that :func:`validate_tree` attached; an unvalidated
+    sentence is validated here, so a malformed one raises ``InvalidTree``.
+    """
+    if sentence.depths is None:
+        return list(tree_depths(sentence.head_vector, sentence.id, sentence.source))
+    return list(sentence.depths)
 
 
 def mdd(sentence: Sentence) -> float:
@@ -67,7 +51,7 @@ def mdd(sentence: Sentence) -> float:
     n = len(sentence)
     if n < 2:
         raise TooShort(f"{sentence.id}: need >= 2 nodes, got {n}")
-    total = sum(abs(node.head - node.index) for node in sentence.nodes if node.head != 0)
+    total = sum(abs(head - i) for i, head in enumerate(sentence.head_vector, 1) if head)
     return total / (n - 1)
 
 
@@ -132,18 +116,24 @@ class MetricRecord:
 
 
 def metric_record(sentence: Sentence) -> MetricRecord:
-    """Compute the full metric summary for one sentence (n >= 2)."""
+    """Compute the full metric summary for one sentence (n >= 2).
+
+    Reads the depths that validation attached; only an unvalidated sentence
+    costs a :func:`node_depths` walk.
+    """
     n = len(sentence)
     if n < 2:
         raise TooShort(f"{sentence.id}: need >= 2 nodes, got {n}")
+    heads = sentence.head_vector
     root = sentence.root_index
-    depths = node_depths(sentence)
-    dd_hist = Counter(abs(node.head - node.index) for node in sentence.nodes if node.head != 0)
-    hd_hist = Counter(depths[i - 1] for i in range(1, n + 1) if i != root)
+    dds = list(map(abs, map(sub, heads, range(1, n + 1))))
+    del dds[root - 1]  # the root has no DD; its entry is abs(0 - root)
+    hd_hist = Counter(sentence.depths if sentence.depths is not None else node_depths(sentence))
+    del hd_hist[0]  # the root is the only node at depth 0
     return MetricRecord(
         sentence_id=sentence.id,
         sl=n,
-        dd_hist=dict(dd_hist),
+        dd_hist=dict(Counter(dds)),
         hd_hist=dict(hd_hist),
-        root_out_degree=sum(1 for node in sentence.nodes if node.head == root),
+        root_out_degree=heads.count(root),
     )

@@ -16,8 +16,9 @@ noisy corpus does not abort a run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import IO, Callable, Mapping, Sequence
+from dataclasses import dataclass, field
+from operator import eq
+from typing import IO, Mapping, Sequence
 
 from .errors import (
     CycleDetected,
@@ -45,32 +46,53 @@ class Node:
 
 @dataclass(frozen=True)
 class Sentence:
-    """An ordered node sequence whose head links form a single rooted tree.
+    """A sentence as a head vector: ``head_vector[i - 1]`` governs position i, 0 marks the root.
 
-    ``source`` is a provenance tag (file and line range) kept out of
-    structural equality concerns; compare ``nodes`` for that.
+    ``forms`` and ``lemmas`` are per-position text columns, or None when no
+    position has one. ``source`` is a provenance tag (file and line range).
+    ``depths`` holds each position's hierarchical distance once
+    :func:`validate_tree` has accepted the sentence; it is derived data and
+    takes no part in equality.
     """
 
     id: str
-    nodes: tuple[Node, ...]
+    head_vector: tuple[int, ...]
+    forms: tuple[str | None, ...] | None = None
+    lemmas: tuple[str | None, ...] | None = None
     source: str = ""
+    depths: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.head_vector)
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        """The positions as :class:`Node` objects, built on each access."""
+        n = len(self.head_vector)
+        blank = (None,) * n
+        return tuple(
+            map(Node, range(1, n + 1), self.head_vector, self.forms or blank, self.lemmas or blank)
+        )
 
     def node(self, index: int) -> Node:
-        """Return the node at 1-based position ``index``."""
-        return self.nodes[index - 1]
+        """Return the node at 1-based position ``index`` (tuple indexing rules apply)."""
+        i = range(len(self))[index - 1]
+        return Node(
+            index=i + 1,
+            head=self.head_vector[i],
+            form=self.forms[i] if self.forms else None,
+            lemma=self.lemmas[i] if self.lemmas else None,
+        )
 
     def heads(self) -> tuple[int, ...]:
-        return tuple(n.head for n in self.nodes)
+        return self.head_vector
 
     @property
     def root_index(self) -> int:
-        for n in self.nodes:
-            if n.head == 0:
-                return n.index
-        raise NoRoot(f"{self.id}: no root node")
+        try:
+            return self.head_vector.index(0) + 1
+        except ValueError:
+            raise NoRoot(f"{self.id}: no root node") from None
 
     @classmethod
     def from_heads(
@@ -82,16 +104,18 @@ class Sentence:
         source: str = "",
     ) -> "Sentence":
         """Build a sentence from a head vector (not validated here)."""
-        nodes = tuple(
-            Node(
-                index=i,
-                head=h,
-                form=forms[i - 1] if forms else None,
-                lemma=lemmas[i - 1] if lemmas else None,
-            )
-            for i, h in enumerate(heads, 1)
-        )
-        return cls(id=id, nodes=nodes, source=source)
+        n = len(heads)
+        return cls(id, tuple(heads), _text_column(forms, n), _text_column(lemmas, n), source)
+
+
+def _text_column(values: Sequence[str | None] | None, n: int) -> tuple[str | None, ...] | None:
+    """The first n values as a tuple, or None when there are none to keep."""
+    if not values:
+        return None
+    column = tuple(values[:n])
+    if len(column) < n:
+        raise IndexError(f"text column has {len(column)} values for {n} positions")
+    return None if column.count(None) == n else column
 
 
 @dataclass(frozen=True)
@@ -143,63 +167,94 @@ class ValencyLexicon:
         return cls(entries=entries)
 
 
-def validate_tree(sentence: Sentence) -> Sentence:
-    """Check single root, consecutive indices, acyclicity and connectivity.
+_ON_CHAIN = -2  # depth marker for a node on the head chain being walked
 
-    Returns the sentence unchanged on success. Every accepted sentence of
-    n nodes therefore carries exactly n - 1 dependencies.
+
+def tree_depths(heads: Sequence[int], id: str = "", source: str = "") -> tuple[int, ...]:
+    """Check that ``heads`` forms one rooted tree and return every node's depth.
+
+    The checks run in a fixed order, and the first failure raises: no nodes,
+    root count, then per node a self-loop or an out-of-range head, then a
+    cycle. Depth is the number of head links up to the root (root 0), in
+    position order. ``source`` labels the empty-sentence error when ``id`` is
+    empty. One O(n) walk does both jobs: it follows each head chain until it
+    reaches a node of known depth, and meeting a node of the current chain
+    again is a cycle.
     """
-    nodes = sentence.nodes
-    if not nodes:
-        raise InvalidTree(f"{sentence.id or sentence.source}: sentence has no nodes")
-    n = len(nodes)
-    indices = [node.index for node in nodes]
-    if indices != list(range(1, n + 1)):
-        raise InvalidTree(f"{sentence.id}: node indices are not consecutive from 1 (got {indices})")
-    roots = [node.index for node in nodes if node.head == 0]
+    n = len(heads)
+    if not n:
+        raise InvalidTree(f"{id or source}: sentence has no nodes")
+    roots = heads.count(0)
     if not roots:
-        raise NoRoot(f"{sentence.id}: no node has head 0")
-    if len(roots) > 1:
-        raise MultipleRoots(f"{sentence.id}: multiple roots at positions {roots}")
-    for node in nodes:
-        if node.head == node.index:
-            raise SelfLoop(f"{sentence.id}: node {node.index} heads itself")
-        if node.head != 0 and not 1 <= node.head <= n:
-            raise InvalidTree(f"{sentence.id}: node {node.index} head {node.head} out of range 1..{n}")
-    # Walk head chains; with one root and no cycles the functional graph is a tree.
-    state = [0] * (n + 1)  # 0 unseen, 1 on current chain, 2 settled
-    for start in range(1, n + 1):
-        if state[start]:
+        raise NoRoot(f"{id}: no node has head 0")
+    if roots > 1:
+        positions = [i for i, head in enumerate(heads, 1) if head == 0]
+        raise MultipleRoots(f"{id}: multiple roots at positions {positions}")
+    if min(heads) < 0 or max(heads) > n or any(map(eq, heads, range(1, n + 1))):
+        for i, head in enumerate(heads, 1):
+            if head == i:
+                raise SelfLoop(f"{id}: node {i} heads itself")
+            if not 0 <= head <= n:
+                raise InvalidTree(f"{id}: node {i} head {head} out of range 1..{n}")
+    depth: list[int | None] = [None] * (n + 1)
+    depth[0] = -1  # the root's virtual governor
+    for start, head in enumerate(heads, 1):
+        if depth[start] is not None:
             continue
-        chain = []
-        v = start
-        while True:
-            if state[v] == 1:
-                raise CycleDetected(f"{sentence.id}: cycle through node {v}")
-            if state[v] == 2:
-                break
-            state[v] = 1
+        d = depth[head]
+        if d is not None:  # the governor is settled: no walk needed
+            depth[start] = d + 1
+            continue
+        depth[start] = _ON_CHAIN
+        chain = [start]
+        v = head
+        while depth[v] is None:
+            depth[v] = _ON_CHAIN
             chain.append(v)
-            head = nodes[v - 1].head
-            if head == 0:
-                break
-            v = head
-        for u in chain:
-            state[u] = 2
-    return sentence
+            v = heads[v - 1]
+        d = depth[v]
+        if d == _ON_CHAIN:
+            raise CycleDetected(f"{id}: cycle through node {v}")
+        for u in reversed(chain):
+            d += 1
+            depth[u] = d
+    del depth[0]
+    return tuple(depth)  # type: ignore[arg-type]
+
+
+def validate_tree(sentence: Sentence) -> Sentence:
+    """Check single root, acyclicity and connectivity; attach the node depths.
+
+    Returns the sentence with ``depths`` set, or raises the typed error of
+    :func:`tree_depths`. Every accepted sentence of n nodes therefore carries
+    exactly n - 1 dependencies.
+    """
+    heads = sentence.head_vector
+    depths = tree_depths(heads, sentence.id, sentence.source)
+    return Sentence(sentence.id, heads, sentence.forms, sentence.lemmas, sentence.source, depths)
 
 
 def serialize_canonical(sentence: Sentence) -> str:
     """Render one canonical-JSONL line; ``parse_canonical`` inverts it."""
+    n = len(sentence)
+    blank = (None,) * n
     nodes = []
-    for n in sentence.nodes:
-        entry: dict[str, object] = {"index": n.index, "head": n.head}
-        if n.form is not None:
-            entry["form"] = n.form
-        if n.lemma is not None:
-            entry["lemma"] = n.lemma
+    for index, head, form, lemma in zip(
+        range(1, n + 1), sentence.head_vector, sentence.forms or blank, sentence.lemmas or blank
+    ):
+        entry: dict[str, object] = {"index": index, "head": head}
+        if form is not None:
+            entry["form"] = form
+        if lemma is not None:
+            entry["lemma"] = lemma
         nodes.append(entry)
-    return json.dumps({"id": sentence.id, "nodes": nodes}, ensure_ascii=False, sort_keys=True)
+    line = json.dumps({"id": sentence.id, "nodes": nodes}, ensure_ascii=False, sort_keys=True)
+    return line if line.isascii() else line.translate(_UNESCAPED_BREAKS)
+
+
+# Line breaks to ``str.splitlines`` that json.dumps(ensure_ascii=False) leaves raw;
+# escaped, they keep a sentence on one line.
+_UNESCAPED_BREAKS = {ord(char): f"\\u{ord(char):04x}" for char in "\x85\u2028\u2029"}
 
 
 # --- shared parser plumbing ----------------------------------------------
@@ -217,22 +272,21 @@ def _text_lines(stream: IO | str | bytes) -> list[str]:
     return data.splitlines()
 
 
-def _emit(
-    build: Callable[[], Sentence],
+_REJECTABLE = (MalformedLine, MalformedChunkHeader, MissingEOS, InvalidTree)
+
+
+def _reject(
+    exc: Exception,
     errors: str,
     rejections: list[Rejection] | None,
     source: str,
     sentence_id: str | None,
-    out: list[Sentence],
 ) -> None:
-    """Run one sentence builder under the selected error policy."""
-    try:
-        out.append(build())
-    except (MalformedLine, MalformedChunkHeader, MissingEOS, InvalidTree) as exc:
-        if errors == "raise":
-            raise
-        if rejections is not None:
-            rejections.append(Rejection(source=source, reason=str(exc), sentence_id=sentence_id))
+    """Apply the error policy to one bad sentence: re-raise, or record it."""
+    if errors == "raise":
+        raise exc
+    if rejections is not None:
+        rejections.append(Rejection(source=source, reason=str(exc), sentence_id=sentence_id))
 
 
 def _check_error_mode(errors: str) -> None:
@@ -263,94 +317,98 @@ def parse_conllu(
     """
     _check_error_mode(errors)
     sentences: list[Sentence] = []
-    block: list[tuple[int, str]] = []
+    lines = _text_lines(stream)
+    lines.append("")  # a blank line ends the last block
     ordinal = 0
-
-    def flush() -> None:
-        nonlocal ordinal
-        if not block:
-            return
-        lines = list(block)
-        block.clear()
-        if all(line.startswith("#") for _, line in lines):
-            return  # trailing comment-only block, not a sentence
+    start = 0  # index of the current block's first line
+    for end, line in enumerate(lines):
+        if line and not line.isspace():
+            continue
+        block = lines[start:end]
+        first_lineno, start = start + 1, end + 1
+        comments = [row for row in block if row[0] == "#"]
+        if len(comments) == len(block):
+            continue  # no block, or a comment-only block: not a sentence
         ordinal += 1
-        span = f"{source}:{lines[0][0]}-{lines[-1][0]}"
-        default_id = f"{source}#{ordinal}"
-        sent_id = default_id
-        for _, line in lines:
-            if line.startswith("# sent_id"):
-                _, _, value = line.partition("=")
-                if value.strip():
-                    sent_id = value.strip()
-        _emit(
-            lambda: _conllu_sentence(lines, sent_id, span, drop_punct),
-            errors,
-            rejections,
-            span,
-            sent_id,
-            sentences,
-        )
-
-    for lineno, raw in enumerate(_text_lines(stream), 1):
-        if raw.strip() == "":
-            flush()
-        else:
-            block.append((lineno, raw))
-    flush()
+        span = f"{source}:{first_lineno}-{end}"
+        sent_id = f"{source}#{ordinal}"
+        for comment in comments:
+            if comment.startswith("# sent_id"):
+                value = comment.partition("=")[2].strip()
+                if value:
+                    sent_id = value
+        try:
+            sentences.append(_conllu_sentence(block, first_lineno, sent_id, span, drop_punct))
+        except _REJECTABLE as exc:
+            _reject(exc, errors, rejections, span, sent_id)
     return sentences
 
 
 def _conllu_sentence(
-    lines: list[tuple[int, str]], sent_id: str, span: str, drop_punct: bool
+    lines: list[str], first_lineno: int, sent_id: str, span: str, drop_punct: bool
 ) -> Sentence:
-    entries: list[tuple[int, str | None, str | None, int, str]] = []
-    for lineno, line in lines:
-        if line.startswith("#"):
+    ids: list[int] = []
+    heads: list[int] = []
+    forms: list[str | None] = []
+    lemmas: list[str | None] = []
+    upos: list[str] = []
+    for lineno, line in enumerate(lines, first_lineno):
+        if line[0] == "#":
             continue
-        fields = line.split("\t")
+        fields = line.split("\t", 7)
         if len(fields) < 8:
             raise MalformedLine(f"line {lineno}: expected >= 8 tab-separated fields, got {len(fields)}")
-        raw_id = fields[0]
+        raw_id, form, lemma, tag, _, _, raw_head, _ = fields
         if "-" in raw_id or "." in raw_id:
             continue  # multiword-token range / empty node
         try:
-            index = int(raw_id)
+            ids.append(int(raw_id))
         except ValueError:
             raise MalformedLine(f"line {lineno}: non-integer ID {raw_id!r}") from None
         try:
-            head = int(fields[6])
+            heads.append(int(raw_head))
         except ValueError:
-            raise MalformedLine(f"line {lineno}: non-integer HEAD {fields[6]!r}") from None
-        form = None if fields[1] == "_" else fields[1]
-        lemma = None if fields[2] == "_" else fields[2]
-        entries.append((index, form, lemma, head, fields[3]))
-    if not entries:
+            raise MalformedLine(f"line {lineno}: non-integer HEAD {raw_head!r}") from None
+        forms.append(None if form == "_" else form)
+        lemmas.append(None if lemma == "_" else lemma)
+        upos.append(tag)
+    if not heads:
         raise InvalidTree(f"{sent_id}: sentence block has no token lines")
-    if [e[0] for e in entries] != list(range(1, len(entries) + 1)):
+    if ids != list(range(1, len(ids) + 1)):
         raise InvalidTree(f"{sent_id}: token IDs are not consecutive from 1")
     if drop_punct:
-        entries = _drop_punct(entries, sent_id)
-    nodes = tuple(Node(index=i, head=h, form=f, lemma=le) for i, f, le, h, _ in entries)
-    return validate_tree(Sentence(id=sent_id, nodes=nodes, source=span))
+        heads, forms, lemmas = _drop_punct(heads, forms, lemmas, upos, sent_id)
+    n = len(heads)
+    return validate_tree(
+        Sentence(sent_id, tuple(heads), _text_column(forms, n), _text_column(lemmas, n), span)
+    )
 
 
 def _drop_punct(
-    entries: list[tuple[int, str | None, str | None, int, str]], sent_id: str
-) -> list[tuple[int, str | None, str | None, int, str]]:
-    dropped = {index for index, _, _, _, upos in entries if upos == "PUNCT"}
+    heads: list[int],
+    forms: list[str | None],
+    lemmas: list[str | None],
+    upos: list[str],
+    sent_id: str,
+) -> tuple[list[int], list[str | None], list[str | None]]:
+    dropped = {index for index, tag in enumerate(upos, 1) if tag == "PUNCT"}
     if not dropped:
-        return entries
-    for index, _, _, head, _ in entries:
+        return heads, forms, lemmas
+    for head in heads:
         if head in dropped:
             raise InvalidTree(f"{sent_id}: dropped punctuation node {head} has dependents")
-    kept = [e for e in entries if e[0] not in dropped]
+    kept = [index for index in range(1, len(heads) + 1) if index not in dropped]
     if not kept:
         raise InvalidTree(f"{sent_id}: no nodes left after dropping punctuation")
     remap = {0: 0}
-    for new_index, entry in enumerate(kept, 1):
-        remap[entry[0]] = new_index
-    return [(remap[i], f, le, remap[h], upos) for i, f, le, h, upos in kept]
+    for new_index, index in enumerate(kept, 1):
+        remap[index] = new_index
+    # an out-of-range head keeps its value, so validation reports it
+    return (
+        [remap.get(heads[i - 1], heads[i - 1]) for i in kept],
+        [forms[i - 1] for i in kept],
+        [lemmas[i - 1] for i in kept],
+    )
 
 
 # --- CaboCha lattice -------------------------------------------------------
@@ -374,52 +432,37 @@ def parse_cabocha(
     """
     _check_error_mode(errors)
     sentences: list[Sentence] = []
-    block: list[tuple[int, str]] = []
-    ordinal = 0
     lines = _text_lines(stream)
-
-    def flush(end_line: int) -> None:
-        nonlocal ordinal
-        if not block:
-            return  # bare EOS, nothing to parse
-        pending = list(block)
-        block.clear()
-        ordinal += 1
-        span = f"{source}:{pending[0][0]}-{end_line}"
-        sent_id = f"{source}#{ordinal}"
-        _emit(
-            lambda: _cabocha_sentence(pending, sent_id, span),
-            errors,
-            rejections,
-            span,
-            sent_id,
-            sentences,
-        )
-
-    for lineno, raw in enumerate(lines, 1):
-        if raw.strip() == "":
+    ordinal = 0
+    start: int | None = None  # index of the pending sentence's first non-blank line
+    for i, raw in enumerate(lines):
+        if not raw or raw.isspace():
             continue
-        if raw.rstrip() == "EOS":
-            flush(lineno)
-        else:
-            block.append((lineno, raw))
+        if raw.startswith("EOS") and raw.rstrip() == "EOS":
+            if start is None:
+                continue  # bare EOS, nothing to parse
+            ordinal += 1
+            span = f"{source}:{start + 1}-{i + 1}"
+            sent_id = f"{source}#{ordinal}"
+            try:
+                sentences.append(_cabocha_sentence(lines[start:i], start + 1, sent_id, span))
+            except _REJECTABLE as exc:
+                _reject(exc, errors, rejections, span, sent_id)
+            start = None
+        elif start is None:
+            start = i
 
-    if block:
+    if start is not None:
         exc = MissingEOS(f"{source}: stream ended inside a sentence (missing EOS)")
-        if errors == "raise":
-            raise exc
-        if rejections is not None:
-            rejections.append(
-                Rejection(
-                    source=f"{source}:{block[0][0]}-{len(lines)}", reason=str(exc), sentence_id=None
-                )
-            )
+        _reject(exc, errors, rejections, f"{source}:{start + 1}-{len(lines)}", None)
     return sentences
 
 
-def _cabocha_sentence(lines: list[tuple[int, str]], sent_id: str, span: str) -> Sentence:
-    chunks: list[tuple[int, list[str], str | None]] = []
-    for lineno, raw in lines:
+def _cabocha_sentence(lines: list[str], first_lineno: int, sent_id: str, span: str) -> Sentence:
+    heads: list[int] = []
+    surfaces: list[list[str]] = []
+    lemmas: list[str | None] = []
+    for lineno, raw in enumerate(lines, first_lineno):
         if raw.startswith("* "):
             parts = raw.split()
             if len(parts) < 3 or not parts[2].endswith("D"):
@@ -429,31 +472,27 @@ def _cabocha_sentence(lines: list[tuple[int, str]], sent_id: str, span: str) -> 
                 head = int(parts[2][:-1])
             except ValueError:
                 raise MalformedChunkHeader(f"line {lineno}: bad chunk header {raw!r}") from None
-            if index != len(chunks):
+            if index != len(heads):
                 raise MalformedChunkHeader(
-                    f"line {lineno}: chunk index {index} out of sequence (expected {len(chunks)})"
+                    f"line {lineno}: chunk index {index} out of sequence (expected {len(heads)})"
                 )
-            chunks.append((head, [], None))
+            heads.append(0 if head == -1 else head + 1)
+            surfaces.append([])
+            lemmas.append(None)
+        elif not raw or raw.isspace():
+            continue
         else:
-            if not chunks:
+            if not heads:
                 raise MalformedLine(f"line {lineno}: morpheme line before any chunk header")
-            head, surfaces, lemma = chunks[-1]
             surface, _, feature_str = raw.partition("\t")
-            surfaces.append(surface)
-            if lemma is None and feature_str:
-                features = feature_str.split(",")
+            surfaces[-1].append(surface)
+            if lemmas[-1] is None and feature_str:
+                features = feature_str.split(",", 7)
                 if len(features) > 6 and features[6] not in ("*", ""):
-                    chunks[-1] = (head, surfaces, features[6])
-    nodes = tuple(
-        Node(
-            index=pos + 1,
-            head=0 if head == -1 else head + 1,
-            form="".join(surfaces),
-            lemma=lemma,
-        )
-        for pos, (head, surfaces, lemma) in enumerate(chunks)
-    )
-    return validate_tree(Sentence(id=sent_id, nodes=nodes, source=span))
+                    lemmas[-1] = features[6]
+    n = len(heads)
+    forms = tuple("".join(chunk) for chunk in surfaces)
+    return validate_tree(Sentence(sent_id, tuple(heads), forms, _text_column(lemmas, n), span))
 
 
 # --- canonical JSONL -------------------------------------------------------
@@ -469,8 +508,11 @@ def parse_canonical(
     """Parse the toolkit's JSONL format: one sentence object per line.
 
     Each line is ``{"id": str, "nodes": [{"index": int, "head": int,
-    "form"?: str, "lemma"?: str}, ...]}``. Blank lines and lines starting
-    with '#' (used for run metadata by the generator) are skipped.
+    "form"?: str | null, "lemma"?: str | null}, ...]}``. ``index`` and
+    ``head`` must be JSON integers (not floats or booleans), the indices must
+    run 1..n in order, and a line that breaks either rule is rejected.
+    Blank lines and lines starting with '#' (used for run metadata by the
+    generator) are skipped.
     """
     _check_error_mode(errors)
     sentences: list[Sentence] = []
@@ -479,14 +521,10 @@ def parse_canonical(
         if not line or line.startswith("#"):
             continue
         span = f"{source}:{lineno}"
-        _emit(
-            lambda: _canonical_sentence(line, lineno, span),
-            errors,
-            rejections,
-            span,
-            None,
-            sentences,
-        )
+        try:
+            sentences.append(_canonical_sentence(line, lineno, span))
+        except _REJECTABLE as exc:
+            _reject(exc, errors, rejections, span, None)
     return sentences
 
 
@@ -495,21 +533,39 @@ def _canonical_sentence(line: str, lineno: int, span: str) -> Sentence:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedLine(f"line {lineno}: invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # integer digit limit, nesting depth
+        raise MalformedLine(f"line {lineno}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "id" not in obj or "nodes" not in obj:
         raise MalformedLine(f"line {lineno}: expected an object with 'id' and 'nodes'")
     if not isinstance(obj["nodes"], list):
         raise MalformedLine(f"line {lineno}: 'nodes' must be a list")
-    nodes = []
+    sent_id = str(obj["id"])
+    indices: list[int] = []
+    heads: list[int] = []
+    forms: list[str | None] = []
+    lemmas: list[str | None] = []
     for entry in obj["nodes"]:
         if not isinstance(entry, dict):
             raise MalformedLine(f"line {lineno}: node entries must be objects")
-        try:
-            index = int(entry["index"])
-            head = int(entry["head"])
-        except (KeyError, TypeError, ValueError):
-            raise MalformedLine(f"line {lineno}: node needs integer 'index' and 'head'") from None
-        nodes.append(Node(index=index, head=head, form=entry.get("form"), lemma=entry.get("lemma")))
-    return validate_tree(Sentence(id=str(obj["id"]), nodes=tuple(nodes), source=span))
+        index = entry.get("index")
+        head = entry.get("head")
+        # type(...) is int also rules out bool, which json gives for true/false
+        if type(index) is not int or type(head) is not int:
+            raise MalformedLine(f"line {lineno}: node needs integer 'index' and 'head'")
+        form = entry.get("form")
+        lemma = entry.get("lemma")
+        if not (form is None or type(form) is str) or not (lemma is None or type(lemma) is str):
+            raise MalformedLine(f"line {lineno}: node 'form' and 'lemma' must be strings or null")
+        indices.append(index)
+        heads.append(head)
+        forms.append(form)
+        lemmas.append(lemma)
+    n = len(heads)
+    if indices != list(range(1, n + 1)):
+        raise InvalidTree(f"{sent_id}: node indices are not consecutive from 1 (got {indices})")
+    return validate_tree(
+        Sentence(sent_id, tuple(heads), _text_column(forms, n), _text_column(lemmas, n), span)
+    )
 
 
 # --- dispatch --------------------------------------------------------------

@@ -262,11 +262,79 @@ def test_config_file_errors(data_dir, tmp_path, capsys):
     assert "unknown config key" in err
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"sl_min": "2"},
+        {"sl_max": 12.0},
+        {"min_bucket": True},
+        {"dist_sls": "5,10"},
+        {"dist_sls": [5, "10"]},
+        {"dist_sls": 5},
+        {"seed": "1"},
+        {"drop_punct": "yes"},
+        {"valency_mode": 3},
+        {"lexicon_path": ["a.tsv"]},
+        {"output_dir": None},
+        {"entropy_base": 2},
+        {"inputs": "corpus.jsonl"},
+        {"inputs": 7},
+        {"inputs": [{"path": 5}]},
+        {"inputs": [{"path": "corpus.jsonl", "format": 1}]},
+    ],
+    ids=lambda setting: json.dumps(setting),
+)
+def test_config_file_value_of_wrong_type_is_config_error(data_dir, tmp_path, capsys, setting):
+    config = {
+        "inputs": [{"path": str(data_dir / "sample_200.jsonl")}],
+        "output_dir": str(tmp_path / "out"),
+        **setting,
+    }
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code, _, err = run(["report", "--config", str(config_path)], capsys)
+    assert code == 2
+    assert err.startswith("config error: ")
+    assert repr(next(iter(setting))) in err or "'inputs'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_typed_values_are_accepted(data_dir, tmp_path, capsys):
+    config = {
+        "inputs": [{"path": str(data_dir / "sample_200.jsonl")}],
+        "dist_sls": [5, 10],
+        "seed": None,
+        "lexicon_path": None,
+        "drop_punct": False,
+        "output_dir": str(tmp_path / "out"),
+    }
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code, _, _ = run(["report", "--config", str(config_path)], capsys)
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["meta"]["config"]["dist_sls"] == [5, 10]
+
+
 def test_invalid_settings_are_config_errors(data_dir, capsys):
     corpus = str(data_dir / "sample_200.jsonl")
     assert run(["report", corpus, "--min-bucket", "2"], capsys)[0] == 2
     assert run(["report", corpus, "--sl-min", "1"], capsys)[0] == 2
     assert run(["report", corpus, "--sl-min", "10", "--sl-max", "5"], capsys)[0] == 2
+
+
+def test_validate_skips_canonical_nodes_of_wrong_type(tmp_path, capsys):
+    corpus = tmp_path / "typed.jsonl"
+    corpus.write_text(
+        '{"id": "inf", "nodes": [{"index": 1, "head": 1e400}]}\n'
+        '{"id": "bool", "nodes": [{"index": 1, "head": 2}, {"index": 2, "head": true}]}\n'
+        '{"id": "lemma", "nodes": [{"index": 1, "head": 0, "lemma": [1]}]}\n'
+        '{"id": "ok", "nodes": [{"index": 1, "head": 2}, {"index": 2, "head": 0}]}\n',
+        encoding="utf-8",
+    )
+    code, out, _ = run(["validate", str(corpus)], capsys)
+    assert code == 0
+    assert "1 accepted, 3 rejected" in out
 
 
 # --- generate ---------------------------------------------------------------------------

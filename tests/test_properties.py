@@ -1,0 +1,112 @@
+"""Property tests: the fused validate-and-depth walk and the canonical round trip."""
+
+from __future__ import annotations
+
+from collections import deque
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from depmetrics.errors import CycleDetected, InvalidTree, MultipleRoots, NoRoot, SelfLoop
+from depmetrics.randtree import GeneratorConfig, random_tree
+from depmetrics.treebank import Sentence, parse_canonical, serialize_canonical, tree_depths, validate_tree
+
+
+def ordered_checks_oracle(heads, id):
+    """The tree checks one at a time, in the documented order; raises the first failure."""
+    n = len(heads)
+    if not n:
+        raise InvalidTree(f"{id}: sentence has no nodes")
+    roots = [i for i, h in enumerate(heads, 1) if h == 0]
+    if not roots:
+        raise NoRoot(f"{id}: no node has head 0")
+    if len(roots) > 1:
+        raise MultipleRoots(f"{id}: multiple roots at positions {roots}")
+    for i, h in enumerate(heads, 1):
+        if h == i:
+            raise SelfLoop(f"{id}: node {i} heads itself")
+        if h != 0 and not 1 <= h <= n:
+            raise InvalidTree(f"{id}: node {i} head {h} out of range 1..{n}")
+    # a cycle is the first node met twice on a head chain, starting from 1, 2, ...
+    settled = set()
+    for start in range(1, n + 1):
+        chain = []
+        v = start
+        while v != 0 and v not in settled:
+            if v in chain:
+                raise CycleDetected(f"{id}: cycle through node {v}")
+            chain.append(v)
+            v = heads[v - 1]
+        settled.update(chain)
+
+
+def bfs_depths(heads):
+    """Depths by breadth-first search down from the root."""
+    children = {i: [] for i in range(len(heads) + 1)}
+    for i, h in enumerate(heads, 1):
+        children[h].append(i)
+    depth = {}
+    queue = deque((child, 0) for child in children[0])
+    while queue:
+        v, d = queue.popleft()
+        depth[v] = d
+        queue.extend((child, d + 1) for child in children[v])
+    return tuple(depth[i] for i in range(1, len(heads) + 1))
+
+
+@st.composite
+def head_vectors(draw):
+    """Head vectors of up to 12 nodes, mostly invalid: heads range over -1..n+1."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    return tuple(draw(st.lists(st.integers(min_value=-1, max_value=n + 1), min_size=n, max_size=n)))
+
+
+@st.composite
+def valid_head_vectors(draw):
+    """Uniform random trees of 1..12 nodes, which the walk must accept."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return random_tree(GeneratorConfig(n=n, seed=seed)).heads()
+
+
+def _outcome(check, heads):
+    try:
+        return "ok", check(heads, "s")
+    except InvalidTree as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(head_vectors(), valid_head_vectors()))
+def test_tree_depths_matches_ordered_checks_and_bfs(heads):
+    expected_kind, expected = _outcome(ordered_checks_oracle, heads)
+    kind, result = _outcome(tree_depths, heads)
+    assert kind == expected_kind
+    if kind == "ok":
+        assert result == bfs_depths(heads)
+    else:
+        assert result == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_head_vectors())
+def test_validate_tree_attaches_the_walk_depths(heads):
+    sentence = validate_tree(Sentence.from_heads(heads, id="s"))
+    assert sentence.depths == bfs_depths(heads)
+    assert sentence == Sentence.from_heads(heads, id="s")  # depths take no part in equality
+
+
+text_or_none = st.one_of(st.none(), st.text(max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_head_vectors(), st.data())
+def test_canonical_round_trip_of_random_trees(heads, data):
+    n = len(heads)
+    forms = data.draw(st.one_of(st.none(), st.lists(text_or_none, min_size=n, max_size=n)))
+    lemmas = data.draw(st.one_of(st.none(), st.lists(text_or_none, min_size=n, max_size=n)))
+    sentence = Sentence.from_heads(heads, id=data.draw(st.text(max_size=6)), forms=forms, lemmas=lemmas)
+    again = parse_canonical(serialize_canonical(sentence))[0]
+    assert again.heads() == sentence.heads()
+    assert again.nodes == sentence.nodes
+    assert again.id == sentence.id

@@ -128,6 +128,13 @@ def test_drop_punct_rejects_punct_with_dependents(data_dir):
     assert any("punctuation" in r.reason for r in rejections)
 
 
+def test_drop_punct_keeps_out_of_range_head_for_validation():
+    text = conllu_line(1, 3) + "\n" + conllu_line(2, 3, upos="PUNCT") + "\n"
+    text += conllu_line(3, 0) + "\n" + conllu_line(4, 9) + "\n"
+    with pytest.raises(InvalidTree, match=r"node 3 head 9 out of range 1\.\.3$"):
+        parse_conllu(text, drop_punct=True)
+
+
 # --- CaboCha ----------------------------------------------------------------
 
 
@@ -215,6 +222,53 @@ def test_parse_canonical_skips_comments_and_blanks():
     assert len(parse_canonical(text)) == 1
 
 
+@pytest.mark.parametrize(
+    "node",
+    [
+        '{"index": 1, "head": 0.0}',
+        '{"index": 1.9, "head": 0}',
+        '{"index": 1, "head": true}',
+        '{"index": true, "head": 0}',
+        '{"index": 1, "head": 1e400}',
+        '{"index": 1, "head": "0"}',
+        '{"index": 1, "head": null}',
+    ],
+    ids=["float-head", "float-index", "bool-head", "bool-index", "inf-head", "text-head", "null-head"],
+)
+def test_parse_canonical_requires_json_integers(node):
+    line = '{"id": "s", "nodes": [{"index": 2, "head": 0}, ' + node + "]}"
+    with pytest.raises(MalformedLine, match="^line 1: node needs integer 'index' and 'head'$"):
+        parse_canonical(line)
+    rejections = []
+    assert parse_canonical(line, errors="skip", rejections=rejections) == []
+    assert len(rejections) == 1
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    ["[" * 100_000 + "]" * 100_000, '[{"index": 1, "head": 1' + "0" * 5000 + "}]"],
+    ids=["nested-too-deep", "5001-digit-head"],
+)
+def test_parse_canonical_rejects_json_python_cannot_load(nodes):
+    line = '{"id": "s", "nodes": ' + nodes + "}"
+    rejections = []
+    assert parse_canonical(line, errors="skip", rejections=rejections) == []
+    assert rejections[0].reason.startswith("line 1: invalid JSON: ")
+
+
+@pytest.mark.parametrize("field", ['"form": 3', '"lemma": [1]', '"lemma": {"a": 1}', '"form": false'])
+def test_parse_canonical_requires_text_or_null(field):
+    line = '{"id": "s", "nodes": [{"index": 1, "head": 0, ' + field + "}]}"
+    with pytest.raises(MalformedLine, match="'form' and 'lemma' must be strings or null"):
+        parse_canonical(line)
+
+
+def test_parse_canonical_accepts_null_text_fields():
+    line = '{"id": "s", "nodes": [{"index": 1, "head": 0, "form": null, "lemma": "go"}]}'
+    sent = parse_canonical(line)[0]
+    assert sent.node(1) == Node(index=1, head=0, form=None, lemma="go")
+
+
 def test_canonical_round_trip_over_bundled_samples(data_dir):
     originals = parse_conllu((data_dir / "sample_ud.conllu").read_bytes(), errors="skip")
     originals += parse_cabocha((data_dir / "sample.cabocha").read_bytes())
@@ -241,14 +295,17 @@ def test_validate_tree_examples():
         validate_tree(Sentence.from_heads((1, 0)))
     with pytest.raises(InvalidTree):
         validate_tree(Sentence.from_heads((5, 0)))
-    with pytest.raises(InvalidTree):
-        validate_tree(Sentence(id="empty", nodes=()))
+    with pytest.raises(InvalidTree, match="^empty: sentence has no nodes$"):
+        validate_tree(Sentence.from_heads((), id="empty"))
+    with pytest.raises(InvalidTree, match="^<canonical>:1: sentence has no nodes$"):
+        parse_canonical('{"id": "", "nodes": []}')
 
 
 def test_validate_tree_rejects_nonconsecutive_indices():
-    nodes = (Node(index=1, head=3), Node(index=3, head=0))
-    with pytest.raises(InvalidTree):
-        validate_tree(Sentence(id="gap", nodes=nodes))
+    # a head vector has no indices to skip, so the check lives in the parser
+    line = '{"id": "gap", "nodes": [{"index": 1, "head": 3}, {"index": 3, "head": 0}]}'
+    with pytest.raises(InvalidTree, match=r"^gap: node indices are not consecutive from 1 \(got \[1, 3\]\)$"):
+        parse_canonical(line)
 
 
 def _is_rooted_tree_oracle(heads):
