@@ -1,12 +1,14 @@
-"""Corpus-level aggregation of per-sentence metric records.
+"""Corpus-level aggregation: one fold of per-length integer totals.
 
-Produces the toolkit's tables: length histograms, pooled and
-length-conditioned DD/HD distributions, entropy series, mean MDD/MHD trends
-with crossing detection, per-length Spearman correlation, and
-valency-conditioned counts with their regression fits.
+Every table the toolkit writes is a per-length aggregate, so a corpus is
+folded once, sentence by sentence, into :class:`CorpusStats`. The tables are
+read from the fold: length histograms, pooled and length-conditioned DD/HD
+distributions, entropy series, mean MDD/MHD trends with crossing detection,
+per-length Spearman correlation, and valency-conditioned counts with their
+regression fits.
 
-Aggregation is a fold over per-sentence integer histograms, so results are
-independent of sentence order; means are accumulated as exact rationals.
+The fold holds integers only, so it does not depend on sentence order, and
+each mean is one correctly rounded division of integer totals.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from operator import sub
+from typing import Sequence
 
-from .errors import DegenerateInput, EmptyLexicon, EmptySelection
-from .metrics import MetricRecord
+from .errors import DegenerateInput, EmptyLexicon, EmptySelection, TooShort
 from .stats import Distribution, RegressionResult, entropy, ols_fit, spearman
-from .treebank import Sentence, ValencyLexicon
+from .treebank import Sentence, ValencyLexicon, tree_depths
 
 log = logging.getLogger(__name__)
 
@@ -65,144 +66,183 @@ class ValencyFit:
     result: RegressionResult
 
 
-def _hist(record: MetricRecord, metric: str) -> Mapping[int, int]:
-    if metric == "dd":
-        return record.dd_hist
-    if metric == "hd":
-        return record.hd_hist
-    raise ValueError(f"metric must be 'dd' or 'hd', got {metric!r}")
+@dataclass
+class LengthStats:
+    """Integer totals over the sentences of one length."""
+
+    n: int = 0
+    dd: Counter[int] = field(default_factory=Counter)  # DD value -> count
+    hd: Counter[int] = field(default_factory=Counter)  # depth -> count; each root counts at 0
+    dd_total: int = 0
+    hd_total: int = 0
+    pairs: Counter[tuple[int, int]] = field(default_factory=Counter)  # per-sentence (DD sum, HD sum)
+    # (root lemma, root out-degree capped at MAX_VALENCY_CLASS) -> [DD=1 count, HD=1 count, sentences]
+    valency: dict[tuple[str | None, int], list[int]] = field(default_factory=dict)
+
+    def value_counts(self, metric: str) -> dict[int, int]:
+        """DD or HD value counts of the dependencies (the roots left out)."""
+        if metric == "dd":
+            return self.dd
+        if metric == "hd":
+            return {value: count for value, count in self.hd.items() if value}
+        raise ValueError(f"metric must be 'dd' or 'hd', got {metric!r}")
 
 
-def length_histogram(records: Iterable[MetricRecord]) -> dict[int, int]:
-    """Sentence count per length, over everything passed in (no window)."""
-    counts = Counter(record.sl for record in records)
-    return {sl: counts[sl] for sl in sorted(counts)}
+@dataclass
+class CorpusStats:
+    """Per-length integer totals of a corpus, filled by :meth:`add` one sentence at a time."""
+
+    by_sl: dict[int, LengthStats] = field(default_factory=dict)
+
+    def add(self, sentence: Sentence) -> None:
+        """Fold one sentence of n >= 2 nodes in.
+
+        Reads the head vector and the depths that validation attached; only
+        an unvalidated sentence costs a :func:`tree_depths` walk.
+        """
+        heads = sentence.head_vector
+        n = len(heads)
+        if n < 2:
+            raise TooShort(f"{sentence.id}: need >= 2 nodes, got {n}")
+        depths = sentence.depths
+        if depths is None:
+            depths = tree_depths(heads, sentence.id, sentence.source)
+        root = heads.index(0) + 1
+        dds = list(map(abs, map(sub, heads, range(1, n + 1))))
+        del dds[root - 1]  # the root has no DD; its entry is abs(0 - root)
+        dd_total = sum(dds)
+        hd_total = sum(depths)
+        out_degree = heads.count(root)
+        cell = self.by_sl.get(n)
+        if cell is None:
+            cell = self.by_sl[n] = LengthStats()
+        cell.n += 1
+        cell.dd.update(dds)
+        cell.hd.update(depths)
+        cell.dd_total += dd_total
+        cell.hd_total += hd_total
+        cell.pairs[dd_total, hd_total] += 1
+        lemma = sentence.lemmas[root - 1] if sentence.lemmas else None
+        key = (lemma, min(out_degree, MAX_VALENCY_CLASS))
+        tally = cell.valency.get(key)
+        if tally is None:
+            tally = cell.valency[key] = [0, 0, 0]
+        tally[0] += dds.count(1)
+        tally[1] += out_degree  # the depth-1 nodes are the root's dependents
+        tally[2] += 1
+
+    def window(self, sl_min: int, sl_max: int) -> CorpusStats:
+        """The fold restricted to lengths in [sl_min, sl_max]; it shares the per-length totals."""
+        return CorpusStats({sl: cell for sl, cell in self.by_sl.items() if sl_min <= sl <= sl_max})
+
+    def sorted_cells(self) -> list[tuple[int, LengthStats]]:
+        return sorted(self.by_sl.items())
 
 
-def pooled_distribution(
-    records: Iterable[MetricRecord], metric: str, sl_min: int, sl_max: int
-) -> Distribution:
-    """Merge per-sentence histograms of all records with sl in [sl_min, sl_max]."""
+def length_histogram(stats: CorpusStats) -> dict[int, int]:
+    """Sentence count per length, over the whole fold (no window)."""
+    return {sl: cell.n for sl, cell in stats.sorted_cells()}
+
+
+def pooled_distribution(stats: CorpusStats, metric: str, sl_min: int, sl_max: int) -> Distribution:
+    """Merge the value counts of every length in [sl_min, sl_max]."""
     if sl_min < 2:
         raise ValueError(f"sl_min must be >= 2, got {sl_min}")
-    merged: Counter[int] = Counter()
-    selected = 0
-    for record in records:
-        if sl_min <= record.sl <= sl_max:
-            selected += 1
-            merged.update(_hist(record, metric))
-    if selected == 0:
+    cells = stats.window(sl_min, sl_max).by_sl.values()
+    if not cells:
         raise EmptySelection(f"no sentences with length in [{sl_min}, {sl_max}]")
+    merged: Counter[int] = Counter()
+    for cell in cells:
+        merged.update(cell.value_counts(metric))
     return Distribution(counts=dict(merged))
 
 
 def conditional_distributions(
-    records: Iterable[MetricRecord], metric: str, sl_list: Sequence[int]
+    stats: CorpusStats, metric: str, sl_list: Sequence[int]
 ) -> dict[int, Distribution]:
-    """One distribution per requested length, over records of exactly that length.
+    """One distribution per requested length, over sentences of exactly that length.
 
-    Lengths with no records are omitted with a warning rather than failing,
+    Lengths with no sentences are omitted with a warning rather than failing,
     since a narrow corpus legitimately misses some of the requested lengths.
     """
     for sl in sl_list:
         if sl < 2:
             raise ValueError(f"requested sentence lengths must be >= 2, got {sl}")
-    wanted = sorted(set(sl_list))
-    by_sl: dict[int, Counter[int]] = {sl: Counter() for sl in wanted}
-    seen: Counter[int] = Counter()
-    for record in records:
-        if record.sl in by_sl:
-            by_sl[record.sl].update(_hist(record, metric))
-            seen[record.sl] += 1
     result = {}
-    for sl in wanted:
-        if seen[sl] == 0:
+    for sl in sorted(set(sl_list)):
+        cell = stats.by_sl.get(sl)
+        if cell is None:
             log.warning("no sentences of length %d; omitting its %s distribution", sl, metric)
             continue
-        result[sl] = Distribution(counts=dict(by_sl[sl]))
+        result[sl] = Distribution(counts=dict(cell.value_counts(metric)))
     return result
 
 
-def _group_by_sl(records: Iterable[MetricRecord]) -> dict[int, list[MetricRecord]]:
-    groups: dict[int, list[MetricRecord]] = defaultdict(list)
-    for record in records:
-        groups[record.sl].append(record)
-    return groups
-
-
-def entropy_by_sl(
-    records: Iterable[MetricRecord], metric: str, base: float = 2.0
-) -> list[SeriesPoint]:
+def entropy_by_sl(stats: CorpusStats, metric: str, base: float = 2.0) -> list[SeriesPoint]:
     """Entropy of the length-conditioned distribution, for each length present."""
-    groups = _group_by_sl(records)
-    points = []
-    for sl in sorted(groups):
-        merged: Counter[int] = Counter()
-        for record in groups[sl]:
-            merged.update(_hist(record, metric))
-        dist = Distribution(counts=dict(merged))
-        points.append(SeriesPoint(sl=sl, value=entropy(dist, base=base), n=len(groups[sl])))
-    return points
+    return [
+        SeriesPoint(sl=sl, value=entropy(Distribution(cell.value_counts(metric)), base=base), n=cell.n)
+        for sl, cell in stats.sorted_cells()
+    ]
 
 
-def mean_metric_by_sl(
-    records: Iterable[MetricRecord],
-) -> tuple[list[SeriesPoint], list[SeriesPoint]]:
-    """Per-length arithmetic means of per-sentence MDD and MHD (exact, then float)."""
-    groups = _group_by_sl(records)
+def mean_metric_by_sl(stats: CorpusStats) -> tuple[list[SeriesPoint], list[SeriesPoint]]:
+    """Per-length arithmetic means of per-sentence MDD and MHD.
+
+    A mean over N sentences of length sl is sum / ((sl - 1) * N) of integer
+    totals, and int true division rounds correctly.
+    """
     mdd_series = []
     mhd_series = []
-    for sl in sorted(groups):
-        bucket = groups[sl]
-        mean_mdd = sum((r.mdd_exact for r in bucket), Fraction(0)) / len(bucket)
-        mean_mhd = sum((r.mhd_exact for r in bucket), Fraction(0)) / len(bucket)
-        mdd_series.append(SeriesPoint(sl=sl, value=float(mean_mdd), n=len(bucket)))
-        mhd_series.append(SeriesPoint(sl=sl, value=float(mean_mhd), n=len(bucket)))
+    for sl, cell in stats.sorted_cells():
+        deps = (sl - 1) * cell.n
+        mdd_series.append(SeriesPoint(sl=sl, value=cell.dd_total / deps, n=cell.n))
+        mhd_series.append(SeriesPoint(sl=sl, value=cell.hd_total / deps, n=cell.n))
     return mdd_series, mhd_series
 
 
-def find_intersection(
-    mdd_series: Sequence[SeriesPoint], mhd_series: Sequence[SeriesPoint]
-) -> list[tuple[int, int]]:
+def find_intersection(stats: CorpusStats) -> list[tuple[int, int]]:
     """Report where the mean-MDD and mean-MHD series cross.
 
     Returns (k, k') intervals for strict sign changes of mean_mdd - mean_mhd
-    between consecutive lengths, and degenerate (k, k) intervals where the
-    means are exactly equal. Both series must cover the same lengths.
+    between consecutive lengths present, and degenerate (k, k) intervals
+    where the means are exactly equal. Both means of one length share their
+    denominator, so the sign is that of the integer DD sum minus the HD sum.
     """
-    if [p.sl for p in mdd_series] != [p.sl for p in mhd_series]:
-        raise ValueError("series do not share the same length support")
-    crossings: list[tuple[int, int]] = []
-    diffs = [(m.sl, m.value - h.value) for m, h in zip(mdd_series, mhd_series)]
-    for sl, diff in diffs:
-        if diff == 0.0:
-            crossings.append((sl, sl))
-    for (sl_a, diff_a), (sl_b, diff_b) in zip(diffs, diffs[1:]):
-        if diff_a * diff_b < 0.0:
+    signs = [
+        (sl, (cell.dd_total > cell.hd_total) - (cell.dd_total < cell.hd_total))
+        for sl, cell in stats.sorted_cells()
+    ]
+    crossings = [(sl, sl) for sl, sign in signs if sign == 0]
+    for (sl_a, sign_a), (sl_b, sign_b) in zip(signs, signs[1:]):
+        if sign_a * sign_b < 0:
             crossings.append((sl_a, sl_b))
     crossings.sort()
     return crossings
 
 
-def spearman_by_sl(records: Iterable[MetricRecord]) -> list[CorrelationPoint]:
+def spearman_by_sl(stats: CorpusStats) -> list[CorrelationPoint]:
     """Per-length Spearman correlation between per-sentence MDD and MHD.
 
     Length 2 is always excluded (MDD and MHD are both identically 1 there);
     buckets with fewer than 3 sentences or a constant vector are skipped
-    with a warning.
+    with a warning. The two vectors are the sentences' (DD sum, HD sum)
+    pairs, expanded in sorted order; Spearman does not depend on the order.
     """
-    groups = _group_by_sl(records)
     points = []
-    for sl in sorted(groups):
+    for sl, cell in stats.sorted_cells():
         if sl == 2:
             log.info("length 2 excluded from correlation (no variance)")
             continue
-        bucket = groups[sl]
-        if len(bucket) < 3:
-            log.warning("length %d has only %d sentences; correlation skipped", sl, len(bucket))
+        if cell.n < 3:
+            log.warning("length %d has only %d sentences; correlation skipped", sl, cell.n)
             continue
-        mdds = [r.mdd for r in bucket]
-        mhds = [r.mhd for r in bucket]
+        deps = sl - 1
+        mdds: list[float] = []
+        mhds: list[float] = []
+        for (dd_total, hd_total), count in sorted(cell.pairs.items()):
+            mdds += [dd_total / deps] * count
+            mhds += [hd_total / deps] * count
         try:
             result = spearman(mdds, mhds)
         except DegenerateInput as exc:
@@ -220,49 +260,41 @@ def split_gated(points: Sequence, min_bucket: int) -> tuple[list, list]:
 
 
 def valency_conditioned_counts(
-    records: Sequence[MetricRecord],
-    sentences: Sequence[Sentence],
+    stats: CorpusStats,
     lexicon: ValencyLexicon | None = None,
     valency_mode: str = "root-out-degree",
 ) -> tuple[list[ValencyCell], int]:
     """Average counts of DD=1 and HD=1 nodes per (valency class, length).
 
-    ``records[i]`` must describe ``sentences[i]``. In ``lexicon`` mode the
-    valency class comes from looking up the root node's lemma; sentences
-    whose root lemma misses the lexicon are skipped, and the returned second
-    element is that miss count. In ``root-out-degree`` mode the class is the
-    root's out-degree capped at 4 and the miss count is always 0.
+    In ``lexicon`` mode the valency class comes from looking up the root
+    node's lemma; sentences whose root lemma misses the lexicon are skipped,
+    and the returned second element is that miss count. In
+    ``root-out-degree`` mode the class is the root's out-degree capped at 4
+    and the miss count is always 0.
     """
     if valency_mode not in VALENCY_MODES:
         raise ValueError(f"valency_mode must be one of {VALENCY_MODES}, got {valency_mode!r}")
-    if len(records) != len(sentences):
-        raise ValueError(f"records/sentences length mismatch: {len(records)} vs {len(sentences)}")
     if valency_mode == "lexicon" and (lexicon is None or len(lexicon) == 0):
         raise EmptyLexicon("lexicon mode requires a non-empty valency lexicon")
 
     sums: dict[tuple[int, int], list[int]] = defaultdict(lambda: [0, 0, 0])  # dd1, hd1, n
     misses = 0
-    for record, sentence in zip(records, sentences):
-        if valency_mode == "lexicon":
-            assert lexicon is not None
-            valency = lexicon.get(sentence.lemmas[sentence.root_index - 1] if sentence.lemmas else None)
-            if valency is None:
-                misses += 1
-                continue
-        else:
-            valency = min(record.root_out_degree, MAX_VALENCY_CLASS)
-        cell = sums[(valency, record.sl)]
-        cell[0] += record.dd_hist.get(1, 0)
-        cell[1] += record.hd_hist.get(1, 0)
-        cell[2] += 1
+    for sl, cell in stats.by_sl.items():
+        for (lemma, capped_degree), (dd1, hd1, n) in cell.valency.items():
+            if valency_mode == "lexicon":
+                assert lexicon is not None
+                valency = lexicon.get(lemma)
+                if valency is None:
+                    misses += n
+                    continue
+            else:
+                valency = capped_degree
+            total = sums[(valency, sl)]
+            total[0] += dd1
+            total[1] += hd1
+            total[2] += n
     cells = [
-        ValencyCell(
-            valency=valency,
-            sl=sl,
-            avg_dd1=float(Fraction(dd1, n)),
-            avg_hd1=float(Fraction(hd1, n)),
-            n=n,
-        )
+        ValencyCell(valency=valency, sl=sl, avg_dd1=dd1 / n, avg_hd1=hd1 / n, n=n)
         for (valency, sl), (dd1, hd1, n) in sorted(sums.items())
     ]
     return cells, misses

@@ -19,6 +19,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .errors import INPUT_ERRORS, ConfigError, ConstraintUnsatisfiable
+from .metrics import metric_record
 from .randtree import RNG_NAME, GeneratorConfig, generate
 from .report import (
     REPORT_RENDERERS,
@@ -29,9 +30,10 @@ from .report import (
     load_corpus,
     report_json_dict,
     run_meta,
+    write_files,
     write_outputs,
 )
-from .treebank import FORMATS, serialize_canonical
+from .treebank import FORMATS, Sentence, serialize_canonical
 
 _EXTENSION_FORMATS = {
     ".conllu": "conllu",
@@ -139,28 +141,36 @@ def _require_inputs(config: RunConfig) -> None:
 def cmd_validate(args: argparse.Namespace) -> int:
     config = build_config(args)
     _require_inputs(config)
-    corpus = load_corpus(config)
+    corpus = load_corpus(config, consume=lambda sentence: None)  # counts only
     print("# " + json.dumps(run_meta(config, corpus, "validate"), sort_keys=True))
     for summary in corpus.inputs:
         print(f"{summary.path}: {summary.accepted} accepted, {summary.rejected} rejected")
     for rejection in corpus.rejections:
         print(f"  {rejection.source}: {rejection.reason}")
-    print(f"TOTAL: {len(corpus.sentences)} accepted, {len(corpus.rejections)} rejected")
-    return 0 if corpus.sentences else 1
+    print(f"TOTAL: {corpus.accepted} accepted, {len(corpus.rejections)} rejected")
+    return 0 if corpus.accepted else 1
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     config = build_config(args)
     _require_inputs(config)
-    corpus = load_corpus(config)
-    lines = ["# " + json.dumps(run_meta(config, corpus, "metrics"), sort_keys=True)]
-    lines.extend(json.dumps(r.to_json_dict(), sort_keys=True) for r in corpus.records)
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+    records: list[str] = []
+
+    def dump(sentence: Sentence) -> None:
+        records.append(json.dumps(metric_record(sentence).to_json_dict(), sort_keys=True))
+
+    corpus = load_corpus(config, dump)
+    header = "# " + json.dumps(run_meta(config, corpus, "metrics"), sort_keys=True)
+    _write_text(args.output, "\n".join([header, *records]) + "\n")
+    return 0
+
+
+def _write_text(output: str | None, text: str) -> None:
+    """Write to the ``-o`` file, replacing it only once the text is written, or to stdout."""
+    if output:
+        write_files({Path(output): text})
     else:
         sys.stdout.write(text)
-    return 0
 
 
 _SINGLE_COMMAND_FILES = {
@@ -237,11 +247,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
     lines = [header]
     lines.extend(serialize_canonical(sentence) for sentence in generate(gen_config))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 

@@ -10,17 +10,20 @@ input digests) sufficient to reproduce it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
 import math
 import os
+import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .analysis import (
+    CorpusStats,
     CorrelationPoint,
     SeriesPoint,
     ValencyCell,
@@ -37,10 +40,9 @@ from .analysis import (
     valency_conditioned_counts,
 )
 from .errors import ConfigError
-from .metrics import MetricRecord, metric_record
 from .randtree import RNG_NAME
 from .stats import Distribution, significance_stars
-from .treebank import FORMATS, Rejection, Sentence, ValencyLexicon, parse
+from .treebank import FORMATS, Rejection, Sentence, ValencyLexicon, iter_parse
 
 log = logging.getLogger(__name__)
 
@@ -123,21 +125,26 @@ class InputSummary:
 
 @dataclass
 class CorpusData:
-    """Everything loaded from the configured inputs."""
+    """What loading the configured inputs leaves: counts, rejections, per-file summaries, the fold."""
 
-    sentences: list[Sentence]
-    records: list[MetricRecord]  # aligned with record_sentences; n >= 2 only
-    record_sentences: list[Sentence]
+    accepted: int
     rejections: list[Rejection]
     single_node_count: int
     inputs: list[InputSummary]
+    stats: CorpusStats  # empty when load_corpus handed the sentences to another consumer
 
 
-def load_corpus(config: RunConfig) -> CorpusData:
-    """Parse all configured inputs, skipping invalid sentences with a reason."""
-    sentences: list[Sentence] = []
-    records: list[MetricRecord] = []
-    record_sentences: list[Sentence] = []
+def load_corpus(config: RunConfig, consume: Callable[[Sentence], object] | None = None) -> CorpusData:
+    """Parse all configured inputs one sentence at a time, skipping invalid ones with a reason.
+
+    Each accepted sentence of two or more nodes goes to ``consume``, by
+    default :meth:`CorpusStats.add` of the returned ``stats``; no sentence is
+    kept.
+    """
+    stats = CorpusStats()
+    if consume is None:
+        consume = stats.add
+    accepted = 0
     rejections: list[Rejection] = []
     single_node = 0
     summaries: list[InputSummary] = []
@@ -145,40 +152,39 @@ def load_corpus(config: RunConfig) -> CorpusData:
         data = Path(path).read_bytes()
         digest = hashlib.sha256(data).hexdigest()
         file_rejections: list[Rejection] = []
-        parsed = parse(
+        file_accepted = 0
+        for sentence in iter_parse(
             data,
             fmt,
             source=os.path.basename(path),
             errors="skip",
             rejections=file_rejections,
             drop_punct=config.drop_punct,
-        )
-        for sentence in parsed:
-            sentences.append(sentence)
+        ):
+            file_accepted += 1
             if len(sentence) >= 2:
-                records.append(metric_record(sentence))
-                record_sentences.append(sentence)
+                consume(sentence)
             else:
                 single_node += 1
         for rejection in file_rejections:
             log.warning("skipping sentence at %s: %s", rejection.source, rejection.reason)
+        accepted += file_accepted
         rejections.extend(file_rejections)
         summaries.append(
             InputSummary(
                 path=path,
                 format=fmt,
                 sha256=digest,
-                accepted=len(parsed),
+                accepted=file_accepted,
                 rejected=len(file_rejections),
             )
         )
     return CorpusData(
-        sentences=sentences,
-        records=records,
-        record_sentences=record_sentences,
+        accepted=accepted,
         rejections=rejections,
         single_node_count=single_node,
         inputs=summaries,
+        stats=stats,
     )
 
 
@@ -202,40 +208,33 @@ class Analyses:
 
 
 def compute_analyses(config: RunConfig, corpus: CorpusData) -> Analyses:
-    """Run every analysis on the loaded corpus.
+    """Read every table from the corpus fold.
 
     The length histogram covers the full corpus (including single-node
     sentences); everything else is restricted to [sl_min, sl_max].
     """
-    hist = length_histogram(corpus.records)
+    hist = length_histogram(corpus.stats)
     if corpus.single_node_count:
         hist = {1: corpus.single_node_count, **hist}
 
-    window = [
-        (record, sentence)
-        for record, sentence in zip(corpus.records, corpus.record_sentences)
-        if config.sl_min <= record.sl <= config.sl_max
-    ]
-    win_records = [record for record, _ in window]
-    win_sentences = [sentence for _, sentence in window]
-
+    window = corpus.stats.window(config.sl_min, config.sl_max)
     pooled = {
-        metric: pooled_distribution(corpus.records, metric, config.sl_min, config.sl_max)
+        metric: pooled_distribution(corpus.stats, metric, config.sl_min, config.sl_max)
         for metric in ("dd", "hd")
     }
     conditional = {
-        metric: conditional_distributions(win_records, metric, config.dist_sls)
+        metric: conditional_distributions(window, metric, config.dist_sls)
         for metric in ("dd", "hd")
     }
     entropy_points = {}
     entropy_gated = {}
     for metric in ("dd", "hd"):
-        points = entropy_by_sl(win_records, metric, base=config.entropy_base_value)
+        points = entropy_by_sl(window, metric, base=config.entropy_base_value)
         entropy_points[metric], entropy_gated[metric] = split_gated(points, config.min_bucket)
 
-    mdd_series, mhd_series = mean_metric_by_sl(win_records)
-    crossings = find_intersection(mdd_series, mhd_series)
-    corr_points, corr_gated = split_gated(spearman_by_sl(win_records), config.min_bucket)
+    mdd_series, mhd_series = mean_metric_by_sl(window)
+    crossings = find_intersection(window)
+    corr_points, corr_gated = split_gated(spearman_by_sl(window), config.min_bucket)
 
     lexicon = None
     if config.valency_mode == "lexicon":
@@ -243,7 +242,7 @@ def compute_analyses(config: RunConfig, corpus: CorpusData) -> Analyses:
         assert lexicon_path is not None  # enforced by RunConfig.validate
         lexicon = ValencyLexicon.from_tsv(Path(lexicon_path).read_bytes(), source=lexicon_path)
     cells, misses = valency_conditioned_counts(
-        win_records, win_sentences, lexicon=lexicon, valency_mode=config.valency_mode
+        window, lexicon=lexicon, valency_mode=config.valency_mode
     )
     fits = fit_valency_models(cells, log_base=config.log_base_value)
 
@@ -395,7 +394,7 @@ def run_meta(config: RunConfig, corpus: CorpusData, command: str) -> dict[str, o
             for s in corpus.inputs
         ],
         "sentence_counts": {
-            "accepted": len(corpus.sentences),
+            "accepted": corpus.accepted,
             "rejected": len(corpus.rejections),
             "single_node": corpus.single_node_count,
         },
@@ -500,21 +499,34 @@ REPORT_RENDERERS = {
 }
 
 
+def write_files(files: dict[Path, str]) -> None:
+    """Write texts as UTF-8, all of them or none.
+
+    Each text goes to a temporary file beside its target; only when every one
+    is written are they renamed into place, so a failure leaves the previous
+    files as they were. The temporary files are removed on failure.
+    """
+    pending: list[tuple[Path, Path]] = []
+    try:
+        for target, text in files.items():
+            temporary = target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")
+            handle = open(temporary, "xb")  # "x": never truncate a file that is not ours
+            pending.append((temporary, target))
+            with handle:
+                handle.write(text.encode("utf-8"))
+        for temporary, target in pending:
+            os.replace(temporary, target)
+    except BaseException:
+        for temporary, _ in pending:
+            with contextlib.suppress(OSError):
+                temporary.unlink(missing_ok=True)
+        raise
+
+
 def write_outputs(output_dir: str, files: dict[str, str]) -> list[str]:
-    """Write rendered texts into ``output_dir``; remove partial output on failure."""
+    """Write rendered texts into ``output_dir`` with :func:`write_files`; return their paths."""
     directory = Path(output_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        for name, text in files.items():
-            target = directory / name
-            target.write_bytes(text.encode("utf-8"))
-            written.append(target)
-    except Exception:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise
-    return [str(p) for p in written]
+    targets = {directory / name: text for name, text in files.items()}
+    write_files(targets)
+    return [str(path) for path in targets]

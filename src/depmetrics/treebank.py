@@ -11,6 +11,12 @@ acyclic, fully connected) before it is returned. Parsers either raise on the
 first bad sentence (``errors="raise"``, the default) or skip it and record a
 :class:`Rejection` (``errors="skip"``), which is what the CLI uses so that a
 noisy corpus does not abort a run.
+
+Each format has one generator (``iter_conllu``, ``iter_cabocha``,
+``iter_canonical``, dispatched by ``iter_parse``) that yields the sentences
+one at a time, so a caller can fold a corpus without holding it; the
+``parse*`` functions return the same sentences as a list. Lines end in LF
+or CRLF; no other character breaks a line.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from operator import eq
-from typing import IO, Mapping, Sequence
+from typing import IO, Any, Iterator, Mapping, Sequence
 
 from .errors import (
     CycleDetected,
@@ -253,7 +259,7 @@ def serialize_canonical(sentence: Sentence) -> str:
 
 
 # Line breaks to ``str.splitlines`` that json.dumps(ensure_ascii=False) leaves raw;
-# escaped, they keep a sentence on one line.
+# escaped, a line stays one line for readers that split on them too.
 _UNESCAPED_BREAKS = {ord(char): f"\\u{ord(char):04x}" for char in "\x85\u2028\u2029"}
 
 
@@ -261,15 +267,20 @@ _UNESCAPED_BREAKS = {ord(char): f"\\u{ord(char):04x}" for char in "\x85\u2028\u2
 
 
 def _text_lines(stream: IO | str | bytes) -> list[str]:
-    # utf-8-sig tolerates a leading BOM and still rejects non-UTF-8 bytes
-    if isinstance(stream, bytes):
-        return stream.decode("utf-8-sig").splitlines()
-    if isinstance(stream, str):
-        return stream.splitlines()
-    data = stream.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8-sig")
-    return data.splitlines()
+    """The lines of the text, split on LF only; one CR before each LF is dropped.
+
+    ``str.splitlines`` would also break a line at U+0085, U+2028, U+2029,
+    VT, FF and FS/GS/RS, which may stand inside a field.
+    """
+    text = stream if isinstance(stream, (str, bytes)) else stream.read()
+    if isinstance(text, bytes):
+        text = text.decode("utf-8-sig")  # tolerates a leading BOM, rejects non-UTF-8 bytes
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text ended with a line break, or is empty
+    return lines
 
 
 _REJECTABLE = (MalformedLine, MalformedChunkHeader, MissingEOS, InvalidTree)
@@ -297,15 +308,20 @@ def _check_error_mode(errors: str) -> None:
 # --- CoNLL-U --------------------------------------------------------------
 
 
-def parse_conllu(
+def parse_conllu(stream: IO | str | bytes, **options: Any) -> list[Sentence]:
+    """:func:`iter_conllu` as a list."""
+    return list(iter_conllu(stream, **options))
+
+
+def iter_conllu(
     stream: IO | str | bytes,
     *,
     drop_punct: bool = False,
     source: str = "<conllu>",
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
-) -> list[Sentence]:
-    """Parse CoNLL-U text into validated sentences.
+) -> Iterator[Sentence]:
+    """Yield the validated sentences of CoNLL-U text.
 
     Multiword-token ranges (ID with '-') and empty nodes (ID with '.') are
     skipped; the remaining token IDs must already run 1..n, otherwise the
@@ -316,7 +332,6 @@ def parse_conllu(
     renumbered; a sentence where a dropped node had dependents is rejected.
     """
     _check_error_mode(errors)
-    sentences: list[Sentence] = []
     lines = _text_lines(stream)
     lines.append("")  # a blank line ends the last block
     ordinal = 0
@@ -338,10 +353,11 @@ def parse_conllu(
                 if value:
                     sent_id = value
         try:
-            sentences.append(_conllu_sentence(block, first_lineno, sent_id, span, drop_punct))
+            sentence = _conllu_sentence(block, first_lineno, sent_id, span, drop_punct)
         except _REJECTABLE as exc:
             _reject(exc, errors, rejections, span, sent_id)
-    return sentences
+        else:
+            yield sentence
 
 
 def _conllu_sentence(
@@ -414,14 +430,19 @@ def _drop_punct(
 # --- CaboCha lattice -------------------------------------------------------
 
 
-def parse_cabocha(
+def parse_cabocha(stream: IO | str | bytes, **options: Any) -> list[Sentence]:
+    """:func:`iter_cabocha` as a list."""
+    return list(iter_cabocha(stream, **options))
+
+
+def iter_cabocha(
     stream: IO | str | bytes,
     *,
     source: str = "<cabocha>",
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
-) -> list[Sentence]:
-    """Parse CaboCha lattice output; each bunsetsu chunk becomes one node.
+) -> Iterator[Sentence]:
+    """Yield the sentences of CaboCha lattice output; each bunsetsu chunk becomes one node.
 
     Chunk headers look like ``* 3 5D 0/1 1.23``; the second field is the
     0-based chunk index, the third the head chunk index suffixed with 'D'
@@ -431,7 +452,6 @@ def parse_cabocha(
     a stream that ends mid-sentence is rejected with :class:`MissingEOS`.
     """
     _check_error_mode(errors)
-    sentences: list[Sentence] = []
     lines = _text_lines(stream)
     ordinal = 0
     start: int | None = None  # index of the pending sentence's first non-blank line
@@ -445,9 +465,11 @@ def parse_cabocha(
             span = f"{source}:{start + 1}-{i + 1}"
             sent_id = f"{source}#{ordinal}"
             try:
-                sentences.append(_cabocha_sentence(lines[start:i], start + 1, sent_id, span))
+                sentence = _cabocha_sentence(lines[start:i], start + 1, sent_id, span)
             except _REJECTABLE as exc:
                 _reject(exc, errors, rejections, span, sent_id)
+            else:
+                yield sentence
             start = None
         elif start is None:
             start = i
@@ -455,7 +477,6 @@ def parse_cabocha(
     if start is not None:
         exc = MissingEOS(f"{source}: stream ended inside a sentence (missing EOS)")
         _reject(exc, errors, rejections, f"{source}:{start + 1}-{len(lines)}", None)
-    return sentences
 
 
 def _cabocha_sentence(lines: list[str], first_lineno: int, sent_id: str, span: str) -> Sentence:
@@ -498,14 +519,19 @@ def _cabocha_sentence(lines: list[str], first_lineno: int, sent_id: str, span: s
 # --- canonical JSONL -------------------------------------------------------
 
 
-def parse_canonical(
+def parse_canonical(stream: IO | str | bytes, **options: Any) -> list[Sentence]:
+    """:func:`iter_canonical` as a list."""
+    return list(iter_canonical(stream, **options))
+
+
+def iter_canonical(
     stream: IO | str | bytes,
     *,
     source: str = "<canonical>",
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
-) -> list[Sentence]:
-    """Parse the toolkit's JSONL format: one sentence object per line.
+) -> Iterator[Sentence]:
+    """Yield the sentences of the toolkit's JSONL format: one sentence object per line.
 
     Each line is ``{"id": str, "nodes": [{"index": int, "head": int,
     "form"?: str | null, "lemma"?: str | null}, ...]}``. ``index`` and
@@ -515,17 +541,17 @@ def parse_canonical(
     generator) are skipped.
     """
     _check_error_mode(errors)
-    sentences: list[Sentence] = []
     for lineno, raw in enumerate(_text_lines(stream), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         span = f"{source}:{lineno}"
         try:
-            sentences.append(_canonical_sentence(line, lineno, span))
+            sentence = _canonical_sentence(line, lineno, span)
         except _REJECTABLE as exc:
             _reject(exc, errors, rejections, span, None)
-    return sentences
+        else:
+            yield sentence
 
 
 def _canonical_sentence(line: str, lineno: int, span: str) -> Sentence:
@@ -571,13 +597,18 @@ def _canonical_sentence(line: str, lineno: int, span: str) -> Sentence:
 # --- dispatch --------------------------------------------------------------
 
 _PARSERS = {
-    "conllu": parse_conllu,
-    "cabocha": parse_cabocha,
-    "canonical": parse_canonical,
+    "conllu": iter_conllu,
+    "cabocha": iter_cabocha,
+    "canonical": iter_canonical,
 }
 
 
-def parse(
+def parse(stream: IO | str | bytes, fmt: str, **options: Any) -> list[Sentence]:
+    """:func:`iter_parse` as a list."""
+    return list(iter_parse(stream, fmt, **options))
+
+
+def iter_parse(
     stream: IO | str | bytes,
     fmt: str,
     *,
@@ -585,8 +616,11 @@ def parse(
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
     drop_punct: bool = False,
-) -> list[Sentence]:
-    """Parse ``stream`` in the named format ('conllu', 'cabocha', 'canonical')."""
+) -> Iterator[Sentence]:
+    """Iterate over the sentences of ``stream`` in the named format ('conllu', 'cabocha', 'canonical').
+
+    An unknown format raises ``ValueError`` at once, before any line is read.
+    """
     if fmt not in _PARSERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     kwargs: dict[str, object] = {"errors": errors, "rejections": rejections}

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from depmetrics.analysis import (
+    CorpusStats,
     conditional_distributions,
     mean_metric_by_sl,
     pooled_distribution,
@@ -27,7 +28,7 @@ from depmetrics.cli import main
 from depmetrics.metrics import metric_record
 from depmetrics.randtree import GeneratorConfig, chain_heads, enumerate_trees, random_tree, star_heads
 from depmetrics.stats import Distribution, entropy, midranks, ols_fit, spearman
-from depmetrics.treebank import Sentence, parse, parse_canonical, parse_conllu, validate_tree
+from depmetrics.treebank import Sentence, iter_parse, parse_canonical, parse_conllu, validate_tree
 
 from .conftest import DATA_DIR, DEMO7_HEADS
 
@@ -132,8 +133,10 @@ def test_criterion_05_hd1_equals_root_out_degree():
             if metric_record(s).root_out_degree == target_degree
         ][:80]
         assert sentences
-        records = [metric_record(s) for s in sentences]
-        cells, misses = valency_conditioned_counts(records, sentences, valency_mode="root-out-degree")
+        stats = CorpusStats()
+        for sentence in sentences:
+            stats.add(sentence)
+        cells, misses = valency_conditioned_counts(stats, valency_mode="root-out-degree")
         assert misses == 0
         for cell in cells:
             assert cell.valency == target_degree
@@ -180,15 +183,14 @@ def test_criterion_06_statistics_kernels():
 def test_criterion_07_conditional_merge_equals_pooled():
     for corpus_index in range(50):
         rng = random.Random(1000 + corpus_index)
-        records = [
-            metric_record(random_tree(GeneratorConfig(n=rng.randint(2, 12), seed=corpus_index), i))
-            for i in range(1000)
-        ]
-        lengths = sorted({r.sl for r in records})
+        stats = CorpusStats()
+        for i in range(1000):
+            stats.add(random_tree(GeneratorConfig(n=rng.randint(2, 12), seed=corpus_index), i))
+        lengths = sorted(stats.by_sl)
         for metric in ("dd", "hd"):
-            pooled = pooled_distribution(records, metric, 2, 12)
+            pooled = pooled_distribution(stats, metric, 2, 12)
             merged: Counter = Counter()
-            for dist in conditional_distributions(records, metric, lengths).values():
+            for dist in conditional_distributions(stats, metric, lengths).values():
                 merged.update(dist.counts)
             assert dict(merged) == dict(pooled.counts)
 
@@ -223,14 +225,15 @@ def test_criterion_09b_directional_check_on_real_treebank():
     fmt = {"conllu": "conllu", ".conllu": "conllu", ".cabocha": "cabocha", ".jsonl": "canonical"}.get(
         suffix, "conllu"
     )
-    sentences = parse(Path(treebank).read_bytes(), fmt, errors="skip")
-    records = [metric_record(s) for s in sentences if len(s) >= 2]
-    assert len(records) >= 10_000
-    p_dd1 = pooled_distribution(records, "dd", 2, 20).probability(1)
-    p_hd1 = pooled_distribution(records, "hd", 2, 20).probability(1)
+    stats = CorpusStats()
+    for sentence in iter_parse(Path(treebank).read_bytes(), fmt, errors="skip"):
+        if len(sentence) >= 2:
+            stats.add(sentence)
+    assert sum(cell.n for cell in stats.by_sl.values()) >= 10_000
+    p_dd1 = pooled_distribution(stats, "dd", 2, 20).probability(1)
+    p_hd1 = pooled_distribution(stats, "hd", 2, 20).probability(1)
     assert p_dd1 > p_hd1
-    window = [r for r in records if 2 <= r.sl <= 20]
-    mdd_series, mhd_series = mean_metric_by_sl(window)
+    mdd_series, mhd_series = mean_metric_by_sl(stats.window(2, 20))
     for series in (mdd_series, mhd_series):
         trend = spearman([p.sl for p in series], [p.value for p in series])
         assert trend.rho > 0  # increasing in length, direction only

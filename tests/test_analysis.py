@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from depmetrics.analysis import (
+    CorpusStats,
     ValencyCell,
     conditional_distributions,
     entropy_by_sl,
@@ -19,16 +20,29 @@ from depmetrics.analysis import (
     valency_conditioned_counts,
 )
 from depmetrics.analysis import SeriesPoint
-from depmetrics.errors import EmptyLexicon, EmptySelection
-from depmetrics.metrics import MetricRecord, metric_record
-from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads
-from depmetrics.treebank import ValencyLexicon, parse_canonical, parse_conllu
+from depmetrics.errors import EmptyLexicon, EmptySelection, TooShort
+from depmetrics.metrics import metric_record
+from depmetrics.randtree import (
+    GeneratorConfig,
+    chain_heads,
+    enumerate_trees,
+    random_tree,
+    star_heads,
+)
+from depmetrics.treebank import Sentence, ValencyLexicon, parse_canonical, parse_conllu
 
 from .conftest import make_sentence
 
 
 def rec(heads, id="s", lemmas=None):
-    return metric_record(make_sentence(heads, id=id, lemmas=lemmas))
+    return make_sentence(heads, id=id, lemmas=lemmas)
+
+
+def fold(sentences):
+    stats = CorpusStats()
+    for sentence in sentences:
+        stats.add(sentence)
+    return stats
 
 
 @pytest.fixture
@@ -41,16 +55,46 @@ def chain5_record():
     return rec(chain_heads(5), id="chain5")
 
 
+# --- the fold itself -----------------------------------------------------------
+
+
+def test_fold_totals_of_the_demo_sentence(demo7):
+    cell = fold([demo7]).by_sl[7]
+    assert cell.n == 1
+    assert cell.dd == {1: 4, 5: 1, 2: 1}
+    assert cell.value_counts("hd") == {2: 2, 1: 3, 3: 1}
+    assert (cell.dd_total, cell.hd_total) == (11, 10)
+    assert cell.pairs == {(11, 10): 1}
+    assert cell.valency == {(None, 3): [4, 3, 1]}
+
+
+def test_fold_of_an_unvalidated_sentence_walks_its_depths(demo7):
+    bare = Sentence.from_heads(demo7.heads(), id="demo7")
+    assert bare.depths is None
+    assert fold([bare]) == fold([demo7])
+
+
+def test_fold_needs_two_nodes():
+    with pytest.raises(TooShort):
+        CorpusStats().add(make_sentence((0,)))
+
+
+def test_window_keeps_lengths_in_range():
+    stats = fold([rec((2, 0)), rec(chain_heads(3)), rec(chain_heads(5))])
+    assert sorted(stats.window(3, 4).by_sl) == [3]
+    assert stats.window(6, 9).by_sl == {}
+
+
 # --- length histogram -------------------------------------------------------
 
 
 def test_length_histogram_counts():
-    records = [rec((2, 0)), rec((2, 0)), rec((2, 3, 0))]
+    records = fold([rec((2, 0)), rec((2, 0)), rec((2, 3, 0))])
     assert length_histogram(records) == {2: 2, 3: 1}
 
 
 def test_length_histogram_empty():
-    assert length_histogram([]) == {}
+    assert length_histogram(CorpusStats()) == {}
 
 
 def test_length_histogram_matches_line_count_oracle(data_dir):
@@ -61,48 +105,45 @@ def test_length_histogram_matches_line_count_oracle(data_dir):
         if line.strip() and not line.startswith("#")
     )
     sentences = parse_canonical(raw)
-    records = [metric_record(s) for s in sentences]
-    assert length_histogram(records) == dict(oracle)
+    assert length_histogram(fold(sentences)) == dict(oracle)
 
 
 # --- pooled / conditional distributions ---------------------------------------
 
 
 def test_pooled_distribution_star(star5_record):
-    dd_dist = pooled_distribution([star5_record], "dd", 2, 20)
+    dd_dist = pooled_distribution(fold([star5_record]), "dd", 2, 20)
     assert dd_dist.probabilities() == {1: 0.25, 2: 0.25, 3: 0.25, 4: 0.25}
-    hd_dist = pooled_distribution([star5_record], "hd", 2, 20)
+    hd_dist = pooled_distribution(fold([star5_record]), "hd", 2, 20)
     assert hd_dist.probabilities() == {1: 1.0}
 
 
 def test_pooled_distribution_pair():
-    record = rec((2, 0))
+    record = fold([rec((2, 0))])
     for metric in ("dd", "hd"):
-        assert pooled_distribution([record], metric, 2, 20).probabilities() == {1: 1.0}
+        assert pooled_distribution(record, metric, 2, 20).probabilities() == {1: 1.0}
 
 
 def test_pooled_distribution_window_and_errors(star5_record):
+    stats = fold([star5_record])
     with pytest.raises(EmptySelection):
-        pooled_distribution([star5_record], "dd", 6, 20)
+        pooled_distribution(stats, "dd", 6, 20)
     with pytest.raises(ValueError):
-        pooled_distribution([star5_record], "dd", 1, 20)
+        pooled_distribution(stats, "dd", 1, 20)
     with pytest.raises(ValueError):
-        pooled_distribution([star5_record], "xx", 2, 20)
+        pooled_distribution(stats, "xx", 2, 20)
 
 
 def test_pooled_total_matches_per_length_dependency_count():
     rng = random.Random(8)
-    records = [
-        metric_record(random_tree(GeneratorConfig(n=rng.randint(2, 9), seed=3), i))
-        for i in range(120)
-    ]
-    dist = pooled_distribution(records, "dd", 2, 6)
-    by_sl = Counter(r.sl for r in records if 2 <= r.sl <= 6)
+    sentences = [random_tree(GeneratorConfig(n=rng.randint(2, 9), seed=3), i) for i in range(120)]
+    dist = pooled_distribution(fold(sentences), "dd", 2, 6)
+    by_sl = Counter(len(s) for s in sentences if 2 <= len(s) <= 6)
     assert dist.total == sum((sl - 1) * count for sl, count in by_sl.items())
 
 
 def test_conditional_distributions_skip_missing_lengths(caplog):
-    records = [rec(star_heads(5), id=f"s{i}") for i in range(3)]
+    records = fold([rec(star_heads(5), id=f"s{i}") for i in range(3)])
     with caplog.at_level("WARNING"):
         result = conditional_distributions(records, "hd", [5, 10])
     assert list(result) == [5]
@@ -116,12 +157,12 @@ def test_conditional_distributions_skip_missing_lengths(caplog):
 
 
 def test_entropy_by_sl_single_length_two():
-    points = entropy_by_sl([rec((2, 0)), rec((2, 0))], "dd")
+    points = entropy_by_sl(fold([rec((2, 0)), rec((2, 0))]), "dd")
     assert points == [SeriesPoint(sl=2, value=0.0, n=2)]
 
 
 def test_entropy_by_sl_chains():
-    records = [rec(chain_heads(5), id=f"c{i}") for i in range(4)]
+    records = fold([rec(chain_heads(5), id=f"c{i}") for i in range(4)])
     dd_points = entropy_by_sl(records, "dd")
     hd_points = entropy_by_sl(records, "hd")
     assert dd_points[0].value == 0.0  # every link adjacent
@@ -130,66 +171,59 @@ def test_entropy_by_sl_chains():
 
 
 def test_entropy_by_sl_empty():
-    assert entropy_by_sl([], "dd") == []
+    assert entropy_by_sl(CorpusStats(), "dd") == []
 
 
 # --- trend and crossings ----------------------------------------------------------
 
 
 def test_mean_metric_by_sl_length_two_is_exactly_one():
-    mdd_series, mhd_series = mean_metric_by_sl([rec((2, 0)), rec((2, 0)), rec((2, 0))])
+    mdd_series, mhd_series = mean_metric_by_sl(fold([rec((2, 0)), rec((2, 0)), rec((2, 0))]))
     assert mdd_series == [SeriesPoint(sl=2, value=1.0, n=3)]
     assert mhd_series == [SeriesPoint(sl=2, value=1.0, n=3)]
 
 
 def test_mean_metric_by_sl_mixed_shapes(star5_record, chain5_record):
-    mdd_series, mhd_series = mean_metric_by_sl([star5_record, chain5_record])
+    mdd_series, mhd_series = mean_metric_by_sl(fold([star5_record, chain5_record]))
     assert mdd_series == [SeriesPoint(sl=5, value=1.75, n=2)]
     assert mhd_series == [SeriesPoint(sl=5, value=1.75, n=2)]
 
 
 def test_mean_metric_by_sl_orders_lengths():
-    records = [rec(chain_heads(4)), rec((2, 0)), rec(chain_heads(3))]
+    records = fold([rec(chain_heads(4)), rec((2, 0)), rec(chain_heads(3))])
     mdd_series, _ = mean_metric_by_sl(records)
     assert [p.sl for p in mdd_series] == [2, 3, 4]
 
 
-def _series(values):
-    return [SeriesPoint(sl=sl, value=value, n=1) for sl, value in values]
+# A star has mean MDD above mean MHD (n/2 against 1), a chain below, from length 3 on.
 
 
 def test_find_intersection_sign_change():
-    mdd_series = _series([(4, 1.9), (5, 2.1), (6, 2.3)])
-    mhd_series = _series([(4, 1.7), (5, 2.0), (6, 2.5)])
-    assert find_intersection(mdd_series, mhd_series) == [(5, 6)]
+    stats = fold([rec(star_heads(4)), rec(star_heads(5)), rec(chain_heads(6))])
+    assert find_intersection(stats) == [(5, 6)]
 
 
 def test_find_intersection_none_when_dominating():
-    mdd_series = _series([(2, 1.0), (3, 1.5)])
-    mhd_series = _series([(2, 0.5), (3, 0.7)])
-    assert find_intersection(mdd_series, mhd_series) == []
+    stats = fold([rec(star_heads(3)), rec(star_heads(4))])
+    assert find_intersection(stats) == []
 
 
 def test_find_intersection_exact_tie_is_degenerate_interval():
-    mdd_series = _series([(3, 1.2), (4, 1.5), (5, 1.8)])
-    mhd_series = _series([(3, 1.0), (4, 1.5), (5, 2.2)])
-    assert find_intersection(mdd_series, mhd_series) == [(4, 4)]
-
-
-def test_find_intersection_requires_same_support():
-    with pytest.raises(ValueError):
-        find_intersection(_series([(2, 1.0)]), _series([(3, 1.0)]))
+    # length 4: star (DD sum 6, HD sum 3) and chain (3, 6) tie exactly
+    stats = fold([rec(star_heads(3)), rec(star_heads(4)), rec(chain_heads(4)), rec(chain_heads(5))])
+    assert find_intersection(stats) == [(4, 4)]
 
 
 # --- correlation by length ----------------------------------------------------------
 
 
 def _record_with_totals(sl, dd_total, hd_total, id="r"):
-    """Craft a record with chosen DD/HD sums (histogram shapes are arbitrary)."""
-    deps = sl - 1
-    dd_hist = {1: deps - (dd_total - deps), 2: dd_total - deps} if dd_total > deps else {1: deps}
-    hd_hist = {1: deps - (hd_total - deps), 2: hd_total - deps} if hd_total > deps else {1: deps}
-    return MetricRecord(id, sl, dd_hist, hd_hist, root_out_degree=hd_hist.get(1, 0))
+    """The first enumerated tree of ``sl`` nodes with the chosen DD and HD sums."""
+    for sentence in enumerate_trees(sl):
+        record = metric_record(sentence)
+        if (record.dd_total, record.hd_total) == (dd_total, hd_total):
+            return make_sentence(sentence.heads(), id=id)
+    raise ValueError(f"no tree of {sl} nodes has DD sum {dd_total} and HD sum {hd_total}")
 
 
 def test_spearman_by_sl_perfect_negative():
@@ -198,7 +232,7 @@ def test_spearman_by_sl_perfect_negative():
         _record_with_totals(6, 7, 9, id="b"),
         _record_with_totals(6, 8, 8, id="c"),
     ]
-    points = spearman_by_sl(records)
+    points = spearman_by_sl(fold(records))
     assert len(points) == 1
     assert points[0].sl == 6
     assert points[0].rho == -1.0
@@ -210,14 +244,14 @@ def test_spearman_by_sl_skips_length_two_and_small_buckets(caplog):
     records = [rec((2, 0), id="p1"), rec((2, 0), id="p2"), rec((2, 0), id="p3")]
     records += [_record_with_totals(5, 5, 6, id="x"), _record_with_totals(5, 6, 5, id="y")]
     with caplog.at_level("WARNING"):
-        assert spearman_by_sl(records) == []
+        assert spearman_by_sl(fold(records)) == []
     assert "only 2 sentences" in caplog.text
 
 
 def test_spearman_by_sl_skips_constant_bucket(caplog):
     records = [_record_with_totals(4, 4, k + 3, id=str(k)) for k in range(4)]
     with caplog.at_level("WARNING"):
-        assert spearman_by_sl(records) == []
+        assert spearman_by_sl(fold(records)) == []
     assert "skipped" in caplog.text
 
 
@@ -233,9 +267,7 @@ def test_split_gated_partitions_by_sample_count():
 
 def test_valency_counts_root_out_degree_mode(star5_record, chain5_record):
     cells, misses = valency_conditioned_counts(
-        [star5_record, chain5_record],
-        [make_sentence(star_heads(5)), make_sentence(chain_heads(5))],
-        valency_mode="root-out-degree",
+        fold([star5_record, chain5_record]), valency_mode="root-out-degree"
     )
     assert misses == 0
     assert cells == [
@@ -246,7 +278,7 @@ def test_valency_counts_root_out_degree_mode(star5_record, chain5_record):
 
 def test_valency_counts_cap_at_four():
     sent = make_sentence(star_heads(7))
-    cells, _ = valency_conditioned_counts([metric_record(sent)], [sent])
+    cells, _ = valency_conditioned_counts(fold([sent]))
     assert cells[0].valency == 4  # out-degree 6, capped
     assert cells[0].avg_hd1 == 6.0
 
@@ -255,36 +287,30 @@ def test_valency_counts_lexicon_mode(data_dir):
     lexicon = ValencyLexicon.from_tsv((data_dir / "lexicon.tsv").read_bytes())
     known = make_sentence((2, 0), id="known", lemmas=[None, "trade"])
     unknown = make_sentence((2, 0), id="unknown", lemmas=[None, "zzz"])
-    records = [metric_record(known), metric_record(unknown)]
     cells, misses = valency_conditioned_counts(
-        records, [known, unknown], lexicon=lexicon, valency_mode="lexicon"
+        fold([known, unknown]), lexicon=lexicon, valency_mode="lexicon"
     )
     assert misses == 1
     assert cells == [ValencyCell(valency=4, sl=2, avg_dd1=1.0, avg_hd1=1.0, n=1)]
 
 
 def test_valency_counts_lexicon_mode_requires_lexicon(star5_record):
-    sent = make_sentence(star_heads(5))
+    stats = fold([star5_record])
     with pytest.raises(EmptyLexicon):
-        valency_conditioned_counts([star5_record], [sent], valency_mode="lexicon")
+        valency_conditioned_counts(stats, valency_mode="lexicon")
     with pytest.raises(EmptyLexicon):
-        valency_conditioned_counts(
-            [star5_record], [sent], lexicon=ValencyLexicon(entries={}), valency_mode="lexicon"
-        )
+        valency_conditioned_counts(stats, lexicon=ValencyLexicon(entries={}), valency_mode="lexicon")
 
 
 def test_valency_counts_validates_arguments(star5_record):
     with pytest.raises(ValueError):
-        valency_conditioned_counts([star5_record], [], valency_mode="root-out-degree")
-    with pytest.raises(ValueError):
-        valency_conditioned_counts([star5_record], [make_sentence(star_heads(5))], valency_mode="x")
+        valency_conditioned_counts(fold([star5_record]), valency_mode="x")
 
 
 def test_valency_cell_bounds_on_random_corpus():
     rng = random.Random(5)
     sentences = [random_tree(GeneratorConfig(n=rng.randint(2, 12), seed=6), i) for i in range(150)]
-    records = [metric_record(s) for s in sentences]
-    cells, _ = valency_conditioned_counts(records, sentences)
+    cells, _ = valency_conditioned_counts(fold(sentences))
     for cell in cells:
         assert 1 <= cell.valency <= 4
         assert 0 <= cell.avg_dd1 <= cell.sl - 1
@@ -332,13 +358,12 @@ def test_fit_valency_models_omits_small_classes(caplog):
 
 def test_merging_conditionals_reproduces_pooled_distribution():
     rng = random.Random(77)
-    records = [
-        metric_record(random_tree(GeneratorConfig(n=rng.randint(2, 10), seed=21), i))
-        for i in range(400)
-    ]
+    records = fold(
+        random_tree(GeneratorConfig(n=rng.randint(2, 10), seed=21), i) for i in range(400)
+    )
     for metric in ("dd", "hd"):
         pooled = pooled_distribution(records, metric, 2, 10)
-        lengths = sorted({r.sl for r in records})
+        lengths = sorted(records.by_sl)
         conditionals = conditional_distributions(records, metric, lengths)
         merged: Counter = Counter()
         for dist in conditionals.values():

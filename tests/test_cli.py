@@ -471,3 +471,40 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "depmetrics" in result.stdout
+
+
+def test_failed_write_keeps_previous_outputs_intact(tmp_path):
+    from depmetrics.report import write_outputs
+
+    write_outputs(str(tmp_path), {"a.csv": "old a\n", "b.csv": "old b\n"})
+    # a lone surrogate cannot be encoded, so the second file fails mid-run
+    with pytest.raises(UnicodeEncodeError):
+        write_outputs(str(tmp_path), {"a.csv": "new a\n", "b.csv": "new \ud800\n"})
+    assert (tmp_path / "a.csv").read_bytes() == b"old a\n"
+    assert (tmp_path / "b.csv").read_bytes() == b"old b\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metrics", "sample_200.jsonl", "-o"],
+        ["generate", "--n", "5", "--count", "3", "--seed", "1", "-o"],
+    ],
+)
+def test_output_file_is_replaced_only_once_written(argv, data_dir, tmp_path, capsys, monkeypatch):
+    import os
+
+    target = tmp_path / "previous.txt"
+    target.write_text("previous run\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    argv = [str(data_dir / a) if a.endswith(".jsonl") else a for a in argv]
+    code, _, err = run([*argv, str(target)], capsys)
+    assert code == 1
+    assert "rename refused" in err
+    assert target.read_text(encoding="utf-8") == "previous run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["previous.txt"]

@@ -1,4 +1,5 @@
-"""Property tests: the fused validate-and-depth walk and the canonical round trip."""
+"""Property tests: the fused validate-and-depth walk, the canonical round trip and the
+streaming parsers on arbitrary text."""
 
 from __future__ import annotations
 
@@ -9,7 +10,19 @@ from hypothesis import strategies as st
 
 from depmetrics.errors import CycleDetected, InvalidTree, MultipleRoots, NoRoot, SelfLoop
 from depmetrics.randtree import GeneratorConfig, random_tree
-from depmetrics.treebank import Sentence, parse_canonical, serialize_canonical, tree_depths, validate_tree
+from depmetrics.treebank import (
+    Rejection,
+    Sentence,
+    iter_cabocha,
+    iter_canonical,
+    iter_conllu,
+    parse_cabocha,
+    parse_canonical,
+    parse_conllu,
+    serialize_canonical,
+    tree_depths,
+    validate_tree,
+)
 
 
 def ordered_checks_oracle(heads, id):
@@ -110,3 +123,57 @@ def test_canonical_round_trip_of_random_trees(heads, data):
     assert again.heads() == sentence.heads()
     assert again.nodes == sentence.nodes
     assert again.id == sentence.id
+
+
+# Lines that each format's parser branches on, mixed with arbitrary text below.
+FRAGMENTS = [
+    "1\tw\tw\tX\t_\t_\t0\t_\t_\t_",
+    "2\tw\t_\tPUNCT\t_\t_\t1\t_\t_\t_",
+    "3\tw\t_\tX\t_\t_\t2\t_\t_\t_",
+    "1-2\tww\t_\t_\t_\t_\t_\t_\t_\t_",
+    "1.1\tw\t_\t_\t_\t_\t_\t_\t_\t_",
+    "# sent_id = a",
+    "* 0 -1D 0/0 0.0",
+    "* 0 1D",
+    "* 1 -1D",
+    "* 1 0D",
+    "語\t名詞,一般,*,*,*,*,語",
+    "EOS",
+    '{"id": "a", "nodes": [{"index": 1, "head": 0}]}',
+    '{"id": "b", "nodes": [{"index": 1, "head": 2}, {"index": 2, "head": 0, "lemma": "x"}]}',
+    '{"id": "c", "nodes": [{"index": 1, "head": 1}]}',
+    "",
+    "#",
+]
+texts = st.one_of(
+    st.text(),
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=12)),
+            st.sampled_from(["\n", "\r\n", "\r", "\u2028", "\t", ""]),
+        ),
+        max_size=25,
+    ).map(lambda parts: "".join(line + end for line, end in parts)),
+)
+STREAMING = [
+    (iter_conllu, parse_conllu, {}),
+    (iter_conllu, parse_conllu, {"drop_punct": True}),
+    (iter_cabocha, parse_cabocha, {}),
+    (iter_canonical, parse_canonical, {}),
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(texts)
+def test_streaming_parsers_yield_only_validated_trees_or_record_rejections(text):
+    for generator, parse, options in STREAMING:
+        rejections = []
+        sentences = list(generator(text, errors="skip", rejections=rejections, **options))
+        for sentence in sentences:
+            assert isinstance(sentence, Sentence)
+            assert len(sentence.depths) == len(sentence.head_vector)
+            assert sentence.depths == tree_depths(sentence.head_vector)
+        assert all(isinstance(rejection, Rejection) for rejection in rejections)
+        again = []
+        assert parse(text, errors="skip", rejections=again, **options) == sentences
+        assert again == rejections

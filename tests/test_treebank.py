@@ -17,6 +17,7 @@ from depmetrics.treebank import (
     Node,
     Sentence,
     ValencyLexicon,
+    iter_parse,
     parse,
     parse_cabocha,
     parse_canonical,
@@ -380,3 +381,51 @@ def test_valency_lexicon_rejects_bad_rows():
 def test_parse_dispatch_rejects_unknown_format():
     with pytest.raises(ValueError):
         parse("", "xml")
+
+
+def test_iter_parse_rejects_unknown_format_before_reading():
+    with pytest.raises(ValueError):
+        iter_parse("", "xml")
+
+
+# --- line breaks ------------------------------------------------------------------
+
+# Characters that str.splitlines treats as line breaks but the formats do not.
+NON_LF_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NON_LF_BREAKS)
+def test_conllu_form_may_hold_a_non_lf_line_break(char):
+    sentence = parse_conllu(conllu_block((0,), form=f"a{char}b"))[0]
+    assert sentence.forms == (f"a{char}b",)
+
+
+def test_cabocha_surface_may_hold_a_next_line_character():
+    text = "* 0 -1D 0/0 0.0\nx\x85y\tnoun,*,*,*,*,*,x\nEOS\n"
+    sentence = parse_cabocha(text)[0]
+    assert sentence.forms == ("x\x85y",)
+    assert sentence.source == "<cabocha>:1-3"
+
+
+def test_canonical_line_with_raw_line_separator_in_a_string_is_one_sentence():
+    line = '{"id": "a\u2028b", "nodes": [{"index": 1, "head": 0, "form": "x\u2028y"}]}\n'
+    rejections = []
+    sentences = parse_canonical(line, errors="skip", rejections=rejections)
+    assert rejections == []
+    assert [(s.id, s.forms) for s in sentences] == [("a\u2028b", ("x\u2028y",))]
+
+
+@pytest.mark.parametrize(
+    "fmt,text",
+    [
+        ("conllu", "# sent_id = s1\n" + conllu_block((2, 0)) + "\n" + conllu_block((0,))),
+        ("cabocha", "* 0 1D\nw\tn,*,*,*,*,*,w\n* 1 -1D\nv\tv,*,*,*,*,*,v\nEOS\n"),
+        ("canonical", '# run\n{"id": "a", "nodes": [{"index": 1, "head": 0}]}\n\n'),
+    ],
+)
+def test_crlf_line_ends_read_like_lf(fmt, text):
+    expected = parse(text, fmt)
+    assert expected
+    crlf = parse(text.replace("\n", "\r\n"), fmt)
+    assert crlf == expected
+    assert [s.source for s in crlf] == [s.source for s in expected]
