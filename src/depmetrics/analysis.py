@@ -7,8 +7,9 @@ distributions, entropy series, mean MDD/MHD trends with crossing detection,
 per-length Spearman correlation, and valency-conditioned counts with their
 regression fits.
 
-The fold holds integers only, so it does not depend on sentence order, and
-each mean is one correctly rounded division of integer totals.
+The fold holds integers only, so it does not depend on sentence order, folds
+of parts of a corpus merge into the fold of the whole, and each mean is one
+correctly rounded division of integer totals.
 """
 
 from __future__ import annotations
@@ -79,6 +80,20 @@ class LengthStats:
     # (root lemma, root out-degree capped at MAX_VALENCY_CLASS) -> [DD=1 count, HD=1 count, sentences]
     valency: dict[tuple[str | None, int], list[int]] = field(default_factory=dict)
 
+    def merge(self, other: LengthStats) -> None:
+        """Add another fold's totals for the same length."""
+        self.n += other.n
+        self.dd.update(other.dd)
+        self.hd.update(other.hd)
+        self.dd_total += other.dd_total
+        self.hd_total += other.hd_total
+        self.pairs.update(other.pairs)
+        for key, (dd1, hd1, n) in other.valency.items():
+            tally = self.valency.setdefault(key, [0, 0, 0])
+            tally[0] += dd1
+            tally[1] += hd1
+            tally[2] += n
+
     def value_counts(self, metric: str) -> dict[int, int]:
         """DD or HD value counts of the dependencies (the roots left out)."""
         if metric == "dd":
@@ -130,6 +145,11 @@ class CorpusStats:
         tally[0] += dds.count(1)
         tally[1] += out_degree  # the depth-1 nodes are the root's dependents
         tally[2] += 1
+
+    def merge(self, other: CorpusStats) -> None:
+        """Add another fold's per-length totals; the totals are integers, so order does not matter."""
+        for sl, cell in other.by_sl.items():
+            self.by_sl.setdefault(sl, LengthStats()).merge(cell)
 
     def window(self, sl_min: int, sl_max: int) -> CorpusStats:
         """The fold restricted to lengths in [sl_min, sl_max]; it shares the per-length totals."""

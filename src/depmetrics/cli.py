@@ -12,7 +12,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -23,11 +23,13 @@ from .metrics import metric_record
 from .randtree import RNG_NAME, GeneratorConfig, generate
 from .report import (
     REPORT_RENDERERS,
+    CountOnly,
     RunConfig,
     TOOL_NAME,
     compute_analyses,
     json_text,
     load_corpus,
+    load_lexicon,
     report_json_dict,
     run_meta,
     write_files,
@@ -141,7 +143,7 @@ def _require_inputs(config: RunConfig) -> None:
 def cmd_validate(args: argparse.Namespace) -> int:
     config = build_config(args)
     _require_inputs(config)
-    corpus = load_corpus(config, consume=lambda sentence: None)  # counts only
+    corpus = load_corpus(config, CountOnly)
     print("# " + json.dumps(run_meta(config, corpus, "validate"), sort_keys=True))
     for summary in corpus.inputs:
         print(f"{summary.path}: {summary.accepted} accepted, {summary.rejected} rejected")
@@ -151,17 +153,25 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if corpus.accepted else 1
 
 
+@dataclass
+class MetricLines:
+    """The fold of ``metrics``: one JSON metric record per sentence, in input order."""
+
+    lines: list[str] = field(default_factory=list)
+
+    def add(self, sentence: Sentence) -> None:
+        self.lines.append(json.dumps(metric_record(sentence).to_json_dict(), sort_keys=True))
+
+    def merge(self, other: MetricLines) -> None:
+        self.lines.extend(other.lines)
+
+
 def cmd_metrics(args: argparse.Namespace) -> int:
     config = build_config(args)
     _require_inputs(config)
-    records: list[str] = []
-
-    def dump(sentence: Sentence) -> None:
-        records.append(json.dumps(metric_record(sentence).to_json_dict(), sort_keys=True))
-
-    corpus = load_corpus(config, dump)
+    corpus = load_corpus(config, MetricLines)
     header = "# " + json.dumps(run_meta(config, corpus, "metrics"), sort_keys=True)
-    _write_text(args.output, "\n".join([header, *records]) + "\n")
+    _write_text(args.output, "\n".join([header, *corpus.fold.lines]) + "\n")
     return 0
 
 
@@ -185,8 +195,9 @@ _SINGLE_COMMAND_FILES = {
 def _run_analysis_command(args: argparse.Namespace, command: str) -> int:
     config = build_config(args)
     _require_inputs(config)
+    lexicon = load_lexicon(config)
     corpus = load_corpus(config)
-    analyses = compute_analyses(config, corpus)
+    analyses = compute_analyses(config, corpus, lexicon)
     meta = run_meta(config, corpus, command)
     if command == "trend":
         meta["crossings"] = [list(interval) for interval in analyses.crossings]
@@ -205,8 +216,9 @@ def _run_analysis_command(args: argparse.Namespace, command: str) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     config = build_config(args)
     _require_inputs(config)
+    lexicon = load_lexicon(config)
     corpus = load_corpus(config)
-    analyses = compute_analyses(config, corpus)
+    analyses = compute_analyses(config, corpus, lexicon)
     files = {name: render(config, analyses) for name, render in REPORT_RENDERERS.items()}
     files["report.json"] = json_text(report_json_dict(config, corpus, analyses))
     files["meta.json"] = json_text(run_meta(config, corpus, "report"))

@@ -16,10 +16,14 @@ import json
 import logging
 import math
 import os
+import pickle
 import secrets
+import signal
+import stat
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, NoReturn, Protocol, Sequence, TypeVar
 
 from . import __version__
 from .analysis import (
@@ -123,6 +127,29 @@ class InputSummary:
     rejected: int
 
 
+class Fold(Protocol):
+    """What :func:`load_corpus` feeds each accepted sentence of two or more nodes to.
+
+    Each worker fills one fold per input file with ``add``; the parent then
+    combines them with ``merge`` in (file, shard) order, the order of a
+    serial pass.
+    """
+
+    def add(self, sentence: Sentence) -> None: ...
+
+    def merge(self, other: Any) -> None: ...
+
+
+class CountOnly:
+    """The fold of ``validate``: it keeps nothing, since load_corpus counts the sentences."""
+
+    def add(self, sentence: Sentence) -> None:
+        pass
+
+    def merge(self, other: CountOnly) -> None:
+        pass
+
+
 @dataclass
 class CorpusData:
     """What loading the configured inputs leaves: counts, rejections, per-file summaries, the fold."""
@@ -131,50 +158,90 @@ class CorpusData:
     rejections: list[Rejection]
     single_node_count: int
     inputs: list[InputSummary]
-    stats: CorpusStats  # empty when load_corpus handed the sentences to another consumer
+    fold: Any  # a CorpusStats, unless load_corpus was given another kind of fold
 
 
-def load_corpus(config: RunConfig, consume: Callable[[Sentence], object] | None = None) -> CorpusData:
-    """Parse all configured inputs one sentence at a time, skipping invalid ones with a reason.
+@dataclass
+class _FileShard:
+    """What one worker took from its shard of one input file."""
 
-    Each accepted sentence of two or more nodes goes to ``consume``, by
-    default :meth:`CorpusStats.add` of the returned ``stats``; no sentence is
+    fold: Fold
+    sha256: str  # of the whole file; only shard 0 computes it
+    version: tuple[int, ...]  # device, inode, size and mtime of the file read
+    accepted: int = 0
+    single_node: int = 0
+    rejections: list[Rejection] = field(default_factory=list)
+
+
+MIN_SHARD_BYTES = 1 << 20  # input bytes per worker, so that a small run never forks
+MAX_WORKERS = 2  # more workers were not measured; each one decodes every input whole
+
+
+def worker_count(paths: Sequence[str]) -> int:
+    """How many processes load the inputs: one per usable CPU, but at most one per MiB of input.
+
+    It is 1 where ``os.fork`` is missing, while other threads run (a forked
+    child could find one holding a lock), or when an input is not a regular
+    file: the workers each read every input, and a pipe can be read only once.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity outside Linux
+        cpus = 0
+    size = 0
+    for path in paths:
+        try:
+            info = os.stat(path)
+        except OSError:  # a missing file fails later, in input order
+            continue
+        if not stat.S_ISREG(info.st_mode):
+            return 1
+        size += info.st_size
+    return max(1, min(cpus or os.cpu_count() or 1, MAX_WORKERS, size // MIN_SHARD_BYTES))
+
+
+def load_corpus(config: RunConfig, new_fold: Callable[[], Fold] = CorpusStats) -> CorpusData:
+    """Parse all configured inputs, skipping invalid sentences with a reason, and fold them.
+
+    Each input is split into :func:`worker_count` shards of equal line
+    ranges. The parent forks a child for every shard but the first, loads
+    the first itself, and merges the workers' per-file counts, rejections
+    and folds in (file, shard) order, so the result, the rejection warnings
+    and an error raised while loading are those of one serial pass. A file
+    whose workers read different versions of it is an error. No sentence is
     kept.
     """
-    stats = CorpusStats()
-    if consume is None:
-        consume = stats.add
+    workers = worker_count([path for path, _ in config.inputs])
+    shards = _in_workers(workers, lambda k: _load_shard(config, new_fold, (k, workers)))
+    fold = new_fold()
     accepted = 0
     rejections: list[Rejection] = []
     single_node = 0
     summaries: list[InputSummary] = []
-    for path, fmt in config.inputs:
-        data = Path(path).read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        file_rejections: list[Rejection] = []
-        file_accepted = 0
-        for sentence in iter_parse(
-            data,
-            fmt,
-            source=os.path.basename(path),
-            errors="skip",
-            rejections=file_rejections,
-            drop_punct=config.drop_punct,
-        ):
-            file_accepted += 1
-            if len(sentence) >= 2:
-                consume(sentence)
-            else:
-                single_node += 1
+    for i, (path, fmt) in enumerate(config.inputs):
+        parts = []
+        for done, error in shards:
+            if i == len(done):
+                raise error  # type: ignore[misc]  # a shard stops at the file that failed
+            parts.append(done[i])
+        if any(part.version != parts[0].version for part in parts):
+            raise OSError(f"{path} changed while it was being read")
+        file_rejections = [rejection for part in parts for rejection in part.rejections]
         for rejection in file_rejections:
             log.warning("skipping sentence at %s: %s", rejection.source, rejection.reason)
+        file_accepted = sum(part.accepted for part in parts)
         accepted += file_accepted
+        single_node += sum(part.single_node for part in parts)
         rejections.extend(file_rejections)
+        for part in parts:
+            fold.merge(part.fold)
         summaries.append(
             InputSummary(
                 path=path,
                 format=fmt,
-                sha256=digest,
+                sha256=parts[0].sha256,
                 accepted=file_accepted,
                 rejected=len(file_rejections),
             )
@@ -184,8 +251,112 @@ def load_corpus(config: RunConfig, consume: Callable[[Sentence], object] | None 
         rejections=rejections,
         single_node_count=single_node,
         inputs=summaries,
-        stats=stats,
+        fold=fold,
     )
+
+
+def _load_shard(
+    config: RunConfig, new_fold: Callable[[], Fold], shard: tuple[int, int]
+) -> tuple[list[_FileShard], Exception | None]:
+    """Load one shard of every input, in order, one file at a time.
+
+    Stops at the first error and returns it beside the files done, so that
+    :func:`load_corpus` raises it where a serial pass would.
+    """
+    done: list[_FileShard] = []
+    try:
+        for path, fmt in config.inputs:
+            data, version = _read_input(path)
+            digest = hashlib.sha256(data).hexdigest() if shard[0] == 0 else ""
+            part = _FileShard(new_fold(), digest, version)
+            for sentence in iter_parse(
+                data,
+                fmt,
+                source=os.path.basename(path),
+                errors="skip",
+                rejections=part.rejections,
+                drop_punct=config.drop_punct,
+                shard=shard,
+            ):
+                part.accepted += 1
+                if len(sentence) >= 2:
+                    part.fold.add(sentence)
+                else:
+                    part.single_node += 1
+            done.append(part)
+    except Exception as exc:  # the worker's boundary: handed to load_corpus
+        return done, exc
+    return done, None
+
+
+def _read_input(path: str) -> tuple[bytes, tuple[int, ...]]:
+    """The bytes of one input, and the device, inode, size and mtime of what was read."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+        info = os.fstat(handle.fileno())
+    return data, (info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns)
+
+
+T = TypeVar("T")
+
+
+def _in_workers(workers: int, work: Callable[[int], T]) -> list[T]:
+    """``[work(k) for k in range(workers)]``, with ``work(0)`` run here and the rest in forked children.
+
+    Each child sends its pickled result through a pipe and leaves through
+    ``os._exit``. Every child is reaped before this returns; on an error,
+    children still running are killed first.
+    """
+    children: list[tuple[int, int]] = []  # pid and the read end of its pipe
+    reaped: set[int] = set()
+    try:
+        for k in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _run_child(write_end, work, k)
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = [work(0)]
+        for pid, read_end in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            reaped.add(pid)
+            if not payload:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"worker process {pid} sent no result (exit status {code})")
+            results.append(pickle.loads(payload))  # bytes our own child wrote
+        return results
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            if pid not in reaped:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _run_child(write_end: int, work: Callable[[int], object], k: int) -> NoReturn:
+    """Run ``work(k)`` in a forked child, send the pickled result, and leave.
+
+    ``os._exit`` skips the parent's cleanup, buffers and ``atexit`` hooks that
+    the child inherited; a child that fails exits with status 1 and sends nothing.
+    """
+    status = 1
+    try:
+        payload = pickle.dumps(work(k), pickle.HIGHEST_PROTOCOL)
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 @dataclass
@@ -207,19 +378,32 @@ class Analyses:
     lexicon_misses: int
 
 
-def compute_analyses(config: RunConfig, corpus: CorpusData) -> Analyses:
+def load_lexicon(config: RunConfig) -> ValencyLexicon | None:
+    """The valency lexicon of lexicon mode, read and checked; None in the other mode."""
+    if config.valency_mode != "lexicon":
+        return None
+    lexicon_path = config.lexicon_path
+    assert lexicon_path is not None  # enforced by RunConfig.validate
+    return ValencyLexicon.from_tsv(Path(lexicon_path).read_bytes(), source=lexicon_path)
+
+
+def compute_analyses(
+    config: RunConfig, corpus: CorpusData, lexicon: ValencyLexicon | None
+) -> Analyses:
     """Read every table from the corpus fold.
 
     The length histogram covers the full corpus (including single-node
-    sentences); everything else is restricted to [sl_min, sl_max].
+    sentences); everything else is restricted to [sl_min, sl_max]. The
+    ``lexicon`` is that of :func:`load_lexicon`.
     """
-    hist = length_histogram(corpus.stats)
+    stats: CorpusStats = corpus.fold
+    hist = length_histogram(stats)
     if corpus.single_node_count:
         hist = {1: corpus.single_node_count, **hist}
 
-    window = corpus.stats.window(config.sl_min, config.sl_max)
+    window = stats.window(config.sl_min, config.sl_max)
     pooled = {
-        metric: pooled_distribution(corpus.stats, metric, config.sl_min, config.sl_max)
+        metric: pooled_distribution(stats, metric, config.sl_min, config.sl_max)
         for metric in ("dd", "hd")
     }
     conditional = {
@@ -236,11 +420,6 @@ def compute_analyses(config: RunConfig, corpus: CorpusData) -> Analyses:
     crossings = find_intersection(window)
     corr_points, corr_gated = split_gated(spearman_by_sl(window), config.min_bucket)
 
-    lexicon = None
-    if config.valency_mode == "lexicon":
-        lexicon_path = config.lexicon_path
-        assert lexicon_path is not None  # enforced by RunConfig.validate
-        lexicon = ValencyLexicon.from_tsv(Path(lexicon_path).read_bytes(), source=lexicon_path)
     cells, misses = valency_conditioned_counts(
         window, lexicon=lexicon, valency_mode=config.valency_mode
     )

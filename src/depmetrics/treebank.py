@@ -305,6 +305,18 @@ def _check_error_mode(errors: str) -> None:
         raise ValueError(f"errors must be 'raise' or 'skip', got {errors!r}")
 
 
+def _shard_lines(n: int, shard: tuple[int, int]) -> tuple[int, int]:
+    """The line indices [lo, hi) of shard k of ``parts`` equal ranges over n lines.
+
+    A shard owns the sentences whose first line lies in its range, so the
+    shards 0..parts-1 of a text hold each of its sentences exactly once.
+    """
+    k, parts = shard
+    if not 0 <= k < parts:
+        raise ValueError(f"shard must be (k, parts) with 0 <= k < parts, got {shard!r}")
+    return k * n // parts, (k + 1) * n // parts
+
+
 # --- CoNLL-U --------------------------------------------------------------
 
 
@@ -320,6 +332,7 @@ def iter_conllu(
     source: str = "<conllu>",
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
+    shard: tuple[int, int] = (0, 1),
 ) -> Iterator[Sentence]:
     """Yield the validated sentences of CoNLL-U text.
 
@@ -330,21 +343,30 @@ def iter_conllu(
 
     With ``drop_punct``, nodes whose UPOS is PUNCT are removed and the rest
     renumbered; a sentence where a dropped node had dependents is rejected.
+
+    ``shard=(k, parts)`` keeps only the sentences whose first line lies in
+    the k-th of ``parts`` equal line ranges (this holds for every parser).
+    Ordinals, ids, spans and line numbers stay those of the whole text.
     """
     _check_error_mode(errors)
     lines = _text_lines(stream)
+    lo, hi = _shard_lines(len(lines), shard)
     lines.append("")  # a blank line ends the last block
     ordinal = 0
     start = 0  # index of the current block's first line
     for end, line in enumerate(lines):
         if line and not line.isspace():
             continue
+        if start >= hi:
+            return  # this block and every later one belong to later shards
         block = lines[start:end]
         first_lineno, start = start + 1, end + 1
         comments = [row for row in block if row[0] == "#"]
         if len(comments) == len(block):
             continue  # no block, or a comment-only block: not a sentence
         ordinal += 1
+        if first_lineno <= lo:
+            continue  # an earlier shard's sentence: only counted
         span = f"{source}:{first_lineno}-{end}"
         sent_id = f"{source}#{ordinal}"
         for comment in comments:
@@ -441,6 +463,7 @@ def iter_cabocha(
     source: str = "<cabocha>",
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
+    shard: tuple[int, int] = (0, 1),
 ) -> Iterator[Sentence]:
     """Yield the sentences of CaboCha lattice output; each bunsetsu chunk becomes one node.
 
@@ -450,70 +473,113 @@ def iter_cabocha(
     morpheme surfaces; node lemma is the base form of the chunk's first
     morpheme when the morpheme features carry one. ``EOS`` ends a sentence;
     a stream that ends mid-sentence is rejected with :class:`MissingEOS`.
+
+    One walk reads every line once. A sentence's first fault is kept and
+    reported at its ``EOS``, so a sentence is never cut short.
     """
     _check_error_mode(errors)
     lines = _text_lines(stream)
-    ordinal = 0
-    start: int | None = None  # index of the pending sentence's first non-blank line
-    for i, raw in enumerate(lines):
-        if not raw or raw.isspace():
+    lo, hi = _shard_lines(len(lines), shard)
+    ordinal, first = _cabocha_sentences_before(lines, lo)
+    start: int | None = None  # index of the pending sentence's first line
+    heads: list[int] = []
+    forms: list[str] = []  # of the closed chunks
+    lemmas: list[str | None] = []
+    form: str | None = None  # the open chunk's surfaces so far; None before the first header
+    lemma: str | None = None
+    fault: Exception | None = None  # the pending sentence's first error
+    for i, raw in enumerate(lines[first:], first):
+        if raw.startswith("* "):  # chunk header
+            if start is None:
+                if i >= hi:
+                    return
+                start = i
+            if fault is not None:
+                continue
+            parts = raw.split(None, 3)  # the fields after the head are not read
+            try:
+                if len(parts) < 3 or not parts[2].endswith("D"):
+                    raise ValueError
+                index = int(parts[1])
+                head = int(parts[2][:-1])
+            except ValueError:
+                fault = MalformedChunkHeader(f"line {i + 1}: bad chunk header {raw!r}")
+                continue
+            if index != len(heads):
+                fault = MalformedChunkHeader(
+                    f"line {i + 1}: chunk index {index} out of sequence (expected {len(heads)})"
+                )
+                continue
+            if form is not None:
+                forms.append(form)
+                lemmas.append(lemma)
+            heads.append(0 if head == -1 else head + 1)
+            form, lemma = "", None
+        elif not raw or raw.isspace():
             continue
-        if raw.startswith("EOS") and raw.rstrip() == "EOS":
+        elif raw.startswith("EOS") and raw.rstrip() == "EOS":
             if start is None:
                 continue  # bare EOS, nothing to parse
             ordinal += 1
             span = f"{source}:{start + 1}-{i + 1}"
             sent_id = f"{source}#{ordinal}"
-            try:
-                sentence = _cabocha_sentence(lines[start:i], start + 1, sent_id, span)
-            except _REJECTABLE as exc:
-                _reject(exc, errors, rejections, span, sent_id)
+            if fault is None:
+                head_vector = tuple(heads)
+                try:
+                    depths = tree_depths(head_vector, sent_id, span)
+                except InvalidTree as exc:
+                    fault = exc
+            if fault is None:
+                forms.append(form)  # type: ignore[arg-type]  # a valid tree has a chunk
+                lemmas.append(lemma)
+                yield Sentence(
+                    sent_id, head_vector, tuple(forms), _text_column(lemmas, len(heads)), span, depths
+                )
             else:
-                yield sentence
-            start = None
-        elif start is None:
-            start = i
+                _reject(fault, errors, rejections, span, sent_id)
+            start, heads, forms, lemmas, form, lemma, fault = None, [], [], [], None, None, None
+        else:  # morpheme line: SURFACE<TAB>FEATURES
+            if start is None:
+                if i >= hi:
+                    return
+                start = i
+            if fault is not None:
+                continue
+            if form is None:
+                fault = MalformedLine(f"line {i + 1}: morpheme line before any chunk header")
+                continue
+            surface, _, features = raw.partition("\t")
+            form += surface
+            if lemma is None and features:
+                fields = features.split(",", 7)
+                if len(fields) > 6 and fields[6] not in ("*", ""):
+                    lemma = fields[6]
 
     if start is not None:
         exc = MissingEOS(f"{source}: stream ended inside a sentence (missing EOS)")
         _reject(exc, errors, rejections, f"{source}:{start + 1}-{len(lines)}", None)
 
 
-def _cabocha_sentence(lines: list[str], first_lineno: int, sent_id: str, span: str) -> Sentence:
-    heads: list[int] = []
-    surfaces: list[list[str]] = []
-    lemmas: list[str | None] = []
-    for lineno, raw in enumerate(lines, first_lineno):
-        if raw.startswith("* "):
-            parts = raw.split()
-            if len(parts) < 3 or not parts[2].endswith("D"):
-                raise MalformedChunkHeader(f"line {lineno}: bad chunk header {raw!r}")
-            try:
-                index = int(parts[1])
-                head = int(parts[2][:-1])
-            except ValueError:
-                raise MalformedChunkHeader(f"line {lineno}: bad chunk header {raw!r}") from None
-            if index != len(heads):
-                raise MalformedChunkHeader(
-                    f"line {lineno}: chunk index {index} out of sequence (expected {len(heads)})"
-                )
-            heads.append(0 if head == -1 else head + 1)
-            surfaces.append([])
-            lemmas.append(None)
-        elif not raw or raw.isspace():
+def _cabocha_sentences_before(lines: list[str], lo: int) -> tuple[int, int]:
+    """The number of sentences that start before line index ``lo``, and where the next one starts.
+
+    A sentence that starts before ``lo`` belongs to an earlier shard even
+    where it ends after ``lo``; the second value is the index of the first
+    sentence line at or after ``lo``, or ``len(lines)`` when there is none.
+    """
+    count = 0
+    pending = False
+    for i, raw in enumerate(lines):
+        if not raw or raw.isspace():
             continue
-        else:
-            if not heads:
-                raise MalformedLine(f"line {lineno}: morpheme line before any chunk header")
-            surface, _, feature_str = raw.partition("\t")
-            surfaces[-1].append(surface)
-            if lemmas[-1] is None and feature_str:
-                features = feature_str.split(",", 7)
-                if len(features) > 6 and features[6] not in ("*", ""):
-                    lemmas[-1] = features[6]
-    n = len(heads)
-    forms = tuple("".join(chunk) for chunk in surfaces)
-    return validate_tree(Sentence(sent_id, tuple(heads), forms, _text_column(lemmas, n), span))
+        if raw.startswith("EOS") and raw.rstrip() == "EOS":
+            count += pending
+            pending = False
+        elif not pending:
+            if i >= lo:
+                return count, i
+            pending = True
+    return count, len(lines)
 
 
 # --- canonical JSONL -------------------------------------------------------
@@ -530,6 +596,7 @@ def iter_canonical(
     source: str = "<canonical>",
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
+    shard: tuple[int, int] = (0, 1),
 ) -> Iterator[Sentence]:
     """Yield the sentences of the toolkit's JSONL format: one sentence object per line.
 
@@ -541,7 +608,9 @@ def iter_canonical(
     generator) are skipped.
     """
     _check_error_mode(errors)
-    for lineno, raw in enumerate(_text_lines(stream), 1):
+    lines = _text_lines(stream)
+    lo, hi = _shard_lines(len(lines), shard)
+    for lineno, raw in enumerate(lines[lo:hi], lo + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -616,6 +685,7 @@ def iter_parse(
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
     drop_punct: bool = False,
+    shard: tuple[int, int] = (0, 1),
 ) -> Iterator[Sentence]:
     """Iterate over the sentences of ``stream`` in the named format ('conllu', 'cabocha', 'canonical').
 
@@ -623,7 +693,7 @@ def iter_parse(
     """
     if fmt not in _PARSERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    kwargs: dict[str, object] = {"errors": errors, "rejections": rejections}
+    kwargs: dict[str, object] = {"errors": errors, "rejections": rejections, "shard": shard}
     if source is not None:
         kwargs["source"] = source
     if fmt == "conllu":

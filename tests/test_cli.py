@@ -216,6 +216,40 @@ def test_valency_lexicon_mode_requires_lexicon_path(data_dir, tmp_path, capsys):
     assert "lexicon" in err
 
 
+def test_missing_lexicon_fails_before_any_input_is_parsed(data_dir, tmp_path):
+    missing = tmp_path / "missing.tsv"
+    result = subprocess.run(
+        [sys.executable, "-m", "depmetrics", "report", str(data_dir / "sample.cabocha"),
+         "--valency-mode", "lexicon", "--lexicon", str(missing), "--output-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr == f"input error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+@pytest.mark.parametrize("command", ["report", "valency"])
+def test_malformed_lexicon_fails_before_any_input_is_parsed(
+    command, data_dir, tmp_path, capsys, monkeypatch
+):
+    import depmetrics.report as report_module
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("an input was parsed before the lexicon was read")
+
+    monkeypatch.setattr(report_module, "iter_parse", no_parse)
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("go\t5\n", encoding="utf-8")
+    code, out, err = run(
+        [command, str(data_dir / "sample.cabocha"), "--valency-mode", "lexicon",
+         "--lexicon", str(lexicon), "--output-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"input error: {lexicon}:1: valency must be 1..4, got 5\n"
+
+
 # --- config file --------------------------------------------------------------------
 
 
@@ -447,13 +481,13 @@ def test_metrics_dump_to_stdout(data_dir, capsys):
 def test_internal_errors_exit_three(data_dir, capsys, monkeypatch):
     import depmetrics.cli as cli_module
 
-    def boom(config, corpus):
+    def boom(config, corpus, lexicon):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(cli_module, "compute_analyses", boom)
     code, _, err = run(["report", str(data_dir / "sample_200.jsonl")], capsys)
     assert code == 3
-    assert "internal error" in err
+    assert err == "internal error: RuntimeError('synthetic failure')\n"
 
 
 def test_partial_outputs_removed_on_write_failure(tmp_path):

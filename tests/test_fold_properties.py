@@ -21,7 +21,14 @@ from depmetrics.analysis import VALENCY_MODES, CorpusStats
 from depmetrics.cli import main
 from depmetrics.errors import DepMetricsError
 from depmetrics.randtree import GeneratorConfig, random_tree
-from depmetrics.report import ENTROPY_BASES, LOG_BASES, CorpusData, RunConfig, compute_analyses
+from depmetrics.report import (
+    ENTROPY_BASES,
+    LOG_BASES,
+    CorpusData,
+    RunConfig,
+    compute_analyses,
+    load_lexicon,
+)
 from depmetrics.treebank import ValencyLexicon, serialize_canonical
 
 from .conftest import make_sentence
@@ -76,13 +83,13 @@ def test_every_table_of_the_fold_equals_the_per_record_reference(sentences, setu
     for sentence in sentences:
         stats.add(sentence)
     corpus = CorpusData(
-        accepted=len(sentences), rejections=[], single_node_count=0, inputs=[], stats=stats
+        accepted=len(sentences), rejections=[], single_node_count=0, inputs=[], fold=stats
     )
     with tempfile.TemporaryDirectory() as tmp:
         lexicon_path = Path(tmp) / "lexicon.tsv"
         lexicon_path.write_text("".join(f"{k}\t{v}\n" for k, v in entries.items()), encoding="utf-8")
         config.lexicon_path = str(lexicon_path)
-        got = _outcome(lambda: compute_analyses(config, corpus))
+        got = _outcome(lambda: compute_analyses(config, corpus, load_lexicon(config)))
     want = _outcome(lambda: reference_analyses(config, sentences, ValencyLexicon(entries)))
     assert got == want
 
@@ -116,3 +123,31 @@ def test_report_does_not_depend_on_sentence_order_or_file_split(sentences, rng, 
     flags = ["--min-bucket", "3", "--sl-max", "12"]
     with tempfile.TemporaryDirectory() as one, tempfile.TemporaryDirectory() as many:
         assert _report_bytes(split, Path(many), flags) == _report_bytes([sentences], Path(one), flags)
+
+
+def _fold(sentences) -> CorpusStats:
+    stats = CorpusStats()
+    for sentence in sentences:
+        stats.add(sentence)
+    return stats
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora(), settings_and_lexicons(), st.randoms(use_true_random=False), st.integers(1, 5))
+def test_merged_shard_folds_in_any_order_give_the_one_fold_tables(sentences, setup, rng, parts):
+    config, entries = setup
+    cuts = sorted(rng.randint(0, len(sentences)) for _ in range(parts - 1))
+    folds = [_fold(sentences[a:b]) for a, b in zip([0, *cuts], [*cuts, len(sentences)])]
+    rng.shuffle(folds)
+    merged = CorpusStats()
+    for fold in folds:
+        merged.merge(fold)
+    lexicon = ValencyLexicon(entries)
+
+    def tables(stats):
+        corpus = CorpusData(
+            accepted=len(sentences), rejections=[], single_node_count=0, inputs=[], fold=stats
+        )
+        return _outcome(lambda: compute_analyses(config, corpus, lexicon))
+
+    assert tables(merged) == tables(_fold(sentences))

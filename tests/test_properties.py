@@ -1,5 +1,5 @@
-"""Property tests: the fused validate-and-depth walk, the canonical round trip and the
-streaming parsers on arbitrary text."""
+"""Property tests: the fused validate-and-depth walk, the canonical round trip, and the
+streaming parsers, their shards and the one-pass CaboCha reader on arbitrary text."""
 
 from __future__ import annotations
 
@@ -8,14 +8,23 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depmetrics.errors import CycleDetected, InvalidTree, MultipleRoots, NoRoot, SelfLoop
+from depmetrics.errors import (
+    CycleDetected,
+    DepMetricsError,
+    InvalidTree,
+    MultipleRoots,
+    NoRoot,
+    SelfLoop,
+)
 from depmetrics.randtree import GeneratorConfig, random_tree
 from depmetrics.treebank import (
+    FORMATS,
     Rejection,
     Sentence,
     iter_cabocha,
     iter_canonical,
     iter_conllu,
+    iter_parse,
     parse_cabocha,
     parse_canonical,
     parse_conllu,
@@ -23,6 +32,8 @@ from depmetrics.treebank import (
     tree_depths,
     validate_tree,
 )
+
+from . import reference_treebank
 
 
 def ordered_checks_oracle(heads, id):
@@ -177,3 +188,90 @@ def test_streaming_parsers_yield_only_validated_trees_or_record_rejections(text)
         again = []
         assert parse(text, errors="skip", rejections=again, **options) == sentences
         assert again == rejections
+
+
+def _with_depths(sentences):
+    """Each sentence with its depths, which take no part in equality."""
+    return [(sentence, sentence.depths) for sentence in sentences]
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts)
+def test_shards_in_order_give_the_serial_parse(text):
+    for fmt in FORMATS:
+        for drop_punct in (False, True):
+            options = {"errors": "skip", "drop_punct": drop_punct, "source": "f"}
+            serial_rejections = []
+            serial = list(iter_parse(text, fmt, rejections=serial_rejections, **options))
+            for parts in range(1, 5):
+                sentences = []
+                rejections = []
+                for k in range(parts):
+                    sentences += iter_parse(text, fmt, rejections=rejections, shard=(k, parts), **options)
+                assert _with_depths(sentences) == _with_depths(serial)
+                assert rejections == serial_rejections
+
+
+# Lines the CaboCha reader branches on, for the comparison with the two-walk reference.
+CABOCHA_FRAGMENTS = [
+    "* 0 -1D 0/0 0.0",
+    "* 0 1D",
+    "* 1 -1D",
+    "* 1 0D",
+    "* 2 1D 0/1",
+    "* 1 2D",
+    "* 0 x",
+    "* x 0D",
+    "* 0",
+    "*  0  -1D",
+    "*",
+    "語\t名詞,一般,*,*,*,*,語",
+    "が\t助詞,格助詞,*,*,*,*,が,が,が",
+    "w\tx,*,*,*,*,*,*",
+    "w\t",
+    "w",
+    "\tp,*,*,*,*,*,",
+    "EOS",
+    "EOS ",
+    "EOSx",
+    " ",
+    "",
+]
+cabocha_texts = st.one_of(
+    texts,
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(CABOCHA_FRAGMENTS), st.text(max_size=6)),
+            st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]),
+        ),
+        max_size=40,
+    ).map(lambda parts: "".join(line + end for line, end in parts)),
+)
+
+
+def _raise_mode_outcome(generator, text):
+    """The sentences yielded before the first error, and that error's class and message."""
+    sentences = []
+    try:
+        for sentence in generator(text, source="c"):
+            sentences.append(sentence)
+    except DepMetricsError as exc:
+        return _with_depths(sentences), type(exc), str(exc)
+    return _with_depths(sentences), None, None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(cabocha_texts)
+def test_one_pass_cabocha_reader_matches_the_two_walk_reference(text):
+    want_rejections = []
+    want = list(reference_treebank.iter_cabocha(text, errors="skip", rejections=want_rejections))
+    for parts in range(1, 5):
+        got = []
+        rejections = []
+        for k in range(parts):
+            got += iter_cabocha(text, errors="skip", rejections=rejections, shard=(k, parts))
+        assert _with_depths(got) == _with_depths(want)
+        assert rejections == want_rejections
+    assert _raise_mode_outcome(iter_cabocha, text) == _raise_mode_outcome(
+        reference_treebank.iter_cabocha, text
+    )

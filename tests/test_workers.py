@@ -1,0 +1,233 @@
+"""Loading in forked workers: the same outputs, warnings and errors as one serial pass.
+
+The fixtures are far below the input size at which ``load_corpus`` forks, so
+these tests force three workers: they lower the input bytes per worker,
+raise the cap on workers and report three usable CPUs. Every test that forks
+checks afterwards that no child process is left.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+from depmetrics import report
+from depmetrics.analysis import CorpusStats
+from depmetrics.cli import main
+from depmetrics.treebank import parse_canonical
+
+from . import test_golden
+
+
+def force_workers(monkeypatch, workers: int = 3) -> list[int]:
+    """Make load_corpus use ``workers`` processes; return the list that collects forked pids."""
+    monkeypatch.setattr(report, "MIN_SHARD_BYTES", 1)
+    monkeypatch.setattr(report, "MAX_WORKERS", workers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    pids: list[int] = []
+    fork = os.fork
+
+    def counted_fork() -> int:
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def warnings_logged(caplog) -> list[tuple[str, str, str]]:
+    records = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+    caplog.clear()
+    return records
+
+
+@pytest.mark.parametrize("name", sorted(test_golden.CASES))
+def test_golden_outputs_and_warnings_do_not_depend_on_the_worker_count(
+    name, tmp_path, caplog, monkeypatch
+):
+    (tmp_path / "serial").mkdir()
+    (tmp_path / "forked").mkdir()
+    serial = test_golden.run_case(name, tmp_path / "serial")
+    serial_warnings = warnings_logged(caplog)
+    pids = force_workers(monkeypatch)
+    forked = test_golden.run_case(name, tmp_path / "forked")
+    assert len(pids) == 2
+    assert forked == serial
+    assert warnings_logged(caplog) == serial_warnings
+    golden = {path.name: path.read_bytes() for path in (test_golden.GOLDEN_DIR / name).iterdir()}
+    assert forked == golden
+    assert_no_child_left()
+
+
+def test_two_file_metrics_keeps_file_order(data_dir, monkeypatch, capsys):
+    paths = [str(data_dir / "noisy.jsonl"), str(data_dir / "sample_200.jsonl")]
+    assert main(["metrics", *paths]) == 0
+    serial = capsys.readouterr().out
+    pids = force_workers(monkeypatch)
+    assert main(["metrics", *paths]) == 0
+    forked = capsys.readouterr().out
+    assert len(pids) == 2
+    assert forked == serial
+    ids = [json.loads(line)["id"] for line in forked.splitlines()[1:]]
+    expected = [
+        sentence.id
+        for path in paths
+        for sentence in parse_canonical(Path(path).read_bytes(), errors="skip")
+        if len(sentence) >= 2
+    ]
+    assert ids == expected
+    assert_no_child_left()
+
+
+def test_an_error_raised_in_a_child_is_raised_as_in_a_serial_run(
+    data_dir, tmp_path, monkeypatch, capsys
+):
+    add = CorpusStats.add
+
+    def add_until_line_150(self, sentence):
+        # sample_200.jsonl has 201 lines: with three workers, line 150 is in the last shard
+        if int(sentence.source.rpartition(":")[2]) >= 150:
+            raise ValueError(f"cannot fold {sentence.id}")
+        add(self, sentence)
+
+    monkeypatch.setattr(CorpusStats, "add", add_until_line_150)
+    argv = ["report", str(data_dir / "sample_200.jsonl"), "--output-dir", str(tmp_path)]
+    serial = main(argv), capsys.readouterr().err
+    pids = force_workers(monkeypatch)
+    forked = main(argv), capsys.readouterr().err
+    assert len(pids) == 2
+    assert forked == serial
+    assert serial[0] == 3
+    assert serial[1].startswith("internal error: ValueError('cannot fold ")
+    assert_no_child_left()
+
+
+def test_a_missing_second_input_fails_after_the_first_inputs_warnings(
+    data_dir, tmp_path, monkeypatch, capsys, caplog
+):
+    argv = ["validate", str(data_dir / "noisy.jsonl"), str(tmp_path / "missing.jsonl")]
+    serial = main(argv), capsys.readouterr(), warnings_logged(caplog)
+    pids = force_workers(monkeypatch)
+    forked = main(argv), capsys.readouterr(), warnings_logged(caplog)
+    assert len(pids) == 2
+    assert forked == serial
+    code, captured, warnings = serial
+    assert code == 1
+    assert captured.err.startswith("input error: [Errno 2] No such file or directory")
+    assert warnings and all("noisy.jsonl" in message for _, _, message in warnings)
+    assert_no_child_left()
+
+
+def test_children_still_running_are_killed_when_the_parent_fails():
+    def work(k):
+        if k:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        report._in_workers(3, work)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_a_child_that_cannot_send_its_result_is_an_error():
+    with pytest.raises(RuntimeError, match="sent no result"):
+        report._in_workers(2, lambda k: lambda: k)  # a lambda does not pickle
+    assert_no_child_left()
+
+
+def test_worker_count_is_the_usable_cpus_capped_at_one_per_mib(tmp_path, data_dir, monkeypatch):
+    big = tmp_path / "big.jsonl"
+    with open(big, "wb") as handle:
+        handle.truncate(3 * report.MIN_SHARD_BYTES)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert report.worker_count([str(big)]) == report.MAX_WORKERS == 2
+    monkeypatch.setattr(report, "MAX_WORKERS", 8)
+    assert report.worker_count([str(big)]) == 3
+    assert report.worker_count([str(big), str(tmp_path / "missing.jsonl")]) == 3
+    assert report.worker_count([str(data_dir / "sample_200.jsonl")]) == 1
+    assert report.worker_count([]) == 1
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert report.worker_count([str(big)]) == 1
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert report.worker_count([str(big)]) == 1  # forking beside a thread is unsafe
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert report.worker_count([str(big)]) == 3
+
+    fifo = tmp_path / "more.jsonl"
+    os.mkfifo(fifo)
+    assert report.worker_count([str(big), str(fifo)]) == 1  # a pipe is read only once
+    assert report.worker_count([str(big), str(tmp_path)]) == 1
+
+    monkeypatch.delattr(os, "fork")
+    assert report.worker_count([str(big)]) == 1
+
+
+def test_an_input_read_from_a_pipe_is_loaded_serially(data_dir, tmp_path, monkeypatch, capsys):
+    more = tmp_path / "more.jsonl"
+    os.mkfifo(more)
+    argv = ["validate", str(data_dir / "sample_200.jsonl"), str(more)]
+    pids = force_workers(monkeypatch)
+    copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+    writer = subprocess.Popen([sys.executable, "-c", copy, str(data_dir / "noisy.jsonl"), str(more)])
+    try:
+        piped = main(argv), capsys.readouterr()
+    finally:
+        writer.wait(timeout=30)
+    assert writer.returncode == 0
+    assert pids == []
+    monkeypatch.undo()
+    more.unlink()
+    more.write_bytes((data_dir / "noisy.jsonl").read_bytes())
+    assert (main(argv), capsys.readouterr()) == piped
+    assert_no_child_left()
+
+
+def test_a_file_that_workers_read_in_different_versions_is_an_error(
+    data_dir, tmp_path, monkeypatch, capsys
+):
+    read_input = report._read_input
+    parent = os.getpid()
+
+    def read_in_a_later_version_in_children(path):
+        data, (device, inode, size, mtime) = read_input(path)
+        return data, (device, inode, size, mtime + (os.getpid() != parent))
+
+    monkeypatch.setattr(report, "_read_input", read_in_a_later_version_in_children)
+    pids = force_workers(monkeypatch)
+    path = data_dir / "sample_200.jsonl"
+    assert main(["validate", str(path)]) == 1
+    assert len(pids) == 2
+    assert capsys.readouterr().err == f"input error: {path} changed while it was being read\n"
+    assert_no_child_left()
+
+
+def test_without_fork_every_run_is_the_one_worker_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(report, "MIN_SHARD_BYTES", 1)
+    monkeypatch.delattr(os, "fork")
+    golden = test_golden.GOLDEN_DIR / "validate_jsonl" / "stdout"
+    assert test_golden.run_case("validate_jsonl", tmp_path)["stdout"] == golden.read_bytes()
