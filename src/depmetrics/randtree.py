@@ -7,15 +7,18 @@ sentences feed the same pipeline as parsed corpora (via the canonical JSONL
 format) and serve as the brute-force oracle in the test suite.
 
 Sampling is deterministic per (seed, sample index): each sample uses its own
-Mersenne Twister stream seeded with the string "<seed>:<index>", which CPython
-hashes platform-independently.
+Mersenne Twister stream, ``random.Random("<seed>:<index>")`` (CPython hashes
+a string seed platform-independently). A sample draws n - 2 Prüfer labels and
+then the root, each in 1..n by rejection on ``getrandbits(n.bit_length())``:
+the algorithm of ``random.randint(1, n)`` on CPython 3.10-3.13, so generated
+files match those of earlier versions byte for byte. The root out-degree cap
+redraws from the same stream until a tree meets it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import Iterator, Sequence
 
 from .errors import ConstraintUnsatisfiable, NTooLarge
@@ -71,43 +74,35 @@ def star_heads(n: int) -> tuple[int, ...]:
     return tuple([n] * (n - 1)) + (0,)
 
 
-def _prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """Decode a Prüfer sequence over labels 1..n into the tree's edge list."""
+def _prufer_heads(seq: Sequence[int], n: int, root: int) -> tuple[int, ...]:
+    """Decode a Prüfer sequence over labels 1..n into its tree's head vector, rooted at ``root``.
+
+    One linear walk: a pointer climbs the labels to the next leaf, and a label
+    the sequence has just turned into a leaf is taken at once when it lies
+    below the pointer, so every step removes the smallest leaf, as the heap
+    decoder does. Each removed edge (leaf, v) sets ``head[leaf] = v``, which
+    roots the tree at n (never the smallest leaf); reversing the path from
+    ``root`` up to n then moves the root.
+    """
     degree = [1] * (n + 1)
     for v in seq:
         degree[v] += 1
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapify(leaves)
-    edges = []
+    head = [0] * (n + 1)
+    pointer = leaf = degree.index(1, 1)
     for v in seq:
-        leaf = heappop(leaves)
-        edges.append((leaf, v))
+        head[leaf] = v
         degree[v] -= 1
-        if degree[v] == 1:
-            heappush(leaves, v)
-    last = heappop(leaves)
-    edges.append((last, heappop(leaves)))
-    return edges
-
-
-def _orient(edges: Sequence[tuple[int, int]], n: int, root: int) -> tuple[int, ...]:
-    """Turn an undirected tree into a head vector by pointing edges at ``root``."""
-    adjacency: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    heads = [0] * (n + 1)
-    stack = [root]
-    seen = [False] * (n + 1)
-    seen[root] = True
-    while stack:
-        parent = stack.pop()
-        for child in adjacency[parent]:
-            if not seen[child]:
-                seen[child] = True
-                heads[child] = parent
-                stack.append(child)
-    return tuple(heads[1:])
+        if v < pointer and degree[v] == 1:
+            leaf = v
+        else:
+            pointer = leaf = degree.index(1, pointer + 1)
+    head[leaf] = n
+    child, node = 0, root
+    while node:
+        parent = head[node]
+        head[node] = child
+        child, node = node, parent
+    return tuple(head[1:])
 
 
 def enumerate_trees(n: int) -> Iterator[Sentence]:
@@ -121,15 +116,13 @@ def enumerate_trees(n: int) -> Iterator[Sentence]:
         raise NTooLarge(f"enumeration is limited to n <= {MAX_ENUMERATION_N}, got {n}")
     counter = 0
     if n == 1:
-        yield Sentence.from_heads((0,), id="enum1-0")
+        yield Sentence("enum1-0", (0,))
         return
     seq = [1] * (n - 2)
     while True:
-        edges = _prufer_edges(seq, n)
         for root in range(1, n + 1):
-            sent = Sentence.from_heads(_orient(edges, n, root), id=f"enum{n}-{counter}")
+            yield Sentence(f"enum{n}-{counter}", _prufer_heads(seq, n, root))
             counter += 1
-            yield sent
         # odometer increment over labels 1..n
         pos = len(seq) - 1
         while pos >= 0 and seq[pos] == n:
@@ -138,11 +131,6 @@ def enumerate_trees(n: int) -> Iterator[Sentence]:
         if pos < 0:
             return
         seq[pos] += 1
-
-
-def _root_out_degree(heads: Sequence[int]) -> int:
-    root = heads.index(0) + 1
-    return sum(1 for h in heads if h == root)
 
 
 def random_tree(config: GeneratorConfig, index: int = 0) -> Sentence:
@@ -155,19 +143,26 @@ def random_tree(config: GeneratorConfig, index: int = 0) -> Sentence:
     n = config.n
     sent_id = f"rand-n{n}-s{config.seed}-{index}"
     if config.constraint == "chain":
-        return Sentence.from_heads(chain_heads(n), id=sent_id)
+        return Sentence(sent_id, chain_heads(n))
     if config.constraint == "star":
-        return Sentence.from_heads(star_heads(n), id=sent_id)
+        return Sentence(sent_id, star_heads(n))
     if n == 1:
-        return Sentence.from_heads((0,), id=sent_id)
-    rng = random.Random(f"{config.seed}:{index}")
+        return Sentence(sent_id, (0,))
+    getrandbits = random.Random(f"{config.seed}:{index}").getrandbits
+    bits = n.bit_length()
     cap = config.max_root_out_degree if config.constraint == "max_root_out_degree" else None
     for _ in range(_MAX_REJECTION_ATTEMPTS):
-        seq = [rng.randint(1, n) for _ in range(n - 2)]
-        root = rng.randint(1, n)
-        heads = _orient(_prufer_edges(seq, n), n, root)
-        if cap is None or _root_out_degree(heads) <= cap:
-            return Sentence.from_heads(heads, id=sent_id)
+        # n - 2 sequence labels, then the root: each is rng.randint(1, n) drawn inline
+        draws = []
+        for _ in range(n - 1):
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            draws.append(r + 1)
+        root = draws.pop()
+        heads = _prufer_heads(draws, n, root)
+        if cap is None or heads.count(root) <= cap:
+            return Sentence(sent_id, heads)
     raise ConstraintUnsatisfiable(
         f"gave up after {_MAX_REJECTION_ATTEMPTS} draws with cap {cap} at n={n}"
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from operator import eq
 from typing import IO, Any, Iterator, Mapping, Sequence
 
@@ -241,24 +242,28 @@ def validate_tree(sentence: Sentence) -> Sentence:
 
 
 def serialize_canonical(sentence: Sentence) -> str:
-    """Render one canonical-JSONL line; ``parse_canonical`` inverts it."""
+    """Render one canonical-JSONL line; ``parse_canonical`` inverts it.
+
+    Writes the text of ``json.dumps(obj, ensure_ascii=False, sort_keys=True)``
+    without building ``obj``: sorted keys, default separators, json's encoder.
+    """
     n = len(sentence)
     blank = (None,) * n
     nodes = []
     for index, head, form, lemma in zip(
         range(1, n + 1), sentence.head_vector, sentence.forms or blank, sentence.lemmas or blank
     ):
-        entry: dict[str, object] = {"index": index, "head": head}
+        node = f'"head": {head}, "index": {index}'
         if form is not None:
-            entry["form"] = form
+            node = f'"form": {encode_basestring(form)}, {node}'
         if lemma is not None:
-            entry["lemma"] = lemma
-        nodes.append(entry)
-    line = json.dumps({"id": sentence.id, "nodes": nodes}, ensure_ascii=False, sort_keys=True)
+            node = f'{node}, "lemma": {encode_basestring(lemma)}'
+        nodes.append(f"{{{node}}}")
+    line = f'{{"id": {encode_basestring(sentence.id)}, "nodes": [{", ".join(nodes)}]}}'
     return line if line.isascii() else line.translate(_UNESCAPED_BREAKS)
 
 
-# Line breaks to ``str.splitlines`` that json.dumps(ensure_ascii=False) leaves raw;
+# Line breaks to ``str.splitlines`` that json's string encoder leaves raw;
 # escaped, a line stays one line for readers that split on them too.
 _UNESCAPED_BREAKS = {ord(char): f"\\u{ord(char):04x}" for char in "\x85\u2028\u2029"}
 
@@ -634,7 +639,9 @@ def _canonical_sentence(line: str, lineno: int, span: str) -> Sentence:
         raise MalformedLine(f"line {lineno}: expected an object with 'id' and 'nodes'")
     if not isinstance(obj["nodes"], list):
         raise MalformedLine(f"line {lineno}: 'nodes' must be a list")
-    sent_id = str(obj["id"])
+    sent_id = obj["id"]
+    if type(sent_id) is not str:
+        raise MalformedLine(f"line {lineno}: 'id' must be a string")
     indices: list[int] = []
     heads: list[int] = []
     forms: list[str | None] = []

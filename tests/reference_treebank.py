@@ -1,13 +1,18 @@
-"""Reference CaboCha reader: the two-walk version the one-pass reader replaced.
+"""Reference CaboCha reader and canonical writer: the versions the one-pass reader and the direct writer replaced.
 
 ``iter_cabocha`` walks every line looking for ``EOS``; ``_cabocha_sentence``
 then walks the sentence's lines again to read its chunks. The property tests
 require ``treebank.iter_cabocha`` to yield the same sentences and record (or
 raise) the same rejections as this reader.
+
+``serialize_canonical`` builds one dict per node and renders the sentence
+with ``json.dumps``; the property tests require ``treebank.serialize_canonical``
+to return the same string.
 """
 
 from __future__ import annotations
 
+import json
 from typing import IO, Iterator
 
 from depmetrics.errors import MalformedChunkHeader, MalformedLine, MissingEOS
@@ -93,3 +98,23 @@ def _cabocha_sentence(lines: list[str], first_lineno: int, sent_id: str, span: s
     n = len(heads)
     forms = tuple("".join(chunk) for chunk in surfaces)
     return validate_tree(Sentence(sent_id, tuple(heads), forms, _text_column(lemmas, n), span))
+
+
+def serialize_canonical(sentence: Sentence) -> str:
+    n = len(sentence)
+    blank = (None,) * n
+    nodes = []
+    for index, head, form, lemma in zip(
+        range(1, n + 1), sentence.head_vector, sentence.forms or blank, sentence.lemmas or blank
+    ):
+        entry: dict[str, object] = {"index": index, "head": head}
+        if form is not None:
+            entry["form"] = form
+        if lemma is not None:
+            entry["lemma"] = lemma
+        nodes.append(entry)
+    line = json.dumps({"id": sentence.id, "nodes": nodes}, ensure_ascii=False, sort_keys=True)
+    return line if line.isascii() else line.translate(UNESCAPED_BREAKS)
+
+
+UNESCAPED_BREAKS = {ord(char): f"\\u{ord(char):04x}" for char in "\x85\u2028\u2029"}

@@ -47,6 +47,15 @@ CASES: dict[str, tuple[tuple[str, ...], list[str]]] = {
         ("sample_200.jsonl", "noisy.jsonl"),
         ["validate", "sample_200.jsonl", "noisy.jsonl"],
     ),
+    "generate_random": (
+        (),
+        ["generate", "--n", "12", "--count", "300", "--seed", "5", "-o", f"{OUTPUT_DIR}/random.jsonl"],
+    ),
+    "generate_capped": (
+        (),
+        ["generate", "--n", "40", "--count", "60", "--seed", "2", "--max-root-out-degree", "3",
+         "-o", f"{OUTPUT_DIR}/capped.jsonl"],
+    ),
 }
 
 

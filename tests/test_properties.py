@@ -1,4 +1,4 @@
-"""Property tests: the fused validate-and-depth walk, the canonical round trip, and the
+"""Property tests: the fused validate-and-depth walk, the canonical round trip and writer, and the
 streaming parsers, their shards and the one-pass CaboCha reader on arbitrary text."""
 
 from __future__ import annotations
@@ -134,6 +134,26 @@ def test_canonical_round_trip_of_random_trees(heads, data):
     assert again.heads() == sentence.heads()
     assert again.nodes == sentence.nodes
     assert again.id == sentence.id
+
+
+# Characters json escapes or leaves raw, and the ones a line reader could split on.
+json_text = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029",
+                         "\ud800", "\udfff", "\U0001f600", "é"]),
+        st.characters(codec=None),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(-3, 10 ** 6), max_size=8), json_text, st.data())
+def test_canonical_writer_matches_the_json_dumps_reference(heads, sent_id, data):
+    n = len(heads)
+    columns = st.one_of(st.none(), st.lists(st.one_of(st.none(), json_text), min_size=n, max_size=n))
+    sentence = Sentence.from_heads(heads, id=sent_id, forms=data.draw(columns), lemmas=data.draw(columns))
+    assert serialize_canonical(sentence) == reference_treebank.serialize_canonical(sentence)
 
 
 # Lines that each format's parser branches on, mixed with arbitrary text below.

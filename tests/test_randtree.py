@@ -2,11 +2,14 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depmetrics.errors import ConstraintUnsatisfiable, NTooLarge
 from depmetrics.metrics import metric_record
 from depmetrics.randtree import (
     GeneratorConfig,
+    _prufer_heads,
     chain_heads,
     enumerate_trees,
     generate,
@@ -14,6 +17,8 @@ from depmetrics.randtree import (
     star_heads,
 )
 from depmetrics.treebank import validate_tree
+
+from . import reference_randtree
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 9), (4, 64), (5, 625)])
@@ -103,3 +108,50 @@ def test_constraint_validation():
 def test_single_node_generation():
     assert random_tree(GeneratorConfig(n=1, seed=5)).heads() == (0,)
     assert list(enumerate_trees(1))[0].heads() == (0,)
+
+
+@st.composite
+def prufer_sequences(draw):
+    n = draw(st.integers(2, 60))
+    return n, draw(st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(prufer_sequences())
+def test_linear_walk_matches_heap_decoder_at_every_root(case):
+    n, seq = case
+    edges = reference_randtree.prufer_edges(seq, n)
+    for root in range(1, n + 1):
+        assert _prufer_heads(seq, n, root) == reference_randtree.orient(edges, n, root)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumeration_matches_reference_order_and_ids(n):
+    expected = [(t.id, t.heads()) for t in reference_randtree.enumerate_trees(n)]
+    assert [(t.id, t.heads()) for t in enumerate_trees(n)] == expected
+
+
+# Rooted trees on 1..n are in bijection with (Prüfer sequence, root) pairs, so
+# equal trees mean equal draws: the inline rejection loop gives the values of
+# random.Random(seed).randint(1, n), also around the powers of two where the
+# rejection loop redraws most and least often.
+sizes = st.one_of(
+    st.integers(2, 512),
+    st.sampled_from([2 ** k + d for k in range(1, 10) for d in (-1, 0, 1) if 2 <= 2 ** k + d <= 512]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes, st.integers(-(2 ** 40), 2 ** 40), st.integers(0, 10 ** 6))
+def test_draws_match_randint_stream(n, seed, index):
+    tree = random_tree(GeneratorConfig(n=n, seed=seed), index)
+    assert tree.heads() == reference_randtree.random_heads(f"{seed}:{index}", n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 1000), st.integers(0, 1000), st.data())
+def test_capped_draws_match_randint_stream(n, seed, index, data):
+    cap = data.draw(st.integers(1, min(n - 1, 4)))
+    config = GeneratorConfig(n=n, seed=seed, constraint="max_root_out_degree", max_root_out_degree=cap)
+    expected = reference_randtree.random_heads(f"{seed}:{index}", n, cap)
+    assert random_tree(config, index).heads() == expected

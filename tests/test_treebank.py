@@ -264,6 +264,16 @@ def test_parse_canonical_requires_text_or_null(field):
         parse_canonical(line)
 
 
+@pytest.mark.parametrize("sent_id", ["null", "5", "true", "[1]", '{"a": 1}'])
+def test_parse_canonical_requires_a_string_id(sent_id):
+    line = '{"id": ' + sent_id + ', "nodes": [{"index": 1, "head": 0}]}'
+    with pytest.raises(MalformedLine, match="^line 1: 'id' must be a string$"):
+        parse_canonical(line)
+    rejections = []
+    assert parse_canonical(line, errors="skip", rejections=rejections) == []
+    assert [(r.reason, r.sentence_id) for r in rejections] == [("line 1: 'id' must be a string", None)]
+
+
 def test_parse_canonical_accepts_null_text_fields():
     line = '{"id": "s", "nodes": [{"index": 1, "head": 0, "form": null, "lemma": "go"}]}'
     sent = parse_canonical(line)[0]
