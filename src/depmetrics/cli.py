@@ -12,10 +12,13 @@ import argparse
 import json
 import logging
 import sys
+import tempfile
 from dataclasses import dataclass, field, fields
+from functools import partial
+from itertools import chain
 from pathlib import Path
 from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator, Union, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .errors import INPUT_ERRORS, ConfigError, ConstraintUnsatisfiable
@@ -153,34 +156,66 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if corpus.accepted else 1
 
 
+METRIC_BATCH = 1 << 10  # metric lines a fold holds before it writes them to a file
+
+
 @dataclass
 class MetricLines:
-    """The fold of ``metrics``: one JSON metric record per sentence, in input order."""
+    """The fold of ``metrics``: one JSON metric record per sentence, in input order.
 
-    lines: list[str] = field(default_factory=list)
+    A fold writes its lines to temporary files in ``directory``,
+    ``METRIC_BATCH`` at a time, so that no process holds them all. ``merge``
+    lists the other fold's files after this fold's, and :meth:`texts` reads
+    them all back in that order.
+    """
+
+    directory: str
+    files: list[str] = field(default_factory=list)
+    lines: list[str] = field(default_factory=list)  # the lines after the files
 
     def add(self, sentence: Sentence) -> None:
         self.lines.append(json.dumps(metric_record(sentence).to_json_dict(), sort_keys=True))
+        if len(self.lines) >= METRIC_BATCH:
+            self._write_lines()
 
     def merge(self, other: MetricLines) -> None:
-        self.lines.extend(other.lines)
+        self._write_lines()
+        self.files += other.files
+        self.lines = list(other.lines)
+
+    def _write_lines(self) -> None:
+        if self.lines:
+            with tempfile.NamedTemporaryFile(
+                "w", encoding="utf-8", newline="", suffix=".jsonl", dir=self.directory, delete=False
+            ) as handle:
+                handle.write("".join(line + "\n" for line in self.lines))
+            self.files.append(handle.name)
+            self.lines = []
+
+    def texts(self) -> Iterator[str]:
+        """Every line, with its LF, in pieces of at most ``METRIC_BATCH`` lines."""
+        for path in self.files:
+            with open(path, encoding="utf-8", newline="") as handle:
+                yield handle.read()
+        yield "".join(line + "\n" for line in self.lines)
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     config = build_config(args)
     _require_inputs(config)
-    corpus = load_corpus(config, MetricLines)
-    header = "# " + json.dumps(run_meta(config, corpus, "metrics"), sort_keys=True)
-    _write_text(args.output, "\n".join([header, *corpus.fold.lines]) + "\n")
+    with tempfile.TemporaryDirectory(prefix="depmetrics-") as directory:
+        corpus = load_corpus(config, partial(MetricLines, directory))
+        header = "# " + json.dumps(run_meta(config, corpus, "metrics"), sort_keys=True)
+        _write_text(args.output, chain([header + "\n"], corpus.fold.texts()))
     return 0
 
 
-def _write_text(output: str | None, text: str) -> None:
+def _write_text(output: str | None, text: str | Iterable[str]) -> None:
     """Write to the ``-o`` file, replacing it only once the text is written, or to stdout."""
     if output:
         write_files({Path(output): text})
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines([text] if isinstance(text, str) else text)
 
 
 _SINGLE_COMMAND_FILES = {
@@ -197,7 +232,7 @@ def _run_analysis_command(args: argparse.Namespace, command: str) -> int:
     _require_inputs(config)
     lexicon = load_lexicon(config)
     corpus = load_corpus(config)
-    analyses = compute_analyses(config, corpus, lexicon)
+    analyses = compute_analyses(config, corpus, lexicon, command)
     meta = run_meta(config, corpus, command)
     if command == "trend":
         meta["crossings"] = [list(interval) for interval in analyses.crossings]

@@ -12,6 +12,10 @@ class DepMetricsError(Exception):
 # --- ingestion ---------------------------------------------------------
 
 
+class InvalidEncoding(DepMetricsError):
+    """Input bytes that are not UTF-8; the message names the input and the byte offset."""
+
+
 class MalformedLine(DepMetricsError):
     """An input line that cannot be interpreted in the declared format."""
 
@@ -101,6 +105,7 @@ class ConfigError(DepMetricsError):
 
 #: Errors that indicate bad input data rather than bad configuration or a bug.
 INPUT_ERRORS = (
+    InvalidEncoding,
     MalformedLine,
     MalformedChunkHeader,
     MissingEOS,

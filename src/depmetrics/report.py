@@ -23,9 +23,9 @@ import stat
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NoReturn, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Iterable, NoReturn, Protocol, Sequence, TypeVar
 
-from . import __version__
+from . import __version__, treebank
 from .analysis import (
     CorpusStats,
     CorrelationPoint,
@@ -43,10 +43,10 @@ from .analysis import (
     split_gated,
     valency_conditioned_counts,
 )
-from .errors import ConfigError
+from .errors import ConfigError, EmptySelection
 from .randtree import RNG_NAME
 from .stats import Distribution, significance_stars
-from .treebank import FORMATS, Rejection, Sentence, ValencyLexicon, iter_parse
+from .treebank import FORMATS, Rejection, Sentence, ValencyLexicon, iter_byte_range
 
 log = logging.getLogger(__name__)
 
@@ -166,15 +166,15 @@ class _FileShard:
     """What one worker took from its shard of one input file."""
 
     fold: Fold
-    sha256: str  # of the whole file; only shard 0 computes it
     version: tuple[int, ...]  # device, inode, size and mtime of the file read
+    sha256: str = ""  # of the whole file; only shard 0 computes it
     accepted: int = 0
     single_node: int = 0
     rejections: list[Rejection] = field(default_factory=list)
 
 
 MIN_SHARD_BYTES = 1 << 20  # input bytes per worker, so that a small run never forks
-MAX_WORKERS = 2  # more workers were not measured; each one decodes every input whole
+MAX_WORKERS = 2  # more were never measured: that needs a machine with more than 2 cores
 
 
 def worker_count(paths: Sequence[str]) -> int:
@@ -182,7 +182,8 @@ def worker_count(paths: Sequence[str]) -> int:
 
     It is 1 where ``os.fork`` is missing, while other threads run (a forked
     child could find one holding a lock), or when an input is not a regular
-    file: the workers each read every input, and a pipe can be read only once.
+    file: each worker seeks to its own byte range of every input, and a pipe
+    can be read only once, from its start.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
@@ -205,16 +206,17 @@ def worker_count(paths: Sequence[str]) -> int:
 def load_corpus(config: RunConfig, new_fold: Callable[[], Fold] = CorpusStats) -> CorpusData:
     """Parse all configured inputs, skipping invalid sentences with a reason, and fold them.
 
-    Each input is split into :func:`worker_count` shards of equal line
-    ranges. The parent forks a child for every shard but the first, loads
-    the first itself, and merges the workers' per-file counts, rejections
-    and folds in (file, shard) order, so the result, the rejection warnings
-    and an error raised while loading are those of one serial pass. A file
-    whose workers read different versions of it is an error. No sentence is
-    kept.
+    Each input is split into :func:`worker_count` byte ranges of about equal
+    size, cut between sentences (:func:`~depmetrics.treebank.iter_byte_range`).
+    The parent forks a child for every range but the first, loads the first
+    itself, and merges the workers' per-file counts, rejections and folds in
+    (file, range) order, so the result, the rejection warnings and an error
+    raised while loading are those of one serial pass. A file whose workers
+    read different versions of it is an error. No sentence is kept, and no
+    worker holds more of an input than ``CHUNK_BYTES`` and a sentence.
     """
     workers = worker_count([path for path, _ in config.inputs])
-    shards = _in_workers(workers, lambda k: _load_shard(config, new_fold, (k, workers)))
+    shards = _in_workers(workers, lambda k: _load_shard(config, new_fold, k, workers))
     fold = new_fold()
     accepted = 0
     rejections: list[Rejection] = []
@@ -256,45 +258,52 @@ def load_corpus(config: RunConfig, new_fold: Callable[[], Fold] = CorpusStats) -
 
 
 def _load_shard(
-    config: RunConfig, new_fold: Callable[[], Fold], shard: tuple[int, int]
+    config: RunConfig, new_fold: Callable[[], Fold], k: int, parts: int
 ) -> tuple[list[_FileShard], Exception | None]:
-    """Load one shard of every input, in order, one file at a time.
+    """Load byte range k of ``parts`` of every input, in order, one file at a time.
 
-    Stops at the first error and returns it beside the files done, so that
-    :func:`load_corpus` raises it where a serial pass would.
+    Range 0 also hashes each whole file, in chunks. Stops at the first error
+    and returns it beside the files done, so that :func:`load_corpus`
+    raises it where a serial pass would.
     """
     done: list[_FileShard] = []
     try:
         for path, fmt in config.inputs:
-            data, version = _read_input(path)
-            digest = hashlib.sha256(data).hexdigest() if shard[0] == 0 else ""
-            part = _FileShard(new_fold(), digest, version)
-            for sentence in iter_parse(
-                data,
-                fmt,
-                source=os.path.basename(path),
-                errors="skip",
-                rejections=part.rejections,
-                drop_punct=config.drop_punct,
-                shard=shard,
-            ):
-                part.accepted += 1
-                if len(sentence) >= 2:
-                    part.fold.add(sentence)
-                else:
-                    part.single_node += 1
+            with open(path, "rb") as handle:
+                part = _FileShard(new_fold(), _version(handle))
+                digest = hashlib.sha256() if k == 0 else None
+                for sentence in iter_byte_range(
+                    handle,
+                    fmt,
+                    k,
+                    parts,
+                    part.version[2],
+                    name=path,
+                    digest=digest,
+                    source=os.path.basename(path),
+                    errors="skip",
+                    rejections=part.rejections,
+                    drop_punct=config.drop_punct,
+                ):
+                    part.accepted += 1
+                    if len(sentence) >= 2:
+                        part.fold.add(sentence)
+                    else:
+                        part.single_node += 1
+                if digest is not None:
+                    for chunk in iter(lambda: handle.read(treebank.CHUNK_BYTES), b""):
+                        digest.update(chunk)  # the bytes after range 0
+                    part.sha256 = digest.hexdigest()
             done.append(part)
     except Exception as exc:  # the worker's boundary: handed to load_corpus
         return done, exc
     return done, None
 
 
-def _read_input(path: str) -> tuple[bytes, tuple[int, ...]]:
-    """The bytes of one input, and the device, inode, size and mtime of what was read."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-        info = os.fstat(handle.fileno())
-    return data, (info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns)
+def _version(handle: Any) -> tuple[int, ...]:
+    """The device, inode, size and mtime of an open input."""
+    info = os.fstat(handle.fileno())
+    return (info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns)
 
 
 T = TypeVar("T")
@@ -361,21 +370,21 @@ def _run_child(write_end: int, work: Callable[[int], object], k: int) -> NoRetur
 
 @dataclass
 class Analyses:
-    """All computed tables for one run."""
+    """The computed tables of one run; the ones a command does not write stay empty."""
 
-    length_hist: dict[int, int]  # full corpus, no length window
-    pooled: dict[str, Distribution]
-    conditional: dict[str, dict[int, Distribution]]
-    entropy_points: dict[str, list[SeriesPoint]]
-    entropy_gated: dict[str, list[SeriesPoint]]
-    mdd_series: list[SeriesPoint]
-    mhd_series: list[SeriesPoint]
-    crossings: list[tuple[int, int]]
-    corr_points: list[CorrelationPoint]
-    corr_gated: list[CorrelationPoint]
-    valency_cells: list[ValencyCell]
-    valency_fits: list[ValencyFit]
-    lexicon_misses: int
+    length_hist: dict[int, int] = field(default_factory=dict)  # full corpus, no length window
+    pooled: dict[str, Distribution] = field(default_factory=dict)
+    conditional: dict[str, dict[int, Distribution]] = field(default_factory=dict)
+    entropy_points: dict[str, list[SeriesPoint]] = field(default_factory=dict)
+    entropy_gated: dict[str, list[SeriesPoint]] = field(default_factory=dict)
+    mdd_series: list[SeriesPoint] = field(default_factory=list)
+    mhd_series: list[SeriesPoint] = field(default_factory=list)
+    crossings: list[tuple[int, int]] = field(default_factory=list)
+    corr_points: list[CorrelationPoint] = field(default_factory=list)
+    corr_gated: list[CorrelationPoint] = field(default_factory=list)
+    valency_cells: list[ValencyCell] = field(default_factory=list)
+    valency_fits: list[ValencyFit] = field(default_factory=list)
+    lexicon_misses: int = 0
 
 
 def load_lexicon(config: RunConfig) -> ValencyLexicon | None:
@@ -388,58 +397,50 @@ def load_lexicon(config: RunConfig) -> ValencyLexicon | None:
 
 
 def compute_analyses(
-    config: RunConfig, corpus: CorpusData, lexicon: ValencyLexicon | None
+    config: RunConfig, corpus: CorpusData, lexicon: ValencyLexicon | None, command: str = "report"
 ) -> Analyses:
-    """Read every table from the corpus fold.
+    """Read from the corpus fold the tables that ``command`` writes: every one for ``report``.
 
     The length histogram covers the full corpus (including single-node
-    sentences); everything else is restricted to [sl_min, sl_max]. The
-    ``lexicon`` is that of :func:`load_lexicon`.
+    sentences); everything else is restricted to [sl_min, sl_max], which
+    must hold a sentence. The ``lexicon`` is that of :func:`load_lexicon`.
+    Only the tables asked for are read, so only their warnings are logged.
     """
     stats: CorpusStats = corpus.fold
-    hist = length_histogram(stats)
-    if corpus.single_node_count:
-        hist = {1: corpus.single_node_count, **hist}
-
     window = stats.window(config.sl_min, config.sl_max)
-    pooled = {
-        metric: pooled_distribution(stats, metric, config.sl_min, config.sl_max)
-        for metric in ("dd", "hd")
-    }
-    conditional = {
-        metric: conditional_distributions(window, metric, config.dist_sls)
-        for metric in ("dd", "hd")
-    }
-    entropy_points = {}
-    entropy_gated = {}
-    for metric in ("dd", "hd"):
-        points = entropy_by_sl(window, metric, base=config.entropy_base_value)
-        entropy_points[metric], entropy_gated[metric] = split_gated(points, config.min_bucket)
-
-    mdd_series, mhd_series = mean_metric_by_sl(window)
-    crossings = find_intersection(window)
-    corr_points, corr_gated = split_gated(spearman_by_sl(window), config.min_bucket)
-
-    cells, misses = valency_conditioned_counts(
-        window, lexicon=lexicon, valency_mode=config.valency_mode
-    )
-    fits = fit_valency_models(cells, log_base=config.log_base_value)
-
-    return Analyses(
-        length_hist=hist,
-        pooled=pooled,
-        conditional=conditional,
-        entropy_points=entropy_points,
-        entropy_gated=entropy_gated,
-        mdd_series=mdd_series,
-        mhd_series=mhd_series,
-        crossings=crossings,
-        corr_points=corr_points,
-        corr_gated=corr_gated,
-        valency_cells=cells,
-        valency_fits=fits,
-        lexicon_misses=misses,
-    )
+    if not window.by_sl:
+        raise EmptySelection(f"no sentences with length in [{config.sl_min}, {config.sl_max}]")
+    analyses = Analyses()
+    if command == "report":
+        analyses.length_hist = length_histogram(stats)
+        if corpus.single_node_count:
+            analyses.length_hist = {1: corpus.single_node_count, **analyses.length_hist}
+    if command in ("report", "dist"):
+        for metric in ("dd", "hd"):
+            analyses.pooled[metric] = pooled_distribution(stats, metric, config.sl_min, config.sl_max)
+        for metric in ("dd", "hd"):
+            analyses.conditional[metric] = conditional_distributions(window, metric, config.dist_sls)
+    if command in ("report", "entropy"):
+        for metric in ("dd", "hd"):
+            points = entropy_by_sl(window, metric, base=config.entropy_base_value)
+            analyses.entropy_points[metric], analyses.entropy_gated[metric] = split_gated(
+                points, config.min_bucket
+            )
+    if command in ("report", "trend"):
+        analyses.mdd_series, analyses.mhd_series = mean_metric_by_sl(window)
+        analyses.crossings = find_intersection(window)
+    if command in ("report", "corr"):
+        analyses.corr_points, analyses.corr_gated = split_gated(
+            spearman_by_sl(window), config.min_bucket
+        )
+    if command in ("report", "valency"):
+        analyses.valency_cells, analyses.lexicon_misses = valency_conditioned_counts(
+            window, lexicon=lexicon, valency_mode=config.valency_mode
+        )
+        analyses.valency_fits = fit_valency_models(
+            analyses.valency_cells, log_base=config.log_base_value
+        )
+    return analyses
 
 
 # --- rendering ---------------------------------------------------------------
@@ -678,8 +679,8 @@ REPORT_RENDERERS = {
 }
 
 
-def write_files(files: dict[Path, str]) -> None:
-    """Write texts as UTF-8, all of them or none.
+def write_files(files: dict[Path, str | Iterable[str]]) -> None:
+    """Write texts as UTF-8, all of them or none; a text may come as an iterable of pieces.
 
     Each text goes to a temporary file beside its target; only when every one
     is written are they renamed into place, so a failure leaves the previous
@@ -692,7 +693,8 @@ def write_files(files: dict[Path, str]) -> None:
             handle = open(temporary, "xb")  # "x": never truncate a file that is not ours
             pending.append((temporary, target))
             with handle:
-                handle.write(text.encode("utf-8"))
+                for piece in [text] if isinstance(text, str) else text:
+                    handle.write(piece.encode("utf-8"))
         for temporary, target in pending:
             os.replace(temporary, target)
     except BaseException:

@@ -16,19 +16,27 @@ Each format has one generator (``iter_conllu``, ``iter_cabocha``,
 ``iter_canonical``, dispatched by ``iter_parse``) that yields the sentences
 one at a time, so a caller can fold a corpus without holding it; the
 ``parse*`` functions return the same sentences as a list. Lines end in LF
-or CRLF; no other character breaks a line.
+or CRLF; no other character breaks a line. A binary input is read, decoded
+and split ``CHUNK_BYTES`` at a time, and :func:`iter_byte_range` parses one
+of several byte ranges of a file, so that processes can share a file
+without any of them decoding all of it.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
+import re
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring
 from operator import eq
-from typing import IO, Any, Iterator, Mapping, Sequence
+from typing import IO, Any, BinaryIO, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     CycleDetected,
+    InvalidEncoding,
     InvalidTree,
     MalformedChunkHeader,
     MalformedLine,
@@ -39,6 +47,9 @@ from .errors import (
 )
 
 FORMATS = ("canonical", "cabocha", "conllu")
+
+#: What a parser reads: text, a binary file, or lines already split off.
+Text = Union[IO, str, bytes, Iterable[str]]
 
 
 @dataclass(frozen=True)
@@ -154,10 +165,10 @@ class ValencyLexicon:
         return self.entries.get(lemma)
 
     @classmethod
-    def from_tsv(cls, stream: IO | str | bytes, source: str = "<lexicon>") -> "ValencyLexicon":
+    def from_tsv(cls, stream: Text, source: str = "<lexicon>") -> "ValencyLexicon":
         """Load a two-column TSV (lemma, valency class). '#' lines are comments."""
         entries: dict[str, int] = {}
-        for lineno, raw in enumerate(_text_lines(stream), 1):
+        for lineno, raw in enumerate(_text_lines(stream, source), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -271,21 +282,215 @@ _UNESCAPED_BREAKS = {ord(char): f"\\u{ord(char):04x}" for char in "\x85\u2028\u2
 # --- shared parser plumbing ----------------------------------------------
 
 
-def _text_lines(stream: IO | str | bytes) -> list[str]:
-    """The lines of the text, split on LF only; one CR before each LF is dropped.
+CHUNK_BYTES = 1 << 16  # bytes read, decoded and split at a time
+
+
+def _text_lines(stream: Text, source: str = "<input>") -> Iterator[str]:
+    """The lines of a text, split on LF only; one CR before each LF is dropped.
 
     ``str.splitlines`` would also break a line at U+0085, U+2028, U+2029,
-    VT, FF and FS/GS/RS, which may stand inside a field.
+    VT, FF and FS/GS/RS, which may stand inside a field. Bytes and binary
+    files go through :func:`_read_lines`; a text file is read whole, and any
+    other iterable is taken to hold the lines already.
     """
-    text = stream if isinstance(stream, (str, bytes)) else stream.read()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8-sig")  # tolerates a leading BOM, rejects non-UTF-8 bytes
+    if isinstance(stream, str):
+        return iter(_split(stream))
+    if isinstance(stream, bytes):
+        stream = io.BytesIO(stream)
+    if isinstance(stream, io.TextIOBase):
+        return iter(_split(stream.read()))
+    if hasattr(stream, "read"):
+        return _read_lines(stream, source)  # type: ignore[arg-type]
+    return iter(stream)
+
+
+def _split(text: str) -> list[str]:
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the text ended with a line break, or is empty
     return lines
+
+
+def _read_lines(
+    handle: BinaryIO,
+    name: str,
+    offset: int = 0,
+    stop: int | None = None,
+    digest: Any = None,
+) -> Iterator[str]:
+    """The lines of a binary file from where ``handle`` stands, which is byte ``offset``, up to byte ``stop``.
+
+    Without ``stop`` the file is read to its end. Each read of
+    ``CHUNK_BYTES`` is cut after its last LF, which never falls inside a
+    UTF-8 character, so each piece decodes on its own. A BOM is dropped at
+    byte 0 only. A byte that is not UTF-8 raises :class:`InvalidEncoding`
+    with ``name`` and the byte's offset in the file. ``digest`` (a hashlib
+    object), if given, is updated with every byte read.
+    """
+    return chain.from_iterable(map(_split, _decoded_pieces(handle, name, offset, stop, digest)))
+
+
+def _decoded_pieces(
+    handle: BinaryIO, name: str, offset: int, stop: int | None, digest: Any
+) -> Iterator[str]:
+    rest = b""  # read after the last LF so far
+    position = offset  # of the next byte to read
+    while True:
+        size = CHUNK_BYTES if stop is None else min(CHUNK_BYTES, stop - position)
+        data = handle.read(size) if size > 0 else b""
+        if data:
+            position += len(data)
+            if digest is not None:
+                digest.update(data)
+            data = rest + data
+            cut = data.rfind(b"\n") + 1
+            if not cut:
+                rest = data
+                continue
+            data, rest = data[:cut], data[cut:]
+        elif rest:
+            data, rest = rest, b""
+        else:
+            return
+        if offset == 0 and data.startswith(codecs.BOM_UTF8):
+            data = data[len(codecs.BOM_UTF8) :]
+            offset = len(codecs.BOM_UTF8)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidEncoding(
+                f"{name}: byte {offset + exc.start} is not UTF-8 ({exc.reason})"
+            ) from None
+        offset += len(data)
+        yield text
+
+
+# One character of a blank line other than LF, in UTF-8: whatever str.isspace() accepts.
+_SPACE = (
+    rb"(?:[\t\x0b\x0c\r\x1c-\x1f ]|\xc2[\x85\xa0]|\xe1\x9a\x80"
+    rb"|\xe2\x80[\x80-\x8a\xa8\xa9\xaf]|\xe2\x81\x9f|\xe3\x80\x80)"
+)
+_END_OF_LINE = rb"(?:\n|\Z)"
+# An LF and the line after it, if no sentence is open at the end of that
+# line, so that a byte range may begin there: a blank line in CoNLL-U, EOS
+# in CaboCha. In canonical JSONL a range may begin at any line.
+_SENTENCE_BREAK = {
+    "conllu": re.compile(rb"\n%s*\n" % _SPACE),
+    "cabocha": re.compile(rb"\nEOS%s*\n" % _SPACE),
+    "canonical": re.compile(rb"\n"),
+}
+# One match per sentence in bytes that begin after a sentence break, once
+# the prefix is put before them: in CoNLL-U a block with a line that is no
+# comment, in CaboCha the EOS line (or blank lines) before a sentence's
+# first line. Canonical ids do not count sentences.
+_SENTENCE_START = {
+    "conllu": (
+        b"\n\n",
+        re.compile(rb"\n%s*\n(?:#[^\n]*\n)*(?!%s*%s)[^#\n]" % (_SPACE, _SPACE, _END_OF_LINE)),
+    ),
+    "cabocha": (
+        b"\nEOS\n",
+        re.compile(
+            rb"\nEOS%s*\n(?:%s*\n)*(?!%s*%s|EOS%s*%s)"
+            % (_SPACE, _SPACE, _SPACE, _END_OF_LINE, _SPACE, _END_OF_LINE)
+        ),
+    ),
+}
+
+
+def iter_byte_range(
+    handle: BinaryIO,
+    fmt: str,
+    k: int,
+    parts: int,
+    size: int,
+    *,
+    name: str,
+    digest: Any = None,
+    **options: Any,
+) -> Iterator[Sentence]:
+    """:func:`iter_parse` over the k-th of ``parts`` byte ranges of a binary file of ``size`` bytes.
+
+    A range ends, and the next one begins, at the first line start from byte
+    (k + 1) * size // parts on at which no sentence is open: after a blank
+    line in CoNLL-U, after an EOS line in CaboCha, at any line in canonical
+    JSONL. The ranges 0..parts-1 therefore hold each sentence exactly once, and
+    each range is read, decoded and split on its own (``name`` and
+    ``digest`` as for :func:`_read_lines`). The lines and sentences before
+    the range are counted in its bytes, not decoded, so that the line
+    numbers, ids and spans are those of the whole file. With one part the
+    file is read to its end from where ``handle`` stands, which needs no
+    seek: a pipe streams through.
+    """
+    if fmt not in _PARSERS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    if not 0 <= k < parts:
+        raise ValueError(f"need 0 <= k < parts, got k={k}, parts={parts}")
+    if parts == 1:
+        return iter_parse(_read_lines(handle, name, digest=digest), fmt, **options)
+    lo = _sentence_break(handle, fmt, k * size // parts)
+    hi = None if k == parts - 1 else _sentence_break(handle, fmt, (k + 1) * size // parts)
+    lines_before, sentences_before = _count_before(handle, fmt, lo)
+    handle.seek(lo)
+    return iter_parse(
+        _read_lines(handle, name, lo, hi, digest),
+        fmt,
+        first_line=lines_before + 1,
+        ordinal=sentences_before,
+        **options,
+    )
+
+
+def _sentence_break(handle: BinaryIO, fmt: str, position: int) -> int:
+    """The first offset at or after ``position`` where a byte range may begin.
+
+    That is 0, the end of the file, or the first line start from
+    ``position`` on at which no sentence is open: the end of a blank line in
+    CoNLL-U or of an EOS line in CaboCha that begins at or after
+    ``position``, any line start in canonical JSONL. A line that a read cuts
+    is searched again with the next read.
+    """
+    if not position:
+        return 0
+    base = position - 1  # file offset of buffer[0]
+    handle.seek(base)
+    buffer = b""
+    while True:
+        data = handle.read(CHUNK_BYTES)
+        if not data:
+            return base + len(buffer)
+        buffer += data
+        match = _SENTENCE_BREAK[fmt].search(buffer)
+        if match:
+            return base + match.end()
+        cut = max(buffer.rfind(b"\n"), 0)
+        base += cut
+        buffer = buffer[cut:]
+
+
+def _count_before(handle: BinaryIO, fmt: str, end: int) -> tuple[int, int]:
+    """The lines and the sentences in bytes [0, end) of a file, where ``end`` is a sentence break.
+
+    The bytes are read ``CHUNK_BYTES`` at a time, each piece cut at a
+    sentence break, and counted by ``bytes.count`` and a regex: no piece is
+    decoded and no line takes a Python step.
+    """
+    lines = sentences = 0
+    start = 0
+    while start < end:
+        stop = min(_sentence_break(handle, fmt, start + CHUNK_BYTES), end)
+        handle.seek(start)
+        data = handle.read(stop - start)
+        lines += data.count(b"\n")
+        if fmt in _SENTENCE_START:
+            if not start and data.startswith(codecs.BOM_UTF8):
+                data = data[len(codecs.BOM_UTF8) :]
+            before, pattern = _SENTENCE_START[fmt]
+            sentences += len(pattern.findall(before + data))
+        start = stop
+    return lines, sentences
 
 
 _REJECTABLE = (MalformedLine, MalformedChunkHeader, MissingEOS, InvalidTree)
@@ -310,34 +515,23 @@ def _check_error_mode(errors: str) -> None:
         raise ValueError(f"errors must be 'raise' or 'skip', got {errors!r}")
 
 
-def _shard_lines(n: int, shard: tuple[int, int]) -> tuple[int, int]:
-    """The line indices [lo, hi) of shard k of ``parts`` equal ranges over n lines.
-
-    A shard owns the sentences whose first line lies in its range, so the
-    shards 0..parts-1 of a text hold each of its sentences exactly once.
-    """
-    k, parts = shard
-    if not 0 <= k < parts:
-        raise ValueError(f"shard must be (k, parts) with 0 <= k < parts, got {shard!r}")
-    return k * n // parts, (k + 1) * n // parts
-
-
 # --- CoNLL-U --------------------------------------------------------------
 
 
-def parse_conllu(stream: IO | str | bytes, **options: Any) -> list[Sentence]:
+def parse_conllu(stream: Text, **options: Any) -> list[Sentence]:
     """:func:`iter_conllu` as a list."""
     return list(iter_conllu(stream, **options))
 
 
 def iter_conllu(
-    stream: IO | str | bytes,
+    stream: Text,
     *,
     drop_punct: bool = False,
     source: str = "<conllu>",
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
-    shard: tuple[int, int] = (0, 1),
+    first_line: int = 1,
+    ordinal: int = 0,
 ) -> Iterator[Sentence]:
     """Yield the validated sentences of CoNLL-U text.
 
@@ -349,30 +543,28 @@ def iter_conllu(
     With ``drop_punct``, nodes whose UPOS is PUNCT are removed and the rest
     renumbered; a sentence where a dropped node had dependents is rejected.
 
-    ``shard=(k, parts)`` keeps only the sentences whose first line lies in
-    the k-th of ``parts`` equal line ranges (this holds for every parser).
-    Ordinals, ids, spans and line numbers stay those of the whole text.
+    ``first_line`` is the number of the first line read and ``ordinal`` the
+    number of sentences before it, for a stream that starts inside a file
+    (this holds for every parser; canonical ids do not use ``ordinal``).
     """
     _check_error_mode(errors)
-    lines = _text_lines(stream)
-    lo, hi = _shard_lines(len(lines), shard)
-    lines.append("")  # a blank line ends the last block
-    ordinal = 0
-    start = 0  # index of the current block's first line
-    for end, line in enumerate(lines):
+    block: list[str] = []
+    first_lineno = first_line  # of the current block
+    # a blank line ends the last block
+    for lineno, line in enumerate(chain(_text_lines(stream, source), ("",)), first_line):
         if line and not line.isspace():
+            if not block:
+                first_lineno = lineno
+            block.append(line)
             continue
-        if start >= hi:
-            return  # this block and every later one belong to later shards
-        block = lines[start:end]
-        first_lineno, start = start + 1, end + 1
+        if not block:
+            continue
         comments = [row for row in block if row[0] == "#"]
         if len(comments) == len(block):
-            continue  # no block, or a comment-only block: not a sentence
+            block = []
+            continue  # a comment-only block: not a sentence
         ordinal += 1
-        if first_lineno <= lo:
-            continue  # an earlier shard's sentence: only counted
-        span = f"{source}:{first_lineno}-{end}"
+        span = f"{source}:{first_lineno}-{lineno - 1}"
         sent_id = f"{source}#{ordinal}"
         for comment in comments:
             if comment.startswith("# sent_id"):
@@ -385,6 +577,7 @@ def iter_conllu(
             _reject(exc, errors, rejections, span, sent_id)
         else:
             yield sentence
+        block = []
 
 
 def _conllu_sentence(
@@ -457,18 +650,19 @@ def _drop_punct(
 # --- CaboCha lattice -------------------------------------------------------
 
 
-def parse_cabocha(stream: IO | str | bytes, **options: Any) -> list[Sentence]:
+def parse_cabocha(stream: Text, **options: Any) -> list[Sentence]:
     """:func:`iter_cabocha` as a list."""
     return list(iter_cabocha(stream, **options))
 
 
 def iter_cabocha(
-    stream: IO | str | bytes,
+    stream: Text,
     *,
     source: str = "<cabocha>",
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
-    shard: tuple[int, int] = (0, 1),
+    first_line: int = 1,
+    ordinal: int = 0,
 ) -> Iterator[Sentence]:
     """Yield the sentences of CaboCha lattice output; each bunsetsu chunk becomes one node.
 
@@ -483,22 +677,18 @@ def iter_cabocha(
     reported at its ``EOS``, so a sentence is never cut short.
     """
     _check_error_mode(errors)
-    lines = _text_lines(stream)
-    lo, hi = _shard_lines(len(lines), shard)
-    ordinal, first = _cabocha_sentences_before(lines, lo)
-    start: int | None = None  # index of the pending sentence's first line
+    start: int | None = None  # number of the pending sentence's first line
     heads: list[int] = []
     forms: list[str] = []  # of the closed chunks
     lemmas: list[str | None] = []
     form: str | None = None  # the open chunk's surfaces so far; None before the first header
     lemma: str | None = None
     fault: Exception | None = None  # the pending sentence's first error
-    for i, raw in enumerate(lines[first:], first):
+    lineno = first_line - 1
+    for lineno, raw in enumerate(_text_lines(stream, source), first_line):
         if raw.startswith("* "):  # chunk header
             if start is None:
-                if i >= hi:
-                    return
-                start = i
+                start = lineno
             if fault is not None:
                 continue
             parts = raw.split(None, 3)  # the fields after the head are not read
@@ -508,11 +698,11 @@ def iter_cabocha(
                 index = int(parts[1])
                 head = int(parts[2][:-1])
             except ValueError:
-                fault = MalformedChunkHeader(f"line {i + 1}: bad chunk header {raw!r}")
+                fault = MalformedChunkHeader(f"line {lineno}: bad chunk header {raw!r}")
                 continue
             if index != len(heads):
                 fault = MalformedChunkHeader(
-                    f"line {i + 1}: chunk index {index} out of sequence (expected {len(heads)})"
+                    f"line {lineno}: chunk index {index} out of sequence (expected {len(heads)})"
                 )
                 continue
             if form is not None:
@@ -526,7 +716,7 @@ def iter_cabocha(
             if start is None:
                 continue  # bare EOS, nothing to parse
             ordinal += 1
-            span = f"{source}:{start + 1}-{i + 1}"
+            span = f"{source}:{start}-{lineno}"
             sent_id = f"{source}#{ordinal}"
             if fault is None:
                 head_vector = tuple(heads)
@@ -545,13 +735,11 @@ def iter_cabocha(
             start, heads, forms, lemmas, form, lemma, fault = None, [], [], [], None, None, None
         else:  # morpheme line: SURFACE<TAB>FEATURES
             if start is None:
-                if i >= hi:
-                    return
-                start = i
+                start = lineno
             if fault is not None:
                 continue
             if form is None:
-                fault = MalformedLine(f"line {i + 1}: morpheme line before any chunk header")
+                fault = MalformedLine(f"line {lineno}: morpheme line before any chunk header")
                 continue
             surface, _, features = raw.partition("\t")
             form += surface
@@ -562,46 +750,24 @@ def iter_cabocha(
 
     if start is not None:
         exc = MissingEOS(f"{source}: stream ended inside a sentence (missing EOS)")
-        _reject(exc, errors, rejections, f"{source}:{start + 1}-{len(lines)}", None)
-
-
-def _cabocha_sentences_before(lines: list[str], lo: int) -> tuple[int, int]:
-    """The number of sentences that start before line index ``lo``, and where the next one starts.
-
-    A sentence that starts before ``lo`` belongs to an earlier shard even
-    where it ends after ``lo``; the second value is the index of the first
-    sentence line at or after ``lo``, or ``len(lines)`` when there is none.
-    """
-    count = 0
-    pending = False
-    for i, raw in enumerate(lines):
-        if not raw or raw.isspace():
-            continue
-        if raw.startswith("EOS") and raw.rstrip() == "EOS":
-            count += pending
-            pending = False
-        elif not pending:
-            if i >= lo:
-                return count, i
-            pending = True
-    return count, len(lines)
+        _reject(exc, errors, rejections, f"{source}:{start}-{lineno}", None)
 
 
 # --- canonical JSONL -------------------------------------------------------
 
 
-def parse_canonical(stream: IO | str | bytes, **options: Any) -> list[Sentence]:
+def parse_canonical(stream: Text, **options: Any) -> list[Sentence]:
     """:func:`iter_canonical` as a list."""
     return list(iter_canonical(stream, **options))
 
 
 def iter_canonical(
-    stream: IO | str | bytes,
+    stream: Text,
     *,
     source: str = "<canonical>",
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
-    shard: tuple[int, int] = (0, 1),
+    first_line: int = 1,
 ) -> Iterator[Sentence]:
     """Yield the sentences of the toolkit's JSONL format: one sentence object per line.
 
@@ -613,9 +779,7 @@ def iter_canonical(
     generator) are skipped.
     """
     _check_error_mode(errors)
-    lines = _text_lines(stream)
-    lo, hi = _shard_lines(len(lines), shard)
-    for lineno, raw in enumerate(lines[lo:hi], lo + 1):
+    for lineno, raw in enumerate(_text_lines(stream, source), first_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -679,20 +843,21 @@ _PARSERS = {
 }
 
 
-def parse(stream: IO | str | bytes, fmt: str, **options: Any) -> list[Sentence]:
+def parse(stream: Text, fmt: str, **options: Any) -> list[Sentence]:
     """:func:`iter_parse` as a list."""
     return list(iter_parse(stream, fmt, **options))
 
 
 def iter_parse(
-    stream: IO | str | bytes,
+    stream: Text,
     fmt: str,
     *,
     source: str | None = None,
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
     drop_punct: bool = False,
-    shard: tuple[int, int] = (0, 1),
+    first_line: int = 1,
+    ordinal: int = 0,
 ) -> Iterator[Sentence]:
     """Iterate over the sentences of ``stream`` in the named format ('conllu', 'cabocha', 'canonical').
 
@@ -700,9 +865,11 @@ def iter_parse(
     """
     if fmt not in _PARSERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    kwargs: dict[str, object] = {"errors": errors, "rejections": rejections, "shard": shard}
+    kwargs: dict[str, object] = {"errors": errors, "rejections": rejections, "first_line": first_line}
     if source is not None:
         kwargs["source"] = source
+    if fmt != "canonical":
+        kwargs["ordinal"] = ordinal
     if fmt == "conllu":
         kwargs["drop_punct"] = drop_punct
     return _PARSERS[fmt](stream, **kwargs)  # type: ignore[arg-type]

@@ -36,7 +36,7 @@ def iter_cabocha(
     rejections: list[Rejection] | None = None,
 ) -> Iterator[Sentence]:
     _check_error_mode(errors)
-    lines = _text_lines(stream)
+    lines = list(_text_lines(stream))
     ordinal = 0
     start: int | None = None  # index of the pending sentence's first non-blank line
     for i, raw in enumerate(lines):

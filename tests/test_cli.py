@@ -179,6 +179,15 @@ def test_single_analysis_commands_write_their_tables(command, files, data_dir, t
     assert meta["command"] == command
 
 
+def test_single_analysis_commands_log_only_the_warnings_of_their_tables(data_dir, tmp_path, caplog):
+    sample = str(data_dir / "sample_ud.conllu")
+    assert main(["trend", sample, "--output-dir", str(tmp_path / "trend")]) == 0
+    assert not [r for r in caplog.records if "distribution" in r.getMessage()]
+    caplog.clear()
+    assert main(["dist", sample, "--output-dir", str(tmp_path / "dist")]) == 0
+    assert [r for r in caplog.records if "omitting its dd distribution" in r.getMessage()]
+
+
 def test_valency_lexicon_mode_via_cli(data_dir, tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, _, _ = run(
@@ -237,7 +246,7 @@ def test_malformed_lexicon_fails_before_any_input_is_parsed(
     def no_parse(*args, **kwargs):
         raise AssertionError("an input was parsed before the lexicon was read")
 
-    monkeypatch.setattr(report_module, "iter_parse", no_parse)
+    monkeypatch.setattr(report_module, "iter_byte_range", no_parse)
     lexicon = tmp_path / "lexicon.tsv"
     lexicon.write_text("go\t5\n", encoding="utf-8")
     code, out, err = run(

@@ -1,16 +1,24 @@
-"""Property tests: the fused validate-and-depth walk, the canonical round trip and writer, and the
-streaming parsers, their shards and the one-pass CaboCha reader on arbitrary text."""
+"""Property tests: the fused validate-and-depth walk, the canonical and CoNLL-U round trips, the
+canonical writer, and the streaming parsers, their byte ranges and the one-pass CaboCha reader on
+arbitrary text and bytes."""
 
 from __future__ import annotations
 
+import codecs
+import io
+import re
+import sys
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depmetrics import treebank
 from depmetrics.errors import (
     CycleDetected,
     DepMetricsError,
+    InvalidEncoding,
     InvalidTree,
     MultipleRoots,
     NoRoot,
@@ -21,6 +29,7 @@ from depmetrics.treebank import (
     FORMATS,
     Rejection,
     Sentence,
+    iter_byte_range,
     iter_cabocha,
     iter_canonical,
     iter_conllu,
@@ -136,6 +145,50 @@ def test_canonical_round_trip_of_random_trees(heads, data):
     assert again.id == sentence.id
 
 
+def write_conllu(sentences):
+    """CoNLL-U text: per sentence a sent_id comment and one 10-column row per node, then a blank line.
+
+    A missing form or lemma is written as ``_``, which the reader takes for none.
+    """
+    blocks = []
+    for sentence in sentences:
+        n = len(sentence)
+        blank = (None,) * n
+        rows = [f"# sent_id = {sentence.id}"]
+        for index, (head, form, lemma) in enumerate(
+            zip(sentence.head_vector, sentence.forms or blank, sentence.lemmas or blank), 1
+        ):
+            columns = [str(index), "_" if form is None else form, "_" if lemma is None else lemma]
+            rows.append("\t".join([*columns, "X", "_", "_", str(head), "dep", "_", "_"]))
+        blocks.append("\n".join(rows) + "\n")
+    return "\n".join(blocks)
+
+
+# A CoNLL-U field holds no tab or LF, and "_" stands for no value.
+conllu_fields = st.text(
+    st.characters(exclude_characters="\t\n", exclude_categories=("Cs",)), max_size=4
+).filter(lambda field: field != "_")
+conllu_ids = st.text(
+    st.characters(exclude_characters="\n", exclude_categories=("Cs",)), min_size=1, max_size=6
+).filter(lambda sent_id: sent_id == sent_id.strip())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(valid_head_vectors(), conllu_ids), min_size=1, max_size=4), st.data())
+def test_conllu_round_trip_of_random_trees(trees, data):
+    sentences = []
+    for heads, sent_id in trees:
+        n = len(heads)
+        columns = st.one_of(st.none(), st.lists(st.one_of(st.none(), conllu_fields), min_size=n, max_size=n))
+        sentences.append(
+            Sentence.from_heads(heads, id=sent_id, forms=data.draw(columns), lemmas=data.draw(columns))
+        )
+    again = parse_conllu(write_conllu(sentences).encode("utf-8"))
+    assert [(s.id, s.heads(), s.forms, s.lemmas) for s in again] == [
+        (s.id, s.heads(), s.forms, s.lemmas) for s in sentences
+    ]
+
+
 # Characters json escapes or leaves raw, and the ones a line reader could split on.
 json_text = st.text(
     st.one_of(
@@ -215,21 +268,95 @@ def _with_depths(sentences):
     return [(sentence, sentence.depths) for sentence in sentences]
 
 
+# Lines that are blank, EOS or a comment only once decoded, or that hold a BOM or a
+# multibyte line break, for the byte-range reader's sentence breaks and counts.
+RANGE_FRAGMENTS = ["\u3000", " \x85", "\x1c", "EOS\u2028", "EOS\u3000", "\ufeff", "\ufeff# c", "語\u2028"]
+# Blocks of lines between sentence breaks, so that the ranges hold several sentences each.
+range_documents = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(FRAGMENTS + RANGE_FRAGMENTS), min_size=1, max_size=4).map("\n".join),
+        st.sampled_from(["\n", "\n\n", "\nEOS\n", "\nEOS\n\n", "\n \u3000\n", "\r\n\r\n", "\nEOS\r\n\x85\n"]),
+    ),
+    max_size=12,
+).map(lambda parts: "".join(block + end for block, end in parts))
+range_texts = st.one_of(
+    texts,
+    range_documents,
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(FRAGMENTS + RANGE_FRAGMENTS), st.text(max_size=6)),
+            st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+        ),
+        max_size=30,
+    ).map(lambda parts: "".join(line + end for line, end in parts)),
+)
+# Encoded text, with or without a BOM, or bytes that need not be UTF-8.
+range_bytes = st.one_of(
+    st.tuples(st.sampled_from([b"", codecs.BOM_UTF8]), range_texts).map(
+        lambda bom_text: bom_text[0] + bom_text[1].encode("utf-8")
+    ),
+    st.lists(st.one_of(st.sampled_from([b"\n", b"EOS\n", b"\xe3\x80\x80", b"\xff"]), st.binary(max_size=4)))
+    .map(b"".join),
+)
+# chunk sizes that cut lines and characters, and one that holds every input whole
+chunk_sizes = st.sampled_from([1, 2, 3, 5, 8, 1 << 20])
+
+
+def _serial_outcome(data, fmt, **options):
+    """The parse of the whole decoded text, or the error the first byte that is not UTF-8 raises."""
+    skipped = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:
+        text = data[skipped:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"f: byte {skipped + exc.start} is not UTF-8 ({exc.reason})"
+    rejections = []
+    sentences = list(iter_parse(text, fmt, source="f", errors="skip", rejections=rejections, **options))
+    return _with_depths(sentences), rejections
+
+
+def _ranges_outcome(data, fmt, parts, **options):
+    """Byte ranges 0..parts-1 parsed in order; the first error raised stands for them all."""
+    handle = io.BytesIO(data)
+    sentences = []
+    rejections = []
+    try:
+        for k in range(parts):
+            sentences += iter_byte_range(
+                handle,
+                fmt,
+                k,
+                parts,
+                len(data),
+                name="f",
+                source="f",
+                errors="skip",
+                rejections=rejections,
+                **options,
+            )
+    except InvalidEncoding as exc:
+        return str(exc)
+    return _with_depths(sentences), rejections
+
+
 @settings(max_examples=300, deadline=None)
-@given(texts)
-def test_shards_in_order_give_the_serial_parse(text):
-    for fmt in FORMATS:
-        for drop_punct in (False, True):
-            options = {"errors": "skip", "drop_punct": drop_punct, "source": "f"}
-            serial_rejections = []
-            serial = list(iter_parse(text, fmt, rejections=serial_rejections, **options))
-            for parts in range(1, 5):
-                sentences = []
-                rejections = []
-                for k in range(parts):
-                    sentences += iter_parse(text, fmt, rejections=rejections, shard=(k, parts), **options)
-                assert _with_depths(sentences) == _with_depths(serial)
-                assert rejections == serial_rejections
+@given(range_bytes, chunk_sizes)
+def test_shards_in_order_give_the_serial_parse(data, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(treebank, "CHUNK_BYTES", chunk)
+        for fmt in FORMATS:
+            for drop_punct in (False, True):
+                serial = _serial_outcome(data, fmt, drop_punct=drop_punct)
+                for parts in range(1, 5):
+                    assert _ranges_outcome(data, fmt, parts, drop_punct=drop_punct) == serial
+
+
+def test_blank_line_bytes_are_the_characters_str_isspace_accepts():
+    space = re.compile(treebank._SPACE)
+    for code in range(sys.maxunicode + 1):
+        if 0xD800 <= code <= 0xDFFF:
+            continue  # surrogates have no UTF-8 form
+        char = chr(code)
+        assert bool(space.fullmatch(char.encode("utf-8"))) == (char.isspace() and char != "\n"), hex(code)
 
 
 # Lines the CaboCha reader branches on, for the comparison with the two-walk reference.
@@ -259,6 +386,7 @@ CABOCHA_FRAGMENTS = [
 ]
 cabocha_texts = st.one_of(
     texts,
+    range_documents,
     st.lists(
         st.tuples(
             st.one_of(st.sampled_from(CABOCHA_FRAGMENTS), st.text(max_size=6)),
@@ -281,17 +409,19 @@ def _raise_mode_outcome(generator, text):
 
 
 @settings(max_examples=1000, deadline=None)
-@given(cabocha_texts)
-def test_one_pass_cabocha_reader_matches_the_two_walk_reference(text):
+@given(cabocha_texts, st.booleans(), chunk_sizes)
+def test_one_pass_cabocha_reader_matches_the_two_walk_reference(text, bom, chunk):
+    data = (codecs.BOM_UTF8 if bom else b"") + text.encode("utf-8")
     want_rejections = []
-    want = list(reference_treebank.iter_cabocha(text, errors="skip", rejections=want_rejections))
-    for parts in range(1, 5):
-        got = []
-        rejections = []
-        for k in range(parts):
-            got += iter_cabocha(text, errors="skip", rejections=rejections, shard=(k, parts))
-        assert _with_depths(got) == _with_depths(want)
-        assert rejections == want_rejections
+    want = list(
+        reference_treebank.iter_cabocha(
+            data.decode("utf-8-sig"), source="f", errors="skip", rejections=want_rejections
+        )
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(treebank, "CHUNK_BYTES", chunk)
+        for parts in range(1, 5):
+            assert _ranges_outcome(data, "cabocha", parts) == (_with_depths(want), want_rejections)
     assert _raise_mode_outcome(iter_cabocha, text) == _raise_mode_outcome(
         reference_treebank.iter_cabocha, text
     )

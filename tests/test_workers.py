@@ -3,7 +3,8 @@
 The fixtures are far below the input size at which ``load_corpus`` forks, so
 these tests force three workers: they lower the input bytes per worker,
 raise the cap on workers and report three usable CPUs. Every test that forks
-checks afterwards that no child process is left.
+checks afterwards that no child process is left. The last test checks that
+loading holds a chunk of an input at a time, not the whole of it.
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from depmetrics import report
+from depmetrics import cli, report, treebank
 from depmetrics.analysis import CorpusStats
 from depmetrics.cli import main
 from depmetrics.treebank import parse_canonical
@@ -211,14 +214,14 @@ def test_an_input_read_from_a_pipe_is_loaded_serially(data_dir, tmp_path, monkey
 def test_a_file_that_workers_read_in_different_versions_is_an_error(
     data_dir, tmp_path, monkeypatch, capsys
 ):
-    read_input = report._read_input
+    version = report._version
     parent = os.getpid()
 
-    def read_in_a_later_version_in_children(path):
-        data, (device, inode, size, mtime) = read_input(path)
-        return data, (device, inode, size, mtime + (os.getpid() != parent))
+    def a_later_version_in_children(handle):
+        device, inode, size, mtime = version(handle)
+        return device, inode, size, mtime + (os.getpid() != parent)
 
-    monkeypatch.setattr(report, "_read_input", read_in_a_later_version_in_children)
+    monkeypatch.setattr(report, "_version", a_later_version_in_children)
     pids = force_workers(monkeypatch)
     path = data_dir / "sample_200.jsonl"
     assert main(["validate", str(path)]) == 1
@@ -232,3 +235,60 @@ def test_without_fork_every_run_is_the_one_worker_path(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "fork")
     golden = test_golden.GOLDEN_DIR / "validate_jsonl" / "stdout"
     assert test_golden.run_case("validate_jsonl", tmp_path)["stdout"] == golden.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_metrics_lines_written_in_batches_give_the_golden_output(workers, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "METRIC_BATCH", 7)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where the batches go
+    (tmp_path / "run").mkdir()
+    if workers > 1:
+        force_workers(monkeypatch, workers)
+    outputs = test_golden.run_case("metrics_jsonl", tmp_path / "run")
+    golden = test_golden.GOLDEN_DIR / "metrics_jsonl"
+    assert outputs == {path.name: path.read_bytes() for path in golden.iterdir()}
+    assert [path.name for path in tmp_path.iterdir()] == ["run"]  # no batch is left behind
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_byte_that_is_not_utf8_is_named_by_file_and_offset(
+    workers, data_dir, tmp_path, monkeypatch, capsys
+):
+    good = tmp_path / "good.jsonl"
+    good.write_bytes((data_dir / "noisy.jsonl").read_bytes())
+    data = (data_dir / "sample_200.jsonl").read_bytes()
+    # past the middle: in the last of three ranges, which begins at a line start after 2/3
+    offset = data.index(b'"', data.index(b"\n", len(data) * 2 // 3))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(data[:offset] + b"\xff" + data[offset + 1 :])
+    if workers > 1:
+        pids = force_workers(monkeypatch, workers)
+    assert main(["validate", str(good), str(bad)]) == 1
+    if workers > 1:
+        assert len(pids) == workers - 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {bad}: byte {offset} is not UTF-8 (invalid start byte)\n"
+    assert_no_child_left()
+
+
+def test_loading_holds_a_chunk_not_the_input(data_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(treebank, "CHUNK_BYTES", 1 << 12)
+    data = (data_dir / "sample.cabocha").read_bytes()
+
+    def peak(repeats: int) -> int:
+        path = tmp_path / f"x{repeats}.cabocha"
+        path.write_bytes(data * repeats)
+        config = report.RunConfig(inputs=[(str(path), "cabocha")])
+        assert report.worker_count([str(path)]) == 1
+        tracemalloc.start()
+        try:
+            corpus = report.load_corpus(config)
+            _, high = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert corpus.accepted == 3 * repeats
+        return high
+
+    assert peak(64) < 2 * peak(8)
