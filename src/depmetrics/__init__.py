@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .metrics import MetricRecord, dd, hd, mdd, metric_record, mhd
+from .metrics import MetricRecord, metric_record
 from .stats import (
     CorrelationResult,
     Distribution,
@@ -32,12 +32,8 @@ __all__ = [
     "RegressionResult",
     "Sentence",
     "ValencyLexicon",
-    "dd",
     "entropy",
-    "hd",
-    "mdd",
     "metric_record",
-    "mhd",
     "ols_fit",
     "parse",
     "parse_cabocha",

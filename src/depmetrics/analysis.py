@@ -18,16 +18,15 @@ import logging
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from operator import sub
 from typing import Sequence
 
-from .errors import DegenerateInput, EmptyLexicon, EmptySelection, TooShort
+from .errors import DegenerateInput, EmptyLexicon, EmptySelection
+from .metrics import dependency_terms
 from .stats import Distribution, RegressionResult, entropy, ols_fit, spearman
-from .treebank import Sentence, ValencyLexicon, tree_depths
+from .treebank import Sentence, ValencyLexicon
 
 log = logging.getLogger(__name__)
 
-METRICS = ("dd", "hd")
 VALENCY_MODES = ("lexicon", "root-out-degree")
 MAX_VALENCY_CLASS = 4
 
@@ -110,24 +109,12 @@ class CorpusStats:
     by_sl: dict[int, LengthStats] = field(default_factory=dict)
 
     def add(self, sentence: Sentence) -> None:
-        """Fold one sentence of n >= 2 nodes in.
-
-        Reads the head vector and the depths that validation attached; only
-        an unvalidated sentence costs a :func:`tree_depths` walk.
-        """
-        heads = sentence.head_vector
-        n = len(heads)
-        if n < 2:
-            raise TooShort(f"{sentence.id}: need >= 2 nodes, got {n}")
-        depths = sentence.depths
-        if depths is None:
-            depths = tree_depths(heads, sentence.id, sentence.source)
-        root = heads.index(0) + 1
-        dds = list(map(abs, map(sub, heads, range(1, n + 1))))
-        del dds[root - 1]  # the root has no DD; its entry is abs(0 - root)
+        """Fold one sentence of n >= 2 nodes in, from :func:`~depmetrics.metrics.dependency_terms`."""
+        dds, depths, root = dependency_terms(sentence)
+        n = len(depths)
         dd_total = sum(dds)
         hd_total = sum(depths)
-        out_degree = heads.count(root)
+        out_degree = sentence.head_vector.count(root)
         cell = self.by_sl.get(n)
         if cell is None:
             cell = self.by_sl[n] = LengthStats()

@@ -21,10 +21,14 @@ from types import UnionType
 from typing import Iterable, Iterator, Union, get_args, get_origin, get_type_hints
 
 from . import __version__
+from .analysis import VALENCY_MODES
 from .errors import INPUT_ERRORS, ConfigError, ConstraintUnsatisfiable
 from .metrics import metric_record
 from .randtree import RNG_NAME, GeneratorConfig, generate
 from .report import (
+    COMMAND_TABLES,
+    ENTROPY_BASES,
+    LOG_BASES,
     REPORT_RENDERERS,
     CountOnly,
     RunConfig,
@@ -218,45 +222,22 @@ def _write_text(output: str | None, text: str | Iterable[str]) -> None:
         sys.stdout.writelines([text] if isinstance(text, str) else text)
 
 
-_SINGLE_COMMAND_FILES = {
-    "dist": ("dist.csv",),
-    "entropy": ("entropy.csv", "entropy_gated.csv"),
-    "trend": ("trend.csv",),
-    "corr": ("corr.csv", "corr_gated.csv"),
-    "valency": ("valency.csv", "valency_fit.csv"),
-}
-
-
-def _run_analysis_command(args: argparse.Namespace, command: str) -> int:
+def cmd_tables(args: argparse.Namespace, command: str) -> int:
+    """Write the tables of ``command`` (see ``COMMAND_TABLES``) and its meta.json."""
     config = build_config(args)
     _require_inputs(config)
     lexicon = load_lexicon(config)
     corpus = load_corpus(config)
     analyses = compute_analyses(config, corpus, lexicon, command)
+    files = {name: REPORT_RENDERERS[name](config, analyses) for name in COMMAND_TABLES[command]}
     meta = run_meta(config, corpus, command)
+    if command == "report":
+        files["report.json"] = json_text(report_json_dict(config, corpus, analyses))
     if command == "trend":
         meta["crossings"] = [list(interval) for interval in analyses.crossings]
     if command == "valency":
         meta["lexicon_misses"] = analyses.lexicon_misses
-    files = {
-        name: REPORT_RENDERERS[name](config, analyses)
-        for name in _SINGLE_COMMAND_FILES[command]
-    }
     files["meta.json"] = json_text(meta)
-    for path in write_outputs(config.output_dir, files):
-        print(f"wrote {path}")
-    return 0
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    _require_inputs(config)
-    lexicon = load_lexicon(config)
-    corpus = load_corpus(config)
-    analyses = compute_analyses(config, corpus, lexicon)
-    files = {name: render(config, analyses) for name, render in REPORT_RENDERERS.items()}
-    files["report.json"] = json_text(report_json_dict(config, corpus, analyses))
-    files["meta.json"] = json_text(run_meta(config, corpus, "report"))
     for path in write_outputs(config.output_dir, files):
         print(f"wrote {path}")
     return 0
@@ -314,10 +295,10 @@ def _add_corpus_args(sub: argparse.ArgumentParser) -> None:
                      help="comma-separated lengths for conditional distributions")
     sub.add_argument("--min-bucket", type=int, dest="min_bucket",
                      help="minimum sentences per length for entropy/correlation points")
-    sub.add_argument("--valency-mode", choices=("lexicon", "root-out-degree"), dest="valency_mode")
+    sub.add_argument("--valency-mode", choices=VALENCY_MODES, dest="valency_mode")
     sub.add_argument("--lexicon", dest="lexicon_path", help="valency lexicon TSV (lemma<TAB>class)")
-    sub.add_argument("--entropy-base", choices=("2", "e", "10"), dest="entropy_base")
-    sub.add_argument("--log-base", choices=("e", "10"), dest="log_base")
+    sub.add_argument("--entropy-base", choices=tuple(ENTROPY_BASES), dest="entropy_base")
+    sub.add_argument("--log-base", choices=tuple(LOG_BASES), dest="log_base")
     sub.add_argument("--seed", type=int, dest="seed")
     sub.add_argument("--output-dir", dest="output_dir")
 
@@ -345,14 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("trend", "mean MDD/MHD by sentence length"),
         ("corr", "per-length Spearman correlation of MDD and MHD"),
         ("valency", "valency-conditioned DD=1/HD=1 counts and fits"),
+        ("report", "write every table plus report.json"),
     ):
         sub = subparsers.add_parser(name, help=help_text)
         _add_corpus_args(sub)
-        sub.set_defaults(func=lambda a, _name=name: _run_analysis_command(a, _name))
-
-    sub = subparsers.add_parser("report", help="write every table plus report.json")
-    _add_corpus_args(sub)
-    sub.set_defaults(func=cmd_report)
+        sub.set_defaults(func=partial(cmd_tables, command=name))
 
     sub = subparsers.add_parser("generate", help="generate a random-tree corpus (canonical JSONL)")
     sub.add_argument("--n", type=int, required=True, help="nodes per sentence")

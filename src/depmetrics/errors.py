@@ -51,10 +51,6 @@ class SelfLoop(InvalidTree):
 # --- metrics ------------------------------------------------------------
 
 
-class RootHasNoDD(DepMetricsError):
-    """Dependency distance was requested for the root node."""
-
-
 class TooShort(DepMetricsError):
     """Sentence has fewer than 2 nodes, so mean distances are undefined."""
 

@@ -6,61 +6,47 @@ Hierarchical distance (HD) is the number of head links from a node up to
 the root; direct dependents of the root score 1, the root itself 0.
 
 Per-sentence means divide the respective sums by n - 1, the number of
-dependencies. Sums and counts are integers throughout, so the means are
-exact rationals until converted to float at the output boundary.
+dependencies. Sums and counts are integers throughout; a mean is one
+division at the output boundary.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import sub
 from typing import Mapping
 
-from .errors import RootHasNoDD, TooShort
+from .errors import TooShort
 from .treebank import Sentence, tree_depths
 
 
-def dd(sentence: Sentence, index: int) -> int:
-    """Dependency distance of the node at 1-based ``index``."""
-    node = sentence.node(index)
-    if node.head == 0:
-        raise RootHasNoDD(f"{sentence.id}: node {index} is the root")
-    return abs(node.head - node.index)
+def node_depths(sentence: Sentence) -> tuple[int, ...]:
+    """HD of every node, indexed by position - 1. Root depth is 0.
 
-
-def hd(sentence: Sentence, index: int) -> int:
-    """Hierarchical distance (head links to the root) of the node at ``index``."""
-    return node_depths(sentence)[index - 1]
-
-
-def node_depths(sentence: Sentence) -> list[int]:
-    """HD of every node, as a list indexed by position - 1. Root depth is 0.
-
-    Uses the depths that :func:`validate_tree` attached; an unvalidated
-    sentence is validated here, so a malformed one raises ``InvalidTree``.
+    The depths that :func:`validate_tree` attached; an unvalidated sentence
+    costs one :func:`tree_depths` walk, so a malformed one raises ``InvalidTree``.
     """
     if sentence.depths is None:
-        return list(tree_depths(sentence.head_vector, sentence.id, sentence.source))
-    return list(sentence.depths)
+        return tree_depths(sentence.head_vector, sentence.id, sentence.source)
+    return sentence.depths
 
 
-def mdd(sentence: Sentence) -> float:
-    """Mean dependency distance; requires n >= 2."""
-    n = len(sentence)
+def dependency_terms(sentence: Sentence) -> tuple[list[int], tuple[int, ...], int]:
+    """The per-sentence terms of every measure: (DDs, depths, root position); requires n >= 2.
+
+    The DDs are those of the n - 1 dependencies in position order, the root
+    left out; the depths are those of :func:`node_depths`, the root's 0 included.
+    """
+    heads = sentence.head_vector
+    n = len(heads)
     if n < 2:
         raise TooShort(f"{sentence.id}: need >= 2 nodes, got {n}")
-    total = sum(abs(head - i) for i, head in enumerate(sentence.head_vector, 1) if head)
-    return total / (n - 1)
-
-
-def mhd(sentence: Sentence) -> float:
-    """Mean hierarchical distance; requires n >= 2."""
-    n = len(sentence)
-    if n < 2:
-        raise TooShort(f"{sentence.id}: need >= 2 nodes, got {n}")
-    return sum(node_depths(sentence)) / (n - 1)
+    depths = node_depths(sentence)
+    root = heads.index(0) + 1
+    dds = list(map(abs, map(sub, heads, range(1, n + 1))))
+    del dds[root - 1]  # the root has no DD; its entry is abs(0 - root)
+    return dds, depths, root
 
 
 @dataclass(frozen=True)
@@ -68,8 +54,7 @@ class MetricRecord:
     """Per-sentence metric summary: length, DD/HD histograms, root out-degree.
 
     Both histograms total n - 1. Means are derived from the histograms, so
-    the stored state stays integral; ``mdd_exact``/``mhd_exact`` expose the
-    rational values when exact aggregation is needed.
+    the stored state stays integral.
     """
 
     sentence_id: str
@@ -85,14 +70,6 @@ class MetricRecord:
     @property
     def hd_total(self) -> int:
         return sum(value * count for value, count in self.hd_hist.items())
-
-    @property
-    def mdd_exact(self) -> Fraction:
-        return Fraction(self.dd_total, self.sl - 1)
-
-    @property
-    def mhd_exact(self) -> Fraction:
-        return Fraction(self.hd_total, self.sl - 1)
 
     @property
     def mdd(self) -> float:
@@ -116,24 +93,14 @@ class MetricRecord:
 
 
 def metric_record(sentence: Sentence) -> MetricRecord:
-    """Compute the full metric summary for one sentence (n >= 2).
-
-    Reads the depths that validation attached; only an unvalidated sentence
-    costs a :func:`node_depths` walk.
-    """
-    n = len(sentence)
-    if n < 2:
-        raise TooShort(f"{sentence.id}: need >= 2 nodes, got {n}")
-    heads = sentence.head_vector
-    root = sentence.root_index
-    dds = list(map(abs, map(sub, heads, range(1, n + 1))))
-    del dds[root - 1]  # the root has no DD; its entry is abs(0 - root)
-    hd_hist = Counter(sentence.depths if sentence.depths is not None else node_depths(sentence))
+    """Compute the full metric summary for one sentence (n >= 2) from :func:`dependency_terms`."""
+    dds, depths, root = dependency_terms(sentence)
+    hd_hist = Counter(depths)
     del hd_hist[0]  # the root is the only node at depth 0
     return MetricRecord(
         sentence_id=sentence.id,
-        sl=n,
+        sl=len(depths),
         dd_hist=dict(Counter(dds)),
         hd_hist=dict(hd_hist),
-        root_out_degree=heads.count(root),
+        root_out_degree=sentence.head_vector.count(root),
     )

@@ -27,6 +27,7 @@ from typing import Any, Callable, Iterable, NoReturn, Protocol, Sequence, TypeVa
 
 from . import __version__, treebank
 from .analysis import (
+    VALENCY_MODES,
     CorpusStats,
     CorrelationPoint,
     SeriesPoint,
@@ -80,7 +81,7 @@ class RunConfig:
             raise ConfigError(f"min_bucket must be >= 3, got {self.min_bucket}")
         if any(sl < 2 for sl in self.dist_sls):
             raise ConfigError(f"distribution lengths must all be >= 2, got {list(self.dist_sls)}")
-        if self.valency_mode not in ("lexicon", "root-out-degree"):
+        if self.valency_mode not in VALENCY_MODES:
             raise ConfigError(f"unknown valency mode {self.valency_mode!r}")
         if self.valency_mode == "lexicon" and not self.lexicon_path:
             raise ConfigError("valency mode 'lexicon' requires --lexicon PATH")
@@ -411,29 +412,29 @@ def compute_analyses(
     if not window.by_sl:
         raise EmptySelection(f"no sentences with length in [{config.sl_min}, {config.sl_max}]")
     analyses = Analyses()
+    tables = COMMAND_TABLES[command]
     if command == "report":
         analyses.length_hist = length_histogram(stats)
         if corpus.single_node_count:
             analyses.length_hist = {1: corpus.single_node_count, **analyses.length_hist}
-    if command in ("report", "dist"):
+    if "dist.csv" in tables:
         for metric in ("dd", "hd"):
             analyses.pooled[metric] = pooled_distribution(stats, metric, config.sl_min, config.sl_max)
-        for metric in ("dd", "hd"):
             analyses.conditional[metric] = conditional_distributions(window, metric, config.dist_sls)
-    if command in ("report", "entropy"):
+    if "entropy.csv" in tables:
         for metric in ("dd", "hd"):
             points = entropy_by_sl(window, metric, base=config.entropy_base_value)
             analyses.entropy_points[metric], analyses.entropy_gated[metric] = split_gated(
                 points, config.min_bucket
             )
-    if command in ("report", "trend"):
+    if "trend.csv" in tables:
         analyses.mdd_series, analyses.mhd_series = mean_metric_by_sl(window)
         analyses.crossings = find_intersection(window)
-    if command in ("report", "corr"):
+    if "corr.csv" in tables:
         analyses.corr_points, analyses.corr_gated = split_gated(
             spearman_by_sl(window), config.min_bucket
         )
-    if command in ("report", "valency"):
+    if "valency.csv" in tables:
         analyses.valency_cells, analyses.lexicon_misses = valency_conditioned_counts(
             window, lexicon=lexicon, valency_mode=config.valency_mode
         )
@@ -676,6 +677,16 @@ REPORT_RENDERERS = {
     "corr_gated.csv": lambda cfg, a: render_corr_gated_csv(a),
     "valency.csv": lambda cfg, a: render_valency_csv(a),
     "valency_fit.csv": lambda cfg, a: render_valency_fit_csv(a),
+}
+
+#: The tables each table command writes, in order; ``report`` also writes report.json.
+COMMAND_TABLES = {
+    "dist": ("dist.csv",),
+    "entropy": ("entropy.csv", "entropy_gated.csv"),
+    "trend": ("trend.csv",),
+    "corr": ("corr.csv", "corr_gated.csv"),
+    "valency": ("valency.csv", "valency_fit.csv"),
+    "report": tuple(REPORT_RENDERERS),
 }
 
 

@@ -8,7 +8,6 @@ suite cross-checks it against scipy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -195,14 +194,11 @@ def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def spearman(
-    xs: Sequence[float], ys: Sequence[float], *, method: str = "t"
-) -> CorrelationResult:
+def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
     """Spearman correlation with mid-ranks for ties.
 
     The p-value comes from the t approximation (two-sided, n - 2 degrees of
-    freedom); ``method="permutation"`` instead enumerates all n! orderings,
-    which is only offered for n <= 10 and is intended for tests.
+    freedom).
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
@@ -212,25 +208,11 @@ def spearman(
     rank_x = midranks(xs)
     rank_y = midranks(ys)
     rho = _pearson(rank_x, rank_y)
-    if method == "t":
-        if abs(rho) >= 1.0:
-            p = 0.0
-        else:
-            t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-            p = t_two_sided_p(t, n - 2)
-    elif method == "permutation":
-        if n > 10:
-            raise ValueError("exact permutation p-value is limited to n <= 10")
-        threshold = abs(rho) - 1e-12
-        hits = 0
-        count = 0
-        for perm in itertools.permutations(rank_y):
-            count += 1
-            if abs(_pearson(rank_x, perm)) >= threshold:
-                hits += 1
-        p = hits / count
+    if abs(rho) >= 1.0:
+        p = 0.0
     else:
-        raise ValueError(f"method must be 't' or 'permutation', got {method!r}")
+        t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+        p = t_two_sided_p(t, n - 2)
     return CorrelationResult(rho=rho, p_value=p, n=n)
 
 

@@ -92,25 +92,8 @@ class Sentence:
             map(Node, range(1, n + 1), self.head_vector, self.forms or blank, self.lemmas or blank)
         )
 
-    def node(self, index: int) -> Node:
-        """Return the node at 1-based position ``index`` (tuple indexing rules apply)."""
-        i = range(len(self))[index - 1]
-        return Node(
-            index=i + 1,
-            head=self.head_vector[i],
-            form=self.forms[i] if self.forms else None,
-            lemma=self.lemmas[i] if self.lemmas else None,
-        )
-
     def heads(self) -> tuple[int, ...]:
         return self.head_vector
-
-    @property
-    def root_index(self) -> int:
-        try:
-            return self.head_vector.index(0) + 1
-        except ValueError:
-            raise NoRoot(f"{self.id}: no root node") from None
 
     @classmethod
     def from_heads(
@@ -168,6 +151,7 @@ class ValencyLexicon:
     def from_tsv(cls, stream: Text, source: str = "<lexicon>") -> "ValencyLexicon":
         """Load a two-column TSV (lemma, valency class). '#' lines are comments."""
         entries: dict[str, int] = {}
+        first_lines: dict[str, int] = {}  # lemma -> the line that gave its class
         for lineno, raw in enumerate(_text_lines(stream, source), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -181,7 +165,13 @@ class ValencyLexicon:
                 raise MalformedLine(f"{source}:{lineno}: non-integer valency {fields[1]!r}") from None
             if valency not in (1, 2, 3, 4):
                 raise MalformedLine(f"{source}:{lineno}: valency must be 1..4, got {valency}")
-            entries[fields[0]] = valency
+            lemma = fields[0]
+            if entries.setdefault(lemma, valency) != valency:
+                raise MalformedLine(
+                    f"{source}:{lineno}: lemma {lemma!r} has valency {valency} here"
+                    f" but {entries[lemma]} at line {first_lines[lemma]}"
+                )
+            first_lines.setdefault(lemma, lineno)
         return cls(entries=entries)
 
 
@@ -567,10 +557,9 @@ def iter_conllu(
         span = f"{source}:{first_lineno}-{lineno - 1}"
         sent_id = f"{source}#{ordinal}"
         for comment in comments:
-            if comment.startswith("# sent_id"):
-                value = comment.partition("=")[2].strip()
-                if value:
-                    sent_id = value
+            key, _, value = comment[1:].partition("=")
+            if key.strip() == "sent_id" and value.strip():
+                sent_id = value.strip()
         try:
             sentence = _conllu_sentence(block, first_lineno, sent_id, span, drop_punct)
         except _REJECTABLE as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,11 @@ def demo7() -> Sentence:
 
 def make_sentence(heads, id="s", lemmas=None) -> Sentence:
     return validate_tree(Sentence.from_heads(tuple(heads), id=id, lemmas=lemmas))
+
+
+def exact_means(record) -> tuple[Fraction, Fraction]:
+    """A metric record's MDD and MHD as exact rationals."""
+    return Fraction(record.dd_total, record.sl - 1), Fraction(record.hd_total, record.sl - 1)
 
 
 _acceptance_outcomes: dict[tuple[int, str], str] = {}

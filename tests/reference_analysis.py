@@ -113,8 +113,8 @@ def mean_metric_by_sl(
     mhd_series = []
     for sl in sorted(groups):
         bucket = groups[sl]
-        mean_mdd = sum((r.mdd_exact for r in bucket), Fraction(0)) / len(bucket)
-        mean_mhd = sum((r.mhd_exact for r in bucket), Fraction(0)) / len(bucket)
+        mean_mdd = sum((Fraction(r.dd_total, r.sl - 1) for r in bucket), Fraction(0)) / len(bucket)
+        mean_mhd = sum((Fraction(r.hd_total, r.sl - 1) for r in bucket), Fraction(0)) / len(bucket)
         mdd_series.append(SeriesPoint(sl=sl, value=float(mean_mdd), n=len(bucket)))
         mhd_series.append(SeriesPoint(sl=sl, value=float(mean_mhd), n=len(bucket)))
     return mdd_series, mhd_series
@@ -173,7 +173,8 @@ def valency_conditioned_counts(
     for record, sentence in zip(records, sentences):
         if valency_mode == "lexicon":
             assert lexicon is not None
-            valency = lexicon.get(sentence.lemmas[sentence.root_index - 1] if sentence.lemmas else None)
+            root = sentence.head_vector.index(0) + 1
+            valency = lexicon.get(sentence.lemmas[root - 1] if sentence.lemmas else None)
             if valency is None:
                 misses += 1
                 continue

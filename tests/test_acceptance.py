@@ -30,7 +30,7 @@ from depmetrics.randtree import GeneratorConfig, chain_heads, enumerate_trees, r
 from depmetrics.stats import Distribution, entropy, midranks, ols_fit, spearman
 from depmetrics.treebank import Sentence, iter_parse, parse_canonical, parse_conllu, validate_tree
 
-from .conftest import DATA_DIR, DEMO7_HEADS
+from .conftest import DATA_DIR, DEMO7_HEADS, exact_means
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -67,7 +67,7 @@ def test_criterion_02_sl2_identity():
         record = metric_record(sentence)
         assert record.mdd == 1.0
         assert record.mhd == 1.0
-        assert record.mdd_exact == 1 and record.mhd_exact == 1
+        assert exact_means(record) == (1, 1)
 
 
 def test_criterion_03_oracle_equivalence_on_enumerated_trees():
@@ -109,10 +109,8 @@ def test_criterion_04_extremal_structures_exact():
     for n in range(2, 21):
         chain = metric_record(validate_tree(Sentence.from_heads(chain_heads(n))))
         star = metric_record(validate_tree(Sentence.from_heads(star_heads(n))))
-        assert chain.mdd_exact == Fraction(1)
-        assert chain.mhd_exact == Fraction(n, 2)
-        assert star.mdd_exact == Fraction(n, 2)
-        assert star.mhd_exact == Fraction(1)
+        assert exact_means(chain) == (Fraction(1), Fraction(n, 2))
+        assert exact_means(star) == (Fraction(n, 2), Fraction(1))
 
 
 def test_criterion_05_hd1_equals_root_out_degree():

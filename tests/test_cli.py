@@ -259,6 +259,20 @@ def test_malformed_lexicon_fails_before_any_input_is_parsed(
     assert err == f"input error: {lexicon}:1: valency must be 1..4, got 5\n"
 
 
+def test_lexicon_lemma_with_two_classes_is_an_input_error(data_dir, tmp_path, capsys):
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("go\t1\ngo\t3\n", encoding="utf-8")
+    code, out, err = run(
+        ["valency", str(data_dir / "sample.cabocha"), "--valency-mode", "lexicon",
+         "--lexicon", str(lexicon), "--output-dir", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"input error: {lexicon}:2: lemma 'go' has valency 3 here but 1 at line 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 # --- config file --------------------------------------------------------------------
 
 
@@ -490,7 +504,7 @@ def test_metrics_dump_to_stdout(data_dir, capsys):
 def test_internal_errors_exit_three(data_dir, capsys, monkeypatch):
     import depmetrics.cli as cli_module
 
-    def boom(config, corpus, lexicon):
+    def boom(config, corpus, lexicon, command):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(cli_module, "compute_analyses", boom)

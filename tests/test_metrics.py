@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from depmetrics.errors import RootHasNoDD, TooShort
-from depmetrics.metrics import dd, hd, mdd, metric_record, mhd, node_depths
+from depmetrics.errors import TooShort
+from depmetrics.metrics import dependency_terms, metric_record, node_depths
 from depmetrics.randtree import GeneratorConfig, chain_heads, enumerate_trees, random_tree, star_heads
-from .conftest import make_sentence
+from .conftest import exact_means, make_sentence
 
 
 def brute_hd(heads, index):
@@ -30,40 +30,36 @@ def chain5():
 
 
 def test_dd_demo7(demo7):
-    assert dd(demo7, 3) == 1  # adjacent pair
-    assert dd(demo7, 2) == 5  # long link to the final root
-    assert dd(make_sentence((2, 0)), 1) == 1
-
-
-def test_dd_root_rejected(demo7):
-    with pytest.raises(RootHasNoDD):
-        dd(demo7, 7)
+    dds, _, root = dependency_terms(demo7)
+    assert root == 7
+    # positions 1-6: node 2 links to the final root at distance 5, node 3 to its neighbour;
+    # the root has no DD
+    assert dds == [1, 5, 1, 1, 2, 1]
+    assert dependency_terms(make_sentence((2, 0)))[0] == [1]
 
 
 def test_hd_values(demo7):
-    assert hd(demo7, 3) == 3
-    assert hd(demo7, 7) == 0  # the root
-    assert hd(make_sentence(chain_heads(4)), 1) == 3
+    assert node_depths(demo7)[2] == 3
+    assert node_depths(demo7)[6] == 0  # the root
+    assert node_depths(make_sentence(chain_heads(4)))[0] == 3
 
 
 def test_mdd_values(demo7, star5):
-    assert mdd(demo7) == pytest.approx(11 / 6)
-    assert mdd(make_sentence((2, 0))) == 1.0
-    assert mdd(star5) == 2.5  # (4+3+2+1)/4
+    assert metric_record(demo7).mdd == pytest.approx(11 / 6)
+    assert metric_record(make_sentence((2, 0))).mdd == 1.0
+    assert metric_record(star5).mdd == 2.5  # (4+3+2+1)/4
 
 
 def test_mhd_values(demo7, star5, chain5):
-    assert mhd(demo7) == pytest.approx(10 / 6)
-    assert mhd(star5) == 1.0
-    assert mhd(chain5) == 2.5  # (1+2+3+4)/4
+    assert metric_record(demo7).mhd == pytest.approx(10 / 6)
+    assert metric_record(star5).mhd == 1.0
+    assert metric_record(chain5).mhd == 2.5  # (1+2+3+4)/4
 
 
 def test_too_short_for_single_node():
     single = make_sentence((0,))
     with pytest.raises(TooShort):
-        mdd(single)
-    with pytest.raises(TooShort):
-        mhd(single)
+        dependency_terms(single)
     with pytest.raises(TooShort):
         metric_record(single)
 
@@ -76,8 +72,7 @@ def test_metric_record_demo7(demo7):
     assert record.root_out_degree == 3
     assert record.dd_hist == {1: 4, 2: 1, 5: 1}
     assert record.hd_hist == {1: 3, 2: 2, 3: 1}
-    assert record.mdd_exact == Fraction(11, 6)
-    assert record.mhd_exact == Fraction(10, 6)
+    assert exact_means(record) == (Fraction(11, 6), Fraction(10, 6))
 
 
 def test_metric_record_star_and_pair(star5):
@@ -112,9 +107,10 @@ def test_hd_recurrence_on_random_trees():
 def test_mdd_one_iff_all_adjacent_and_mhd_one_iff_star():
     for sent in enumerate_trees(5):
         record = metric_record(sent)
+        mdd, mhd = exact_means(record)
         all_adjacent = all(abs(n.head - n.index) == 1 for n in sent.nodes if n.head != 0)
-        assert (record.mdd_exact == 1) == all_adjacent
-        assert (record.mhd_exact == 1) == (record.root_out_degree == 4)
+        assert (mdd == 1) == all_adjacent
+        assert (mhd == 1) == (record.root_out_degree == 4)
 
 
 def test_mhd_bounded_by_half_n_with_equality_only_for_paths():
@@ -122,11 +118,11 @@ def test_mhd_bounded_by_half_n_with_equality_only_for_paths():
     # two children, i.e. it is a path rooted at one of its endpoints.
     for n in (3, 4, 5):
         for sent in enumerate_trees(n):
-            record = metric_record(sent)
-            assert record.mhd_exact <= Fraction(n, 2)
+            _, mhd = exact_means(metric_record(sent))
+            assert mhd <= Fraction(n, 2)
             child_counts = Counter(node.head for node in sent.nodes if node.head != 0)
             is_path = all(count == 1 for count in child_counts.values())
-            assert (record.mhd_exact == Fraction(n, 2)) == is_path
+            assert (mhd == Fraction(n, 2)) == is_path
 
 
 def test_range_invariants_on_random_trees():
@@ -136,7 +132,7 @@ def test_range_invariants_on_random_trees():
         sent = random_tree(GeneratorConfig(n=n, seed=31), rng.randint(0, 10_000))
         record = metric_record(sent)
         assert 1 <= record.mdd <= n - 1
-        assert Fraction(1) <= record.mhd_exact <= Fraction(n, 2)
+        assert Fraction(1) <= exact_means(record)[1] <= Fraction(n, 2)
 
 
 def test_against_brute_force_on_1000_random_trees():

@@ -1,6 +1,6 @@
-"""Property tests: the fused validate-and-depth walk, the canonical and CoNLL-U round trips, the
-canonical writer, and the streaming parsers, their byte ranges and the one-pass CaboCha reader on
-arbitrary text and bytes."""
+"""Property tests: the fused validate-and-depth walk, the two consumers of the per-sentence kernel,
+the canonical and CoNLL-U round trips, the canonical writer, and the streaming parsers, their byte
+ranges and the one-pass CaboCha reader on arbitrary text and bytes."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depmetrics import treebank
+from depmetrics.analysis import MAX_VALENCY_CLASS, CorpusStats
 from depmetrics.errors import (
     CycleDetected,
     DepMetricsError,
@@ -24,6 +25,7 @@ from depmetrics.errors import (
     NoRoot,
     SelfLoop,
 )
+from depmetrics.metrics import dependency_terms, metric_record
 from depmetrics.randtree import GeneratorConfig, random_tree
 from depmetrics.treebank import (
     FORMATS,
@@ -127,6 +129,54 @@ def test_validate_tree_attaches_the_walk_depths(heads):
     sentence = validate_tree(Sentence.from_heads(heads, id="s"))
     assert sentence.depths == bfs_depths(heads)
     assert sentence == Sentence.from_heads(heads, id="s")  # depths take no part in equality
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 2**32), st.booleans(), st.booleans())
+def test_the_fold_and_the_metric_record_agree(n, seed, validated, with_lemmas):
+    heads = random_tree(GeneratorConfig(n=n, seed=seed)).heads()
+    lemmas = [f"w{i}" for i in range(1, n + 1)] if with_lemmas else None
+    sentence = Sentence.from_heads(heads, id="s", lemmas=lemmas)
+    if validated:
+        sentence = validate_tree(sentence)
+        assert dependency_terms(sentence)[1] is sentence.depths  # read, not copied or walked again
+    record = metric_record(sentence)
+    stats = CorpusStats()
+    stats.add(sentence)
+    [(sl, cell)] = stats.by_sl.items()
+    assert (sl, cell.n) == (record.sl, 1)
+    assert dict(cell.value_counts("dd")) == record.dd_hist
+    assert dict(cell.value_counts("hd")) == record.hd_hist
+    assert (cell.dd_total, cell.hd_total) == (record.dd_total, record.hd_total)
+    root_lemma = lemmas[heads.index(0)] if lemmas else None
+    assert cell.valency == {
+        (root_lemma, min(record.root_out_degree, MAX_VALENCY_CLASS)): [
+            record.dd_hist.get(1, 0), record.hd_hist.get(1, 0), 1
+        ]
+    }
+
+
+@settings(max_examples=500, deadline=None)
+@given(head_vectors().filter(lambda heads: len(heads) >= 2))
+def test_the_fold_and_the_metric_record_reject_a_bad_tree_alike(heads):
+    sentence = Sentence.from_heads(heads, id="s")
+    kind, reason = _outcome(tree_depths, heads)
+    for consume in (metric_record, CorpusStats().add):
+        if kind == "ok":
+            consume(sentence)
+            continue
+        with pytest.raises(InvalidTree) as caught:
+            consume(sentence)
+        assert (type(caught.value), str(caught.value)) == (kind, reason)
+
+
+@pytest.mark.parametrize(
+    "heads, error", [((2, 1), NoRoot), ((0, 3, 2), CycleDetected), ((0, 0), MultipleRoots)]
+)
+def test_an_unvalidated_cyclic_or_rootless_tree_raises_the_same_error_from_both(heads, error):
+    for consume in (metric_record, CorpusStats().add):
+        with pytest.raises(error):
+            consume(Sentence.from_heads(heads, id="s"))
 
 
 text_or_none = st.one_of(st.none(), st.text(max_size=4))

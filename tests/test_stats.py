@@ -142,17 +142,6 @@ def test_spearman_p_matches_scipy_on_random_data():
         assert mine.p_value == pytest.approx(ref.pvalue, abs=1e-10)
 
 
-def test_spearman_exact_permutation_option():
-    # Only the identity and the full reversal of 4 distinct ranks give |rho| = 1.
-    result = spearman((1, 2, 3, 4), (1, 2, 3, 4), method="permutation")
-    assert result.rho == 1.0
-    assert result.p_value == pytest.approx(2 / 24)
-    with pytest.raises(ValueError):
-        spearman(list(range(11)), list(range(11)), method="permutation")
-    with pytest.raises(ValueError):
-        spearman((1, 2, 3), (1, 2, 3), method="bootstrap")
-
-
 # --- Student-t tail --------------------------------------------------------------
 
 

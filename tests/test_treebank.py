@@ -12,7 +12,7 @@ from depmetrics.errors import (
     NoRoot,
     SelfLoop,
 )
-from depmetrics.metrics import mdd
+from depmetrics.metrics import metric_record
 from depmetrics.treebank import (
     Node,
     Sentence,
@@ -47,8 +47,8 @@ def test_parse_conllu_minimal_two_tokens():
     sent = sentences[0]
     assert len(sent) == 2
     assert sent.heads() == (2, 0)
-    assert sent.node(1).form == "the"
-    assert sent.root_index == 2
+    assert sent.forms[0] == "the"
+    assert sent.heads().index(0) + 1 == 2
 
 
 def test_parse_conllu_empty_input():
@@ -59,12 +59,20 @@ def test_parse_conllu_empty_input():
 def test_parse_conllu_demo7_mdd():
     sentences = parse_conllu(conllu_block(DEMO7_HEADS))
     assert len(sentences) == 1
-    assert mdd(sentences[0]) == pytest.approx(1.8333, abs=5e-5)
+    assert metric_record(sentences[0]).mdd == pytest.approx(1.8333, abs=5e-5)
 
 
 def test_parse_conllu_uses_sent_id_comment():
     text = "# sent_id = xyz\n" + conllu_block((2, 0))
     assert parse_conllu(text)[0].id == "xyz"
+
+
+def test_parse_conllu_matches_the_sent_id_key_exactly():
+    block = conllu_block((2, 0))
+    assert parse_conllu("# sent_id = real\n# sent_id_orig = other\n" + block)[0].id == "real"
+    assert parse_conllu("# sent_idx = 7\n" + block, source="f")[0].id == "f#1"
+    assert parse_conllu("#sent_id=tight\n" + block)[0].id == "tight"
+    assert parse_conllu("# sent_id =\n" + block, source="f")[0].id == "f#1"  # no value
 
 
 def test_parse_conllu_skips_ranges_and_empty_nodes(data_dir):
@@ -73,7 +81,7 @@ def test_parse_conllu_skips_ranges_and_empty_nodes(data_dir):
     ranged = by_id["ranges6"]
     assert len(ranged) == 6
     assert ranged.heads() == (3, 3, 6, 6, 6, 0)
-    assert ranged.node(1).form == "it"  # the 1-2 range line is not a node
+    assert ranged.nodes[0].form == "it"  # the 1-2 range line is not a node
 
 
 def test_parse_conllu_rejects_id_gap():
@@ -107,8 +115,8 @@ def test_parse_conllu_skip_mode_keeps_good_sentences(data_dir):
 
 def test_parse_conllu_underscore_fields_become_none():
     sent = parse_conllu(conllu_line(1, 0, form="_", lemma="_") + "\n")[0]
-    assert sent.node(1).form is None
-    assert sent.node(1).lemma is None
+    assert sent.nodes[0].form is None
+    assert sent.nodes[0].lemma is None
 
 
 def test_drop_punct_removes_leaf_and_renumbers(data_dir):
@@ -144,7 +152,7 @@ def test_parse_cabocha_single_chunk():
     sentences = parse_cabocha(text)
     assert len(sentences) == 1
     assert sentences[0].heads() == (0,)
-    assert sentences[0].node(1).form == "hai"
+    assert sentences[0].nodes[0].form == "hai"
 
 
 def test_parse_cabocha_sample_file(data_dir):
@@ -152,15 +160,15 @@ def test_parse_cabocha_sample_file(data_dir):
     assert len(sentences) == 3
     first, single, last = sentences
     assert first.heads() == DEMO7_HEADS
-    assert first.node(2).form == "hitowa"  # concatenated morpheme surfaces
-    assert first.node(2).lemma == "hito"  # base form of the first morpheme
+    assert first.nodes[1].form == "hitowa"  # concatenated morpheme surfaces
+    assert first.nodes[1].lemma == "hito"  # base form of the first morpheme
     assert single.heads() == (0,)
     assert last.heads() == (3, 3, 0)
 
 
 def test_parse_cabocha_demo_structure_metrics(data_dir):
     first = parse_cabocha((data_dir / "sample.cabocha").read_bytes())[0]
-    assert mdd(first) == pytest.approx(1.8333, abs=5e-5)
+    assert metric_record(first).mdd == pytest.approx(1.8333, abs=5e-5)
 
 
 def test_parse_cabocha_missing_eos():
@@ -186,7 +194,7 @@ def test_parse_cabocha_skip_mode_rejects_only_bad_sentence():
     )
     rejections = []
     sentences = parse_cabocha(text, errors="skip", rejections=rejections)
-    assert [s.node(1).form for s in sentences] == ["ok"]
+    assert [s.nodes[0].form for s in sentences] == ["ok"]
     assert len(rejections) == 1
     assert "chunk header" in rejections[0].reason
 
@@ -277,7 +285,7 @@ def test_parse_canonical_requires_a_string_id(sent_id):
 def test_parse_canonical_accepts_null_text_fields():
     line = '{"id": "s", "nodes": [{"index": 1, "head": 0, "form": null, "lemma": "go"}]}'
     sent = parse_canonical(line)[0]
-    assert sent.node(1) == Node(index=1, head=0, form=None, lemma="go")
+    assert sent.nodes[0] == Node(index=1, head=0, form=None, lemma="go")
 
 
 def test_canonical_round_trip_over_bundled_samples(data_dir):
@@ -383,6 +391,15 @@ def test_valency_lexicon_rejects_bad_rows():
         ValencyLexicon.from_tsv("word only\n")
     with pytest.raises(ValueError):
         ValencyLexicon(entries={"w": 9})
+
+
+def test_valency_lexicon_rejects_a_lemma_given_two_classes():
+    with pytest.raises(
+        MalformedLine, match=r"^x\.tsv:3: lemma 'go' has valency 3 here but 1 at line 1$"
+    ):
+        ValencyLexicon.from_tsv("go\t1\nrun\t2\ngo\t3\n", source="x.tsv")
+    repeated = ValencyLexicon.from_tsv("go\t1\n# again\ngo\t1\n")  # the same class twice is fine
+    assert repeated.entries == {"go": 1}
 
 
 # --- dispatch -------------------------------------------------------------------
