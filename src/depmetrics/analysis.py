@@ -7,9 +7,10 @@ distributions, entropy series, mean MDD/MHD trends with crossing detection,
 per-length Spearman correlation, and valency-conditioned counts with their
 regression fits.
 
-The fold holds integers only, so it does not depend on sentence order, folds
-of parts of a corpus merge into the fold of the whole, and each mean is one
-correctly rounded division of integer totals.
+The fold holds integers only, keyed by length and by valency class, so it
+does not depend on sentence order, folds of parts of a corpus merge into the
+fold of the whole, and each mean is one correctly rounded division of integer
+totals.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class LengthStats:
     dd_total: int = 0
     hd_total: int = 0
     pairs: Counter[tuple[int, int]] = field(default_factory=Counter)  # per-sentence (DD sum, HD sum)
-    # (root lemma, root out-degree capped at MAX_VALENCY_CLASS) -> [DD=1 count, HD=1 count, sentences]
-    valency: dict[tuple[str | None, int], list[int]] = field(default_factory=dict)
+    # valency class (None: a lexicon miss) -> [DD=1 count, HD=1 count, sentences]
+    valency: dict[int | None, list[int]] = field(default_factory=dict)
 
     def merge(self, other: LengthStats) -> None:
         """Add another fold's totals for the same length."""
@@ -104,9 +105,15 @@ class LengthStats:
 
 @dataclass
 class CorpusStats:
-    """Per-length integer totals of a corpus, filled by :meth:`add` one sentence at a time."""
+    """Per-length integer totals of a corpus, filled by :meth:`add` one sentence at a time.
+
+    A sentence's valency class is decided as it is folded: the root lemma's
+    class in ``lexicon``, None on a miss, or without a lexicon the root's
+    out-degree capped at ``MAX_VALENCY_CLASS``.
+    """
 
     by_sl: dict[int, LengthStats] = field(default_factory=dict)
+    lexicon: ValencyLexicon | None = None
 
     def add(self, sentence: Sentence) -> None:
         """Fold one sentence of n >= 2 nodes in, from :func:`~depmetrics.metrics.dependency_terms`."""
@@ -124,11 +131,13 @@ class CorpusStats:
         cell.dd_total += dd_total
         cell.hd_total += hd_total
         cell.pairs[dd_total, hd_total] += 1
-        lemma = sentence.lemmas[root - 1] if sentence.lemmas else None
-        key = (lemma, min(out_degree, MAX_VALENCY_CLASS))
-        tally = cell.valency.get(key)
+        if self.lexicon is None:
+            valency = min(out_degree, MAX_VALENCY_CLASS)
+        else:
+            valency = self.lexicon.get(sentence.lemmas[root - 1] if sentence.lemmas else None)
+        tally = cell.valency.get(valency)
         if tally is None:
-            tally = cell.valency[key] = [0, 0, 0]
+            tally = cell.valency[valency] = [0, 0, 0]
         tally[0] += dds.count(1)
         tally[1] += out_degree  # the depth-1 nodes are the root's dependents
         tally[2] += 1
@@ -139,8 +148,9 @@ class CorpusStats:
             self.by_sl.setdefault(sl, LengthStats()).merge(cell)
 
     def window(self, sl_min: int, sl_max: int) -> CorpusStats:
-        """The fold restricted to lengths in [sl_min, sl_max]; it shares the per-length totals."""
-        return CorpusStats({sl: cell for sl, cell in self.by_sl.items() if sl_min <= sl <= sl_max})
+        """The fold restricted to lengths in [sl_min, sl_max]; it shares the totals and the lexicon."""
+        window = {sl: cell for sl, cell in self.by_sl.items() if sl_min <= sl <= sl_max}
+        return CorpusStats(window, self.lexicon)
 
     def sorted_cells(self) -> list[tuple[int, LengthStats]]:
         return sorted(self.by_sl.items())
@@ -266,44 +276,24 @@ def split_gated(points: Sequence, min_bucket: int) -> tuple[list, list]:
     return kept, gated
 
 
-def valency_conditioned_counts(
-    stats: CorpusStats,
-    lexicon: ValencyLexicon | None = None,
-    valency_mode: str = "root-out-degree",
-) -> tuple[list[ValencyCell], int]:
+def valency_conditioned_counts(stats: CorpusStats) -> tuple[list[ValencyCell], int]:
     """Average counts of DD=1 and HD=1 nodes per (valency class, length).
 
-    In ``lexicon`` mode the valency class comes from looking up the root
-    node's lemma; sentences whose root lemma misses the lexicon are skipped,
-    and the returned second element is that miss count. In
-    ``root-out-degree`` mode the class is the root's out-degree capped at 4
-    and the miss count is always 0.
+    The classes are those of the fold (see :class:`CorpusStats`). Sentences
+    whose root lemma misses the lexicon are left out, and the returned second
+    element is their count; without a lexicon it is always 0.
     """
-    if valency_mode not in VALENCY_MODES:
-        raise ValueError(f"valency_mode must be one of {VALENCY_MODES}, got {valency_mode!r}")
-    if valency_mode == "lexicon" and (lexicon is None or len(lexicon) == 0):
+    if stats.lexicon is not None and len(stats.lexicon) == 0:
         raise EmptyLexicon("lexicon mode requires a non-empty valency lexicon")
-
-    sums: dict[tuple[int, int], list[int]] = defaultdict(lambda: [0, 0, 0])  # dd1, hd1, n
+    cells = []
     misses = 0
     for sl, cell in stats.by_sl.items():
-        for (lemma, capped_degree), (dd1, hd1, n) in cell.valency.items():
-            if valency_mode == "lexicon":
-                assert lexicon is not None
-                valency = lexicon.get(lemma)
-                if valency is None:
-                    misses += n
-                    continue
+        for valency, (dd1, hd1, n) in cell.valency.items():
+            if valency is None:
+                misses += n
             else:
-                valency = capped_degree
-            total = sums[(valency, sl)]
-            total[0] += dd1
-            total[1] += hd1
-            total[2] += n
-    cells = [
-        ValencyCell(valency=valency, sl=sl, avg_dd1=dd1 / n, avg_hd1=hd1 / n, n=n)
-        for (valency, sl), (dd1, hd1, n) in sorted(sums.items())
-    ]
+                cells.append(ValencyCell(valency, sl, avg_dd1=dd1 / n, avg_hd1=hd1 / n, n=n))
+    cells.sort(key=lambda c: (c.valency, c.sl))
     return cells, misses
 
 

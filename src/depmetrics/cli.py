@@ -13,7 +13,7 @@ import json
 import logging
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -36,7 +36,6 @@ from .report import (
     compute_analyses,
     json_text,
     load_corpus,
-    load_lexicon,
     report_json_dict,
     run_meta,
     write_files,
@@ -104,6 +103,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: invalid JSON ({exc.msg})") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{args.config}: top level must be an object")
         for key, value in raw.items():
@@ -112,6 +113,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             if key == "inputs":
                 expected = 'a list of {"path": str, "format"?: str} objects'
                 ok = isinstance(value, list) and all(map(_is_input_entry, value))
+                for entry_key in chain.from_iterable(value if ok else []):
+                    if entry_key not in ("path", "format"):
+                        raise ConfigError(f"{args.config}: unknown input entry key {entry_key!r}")
             else:
                 expected = _CONFIG_ANNOTATIONS[key]
                 ok = _json_matches(value, _CONFIG_TYPES[key])
@@ -226,9 +230,8 @@ def cmd_tables(args: argparse.Namespace, command: str) -> int:
     """Write the tables of ``command`` (see ``COMMAND_TABLES``) and its meta.json."""
     config = build_config(args)
     _require_inputs(config)
-    lexicon = load_lexicon(config)
     corpus = load_corpus(config)
-    analyses = compute_analyses(config, corpus, lexicon, command)
+    analyses = compute_analyses(config, corpus, command)
     files = {name: REPORT_RENDERERS[name](config, analyses) for name in COMMAND_TABLES[command]}
     meta = run_meta(config, corpus, command)
     if command == "report":
@@ -259,20 +262,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    header = "# " + json.dumps(
-        {
-            "tool": TOOL_NAME,
-            "version": __version__,
-            "command": "generate",
-            "n": gen_config.n,
-            "count": gen_config.count,
-            "seed": gen_config.seed,
-            "constraint": gen_config.constraint,
-            "max_root_out_degree": gen_config.max_root_out_degree,
-            "rng": RNG_NAME,
-        },
-        sort_keys=True,
-    )
+    echo = {**asdict(gen_config), "tool": TOOL_NAME, "version": __version__, "command": "generate"}
+    header = "# " + json.dumps({**echo, "rng": RNG_NAME}, sort_keys=True)
     lines = [header]
     lines.extend(serialize_canonical(sentence) for sentence in generate(gen_config))
     _write_text(args.output, "\n".join(lines) + "\n")

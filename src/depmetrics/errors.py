@@ -84,10 +84,6 @@ class EmptyLexicon(DepMetricsError):
 # --- generation ---------------------------------------------------------
 
 
-class NTooLarge(DepMetricsError):
-    """Exhaustive enumeration was requested beyond the supported size."""
-
-
 class ConstraintUnsatisfiable(DepMetricsError):
     pass
 

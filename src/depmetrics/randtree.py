@@ -1,10 +1,9 @@
-"""Exhaustive and uniform-random generation of rooted dependency trees.
+"""Uniform-random generation of rooted dependency trees.
 
 Rooted labeled trees on n positions are in bijection with (Prüfer sequence,
-root) pairs, giving n^(n-1) trees. Enumeration walks every pair; sampling
-draws both uniformly, so every rooted tree is equally likely. Generated
-sentences feed the same pipeline as parsed corpora (via the canonical JSONL
-format) and serve as the brute-force oracle in the test suite.
+root) pairs, giving n^(n-1) trees. Sampling draws both uniformly, so every
+rooted tree is equally likely. Generated sentences feed the same pipeline as
+parsed corpora (via the canonical JSONL format).
 
 Sampling is deterministic per (seed, sample index): each sample uses its own
 Mersenne Twister stream, ``random.Random("<seed>:<index>")`` (CPython hashes
@@ -21,11 +20,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import ConstraintUnsatisfiable, NTooLarge
+from .errors import ConstraintUnsatisfiable
 from .treebank import Sentence
 
 RNG_NAME = "mersenne-twister/str-seed"
-MAX_ENUMERATION_N = 7
 CONSTRAINTS = ("chain", "star", "max_root_out_degree")
 _MAX_REJECTION_ATTEMPTS = 1_000_000
 
@@ -103,34 +101,6 @@ def _prufer_heads(seq: Sequence[int], n: int, root: int) -> tuple[int, ...]:
         head[node] = child
         child, node = node, parent
     return tuple(head[1:])
-
-
-def enumerate_trees(n: int) -> Iterator[Sentence]:
-    """Yield every rooted labeled tree on positions 1..n exactly once.
-
-    There are n^(n-1) of them, which is why n is capped at 7.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > MAX_ENUMERATION_N:
-        raise NTooLarge(f"enumeration is limited to n <= {MAX_ENUMERATION_N}, got {n}")
-    counter = 0
-    if n == 1:
-        yield Sentence("enum1-0", (0,))
-        return
-    seq = [1] * (n - 2)
-    while True:
-        for root in range(1, n + 1):
-            yield Sentence(f"enum{n}-{counter}", _prufer_heads(seq, n, root))
-            counter += 1
-        # odometer increment over labels 1..n
-        pos = len(seq) - 1
-        while pos >= 0 and seq[pos] == n:
-            seq[pos] = 1
-            pos -= 1
-        if pos < 0:
-            return
-        seq[pos] += 1
 
 
 def random_tree(config: GeneratorConfig, index: int = 0) -> Sentence:

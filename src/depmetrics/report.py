@@ -21,7 +21,8 @@ import secrets
 import signal
 import stat
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, NoReturn, Protocol, Sequence, TypeVar
 
@@ -104,28 +105,10 @@ class RunConfig:
     def to_json_dict(self) -> dict[str, object]:
         # output_dir is deliberately not echoed: the same corpus and settings
         # must produce byte-identical outputs wherever they are written.
-        return {
-            "inputs": [{"path": path, "format": fmt} for path, fmt in self.inputs],
-            "sl_min": self.sl_min,
-            "sl_max": self.sl_max,
-            "dist_sls": list(self.dist_sls),
-            "min_bucket": self.min_bucket,
-            "valency_mode": self.valency_mode,
-            "lexicon_path": self.lexicon_path,
-            "entropy_base": self.entropy_base,
-            "log_base": self.log_base,
-            "seed": self.seed,
-            "drop_punct": self.drop_punct,
-        }
-
-
-@dataclass
-class InputSummary:
-    path: str
-    format: str
-    sha256: str
-    accepted: int
-    rejected: int
+        echo = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_dir"}
+        echo["inputs"] = [{"path": path, "format": fmt} for path, fmt in self.inputs]
+        echo["dist_sls"] = list(self.dist_sls)
+        return echo
 
 
 class Fold(Protocol):
@@ -152,26 +135,50 @@ class CountOnly:
 
 
 @dataclass
-class CorpusData:
-    """What loading the configured inputs leaves: counts, rejections, per-file summaries, the fold."""
+class InputFile:
+    """What loading one input file, or one byte range of it, took from it."""
 
-    accepted: int
-    rejections: list[Rejection]
-    single_node_count: int
-    inputs: list[InputSummary]
-    fold: Any  # a CorpusStats, unless load_corpus was given another kind of fold
-
-
-@dataclass
-class _FileShard:
-    """What one worker took from its shard of one input file."""
-
-    fold: Fold
+    path: str
+    format: str
     version: tuple[int, ...]  # device, inode, size and mtime of the file read
-    sha256: str = ""  # of the whole file; only shard 0 computes it
+    fold: Fold
+    sha256: str = ""  # of the whole file; only range 0 computes it
     accepted: int = 0
     single_node: int = 0
     rejections: list[Rejection] = field(default_factory=list)
+
+    @property
+    def rejected(self) -> int:
+        return len(self.rejections)
+
+    def merge(self, other: InputFile) -> None:
+        """Add what a later byte range of the same file gave."""
+        if other.version != self.version:
+            raise OSError(f"{self.path} changed while it was being read")
+        self.accepted += other.accepted
+        self.single_node += other.single_node
+        self.rejections += other.rejections
+        self.fold.merge(other.fold)
+
+
+@dataclass
+class CorpusData:
+    """What loading the configured inputs leaves: one record per input file, and the corpus fold."""
+
+    inputs: list[InputFile]
+    fold: Any  # a CorpusStats, unless load_corpus was given another kind of fold
+
+    @property
+    def accepted(self) -> int:
+        return sum(record.accepted for record in self.inputs)
+
+    @property
+    def rejections(self) -> list[Rejection]:
+        return [rejection for record in self.inputs for rejection in record.rejections]
+
+    @property
+    def single_node_count(self) -> int:
+        return sum(record.single_node for record in self.inputs)
 
 
 MIN_SHARD_BYTES = 1 << 20  # input bytes per worker, so that a small run never forks
@@ -204,74 +211,54 @@ def worker_count(paths: Sequence[str]) -> int:
     return max(1, min(cpus or os.cpu_count() or 1, MAX_WORKERS, size // MIN_SHARD_BYTES))
 
 
-def load_corpus(config: RunConfig, new_fold: Callable[[], Fold] = CorpusStats) -> CorpusData:
+def load_corpus(config: RunConfig, new_fold: Callable[[], Fold] | None = None) -> CorpusData:
     """Parse all configured inputs, skipping invalid sentences with a reason, and fold them.
 
-    Each input is split into :func:`worker_count` byte ranges of about equal
+    The default fold is a :class:`~depmetrics.analysis.CorpusStats` with the
+    lexicon of :func:`load_lexicon`, which is read before any input. Each
+    input is split into :func:`worker_count` byte ranges of about equal
     size, cut between sentences (:func:`~depmetrics.treebank.iter_byte_range`).
     The parent forks a child for every range but the first, loads the first
-    itself, and merges the workers' per-file counts, rejections and folds in
-    (file, range) order, so the result, the rejection warnings and an error
-    raised while loading are those of one serial pass. A file whose workers
-    read different versions of it is an error. No sentence is kept, and no
-    worker holds more of an input than ``CHUNK_BYTES`` and a sentence.
+    itself, and merges the workers' records of each file in range order, so
+    the result, the rejection warnings and an error raised while loading are
+    those of one serial pass. A file whose workers read different versions
+    of it is an error. No sentence is kept, and no worker holds more of an
+    input than ``CHUNK_BYTES`` and a sentence.
     """
+    if new_fold is None:
+        new_fold = partial(CorpusStats, lexicon=load_lexicon(config))
     workers = worker_count([path for path, _ in config.inputs])
     shards = _in_workers(workers, lambda k: _load_shard(config, new_fold, k, workers))
     fold = new_fold()
-    accepted = 0
-    rejections: list[Rejection] = []
-    single_node = 0
-    summaries: list[InputSummary] = []
-    for i, (path, fmt) in enumerate(config.inputs):
-        parts = []
+    inputs = []
+    for i in range(len(config.inputs)):
         for done, error in shards:
             if i == len(done):
                 raise error  # type: ignore[misc]  # a shard stops at the file that failed
-            parts.append(done[i])
-        if any(part.version != parts[0].version for part in parts):
-            raise OSError(f"{path} changed while it was being read")
-        file_rejections = [rejection for part in parts for rejection in part.rejections]
-        for rejection in file_rejections:
+        record = shards[0][0][i]
+        for done, _ in shards[1:]:
+            record.merge(done[i])
+        for rejection in record.rejections:
             log.warning("skipping sentence at %s: %s", rejection.source, rejection.reason)
-        file_accepted = sum(part.accepted for part in parts)
-        accepted += file_accepted
-        single_node += sum(part.single_node for part in parts)
-        rejections.extend(file_rejections)
-        for part in parts:
-            fold.merge(part.fold)
-        summaries.append(
-            InputSummary(
-                path=path,
-                format=fmt,
-                sha256=parts[0].sha256,
-                accepted=file_accepted,
-                rejected=len(file_rejections),
-            )
-        )
-    return CorpusData(
-        accepted=accepted,
-        rejections=rejections,
-        single_node_count=single_node,
-        inputs=summaries,
-        fold=fold,
-    )
+        fold.merge(record.fold)
+        inputs.append(record)
+    return CorpusData(inputs, fold)
 
 
 def _load_shard(
     config: RunConfig, new_fold: Callable[[], Fold], k: int, parts: int
-) -> tuple[list[_FileShard], Exception | None]:
+) -> tuple[list[InputFile], Exception | None]:
     """Load byte range k of ``parts`` of every input, in order, one file at a time.
 
     Range 0 also hashes each whole file, in chunks. Stops at the first error
     and returns it beside the files done, so that :func:`load_corpus`
     raises it where a serial pass would.
     """
-    done: list[_FileShard] = []
+    done: list[InputFile] = []
     try:
         for path, fmt in config.inputs:
             with open(path, "rb") as handle:
-                part = _FileShard(new_fold(), _version(handle))
+                part = InputFile(path, fmt, _version(handle), new_fold())
                 digest = hashlib.sha256() if k == 0 else None
                 for sentence in iter_byte_range(
                     handle,
@@ -397,15 +384,13 @@ def load_lexicon(config: RunConfig) -> ValencyLexicon | None:
     return ValencyLexicon.from_tsv(Path(lexicon_path).read_bytes(), source=lexicon_path)
 
 
-def compute_analyses(
-    config: RunConfig, corpus: CorpusData, lexicon: ValencyLexicon | None, command: str = "report"
-) -> Analyses:
+def compute_analyses(config: RunConfig, corpus: CorpusData, command: str = "report") -> Analyses:
     """Read from the corpus fold the tables that ``command`` writes: every one for ``report``.
 
     The length histogram covers the full corpus (including single-node
     sentences); everything else is restricted to [sl_min, sl_max], which
-    must hold a sentence. The ``lexicon`` is that of :func:`load_lexicon`.
-    Only the tables asked for are read, so only their warnings are logged.
+    must hold a sentence. Only the tables asked for are read, so only their
+    warnings are logged.
     """
     stats: CorpusStats = corpus.fold
     window = stats.window(config.sl_min, config.sl_max)
@@ -435,9 +420,7 @@ def compute_analyses(
             spearman_by_sl(window), config.min_bucket
         )
     if "valency.csv" in tables:
-        analyses.valency_cells, analyses.lexicon_misses = valency_conditioned_counts(
-            window, lexicon=lexicon, valency_mode=config.valency_mode
-        )
+        analyses.valency_cells, analyses.lexicon_misses = valency_conditioned_counts(window)
         analyses.valency_fits = fit_valency_models(
             analyses.valency_cells, log_base=config.log_base_value
         )

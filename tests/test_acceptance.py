@@ -26,11 +26,12 @@ from depmetrics.analysis import (
 )
 from depmetrics.cli import main
 from depmetrics.metrics import metric_record
-from depmetrics.randtree import GeneratorConfig, chain_heads, enumerate_trees, random_tree, star_heads
+from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads
 from depmetrics.stats import Distribution, entropy, midranks, ols_fit, spearman
 from depmetrics.treebank import Sentence, iter_parse, parse_canonical, parse_conllu, validate_tree
 
 from .conftest import DATA_DIR, DEMO7_HEADS, exact_means
+from .reference_randtree import enumerate_trees
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -134,7 +135,7 @@ def test_criterion_05_hd1_equals_root_out_degree():
         stats = CorpusStats()
         for sentence in sentences:
             stats.add(sentence)
-        cells, misses = valency_conditioned_counts(stats, valency_mode="root-out-degree")
+        cells, misses = valency_conditioned_counts(stats)
         assert misses == 0
         for cell in cells:
             assert cell.valency == target_degree

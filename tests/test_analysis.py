@@ -22,24 +22,19 @@ from depmetrics.analysis import (
 from depmetrics.analysis import SeriesPoint
 from depmetrics.errors import EmptyLexicon, EmptySelection, TooShort
 from depmetrics.metrics import metric_record
-from depmetrics.randtree import (
-    GeneratorConfig,
-    chain_heads,
-    enumerate_trees,
-    random_tree,
-    star_heads,
-)
+from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads
 from depmetrics.treebank import Sentence, ValencyLexicon, parse_canonical, parse_conllu
 
 from .conftest import make_sentence
+from .reference_randtree import enumerate_trees
 
 
 def rec(heads, id="s", lemmas=None):
     return make_sentence(heads, id=id, lemmas=lemmas)
 
 
-def fold(sentences):
-    stats = CorpusStats()
+def fold(sentences, lexicon=None):
+    stats = CorpusStats(lexicon=lexicon)
     for sentence in sentences:
         stats.add(sentence)
     return stats
@@ -65,7 +60,7 @@ def test_fold_totals_of_the_demo_sentence(demo7):
     assert cell.value_counts("hd") == {2: 2, 1: 3, 3: 1}
     assert (cell.dd_total, cell.hd_total) == (11, 10)
     assert cell.pairs == {(11, 10): 1}
-    assert cell.valency == {(None, 3): [4, 3, 1]}
+    assert cell.valency == {3: [4, 3, 1]}
 
 
 def test_fold_of_an_unvalidated_sentence_walks_its_depths(demo7):
@@ -266,9 +261,7 @@ def test_split_gated_partitions_by_sample_count():
 
 
 def test_valency_counts_root_out_degree_mode(star5_record, chain5_record):
-    cells, misses = valency_conditioned_counts(
-        fold([star5_record, chain5_record]), valency_mode="root-out-degree"
-    )
+    cells, misses = valency_conditioned_counts(fold([star5_record, chain5_record]))
     assert misses == 0
     assert cells == [
         ValencyCell(valency=1, sl=5, avg_dd1=4.0, avg_hd1=1.0, n=1),
@@ -287,24 +280,30 @@ def test_valency_counts_lexicon_mode(data_dir):
     lexicon = ValencyLexicon.from_tsv((data_dir / "lexicon.tsv").read_bytes())
     known = make_sentence((2, 0), id="known", lemmas=[None, "trade"])
     unknown = make_sentence((2, 0), id="unknown", lemmas=[None, "zzz"])
-    cells, misses = valency_conditioned_counts(
-        fold([known, unknown]), lexicon=lexicon, valency_mode="lexicon"
-    )
+    cells, misses = valency_conditioned_counts(fold([known, unknown], lexicon))
     assert misses == 1
     assert cells == [ValencyCell(valency=4, sl=2, avg_dd1=1.0, avg_hd1=1.0, n=1)]
 
 
 def test_valency_counts_lexicon_mode_requires_lexicon(star5_record):
-    stats = fold([star5_record])
     with pytest.raises(EmptyLexicon):
-        valency_conditioned_counts(stats, valency_mode="lexicon")
-    with pytest.raises(EmptyLexicon):
-        valency_conditioned_counts(stats, lexicon=ValencyLexicon(entries={}), valency_mode="lexicon")
+        valency_conditioned_counts(fold([star5_record], ValencyLexicon(entries={})))
 
 
-def test_valency_counts_validates_arguments(star5_record):
-    with pytest.raises(ValueError):
-        valency_conditioned_counts(fold([star5_record]), valency_mode="x")
+def test_the_valency_tally_holds_a_class_not_a_lemma():
+    sentences = []
+    for i in range(200):  # 200 distinct root lemmas, about 40 sentences of each length
+        heads = random_tree(GeneratorConfig(n=2 + i % 5, seed=11), i).heads()
+        lemmas = [None] * len(heads)
+        lemmas[heads.index(0)] = f"w{i}"
+        sentences.append(rec(heads, id=f"s{i}", lemmas=lemmas))
+    lexicon = ValencyLexicon({f"w{i}": 1 + i % 4 for i in range(0, 200, 2)})  # every other lemma
+    for stats, most in ((fold(sentences), 4), (fold(sentences, lexicon), 5)):  # 4 classes, plus misses
+        for cell in stats.by_sl.values():
+            assert len(cell.valency) <= most
+            assert sum(n for _, _, n in cell.valency.values()) == cell.n
+    _, misses = valency_conditioned_counts(fold(sentences, lexicon))
+    assert misses == 100
 
 
 def test_valency_cell_bounds_on_random_corpus():

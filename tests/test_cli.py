@@ -319,6 +319,24 @@ def test_config_file_errors(data_dir, tmp_path, capsys):
     assert "unknown config key" in err
 
 
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    config_path = tmp_path / "run.json"
+    config_path.write_bytes(b'{"sl_max": \xff}')
+    code, _, err = run(["report", "--config", str(config_path)], capsys)
+    assert code == 2
+    assert err.startswith(f"config error: {config_path}: 'utf-8' codec can't decode byte 0xff in position 11")
+
+
+def test_config_file_input_entry_with_an_unknown_key_is_a_config_error(data_dir, tmp_path, capsys):
+    config_path = tmp_path / "run.json"
+    entry = {"path": str(data_dir / "sample_200.jsonl"), "fromat": "conllu"}
+    config_path.write_text(json.dumps({"inputs": [entry]}), encoding="utf-8")
+    code, _, err = run(["report", "--config", str(config_path), "--output-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert err == f"config error: {config_path}: unknown input entry key 'fromat'\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize(
     "setting",
     [
@@ -504,7 +522,7 @@ def test_metrics_dump_to_stdout(data_dir, capsys):
 def test_internal_errors_exit_three(data_dir, capsys, monkeypatch):
     import depmetrics.cli as cli_module
 
-    def boom(config, corpus, lexicon, command):
+    def boom(config, corpus, command):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(cli_module, "compute_analyses", boom)

@@ -79,17 +79,12 @@ def _outcome(compute):
 @given(corpora(), settings_and_lexicons())
 def test_every_table_of_the_fold_equals_the_per_record_reference(sentences, setup):
     config, entries = setup
-    stats = CorpusStats()
-    for sentence in sentences:
-        stats.add(sentence)
-    corpus = CorpusData(
-        accepted=len(sentences), rejections=[], single_node_count=0, inputs=[], fold=stats
-    )
     with tempfile.TemporaryDirectory() as tmp:
         lexicon_path = Path(tmp) / "lexicon.tsv"
         lexicon_path.write_text("".join(f"{k}\t{v}\n" for k, v in entries.items()), encoding="utf-8")
         config.lexicon_path = str(lexicon_path)
-        got = _outcome(lambda: compute_analyses(config, corpus, load_lexicon(config)))
+        stats = _fold(sentences, load_lexicon(config))
+    got = _outcome(lambda: compute_analyses(config, CorpusData(inputs=[], fold=stats)))
     want = _outcome(lambda: reference_analyses(config, sentences, ValencyLexicon(entries)))
     assert got == want
 
@@ -125,8 +120,8 @@ def test_report_does_not_depend_on_sentence_order_or_file_split(sentences, rng, 
         assert _report_bytes(split, Path(many), flags) == _report_bytes([sentences], Path(one), flags)
 
 
-def _fold(sentences) -> CorpusStats:
-    stats = CorpusStats()
+def _fold(sentences, lexicon: ValencyLexicon | None) -> CorpusStats:
+    stats = CorpusStats(lexicon=lexicon)
     for sentence in sentences:
         stats.add(sentence)
     return stats
@@ -136,18 +131,15 @@ def _fold(sentences) -> CorpusStats:
 @given(corpora(), settings_and_lexicons(), st.randoms(use_true_random=False), st.integers(1, 5))
 def test_merged_shard_folds_in_any_order_give_the_one_fold_tables(sentences, setup, rng, parts):
     config, entries = setup
+    lexicon = ValencyLexicon(entries) if config.valency_mode == "lexicon" else None
     cuts = sorted(rng.randint(0, len(sentences)) for _ in range(parts - 1))
-    folds = [_fold(sentences[a:b]) for a, b in zip([0, *cuts], [*cuts, len(sentences)])]
+    folds = [_fold(sentences[a:b], lexicon) for a, b in zip([0, *cuts], [*cuts, len(sentences)])]
     rng.shuffle(folds)
-    merged = CorpusStats()
+    merged = CorpusStats(lexicon=lexicon)
     for fold in folds:
         merged.merge(fold)
-    lexicon = ValencyLexicon(entries)
 
     def tables(stats):
-        corpus = CorpusData(
-            accepted=len(sentences), rejections=[], single_node_count=0, inputs=[], fold=stats
-        )
-        return _outcome(lambda: compute_analyses(config, corpus, lexicon))
+        return _outcome(lambda: compute_analyses(config, CorpusData(inputs=[], fold=stats)))
 
-    assert tables(merged) == tables(_fold(sentences))
+    assert tables(merged) == tables(_fold(sentences, lexicon))

@@ -6,8 +6,9 @@ import pytest
 
 from depmetrics.errors import TooShort
 from depmetrics.metrics import dependency_terms, metric_record, node_depths
-from depmetrics.randtree import GeneratorConfig, chain_heads, enumerate_trees, random_tree, star_heads
+from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads
 from .conftest import exact_means, make_sentence
+from .reference_randtree import enumerate_trees
 
 
 def brute_hd(heads, index):

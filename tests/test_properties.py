@@ -31,6 +31,7 @@ from depmetrics.treebank import (
     FORMATS,
     Rejection,
     Sentence,
+    ValencyLexicon,
     iter_byte_range,
     iter_cabocha,
     iter_canonical,
@@ -141,19 +142,19 @@ def test_the_fold_and_the_metric_record_agree(n, seed, validated, with_lemmas):
         sentence = validate_tree(sentence)
         assert dependency_terms(sentence)[1] is sentence.depths  # read, not copied or walked again
     record = metric_record(sentence)
-    stats = CorpusStats()
+    lexicon = ValencyLexicon({f"w{i}": 1 + i % 4 for i in range(1, n + 1, 2)}) if with_lemmas else None
+    stats = CorpusStats(lexicon=lexicon)
     stats.add(sentence)
     [(sl, cell)] = stats.by_sl.items()
     assert (sl, cell.n) == (record.sl, 1)
     assert dict(cell.value_counts("dd")) == record.dd_hist
     assert dict(cell.value_counts("hd")) == record.hd_hist
     assert (cell.dd_total, cell.hd_total) == (record.dd_total, record.hd_total)
-    root_lemma = lemmas[heads.index(0)] if lemmas else None
-    assert cell.valency == {
-        (root_lemma, min(record.root_out_degree, MAX_VALENCY_CLASS)): [
-            record.dd_hist.get(1, 0), record.hd_hist.get(1, 0), 1
-        ]
-    }
+    if lexicon is None:
+        valency = min(record.root_out_degree, MAX_VALENCY_CLASS)
+    else:  # the root lemma's class, None for an even position
+        valency = lexicon.get(lemmas[heads.index(0)])
+    assert cell.valency == {valency: [record.dd_hist.get(1, 0), record.hd_hist.get(1, 0), 1]}
 
 
 @settings(max_examples=500, deadline=None)
