@@ -9,6 +9,7 @@ error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
@@ -182,7 +183,7 @@ class MetricLines:
     lines: list[str] = field(default_factory=list)  # the lines after the files
 
     def add(self, sentence: Sentence) -> None:
-        self.lines.append(json.dumps(metric_record(sentence).to_json_dict(), sort_keys=True))
+        self.lines.append(metric_record(sentence).json_line())
         if len(self.lines) >= METRIC_BATCH:
             self._write_lines()
 
@@ -353,5 +354,18 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def entry_point() -> int:
+    """Run :func:`main` as the process: ``python -m depmetrics`` and the ``depmetrics`` script.
+
+    It first calls ``gc.freeze``, which moves every object the imports made
+    to the permanent generation: no later collection walks them, here or in
+    the workers this process forks, and the interpreter does not deallocate
+    them at exit. ``main`` itself never freezes, because a process that
+    calls it many times would keep the garbage of each call.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

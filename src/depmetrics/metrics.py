@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import sub
+from json.encoder import encode_basestring_ascii
+from operator import mul, sub
 from typing import Mapping
 
 from .errors import TooShort
@@ -65,11 +66,11 @@ class MetricRecord:
 
     @property
     def dd_total(self) -> int:
-        return sum(value * count for value, count in self.dd_hist.items())
+        return sum(map(mul, self.dd_hist, self.dd_hist.values()))
 
     @property
     def hd_total(self) -> int:
-        return sum(value * count for value, count in self.hd_hist.items())
+        return sum(map(mul, self.hd_hist, self.hd_hist.values()))
 
     @property
     def mdd(self) -> float:
@@ -79,17 +80,33 @@ class MetricRecord:
     def mhd(self) -> float:
         return self.hd_total / (self.sl - 1)
 
-    def to_json_dict(self) -> dict[str, object]:
-        """Plain-data view used by the per-sentence JSONL dump."""
-        return {
-            "id": self.sentence_id,
-            "sl": self.sl,
-            "mdd": round(self.mdd, 4),
-            "mhd": round(self.mhd, 4),
-            "dd_hist": {str(k): self.dd_hist[k] for k in sorted(self.dd_hist)},
-            "hd_hist": {str(k): self.hd_hist[k] for k in sorted(self.hd_hist)},
-            "root_out_degree": self.root_out_degree,
-        }
+    def json_line(self) -> str:
+        """The record as one ``metrics`` line, without its LF.
+
+        The text is that of ``json.dumps`` with ``sort_keys=True`` on the
+        record's plain-data form: keys in sorted order, histogram keys as
+        JSON strings in text order (``"1"``, ``"10"``, ``"2"``), the id with
+        ASCII escapes, ``mdd``/``mhd`` rounded to 4 places.
+        """
+        return (
+            f'{{"dd_hist": {_hist_json(self.dd_hist)}, "hd_hist": {_hist_json(self.hd_hist)}, '
+            f'"id": {encode_basestring_ascii(self.sentence_id)}, "mdd": {round(self.mdd, 4)!r}, '
+            f'"mhd": {round(self.mhd, 4)!r}, "root_out_degree": {self.root_out_degree}, "sl": {self.sl}}}'
+        )
+
+
+_KEY_TABLE = 1 << 10  # histogram keys whose JSON text and text order are precomputed
+_KEY_TEXT = [f'"{key}": ' for key in range(_KEY_TABLE)]
+_KEY_RANK = {key: rank for rank, key in enumerate(sorted(range(_KEY_TABLE), key=str))}
+
+
+def _hist_json(hist: Mapping[int, int]) -> str:
+    """A histogram as a JSON object with string keys, its members in key-text order."""
+    try:
+        keys = sorted(hist, key=_KEY_RANK.__getitem__)
+    except KeyError:  # a key outside the table
+        return "{" + ", ".join([f'"{key}": {hist[key]}' for key in sorted(hist, key=str)]) + "}"
+    return "{" + ", ".join([_KEY_TEXT[key] + str(hist[key]) for key in keys]) + "}"
 
 
 def metric_record(sentence: Sentence) -> MetricRecord:

@@ -45,7 +45,7 @@ from .analysis import (
     split_gated,
     valency_conditioned_counts,
 )
-from .errors import ConfigError, EmptySelection
+from .errors import ConfigError, EmptyLexicon, EmptySelection
 from .randtree import RNG_NAME
 from .stats import Distribution, significance_stars
 from .treebank import FORMATS, Rejection, Sentence, ValencyLexicon, iter_byte_range
@@ -376,12 +376,15 @@ class Analyses:
 
 
 def load_lexicon(config: RunConfig) -> ValencyLexicon | None:
-    """The valency lexicon of lexicon mode, read and checked; None in the other mode."""
+    """The valency lexicon of lexicon mode, read, checked and not empty; None in the other mode."""
     if config.valency_mode != "lexicon":
         return None
     lexicon_path = config.lexicon_path
     assert lexicon_path is not None  # enforced by RunConfig.validate
-    return ValencyLexicon.from_tsv(Path(lexicon_path).read_bytes(), source=lexicon_path)
+    lexicon = ValencyLexicon.from_tsv(Path(lexicon_path).read_bytes(), source=lexicon_path)
+    if not len(lexicon):
+        raise EmptyLexicon(f"{lexicon_path}: lexicon mode requires a non-empty valency lexicon")
+    return lexicon
 
 
 def compute_analyses(config: RunConfig, corpus: CorpusData, command: str = "report") -> Analyses:

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from depmetrics.cli import main
 from depmetrics.metrics import metric_record
 from depmetrics.treebank import parse_canonical, parse_conllu, serialize_canonical
 
+from . import reference_metrics
 from .conftest import DEMO7_HEADS, make_sentence
 
 
@@ -77,10 +79,10 @@ def test_metrics_dump_matches_library(data_dir, tmp_path, capsys):
     assert lines[0].startswith("# ")
     meta = json.loads(lines[0][2:])
     assert meta["command"] == "metrics"
-    records = [json.loads(line) for line in lines[1:]]
     sentences = parse_conllu((data_dir / "sample_ud.conllu").read_bytes(), errors="skip")
-    expected = [metric_record(s).to_json_dict() for s in sentences if len(s) >= 2]
-    assert records == expected
+    expected = [metric_record(s) for s in sentences if len(s) >= 2]
+    assert lines[1:] == [reference_metrics.json_line(record) for record in expected]
+    assert [json.loads(line) for line in lines[1:]] == list(map(reference_metrics.json_dict, expected))
 
 
 # --- report ------------------------------------------------------------------------
@@ -257,6 +259,21 @@ def test_malformed_lexicon_fails_before_any_input_is_parsed(
     assert code == 1
     assert out == ""
     assert err == f"input error: {lexicon}:1: valency must be 1..4, got 5\n"
+
+
+@pytest.mark.parametrize("command", ["dist", "entropy", "trend", "corr", "valency", "report"])
+def test_empty_lexicon_fails_before_any_input_is_read(command, data_dir, tmp_path, capsys):
+    lexicon = tmp_path / "empty.tsv"
+    lexicon.write_text("# no entries\n", encoding="utf-8")
+    code, out, err = run(
+        [command, str(data_dir / "sample.cabocha"), str(tmp_path / "absent.cabocha"),
+         "--valency-mode", "lexicon", "--lexicon", str(lexicon), "--output-dir", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"input error: {lexicon}: lexicon mode requires a non-empty valency lexicon\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_lexicon_lemma_with_two_classes_is_an_input_error(data_dir, tmp_path, capsys):
@@ -538,6 +555,14 @@ def test_partial_outputs_removed_on_write_failure(tmp_path):
     with pytest.raises(OSError):
         write_outputs(str(tmp_path), files)
     assert not (tmp_path / "ok.csv").exists()
+
+
+def test_main_leaves_the_heap_unfrozen(data_dir, tmp_path, capsys):
+    # only the process entry point freezes; a caller of main() keeps its garbage collectable
+    before = gc.get_freeze_count()
+    code, _, _ = run(["metrics", str(data_dir / "sample_200.jsonl"), "-o", str(tmp_path / "m.jsonl")], capsys)
+    assert code == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_console_entry_point_runs():

@@ -5,7 +5,9 @@ Each case copies its fixtures into an empty directory, runs the CLI there
 with relative paths (so ``meta.json`` and the ``wrote ...`` lines do not
 depend on where the test runs) and compares stdout and every written file
 with ``tests/data/golden/<case>/``. ``stdout`` is stored as a file of that
-name. To regenerate the files after an intended output change, run
+name. The ``metrics_jsonl`` case also runs in a child process through the
+package's ``__main__``, which must freeze the heap before ``main`` starts.
+To regenerate the files after an intended output change, run
 
     PYTHONPATH=src python -m tests.test_golden
 
@@ -18,10 +20,13 @@ import contextlib
 import io
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import depmetrics
 from depmetrics.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -86,6 +91,38 @@ def test_golden_output(name, tmp_path):
     assert sorted(actual) == sorted(expected)
     for file_name, data in expected.items():
         assert actual[file_name] == data, f"{name}/{file_name} differs from the golden copy"
+
+
+# Runs the package's __main__ as ``python -m depmetrics`` does, with cli.main
+# wrapped to report how many objects were frozen before it started.
+ENTRY_POINT_SCRIPT = """
+import gc, runpy, sys
+from depmetrics import cli
+main = cli.main
+def reporting_main(argv=None):
+    print(f"frozen before main: {gc.get_freeze_count()}", file=sys.stderr)
+    return main(argv)
+cli.main = reporting_main
+runpy.run_module("depmetrics", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_process_entry_point_freezes_the_heap_and_writes_the_golden_metrics(tmp_path):
+    fixtures, argv = CASES["metrics_jsonl"]
+    for fixture in fixtures:
+        shutil.copyfile(DATA_DIR / fixture, tmp_path / fixture)
+    (tmp_path / OUTPUT_DIR).mkdir()
+    src = str(Path(depmetrics.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", ENTRY_POINT_SCRIPT, *argv], cwd=tmp_path, env=env, capture_output=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN_DIR / "metrics_jsonl" / "stdout").read_bytes()
+    frozen = int(result.stderr.decode().splitlines()[0].removeprefix("frozen before main: "))
+    assert frozen > 0
+    expected = (GOLDEN_DIR / "metrics_jsonl" / "metrics.jsonl").read_bytes()
+    assert (tmp_path / OUTPUT_DIR / "metrics.jsonl").read_bytes() == expected
 
 
 if __name__ == "__main__":

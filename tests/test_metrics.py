@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from depmetrics.errors import TooShort
 from depmetrics.metrics import dependency_terms, metric_record, node_depths
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads
+from . import reference_metrics
 from .conftest import exact_means, make_sentence
 from .reference_randtree import enumerate_trees
 
@@ -153,7 +155,10 @@ def test_against_brute_force_on_1000_random_trees():
 
 
 def test_to_json_dict_rounds_and_sorts(demo7):
-    payload = metric_record(demo7).to_json_dict()
+    record = metric_record(demo7)
+    assert record.json_line() == reference_metrics.json_line(record)
+    payload = json.loads(record.json_line())
+    assert payload == reference_metrics.json_dict(record)
     assert payload["mdd"] == 1.8333
     assert payload["mhd"] == 1.6667
     assert list(payload["dd_hist"]) == ["1", "2", "5"]

@@ -1,6 +1,6 @@
 """Property tests: the fused validate-and-depth walk, the two consumers of the per-sentence kernel,
-the canonical and CoNLL-U round trips, the canonical writer, and the streaming parsers, their byte
-ranges and the one-pass CaboCha reader on arbitrary text and bytes."""
+the canonical and CoNLL-U round trips, the canonical and ``metrics`` line writers, and the streaming
+parsers, their byte ranges and the one-pass CaboCha reader on arbitrary text and bytes."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from depmetrics.errors import (
     SelfLoop,
 )
 from depmetrics.metrics import dependency_terms, metric_record
-from depmetrics.randtree import GeneratorConfig, random_tree
+from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads
 from depmetrics.treebank import (
     FORMATS,
     Rejection,
@@ -45,7 +45,7 @@ from depmetrics.treebank import (
     validate_tree,
 )
 
-from . import reference_treebank
+from . import reference_metrics, reference_treebank
 
 
 def ordered_checks_oracle(heads, id):
@@ -241,14 +241,12 @@ def test_conllu_round_trip_of_random_trees(trees, data):
 
 
 # Characters json escapes or leaves raw, and the ones a line reader could split on.
-json_text = st.text(
-    st.one_of(
-        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029",
-                         "\ud800", "\udfff", "\U0001f600", "é"]),
-        st.characters(codec=None),
-    ),
-    max_size=8,
+json_chars = st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029",
+                     "\ud800", "\udfff", "\U0001f600", "é"]),
+    st.characters(codec=None),
 )
+json_text = st.text(json_chars, max_size=8)
 
 
 @settings(max_examples=500, deadline=None)
@@ -258,6 +256,31 @@ def test_canonical_writer_matches_the_json_dumps_reference(heads, sent_id, data)
     columns = st.one_of(st.none(), st.lists(st.one_of(st.none(), json_text), min_size=n, max_size=n))
     sentence = Sentence.from_heads(heads, id=sent_id, forms=data.draw(columns), lemmas=data.draw(columns))
     assert serialize_canonical(sentence) == reference_treebank.serialize_canonical(sentence)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 2**32), st.text(json_chars))
+def test_metric_json_line_matches_the_json_dumps_reference(n, seed, sent_id):
+    heads = random_tree(GeneratorConfig(n=n, seed=seed)).heads()
+    record = metric_record(validate_tree(Sentence.from_heads(heads, id=sent_id)))
+    assert record.json_line() == reference_metrics.json_line(record)
+
+
+@pytest.mark.parametrize(
+    "heads",
+    [
+        chain_heads(1100),  # HD keys up to 1,099
+        star_heads(1024),  # DD keys up to 1,023, the last one in the table
+        star_heads(1100),  # DD keys up to 1,099
+        random_tree(GeneratorConfig(n=1023, seed=7)).heads(),
+        random_tree(GeneratorConfig(n=1100, seed=7)).heads(),
+        random_tree(GeneratorConfig(n=3000, seed=7)).heads(),
+    ],
+    ids=["chain-1100", "star-1024", "star-1100", "random-1023", "random-1100", "random-3000"],
+)
+def test_metric_json_line_matches_the_reference_beyond_the_key_table(heads):
+    record = metric_record(validate_tree(Sentence.from_heads(heads, id="long")))
+    assert record.json_line() == reference_metrics.json_line(record)
 
 
 # Lines that each format's parser branches on, mixed with arbitrary text below.
