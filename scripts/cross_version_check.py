@@ -10,8 +10,12 @@ script compares the writer with the ``json.dumps`` reference of
 random ids (quotes, backslashes, control characters, non-ASCII and
 non-BMP characters, lone surrogates, U+2028/U+2029), and on trees whose
 histogram keys pass the writer's 1,024-key table. It then runs the
-``metrics_jsonl`` golden case through ``python -m depmetrics`` and compares
-the bytes. It prints one line per check and exits 0 when all of them pass.
+``metrics_jsonl``, ``generate_random`` and ``generate_capped`` golden cases
+through ``python -m depmetrics`` and compares the bytes. Last, it runs the
+closed-stdout cases of ``tests/closed_stdout.py``, with the child's stdout
+buffered and unbuffered: when a write into a closed pipe fails, and whether
+the interpreter's last flush reports it, differ between versions. It
+prints one line per check and exits 0 when all of them pass.
 """
 
 from __future__ import annotations
@@ -31,12 +35,20 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from depmetrics.metrics import metric_record  # noqa: E402
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads  # noqa: E402
 from depmetrics.treebank import Sentence, validate_tree  # noqa: E402
-from tests import reference_metrics  # noqa: E402
+from tests import closed_stdout, reference_metrics  # noqa: E402
 
 SPECIAL_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029",
                  "\ud800", "\udfff", "\U0001f600", "\u00e9"]
-GOLDEN = ROOT / "tests" / "data" / "golden" / "metrics_jsonl"
-GOLDEN_ARGV = ["metrics", "sample_200.jsonl", "noisy.jsonl", "-o", "out/metrics.jsonl"]
+GOLDEN = ROOT / "tests" / "data" / "golden"
+# golden case -> (fixtures to copy, CLI arguments), as in tests/test_golden.py
+GOLDEN_CASES = {
+    "metrics_jsonl": (("sample_200.jsonl", "noisy.jsonl"),
+                      ["metrics", "sample_200.jsonl", "noisy.jsonl", "-o", "out/metrics.jsonl"]),
+    "generate_random": ((), ["generate", "--n", "12", "--count", "300", "--seed", "5",
+                             "-o", "out/random.jsonl"]),
+    "generate_capped": ((), ["generate", "--n", "40", "--count", "60", "--seed", "2",
+                             "--max-root-out-degree", "3", "-o", "out/capped.jsonl"]),
+}
 
 
 def random_id(rng: random.Random) -> str:
@@ -64,21 +76,34 @@ def writer_mismatches(examples: int) -> tuple[int, list[str]]:
     return len(cases), bad
 
 
-def golden_metrics_matches() -> bool:
-    """Whether ``python -m depmetrics`` writes the golden ``metrics_jsonl`` bytes."""
+def golden_case_matches(case: str) -> bool:
+    """Whether ``python -m depmetrics`` writes the stdout and every file of a golden case."""
+    fixtures, argv = GOLDEN_CASES[case]
     with tempfile.TemporaryDirectory() as tmp:
-        for name in ("sample_200.jsonl", "noisy.jsonl"):
+        for name in fixtures:
             shutil.copyfile(ROOT / "tests" / "data" / name, Path(tmp) / name)
         (Path(tmp) / "out").mkdir()
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                                          os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-m", "depmetrics", *GOLDEN_ARGV],
+        result = subprocess.run([sys.executable, "-m", "depmetrics", *argv],
                                 cwd=tmp, env=env, capture_output=True)
-        return (
-            result.returncode == 0
-            and result.stdout == (GOLDEN / "stdout").read_bytes()
-            and (Path(tmp) / "out" / "metrics.jsonl").read_bytes() == (GOLDEN / "metrics.jsonl").read_bytes()
-        )
+        expected = {path.name: path.read_bytes() for path in (GOLDEN / case).iterdir()}
+        actual = {path.name: path.read_bytes() for path in (Path(tmp) / "out").iterdir()}
+        return result.returncode == 0 and {**actual, "stdout": result.stdout} == expected
+
+
+def closed_stdout_outcomes() -> list[tuple[str, bool, str]]:
+    """Each closed-stdout case, buffered and unbuffered: its name, whether it passed, and what it gave."""
+    outcomes = []
+    for case in sorted(closed_stdout.CASES):
+        for buffered in (True, False):
+            with tempfile.TemporaryDirectory() as tmp:
+                status, stderr, left = closed_stdout.run_case(case, Path(tmp), buffered)
+            name = f"{case}, {'buffered' if buffered else 'unbuffered'}"
+            got = f"exit {status}" + "".join(f"; stderr {line!r}" for line in stderr[:2]) + (
+                f"; left {left}" if left else "")
+            outcomes.append((name, (status, stderr, left) == (141, [], []), got))
+    return outcomes
 
 
 def main() -> int:
@@ -89,9 +114,15 @@ def main() -> int:
     compared, bad = writer_mismatches(args.examples)
     print(f"json_line vs json.dumps: {compared - len(bad)} of {compared} agree"
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
-    golden = golden_metrics_matches()
-    print(f"metrics_jsonl golden via python -m depmetrics: {'identical' if golden else 'DIFFERS'}")
-    return 0 if golden and not bad else 1
+    ok = not bad
+    for case in GOLDEN_CASES:
+        golden = golden_case_matches(case)
+        ok &= golden
+        print(f"{case} golden via python -m depmetrics: {'identical' if golden else 'DIFFERS'}")
+    for name, passed, got in closed_stdout_outcomes():
+        ok &= passed
+        print(f"closed stdout, {name}: {got}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Subcommands: validate, metrics, dist, entropy, trend, corr, valency, report,
 generate. Settings come from flags or a single JSON config file; explicit
 flags override the file. Exit codes: 0 success, 1 input error, 2 config
-error, 3 internal error.
+error, 3 internal error, 141 (128 + SIGPIPE) when stdout is closed before
+the output is written, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import gc
 import json
 import logging
+import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
@@ -95,7 +97,7 @@ def _is_input_entry(entry: object) -> bool:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, the optional JSON config file, and explicit flags."""
+    """Merge defaults, the optional JSON config file, and explicit flags; at least one input is required."""
     values: dict[str, object] = {}
     if getattr(args, "config", None):
         try:
@@ -144,17 +146,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     config = RunConfig(**values)  # type: ignore[arg-type]
     config.validate()
-    return config
-
-
-def _require_inputs(config: RunConfig) -> None:
     if not config.inputs:
         raise ConfigError("no input files given (pass paths or a config file with 'inputs')")
+    return config
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     config = build_config(args)
-    _require_inputs(config)
     corpus = load_corpus(config, CountOnly)
     print("# " + json.dumps(run_meta(config, corpus, "validate"), sort_keys=True))
     for summary in corpus.inputs:
@@ -211,7 +209,6 @@ class MetricLines:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     config = build_config(args)
-    _require_inputs(config)
     with tempfile.TemporaryDirectory(prefix="depmetrics-") as directory:
         corpus = load_corpus(config, partial(MetricLines, directory))
         header = "# " + json.dumps(run_meta(config, corpus, "metrics"), sort_keys=True)
@@ -219,18 +216,17 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_text(output: str | None, text: str | Iterable[str]) -> None:
-    """Write to the ``-o`` file, replacing it only once the text is written, or to stdout."""
+def _write_text(output: str | None, pieces: Iterable[str]) -> None:
+    """Write the pieces to the ``-o`` file, replacing it only once all are written, or to stdout."""
     if output:
-        write_files({Path(output): text})
+        write_files({Path(output): pieces})
     else:
-        sys.stdout.writelines([text] if isinstance(text, str) else text)
+        sys.stdout.writelines(pieces)
 
 
 def cmd_tables(args: argparse.Namespace, command: str) -> int:
     """Write the tables of ``command`` (see ``COMMAND_TABLES``) and its meta.json."""
     config = build_config(args)
-    _require_inputs(config)
     corpus = load_corpus(config)
     analyses = compute_analyses(config, corpus, command)
     files = {name: REPORT_RENDERERS[name](config, analyses) for name in COMMAND_TABLES[command]}
@@ -264,10 +260,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     echo = {**asdict(gen_config), "tool": TOOL_NAME, "version": __version__, "command": "generate"}
-    header = "# " + json.dumps({**echo, "rng": RNG_NAME}, sort_keys=True)
-    lines = [header]
-    lines.extend(serialize_canonical(sentence) for sentence in generate(gen_config))
-    _write_text(args.output, "\n".join(lines) + "\n")
+    header = "# " + json.dumps({**echo, "rng": RNG_NAME}, sort_keys=True) + "\n"
+    trees = (serialize_canonical(sentence) + "\n" for sentence in generate(gen_config))
+    _write_text(args.output, chain([header], trees))
     return 0
 
 
@@ -335,15 +330,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE: what a shell reports for `yes | head -1`
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its output is flushed before it returns, so that a closed stdout shows here."""
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ConstraintUnsatisfiable as exc:
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:  # the reader of stdout has gone: nothing to tell it
+        return EXIT_CLOSED_STDOUT
+    except (ConfigError, ConstraintUnsatisfiable) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except INPUT_ERRORS as exc:
@@ -362,9 +362,16 @@ def entry_point() -> int:
     the workers this process forks, and the interpreter does not deallocate
     them at exit. ``main`` itself never freezes, because a process that
     calls it many times would keep the garbage of each call.
+
+    When stdout was closed under the command, fd 1 then points at the null
+    device, so that the interpreter's last flush at exit stays silent.
+    ``main`` never touches fd 1, since it may run inside another program.
     """
     gc.freeze()
-    return main()
+    status = main()
+    if status == EXIT_CLOSED_STDOUT:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

@@ -105,5 +105,4 @@ INPUT_ERRORS = (
     EmptySelection,
     EmptyLexicon,
     OSError,
-    UnicodeDecodeError,
 )

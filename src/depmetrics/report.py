@@ -214,8 +214,9 @@ def worker_count(paths: Sequence[str]) -> int:
 def load_corpus(config: RunConfig, new_fold: Callable[[], Fold] | None = None) -> CorpusData:
     """Parse all configured inputs, skipping invalid sentences with a reason, and fold them.
 
-    The default fold is a :class:`~depmetrics.analysis.CorpusStats` with the
-    lexicon of :func:`load_lexicon`, which is read before any input. Each
+    The lexicon of :func:`load_lexicon` is read and checked first, whatever
+    the fold, before any input. The default fold is a
+    :class:`~depmetrics.analysis.CorpusStats` with that lexicon. Each
     input is split into :func:`worker_count` byte ranges of about equal
     size, cut between sentences (:func:`~depmetrics.treebank.iter_byte_range`).
     The parent forks a child for every range but the first, loads the first
@@ -225,8 +226,8 @@ def load_corpus(config: RunConfig, new_fold: Callable[[], Fold] | None = None) -
     of it is an error. No sentence is kept, and no worker holds more of an
     input than ``CHUNK_BYTES`` and a sentence.
     """
-    if new_fold is None:
-        new_fold = partial(CorpusStats, lexicon=load_lexicon(config))
+    lexicon = load_lexicon(config)
+    new_fold = new_fold or partial(CorpusStats, lexicon=lexicon)
     workers = worker_count([path for path, _ in config.inputs])
     shards = _in_workers(workers, lambda k: _load_shard(config, new_fold, k, workers))
     fold = new_fold()
@@ -447,19 +448,15 @@ def _pval(x: float) -> str:
 
 def render_dist_csv(config: RunConfig, analyses: Analyses) -> str:
     lines = ["metric,sl_bucket,value,count,probability"]
-    pooled_bucket = f"{config.sl_min}-{config.sl_max}"
     for metric in ("dd", "hd"):
-        dist = analyses.pooled[metric]
-        total = dist.total
-        for value in dist.support():
-            count = dist.counts[value]
-            lines.append(f"{metric},{pooled_bucket},{value},{count},{_prob(count / total)}")
-        for sl in sorted(analyses.conditional[metric]):
-            dist = analyses.conditional[metric][sl]
+        conditional = analyses.conditional[metric]
+        buckets = [(f"{config.sl_min}-{config.sl_max}", analyses.pooled[metric])]
+        buckets += [(str(sl), conditional[sl]) for sl in sorted(conditional)]
+        for bucket, dist in buckets:
             total = dist.total
             for value in dist.support():
                 count = dist.counts[value]
-                lines.append(f"{metric},{sl},{value},{count},{_prob(count / total)}")
+                lines.append(f"{metric},{bucket},{value},{count},{_prob(count / total)}")
     return "\n".join(lines) + "\n"
 
 
@@ -544,6 +541,17 @@ def _dist_json(dist: Distribution) -> dict[str, object]:
     }
 
 
+def _entropy_json(points_by_metric: dict[str, list[SeriesPoint]]) -> dict[str, object]:
+    return {
+        m: [{"sl": p.sl, "entropy": round(p.value, 4), "n": p.n} for p in points_by_metric[m]]
+        for m in ("dd", "hd")
+    }
+
+
+def _correlation_json(points: Sequence[CorrelationPoint]) -> list[dict[str, object]]:
+    return [{"sl": p.sl, "rho": round(p.rho, 4), "p_value": p.p_value, "n": p.n} for p in points]
+
+
 def run_meta(config: RunConfig, corpus: CorpusData, command: str) -> dict[str, object]:
     meta: dict[str, object] = {
         "tool": TOOL_NAME,
@@ -580,25 +588,13 @@ def report_json_dict(config: RunConfig, corpus: CorpusData, analyses: Analyses) 
             m: {str(sl): _dist_json(d) for sl, d in sorted(analyses.conditional[m].items())}
             for m in ("dd", "hd")
         },
-        "entropy_by_sl": {
-            "base": config.entropy_base,
-            "series": {
-                m: [
-                    {"sl": p.sl, "entropy": round(p.value, 4), "n": p.n}
-                    for p in analyses.entropy_points[m]
-                ]
-                for m in ("dd", "hd")
-            },
-        },
+        "entropy_by_sl": {"base": config.entropy_base, "series": _entropy_json(analyses.entropy_points)},
         "trend": [
             {"sl": m.sl, "mean_mdd": round(m.value, 4), "mean_mhd": round(h.value, 4), "n": m.n}
             for m, h in zip(analyses.mdd_series, analyses.mhd_series)
         ],
         "crossings": [list(interval) for interval in analyses.crossings],
-        "correlation_by_sl": [
-            {"sl": p.sl, "rho": round(p.rho, 4), "p_value": p.p_value, "n": p.n}
-            for p in analyses.corr_points
-        ],
+        "correlation_by_sl": _correlation_json(analyses.corr_points),
         "valency": {
             "mode": config.valency_mode,
             "lexicon_misses": analyses.lexicon_misses,
@@ -631,17 +627,8 @@ def report_json_dict(config: RunConfig, corpus: CorpusData, analyses: Analyses) 
         },
         "gated": {
             "min_bucket": config.min_bucket,
-            "entropy": {
-                m: [
-                    {"sl": p.sl, "entropy": round(p.value, 4), "n": p.n}
-                    for p in analyses.entropy_gated[m]
-                ]
-                for m in ("dd", "hd")
-            },
-            "correlation": [
-                {"sl": p.sl, "rho": round(p.rho, 4), "p_value": p.p_value, "n": p.n}
-                for p in analyses.corr_gated
-            ],
+            "entropy": _entropy_json(analyses.entropy_gated),
+            "correlation": _correlation_json(analyses.corr_gated),
         },
         "rejections": [
             {"source": r.source, "reason": r.reason, "sentence_id": r.sentence_id}
@@ -676,8 +663,8 @@ COMMAND_TABLES = {
 }
 
 
-def write_files(files: dict[Path, str | Iterable[str]]) -> None:
-    """Write texts as UTF-8, all of them or none; a text may come as an iterable of pieces.
+def write_files(files: dict[Path, Iterable[str]]) -> None:
+    """Write each text, given as an iterable of pieces, as UTF-8: all of them or none.
 
     Each text goes to a temporary file beside its target; only when every one
     is written are they renamed into place, so a failure leaves the previous
@@ -685,12 +672,12 @@ def write_files(files: dict[Path, str | Iterable[str]]) -> None:
     """
     pending: list[tuple[Path, Path]] = []
     try:
-        for target, text in files.items():
+        for target, pieces in files.items():
             temporary = target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")
             handle = open(temporary, "xb")  # "x": never truncate a file that is not ours
             pending.append((temporary, target))
             with handle:
-                for piece in [text] if isinstance(text, str) else text:
+                for piece in pieces:
                     handle.write(piece.encode("utf-8"))
         for temporary, target in pending:
             os.replace(temporary, target)
@@ -705,6 +692,6 @@ def write_outputs(output_dir: str, files: dict[str, str]) -> list[str]:
     """Write rendered texts into ``output_dir`` with :func:`write_files`; return their paths."""
     directory = Path(output_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    targets = {directory / name: text for name, text in files.items()}
+    targets = {directory / name: (text,) for name, text in files.items()}
     write_files(targets)
     return [str(path) for path in targets]

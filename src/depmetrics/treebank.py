@@ -410,20 +410,19 @@ def iter_byte_range(
     each range is read, decoded and split on its own (``name`` and
     ``digest`` as for :func:`_read_lines`). The lines and sentences before
     the range are counted in its bytes, not decoded, so that the line
-    numbers, ids and spans are those of the whole file. With one part the
-    file is read to its end from where ``handle`` stands, which needs no
-    seek: a pipe streams through.
+    numbers, ids and spans are those of the whole file. The only range of
+    one part is read to its end from where ``handle`` stands, with no seek:
+    a pipe streams through.
     """
     if fmt not in _PARSERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     if not 0 <= k < parts:
         raise ValueError(f"need 0 <= k < parts, got k={k}, parts={parts}")
-    if parts == 1:
-        return iter_parse(_read_lines(handle, name, digest=digest), fmt, **options)
     lo = _sentence_break(handle, fmt, k * size // parts)
     hi = None if k == parts - 1 else _sentence_break(handle, fmt, (k + 1) * size // parts)
     lines_before, sentences_before = _count_before(handle, fmt, lo)
-    handle.seek(lo)
+    if parts > 1:  # finding the breaks moved the handle; a lone range never seeks, so a pipe streams
+        handle.seek(lo)
     return iter_parse(
         _read_lines(handle, name, lo, hi, digest),
         fmt,

@@ -1,7 +1,11 @@
+import errno
 import gc
+import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -9,7 +13,7 @@ from depmetrics.cli import main
 from depmetrics.metrics import metric_record
 from depmetrics.treebank import parse_canonical, parse_conllu, serialize_canonical
 
-from . import reference_metrics
+from . import closed_stdout, reference_metrics
 from .conftest import DEMO7_HEADS, make_sentence
 
 
@@ -62,8 +66,11 @@ def test_unknown_extension_is_config_error(tmp_path, capsys):
 
 
 def test_no_inputs_is_config_error(capsys):
-    code, _, err = run(["report"], capsys)
-    assert code == 2
+    for command in ("validate", "metrics", "report"):
+        code, out, err = run([command], capsys)
+        assert code == 2, command
+        assert out == ""
+        assert err == "config error: no input files given (pass paths or a config file with 'inputs')\n"
 
 
 # --- metrics dump ----------------------------------------------------------------
@@ -229,17 +236,19 @@ def test_valency_lexicon_mode_requires_lexicon_path(data_dir, tmp_path, capsys):
 
 def test_missing_lexicon_fails_before_any_input_is_parsed(data_dir, tmp_path):
     missing = tmp_path / "missing.tsv"
-    result = subprocess.run(
-        [sys.executable, "-m", "depmetrics", "report", str(data_dir / "sample.cabocha"),
-         "--valency-mode", "lexicon", "--lexicon", str(missing), "--output-dir", str(tmp_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 1
-    assert result.stderr == f"input error: [Errno 2] No such file or directory: '{missing}'\n"
+    for command in ("report", "metrics", "validate"):
+        result = subprocess.run(
+            [sys.executable, "-m", "depmetrics", command, str(data_dir / "sample.cabocha"),
+             "--valency-mode", "lexicon", "--lexicon", str(missing), "--output-dir", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1, command
+        assert result.stdout == "", command
+        assert result.stderr == f"input error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
-@pytest.mark.parametrize("command", ["report", "valency"])
+@pytest.mark.parametrize("command", ["report", "valency", "metrics", "validate"])
 def test_malformed_lexicon_fails_before_any_input_is_parsed(
     command, data_dir, tmp_path, capsys, monkeypatch
 ):
@@ -261,7 +270,9 @@ def test_malformed_lexicon_fails_before_any_input_is_parsed(
     assert err == f"input error: {lexicon}:1: valency must be 1..4, got 5\n"
 
 
-@pytest.mark.parametrize("command", ["dist", "entropy", "trend", "corr", "valency", "report"])
+@pytest.mark.parametrize(
+    "command", ["dist", "entropy", "trend", "corr", "valency", "report", "metrics", "validate"]
+)
 def test_empty_lexicon_fails_before_any_input_is_read(command, data_dir, tmp_path, capsys):
     lexicon = tmp_path / "empty.tsv"
     lexicon.write_text("# no entries\n", encoding="utf-8")
@@ -468,6 +479,21 @@ def test_generate_constraint_conflicts_and_bad_caps(tmp_path, capsys):
     assert code == 2
 
 
+def test_generate_holds_one_tree_not_the_output(tmp_path):
+    def peak(count: int) -> int:
+        tracemalloc.start()
+        try:
+            code = main(["generate", "--n", "40", "--count", str(count), "--seed", "1",
+                         "-o", str(tmp_path / f"random{count}.jsonl")])
+            _, high = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return high
+
+    assert peak(8 * 1000) < 2 * peak(1000)
+
+
 def test_generate_then_report_round_trip(tmp_path, capsys):
     corpus = tmp_path / "gen.jsonl"
     code, _, _ = run(["generate", "--n", "8", "--count", "40", "--seed", "13", "-o", str(corpus)], capsys)
@@ -563,6 +589,56 @@ def test_main_leaves_the_heap_unfrozen(data_dir, tmp_path, capsys):
     code, _, _ = run(["metrics", str(data_dir / "sample_200.jsonl"), "-o", str(tmp_path / "m.jsonl")], capsys)
     assert code == 0
     assert gc.get_freeze_count() == before
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, found out at the first write or only at the flush."""
+
+    def __init__(self, fails_at: str) -> None:
+        super().__init__()
+        self.fails_at = fails_at
+
+    def write(self, text: str) -> int:
+        if self.fails_at == "write":
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(text)
+
+    def flush(self) -> None:
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("fails_at", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "sample_200.jsonl"],
+        ["metrics", "sample_200.jsonl"],
+        ["generate", "--n", "5", "--count", "3", "--seed", "1"],
+        ["trend", "sample_200.jsonl", "--output-dir"],
+    ],
+    ids=["validate", "metrics", "generate", "trend"],
+)
+def test_main_returns_141_on_a_closed_stdout_and_leaves_fd_1_alone(
+    argv, fails_at, data_dir, tmp_path, capsys, monkeypatch
+):
+    def no_dup2(*args):
+        raise AssertionError("main touched a file descriptor")
+
+    argv = [str(data_dir / a) if a.endswith(".jsonl") else a for a in argv]
+    argv += [str(tmp_path)] if argv[-1] == "--output-dir" else []
+    with monkeypatch.context() as patch:  # undone before pytest's own capture needs dup2 again
+        patch.setattr(os, "dup2", no_dup2)
+        patch.setattr(sys, "stdout", ClosedStdout(fails_at))
+        code = main(argv)
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("case", sorted(closed_stdout.CASES))
+def test_a_closed_stdout_exits_141_silently_and_leaves_no_temporary_file(case, buffering, tmp_path):
+    status, stderr, left = closed_stdout.run_case(case, tmp_path, buffering == "buffered")
+    assert (status, stderr, left) == (141, [], [])
 
 
 def test_console_entry_point_runs():
