@@ -1,6 +1,6 @@
 """depmetrics: dependency-treebank distance metrics and corpus analyses."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .metrics import MetricRecord, metric_record
 from .stats import (

@@ -275,7 +275,7 @@ def _add_corpus_args(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--config", help="JSON config file; explicit flags override it")
     sub.add_argument("--drop-punct", action="store_true", default=None,
-                     help="drop PUNCT nodes from CoNLL-U input")
+                     help="drop PUNCT nodes (CoNLL-U inputs only)")
     sub.add_argument("--sl-min", type=int, dest="sl_min")
     sub.add_argument("--sl-max", type=int, dest="sl_max")
     sub.add_argument("--dist-sls", dest="dist_sls",
@@ -283,10 +283,10 @@ def _add_corpus_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--min-bucket", type=int, dest="min_bucket",
                      help="minimum sentences per length for entropy/correlation points")
     sub.add_argument("--valency-mode", choices=VALENCY_MODES, dest="valency_mode")
-    sub.add_argument("--lexicon", dest="lexicon_path", help="valency lexicon TSV (lemma<TAB>class)")
+    sub.add_argument("--lexicon", dest="lexicon_path",
+                     help="valency lexicon TSV (lemma<TAB>class) for --valency-mode lexicon")
     sub.add_argument("--entropy-base", choices=tuple(ENTROPY_BASES), dest="entropy_base")
     sub.add_argument("--log-base", choices=tuple(LOG_BASES), dest="log_base")
-    sub.add_argument("--seed", type=int, dest="seed")
     sub.add_argument("--output-dir", dest="output_dir")
 
 

@@ -46,7 +46,6 @@ from .analysis import (
     valency_conditioned_counts,
 )
 from .errors import ConfigError, EmptyLexicon, EmptySelection
-from .randtree import RNG_NAME
 from .stats import Distribution, significance_stars
 from .treebank import FORMATS, Rejection, Sentence, ValencyLexicon, iter_byte_range
 
@@ -71,7 +70,6 @@ class RunConfig:
     lexicon_path: str | None = None
     entropy_base: str = "2"
     log_base: str = "e"
-    seed: int | None = None
     output_dir: str = "."
     drop_punct: bool = False
 
@@ -86,13 +84,17 @@ class RunConfig:
             raise ConfigError(f"unknown valency mode {self.valency_mode!r}")
         if self.valency_mode == "lexicon" and not self.lexicon_path:
             raise ConfigError("valency mode 'lexicon' requires --lexicon PATH")
+        if self.valency_mode != "lexicon" and self.lexicon_path is not None:
+            raise ConfigError(f"--lexicon needs valency mode 'lexicon', not {self.valency_mode!r}")
         if self.entropy_base not in ENTROPY_BASES:
             raise ConfigError(f"entropy base must be one of {sorted(ENTROPY_BASES)}")
         if self.log_base not in LOG_BASES:
             raise ConfigError(f"log base must be one of {sorted(LOG_BASES)}")
-        for _, fmt in self.inputs:
+        for path, fmt in self.inputs:
             if fmt not in FORMATS:
                 raise ConfigError(f"unknown input format {fmt!r}; expected one of {FORMATS}")
+            if self.drop_punct and fmt != "conllu":
+                raise ConfigError(f"--drop-punct applies to CoNLL-U only, but {path} is {fmt}")
 
     @property
     def entropy_base_value(self) -> float:
@@ -256,6 +258,7 @@ def _load_shard(
     raises it where a serial pass would.
     """
     done: list[InputFile] = []
+    options = {"drop_punct": True} if config.drop_punct else {}
     try:
         for path, fmt in config.inputs:
             with open(path, "rb") as handle:
@@ -272,7 +275,7 @@ def _load_shard(
                     source=os.path.basename(path),
                     errors="skip",
                     rejections=part.rejections,
-                    drop_punct=config.drop_punct,
+                    **options,
                 ):
                     part.accepted += 1
                     if len(sentence) >= 2:
@@ -378,10 +381,11 @@ class Analyses:
 
 def load_lexicon(config: RunConfig) -> ValencyLexicon | None:
     """The valency lexicon of lexicon mode, read, checked and not empty; None in the other mode."""
+    lexicon_path = config.lexicon_path
     if config.valency_mode != "lexicon":
         return None
-    lexicon_path = config.lexicon_path
-    assert lexicon_path is not None  # enforced by RunConfig.validate
+    if not lexicon_path:  # a config that did not pass RunConfig.validate
+        raise ConfigError("valency mode 'lexicon' requires --lexicon PATH")
     lexicon = ValencyLexicon.from_tsv(Path(lexicon_path).read_bytes(), source=lexicon_path)
     if not len(lexicon):
         raise EmptyLexicon(f"{lexicon_path}: lexicon mode requires a non-empty valency lexicon")
@@ -553,7 +557,7 @@ def _correlation_json(points: Sequence[CorrelationPoint]) -> list[dict[str, obje
 
 
 def run_meta(config: RunConfig, corpus: CorpusData, command: str) -> dict[str, object]:
-    meta: dict[str, object] = {
+    return {
         "tool": TOOL_NAME,
         "version": __version__,
         "command": command,
@@ -574,9 +578,6 @@ def run_meta(config: RunConfig, corpus: CorpusData, command: str) -> dict[str, o
             "single_node": corpus.single_node_count,
         },
     }
-    if config.seed is not None:
-        meta["rng"] = {"name": RNG_NAME, "seed": config.seed}
-    return meta
 
 
 def report_json_dict(config: RunConfig, corpus: CorpusData, analyses: Analyses) -> dict[str, object]:
@@ -666,21 +667,32 @@ COMMAND_TABLES = {
 def write_files(files: dict[Path, Iterable[str]]) -> None:
     """Write each text, given as an iterable of pieces, as UTF-8: all of them or none.
 
-    Each text goes to a temporary file beside its target; only when every one
+    A target that exists and, with symlinks followed, is not a regular file,
+    such as a FIFO or a terminal, is opened and written in place, after the
+    others. Every other text goes to a temporary file beside the file that
+    its target resolves to (:func:`os.path.realpath`); only when every text
     is written are they renamed into place, so a failure leaves the previous
-    files as they were. The temporary files are removed on failure.
+    files as they were and a symlink stays a symlink. The temporary files
+    are removed on failure.
     """
     pending: list[tuple[Path, Path]] = []
+    in_place: list[tuple[Path, Iterable[str]]] = []
     try:
         for target, pieces in files.items():
-            temporary = target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")
+            if target.exists() and not target.is_file():
+                in_place.append((target, pieces))
+                continue
+            real = Path(os.path.realpath(target))
+            temporary = real.with_name(f".{real.name}.{secrets.token_hex(4)}.tmp")
             handle = open(temporary, "xb")  # "x": never truncate a file that is not ours
-            pending.append((temporary, target))
+            pending.append((temporary, real))
             with handle:
-                for piece in pieces:
-                    handle.write(piece.encode("utf-8"))
-        for temporary, target in pending:
-            os.replace(temporary, target)
+                handle.writelines(piece.encode("utf-8") for piece in pieces)
+        for target, pieces in in_place:
+            with open(target, "wb") as handle:
+                handle.writelines(piece.encode("utf-8") for piece in pieces)
+        for temporary, real in pending:
+            os.replace(temporary, real)
     except BaseException:
         for temporary, _ in pending:
             with contextlib.suppress(OSError):

@@ -421,14 +421,12 @@ def iter_byte_range(
     lo = _sentence_break(handle, fmt, k * size // parts)
     hi = None if k == parts - 1 else _sentence_break(handle, fmt, (k + 1) * size // parts)
     lines_before, sentences_before = _count_before(handle, fmt, lo)
+    if fmt in _SENTENCE_START:  # canonical ids come from the file, not from a count
+        options["ordinal"] = sentences_before
     if parts > 1:  # finding the breaks moved the handle; a lone range never seeks, so a pipe streams
         handle.seek(lo)
     return iter_parse(
-        _read_lines(handle, name, lo, hi, digest),
-        fmt,
-        first_line=lines_before + 1,
-        ordinal=sentences_before,
-        **options,
+        _read_lines(handle, name, lo, hi, digest), fmt, first_line=lines_before + 1, **options
     )
 
 
@@ -533,8 +531,9 @@ def iter_conllu(
     renumbered; a sentence where a dropped node had dependents is rejected.
 
     ``first_line`` is the number of the first line read and ``ordinal`` the
-    number of sentences before it, for a stream that starts inside a file
-    (this holds for every parser; canonical ids do not use ``ordinal``).
+    number of sentences before it, for a stream that starts inside a file.
+    :func:`iter_cabocha` takes both; :func:`iter_canonical` takes only
+    ``first_line``, since its ids come from the file.
     """
     _check_error_mode(errors)
     block: list[str] = []
@@ -836,28 +835,15 @@ def parse(stream: Text, fmt: str, **options: Any) -> list[Sentence]:
     return list(iter_parse(stream, fmt, **options))
 
 
-def iter_parse(
-    stream: Text,
-    fmt: str,
-    *,
-    source: str | None = None,
-    errors: str = "raise",
-    rejections: list[Rejection] | None = None,
-    drop_punct: bool = False,
-    first_line: int = 1,
-    ordinal: int = 0,
-) -> Iterator[Sentence]:
+def iter_parse(stream: Text, fmt: str, **options: Any) -> Iterator[Sentence]:
     """Iterate over the sentences of ``stream`` in the named format ('conllu', 'cabocha', 'canonical').
 
-    An unknown format raises ``ValueError`` at once, before any line is read.
+    The options go to the format's parser (:func:`iter_conllu`,
+    :func:`iter_cabocha` or :func:`iter_canonical`) as they are: one that
+    parser does not take, such as ``drop_punct`` outside CoNLL-U or
+    ``ordinal`` for canonical JSONL, raises ``TypeError``. Both that and an
+    unknown format (``ValueError``) are raised at once, before any line is read.
     """
     if fmt not in _PARSERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    kwargs: dict[str, object] = {"errors": errors, "rejections": rejections, "first_line": first_line}
-    if source is not None:
-        kwargs["source"] = source
-    if fmt != "canonical":
-        kwargs["ordinal"] = ordinal
-    if fmt == "conllu":
-        kwargs["drop_punct"] = drop_punct
-    return _PARSERS[fmt](stream, **kwargs)  # type: ignore[arg-type]
+    return _PARSERS[fmt](stream, **options)

@@ -3,8 +3,10 @@ import gc
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -188,6 +190,15 @@ def test_single_analysis_commands_write_their_tables(command, files, data_dir, t
     assert meta["command"] == command
 
 
+@pytest.mark.parametrize("command", ["trend", "report"])
+def test_table_command_meta_names_no_rng_and_echoes_no_seed(command, data_dir, tmp_path, capsys):
+    code, _, _ = run([command, str(data_dir / "sample_200.jsonl"), "--output-dir", str(tmp_path)], capsys)
+    assert code == 0
+    meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
+    assert "rng" not in meta
+    assert "seed" not in meta["config"]
+
+
 def test_single_analysis_commands_log_only_the_warnings_of_their_tables(data_dir, tmp_path, caplog):
     sample = str(data_dir / "sample_ud.conllu")
     assert main(["trend", sample, "--output-dir", str(tmp_path / "trend")]) == 0
@@ -301,6 +312,66 @@ def test_lexicon_lemma_with_two_classes_is_an_input_error(data_dir, tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+def run_refused_setting(source, paths, flags, settings, tmp_path, capsys, monkeypatch):
+    """Run ``report`` with a setting given as flags or in a config file; no input may be read."""
+    import depmetrics.report as report_module
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("an input was parsed before the settings were checked")
+
+    monkeypatch.setattr(report_module, "iter_byte_range", no_parse)
+    out_dir = str(tmp_path / "out")
+    if source == "flags":
+        argv = ["report", *paths, *flags, "--output-dir", out_dir]
+    else:
+        config_path = tmp_path / "run.json"
+        config = {"inputs": [{"path": path} for path in paths], **settings, "output_dir": out_dir}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["report", "--config", str(config_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+    return err
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize(
+    "inputs,refused",
+    [
+        (["sample.cabocha"], ("sample.cabocha", "cabocha")),
+        (["sample_ud.conllu", "sample_200.jsonl"], ("sample_200.jsonl", "canonical")),
+    ],
+)
+def test_drop_punct_on_an_input_that_is_not_conllu_is_refused(
+    source, inputs, refused, data_dir, tmp_path, capsys, monkeypatch
+):
+    paths = [str(data_dir / name) for name in inputs]
+    err = run_refused_setting(
+        source, paths, ["--drop-punct"], {"drop_punct": True}, tmp_path, capsys, monkeypatch
+    )
+    name, fmt = refused
+    assert err == f"config error: --drop-punct applies to CoNLL-U only, but {data_dir / name} is {fmt}\n"
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("lexicon_exists", [True, False])
+def test_lexicon_without_lexicon_mode_is_refused(
+    source, lexicon_exists, data_dir, tmp_path, capsys, monkeypatch
+):
+    lexicon = str(data_dir / "lexicon.tsv" if lexicon_exists else tmp_path / "missing.tsv")
+    err = run_refused_setting(
+        source,
+        [str(data_dir / "sample.cabocha")],
+        ["--lexicon", lexicon],
+        {"lexicon_path": lexicon},
+        tmp_path,
+        capsys,
+        monkeypatch,
+    )
+    assert err == "config error: --lexicon needs valency mode 'lexicon', not 'root-out-degree'\n"
+
+
 # --- config file --------------------------------------------------------------------
 
 
@@ -347,6 +418,25 @@ def test_config_file_errors(data_dir, tmp_path, capsys):
     assert "unknown config key" in err
 
 
+@pytest.mark.parametrize(
+    "command", ["validate", "metrics", "dist", "entropy", "trend", "corr", "valency", "report"]
+)
+def test_corpus_commands_take_no_seed(command, data_dir, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(data_dir / "sample_200.jsonl"), "--seed", "3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_config_file_seed_is_an_unknown_key(data_dir, tmp_path, capsys):
+    config_path = tmp_path / "run.json"
+    config = {"inputs": [{"path": str(data_dir / "sample_200.jsonl")}], "seed": 1}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code, _, err = run(["report", "--config", str(config_path), "--output-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert err == f"config error: {config_path}: unknown config key 'seed'\n"
+
+
 def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     config_path = tmp_path / "run.json"
     config_path.write_bytes(b'{"sl_max": \xff}')
@@ -374,7 +464,6 @@ def test_config_file_input_entry_with_an_unknown_key_is_a_config_error(data_dir,
         {"dist_sls": "5,10"},
         {"dist_sls": [5, "10"]},
         {"dist_sls": 5},
-        {"seed": "1"},
         {"drop_punct": "yes"},
         {"valency_mode": 3},
         {"lexicon_path": ["a.tsv"]},
@@ -406,7 +495,6 @@ def test_config_file_typed_values_are_accepted(data_dir, tmp_path, capsys):
     config = {
         "inputs": [{"path": str(data_dir / "sample_200.jsonl")}],
         "dist_sls": [5, 10],
-        "seed": None,
         "lexicon_path": None,
         "drop_punct": False,
         "output_dir": str(tmp_path / "out"),
@@ -684,3 +772,68 @@ def test_output_file_is_replaced_only_once_written(argv, data_dir, tmp_path, cap
     assert "rename refused" in err
     assert target.read_text(encoding="utf-8") == "previous run\n"
     assert [p.name for p in tmp_path.iterdir()] == ["previous.txt"]
+
+
+# --- output targets that are not regular files ---------------------------------------
+
+GENERATE = ["generate", "--n", "5", "--count", "2", "--seed", "1"]
+
+
+def read_fifo_while(fifo, command):
+    """Run ``command()`` while a thread reads the FIFO ``fifo`` to its end; return the bytes read."""
+    inode = fifo.with_name(fifo.name + ".inode")
+    os.link(fifo, inode)  # the reader keeps the FIFO even if the command renames a file over ``fifo``
+    received = []
+    reader = threading.Thread(target=lambda: received.append(inode.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        command()
+    finally:
+        reader.join(timeout=10)
+        if reader.is_alive():  # the command never opened the FIFO: give the reader an end of file
+            os.close(os.open(inode, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+    assert not reader.is_alive()
+    return received[0]
+
+
+@pytest.mark.parametrize("through_symlink", [False, True])
+def test_output_onto_a_fifo_is_written_into_it(through_symlink, tmp_path, capsys):
+    _, expected, _ = run(GENERATE, capsys)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    target = fifo
+    if through_symlink:
+        target = tmp_path / "link"
+        target.symlink_to(fifo)
+    result = []
+    received = read_fifo_while(fifo, lambda: result.append(run([*GENERATE, "-o", str(target)], capsys)))
+    assert result[0][0] == 0
+    assert received == expected.encode("utf-8")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert target.is_symlink() == through_symlink
+    names = ["fifo", "fifo.inode", "link"] if through_symlink else ["fifo", "fifo.inode"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+def test_output_through_a_symlink_rewrites_its_target_and_keeps_the_link(tmp_path, capsys):
+    from depmetrics.report import write_files
+
+    (tmp_path / "real").mkdir()
+    (tmp_path / "links").mkdir()
+    target = tmp_path / "real" / "out.jsonl"
+    target.write_text("previous run\n", encoding="utf-8")
+    link = tmp_path / "links" / "out.jsonl"
+    link.symlink_to(target)
+    with pytest.raises(UnicodeEncodeError):
+        write_files({link: ["new \ud800\n"]})
+    assert os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == "previous run\n"
+
+    _, expected, _ = run(GENERATE, capsys)
+    code, _, _ = run([*GENERATE, "-o", str(link)], capsys)
+    assert code == 0
+    assert os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == expected
+    assert [p.name for p in (tmp_path / "real").iterdir()] == ["out.jsonl"]
+    assert [p.name for p in (tmp_path / "links").iterdir()] == ["out.jsonl"]

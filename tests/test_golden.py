@@ -125,6 +125,16 @@ def test_process_entry_point_freezes_the_heap_and_writes_the_golden_metrics(tmp_
     assert (tmp_path / OUTPUT_DIR / "metrics.jsonl").read_bytes() == expected
 
 
+def test_sample_corpus_script_reproduces_the_committed_fixture(tmp_path):
+    src = str(Path(depmetrics.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = Path(__file__).parents[1] / "scripts" / "make_sample_corpus.py"
+    output = tmp_path / "sample_200.jsonl"
+    result = subprocess.run([sys.executable, str(script), str(output)], env=env, capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert output.read_bytes() == (DATA_DIR / "sample_200.jsonl").read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -415,6 +415,14 @@ def test_iter_parse_rejects_unknown_format_before_reading():
         iter_parse("", "xml")
 
 
+def test_parse_option_the_format_parser_does_not_take_is_a_type_error():
+    cabocha = "* 0 -1D 0/0 0.0\n行く\t動詞,自立,*,*,*,*,行く\nEOS\n"
+    with pytest.raises(TypeError):
+        iter_parse(cabocha, "cabocha", drop_punct=True)  # raised before any line is read
+    with pytest.raises(TypeError):
+        parse('{"id": "a", "nodes": [{"index": 1, "head": 0}]}', "canonical", ordinal=1)
+
+
 # --- line breaks ------------------------------------------------------------------
 
 # Characters that str.splitlines treats as line breaks but the formats do not.
