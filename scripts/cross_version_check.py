@@ -11,11 +11,15 @@ random ids (quotes, backslashes, control characters, non-ASCII and
 non-BMP characters, lone surrogates, U+2028/U+2029), and on trees whose
 histogram keys pass the writer's 1,024-key table. It then runs the
 ``metrics_jsonl``, ``generate_random`` and ``generate_capped`` golden cases
-through ``python -m depmetrics`` and compares the bytes. Last, it runs the
+through ``python -m depmetrics`` and compares the bytes. It runs the
 closed-stdout cases of ``tests/closed_stdout.py``, with the child's stdout
 buffered and unbuffered: when a write into a closed pipe fails, and whether
-the interpreter's last flush reports it, differ between versions. It
-prints one line per check and exits 0 when all of them pass.
+the interpreter's last flush reports it, differ between versions. Last,
+since argparse's parsing and help output differ between versions too, it
+checks that ``python -m depmetrics CMD -h`` lists exactly the long flags of
+``tests/command_flags.py`` for each corpus command, and that a flag the
+command does not take exits 2 with nothing on stdout. It prints one line
+per check and exits 0 when all of them pass.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -36,6 +41,7 @@ from depmetrics.metrics import metric_record  # noqa: E402
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads  # noqa: E402
 from depmetrics.treebank import Sentence, validate_tree  # noqa: E402
 from tests import closed_stdout, reference_metrics  # noqa: E402
+from tests.command_flags import COMMAND_FLAGS  # noqa: E402
 
 SPECIAL_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029",
                  "\ud800", "\udfff", "\U0001f600", "\u00e9"]
@@ -49,6 +55,21 @@ GOLDEN_CASES = {
     "generate_capped": ((), ["generate", "--n", "40", "--count", "60", "--seed", "2",
                              "--max-root-out-degree", "3", "-o", "out/capped.jsonl"]),
 }
+
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                      os.environ.get("PYTHONPATH")])))
+# a flag that each corpus command does not take; report takes every RunConfig flag, but no seed
+REFUSED_FLAGS = {
+    "validate": ["--sl-max", "9"],
+    "metrics": ["--output-dir", "out"],
+    "dist": ["--min-bucket", "3"],
+    "entropy": ["--dist-sls", "5"],
+    "trend": ["--entropy-base", "e"],
+    "corr": ["--log-base", "10"],
+    "valency": ["--entropy-base", "e"],
+    "report": ["--seed", "1"],
+}
+OPTION_LINE = re.compile(r"  (-\S.*?)(?:  |$)")  # an option's flags and metavars, at the start of a help line
 
 
 def random_id(rng: random.Random) -> str:
@@ -83,10 +104,8 @@ def golden_case_matches(case: str) -> bool:
         for name in fixtures:
             shutil.copyfile(ROOT / "tests" / "data" / name, Path(tmp) / name)
         (Path(tmp) / "out").mkdir()
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                                         os.environ.get("PYTHONPATH")])))
         result = subprocess.run([sys.executable, "-m", "depmetrics", *argv],
-                                cwd=tmp, env=env, capture_output=True)
+                                cwd=tmp, env=CHILD_ENV, capture_output=True)
         expected = {path.name: path.read_bytes() for path in (GOLDEN / case).iterdir()}
         actual = {path.name: path.read_bytes() for path in (Path(tmp) / "out").iterdir()}
         return result.returncode == 0 and {**actual, "stdout": result.stdout} == expected
@@ -106,6 +125,29 @@ def closed_stdout_outcomes() -> list[tuple[str, bool, str]]:
     return outcomes
 
 
+def help_flags(command: str) -> set[str]:
+    """The long flags that ``python -m depmetrics COMMAND -h`` lists."""
+    result = subprocess.run([sys.executable, "-m", "depmetrics", command, "-h"],
+                            env=CHILD_ENV, capture_output=True, text=True, check=True)
+    flags: set[str] = set()
+    for line in result.stdout.splitlines():
+        match = OPTION_LINE.match(line)
+        if match:
+            flags.update(re.findall(r"--[a-z][a-z-]*", match.group(1)))
+    return flags
+
+
+def refused_flag_outcome(command: str) -> tuple[bool, str]:
+    """Whether ``REFUSED_FLAGS[command]`` exits 2 with nothing on stdout, and the last stderr line."""
+    argv = [command, str(ROOT / "tests" / "data" / "sample_200.jsonl"), *REFUSED_FLAGS[command]]
+    with tempfile.TemporaryDirectory() as tmp:
+        result = subprocess.run([sys.executable, "-m", "depmetrics", *argv],
+                                cwd=tmp, env=CHILD_ENV, capture_output=True, text=True)
+        left = os.listdir(tmp)
+    last = (result.stderr.splitlines() or [""])[-1]
+    return (result.returncode, result.stdout, left) == (2, "", []), f"exit {result.returncode}; {last}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--examples", type=int, default=2000, help="random trees to compare (default 2000)")
@@ -122,6 +164,15 @@ def main() -> int:
     for name, passed, got in closed_stdout_outcomes():
         ok &= passed
         print(f"closed stdout, {name}: {got}")
+    for command, flags in COMMAND_FLAGS.items():
+        expected = {"--help", "--format", "--config", *flags} | ({"--output"} if command == "metrics" else set())
+        listed = help_flags(command)
+        ok &= listed == expected
+        print(f"{command} -h: " + ("the declared flags" if listed == expected else
+                                   f"DIFFERS: extra {sorted(listed - expected)}, missing {sorted(expected - listed)}"))
+        passed, got = refused_flag_outcome(command)
+        ok &= passed
+        print(f"{command} {' '.join(REFUSED_FLAGS[command])}: {got}")
     return 0 if ok else 1
 
 

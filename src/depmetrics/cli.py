@@ -2,9 +2,12 @@
 
 Subcommands: validate, metrics, dist, entropy, trend, corr, valency, report,
 generate. Settings come from flags or a single JSON config file; explicit
-flags override the file. Exit codes: 0 success, 1 input error, 2 config
-error, 3 internal error, 141 (128 + SIGPIPE) when stdout is closed before
-the output is written, with nothing on stderr.
+flags override the file. Each corpus command takes only the flags of the
+settings its outputs read (``build_parser``), so argparse refuses any other
+(exit 2); the config file is shared by every command and may set any
+setting. Exit codes: 0 success, 1 input error, 2 config or usage error, 3
+internal error, 141 (128 + SIGPIPE) when stdout is closed before the output
+is written, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import partial
 from itertools import chain
 from pathlib import Path
 from types import UnionType
-from typing import Iterable, Iterator, Union, get_args, get_origin, get_type_hints
+from typing import Any, Iterable, Iterator, Union, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .analysis import VALENCY_MODES
@@ -276,18 +279,22 @@ def _add_corpus_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; explicit flags override it")
     sub.add_argument("--drop-punct", action="store_true", default=None,
                      help="drop PUNCT nodes (CoNLL-U inputs only)")
-    sub.add_argument("--sl-min", type=int, dest="sl_min")
-    sub.add_argument("--sl-max", type=int, dest="sl_max")
-    sub.add_argument("--dist-sls", dest="dist_sls",
-                     help="comma-separated lengths for conditional distributions")
-    sub.add_argument("--min-bucket", type=int, dest="min_bucket",
-                     help="minimum sentences per length for entropy/correlation points")
-    sub.add_argument("--valency-mode", choices=VALENCY_MODES, dest="valency_mode")
-    sub.add_argument("--lexicon", dest="lexicon_path",
-                     help="valency lexicon TSV (lemma<TAB>class) for --valency-mode lexicon")
-    sub.add_argument("--entropy-base", choices=tuple(ENTROPY_BASES), dest="entropy_base")
-    sub.add_argument("--log-base", choices=tuple(LOG_BASES), dest="log_base")
-    sub.add_argument("--output-dir", dest="output_dir")
+
+
+# The flags of the settings that only tables read; each corpus command takes those its outputs read.
+_TABLE_FLAGS: dict[str, dict[str, Any]] = {
+    "--sl-min": {"type": int},
+    "--sl-max": {"type": int},
+    "--dist-sls": {"help": "comma-separated lengths for conditional distributions"},
+    "--min-bucket": {"type": int, "help": "minimum sentences per length for entropy/correlation points"},
+    "--valency-mode": {"choices": VALENCY_MODES},
+    "--lexicon": {"dest": "lexicon_path",
+                  "help": "valency lexicon TSV (lemma<TAB>class) for --valency-mode lexicon"},
+    "--entropy-base": {"choices": tuple(ENTROPY_BASES)},
+    "--log-base": {"choices": tuple(LOG_BASES)},
+    "--output-dir": {},
+}
+_EVERY_TABLE = ("--sl-min", "--sl-max", "--output-dir")  # the flags that every table command takes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,26 +305,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    sub = subparsers.add_parser("validate", help="check inputs and report accepted/rejected counts")
-    _add_corpus_args(sub)
-    sub.set_defaults(func=cmd_validate)
-
-    sub = subparsers.add_parser("metrics", help="dump per-sentence metric records as JSONL")
-    _add_corpus_args(sub)
-    sub.add_argument("-o", "--output", help="write to a file instead of stdout")
-    sub.set_defaults(func=cmd_metrics)
-
-    for name, help_text in (
-        ("dist", "pooled and length-conditioned DD/HD distributions"),
-        ("entropy", "entropy of length-conditioned distributions"),
-        ("trend", "mean MDD/MHD by sentence length"),
-        ("corr", "per-length Spearman correlation of MDD and MHD"),
-        ("valency", "valency-conditioned DD=1/HD=1 counts and fits"),
-        ("report", "write every table plus report.json"),
+    commands = {"validate": cmd_validate, "metrics": cmd_metrics}
+    for name, help_text, flags in (
+        ("validate", "check inputs and report accepted/rejected counts", ()),
+        ("metrics", "dump per-sentence metric records as JSONL", ()),
+        ("dist", "pooled and length-conditioned DD/HD distributions", (*_EVERY_TABLE, "--dist-sls")),
+        ("entropy", "entropy of length-conditioned distributions",
+         (*_EVERY_TABLE, "--min-bucket", "--entropy-base")),
+        ("trend", "mean MDD/MHD by sentence length", _EVERY_TABLE),
+        ("corr", "per-length Spearman correlation of MDD and MHD", (*_EVERY_TABLE, "--min-bucket")),
+        ("valency", "valency-conditioned DD=1/HD=1 counts and fits",
+         (*_EVERY_TABLE, "--valency-mode", "--lexicon", "--log-base")),
+        ("report", "write every table plus report.json", tuple(_TABLE_FLAGS)),
     ):
         sub = subparsers.add_parser(name, help=help_text)
         _add_corpus_args(sub)
-        sub.set_defaults(func=partial(cmd_tables, command=name))
+        for flag in flags:
+            sub.add_argument(flag, **_TABLE_FLAGS[flag])
+        if name == "metrics":
+            sub.add_argument("-o", "--output", help="write to a file instead of stdout")
+        sub.set_defaults(func=commands.get(name, partial(cmd_tables, command=name)))
 
     sub = subparsers.add_parser("generate", help="generate a random-tree corpus (canonical JSONL)")
     sub.add_argument("--n", type=int, required=True, help="nodes per sentence")

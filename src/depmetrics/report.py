@@ -216,9 +216,9 @@ def worker_count(paths: Sequence[str]) -> int:
 def load_corpus(config: RunConfig, new_fold: Callable[[], Fold] | None = None) -> CorpusData:
     """Parse all configured inputs, skipping invalid sentences with a reason, and fold them.
 
-    The lexicon of :func:`load_lexicon` is read and checked first, whatever
-    the fold, before any input. The default fold is a
-    :class:`~depmetrics.analysis.CorpusStats` with that lexicon. Each
+    The default fold is a :class:`~depmetrics.analysis.CorpusStats` with
+    the lexicon of :func:`load_lexicon`, which is read and checked first,
+    before any input; a fold given here reads no lexicon. Each
     input is split into :func:`worker_count` byte ranges of about equal
     size, cut between sentences (:func:`~depmetrics.treebank.iter_byte_range`).
     The parent forks a child for every range but the first, loads the first
@@ -228,8 +228,7 @@ def load_corpus(config: RunConfig, new_fold: Callable[[], Fold] | None = None) -
     of it is an error. No sentence is kept, and no worker holds more of an
     input than ``CHUNK_BYTES`` and a sentence.
     """
-    lexicon = load_lexicon(config)
-    new_fold = new_fold or partial(CorpusStats, lexicon=lexicon)
+    new_fold = new_fold or partial(CorpusStats, lexicon=load_lexicon(config))
     workers = worker_count([path for path, _ in config.inputs])
     shards = _in_workers(workers, lambda k: _load_shard(config, new_fold, k, workers))
     fold = new_fold()

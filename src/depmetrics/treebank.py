@@ -160,8 +160,10 @@ class ValencyLexicon:
             if len(fields) != 2:
                 raise MalformedLine(f"{source}:{lineno}: expected 2 tab-separated fields")
             try:
+                if not (fields[1].isascii() and fields[1].isdigit()):
+                    raise ValueError
                 valency = int(fields[1])
-            except ValueError:
+            except ValueError:  # also past int()'s digit limit
                 raise MalformedLine(f"{source}:{lineno}: non-integer valency {fields[1]!r}") from None
             if valency not in (1, 2, 3, 4):
                 raise MalformedLine(f"{source}:{lineno}: valency must be 1..4, got {valency}")
@@ -585,10 +587,14 @@ def _conllu_sentence(
         if "-" in raw_id or "." in raw_id:
             continue  # multiword-token range / empty node
         try:
+            if not (raw_id.isascii() and raw_id.isdigit()):
+                raise ValueError
             ids.append(int(raw_id))
-        except ValueError:
+        except ValueError:  # also past int()'s digit limit
             raise MalformedLine(f"line {lineno}: non-integer ID {raw_id!r}") from None
         try:
+            if not (raw_head.isascii() and raw_head.isdigit()):
+                raise ValueError
             heads.append(int(raw_head))
         except ValueError:
             raise MalformedLine(f"line {lineno}: non-integer HEAD {raw_head!r}") from None
@@ -682,9 +688,16 @@ def iter_cabocha(
             try:
                 if len(parts) < 3 or not parts[2].endswith("D"):
                     raise ValueError
-                index = int(parts[1])
-                head = int(parts[2][:-1])
-            except ValueError:
+                index_field, head_field = parts[1], parts[2][:-1]
+                if not (
+                    index_field.isdigit()
+                    and (head_field.isdigit() or head_field == "-1")
+                    and (raw.isascii() or (index_field + head_field).isascii())  # isascii() is O(1)
+                ):
+                    raise ValueError
+                index = int(index_field)
+                head = int(head_field)
+            except ValueError:  # also past int()'s digit limit
                 fault = MalformedChunkHeader(f"line {lineno}: bad chunk header {raw!r}")
                 continue
             if index != len(heads):

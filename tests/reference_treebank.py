@@ -13,6 +13,7 @@ to return the same string.
 from __future__ import annotations
 
 import json
+import re
 from typing import IO, Iterator
 
 from depmetrics.errors import MalformedChunkHeader, MalformedLine, MissingEOS
@@ -72,10 +73,12 @@ def _cabocha_sentence(lines: list[str], first_lineno: int, sent_id: str, span: s
             parts = raw.split()
             if len(parts) < 3 or not parts[2].endswith("D"):
                 raise MalformedChunkHeader(f"line {lineno}: bad chunk header {raw!r}")
+            if not (re.fullmatch("[0-9]+", parts[1]) and re.fullmatch("-1|[0-9]+", parts[2][:-1])):
+                raise MalformedChunkHeader(f"line {lineno}: bad chunk header {raw!r}")
             try:
                 index = int(parts[1])
                 head = int(parts[2][:-1])
-            except ValueError:
+            except ValueError:  # past int()'s digit limit
                 raise MalformedChunkHeader(f"line {lineno}: bad chunk header {raw!r}") from None
             if index != len(heads):
                 raise MalformedChunkHeader(

@@ -13,9 +13,11 @@ import pytest
 
 from depmetrics.cli import main
 from depmetrics.metrics import metric_record
+from depmetrics.randtree import GeneratorConfig, generate
 from depmetrics.treebank import parse_canonical, parse_conllu, serialize_canonical
 
 from . import closed_stdout, reference_metrics
+from .command_flags import COMMAND_FLAGS, RUN_CONFIG_FLAGS
 from .conftest import DEMO7_HEADS, make_sentence
 
 
@@ -23,6 +25,25 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+CLASS4_LENGTHS = range(8, 31)
+
+
+@pytest.fixture(scope="module")
+def class4_corpus(tmp_path_factory):
+    """Four random trees and a star for each length 8-30, as canonical JSONL.
+
+    The stars put every length into valency class 4, where a sentence's HD=1
+    count, its root's out-degree, grows with its length: the hd1 fit of that
+    class has a slope that is not 0.
+    """
+    path = tmp_path_factory.mktemp("class4") / "class4.jsonl"
+    configs = [GeneratorConfig(n=n, seed=n, count=4) for n in CLASS4_LENGTHS]
+    configs += [GeneratorConfig(n=n, constraint="star") for n in CLASS4_LENGTHS]
+    trees = (serialize_canonical(tree) + "\n" for config in configs for tree in generate(config))
+    path.write_text("".join(trees), encoding="utf-8")
+    return path
 
 
 # --- validate -----------------------------------------------------------------
@@ -247,7 +268,7 @@ def test_valency_lexicon_mode_requires_lexicon_path(data_dir, tmp_path, capsys):
 
 def test_missing_lexicon_fails_before_any_input_is_parsed(data_dir, tmp_path):
     missing = tmp_path / "missing.tsv"
-    for command in ("report", "metrics", "validate"):
+    for command in ("report", "valency"):
         result = subprocess.run(
             [sys.executable, "-m", "depmetrics", command, str(data_dir / "sample.cabocha"),
              "--valency-mode", "lexicon", "--lexicon", str(missing), "--output-dir", str(tmp_path)],
@@ -259,7 +280,7 @@ def test_missing_lexicon_fails_before_any_input_is_parsed(data_dir, tmp_path):
         assert result.stderr == f"input error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
-@pytest.mark.parametrize("command", ["report", "valency", "metrics", "validate"])
+@pytest.mark.parametrize("command", ["report", "valency"])
 def test_malformed_lexicon_fails_before_any_input_is_parsed(
     command, data_dir, tmp_path, capsys, monkeypatch
 ):
@@ -281,21 +302,46 @@ def test_malformed_lexicon_fails_before_any_input_is_parsed(
     assert err == f"input error: {lexicon}:1: valency must be 1..4, got 5\n"
 
 
-@pytest.mark.parametrize(
-    "command", ["dist", "entropy", "trend", "corr", "valency", "report", "metrics", "validate"]
-)
+@pytest.mark.parametrize("command", ["dist", "entropy", "trend", "corr", "valency", "report"])
 def test_empty_lexicon_fails_before_any_input_is_read(command, data_dir, tmp_path, capsys):
     lexicon = tmp_path / "empty.tsv"
     lexicon.write_text("# no entries\n", encoding="utf-8")
-    code, out, err = run(
-        [command, str(data_dir / "sample.cabocha"), str(tmp_path / "absent.cabocha"),
-         "--valency-mode", "lexicon", "--lexicon", str(lexicon), "--output-dir", str(tmp_path / "out")],
-        capsys,
-    )
+    argv = [command, str(data_dir / "sample.cabocha"), str(tmp_path / "absent.cabocha"),
+            "--output-dir", str(tmp_path / "out")]
+    if "--lexicon" in COMMAND_FLAGS[command]:
+        argv += ["--valency-mode", "lexicon", "--lexicon", str(lexicon)]
+    else:  # a command without the lexicon flags reads the lexicon that a config file names
+        config_path = tmp_path / "run.json"
+        config_path.write_text(
+            json.dumps({"valency_mode": "lexicon", "lexicon_path": str(lexicon)}), encoding="utf-8"
+        )
+        argv += ["--config", str(config_path)]
+    code, out, err = run(argv, capsys)
     assert code == 1
     assert out == ""
     assert err == f"input error: {lexicon}: lexicon mode requires a non-empty valency lexicon\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "metrics"])
+def test_validate_and_metrics_never_read_a_lexicon(command, data_dir, tmp_path, capsys, monkeypatch):
+    import depmetrics.report as report_module
+
+    def no_lexicon(config):
+        raise AssertionError("the lexicon was read")
+
+    monkeypatch.setattr(report_module, "load_lexicon", no_lexicon)
+    config_path = tmp_path / "run.json"
+    config = {
+        "inputs": [{"path": str(data_dir / "sample.cabocha")}],
+        "valency_mode": "lexicon",
+        "lexicon_path": str(tmp_path / "missing.tsv"),
+    }
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, _ = run([command, "--config", str(config_path)], capsys)
+    assert code == 0
+    header = json.loads(out.splitlines()[0].removeprefix("# "))
+    assert header["config"]["valency_mode"] == "lexicon"  # the echo is the whole RunConfig
 
 
 def test_lexicon_lemma_with_two_classes_is_an_input_error(data_dir, tmp_path, capsys):
@@ -426,6 +472,84 @@ def test_corpus_commands_take_no_seed(command, data_dir, capsys):
         main([command, str(data_dir / "sample_200.jsonl"), "--seed", "3"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+# flag -> its arguments at a value other than the default, and the corpus on which that value
+# changes an output of every command that takes the flag
+FLAG_VALUES = {
+    "--drop-punct": (["--drop-punct"], "sample_ud.conllu"),
+    "--sl-min": (["--sl-min", "10"], "class4.jsonl"),
+    "--sl-max": (["--sl-max", "12"], "class4.jsonl"),
+    "--output-dir": (["--output-dir", "sub"], "class4.jsonl"),
+    "--dist-sls": (["--dist-sls", "9"], "class4.jsonl"),
+    "--min-bucket": (["--min-bucket", "3"], "class4.jsonl"),
+    "--entropy-base": (["--entropy-base", "e"], "class4.jsonl"),
+    "--valency-mode": (["--valency-mode", "lexicon"], "sample.cabocha"),
+    "--lexicon": (["--lexicon", "lexicon.tsv"], "sample.cabocha"),
+    "--log-base": (["--log-base", "10"], "class4.jsonl"),
+}
+LEXICON_FLAGS = ("--valency-mode", "--lexicon")  # each needs the other
+
+
+def _without_config_echo(name, text):
+    """An output with its config echo taken out: of ``meta.json``, of report.json's meta, or of a header line."""
+    if name.endswith(".json"):
+        data = json.loads(text)
+        data.get("meta", data).pop("config")
+        return data
+    lines = text.splitlines()
+    if lines and lines[0].startswith("# {"):
+        header = json.loads(lines[0].removeprefix("# "))
+        header.pop("config")
+        lines[0] = header
+    return lines
+
+
+def outputs_beyond_the_echo(argv, workdir, capsys, monkeypatch):
+    """Run ``argv`` in the new directory ``workdir``; return its stdout and each file it wrote, without the echo."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    assert main(argv) == 0
+    texts = {"stdout": capsys.readouterr().out}
+    for path in sorted(workdir.rglob("*")):
+        if path.is_file():
+            texts[str(path.relative_to(workdir))] = path.read_text(encoding="utf-8")
+    return {name: _without_config_echo(name, text) for name, text in texts.items()}
+
+
+@pytest.mark.parametrize("flag", RUN_CONFIG_FLAGS)
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_a_corpus_command_takes_exactly_the_flags_its_outputs_read(
+    command, flag, class4_corpus, data_dir, tmp_path, capsys, monkeypatch
+):
+    def given(name):
+        args, corpus = FLAG_VALUES[name]
+        return [str(data_dir / a) if a.endswith(".tsv") else a for a in args], corpus
+
+    args, corpus = given(flag)
+    argv = [command, str(class4_corpus if corpus == "class4.jsonl" else data_dir / corpus)]
+    if flag in COMMAND_FLAGS[command]:
+        both = [token for name in LEXICON_FLAGS for token in given(name)[0]]
+        flagged = [*argv, *(both if flag in LEXICON_FLAGS else args)]
+        default = outputs_beyond_the_echo(argv, tmp_path / "default", capsys, monkeypatch)
+        assert outputs_beyond_the_echo(flagged, tmp_path / "flagged", capsys, monkeypatch) != default
+        return
+
+    import depmetrics.report as report_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input or the lexicon was opened")
+
+    monkeypatch.setattr(report_module, "iter_byte_range", refuse)
+    monkeypatch.setattr(report_module, "load_lexicon", refuse)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, *args])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_seed_is_an_unknown_key(data_dir, tmp_path, capsys):
@@ -619,10 +743,10 @@ def test_entropy_base_flag_rescales_series(data_dir, tmp_path, capsys):
         assert nats[key] == pytest.approx(value * math.log(2.0), abs=2e-4)
 
 
-def test_log_base_flag_rescales_hd1_slope(data_dir, tmp_path, capsys):
+def test_log_base_flag_rescales_hd1_slope(class4_corpus, tmp_path, capsys):
     import math
 
-    corpus = str(data_dir / "sample_200.jsonl")
+    corpus = str(class4_corpus)
     e_dir, ten_dir = tmp_path / "e", tmp_path / "ten"
     assert run(["valency", corpus, "--output-dir", str(e_dir)], capsys)[0] == 0
     assert run(["valency", corpus, "--output-dir", str(ten_dir), "--log-base", "10"], capsys)[0] == 0
@@ -638,6 +762,7 @@ def test_log_base_flag_rescales_hd1_slope(data_dir, tmp_path, capsys):
     natural = hd1_slopes(e_dir / "valency_fit.csv")
     base10 = hd1_slopes(ten_dir / "valency_fit.csv")
     assert natural and natural.keys() == base10.keys()
+    assert natural[4] != 0  # a slope of 0 is the same in every base
     for valency, slope in natural.items():
         assert base10[valency] == pytest.approx(slope * math.log(10.0), abs=2e-3)
 

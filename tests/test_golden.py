@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -28,6 +29,7 @@ import pytest
 
 import depmetrics
 from depmetrics.cli import main
+from depmetrics.report import COMMAND_TABLES, json_text
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = DATA_DIR / "golden"
@@ -64,9 +66,10 @@ CASES: dict[str, tuple[tuple[str, ...], list[str]]] = {
 }
 
 
-def run_case(name: str, workdir: Path) -> dict[str, bytes]:
-    """Run one case in ``workdir``; return stdout and every written file by name."""
-    fixtures, argv = CASES[name]
+def run_case(name: str, workdir: Path, argv: list[str] | None = None) -> dict[str, bytes]:
+    """Run one case, or ``argv`` on its fixtures, in ``workdir``; return stdout and every written file by name."""
+    fixtures, case_argv = CASES[name]
+    argv = argv or case_argv
     for fixture in fixtures:
         shutil.copyfile(DATA_DIR / fixture, workdir / fixture)
     (workdir / OUTPUT_DIR).mkdir()
@@ -91,6 +94,37 @@ def test_golden_output(name, tmp_path):
     assert sorted(actual) == sorted(expected)
     for file_name, data in expected.items():
         assert actual[file_name] == data, f"{name}/{file_name} differs from the golden copy"
+
+
+# report case -> its inputs, and the settings beside --output-dir, which go into a config file
+# since a single-table command may lack their flags
+REPORT_INPUTS_AND_SETTINGS: dict[str, tuple[tuple[str, ...], dict[str, str]]] = {
+    "report_conllu": (("sample_ud.conllu", "mixed.conllu"), {}),
+    "report_cabocha_lexicon": (("sample.cabocha",), {"valency_mode": "lexicon", "lexicon_path": "lexicon.tsv"}),
+}
+
+
+@pytest.mark.parametrize("command", ["dist", "entropy", "trend", "corr", "valency"])
+@pytest.mark.parametrize("case", sorted(REPORT_INPUTS_AND_SETTINGS))
+def test_single_table_command_writes_the_report_golden_tables(case, command, tmp_path):
+    inputs, settings = REPORT_INPUTS_AND_SETTINGS[case]
+    (tmp_path / "run.json").write_text(json.dumps(settings), encoding="utf-8")
+    argv = [command, *inputs, "--config", "run.json", "--output-dir", OUTPUT_DIR]
+    actual = run_case(case, tmp_path, argv)
+    names = (*COMMAND_TABLES[command], "meta.json")
+    assert actual.pop("stdout") == "".join(f"wrote {OUTPUT_DIR}/{name}\n" for name in names).encode()
+    assert sorted(actual) == sorted(names)
+    golden = GOLDEN_DIR / case
+    for name in COMMAND_TABLES[command]:
+        assert actual[name] == (golden / name).read_bytes(), f"{command} {name} differs from {case}"
+    meta = json.loads((golden / "meta.json").read_bytes())
+    report = json.loads((golden / "report.json").read_bytes())
+    meta["command"] = command
+    if command == "trend":
+        meta["crossings"] = report["crossings"]
+    if command == "valency":
+        meta["lexicon_misses"] = report["valency"]["lexicon_misses"]
+    assert actual["meta.json"] == json_text(meta).encode()
 
 
 # Runs the package's __main__ as ``python -m depmetrics`` does, with cli.main

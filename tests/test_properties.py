@@ -443,6 +443,10 @@ CABOCHA_FRAGMENTS = [
     "* 1 2D",
     "* 0 x",
     "* x 0D",
+    "* +0 -1D",
+    "* 1 +0D",
+    "* 1 -2D",
+    "* \uff10 -1D",
     "* 0",
     "*  0  -1D",
     "*",

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -119,6 +120,28 @@ def test_parse_conllu_underscore_fields_become_none():
     assert sent.nodes[0].lemma is None
 
 
+# Integer fields that are not a run of ASCII digits, though int() reads all but the empty one,
+# and a run of digits past int()'s digit limit.
+BAD_NUMBERS = ["+1", " 1", "1 ", "\uff11", "\u0661", "1_0", "-1", "", "1" * 5000]
+
+
+@pytest.mark.parametrize(
+    "field,raw",
+    # an ID with a hyphen is a multiword-token range, which is skipped
+    [("ID", raw) for raw in BAD_NUMBERS if "-" not in raw] + [("HEAD", raw) for raw in BAD_NUMBERS],
+    ids=lambda value: ascii(value)[:12],
+)
+def test_conllu_id_and_head_take_ascii_digits_only(field, raw):
+    first = conllu_line(raw, 2) if field == "ID" else conllu_line(1, raw)
+    text = first + "\n" + conllu_line(2, 0) + "\n"
+    reason = f"line 1: non-integer {field} {raw!r}"
+    with pytest.raises(MalformedLine, match=f"^{re.escape(reason)}$"):
+        parse_conllu(text)
+    rejections = []
+    assert parse_conllu(text, errors="skip", rejections=rejections) == []
+    assert [rejection.reason for rejection in rejections] == [reason]
+
+
 def test_drop_punct_removes_leaf_and_renumbers(data_dir):
     sentences = parse_conllu((data_dir / "sample_ud.conllu").read_bytes(), drop_punct=True, errors="skip")
     by_id = {s.id: s for s in sentences}
@@ -185,6 +208,24 @@ def test_parse_cabocha_malformed_header():
         parse_cabocha("* 0 nohead\nw\tx\nEOS\n")
     with pytest.raises(MalformedChunkHeader):
         parse_cabocha("* 5 -1D\nw\tx\nEOS\n")  # index out of sequence
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["* +0 1D", "* 0 +1D", "* \uff10 1D", "* 0 \u0661D", "* 0_0 1D", "* 0 0_1D", "* 0 -2D", "* 0 -01D",
+     "* -0 1D", "* 0 D"],
+    ids=ascii,
+)
+def test_cabocha_chunk_index_and_head_take_ascii_digits_only(header):
+    sentence = "{}\nw\tx\n* 1 -1D\nv\tx\nEOS\n"
+    assert parse_cabocha(sentence.format("* 0 1D"))[0].heads() == (2, 0)
+    text = sentence.format(header)
+    reason = f"line 1: bad chunk header {header!r}"
+    with pytest.raises(MalformedChunkHeader, match=f"^{re.escape(reason)}$"):
+        parse_cabocha(text)
+    rejections = []
+    assert parse_cabocha(text, errors="skip", rejections=rejections) == []
+    assert [rejection.reason for rejection in rejections] == [reason]
 
 
 def test_parse_cabocha_skip_mode_rejects_only_bad_sentence():
@@ -391,6 +432,17 @@ def test_valency_lexicon_rejects_bad_rows():
         ValencyLexicon.from_tsv("word only\n")
     with pytest.raises(ValueError):
         ValencyLexicon(entries={"w": 9})
+
+
+@pytest.mark.parametrize("raw", ["+3", " 3", "\uff13", "\u0663", "0_3", "-3", "3.0"], ids=ascii)
+def test_valency_lexicon_class_takes_ascii_digits_only(raw):
+    with pytest.raises(MalformedLine, match=f"^x\\.tsv:2: non-integer valency {re.escape(repr(raw))}$"):
+        ValencyLexicon.from_tsv(f"go\t1\nrun\t{raw}\n", source="x.tsv")
+
+
+def test_valency_lexicon_class_of_ascii_digits_outside_1_to_4_is_out_of_range():
+    with pytest.raises(MalformedLine, match=r"^x\.tsv:1: valency must be 1\.\.4, got 7$"):
+        ValencyLexicon.from_tsv("run\t07\n", source="x.tsv")
 
 
 def test_valency_lexicon_rejects_a_lemma_given_two_classes():
