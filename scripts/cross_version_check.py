@@ -18,8 +18,11 @@ the interpreter's last flush reports it, differ between versions. Last,
 since argparse's parsing and help output differ between versions too, it
 checks that ``python -m depmetrics CMD -h`` lists exactly the long flags of
 ``tests/command_flags.py`` for each corpus command, and that a flag the
-command does not take exits 2 with nothing on stdout. It prints one line
-per check and exits 0 when all of them pass.
+command does not take exits 2 with nothing on stdout. So must the refused
+runs of ``REFUSED_RUNS``: a config file past int()'s digit limit or json's
+nesting depth, which both differ between versions, and an integer flag in
+a form that int() reads but the CLI does not take. It prints one line per
+check and exits 0 when all of them pass.
 """
 
 from __future__ import annotations
@@ -68,6 +71,17 @@ REFUSED_FLAGS = {
     "corr": ["--log-base", "10"],
     "valency": ["--entropy-base", "e"],
     "report": ["--seed", "1"],
+}
+SAMPLE = str(ROOT / "tests" / "data" / "sample_200.jsonl")
+# name -> (files to write into the run's directory, CLI arguments, what stderr must hold)
+CONFIG_RUN = ["report", SAMPLE, "--config", "run.json"]
+REFUSED_RUNS = {
+    "config file with a 5,000-digit integer": ({"run.json": '{"sl_max": 1' + "0" * 5000 + "}"}, CONFIG_RUN,
+                                               "config error:"),
+    "config file nested 100,000 deep": ({"run.json": "[" * 100_000}, CONFIG_RUN, "config error:"),
+    "trend --sl-max \uff11\uff12": ({}, ["trend", SAMPLE, "--sl-max", "\uff11\uff12"], "invalid integer value"),
+    "generate --count 1_0": ({}, ["generate", "--n", "5", "--seed", "1", "--count", "1_0"],
+                             "invalid integer value"),
 }
 OPTION_LINE = re.compile(r"  (-\S.*?)(?:  |$)")  # an option's flags and metavars, at the start of a help line
 
@@ -137,15 +151,18 @@ def help_flags(command: str) -> set[str]:
     return flags
 
 
-def refused_flag_outcome(command: str) -> tuple[bool, str]:
-    """Whether ``REFUSED_FLAGS[command]`` exits 2 with nothing on stdout, and the last stderr line."""
-    argv = [command, str(ROOT / "tests" / "data" / "sample_200.jsonl"), *REFUSED_FLAGS[command]]
+def refused_outcome(argv: list[str], files: dict[str, str], reason: str) -> tuple[bool, str]:
+    """Whether ``argv``, run in a directory holding ``files``, exits 2 with ``reason`` on stderr,
+    nothing on stdout and nothing written; and its exit status and last stderr line, cut short."""
     with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
         result = subprocess.run([sys.executable, "-m", "depmetrics", *argv],
                                 cwd=tmp, env=CHILD_ENV, capture_output=True, text=True)
-        left = os.listdir(tmp)
+        left = sorted(set(os.listdir(tmp)) - set(files))
     last = (result.stderr.splitlines() or [""])[-1]
-    return (result.returncode, result.stdout, left) == (2, "", []), f"exit {result.returncode}; {last}"
+    passed = (result.returncode, result.stdout, left) == (2, "", []) and reason in result.stderr
+    return passed, f"exit {result.returncode}; {last[:120]}"
 
 
 def main() -> int:
@@ -170,9 +187,14 @@ def main() -> int:
         ok &= listed == expected
         print(f"{command} -h: " + ("the declared flags" if listed == expected else
                                    f"DIFFERS: extra {sorted(listed - expected)}, missing {sorted(expected - listed)}"))
-        passed, got = refused_flag_outcome(command)
+        argv = [command, SAMPLE, *REFUSED_FLAGS[command]]
+        passed, got = refused_outcome(argv, {}, "unrecognized arguments")
         ok &= passed
         print(f"{command} {' '.join(REFUSED_FLAGS[command])}: {got}")
+    for name, (files, argv, reason) in REFUSED_RUNS.items():
+        passed, got = refused_outcome(argv, files, reason)
+        ok &= passed
+        print(f"{name}: {got}")
     return 0 if ok else 1
 
 

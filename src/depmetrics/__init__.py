@@ -16,9 +16,6 @@ from .treebank import (
     Sentence,
     ValencyLexicon,
     parse,
-    parse_cabocha,
-    parse_canonical,
-    parse_conllu,
     serialize_canonical,
     validate_tree,
 )
@@ -36,9 +33,6 @@ __all__ = [
     "metric_record",
     "ols_fit",
     "parse",
-    "parse_cabocha",
-    "parse_canonical",
-    "parse_conllu",
     "serialize_canonical",
     "spearman",
     "validate_tree",

@@ -161,15 +161,12 @@ def length_histogram(stats: CorpusStats) -> dict[int, int]:
     return {sl: cell.n for sl, cell in stats.sorted_cells()}
 
 
-def pooled_distribution(stats: CorpusStats, metric: str, sl_min: int, sl_max: int) -> Distribution:
-    """Merge the value counts of every length in [sl_min, sl_max]."""
-    if sl_min < 2:
-        raise ValueError(f"sl_min must be >= 2, got {sl_min}")
-    cells = stats.window(sl_min, sl_max).by_sl.values()
-    if not cells:
-        raise EmptySelection(f"no sentences with length in [{sl_min}, {sl_max}]")
+def pooled_distribution(stats: CorpusStats, metric: str) -> Distribution:
+    """Merge the value counts of every length in the fold (a window of it: :meth:`CorpusStats.window`)."""
+    if not stats.by_sl:
+        raise EmptySelection("no sentences to pool: the fold is empty")
     merged: Counter[int] = Counter()
-    for cell in cells:
+    for cell in stats.by_sl.values():
         merged.update(cell.value_counts(metric))
     return Distribution(counts=dict(merged))
 

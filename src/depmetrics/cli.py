@@ -28,7 +28,7 @@ from typing import Any, Iterable, Iterator, Union, get_args, get_origin, get_typ
 
 from . import __version__
 from .analysis import VALENCY_MODES
-from .errors import INPUT_ERRORS, ConfigError, ConstraintUnsatisfiable
+from .errors import INPUT_ERRORS, ConfigError
 from .metrics import metric_record
 from .randtree import RNG_NAME, GeneratorConfig, generate
 from .report import (
@@ -84,11 +84,20 @@ def infer_format(path: str) -> str:
     return _EXTENSION_FORMATS[suffix]
 
 
+def integer(text: str) -> int:
+    """The type of every integer flag: an optional '-' and then ASCII digits, not all that int() reads."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)  # past its digit limit also a ValueError, which argparse reports
+
+
 def _parse_dist_sls(value: str) -> tuple[int, ...]:
+    """The type of ``--dist-sls``: integers as :func:`integer`, comma-separated, with spaces around each."""
     try:
-        return tuple(int(part) for part in value.split(",") if part.strip())
+        return tuple(integer(part.strip()) for part in value.split(",") if part.strip())
     except ValueError:
-        raise ConfigError(f"--dist-sls expects a comma-separated integer list, got {value!r}") from None
+        raise argparse.ArgumentTypeError(f"expects a comma-separated integer list, got {value!r}") from None
 
 
 def _is_input_entry(entry: object) -> bool:
@@ -109,7 +118,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: invalid JSON ({exc.msg})") from None
-        except UnicodeDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, integer digit limit, nesting depth
             raise ConfigError(f"{args.config}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{args.config}: top level must be an object")
@@ -133,10 +142,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     for key in _CONFIG_ANNOTATIONS:
         flag = getattr(args, key, None)
-        if key not in ("inputs", "dist_sls") and flag is not None:
+        if key != "inputs" and flag is not None:
             values[key] = flag
-    if getattr(args, "dist_sls", None) is not None:
-        values["dist_sls"] = _parse_dist_sls(args.dist_sls)
 
     if getattr(args, "inputs", None):
         fmt = getattr(args, "format", None)
@@ -283,10 +290,10 @@ def _add_corpus_args(sub: argparse.ArgumentParser) -> None:
 
 # The flags of the settings that only tables read; each corpus command takes those its outputs read.
 _TABLE_FLAGS: dict[str, dict[str, Any]] = {
-    "--sl-min": {"type": int},
-    "--sl-max": {"type": int},
-    "--dist-sls": {"help": "comma-separated lengths for conditional distributions"},
-    "--min-bucket": {"type": int, "help": "minimum sentences per length for entropy/correlation points"},
+    "--sl-min": {"type": integer},
+    "--sl-max": {"type": integer},
+    "--dist-sls": {"type": _parse_dist_sls, "help": "comma-separated lengths for conditional distributions"},
+    "--min-bucket": {"type": integer, "help": "minimum sentences per length for entropy/correlation points"},
     "--valency-mode": {"choices": VALENCY_MODES},
     "--lexicon": {"dest": "lexicon_path",
                   "help": "valency lexicon TSV (lemma<TAB>class) for --valency-mode lexicon"},
@@ -327,11 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(func=commands.get(name, partial(cmd_tables, command=name)))
 
     sub = subparsers.add_parser("generate", help="generate a random-tree corpus (canonical JSONL)")
-    sub.add_argument("--n", type=int, required=True, help="nodes per sentence")
-    sub.add_argument("--count", type=int, default=1, help="number of sentences")
-    sub.add_argument("--seed", type=int, required=True)
+    sub.add_argument("--n", type=integer, required=True, help="nodes per sentence")
+    sub.add_argument("--count", type=integer, default=1, help="number of sentences")
+    sub.add_argument("--seed", type=integer, required=True)
     sub.add_argument("--constraint", choices=("chain", "star"))
-    sub.add_argument("--max-root-out-degree", type=int, dest="max_root_out_degree")
+    sub.add_argument("--max-root-out-degree", type=integer, dest="max_root_out_degree")
     sub.add_argument("-o", "--output", help="write to a file instead of stdout")
     sub.set_defaults(func=cmd_generate)
     return parser
@@ -350,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         return status
     except BrokenPipeError:  # the reader of stdout has gone: nothing to tell it
         return EXIT_CLOSED_STDOUT
-    except (ConfigError, ConstraintUnsatisfiable) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except INPUT_ERRORS as exc:

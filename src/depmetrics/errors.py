@@ -1,7 +1,9 @@
 """Exception taxonomy for the toolkit.
 
 Parsers raise the ingestion errors per sentence; callers may instead run in
-skip mode and collect them as rejections (see ``treebank``).
+skip mode and collect them as rejections (see ``treebank``). The class of an
+error decides the CLI's exit status: 1 for an :class:`InputError` (and an
+``OSError``), 2 for a :class:`ConfigError`, 3 for any other error.
 """
 
 
@@ -9,26 +11,30 @@ class DepMetricsError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InputError(DepMetricsError):
+    """Bad input data, rather than bad configuration or a bug."""
+
+
 # --- ingestion ---------------------------------------------------------
 
 
-class InvalidEncoding(DepMetricsError):
+class InvalidEncoding(InputError):
     """Input bytes that are not UTF-8; the message names the input and the byte offset."""
 
 
-class MalformedLine(DepMetricsError):
+class MalformedLine(InputError):
     """An input line that cannot be interpreted in the declared format."""
 
 
-class MalformedChunkHeader(DepMetricsError):
+class MalformedChunkHeader(InputError):
     """A CaboCha chunk header line that does not match '* IDX HEADD ...'."""
 
 
-class MissingEOS(DepMetricsError):
+class MissingEOS(InputError):
     """CaboCha stream ended with a partial sentence (no terminating EOS)."""
 
 
-class InvalidTree(DepMetricsError):
+class InvalidTree(InputError):
     """The head relation of a sentence does not form a single rooted tree."""
 
 
@@ -73,18 +79,11 @@ class NonPositiveX(DepMetricsError):
 # --- analysis -----------------------------------------------------------
 
 
-class EmptySelection(DepMetricsError):
+class EmptySelection(InputError):
     """No sentences matched the requested length window."""
 
 
-class EmptyLexicon(DepMetricsError):
-    pass
-
-
-# --- generation ---------------------------------------------------------
-
-
-class ConstraintUnsatisfiable(DepMetricsError):
+class EmptyLexicon(InputError):
     pass
 
 
@@ -95,14 +94,12 @@ class ConfigError(DepMetricsError):
     pass
 
 
+# --- generation ---------------------------------------------------------
+
+
+class ConstraintUnsatisfiable(ConfigError):
+    pass
+
+
 #: Errors that indicate bad input data rather than bad configuration or a bug.
-INPUT_ERRORS = (
-    InvalidEncoding,
-    MalformedLine,
-    MalformedChunkHeader,
-    MissingEOS,
-    InvalidTree,
-    EmptySelection,
-    EmptyLexicon,
-    OSError,
-)
+INPUT_ERRORS = (InputError, OSError)

@@ -379,12 +379,10 @@ class Analyses:
 
 
 def load_lexicon(config: RunConfig) -> ValencyLexicon | None:
-    """The valency lexicon of lexicon mode, read, checked and not empty; None in the other mode."""
+    """The lexicon at ``lexicon_path``, read, checked and not empty; None without a path (other modes)."""
     lexicon_path = config.lexicon_path
-    if config.valency_mode != "lexicon":
+    if lexicon_path is None:
         return None
-    if not lexicon_path:  # a config that did not pass RunConfig.validate
-        raise ConfigError("valency mode 'lexicon' requires --lexicon PATH")
     lexicon = ValencyLexicon.from_tsv(Path(lexicon_path).read_bytes(), source=lexicon_path)
     if not len(lexicon):
         raise EmptyLexicon(f"{lexicon_path}: lexicon mode requires a non-empty valency lexicon")
@@ -411,7 +409,7 @@ def compute_analyses(config: RunConfig, corpus: CorpusData, command: str = "repo
             analyses.length_hist = {1: corpus.single_node_count, **analyses.length_hist}
     if "dist.csv" in tables:
         for metric in ("dd", "hd"):
-            analyses.pooled[metric] = pooled_distribution(stats, metric, config.sl_min, config.sl_max)
+            analyses.pooled[metric] = pooled_distribution(window, metric)
             analyses.conditional[metric] = conditional_distributions(window, metric, config.dist_sls)
     if "entropy.csv" in tables:
         for metric in ("dd", "hd"):

@@ -35,9 +35,6 @@ class Distribution:
     def support(self) -> list[int]:
         return sorted(value for value, count in self.counts.items() if count > 0)
 
-    def probability(self, value: int) -> float:
-        return self.counts.get(value, 0) / self.total
-
     def probabilities(self) -> dict[int, float]:
         total = self.total
         return {value: self.counts[value] / total for value in self.support()}

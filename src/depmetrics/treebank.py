@@ -9,13 +9,14 @@ Three input formats are supported:
 Every sentence is checked for tree well-formedness (exactly one root,
 acyclic, fully connected) before it is returned. Parsers either raise on the
 first bad sentence (``errors="raise"``, the default) or skip it and record a
-:class:`Rejection` (``errors="skip"``), which is what the CLI uses so that a
-noisy corpus does not abort a run.
+:class:`Rejection` in the ``rejections`` list that skip mode requires
+(``errors="skip"``), which is what the CLI uses so that a noisy corpus does
+not abort a run and every bad sentence is counted.
 
 Each format has one generator (``iter_conllu``, ``iter_cabocha``,
 ``iter_canonical``, dispatched by ``iter_parse``) that yields the sentences
-one at a time, so a caller can fold a corpus without holding it; the
-``parse*`` functions return the same sentences as a list. Lines end in LF
+one at a time, so a caller can fold a corpus without holding it;
+:func:`parse` returns the same sentences as a list. Lines end in LF
 or CRLF; no other character breaks a line. A binary input is read, decoded
 and split ``CHUNK_BYTES`` at a time, and :func:`iter_byte_range` parses one
 of several byte ranges of a file, so that processes can share a file
@@ -245,7 +246,7 @@ def validate_tree(sentence: Sentence) -> Sentence:
 
 
 def serialize_canonical(sentence: Sentence) -> str:
-    """Render one canonical-JSONL line; ``parse_canonical`` inverts it.
+    """Render one canonical-JSONL line; :func:`iter_canonical` inverts it.
 
     Writes the text of ``json.dumps(obj, ensure_ascii=False, sort_keys=True)``
     without building ``obj``: sorted keys, default separators, json's encoder.
@@ -420,6 +421,7 @@ def iter_byte_range(
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     if not 0 <= k < parts:
         raise ValueError(f"need 0 <= k < parts, got k={k}, parts={parts}")
+    _check_error_mode(options.get("errors", "raise"), options.get("rejections"))  # before any read
     lo = _sentence_break(handle, fmt, k * size // parts)
     hi = None if k == parts - 1 else _sentence_break(handle, fmt, (k + 1) * size // parts)
     lines_before, sentences_before = _count_before(handle, fmt, lo)
@@ -492,24 +494,21 @@ def _reject(
     source: str,
     sentence_id: str | None,
 ) -> None:
-    """Apply the error policy to one bad sentence: re-raise, or record it."""
+    """Apply the error policy to one bad sentence: re-raise, or record it in the list skip mode has."""
     if errors == "raise":
         raise exc
-    if rejections is not None:
-        rejections.append(Rejection(source=source, reason=str(exc), sentence_id=sentence_id))
+    rejections.append(Rejection(source=source, reason=str(exc), sentence_id=sentence_id))
 
 
-def _check_error_mode(errors: str) -> None:
+def _check_error_mode(errors: str, rejections: list[Rejection] | None) -> None:
+    """Refuse an unknown mode, and skip mode without a list: a skipped sentence is always counted."""
     if errors not in ("raise", "skip"):
         raise ValueError(f"errors must be 'raise' or 'skip', got {errors!r}")
+    if errors == "skip" and rejections is None:
+        raise ValueError("errors='skip' needs a rejections list to record the skipped sentences in")
 
 
 # --- CoNLL-U --------------------------------------------------------------
-
-
-def parse_conllu(stream: Text, **options: Any) -> list[Sentence]:
-    """:func:`iter_conllu` as a list."""
-    return list(iter_conllu(stream, **options))
 
 
 def iter_conllu(
@@ -537,7 +536,7 @@ def iter_conllu(
     :func:`iter_cabocha` takes both; :func:`iter_canonical` takes only
     ``first_line``, since its ids come from the file.
     """
-    _check_error_mode(errors)
+    _check_error_mode(errors, rejections)
     block: list[str] = []
     first_lineno = first_line  # of the current block
     # a blank line ends the last block
@@ -643,11 +642,6 @@ def _drop_punct(
 # --- CaboCha lattice -------------------------------------------------------
 
 
-def parse_cabocha(stream: Text, **options: Any) -> list[Sentence]:
-    """:func:`iter_cabocha` as a list."""
-    return list(iter_cabocha(stream, **options))
-
-
 def iter_cabocha(
     stream: Text,
     *,
@@ -669,7 +663,7 @@ def iter_cabocha(
     One walk reads every line once. A sentence's first fault is kept and
     reported at its ``EOS``, so a sentence is never cut short.
     """
-    _check_error_mode(errors)
+    _check_error_mode(errors, rejections)
     start: int | None = None  # number of the pending sentence's first line
     heads: list[int] = []
     forms: list[str] = []  # of the closed chunks
@@ -756,11 +750,6 @@ def iter_cabocha(
 # --- canonical JSONL -------------------------------------------------------
 
 
-def parse_canonical(stream: Text, **options: Any) -> list[Sentence]:
-    """:func:`iter_canonical` as a list."""
-    return list(iter_canonical(stream, **options))
-
-
 def iter_canonical(
     stream: Text,
     *,
@@ -778,7 +767,7 @@ def iter_canonical(
     Blank lines and lines starting with '#' (used for run metadata by the
     generator) are skipped.
     """
-    _check_error_mode(errors)
+    _check_error_mode(errors, rejections)
     for lineno, raw in enumerate(_text_lines(stream, source), first_line):
         line = raw.strip()
         if not line or line.startswith("#"):

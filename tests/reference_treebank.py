@@ -36,7 +36,7 @@ def iter_cabocha(
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
 ) -> Iterator[Sentence]:
-    _check_error_mode(errors)
+    _check_error_mode(errors, rejections)
     lines = list(_text_lines(stream))
     ordinal = 0
     start: int | None = None  # index of the pending sentence's first non-blank line

@@ -28,7 +28,7 @@ from depmetrics.cli import main
 from depmetrics.metrics import metric_record
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads
 from depmetrics.stats import Distribution, entropy, midranks, ols_fit, spearman
-from depmetrics.treebank import Sentence, iter_parse, parse_canonical, parse_conllu, validate_tree
+from depmetrics.treebank import Sentence, iter_canonical, iter_conllu, iter_parse, validate_tree
 
 from .conftest import DATA_DIR, DEMO7_HEADS, exact_means
 from .reference_randtree import enumerate_trees
@@ -50,7 +50,7 @@ def test_criterion_01_worked_example_golden():
     text = "\n".join(
         f"{i}\tw{i}\t_\t_\t_\t_\t{h}\t_\t_\t_" for i, h in enumerate(DEMO7_HEADS, 1)
     )
-    sentence = parse_conllu(text)[0]
+    sentence = list(iter_conllu(text))[0]
     record = metric_record(sentence)
     elapsed = time.monotonic() - started
     assert record.sl == 7
@@ -61,8 +61,9 @@ def test_criterion_01_worked_example_golden():
 
 def test_criterion_02_sl2_identity():
     pairs = [s for s in enumerate_trees(2)]
-    pairs += [s for s in parse_canonical((DATA_DIR / "sample_200.jsonl").read_bytes()) if len(s) == 2]
-    pairs += [s for s in parse_conllu((DATA_DIR / "sample_ud.conllu").read_bytes(), errors="skip") if len(s) == 2]
+    pairs += [s for s in iter_canonical((DATA_DIR / "sample_200.jsonl").read_bytes()) if len(s) == 2]
+    ud = (DATA_DIR / "sample_ud.conllu").read_bytes()
+    pairs += [s for s in iter_conllu(ud, errors="skip", rejections=[]) if len(s) == 2]
     assert len(pairs) >= 12
     for sentence in pairs:
         record = metric_record(sentence)
@@ -119,7 +120,7 @@ def test_criterion_05_hd1_equals_root_out_degree():
         for sentence in enumerate_trees(n):
             record = metric_record(sentence)
             assert record.hd_hist.get(1, 0) == record.root_out_degree
-    for sentence in parse_canonical((DATA_DIR / "sample_200.jsonl").read_bytes()):
+    for sentence in iter_canonical((DATA_DIR / "sample_200.jsonl").read_bytes()):
         record = metric_record(sentence)
         assert record.hd_hist.get(1, 0) == record.root_out_degree
 
@@ -187,7 +188,7 @@ def test_criterion_07_conditional_merge_equals_pooled():
             stats.add(random_tree(GeneratorConfig(n=rng.randint(2, 12), seed=corpus_index), i))
         lengths = sorted(stats.by_sl)
         for metric in ("dd", "hd"):
-            pooled = pooled_distribution(stats, metric, 2, 12)
+            pooled = pooled_distribution(stats.window(2, 12), metric)
             merged: Counter = Counter()
             for dist in conditional_distributions(stats, metric, lengths).values():
                 merged.update(dist.counts)
@@ -225,12 +226,12 @@ def test_criterion_09b_directional_check_on_real_treebank():
         suffix, "conllu"
     )
     stats = CorpusStats()
-    for sentence in iter_parse(Path(treebank).read_bytes(), fmt, errors="skip"):
+    for sentence in iter_parse(Path(treebank).read_bytes(), fmt, errors="skip", rejections=[]):
         if len(sentence) >= 2:
             stats.add(sentence)
     assert sum(cell.n for cell in stats.by_sl.values()) >= 10_000
-    p_dd1 = pooled_distribution(stats, "dd", 2, 20).probability(1)
-    p_hd1 = pooled_distribution(stats, "hd", 2, 20).probability(1)
+    p_dd1 = pooled_distribution(stats.window(2, 20), "dd").probabilities().get(1, 0.0)
+    p_hd1 = pooled_distribution(stats.window(2, 20), "hd").probabilities().get(1, 0.0)
     assert p_dd1 > p_hd1
     mdd_series, mhd_series = mean_metric_by_sl(stats.window(2, 20))
     for series in (mdd_series, mhd_series):

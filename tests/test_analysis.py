@@ -23,7 +23,7 @@ from depmetrics.analysis import SeriesPoint
 from depmetrics.errors import EmptyLexicon, EmptySelection, TooShort
 from depmetrics.metrics import metric_record
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads
-from depmetrics.treebank import Sentence, ValencyLexicon, parse_canonical, parse_conllu
+from depmetrics.treebank import Sentence, ValencyLexicon, iter_canonical, iter_conllu
 
 from .conftest import make_sentence
 from .reference_randtree import enumerate_trees
@@ -99,7 +99,7 @@ def test_length_histogram_matches_line_count_oracle(data_dir):
         for line in raw.splitlines()
         if line.strip() and not line.startswith("#")
     )
-    sentences = parse_canonical(raw)
+    sentences = list(iter_canonical(raw))
     assert length_histogram(fold(sentences)) == dict(oracle)
 
 
@@ -107,32 +107,30 @@ def test_length_histogram_matches_line_count_oracle(data_dir):
 
 
 def test_pooled_distribution_star(star5_record):
-    dd_dist = pooled_distribution(fold([star5_record]), "dd", 2, 20)
+    dd_dist = pooled_distribution(fold([star5_record]).window(2, 20), "dd")
     assert dd_dist.probabilities() == {1: 0.25, 2: 0.25, 3: 0.25, 4: 0.25}
-    hd_dist = pooled_distribution(fold([star5_record]), "hd", 2, 20)
+    hd_dist = pooled_distribution(fold([star5_record]).window(2, 20), "hd")
     assert hd_dist.probabilities() == {1: 1.0}
 
 
 def test_pooled_distribution_pair():
     record = fold([rec((2, 0))])
     for metric in ("dd", "hd"):
-        assert pooled_distribution(record, metric, 2, 20).probabilities() == {1: 1.0}
+        assert pooled_distribution(record.window(2, 20), metric).probabilities() == {1: 1.0}
 
 
 def test_pooled_distribution_window_and_errors(star5_record):
     stats = fold([star5_record])
     with pytest.raises(EmptySelection):
-        pooled_distribution(stats, "dd", 6, 20)
+        pooled_distribution(stats.window(6, 20), "dd")
     with pytest.raises(ValueError):
-        pooled_distribution(stats, "dd", 1, 20)
-    with pytest.raises(ValueError):
-        pooled_distribution(stats, "xx", 2, 20)
+        pooled_distribution(stats.window(2, 20), "xx")
 
 
 def test_pooled_total_matches_per_length_dependency_count():
     rng = random.Random(8)
     sentences = [random_tree(GeneratorConfig(n=rng.randint(2, 9), seed=3), i) for i in range(120)]
-    dist = pooled_distribution(fold(sentences), "dd", 2, 6)
+    dist = pooled_distribution(fold(sentences).window(2, 6), "dd")
     by_sl = Counter(len(s) for s in sentences if 2 <= len(s) <= 6)
     assert dist.total == sum((sl - 1) * count for sl, count in by_sl.items())
 
@@ -361,7 +359,7 @@ def test_merging_conditionals_reproduces_pooled_distribution():
         random_tree(GeneratorConfig(n=rng.randint(2, 10), seed=21), i) for i in range(400)
     )
     for metric in ("dd", "hd"):
-        pooled = pooled_distribution(records, metric, 2, 10)
+        pooled = pooled_distribution(records.window(2, 10), metric)
         lengths = sorted(records.by_sl)
         conditionals = conditional_distributions(records, metric, lengths)
         merged: Counter = Counter()
@@ -371,8 +369,8 @@ def test_merging_conditionals_reproduces_pooled_distribution():
 
 
 def test_hd1_count_equals_root_out_degree_corpus_wide(data_dir):
-    sentences = parse_conllu((data_dir / "sample_ud.conllu").read_bytes(), errors="skip")
-    sentences += parse_canonical((data_dir / "sample_200.jsonl").read_bytes())
+    sentences = list(iter_conllu((data_dir / "sample_ud.conllu").read_bytes(), errors="skip", rejections=[]))
+    sentences += list(iter_canonical((data_dir / "sample_200.jsonl").read_bytes()))
     for sent in sentences:
         if len(sent) >= 2:
             record = metric_record(sent)

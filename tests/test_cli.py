@@ -11,10 +11,11 @@ import tracemalloc
 
 import pytest
 
+from depmetrics import errors
 from depmetrics.cli import main
 from depmetrics.metrics import metric_record
 from depmetrics.randtree import GeneratorConfig, generate
-from depmetrics.treebank import parse_canonical, parse_conllu, serialize_canonical
+from depmetrics.treebank import iter_canonical, iter_conllu, serialize_canonical
 
 from . import closed_stdout, reference_metrics
 from .command_flags import COMMAND_FLAGS, RUN_CONFIG_FLAGS
@@ -109,7 +110,7 @@ def test_metrics_dump_matches_library(data_dir, tmp_path, capsys):
     assert lines[0].startswith("# ")
     meta = json.loads(lines[0][2:])
     assert meta["command"] == "metrics"
-    sentences = parse_conllu((data_dir / "sample_ud.conllu").read_bytes(), errors="skip")
+    sentences = list(iter_conllu((data_dir / "sample_ud.conllu").read_bytes(), errors="skip", rejections=[]))
     expected = [metric_record(s) for s in sentences if len(s) >= 2]
     assert lines[1:] == [reference_metrics.json_line(record) for record in expected]
     assert [json.loads(line) for line in lines[1:]] == list(map(reference_metrics.json_dict, expected))
@@ -552,6 +553,58 @@ def test_a_corpus_command_takes_exactly_the_flags_its_outputs_read(
     assert list(tmp_path.iterdir()) == []
 
 
+INTEGER_FLAGS = ("--sl-min", "--sl-max", "--min-bucket", "--dist-sls")  # --dist-sls: a list of them
+GENERATE_ARGS = {"--n": "5", "--count": "2", "--seed": "1", "--max-root-out-degree": "2"}
+# Forms that int() reads but an integer flag does not take, and one past int()'s digit limit.
+NOT_INTEGERS = {"fullwidth": "\uff11\uff12", "plus": "+3", "space": " 3", "underscore": "1_0",
+                "arabic-indic": "\u0663", "5001-digits": "1" + "0" * 5000}
+INTEGER_FLAG_CASES = [
+    pytest.param(command, flag, value, id=f"{command}-{flag}-{name}")
+    for command, flags in [*sorted(COMMAND_FLAGS.items()), ("generate", tuple(GENERATE_ARGS))]
+    for flag in flags
+    if flag in INTEGER_FLAGS or command == "generate"
+    for name, value in NOT_INTEGERS.items()
+    if not (flag == "--dist-sls" and name == "space")  # a list item may have spaces around it
+]
+
+
+@pytest.mark.parametrize("command, flag, value", INTEGER_FLAG_CASES)
+def test_an_integer_flag_takes_an_optional_minus_and_ascii_digits_only(
+    command, flag, value, data_dir, tmp_path, capsys, monkeypatch
+):
+    import depmetrics.report as report_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input or the lexicon was opened")
+
+    monkeypatch.setattr(report_module, "iter_byte_range", refuse)
+    monkeypatch.setattr(report_module, "load_lexicon", refuse)
+    monkeypatch.chdir(tmp_path)
+    if command == "generate":
+        others = {name: given for name, given in GENERATE_ARGS.items() if name != flag}
+        argv = ["generate", *(token for pair in others.items() for token in pair)]
+    else:
+        argv = [command, str(data_dir / "sample_200.jsonl")]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, flag, f"5,{value}" if flag == "--dist-sls" else value])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: " in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_integer_flags_take_a_minus_and_dist_sls_items_spaces(data_dir, tmp_path, capsys):
+    code, out, _ = run(["generate", "--n", "3", "--seed", "-3"], capsys)
+    assert code == 0 and json.loads(out.splitlines()[0][2:])["seed"] == -3
+    code, _, err = run(["trend", str(data_dir / "sample_200.jsonl"), "--sl-min", "-3"], capsys)
+    assert (code, err) == (2, "config error: need 2 <= sl_min <= sl_max, got [-3, 20]\n")
+    sample = str(data_dir / "sample_200.jsonl")
+    code, _, _ = run(["dist", sample, "--dist-sls", " 5 , 10,", "--output-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))["config"]["dist_sls"] == [5, 10]
+
+
 def test_config_file_seed_is_an_unknown_key(data_dir, tmp_path, capsys):
     config_path = tmp_path / "run.json"
     config = {"inputs": [{"path": str(data_dir / "sample_200.jsonl")}], "seed": 1}
@@ -567,6 +620,25 @@ def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     code, _, err = run(["report", "--config", str(config_path)], capsys)
     assert code == 2
     assert err.startswith(f"config error: {config_path}: 'utf-8' codec can't decode byte 0xff in position 11")
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"sl_max": 1' + "0" * 5000 + "}", "for integer string conversion"),
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["5000-digit-integer", "100000-deep-nesting"],
+)
+def test_config_file_past_a_json_limit_is_a_config_error(text, reason, data_dir, tmp_path, capsys, monkeypatch):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["report", str(data_dir / "sample_200.jsonl"), "--config", str(config_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: {config_path}: ") and reason in err
+    assert list(tmp_path.iterdir()) == [config_path]
 
 
 def test_config_file_input_entry_with_an_unknown_key_is_a_config_error(data_dir, tmp_path, capsys):
@@ -662,7 +734,7 @@ def test_generate_reproducible_and_parseable(tmp_path, capsys):
         code, _, _ = run(["generate", "--n", "5", "--count", "3", "--seed", "7", "-o", str(path)], capsys)
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
-    sentences = parse_canonical(a.read_bytes())
+    sentences = list(iter_canonical(a.read_bytes()))
     assert len(sentences) == 3
     header = a.read_text(encoding="utf-8").splitlines()[0]
     assert header.startswith("# ")
@@ -677,7 +749,7 @@ def test_generate_respects_out_degree_cap(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    for sent in parse_canonical(path.read_bytes()):
+    for sent in iter_canonical(path.read_bytes()):
         assert metric_record(sent).root_out_degree <= 4
 
 
@@ -785,6 +857,50 @@ def test_internal_errors_exit_three(data_dir, capsys, monkeypatch):
     code, _, err = run(["report", str(data_dir / "sample_200.jsonl")], capsys)
     assert code == 3
     assert err == "internal error: RuntimeError('synthetic failure')\n"
+
+
+EXIT_STATUS = {
+    errors.InputError: 1,
+    errors.InvalidEncoding: 1,
+    errors.MalformedLine: 1,
+    errors.MalformedChunkHeader: 1,
+    errors.MissingEOS: 1,
+    errors.InvalidTree: 1,
+    errors.MultipleRoots: 1,
+    errors.NoRoot: 1,
+    errors.CycleDetected: 1,
+    errors.SelfLoop: 1,
+    errors.EmptySelection: 1,
+    errors.EmptyLexicon: 1,
+    OSError: 1,
+    errors.ConfigError: 2,
+    errors.ConstraintUnsatisfiable: 2,
+    errors.DepMetricsError: 3,
+    errors.TooShort: 3,
+    errors.EmptyDistribution: 3,
+    errors.DegenerateInput: 3,
+    errors.NonPositiveX: 3,
+}
+
+
+def test_exit_status_table_names_every_error_class():
+    classes = {value for value in vars(errors).values() if isinstance(value, type)}
+    assert classes | {OSError} == set(EXIT_STATUS)
+
+
+@pytest.mark.parametrize("error", EXIT_STATUS, ids=lambda error: error.__name__)
+def test_exit_status_follows_the_error_class(error, data_dir, capsys, monkeypatch):
+    import depmetrics.cli as cli_module
+
+    def fail(config, corpus, command):
+        raise error("synthetic")
+
+    monkeypatch.setattr(cli_module, "compute_analyses", fail)
+    code, out, err = run(["trend", str(data_dir / "sample_200.jsonl")], capsys)
+    assert code == EXIT_STATUS[error]
+    assert out == ""
+    prefix = {1: "input error: synthetic", 2: "config error: synthetic", 3: f"internal error: {error.__name__}("}
+    assert err.startswith(prefix[code])
 
 
 def test_partial_outputs_removed_on_write_failure(tmp_path):

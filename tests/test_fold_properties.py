@@ -82,7 +82,9 @@ def test_every_table_of_the_fold_equals_the_per_record_reference(sentences, setu
     with tempfile.TemporaryDirectory() as tmp:
         lexicon_path = Path(tmp) / "lexicon.tsv"
         lexicon_path.write_text("".join(f"{k}\t{v}\n" for k, v in entries.items()), encoding="utf-8")
-        config.lexicon_path = str(lexicon_path)
+        if config.valency_mode == "lexicon":
+            config.lexicon_path = str(lexicon_path)
+        config.validate()
         stats = _fold(sentences, load_lexicon(config))
     got = _outcome(lambda: compute_analyses(config, CorpusData(inputs=[], fold=stats)))
     want = _outcome(lambda: reference_analyses(config, sentences, ValencyLexicon(entries)))

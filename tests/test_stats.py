@@ -24,8 +24,8 @@ def test_distribution_probabilities_sum_to_one():
     assert abs(sum(dist.probabilities().values()) - 1.0) <= 1e-12
     assert dist.total == 19
     assert dist.support() == [1, 2, 7]
-    assert dist.probability(2) == 5 / 19
-    assert dist.probability(99) == 0.0
+    assert dist.probabilities().get(2, 0.0) == 5 / 19
+    assert dist.probabilities().get(99, 0.0) == 0.0
 
 
 def test_distribution_rejects_empty_and_negative():

@@ -15,14 +15,16 @@ from depmetrics.errors import (
 )
 from depmetrics.metrics import metric_record
 from depmetrics.treebank import (
+    FORMATS,
     Node,
     Sentence,
     ValencyLexicon,
+    iter_cabocha,
+    iter_byte_range,
+    iter_canonical,
+    iter_conllu,
     iter_parse,
     parse,
-    parse_cabocha,
-    parse_canonical,
-    parse_conllu,
     serialize_canonical,
     validate_tree,
 )
@@ -43,7 +45,7 @@ def conllu_block(heads, **kw):
 
 def test_parse_conllu_minimal_two_tokens():
     text = conllu_line(1, 2, form="the") + "\n" + conllu_line(2, 0, form="cat") + "\n"
-    sentences = parse_conllu(text)
+    sentences = list(iter_conllu(text))
     assert len(sentences) == 1
     sent = sentences[0]
     assert len(sent) == 2
@@ -53,31 +55,31 @@ def test_parse_conllu_minimal_two_tokens():
 
 
 def test_parse_conllu_empty_input():
-    assert parse_conllu("") == []
-    assert parse_conllu(b"\n\n") == []
+    assert list(iter_conllu("")) == []
+    assert list(iter_conllu(b"\n\n")) == []
 
 
 def test_parse_conllu_demo7_mdd():
-    sentences = parse_conllu(conllu_block(DEMO7_HEADS))
+    sentences = list(iter_conllu(conllu_block(DEMO7_HEADS)))
     assert len(sentences) == 1
     assert metric_record(sentences[0]).mdd == pytest.approx(1.8333, abs=5e-5)
 
 
 def test_parse_conllu_uses_sent_id_comment():
     text = "# sent_id = xyz\n" + conllu_block((2, 0))
-    assert parse_conllu(text)[0].id == "xyz"
+    assert list(iter_conllu(text))[0].id == "xyz"
 
 
 def test_parse_conllu_matches_the_sent_id_key_exactly():
     block = conllu_block((2, 0))
-    assert parse_conllu("# sent_id = real\n# sent_id_orig = other\n" + block)[0].id == "real"
-    assert parse_conllu("# sent_idx = 7\n" + block, source="f")[0].id == "f#1"
-    assert parse_conllu("#sent_id=tight\n" + block)[0].id == "tight"
-    assert parse_conllu("# sent_id =\n" + block, source="f")[0].id == "f#1"  # no value
+    assert list(iter_conllu("# sent_id = real\n# sent_id_orig = other\n" + block))[0].id == "real"
+    assert list(iter_conllu("# sent_idx = 7\n" + block, source="f"))[0].id == "f#1"
+    assert list(iter_conllu("#sent_id=tight\n" + block))[0].id == "tight"
+    assert list(iter_conllu("# sent_id =\n" + block, source="f"))[0].id == "f#1"  # no value
 
 
 def test_parse_conllu_skips_ranges_and_empty_nodes(data_dir):
-    sentences = parse_conllu((data_dir / "sample_ud.conllu").read_bytes(), source="sample_ud.conllu")
+    sentences = list(iter_conllu((data_dir / "sample_ud.conllu").read_bytes(), source="sample_ud.conllu"))
     by_id = {s.id: s for s in sentences}
     ranged = by_id["ranges6"]
     assert len(ranged) == 6
@@ -88,26 +90,26 @@ def test_parse_conllu_skips_ranges_and_empty_nodes(data_dir):
 def test_parse_conllu_rejects_id_gap():
     text = conllu_line(1, 3) + "\n" + conllu_line(3, 0) + "\n"
     with pytest.raises(InvalidTree):
-        parse_conllu(text)
+        list(iter_conllu(text))
     rejections = []
-    assert parse_conllu(text, errors="skip", rejections=rejections) == []
+    assert list(iter_conllu(text, errors="skip", rejections=rejections)) == []
     assert len(rejections) == 1
     assert "consecutive" in rejections[0].reason
 
 
 def test_parse_conllu_malformed_lines():
     with pytest.raises(MalformedLine):
-        parse_conllu("1\tonly\tthree\n")
+        list(iter_conllu("1\tonly\tthree\n"))
     with pytest.raises(MalformedLine):
-        parse_conllu(conllu_line("x", 0))
+        list(iter_conllu(conllu_line("x", 0)))
     with pytest.raises(MalformedLine):
-        parse_conllu(conllu_line(1, "zero"))
+        list(iter_conllu(conllu_line(1, "zero")))
 
 
 def test_parse_conllu_skip_mode_keeps_good_sentences(data_dir):
     rejections = []
-    sentences = parse_conllu(
-        (data_dir / "mixed.conllu").read_bytes(), errors="skip", rejections=rejections
+    sentences = list(
+        iter_conllu((data_dir / "mixed.conllu").read_bytes(), errors="skip", rejections=rejections)
     )
     assert [s.id for s in sentences] == ["good1", "good2"]
     assert len(rejections) == 2
@@ -115,7 +117,7 @@ def test_parse_conllu_skip_mode_keeps_good_sentences(data_dir):
 
 
 def test_parse_conllu_underscore_fields_become_none():
-    sent = parse_conllu(conllu_line(1, 0, form="_", lemma="_") + "\n")[0]
+    sent = list(iter_conllu(conllu_line(1, 0, form="_", lemma="_") + "\n"))[0]
     assert sent.nodes[0].form is None
     assert sent.nodes[0].lemma is None
 
@@ -136,14 +138,15 @@ def test_conllu_id_and_head_take_ascii_digits_only(field, raw):
     text = first + "\n" + conllu_line(2, 0) + "\n"
     reason = f"line 1: non-integer {field} {raw!r}"
     with pytest.raises(MalformedLine, match=f"^{re.escape(reason)}$"):
-        parse_conllu(text)
+        list(iter_conllu(text))
     rejections = []
-    assert parse_conllu(text, errors="skip", rejections=rejections) == []
+    assert list(iter_conllu(text, errors="skip", rejections=rejections)) == []
     assert [rejection.reason for rejection in rejections] == [reason]
 
 
 def test_drop_punct_removes_leaf_and_renumbers(data_dir):
-    sentences = parse_conllu((data_dir / "sample_ud.conllu").read_bytes(), drop_punct=True, errors="skip")
+    text = (data_dir / "sample_ud.conllu").read_bytes()
+    sentences = list(iter_conllu(text, drop_punct=True, errors="skip", rejections=[]))
     by_id = {s.id: s for s in sentences}
     trimmed = by_id["punct4"]
     assert len(trimmed) == 3
@@ -153,9 +156,8 @@ def test_drop_punct_removes_leaf_and_renumbers(data_dir):
 
 def test_drop_punct_rejects_punct_with_dependents(data_dir):
     rejections = []
-    sentences = parse_conllu(
-        (data_dir / "sample_ud.conllu").read_bytes(), drop_punct=True, errors="skip", rejections=rejections
-    )
+    text = (data_dir / "sample_ud.conllu").read_bytes()
+    sentences = list(iter_conllu(text, drop_punct=True, errors="skip", rejections=rejections))
     assert "punctdep5" not in {s.id for s in sentences}
     assert any("punctuation" in r.reason for r in rejections)
 
@@ -164,7 +166,7 @@ def test_drop_punct_keeps_out_of_range_head_for_validation():
     text = conllu_line(1, 3) + "\n" + conllu_line(2, 3, upos="PUNCT") + "\n"
     text += conllu_line(3, 0) + "\n" + conllu_line(4, 9) + "\n"
     with pytest.raises(InvalidTree, match=r"node 3 head 9 out of range 1\.\.3$"):
-        parse_conllu(text, drop_punct=True)
+        list(iter_conllu(text, drop_punct=True))
 
 
 # --- CaboCha ----------------------------------------------------------------
@@ -172,14 +174,14 @@ def test_drop_punct_keeps_out_of_range_head_for_validation():
 
 def test_parse_cabocha_single_chunk():
     text = "* 0 -1D 0/0 0.0\nhai\tint,*,*,*,*,*,hai,HAI,HAI\nEOS\n"
-    sentences = parse_cabocha(text)
+    sentences = list(iter_cabocha(text))
     assert len(sentences) == 1
     assert sentences[0].heads() == (0,)
     assert sentences[0].nodes[0].form == "hai"
 
 
 def test_parse_cabocha_sample_file(data_dir):
-    sentences = parse_cabocha((data_dir / "sample.cabocha").read_bytes(), source="sample.cabocha")
+    sentences = list(iter_cabocha((data_dir / "sample.cabocha").read_bytes(), source="sample.cabocha"))
     assert len(sentences) == 3
     first, single, last = sentences
     assert first.heads() == DEMO7_HEADS
@@ -190,24 +192,24 @@ def test_parse_cabocha_sample_file(data_dir):
 
 
 def test_parse_cabocha_demo_structure_metrics(data_dir):
-    first = parse_cabocha((data_dir / "sample.cabocha").read_bytes())[0]
+    first = list(iter_cabocha((data_dir / "sample.cabocha").read_bytes()))[0]
     assert metric_record(first).mdd == pytest.approx(1.8333, abs=5e-5)
 
 
 def test_parse_cabocha_missing_eos():
     text = "* 0 -1D\nword\tnoun,*,*,*,*,*,word,W,W\n"
     with pytest.raises(MissingEOS):
-        parse_cabocha(text)
+        list(iter_cabocha(text))
     rejections = []
-    assert parse_cabocha(text, errors="skip", rejections=rejections) == []
+    assert list(iter_cabocha(text, errors="skip", rejections=rejections)) == []
     assert len(rejections) == 1
 
 
 def test_parse_cabocha_malformed_header():
     with pytest.raises(MalformedChunkHeader):
-        parse_cabocha("* 0 nohead\nw\tx\nEOS\n")
+        list(iter_cabocha("* 0 nohead\nw\tx\nEOS\n"))
     with pytest.raises(MalformedChunkHeader):
-        parse_cabocha("* 5 -1D\nw\tx\nEOS\n")  # index out of sequence
+        list(iter_cabocha("* 5 -1D\nw\tx\nEOS\n"))  # index out of sequence
 
 
 @pytest.mark.parametrize(
@@ -218,13 +220,13 @@ def test_parse_cabocha_malformed_header():
 )
 def test_cabocha_chunk_index_and_head_take_ascii_digits_only(header):
     sentence = "{}\nw\tx\n* 1 -1D\nv\tx\nEOS\n"
-    assert parse_cabocha(sentence.format("* 0 1D"))[0].heads() == (2, 0)
+    assert list(iter_cabocha(sentence.format("* 0 1D")))[0].heads() == (2, 0)
     text = sentence.format(header)
     reason = f"line 1: bad chunk header {header!r}"
     with pytest.raises(MalformedChunkHeader, match=f"^{re.escape(reason)}$"):
-        parse_cabocha(text)
+        list(iter_cabocha(text))
     rejections = []
-    assert parse_cabocha(text, errors="skip", rejections=rejections) == []
+    assert list(iter_cabocha(text, errors="skip", rejections=rejections)) == []
     assert [rejection.reason for rejection in rejections] == [reason]
 
 
@@ -234,7 +236,7 @@ def test_parse_cabocha_skip_mode_rejects_only_bad_sentence():
         "* 0 -1D\nok\tnoun,*,*,*,*,*,ok,O,O\nEOS\n"
     )
     rejections = []
-    sentences = parse_cabocha(text, errors="skip", rejections=rejections)
+    sentences = list(iter_cabocha(text, errors="skip", rejections=rejections))
     assert [s.nodes[0].form for s in sentences] == ["ok"]
     assert len(rejections) == 1
     assert "chunk header" in rejections[0].reason
@@ -242,7 +244,7 @@ def test_parse_cabocha_skip_mode_rejects_only_bad_sentence():
 
 def test_parse_cabocha_morpheme_before_header():
     with pytest.raises(MalformedLine):
-        parse_cabocha("stray\tnoun\nEOS\n")
+        list(iter_cabocha("stray\tnoun\nEOS\n"))
 
 
 # --- canonical JSONL ---------------------------------------------------------
@@ -250,7 +252,7 @@ def test_parse_cabocha_morpheme_before_header():
 
 def test_parse_canonical_trivial():
     line = '{"id":"s1","nodes":[{"index":1,"head":2},{"index":2,"head":0}]}'
-    sentences = parse_canonical(line)
+    sentences = list(iter_canonical(line))
     assert len(sentences) == 1
     assert sentences[0].id == "s1"
     assert sentences[0].heads() == (2, 0)
@@ -259,17 +261,17 @@ def test_parse_canonical_trivial():
 def test_parse_canonical_multiple_roots_rejected():
     line = '{"id":"bad","nodes":[{"index":1,"head":0},{"index":2,"head":0}]}'
     with pytest.raises(MultipleRoots):
-        parse_canonical(line)
+        list(iter_canonical(line))
 
 
 def test_parse_canonical_bad_json_reports_line_number():
     with pytest.raises(MalformedLine, match="line 2"):
-        parse_canonical('{"id":"a","nodes":[{"index":1,"head":0}]}\n{broken\n')
+        list(iter_canonical('{"id":"a","nodes":[{"index":1,"head":0}]}\n{broken\n'))
 
 
 def test_parse_canonical_skips_comments_and_blanks():
     text = '# generated corpus\n\n{"id":"a","nodes":[{"index":1,"head":0}]}\n'
-    assert len(parse_canonical(text)) == 1
+    assert len(list(iter_canonical(text))) == 1
 
 
 @pytest.mark.parametrize(
@@ -288,9 +290,9 @@ def test_parse_canonical_skips_comments_and_blanks():
 def test_parse_canonical_requires_json_integers(node):
     line = '{"id": "s", "nodes": [{"index": 2, "head": 0}, ' + node + "]}"
     with pytest.raises(MalformedLine, match="^line 1: node needs integer 'index' and 'head'$"):
-        parse_canonical(line)
+        list(iter_canonical(line))
     rejections = []
-    assert parse_canonical(line, errors="skip", rejections=rejections) == []
+    assert list(iter_canonical(line, errors="skip", rejections=rejections)) == []
     assert len(rejections) == 1
 
 
@@ -302,7 +304,7 @@ def test_parse_canonical_requires_json_integers(node):
 def test_parse_canonical_rejects_json_python_cannot_load(nodes):
     line = '{"id": "s", "nodes": ' + nodes + "}"
     rejections = []
-    assert parse_canonical(line, errors="skip", rejections=rejections) == []
+    assert list(iter_canonical(line, errors="skip", rejections=rejections)) == []
     assert rejections[0].reason.startswith("line 1: invalid JSON: ")
 
 
@@ -310,32 +312,32 @@ def test_parse_canonical_rejects_json_python_cannot_load(nodes):
 def test_parse_canonical_requires_text_or_null(field):
     line = '{"id": "s", "nodes": [{"index": 1, "head": 0, ' + field + "}]}"
     with pytest.raises(MalformedLine, match="'form' and 'lemma' must be strings or null"):
-        parse_canonical(line)
+        list(iter_canonical(line))
 
 
 @pytest.mark.parametrize("sent_id", ["null", "5", "true", "[1]", '{"a": 1}'])
 def test_parse_canonical_requires_a_string_id(sent_id):
     line = '{"id": ' + sent_id + ', "nodes": [{"index": 1, "head": 0}]}'
     with pytest.raises(MalformedLine, match="^line 1: 'id' must be a string$"):
-        parse_canonical(line)
+        list(iter_canonical(line))
     rejections = []
-    assert parse_canonical(line, errors="skip", rejections=rejections) == []
+    assert list(iter_canonical(line, errors="skip", rejections=rejections)) == []
     assert [(r.reason, r.sentence_id) for r in rejections] == [("line 1: 'id' must be a string", None)]
 
 
 def test_parse_canonical_accepts_null_text_fields():
     line = '{"id": "s", "nodes": [{"index": 1, "head": 0, "form": null, "lemma": "go"}]}'
-    sent = parse_canonical(line)[0]
+    sent = list(iter_canonical(line))[0]
     assert sent.nodes[0] == Node(index=1, head=0, form=None, lemma="go")
 
 
 def test_canonical_round_trip_over_bundled_samples(data_dir):
-    originals = parse_conllu((data_dir / "sample_ud.conllu").read_bytes(), errors="skip")
-    originals += parse_cabocha((data_dir / "sample.cabocha").read_bytes())
-    originals += parse_canonical((data_dir / "sample_200.jsonl").read_bytes())
+    originals = list(iter_conllu((data_dir / "sample_ud.conllu").read_bytes(), errors="skip", rejections=[]))
+    originals += list(iter_cabocha((data_dir / "sample.cabocha").read_bytes()))
+    originals += list(iter_canonical((data_dir / "sample_200.jsonl").read_bytes()))
     assert len(originals) == 12 + 3 + 200
     for sent in originals:
-        again = parse_canonical(serialize_canonical(sent))[0]
+        again = list(iter_canonical(serialize_canonical(sent)))[0]
         assert again.id == sent.id
         assert again.nodes == sent.nodes
 
@@ -358,14 +360,14 @@ def test_validate_tree_examples():
     with pytest.raises(InvalidTree, match="^empty: sentence has no nodes$"):
         validate_tree(Sentence.from_heads((), id="empty"))
     with pytest.raises(InvalidTree, match="^<canonical>:1: sentence has no nodes$"):
-        parse_canonical('{"id": "", "nodes": []}')
+        list(iter_canonical('{"id": "", "nodes": []}'))
 
 
 def test_validate_tree_rejects_nonconsecutive_indices():
     # a head vector has no indices to skip, so the check lives in the parser
     line = '{"id": "gap", "nodes": [{"index": 1, "head": 3}, {"index": 3, "head": 0}]}'
     with pytest.raises(InvalidTree, match=r"^gap: node indices are not consecutive from 1 \(got \[1, 3\]\)$"):
-        parse_canonical(line)
+        list(iter_canonical(line))
 
 
 def _is_rooted_tree_oracle(heads):
@@ -407,7 +409,7 @@ def test_validator_accept_set_matches_oracle(n):
 
 
 def test_accepted_sentences_have_n_minus_1_dependencies(data_dir):
-    for sent in parse_canonical((data_dir / "sample_200.jsonl").read_bytes()):
+    for sent in iter_canonical((data_dir / "sample_200.jsonl").read_bytes()):
         assert sum(1 for node in sent.nodes if node.head != 0) == len(sent) - 1
 
 
@@ -475,6 +477,31 @@ def test_parse_option_the_format_parser_does_not_take_is_a_type_error():
         parse('{"id": "a", "nodes": [{"index": 1, "head": 0}]}', "canonical", ordinal=1)
 
 
+class _Untouchable:
+    """An input that fails on any use: nothing may be read from it, or asked of it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the input was used ({name})")
+
+    def __iter__(self):
+        raise AssertionError("the input was iterated")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_skip_mode_without_a_rejections_list_is_refused_before_any_line_is_read(fmt):
+    parser = {"conllu": iter_conllu, "cabocha": iter_cabocha, "canonical": iter_canonical}[fmt]
+    with pytest.raises(ValueError, match="needs a rejections list"):
+        next(parser(_Untouchable(), errors="skip"))
+    with pytest.raises(ValueError, match="needs a rejections list"):
+        next(iter_parse(_Untouchable(), fmt, errors="skip"))
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="needs a rejections list"):
+            iter_byte_range(_Untouchable(), fmt, k, 2, 100, name="f", errors="skip")
+    assert list(parser("", errors="skip", rejections=[])) == []  # skip mode with a list
+    assert list(parser("")) == []  # raise mode needs none
+
+
+
 # --- line breaks ------------------------------------------------------------------
 
 # Characters that str.splitlines treats as line breaks but the formats do not.
@@ -483,13 +510,13 @@ NON_LF_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u20
 
 @pytest.mark.parametrize("char", NON_LF_BREAKS)
 def test_conllu_form_may_hold_a_non_lf_line_break(char):
-    sentence = parse_conllu(conllu_block((0,), form=f"a{char}b"))[0]
+    sentence = list(iter_conllu(conllu_block((0,), form=f"a{char}b")))[0]
     assert sentence.forms == (f"a{char}b",)
 
 
 def test_cabocha_surface_may_hold_a_next_line_character():
     text = "* 0 -1D 0/0 0.0\nx\x85y\tnoun,*,*,*,*,*,x\nEOS\n"
-    sentence = parse_cabocha(text)[0]
+    sentence = list(iter_cabocha(text))[0]
     assert sentence.forms == ("x\x85y",)
     assert sentence.source == "<cabocha>:1-3"
 
@@ -497,7 +524,7 @@ def test_cabocha_surface_may_hold_a_next_line_character():
 def test_canonical_line_with_raw_line_separator_in_a_string_is_one_sentence():
     line = '{"id": "a\u2028b", "nodes": [{"index": 1, "head": 0, "form": "x\u2028y"}]}\n'
     rejections = []
-    sentences = parse_canonical(line, errors="skip", rejections=rejections)
+    sentences = list(iter_canonical(line, errors="skip", rejections=rejections))
     assert rejections == []
     assert [(s.id, s.forms) for s in sentences] == [("a\u2028b", ("x\u2028y",))]
 
