@@ -95,6 +95,12 @@ class RunConfig:
                 raise ConfigError(f"unknown input format {fmt!r}; expected one of {FORMATS}")
             if self.drop_punct and fmt != "conllu":
                 raise ConfigError(f"--drop-punct applies to CoNLL-U only, but {path} is {fmt}")
+        # a config file can spell a NUL, which no file name holds and the OS calls refuse
+        paths = [("input path", path) for path, _ in self.inputs]
+        paths += [("lexicon_path", self.lexicon_path or ""), ("output_dir", self.output_dir)]
+        for name, path in paths:
+            if "\0" in path:
+                raise ConfigError(f"{name} {path!r} holds a NUL character")
 
     @property
     def entropy_base_value(self) -> float:

@@ -13,6 +13,10 @@ first bad sentence (``errors="raise"``, the default) or skip it and record a
 (``errors="skip"``), which is what the CLI uses so that a noisy corpus does
 not abort a run and every bad sentence is counted.
 
+A sentence keeps what the measures read: its head vector and the lemmas,
+which the valency lexicon looks up. The surface text (CoNLL-U FORM, the
+CaboCha morpheme surfaces, a canonical ``form``) is read past, not kept.
+
 Each format has one generator (``iter_conllu``, ``iter_cabocha``,
 ``iter_canonical``, dispatched by ``iter_parse``) that yields the sentences
 one at a time, so a caller can fold a corpus without holding it;
@@ -59,7 +63,6 @@ class Node:
 
     index: int
     head: int
-    form: str | None = None
     lemma: str | None = None
 
 
@@ -67,8 +70,9 @@ class Node:
 class Sentence:
     """A sentence as a head vector: ``head_vector[i - 1]`` governs position i, 0 marks the root.
 
-    ``forms`` and ``lemmas`` are per-position text columns, or None when no
-    position has one. ``source`` is a provenance tag (file and line range).
+    ``lemmas`` holds each position's lemma, or is None when no position has
+    one; the valency lexicon looks up the root's. No surface text is kept:
+    no measure reads it. ``source`` is a provenance tag (file and line range).
     ``depths`` holds each position's hierarchical distance once
     :func:`validate_tree` has accepted the sentence; it is derived data and
     takes no part in equality.
@@ -76,7 +80,6 @@ class Sentence:
 
     id: str
     head_vector: tuple[int, ...]
-    forms: tuple[str | None, ...] | None = None
     lemmas: tuple[str | None, ...] | None = None
     source: str = ""
     depths: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
@@ -88,10 +91,7 @@ class Sentence:
     def nodes(self) -> tuple[Node, ...]:
         """The positions as :class:`Node` objects, built on each access."""
         n = len(self.head_vector)
-        blank = (None,) * n
-        return tuple(
-            map(Node, range(1, n + 1), self.head_vector, self.forms or blank, self.lemmas or blank)
-        )
+        return tuple(map(Node, range(1, n + 1), self.head_vector, self.lemmas or (None,) * n))
 
     def heads(self) -> tuple[int, ...]:
         return self.head_vector
@@ -101,13 +101,11 @@ class Sentence:
         cls,
         heads: Sequence[int],
         id: str = "",
-        forms: Sequence[str | None] | None = None,
         lemmas: Sequence[str | None] | None = None,
         source: str = "",
     ) -> "Sentence":
         """Build a sentence from a head vector (not validated here)."""
-        n = len(heads)
-        return cls(id, tuple(heads), _text_column(forms, n), _text_column(lemmas, n), source)
+        return cls(id, tuple(heads), _text_column(lemmas, len(heads)), source)
 
 
 def _text_column(values: Sequence[str | None] | None, n: int) -> tuple[str | None, ...] | None:
@@ -242,24 +240,21 @@ def validate_tree(sentence: Sentence) -> Sentence:
     """
     heads = sentence.head_vector
     depths = tree_depths(heads, sentence.id, sentence.source)
-    return Sentence(sentence.id, heads, sentence.forms, sentence.lemmas, sentence.source, depths)
+    return Sentence(sentence.id, heads, sentence.lemmas, sentence.source, depths)
 
 
 def serialize_canonical(sentence: Sentence) -> str:
     """Render one canonical-JSONL line; :func:`iter_canonical` inverts it.
 
-    Writes the text of ``json.dumps(obj, ensure_ascii=False, sort_keys=True)``
-    without building ``obj``: sorted keys, default separators, json's encoder.
+    Each node has ``head``, ``index`` and, when it has one, ``lemma``; no
+    ``form`` is written, since a sentence keeps none. Writes the text of
+    ``json.dumps(obj, ensure_ascii=False, sort_keys=True)`` without building
+    ``obj``: sorted keys, default separators, json's encoder.
     """
     n = len(sentence)
-    blank = (None,) * n
     nodes = []
-    for index, head, form, lemma in zip(
-        range(1, n + 1), sentence.head_vector, sentence.forms or blank, sentence.lemmas or blank
-    ):
+    for index, head, lemma in zip(range(1, n + 1), sentence.head_vector, sentence.lemmas or (None,) * n):
         node = f'"head": {head}, "index": {index}'
-        if form is not None:
-            node = f'"form": {encode_basestring(form)}, {node}'
         if lemma is not None:
             node = f'{node}, "lemma": {encode_basestring(lemma)}'
         nodes.append(f"{{{node}}}")
@@ -525,8 +520,9 @@ def iter_conllu(
 
     Multiword-token ranges (ID with '-') and empty nodes (ID with '.') are
     skipped; the remaining token IDs must already run 1..n, otherwise the
-    sentence is rejected. Only ID, FORM, LEMMA, HEAD (and UPOS when
-    ``drop_punct`` is set) are consumed; enhanced dependencies are ignored.
+    sentence is rejected. Only ID, LEMMA and HEAD (and UPOS when
+    ``drop_punct`` is set) are consumed; FORM, DEPREL and the enhanced
+    dependencies are ignored.
 
     With ``drop_punct``, nodes whose UPOS is PUNCT are removed and the rest
     renumbered; a sentence where a dropped node had dependents is rejected.
@@ -573,7 +569,6 @@ def _conllu_sentence(
 ) -> Sentence:
     ids: list[int] = []
     heads: list[int] = []
-    forms: list[str | None] = []
     lemmas: list[str | None] = []
     upos: list[str] = []
     for lineno, line in enumerate(lines, first_lineno):
@@ -582,7 +577,7 @@ def _conllu_sentence(
         fields = line.split("\t", 7)
         if len(fields) < 8:
             raise MalformedLine(f"line {lineno}: expected >= 8 tab-separated fields, got {len(fields)}")
-        raw_id, form, lemma, tag, _, _, raw_head, _ = fields
+        raw_id, _, lemma, tag, _, _, raw_head, _ = fields
         if "-" in raw_id or "." in raw_id:
             continue  # multiword-token range / empty node
         try:
@@ -597,7 +592,6 @@ def _conllu_sentence(
             heads.append(int(raw_head))
         except ValueError:
             raise MalformedLine(f"line {lineno}: non-integer HEAD {raw_head!r}") from None
-        forms.append(None if form == "_" else form)
         lemmas.append(None if lemma == "_" else lemma)
         upos.append(tag)
     if not heads:
@@ -605,23 +599,16 @@ def _conllu_sentence(
     if ids != list(range(1, len(ids) + 1)):
         raise InvalidTree(f"{sent_id}: token IDs are not consecutive from 1")
     if drop_punct:
-        heads, forms, lemmas = _drop_punct(heads, forms, lemmas, upos, sent_id)
-    n = len(heads)
-    return validate_tree(
-        Sentence(sent_id, tuple(heads), _text_column(forms, n), _text_column(lemmas, n), span)
-    )
+        heads, lemmas = _drop_punct(heads, lemmas, upos, sent_id)
+    return validate_tree(Sentence(sent_id, tuple(heads), _text_column(lemmas, len(heads)), span))
 
 
 def _drop_punct(
-    heads: list[int],
-    forms: list[str | None],
-    lemmas: list[str | None],
-    upos: list[str],
-    sent_id: str,
-) -> tuple[list[int], list[str | None], list[str | None]]:
+    heads: list[int], lemmas: list[str | None], upos: list[str], sent_id: str
+) -> tuple[list[int], list[str | None]]:
     dropped = {index for index, tag in enumerate(upos, 1) if tag == "PUNCT"}
     if not dropped:
-        return heads, forms, lemmas
+        return heads, lemmas
     for head in heads:
         if head in dropped:
             raise InvalidTree(f"{sent_id}: dropped punctuation node {head} has dependents")
@@ -634,7 +621,6 @@ def _drop_punct(
     # an out-of-range head keeps its value, so validation reports it
     return (
         [remap.get(heads[i - 1], heads[i - 1]) for i in kept],
-        [forms[i - 1] for i in kept],
         [lemmas[i - 1] for i in kept],
     )
 
@@ -655,21 +641,19 @@ def iter_cabocha(
 
     Chunk headers look like ``* 3 5D 0/1 1.23``; the second field is the
     0-based chunk index, the third the head chunk index suffixed with 'D'
-    (-1D marks the root). Node form is the concatenation of the chunk's
-    morpheme surfaces; node lemma is the base form of the chunk's first
-    morpheme when the morpheme features carry one. ``EOS`` ends a sentence;
-    a stream that ends mid-sentence is rejected with :class:`MissingEOS`.
+    (-1D marks the root). A chunk keeps only its lemma: the first base form
+    (seventh feature) its morpheme lines carry; the surfaces are not read,
+    and once a chunk's lemma is known its morpheme lines are not split.
+    ``EOS`` ends a sentence; a stream that ends mid-sentence is rejected
+    with :class:`MissingEOS`.
 
     One walk reads every line once. A sentence's first fault is kept and
     reported at its ``EOS``, so a sentence is never cut short.
     """
     _check_error_mode(errors, rejections)
     start: int | None = None  # number of the pending sentence's first line
-    heads: list[int] = []
-    forms: list[str] = []  # of the closed chunks
+    heads: list[int] = []  # one entry per chunk header so far
     lemmas: list[str | None] = []
-    form: str | None = None  # the open chunk's surfaces so far; None before the first header
-    lemma: str | None = None
     fault: Exception | None = None  # the pending sentence's first error
     lineno = first_line - 1
     for lineno, raw in enumerate(_text_lines(stream, source), first_line):
@@ -699,11 +683,8 @@ def iter_cabocha(
                     f"line {lineno}: chunk index {index} out of sequence (expected {len(heads)})"
                 )
                 continue
-            if form is not None:
-                forms.append(form)
-                lemmas.append(lemma)
             heads.append(0 if head == -1 else head + 1)
-            form, lemma = "", None
+            lemmas.append(None)
         elif not raw or raw.isspace():
             continue
         elif raw.startswith("EOS") and raw.rstrip() == "EOS":
@@ -719,28 +700,22 @@ def iter_cabocha(
                 except InvalidTree as exc:
                     fault = exc
             if fault is None:
-                forms.append(form)  # type: ignore[arg-type]  # a valid tree has a chunk
-                lemmas.append(lemma)
-                yield Sentence(
-                    sent_id, head_vector, tuple(forms), _text_column(lemmas, len(heads)), span, depths
-                )
+                yield Sentence(sent_id, head_vector, _text_column(lemmas, len(heads)), span, depths)
             else:
                 _reject(fault, errors, rejections, span, sent_id)
-            start, heads, forms, lemmas, form, lemma, fault = None, [], [], [], None, None, None
+            start, heads, lemmas, fault = None, [], [], None
         else:  # morpheme line: SURFACE<TAB>FEATURES
             if start is None:
                 start = lineno
             if fault is not None:
                 continue
-            if form is None:
+            if not heads:
                 fault = MalformedLine(f"line {lineno}: morpheme line before any chunk header")
                 continue
-            surface, _, features = raw.partition("\t")
-            form += surface
-            if lemma is None and features:
-                fields = features.split(",", 7)
+            if lemmas[-1] is None:
+                fields = raw.partition("\t")[2].split(",", 7)
                 if len(fields) > 6 and fields[6] not in ("*", ""):
-                    lemma = fields[6]
+                    lemmas[-1] = fields[6]
 
     if start is not None:
         exc = MissingEOS(f"{source}: stream ended inside a sentence (missing EOS)")
@@ -763,7 +738,9 @@ def iter_canonical(
     Each line is ``{"id": str, "nodes": [{"index": int, "head": int,
     "form"?: str | null, "lemma"?: str | null}, ...]}``. ``index`` and
     ``head`` must be JSON integers (not floats or booleans), the indices must
-    run 1..n in order, and a line that breaks either rule is rejected.
+    run 1..n in order, and a line that breaks either rule is rejected. A
+    ``form`` is checked to be a string or null like ``lemma``, and then
+    dropped: a sentence keeps no surface text.
     Blank lines and lines starting with '#' (used for run metadata by the
     generator) are skipped.
     """
@@ -797,7 +774,6 @@ def _canonical_sentence(line: str, lineno: int, span: str) -> Sentence:
         raise MalformedLine(f"line {lineno}: 'id' must be a string")
     indices: list[int] = []
     heads: list[int] = []
-    forms: list[str | None] = []
     lemmas: list[str | None] = []
     for entry in obj["nodes"]:
         if not isinstance(entry, dict):
@@ -813,14 +789,11 @@ def _canonical_sentence(line: str, lineno: int, span: str) -> Sentence:
             raise MalformedLine(f"line {lineno}: node 'form' and 'lemma' must be strings or null")
         indices.append(index)
         heads.append(head)
-        forms.append(form)
         lemmas.append(lemma)
     n = len(heads)
     if indices != list(range(1, n + 1)):
         raise InvalidTree(f"{sent_id}: node indices are not consecutive from 1 (got {indices})")
-    return validate_tree(
-        Sentence(sent_id, tuple(heads), _text_column(forms, n), _text_column(lemmas, n), span)
-    )
+    return validate_tree(Sentence(sent_id, tuple(heads), _text_column(lemmas, n), span))
 
 
 # --- dispatch --------------------------------------------------------------

@@ -66,7 +66,6 @@ def iter_cabocha(
 
 def _cabocha_sentence(lines: list[str], first_lineno: int, sent_id: str, span: str) -> Sentence:
     heads: list[int] = []
-    surfaces: list[list[str]] = []
     lemmas: list[str | None] = []
     for lineno, raw in enumerate(lines, first_lineno):
         if raw.startswith("* "):
@@ -85,34 +84,25 @@ def _cabocha_sentence(lines: list[str], first_lineno: int, sent_id: str, span: s
                     f"line {lineno}: chunk index {index} out of sequence (expected {len(heads)})"
                 )
             heads.append(0 if head == -1 else head + 1)
-            surfaces.append([])
             lemmas.append(None)
         elif not raw or raw.isspace():
             continue
         else:
             if not heads:
                 raise MalformedLine(f"line {lineno}: morpheme line before any chunk header")
-            surface, _, feature_str = raw.partition("\t")
-            surfaces[-1].append(surface)
+            _, _, feature_str = raw.partition("\t")
             if lemmas[-1] is None and feature_str:
                 features = feature_str.split(",", 7)
                 if len(features) > 6 and features[6] not in ("*", ""):
                     lemmas[-1] = features[6]
-    n = len(heads)
-    forms = tuple("".join(chunk) for chunk in surfaces)
-    return validate_tree(Sentence(sent_id, tuple(heads), forms, _text_column(lemmas, n), span))
+    return validate_tree(Sentence(sent_id, tuple(heads), _text_column(lemmas, len(heads)), span))
 
 
 def serialize_canonical(sentence: Sentence) -> str:
     n = len(sentence)
-    blank = (None,) * n
     nodes = []
-    for index, head, form, lemma in zip(
-        range(1, n + 1), sentence.head_vector, sentence.forms or blank, sentence.lemmas or blank
-    ):
+    for index, head, lemma in zip(range(1, n + 1), sentence.head_vector, sentence.lemmas or (None,) * n):
         entry: dict[str, object] = {"index": index, "head": head}
-        if form is not None:
-            entry["form"] = form
         if lemma is not None:
             entry["lemma"] = lemma
         nodes.append(entry)

@@ -641,6 +641,27 @@ def test_config_file_past_a_json_limit_is_a_config_error(text, reason, data_dir,
     assert list(tmp_path.iterdir()) == [config_path]
 
 
+@pytest.mark.parametrize("command", ["validate", "report", "trend"])
+@pytest.mark.parametrize(
+    "setting, reason",
+    [
+        ({"inputs": [{"path": "a\u0000b.jsonl"}]}, "input path 'a\\x00b.jsonl'"),
+        ({"valency_mode": "lexicon", "lexicon_path": "lexicon\u0000.tsv"}, "lexicon_path 'lexicon\\x00.tsv'"),
+        ({"output_dir": "out\u0000"}, "output_dir 'out\\x00'"),
+    ],
+    ids=["input", "lexicon", "output_dir"],
+)
+def test_config_file_path_with_a_nul_is_a_config_error(command, setting, reason, data_dir, tmp_path, capsys,
+                                                       monkeypatch):
+    config_path = tmp_path / "run.json"
+    config = {"inputs": [{"path": str(data_dir / "sample_200.jsonl")}], **setting}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run([command, "--config", str(config_path)], capsys)
+    assert (code, out, err) == (2, "", f"config error: {reason} holds a NUL character\n")
+    assert list(tmp_path.iterdir()) == [config_path]
+
+
 def test_config_file_input_entry_with_an_unknown_key_is_a_config_error(data_dir, tmp_path, capsys):
     config_path = tmp_path / "run.json"
     entry = {"path": str(data_dir / "sample_200.jsonl"), "fromat": "conllu"}

@@ -1,11 +1,13 @@
 """Property tests: the fused validate-and-depth walk, the two consumers of the per-sentence kernel,
 the canonical and CoNLL-U round trips, the canonical and ``metrics`` line writers, and the streaming
-parsers, their byte ranges and the one-pass CaboCha reader on arbitrary text and bytes."""
+parsers: on arbitrary text and bytes, in byte ranges, the one-pass CaboCha reader, and on documents
+that differ only in their surface forms."""
 
 from __future__ import annotations
 
 import codecs
 import io
+import json
 import re
 import sys
 from collections import deque
@@ -184,9 +186,8 @@ text_or_none = st.one_of(st.none(), st.text(max_size=4))
 @given(valid_head_vectors(), st.data())
 def test_canonical_round_trip_of_random_trees(heads, data):
     n = len(heads)
-    forms = data.draw(st.one_of(st.none(), st.lists(text_or_none, min_size=n, max_size=n)))
     lemmas = data.draw(st.one_of(st.none(), st.lists(text_or_none, min_size=n, max_size=n)))
-    sentence = Sentence.from_heads(heads, id=data.draw(st.text(max_size=6)), forms=forms, lemmas=lemmas)
+    sentence = Sentence.from_heads(heads, id=data.draw(st.text(max_size=6)), lemmas=lemmas)
     again = list(iter_canonical(serialize_canonical(sentence)))[0]
     assert again.heads() == sentence.heads()
     assert again.nodes == sentence.nodes
@@ -196,17 +197,15 @@ def test_canonical_round_trip_of_random_trees(heads, data):
 def write_conllu(sentences):
     """CoNLL-U text: per sentence a sent_id comment and one 10-column row per node, then a blank line.
 
-    A missing form or lemma is written as ``_``, which the reader takes for none.
+    A missing lemma is written as ``_``, which the reader takes for none; every FORM is ``_``.
     """
     blocks = []
     for sentence in sentences:
-        n = len(sentence)
-        blank = (None,) * n
         rows = [f"# sent_id = {sentence.id}"]
-        for index, (head, form, lemma) in enumerate(
-            zip(sentence.head_vector, sentence.forms or blank, sentence.lemmas or blank), 1
+        for index, (head, lemma) in enumerate(
+            zip(sentence.head_vector, sentence.lemmas or (None,) * len(sentence)), 1
         ):
-            columns = [str(index), "_" if form is None else form, "_" if lemma is None else lemma]
+            columns = [str(index), "_", "_" if lemma is None else lemma]
             rows.append("\t".join([*columns, "X", "_", "_", str(head), "dep", "_", "_"]))
         blocks.append("\n".join(rows) + "\n")
     return "\n".join(blocks)
@@ -228,13 +227,9 @@ def test_conllu_round_trip_of_random_trees(trees, data):
     for heads, sent_id in trees:
         n = len(heads)
         columns = st.one_of(st.none(), st.lists(st.one_of(st.none(), conllu_fields), min_size=n, max_size=n))
-        sentences.append(
-            Sentence.from_heads(heads, id=sent_id, forms=data.draw(columns), lemmas=data.draw(columns))
-        )
+        sentences.append(Sentence.from_heads(heads, id=sent_id, lemmas=data.draw(columns)))
     again = list(iter_conllu(write_conllu(sentences).encode("utf-8")))
-    assert [(s.id, s.heads(), s.forms, s.lemmas) for s in again] == [
-        (s.id, s.heads(), s.forms, s.lemmas) for s in sentences
-    ]
+    assert [(s.id, s.heads(), s.lemmas) for s in again] == [(s.id, s.heads(), s.lemmas) for s in sentences]
 
 
 # Characters json escapes or leaves raw, and the ones a line reader could split on.
@@ -251,7 +246,7 @@ json_text = st.text(json_chars, max_size=8)
 def test_canonical_writer_matches_the_json_dumps_reference(heads, sent_id, data):
     n = len(heads)
     columns = st.one_of(st.none(), st.lists(st.one_of(st.none(), json_text), min_size=n, max_size=n))
-    sentence = Sentence.from_heads(heads, id=sent_id, forms=data.draw(columns), lemmas=data.draw(columns))
+    sentence = Sentence.from_heads(heads, id=sent_id, lemmas=data.draw(columns))
     assert serialize_canonical(sentence) == reference_treebank.serialize_canonical(sentence)
 
 
@@ -337,6 +332,65 @@ def test_streaming_parsers_yield_only_validated_trees_or_record_rejections(text)
 def _with_depths(sentences):
     """Each sentence with its depths, which take no part in equality."""
     return [(sentence, sentence.depths) for sentence in sentences]
+
+
+FORM = object()  # where a drawn document holds a surface form
+# The surface text each format can hold there without changing what its line is: a CoNLL-U FORM
+# holds no tab or LF; a CaboCha surface may be the whole line, so it is not blank and starts no
+# chunk header or EOS; a canonical form is any string or null.
+FORM_TEXT = {
+    "conllu": st.text(st.characters(exclude_characters="\t\n", exclude_categories=("Cs",)), max_size=4),
+    "cabocha": st.text(st.characters(exclude_characters="\t\n\r", exclude_categories=("Cs",)), max_size=4)
+    .filter(lambda surface: surface.strip() and not surface.startswith(("*", "EOS"))),
+    "canonical": st.one_of(st.none(), st.text(st.characters(exclude_categories=("Cs",)), max_size=4)),
+}
+ENCODE_FORM = {"conllu": str, "cabocha": str, "canonical": lambda form: json.dumps(form, ensure_ascii=False)}
+
+
+@st.composite
+def form_documents(draw):
+    """The same trees, good and bad, as a document in each format: its text as parts, FORM for each form."""
+    documents = {fmt: [] for fmt in FORMATS}
+    trees = draw(st.lists(st.one_of(head_vectors(), valid_head_vectors()), min_size=1, max_size=4))
+    for number, heads in enumerate(trees):
+        lemmas = draw(st.lists(st.sampled_from(["_", "a", "b"]), min_size=len(heads), max_size=len(heads)))
+        upos = draw(st.lists(st.sampled_from(["X", "X", "PUNCT"]), min_size=len(heads), max_size=len(heads)))
+        conllu = documents["conllu"]
+        conllu += [f"# sent_id = s{number}\n"]
+        if draw(st.booleans()):
+            conllu += ["1-2\t", FORM, "\t_" * 8 + "\n"]  # a multiword-token range
+        for i, (head, lemma, tag) in enumerate(zip(heads, lemmas, upos), 1):
+            conllu += [f"{i}\t", FORM, f"\t{lemma}\t{tag}\t_\t_\t{head}\tdep\t_\t_\n"]
+        conllu += ["\n"]
+        cabocha = documents["cabocha"]
+        if not heads:
+            cabocha += [FORM, "\tx\n"]  # a morpheme line before any chunk header
+        for i, (head, lemma) in enumerate(zip(heads, lemmas)):
+            cabocha += [f"* {i} {head - 1 if head else -1}D\n"]
+            for tail in draw(st.lists(st.sampled_from(["\tx\n", "\n", f"\tx,*,*,*,*,*,{lemma}\n"]), max_size=2)):
+                cabocha += [FORM, tail]
+        if number < len(trees) - 1 or draw(st.booleans()):  # the last sentence may miss its EOS
+            cabocha += ["EOS\n"]
+        nodes = []
+        for i, (head, lemma) in enumerate(zip(heads, lemmas), 1):
+            lemma_field = "" if lemma == "_" else f', "lemma": "{lemma}"'
+            nodes += [", " * (i > 1), f'{{"index": {i}, "head": {head}{lemma_field}, "form": ', FORM, "}"]
+        documents["canonical"] += [f'{{"id": "s{number}", "nodes": [', *nodes, "]}\n"]
+    return documents
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_documents(), st.data())
+def test_surface_forms_change_no_sentence_and_no_rejection(documents, data):
+    for fmt, parts in documents.items():
+        count = sum(part is FORM for part in parts)
+        texts = []
+        for _ in range(2):
+            forms = iter(data.draw(st.lists(FORM_TEXT[fmt], min_size=count, max_size=count)))
+            texts.append("".join(ENCODE_FORM[fmt](next(forms)) if part is FORM else part for part in parts))
+        for options in ({}, {"drop_punct": True}) if fmt == "conllu" else ({},):
+            first, second = (_serial_outcome(text.encode("utf-8"), fmt, **options) for text in texts)
+            assert first == second
 
 
 # Lines that are blank, EOS or a comment only once decoded, or that hold a BOM or a

@@ -32,8 +32,8 @@ from depmetrics.treebank import (
 from .conftest import DEMO7_HEADS
 
 
-def conllu_line(i, head, form="w", lemma="_", upos="X"):
-    return f"{i}\t{form}\t{lemma}\t{upos}\t_\t_\t{head}\t_\t_\t_"
+def conllu_line(i, head, lemma="_", upos="X"):
+    return f"{i}\tw\t{lemma}\t{upos}\t_\t_\t{head}\t_\t_\t_"
 
 
 def conllu_block(heads, **kw):
@@ -44,13 +44,13 @@ def conllu_block(heads, **kw):
 
 
 def test_parse_conllu_minimal_two_tokens():
-    text = conllu_line(1, 2, form="the") + "\n" + conllu_line(2, 0, form="cat") + "\n"
+    text = conllu_line(1, 2, lemma="the") + "\n" + conllu_line(2, 0, lemma="cat") + "\n"
     sentences = list(iter_conllu(text))
     assert len(sentences) == 1
     sent = sentences[0]
     assert len(sent) == 2
     assert sent.heads() == (2, 0)
-    assert sent.forms[0] == "the"
+    assert sent.lemmas == ("the", "cat")
     assert sent.heads().index(0) + 1 == 2
 
 
@@ -84,7 +84,7 @@ def test_parse_conllu_skips_ranges_and_empty_nodes(data_dir):
     ranged = by_id["ranges6"]
     assert len(ranged) == 6
     assert ranged.heads() == (3, 3, 6, 6, 6, 0)
-    assert ranged.nodes[0].form == "it"  # the 1-2 range line is not a node
+    assert ranged.lemmas == ("it", "be", "eat", "we", "all", "eat")  # the 1-2 and 5.1 lines are not nodes
 
 
 def test_parse_conllu_rejects_id_gap():
@@ -117,8 +117,7 @@ def test_parse_conllu_skip_mode_keeps_good_sentences(data_dir):
 
 
 def test_parse_conllu_underscore_fields_become_none():
-    sent = list(iter_conllu(conllu_line(1, 0, form="_", lemma="_") + "\n"))[0]
-    assert sent.nodes[0].form is None
+    sent = list(iter_conllu(conllu_line(1, 0, lemma="_") + "\n"))[0]
     assert sent.nodes[0].lemma is None
 
 
@@ -151,7 +150,7 @@ def test_drop_punct_removes_leaf_and_renumbers(data_dir):
     trimmed = by_id["punct4"]
     assert len(trimmed) == 3
     assert trimmed.heads() == (2, 0, 2)
-    assert [n.form for n in trimmed.nodes] == ["birds", "sing", "loudly"]
+    assert trimmed.lemmas == ("bird", "run", "loud")
 
 
 def test_drop_punct_rejects_punct_with_dependents(data_dir):
@@ -177,7 +176,7 @@ def test_parse_cabocha_single_chunk():
     sentences = list(iter_cabocha(text))
     assert len(sentences) == 1
     assert sentences[0].heads() == (0,)
-    assert sentences[0].nodes[0].form == "hai"
+    assert sentences[0].nodes[0].lemma == "hai"
 
 
 def test_parse_cabocha_sample_file(data_dir):
@@ -185,7 +184,6 @@ def test_parse_cabocha_sample_file(data_dir):
     assert len(sentences) == 3
     first, single, last = sentences
     assert first.heads() == DEMO7_HEADS
-    assert first.nodes[1].form == "hitowa"  # concatenated morpheme surfaces
     assert first.nodes[1].lemma == "hito"  # base form of the first morpheme
     assert single.heads() == (0,)
     assert last.heads() == (3, 3, 0)
@@ -237,7 +235,7 @@ def test_parse_cabocha_skip_mode_rejects_only_bad_sentence():
     )
     rejections = []
     sentences = list(iter_cabocha(text, errors="skip", rejections=rejections))
-    assert [s.nodes[0].form for s in sentences] == ["ok"]
+    assert [s.nodes[0].lemma for s in sentences] == ["ok"]
     assert len(rejections) == 1
     assert "chunk header" in rejections[0].reason
 
@@ -328,7 +326,7 @@ def test_parse_canonical_requires_a_string_id(sent_id):
 def test_parse_canonical_accepts_null_text_fields():
     line = '{"id": "s", "nodes": [{"index": 1, "head": 0, "form": null, "lemma": "go"}]}'
     sent = list(iter_canonical(line))[0]
-    assert sent.nodes[0] == Node(index=1, head=0, form=None, lemma="go")
+    assert sent.nodes[0] == Node(index=1, head=0, lemma="go")
 
 
 def test_canonical_round_trip_over_bundled_samples(data_dir):
@@ -509,24 +507,24 @@ NON_LF_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u20
 
 
 @pytest.mark.parametrize("char", NON_LF_BREAKS)
-def test_conllu_form_may_hold_a_non_lf_line_break(char):
-    sentence = list(iter_conllu(conllu_block((0,), form=f"a{char}b")))[0]
-    assert sentence.forms == (f"a{char}b",)
+def test_conllu_lemma_may_hold_a_non_lf_line_break(char):
+    sentence = list(iter_conllu(conllu_block((0,), lemma=f"a{char}b")))[0]
+    assert sentence.lemmas == (f"a{char}b",)
 
 
 def test_cabocha_surface_may_hold_a_next_line_character():
-    text = "* 0 -1D 0/0 0.0\nx\x85y\tnoun,*,*,*,*,*,x\nEOS\n"
-    sentence = list(iter_cabocha(text))[0]
-    assert sentence.forms == ("x\x85y",)
+    text = "* 0 -1D 0/0 0.0\nx\x85y\tnoun,*,*,*,*,*,x\x85y\nEOS\n"
+    [sentence] = iter_cabocha(text)
+    assert sentence.lemmas == ("x\x85y",)
     assert sentence.source == "<cabocha>:1-3"
 
 
 def test_canonical_line_with_raw_line_separator_in_a_string_is_one_sentence():
-    line = '{"id": "a\u2028b", "nodes": [{"index": 1, "head": 0, "form": "x\u2028y"}]}\n'
+    line = '{"id": "a\u2028b", "nodes": [{"index": 1, "head": 0, "lemma": "x\u2028y"}]}\n'
     rejections = []
     sentences = list(iter_canonical(line, errors="skip", rejections=rejections))
     assert rejections == []
-    assert [(s.id, s.forms) for s in sentences] == [("a\u2028b", ("x\u2028y",))]
+    assert [(s.id, s.lemmas) for s in sentences] == [("a\u2028b", ("x\u2028y",))]
 
 
 @pytest.mark.parametrize(
