@@ -59,7 +59,10 @@ Text = Union[IO, str, bytes, Iterable[str]]
 
 @dataclass(frozen=True)
 class Node:
-    """One token/segment. ``head`` is the 1-based index of its governor; 0 marks the root."""
+    """One token/segment. ``head`` is the 1-based index of its governor; 0 marks the root.
+
+    ``lemma`` is None when the input gives none; a node has no surface text.
+    """
 
     index: int
     head: int
