@@ -21,8 +21,12 @@ checks that ``python -m depmetrics CMD -h`` lists exactly the long flags of
 command does not take exits 2 with nothing on stdout. So must the refused
 runs of ``REFUSED_RUNS``: a config file past int()'s digit limit or json's
 nesting depth, which both differ between versions, and an integer flag in
-a form that int() reads but the CLI does not take. It prints one line per
-check and exits 0 when all of them pass.
+a form that int() reads but the CLI does not take. Last, it checks the
+cases of ``tests/startup_modules.py``: importing the CLI and running
+``metrics`` load none of ``dataclasses``, the analyses, the statistics or
+the generator, ``report`` loads the analyses and the statistics only, and
+``generate`` the generator only. It prints one line per check and exits 0
+when all of them pass.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from depmetrics.metrics import metric_record  # noqa: E402
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads  # noqa: E402
 from depmetrics.treebank import Sentence, validate_tree  # noqa: E402
-from tests import closed_stdout, reference_metrics  # noqa: E402
+from tests import closed_stdout, reference_metrics, startup_modules  # noqa: E402
 from tests.command_flags import COMMAND_FLAGS  # noqa: E402
 
 SPECIAL_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029",
@@ -195,6 +199,12 @@ def main() -> int:
         passed, got = refused_outcome(argv, files, reason)
         ok &= passed
         print(f"{name}: {got}")
+    for case, (argv, expected) in startup_modules.CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            modules = startup_modules.loaded(argv, Path(tmp))
+        ok &= modules == expected
+        print(f"{case} loads: {', '.join(sorted(modules)) or 'none of the watched modules'}"
+              + ("" if modules == expected else f"; DIFFERS, expected {sorted(expected)}"))
     return 0 if ok else 1
 
 

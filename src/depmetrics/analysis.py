@@ -18,8 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateInput, EmptyLexicon, EmptySelection
 from .metrics import dependency_terms
@@ -28,12 +27,10 @@ from .treebank import Sentence, ValencyLexicon
 
 log = logging.getLogger(__name__)
 
-VALENCY_MODES = ("lexicon", "root-out-degree")
 MAX_VALENCY_CLASS = 4
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
+class SeriesPoint(NamedTuple):
     """A per-length statistic with the number of sentences behind it."""
 
     sl: int
@@ -41,16 +38,14 @@ class SeriesPoint:
     n: int
 
 
-@dataclass(frozen=True)
-class CorrelationPoint:
+class CorrelationPoint(NamedTuple):
     sl: int
     rho: float
     p_value: float
     n: int
 
 
-@dataclass(frozen=True)
-class ValencyCell:
+class ValencyCell(NamedTuple):
     """Average count of DD=1 / HD=1 nodes at one (valency, length) bucket."""
 
     valency: int
@@ -60,25 +55,31 @@ class ValencyCell:
     n: int
 
 
-@dataclass(frozen=True)
-class ValencyFit:
+class ValencyFit(NamedTuple):
     metric: str  # "dd1" | "hd1"
     valency: int
     result: RegressionResult
 
 
-@dataclass
 class LengthStats:
     """Integer totals over the sentences of one length."""
 
-    n: int = 0
-    dd: Counter[int] = field(default_factory=Counter)  # DD value -> count
-    hd: Counter[int] = field(default_factory=Counter)  # depth -> count; each root counts at 0
-    dd_total: int = 0
-    hd_total: int = 0
-    pairs: Counter[tuple[int, int]] = field(default_factory=Counter)  # per-sentence (DD sum, HD sum)
-    # valency class (None: a lexicon miss) -> [DD=1 count, HD=1 count, sentences]
-    valency: dict[int | None, list[int]] = field(default_factory=dict)
+    __slots__ = ("n", "dd", "hd", "dd_total", "hd_total", "pairs", "valency")
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.dd: Counter[int] = Counter()  # DD value -> count
+        self.hd: Counter[int] = Counter()  # depth -> count; each root counts at 0
+        self.dd_total = 0
+        self.hd_total = 0
+        self.pairs: Counter[tuple[int, int]] = Counter()  # per-sentence (DD sum, HD sum)
+        # valency class (None: a lexicon miss) -> [DD=1 count, HD=1 count, sentences]
+        self.valency: dict[int | None, list[int]] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def merge(self, other: LengthStats) -> None:
         """Add another fold's totals for the same length."""
@@ -103,7 +104,6 @@ class LengthStats:
         raise ValueError(f"metric must be 'dd' or 'hd', got {metric!r}")
 
 
-@dataclass
 class CorpusStats:
     """Per-length integer totals of a corpus, filled by :meth:`add` one sentence at a time.
 
@@ -112,8 +112,18 @@ class CorpusStats:
     out-degree capped at ``MAX_VALENCY_CLASS``.
     """
 
-    by_sl: dict[int, LengthStats] = field(default_factory=dict)
-    lexicon: ValencyLexicon | None = None
+    __slots__ = ("by_sl", "lexicon")
+
+    def __init__(
+        self, by_sl: dict[int, LengthStats] | None = None, lexicon: ValencyLexicon | None = None
+    ) -> None:
+        self.by_sl = {} if by_sl is None else by_sl
+        self.lexicon = lexicon
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.by_sl == other.by_sl and self.lexicon == other.lexicon
 
     def add(self, sentence: Sentence) -> None:
         """Fold one sentence of n >= 2 nodes in, from :func:`~depmetrics.metrics.dependency_terms`."""

@@ -19,7 +19,6 @@ import logging
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -27,18 +26,17 @@ from types import UnionType
 from typing import Any, Iterable, Iterator, Union, get_args, get_origin, get_type_hints
 
 from . import __version__
-from .analysis import VALENCY_MODES
 from .errors import INPUT_ERRORS, ConfigError
 from .metrics import metric_record
-from .randtree import RNG_NAME, GeneratorConfig, generate
 from .report import (
     COMMAND_TABLES,
     ENTROPY_BASES,
     LOG_BASES,
     REPORT_RENDERERS,
+    TOOL_NAME,
+    VALENCY_MODES,
     CountOnly,
     RunConfig,
-    TOOL_NAME,
     compute_analyses,
     json_text,
     load_corpus,
@@ -58,8 +56,8 @@ _EXTENSION_FORMATS = {
     ".ndjson": "canonical",
 }
 
-# Config-file keys are the RunConfig fields; values are checked against their annotations.
-_CONFIG_ANNOTATIONS = {f.name: str(f.type) for f in fields(RunConfig)}
+# Config-file keys are the RunConfig settings; values are checked against their annotations.
+_CONFIG_ANNOTATIONS: dict[str, str] = RunConfig.__annotations__
 _CONFIG_TYPES = get_type_hints(RunConfig)
 
 
@@ -176,7 +174,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
 METRIC_BATCH = 1 << 10  # metric lines a fold holds before it writes them to a file
 
 
-@dataclass
 class MetricLines:
     """The fold of ``metrics``: one JSON metric record per sentence, in input order.
 
@@ -186,9 +183,12 @@ class MetricLines:
     them all back in that order.
     """
 
-    directory: str
-    files: list[str] = field(default_factory=list)
-    lines: list[str] = field(default_factory=list)  # the lines after the files
+    __slots__ = ("directory", "files", "lines")
+
+    def __init__(self, directory: str) -> None:
+        self.directory = directory
+        self.files: list[str] = []
+        self.lines: list[str] = []  # the lines after the files
 
     def add(self, sentence: Sentence) -> None:
         self.lines.append(metric_record(sentence).json_line())
@@ -254,23 +254,26 @@ def cmd_tables(args: argparse.Namespace, command: str) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .randtree import RNG_NAME, GeneratorConfig, generate
+
     constraint = args.constraint
     if args.max_root_out_degree is not None:
         if constraint is not None:
             raise ConfigError("--constraint and --max-root-out-degree are mutually exclusive")
         constraint = "max_root_out_degree"
+    settings = {
+        "n": args.n,
+        "seed": args.seed,
+        "count": args.count,
+        "constraint": constraint,
+        "max_root_out_degree": args.max_root_out_degree,
+    }
     try:
-        gen_config = GeneratorConfig(
-            n=args.n,
-            seed=args.seed,
-            count=args.count,
-            constraint=constraint,
-            max_root_out_degree=args.max_root_out_degree,
-        )
+        gen_config = GeneratorConfig(**settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    echo = {**asdict(gen_config), "tool": TOOL_NAME, "version": __version__, "command": "generate"}
-    header = "# " + json.dumps({**echo, "rng": RNG_NAME}, sort_keys=True) + "\n"
+    echo = {**settings, "tool": TOOL_NAME, "version": __version__, "command": "generate", "rng": RNG_NAME}
+    header = "# " + json.dumps(echo, sort_keys=True) + "\n"
     trees = (serialize_canonical(sentence) + "\n" for sentence in generate(gen_config))
     _write_text(args.output, chain([header], trees))
     return 0

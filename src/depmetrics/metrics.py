@@ -13,10 +13,9 @@ division at the output boundary.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import mul, sub
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import TooShort
 from .treebank import Sentence, tree_depths
@@ -50,8 +49,7 @@ def dependency_terms(sentence: Sentence) -> tuple[list[int], tuple[int, ...], in
     return dds, depths, root
 
 
-@dataclass(frozen=True)
-class MetricRecord:
+class MetricRecord(NamedTuple):
     """Per-sentence metric summary: length, DD/HD histograms, root out-degree.
 
     Both histograms total n - 1. Means are derived from the histograms, so

@@ -17,7 +17,6 @@ redraws from the same stream until a tree meets it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ConstraintUnsatisfiable
@@ -28,7 +27,6 @@ CONSTRAINTS = ("chain", "star", "max_root_out_degree")
 _MAX_REJECTION_ATTEMPTS = 1_000_000
 
 
-@dataclass(frozen=True)
 class GeneratorConfig:
     """Settings for tree generation.
 
@@ -37,13 +35,21 @@ class GeneratorConfig:
     enforced by rejection sampling.
     """
 
-    n: int
-    seed: int = 0
-    count: int = 1
-    constraint: str | None = None
-    max_root_out_degree: int | None = None
+    __slots__ = ("n", "seed", "count", "constraint", "max_root_out_degree")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n: int,
+        seed: int = 0,
+        count: int = 1,
+        constraint: str | None = None,
+        max_root_out_degree: int | None = None,
+    ) -> None:
+        self.n = n
+        self.seed = seed
+        self.count = count
+        self.constraint = constraint
+        self.max_root_out_degree = max_root_out_degree
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.count < 0:

@@ -21,33 +21,17 @@ import secrets
 import signal
 import stat
 import threading
-from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, NoReturn, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Protocol, Sequence, TypeVar
 
 from . import __version__, treebank
-from .analysis import (
-    VALENCY_MODES,
-    CorpusStats,
-    CorrelationPoint,
-    SeriesPoint,
-    ValencyCell,
-    ValencyFit,
-    conditional_distributions,
-    entropy_by_sl,
-    find_intersection,
-    fit_valency_models,
-    length_histogram,
-    mean_metric_by_sl,
-    pooled_distribution,
-    spearman_by_sl,
-    split_gated,
-    valency_conditioned_counts,
-)
 from .errors import ConfigError, EmptyLexicon, EmptySelection
-from .stats import Distribution, significance_stars
 from .treebank import FORMATS, Rejection, Sentence, ValencyLexicon, iter_byte_range
+
+if TYPE_CHECKING:  # the table path imports them when it runs: metrics and validate never do
+    from .analysis import CorrelationPoint, SeriesPoint, ValencyCell, ValencyFit
+    from .stats import Distribution
 
 log = logging.getLogger(__name__)
 
@@ -55,13 +39,19 @@ TOOL_NAME = "depmetrics"
 
 ENTROPY_BASES = {"2": 2.0, "e": math.e, "10": 10.0}
 LOG_BASES = {"e": math.e, "10": 10.0}
+VALENCY_MODES = ("lexicon", "root-out-degree")
 
 
-@dataclass
 class RunConfig:
-    """Declarative settings for one analysis run; see the CLI for defaults."""
+    """Declarative settings for one analysis run; see the CLI for defaults.
 
-    inputs: list[tuple[str, str]] = field(default_factory=list)
+    The annotated names are the settings, in the order of the config echo,
+    and the keys a config file may set. Each keyword given to the
+    constructor sets one; the others keep their class-level defaults, and
+    ``inputs`` starts as a new empty list.
+    """
+
+    inputs: list[tuple[str, str]]
     sl_min: int = 2
     sl_max: int = 20
     dist_sls: tuple[int, ...] = (5, 10, 15, 20, 25, 30)
@@ -72,6 +62,13 @@ class RunConfig:
     log_base: str = "e"
     output_dir: str = "."
     drop_punct: bool = False
+
+    def __init__(self, **settings: Any) -> None:
+        self.inputs = []
+        for name, value in settings.items():
+            if name not in RunConfig.__annotations__:
+                raise TypeError(f"RunConfig has no setting {name!r}")
+            setattr(self, name, value)
 
     def validate(self) -> None:
         if not 2 <= self.sl_min <= self.sl_max:
@@ -113,7 +110,7 @@ class RunConfig:
     def to_json_dict(self) -> dict[str, object]:
         # output_dir is deliberately not echoed: the same corpus and settings
         # must produce byte-identical outputs wherever they are written.
-        echo = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_dir"}
+        echo = {name: getattr(self, name) for name in RunConfig.__annotations__ if name != "output_dir"}
         echo["inputs"] = [{"path": path, "format": fmt} for path, fmt in self.inputs]
         echo["dist_sls"] = list(self.dist_sls)
         return echo
@@ -142,18 +139,20 @@ class CountOnly:
         pass
 
 
-@dataclass
 class InputFile:
     """What loading one input file, or one byte range of it, took from it."""
 
-    path: str
-    format: str
-    version: tuple[int, ...]  # device, inode, size and mtime of the file read
-    fold: Fold
-    sha256: str = ""  # of the whole file; only range 0 computes it
-    accepted: int = 0
-    single_node: int = 0
-    rejections: list[Rejection] = field(default_factory=list)
+    __slots__ = ("path", "format", "version", "fold", "sha256", "accepted", "single_node", "rejections")
+
+    def __init__(self, path: str, format: str, version: tuple[int, ...], fold: Fold) -> None:
+        self.path = path
+        self.format = format
+        self.version = version  # device, inode, size and mtime of the file read
+        self.fold = fold
+        self.sha256 = ""  # of the whole file; only range 0 computes it
+        self.accepted = 0
+        self.single_node = 0
+        self.rejections: list[Rejection] = []
 
     @property
     def rejected(self) -> int:
@@ -169,12 +168,14 @@ class InputFile:
         self.fold.merge(other.fold)
 
 
-@dataclass
 class CorpusData:
     """What loading the configured inputs leaves: one record per input file, and the corpus fold."""
 
-    inputs: list[InputFile]
-    fold: Any  # a CorpusStats, unless load_corpus was given another kind of fold
+    __slots__ = ("inputs", "fold")
+
+    def __init__(self, inputs: list[InputFile], fold: Any) -> None:
+        self.inputs = inputs
+        self.fold = fold  # a CorpusStats, unless load_corpus was given another kind of fold
 
     @property
     def accepted(self) -> int:
@@ -234,7 +235,10 @@ def load_corpus(config: RunConfig, new_fold: Callable[[], Fold] | None = None) -
     of it is an error. No sentence is kept, and no worker holds more of an
     input than ``CHUNK_BYTES`` and a sentence.
     """
-    new_fold = new_fold or partial(CorpusStats, lexicon=load_lexicon(config))
+    if new_fold is None:
+        from .analysis import CorpusStats
+
+        new_fold = partial(CorpusStats, lexicon=load_lexicon(config))
     workers = worker_count([path for path, _ in config.inputs])
     shards = _in_workers(workers, lambda k: _load_shard(config, new_fold, k, workers))
     fold = new_fold()
@@ -365,23 +369,39 @@ def _run_child(write_end: int, work: Callable[[int], object], k: int) -> NoRetur
         os._exit(status)
 
 
-@dataclass
 class Analyses:
-    """The computed tables of one run; the ones a command does not write stay empty."""
+    """The computed tables of one run; the ones a command does not write stay empty.
 
-    length_hist: dict[int, int] = field(default_factory=dict)  # full corpus, no length window
-    pooled: dict[str, Distribution] = field(default_factory=dict)
-    conditional: dict[str, dict[int, Distribution]] = field(default_factory=dict)
-    entropy_points: dict[str, list[SeriesPoint]] = field(default_factory=dict)
-    entropy_gated: dict[str, list[SeriesPoint]] = field(default_factory=dict)
-    mdd_series: list[SeriesPoint] = field(default_factory=list)
-    mhd_series: list[SeriesPoint] = field(default_factory=list)
-    crossings: list[tuple[int, int]] = field(default_factory=list)
-    corr_points: list[CorrelationPoint] = field(default_factory=list)
-    corr_gated: list[CorrelationPoint] = field(default_factory=list)
-    valency_cells: list[ValencyCell] = field(default_factory=list)
-    valency_fits: list[ValencyFit] = field(default_factory=list)
-    lexicon_misses: int = 0
+    Each keyword given to the constructor sets the table of that name.
+    """
+
+    __slots__ = (
+        "length_hist", "pooled", "conditional", "entropy_points", "entropy_gated", "mdd_series",
+        "mhd_series", "crossings", "corr_points", "corr_gated", "valency_cells", "valency_fits",
+        "lexicon_misses",
+    )
+
+    def __init__(self, **tables: Any) -> None:
+        self.length_hist: dict[int, int] = {}  # full corpus, no length window
+        self.pooled: dict[str, Distribution] = {}
+        self.conditional: dict[str, dict[int, Distribution]] = {}
+        self.entropy_points: dict[str, list[SeriesPoint]] = {}
+        self.entropy_gated: dict[str, list[SeriesPoint]] = {}
+        self.mdd_series: list[SeriesPoint] = []
+        self.mhd_series: list[SeriesPoint] = []
+        self.crossings: list[tuple[int, int]] = []
+        self.corr_points: list[CorrelationPoint] = []
+        self.corr_gated: list[CorrelationPoint] = []
+        self.valency_cells: list[ValencyCell] = []
+        self.valency_fits: list[ValencyFit] = []
+        self.lexicon_misses = 0
+        for name, table in tables.items():
+            setattr(self, name, table)  # an unknown name raises AttributeError
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 def load_lexicon(config: RunConfig) -> ValencyLexicon | None:
@@ -403,7 +423,20 @@ def compute_analyses(config: RunConfig, corpus: CorpusData, command: str = "repo
     must hold a sentence. Only the tables asked for are read, so only their
     warnings are logged.
     """
-    stats: CorpusStats = corpus.fold
+    from .analysis import (
+        conditional_distributions,
+        entropy_by_sl,
+        find_intersection,
+        fit_valency_models,
+        length_histogram,
+        mean_metric_by_sl,
+        pooled_distribution,
+        spearman_by_sl,
+        split_gated,
+        valency_conditioned_counts,
+    )
+
+    stats = corpus.fold
     window = stats.window(config.sl_min, config.sl_max)
     if not window.by_sl:
         raise EmptySelection(f"no sentences with length in [{config.sl_min}, {config.sl_max}]")
@@ -515,6 +548,8 @@ def render_valency_csv(analyses: Analyses) -> str:
 
 
 def render_valency_fit_csv(analyses: Analyses) -> str:
+    from .stats import significance_stars
+
     lines = [
         "metric,valency,n,slope,se_slope,stars_slope,intercept,se_intercept,stars_intercept,model,adj_r2"
     ]

@@ -9,24 +9,31 @@ suite cross-checks it against scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DegenerateInput, EmptyDistribution, NonPositiveX
 
 
-@dataclass(frozen=True)
 class Distribution:
     """Categorical distribution over integer metric values, with raw counts."""
 
-    counts: Mapping[int, int]
+    __slots__ = ("counts",)
 
-    def __post_init__(self) -> None:
-        for value, count in self.counts.items():
+    def __init__(self, counts: Mapping[int, int]) -> None:
+        for value, count in counts.items():
             if count < 0:
                 raise ValueError(f"negative count {count} for value {value}")
+        self.counts = counts
         if self.total <= 0:
             raise EmptyDistribution("distribution has no observations")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.counts == other.counts
+
+    def __repr__(self) -> str:
+        return f"Distribution(counts={self.counts!r})"
 
     @property
     def total(self) -> int:
@@ -52,15 +59,13 @@ def entropy(dist: Distribution, base: float = 2.0) -> float:
     return math.fsum(terms)
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     rho: float
     p_value: float
     n: int
 
 
-@dataclass(frozen=True)
-class RegressionResult:
+class RegressionResult(NamedTuple):
     """Simple OLS fit of y on (1, x) or (1, log x)."""
 
     slope: float

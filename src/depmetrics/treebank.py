@@ -33,11 +33,10 @@ import codecs
 import io
 import json
 import re
-from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring
 from operator import eq
-from typing import IO, Any, BinaryIO, Iterable, Iterator, Mapping, Sequence, Union
+from typing import IO, Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     CycleDetected,
@@ -57,8 +56,7 @@ FORMATS = ("canonical", "cabocha", "conllu")
 Text = Union[IO, str, bytes, Iterable[str]]
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One token/segment. ``head`` is the 1-based index of its governor; 0 marks the root.
 
     ``lemma`` is None when the input gives none; a node has no surface text.
@@ -69,7 +67,6 @@ class Node:
     lemma: str | None = None
 
 
-@dataclass(frozen=True)
 class Sentence:
     """A sentence as a head vector: ``head_vector[i - 1]`` governs position i, 0 marks the root.
 
@@ -78,14 +75,42 @@ class Sentence:
     no measure reads it. ``source`` is a provenance tag (file and line range).
     ``depths`` holds each position's hierarchical distance once
     :func:`validate_tree` has accepted the sentence; it is derived data and
-    takes no part in equality.
+    takes no part in equality, hashing or the repr. A sentence is not
+    changed once built: :func:`validate_tree` returns a new one.
     """
 
-    id: str
-    head_vector: tuple[int, ...]
-    lemmas: tuple[str | None, ...] | None = None
-    source: str = ""
-    depths: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("id", "head_vector", "lemmas", "source", "depths")
+
+    def __init__(
+        self,
+        id: str,
+        head_vector: tuple[int, ...],
+        lemmas: tuple[str | None, ...] | None = None,
+        source: str = "",
+        depths: tuple[int, ...] | None = None,
+    ) -> None:
+        self.id = id
+        self.head_vector = head_vector
+        self.lemmas = lemmas
+        self.source = source
+        self.depths = depths
+
+    def _key(self) -> tuple[object, ...]:
+        return (self.id, self.head_vector, self.lemmas, self.source)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Sentence(id={self.id!r}, head_vector={self.head_vector!r},"
+            f" lemmas={self.lemmas!r}, source={self.source!r})"
+        )
 
     def __len__(self) -> int:
         return len(self.head_vector)
@@ -107,22 +132,19 @@ class Sentence:
         lemmas: Sequence[str | None] | None = None,
         source: str = "",
     ) -> "Sentence":
-        """Build a sentence from a head vector (not validated here)."""
-        return cls(id, tuple(heads), _text_column(lemmas, len(heads)), source)
+        """Build a sentence from a head vector (not validated here) and, if given, one lemma per head."""
+        heads = tuple(heads)
+        if lemmas is not None and len(lemmas) != len(heads):
+            raise ValueError(f"{len(lemmas)} lemmas for {len(heads)} heads")
+        return cls(id, heads, None if lemmas is None else _text_column(lemmas), source)
 
 
-def _text_column(values: Sequence[str | None] | None, n: int) -> tuple[str | None, ...] | None:
-    """The first n values as a tuple, or None when there are none to keep."""
-    if not values:
-        return None
-    column = tuple(values[:n])
-    if len(column) < n:
-        raise IndexError(f"text column has {len(column)} values for {n} positions")
-    return None if column.count(None) == n else column
+def _text_column(values: Sequence[str | None]) -> tuple[str | None, ...] | None:
+    """One value per position as a tuple, or None when no position has one."""
+    return None if values.count(None) == len(values) else tuple(values)
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     """Why a sentence was dropped during ingestion."""
 
     source: str
@@ -130,16 +152,24 @@ class Rejection:
     sentence_id: str | None = None
 
 
-@dataclass(frozen=True)
 class ValencyLexicon:
     """Mapping from predicate lemma to valency class 1..4."""
 
-    entries: Mapping[str, int]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        for lemma, cls in self.entries.items():
+    def __init__(self, entries: Mapping[str, int]) -> None:
+        for lemma, cls in entries.items():
             if cls not in (1, 2, 3, 4):
                 raise ValueError(f"valency class for {lemma!r} must be 1..4, got {cls}")
+        self.entries = entries
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"ValencyLexicon(entries={self.entries!r})"
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -603,7 +633,7 @@ def _conllu_sentence(
         raise InvalidTree(f"{sent_id}: token IDs are not consecutive from 1")
     if drop_punct:
         heads, lemmas = _drop_punct(heads, lemmas, upos, sent_id)
-    return validate_tree(Sentence(sent_id, tuple(heads), _text_column(lemmas, len(heads)), span))
+    return validate_tree(Sentence(sent_id, tuple(heads), _text_column(lemmas), span))
 
 
 def _drop_punct(
@@ -703,7 +733,7 @@ def iter_cabocha(
                 except InvalidTree as exc:
                     fault = exc
             if fault is None:
-                yield Sentence(sent_id, head_vector, _text_column(lemmas, len(heads)), span, depths)
+                yield Sentence(sent_id, head_vector, _text_column(lemmas), span, depths)
             else:
                 _reject(fault, errors, rejections, span, sent_id)
             start, heads, lemmas, fault = None, [], [], None
@@ -796,7 +826,7 @@ def _canonical_sentence(line: str, lineno: int, span: str) -> Sentence:
     n = len(heads)
     if indices != list(range(1, n + 1)):
         raise InvalidTree(f"{sent_id}: node indices are not consecutive from 1 (got {indices})")
-    return validate_tree(Sentence(sent_id, tuple(heads), _text_column(lemmas, n), span))
+    return validate_tree(Sentence(sent_id, tuple(heads), _text_column(lemmas), span))
 
 
 # --- dispatch --------------------------------------------------------------

@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 
 from depmetrics.analysis import (
     MAX_VALENCY_CLASS,
-    VALENCY_MODES,
     CorrelationPoint,
     SeriesPoint,
     ValencyCell,
@@ -26,7 +25,7 @@ from depmetrics.analysis import (
 )
 from depmetrics.errors import DegenerateInput, EmptyLexicon, EmptySelection
 from depmetrics.metrics import MetricRecord, metric_record
-from depmetrics.report import Analyses, RunConfig
+from depmetrics.report import VALENCY_MODES, Analyses, RunConfig
 from depmetrics.stats import Distribution, entropy, spearman
 from depmetrics.treebank import Sentence, ValencyLexicon
 

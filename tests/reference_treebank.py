@@ -95,7 +95,7 @@ def _cabocha_sentence(lines: list[str], first_lineno: int, sent_id: str, span: s
                 features = feature_str.split(",", 7)
                 if len(features) > 6 and features[6] not in ("*", ""):
                     lemmas[-1] = features[6]
-    return validate_tree(Sentence(sent_id, tuple(heads), _text_column(lemmas, len(heads)), span))
+    return validate_tree(Sentence(sent_id, tuple(heads), _text_column(lemmas), span))
 
 
 def serialize_canonical(sentence: Sentence) -> str:

@@ -17,13 +17,14 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depmetrics.analysis import VALENCY_MODES, CorpusStats
+from depmetrics.analysis import CorpusStats
 from depmetrics.cli import main
 from depmetrics.errors import DepMetricsError
 from depmetrics.randtree import GeneratorConfig, random_tree
 from depmetrics.report import (
     ENTROPY_BASES,
     LOG_BASES,
+    VALENCY_MODES,
     CorpusData,
     RunConfig,
     compute_analyses,

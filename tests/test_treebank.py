@@ -361,6 +361,18 @@ def test_validate_tree_examples():
         list(iter_canonical('{"id": "", "nodes": []}'))
 
 
+@pytest.mark.parametrize("heads, lemmas", [((0,), ["a", "b"]), ((2, 0), ["a"]), ((2, 0), [])])
+def test_from_heads_refuses_a_lemma_list_of_another_length(heads, lemmas):
+    with pytest.raises(ValueError, match=f"^{len(lemmas)} lemmas for {len(heads)} heads$"):
+        Sentence.from_heads(heads, lemmas=lemmas)
+
+
+def test_from_heads_keeps_one_lemma_per_head():
+    assert Sentence.from_heads((2, 0), lemmas=["a", None]).lemmas == ("a", None)
+    assert Sentence.from_heads((2, 0), lemmas=[None, None]).lemmas is None
+    assert Sentence.from_heads((), lemmas=[]).lemmas is None
+
+
 def test_validate_tree_rejects_nonconsecutive_indices():
     # a head vector has no indices to skip, so the check lives in the parser
     line = '{"id": "gap", "nodes": [{"index": 1, "head": 3}, {"index": 3, "head": 0}]}'
