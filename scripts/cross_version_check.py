@@ -10,8 +10,11 @@ script compares the writer with the ``json.dumps`` reference of
 random ids (quotes, backslashes, control characters, non-ASCII and
 non-BMP characters, lone surrogates, U+2028/U+2029), and on trees whose
 histogram keys pass the writer's 1,024-key table. It then runs the
-``metrics_jsonl``, ``generate_random`` and ``generate_capped`` golden cases
-through ``python -m depmetrics`` and compares the bytes. It runs the
+``metrics_jsonl``, ``generate_random``, ``generate_capped``, ``report_conllu``
+and ``report_cabocha_lexicon`` golden cases through ``python -m depmetrics``
+and compares the bytes, and runs each single-table command on the inputs of
+both report cases, which must write that case's tables of the command byte
+for byte, and its meta.json, as ``tests/test_golden.py`` requires. It runs the
 closed-stdout cases of ``tests/closed_stdout.py``, with the child's stdout
 buffered and unbuffered: when a write into a closed pipe fails, and whether
 the interpreter's last flush reports it, differ between versions. Last,
@@ -32,6 +35,7 @@ when all of them pass.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import re
@@ -46,6 +50,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from depmetrics.metrics import metric_record  # noqa: E402
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads  # noqa: E402
+from depmetrics.report import COMMAND_TABLES, TABLES, json_text  # noqa: E402
 from depmetrics.treebank import Sentence, validate_tree  # noqa: E402
 from tests import closed_stdout, reference_metrics, startup_modules  # noqa: E402
 from tests.command_flags import COMMAND_FLAGS  # noqa: E402
@@ -61,6 +66,17 @@ GOLDEN_CASES = {
                              "-o", "out/random.jsonl"]),
     "generate_capped": ((), ["generate", "--n", "40", "--count", "60", "--seed", "2",
                              "--max-root-out-degree", "3", "-o", "out/capped.jsonl"]),
+    "report_conllu": (("sample_ud.conllu", "mixed.conllu"),
+                      ["report", "sample_ud.conllu", "mixed.conllu", "--output-dir", "out"]),
+    "report_cabocha_lexicon": (("sample.cabocha", "lexicon.tsv"),
+                               ["report", "sample.cabocha", "--valency-mode", "lexicon", "--lexicon",
+                                "lexicon.tsv", "--output-dir", "out"]),
+}
+# report case -> its inputs, and the settings beside --output-dir, which go into a config file
+# since a single-table command may lack their flags
+REPORT_INPUTS_AND_SETTINGS = {
+    "report_conllu": (("sample_ud.conllu", "mixed.conllu"), {}),
+    "report_cabocha_lexicon": (("sample.cabocha",), {"valency_mode": "lexicon", "lexicon_path": "lexicon.tsv"}),
 }
 
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
@@ -115,18 +131,44 @@ def writer_mismatches(examples: int) -> tuple[int, list[str]]:
     return len(cases), bad
 
 
-def golden_case_matches(case: str) -> bool:
-    """Whether ``python -m depmetrics`` writes the stdout and every file of a golden case."""
-    fixtures, argv = GOLDEN_CASES[case]
+def run_on_fixtures(case: str, argv: list[str], files: dict[str, str]) -> dict[str, bytes] | None:
+    """Run ``python -m depmetrics`` with ``argv`` beside the fixtures of a golden case and ``files``;
+    return its stdout and every file it wrote into ``out``, or None when it does not exit 0."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name in fixtures:
+        for name in GOLDEN_CASES[case][0]:
             shutil.copyfile(ROOT / "tests" / "data" / name, Path(tmp) / name)
+        for name, text in files.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
         (Path(tmp) / "out").mkdir()
         result = subprocess.run([sys.executable, "-m", "depmetrics", *argv],
                                 cwd=tmp, env=CHILD_ENV, capture_output=True)
-        expected = {path.name: path.read_bytes() for path in (GOLDEN / case).iterdir()}
         actual = {path.name: path.read_bytes() for path in (Path(tmp) / "out").iterdir()}
-        return result.returncode == 0 and {**actual, "stdout": result.stdout} == expected
+    return {**actual, "stdout": result.stdout} if result.returncode == 0 else None
+
+
+def golden_case_matches(case: str) -> bool:
+    """Whether ``python -m depmetrics`` writes the stdout and every file of a golden case."""
+    expected = {path.name: path.read_bytes() for path in (GOLDEN / case).iterdir()}
+    return run_on_fixtures(case, GOLDEN_CASES[case][1], {}) == expected
+
+
+def single_table_matches(case: str, command: str) -> bool:
+    """Whether a single-table command, run on the inputs and settings of a report case, writes that
+    case's tables of the command and the case's meta.json with its own command and additions."""
+    inputs, settings = REPORT_INPUTS_AND_SETTINGS[case]
+    argv = [command, *inputs, "--config", "run.json", "--output-dir", "out"]
+    golden = GOLDEN / case
+    expected = {name: (golden / name).read_bytes() for name in COMMAND_TABLES[command]}
+    meta = json.loads((golden / "meta.json").read_bytes())
+    report = json.loads((golden / "report.json").read_bytes())
+    meta["command"] = command
+    if command == "trend":
+        meta["crossings"] = report["crossings"]
+    if command == "valency":
+        meta["lexicon_misses"] = report["valency"]["lexicon_misses"]
+    expected["meta.json"] = json_text(meta).encode()
+    expected["stdout"] = "".join(f"wrote out/{name}\n" for name in expected).encode()
+    return run_on_fixtures(case, argv, {"run.json": json.dumps(settings)}) == expected
 
 
 def closed_stdout_outcomes() -> list[tuple[str, bool, str]]:
@@ -182,6 +224,11 @@ def main() -> int:
         golden = golden_case_matches(case)
         ok &= golden
         print(f"{case} golden via python -m depmetrics: {'identical' if golden else 'DIFFERS'}")
+    for case in REPORT_INPUTS_AND_SETTINGS:
+        for command in TABLES:
+            golden = single_table_matches(case, command)
+            ok &= golden
+            print(f"{command} on the {case} inputs: {'its golden tables' if golden else 'DIFFERS'}")
     for name, passed, got in closed_stdout_outcomes():
         ok &= passed
         print(f"closed stdout, {name}: {got}")

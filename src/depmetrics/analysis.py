@@ -182,23 +182,24 @@ def pooled_distribution(stats: CorpusStats, metric: str) -> Distribution:
 
 
 def conditional_distributions(
-    stats: CorpusStats, metric: str, sl_list: Sequence[int]
-) -> dict[int, Distribution]:
-    """One distribution per requested length, over sentences of exactly that length.
+    stats: CorpusStats, sl_list: Sequence[int]
+) -> dict[str, dict[int, Distribution]]:
+    """The DD and the HD distribution of each requested length, over sentences of exactly that length.
 
-    Lengths with no sentences are omitted with a warning rather than failing,
-    since a narrow corpus legitimately misses some of the requested lengths.
+    Lengths with no sentences are omitted, with one warning each, rather than
+    failing, since a narrow corpus legitimately misses some of the requested lengths.
     """
     for sl in sl_list:
         if sl < 2:
             raise ValueError(f"requested sentence lengths must be >= 2, got {sl}")
-    result = {}
+    result: dict[str, dict[int, Distribution]] = {"dd": {}, "hd": {}}
     for sl in sorted(set(sl_list)):
         cell = stats.by_sl.get(sl)
         if cell is None:
-            log.warning("no sentences of length %d; omitting its %s distribution", sl, metric)
+            log.warning("no sentences of length %d; omitting its dd and hd distributions", sl)
             continue
-        result[sl] = Distribution(counts=dict(cell.value_counts(metric)))
+        for metric, by_sl in result.items():
+            by_sl[sl] = Distribution(counts=dict(cell.value_counts(metric)))
     return result
 
 
@@ -310,29 +311,22 @@ def fit_valency_models(
     """Per valency class: linear fit of avg DD=1 counts on length, and
     log-linear fit of avg HD=1 counts on log length.
 
-    Classes with fewer than 3 length points are omitted with a warning.
+    Classes with fewer than 3 length points are omitted, with one warning
+    each for both fits.
     """
-    by_valency: dict[int, list[ValencyCell]] = defaultdict(list)
-    for cell in cells:
-        by_valency[cell.valency].append(cell)
+    buckets: dict[int, list[ValencyCell]] = defaultdict(list)
+    for cell in sorted(cells, key=lambda c: (c.valency, c.sl)):
+        buckets[cell.valency].append(cell)
+    for valency, bucket in list(buckets.items()):
+        if len(bucket) < 3:
+            log.warning("valency class %d has only %d length points; dd1 and hd1 fits omitted",
+                        valency, len(bucket))
+            del buckets[valency]
     fits: list[ValencyFit] = []
-    for metric in ("dd1", "hd1"):
-        for valency in sorted(by_valency):
-            bucket = sorted(by_valency[valency], key=lambda c: c.sl)
-            if len(bucket) < 3:
-                log.warning(
-                    "valency class %d has only %d length points; %s fit omitted",
-                    valency,
-                    len(bucket),
-                    metric,
-                )
-                continue
+    for metric, model_form in (("dd1", "linear"), ("hd1", "log-linear")):
+        for valency, bucket in buckets.items():
             xs = [float(c.sl) for c in bucket]
-            if metric == "dd1":
-                result = ols_fit(xs, [c.avg_dd1 for c in bucket], model_form="linear")
-            else:
-                result = ols_fit(
-                    xs, [c.avg_hd1 for c in bucket], model_form="log-linear", log_base=log_base
-                )
-            fits.append(ValencyFit(metric=metric, valency=valency, result=result))
+            ys = [getattr(c, f"avg_{metric}") for c in bucket]
+            result = ols_fit(xs, ys, model_form=model_form, log_base=log_base)
+            fits.append(ValencyFit(metric, valency, result))
     return fits

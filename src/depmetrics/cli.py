@@ -29,19 +29,18 @@ from . import __version__
 from .errors import INPUT_ERRORS, ConfigError
 from .metrics import metric_record
 from .report import (
-    COMMAND_TABLES,
     ENTROPY_BASES,
     LOG_BASES,
-    REPORT_RENDERERS,
+    TABLES,
     TOOL_NAME,
     VALENCY_MODES,
     CountOnly,
     RunConfig,
     compute_analyses,
-    json_text,
     load_corpus,
-    report_json_dict,
+    render_outputs,
     run_meta,
+    table_commands,
     write_files,
     write_outputs,
 )
@@ -235,19 +234,10 @@ def _write_text(output: str | None, pieces: Iterable[str]) -> None:
 
 
 def cmd_tables(args: argparse.Namespace, command: str) -> int:
-    """Write the tables of ``command`` (see ``COMMAND_TABLES``) and its meta.json."""
+    """Write the files of table command ``command`` (``report.render_outputs``)."""
     config = build_config(args)
     corpus = load_corpus(config)
-    analyses = compute_analyses(config, corpus, command)
-    files = {name: REPORT_RENDERERS[name](config, analyses) for name in COMMAND_TABLES[command]}
-    meta = run_meta(config, corpus, command)
-    if command == "report":
-        files["report.json"] = json_text(report_json_dict(config, corpus, analyses))
-    if command == "trend":
-        meta["crossings"] = [list(interval) for interval in analyses.crossings]
-    if command == "valency":
-        meta["lexicon_misses"] = analyses.lexicon_misses
-    files["meta.json"] = json_text(meta)
+    files = render_outputs(config, corpus, command, compute_analyses(config, corpus, command))
     for path in write_outputs(config.output_dir, files):
         print(f"wrote {path}")
     return 0
@@ -291,20 +281,23 @@ def _add_corpus_args(sub: argparse.ArgumentParser) -> None:
                      help="drop PUNCT nodes (CoNLL-U inputs only)")
 
 
-# The flags of the settings that only tables read; each corpus command takes those its outputs read.
-_TABLE_FLAGS: dict[str, dict[str, Any]] = {
-    "--sl-min": {"type": integer},
-    "--sl-max": {"type": integer},
-    "--dist-sls": {"type": _parse_dist_sls, "help": "comma-separated lengths for conditional distributions"},
-    "--min-bucket": {"type": integer, "help": "minimum sentences per length for entropy/correlation points"},
-    "--valency-mode": {"choices": VALENCY_MODES},
-    "--lexicon": {"dest": "lexicon_path",
-                  "help": "valency lexicon TSV (lemma<TAB>class) for --valency-mode lexicon"},
-    "--entropy-base": {"choices": tuple(ENTROPY_BASES)},
-    "--log-base": {"choices": tuple(LOG_BASES)},
-    "--output-dir": {},
+# The flag of each setting that only tables read; a table command takes those of _EVERY_TABLE
+# and of the settings of the TABLES entries it runs.
+SETTING_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
+    "sl_min": ("--sl-min", {"type": integer}),
+    "sl_max": ("--sl-max", {"type": integer}),
+    "output_dir": ("--output-dir", {}),
+    "dist_sls": ("--dist-sls", {"type": _parse_dist_sls,
+                                "help": "comma-separated lengths for conditional distributions"}),
+    "min_bucket": ("--min-bucket", {"type": integer,
+                                    "help": "minimum sentences per length for entropy/correlation points"}),
+    "valency_mode": ("--valency-mode", {"choices": VALENCY_MODES}),
+    "lexicon_path": ("--lexicon", {"help": "valency lexicon TSV (lemma<TAB>class) for --valency-mode "
+                                           "lexicon"}),
+    "entropy_base": ("--entropy-base", {"choices": tuple(ENTROPY_BASES)}),
+    "log_base": ("--log-base", {"choices": tuple(LOG_BASES)}),
 }
-_EVERY_TABLE = ("--sl-min", "--sl-max", "--output-dir")  # the flags that every table command takes
+_EVERY_TABLE = ("sl_min", "sl_max", "output_dir")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,26 +308,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    commands = {"validate": cmd_validate, "metrics": cmd_metrics}
-    for name, help_text, flags in (
-        ("validate", "check inputs and report accepted/rejected counts", ()),
-        ("metrics", "dump per-sentence metric records as JSONL", ()),
-        ("dist", "pooled and length-conditioned DD/HD distributions", (*_EVERY_TABLE, "--dist-sls")),
-        ("entropy", "entropy of length-conditioned distributions",
-         (*_EVERY_TABLE, "--min-bucket", "--entropy-base")),
-        ("trend", "mean MDD/MHD by sentence length", _EVERY_TABLE),
-        ("corr", "per-length Spearman correlation of MDD and MHD", (*_EVERY_TABLE, "--min-bucket")),
-        ("valency", "valency-conditioned DD=1/HD=1 counts and fits",
-         (*_EVERY_TABLE, "--valency-mode", "--lexicon", "--log-base")),
-        ("report", "write every table plus report.json", tuple(_TABLE_FLAGS)),
-    ):
+    sub = subparsers.add_parser("validate", help="check inputs and report accepted/rejected counts")
+    _add_corpus_args(sub)
+    sub.set_defaults(func=cmd_validate)
+    sub = subparsers.add_parser("metrics", help="dump per-sentence metric records as JSONL")
+    _add_corpus_args(sub)
+    sub.add_argument("-o", "--output", help="write to a file instead of stdout")
+    sub.set_defaults(func=cmd_metrics)
+    helps = {name: table.help for name, table in TABLES.items()}
+    for name, help_text in (*helps.items(), ("report", "write every table plus report.json")):
         sub = subparsers.add_parser(name, help=help_text)
         _add_corpus_args(sub)
-        for flag in flags:
-            sub.add_argument(flag, **_TABLE_FLAGS[flag])
-        if name == "metrics":
-            sub.add_argument("-o", "--output", help="write to a file instead of stdout")
-        sub.set_defaults(func=commands.get(name, partial(cmd_tables, command=name)))
+        settings = chain(_EVERY_TABLE, *(TABLES[entry].settings for entry in table_commands(name)))
+        for setting in dict.fromkeys(settings):
+            flag, options = SETTING_FLAGS[setting]
+            sub.add_argument(flag, dest=setting, **options)
+        sub.set_defaults(func=partial(cmd_tables, command=name))
 
     sub = subparsers.add_parser("generate", help="generate a random-tree corpus (canonical JSONL)")
     sub.add_argument("--n", type=integer, required=True, help="nodes per sentence")

@@ -23,7 +23,9 @@ import stat
 import threading
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Protocol, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Protocol, Sequence, TypeVar,
+)
 
 from . import __version__, treebank
 from .errors import ConfigError, EmptyLexicon, EmptySelection
@@ -369,41 +371,6 @@ def _run_child(write_end: int, work: Callable[[int], object], k: int) -> NoRetur
         os._exit(status)
 
 
-class Analyses:
-    """The computed tables of one run; the ones a command does not write stay empty.
-
-    Each keyword given to the constructor sets the table of that name.
-    """
-
-    __slots__ = (
-        "length_hist", "pooled", "conditional", "entropy_points", "entropy_gated", "mdd_series",
-        "mhd_series", "crossings", "corr_points", "corr_gated", "valency_cells", "valency_fits",
-        "lexicon_misses",
-    )
-
-    def __init__(self, **tables: Any) -> None:
-        self.length_hist: dict[int, int] = {}  # full corpus, no length window
-        self.pooled: dict[str, Distribution] = {}
-        self.conditional: dict[str, dict[int, Distribution]] = {}
-        self.entropy_points: dict[str, list[SeriesPoint]] = {}
-        self.entropy_gated: dict[str, list[SeriesPoint]] = {}
-        self.mdd_series: list[SeriesPoint] = []
-        self.mhd_series: list[SeriesPoint] = []
-        self.crossings: list[tuple[int, int]] = []
-        self.corr_points: list[CorrelationPoint] = []
-        self.corr_gated: list[CorrelationPoint] = []
-        self.valency_cells: list[ValencyCell] = []
-        self.valency_fits: list[ValencyFit] = []
-        self.lexicon_misses = 0
-        for name, table in tables.items():
-            setattr(self, name, table)  # an unknown name raises AttributeError
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-
 def load_lexicon(config: RunConfig) -> ValencyLexicon | None:
     """The lexicon at ``lexicon_path``, read, checked and not empty; None without a path (other modes)."""
     lexicon_path = config.lexicon_path
@@ -415,164 +382,47 @@ def load_lexicon(config: RunConfig) -> ValencyLexicon | None:
     return lexicon
 
 
-def compute_analyses(config: RunConfig, corpus: CorpusData, command: str = "report") -> Analyses:
-    """Read from the corpus fold the tables that ``command`` writes: every one for ``report``.
+def _analysis() -> Any:
+    """The analysis layer, imported when a table is read; a reader looks its functions up on each call."""
+    from . import analysis
 
-    The length histogram covers the full corpus (including single-node
-    sentences); everything else is restricted to [sl_min, sl_max], which
-    must hold a sentence. Only the tables asked for are read, so only their
-    warnings are logged.
+    return analysis
+
+
+def compute_analyses(config: RunConfig, corpus: CorpusData, command: str = "report") -> dict[str, Any]:
+    """The results of each entry of :data:`TABLES` that ``command`` runs, by name, and nothing else.
+
+    The entries read the fold restricted to [sl_min, sl_max], which must hold a sentence. ``report`` also
+    gets the ``length_histogram`` of the full corpus, single-node sentences included.
     """
-    from .analysis import (
-        conditional_distributions,
-        entropy_by_sl,
-        find_intersection,
-        fit_valency_models,
-        length_histogram,
-        mean_metric_by_sl,
-        pooled_distribution,
-        spearman_by_sl,
-        split_gated,
-        valency_conditioned_counts,
-    )
-
     stats = corpus.fold
     window = stats.window(config.sl_min, config.sl_max)
     if not window.by_sl:
         raise EmptySelection(f"no sentences with length in [{config.sl_min}, {config.sl_max}]")
-    analyses = Analyses()
-    tables = COMMAND_TABLES[command]
+    results = {name: TABLES[name].read(window, config) for name in table_commands(command)}
     if command == "report":
-        analyses.length_hist = length_histogram(stats)
-        if corpus.single_node_count:
-            analyses.length_hist = {1: corpus.single_node_count, **analyses.length_hist}
-    if "dist.csv" in tables:
-        for metric in ("dd", "hd"):
-            analyses.pooled[metric] = pooled_distribution(window, metric)
-            analyses.conditional[metric] = conditional_distributions(window, metric, config.dist_sls)
-    if "entropy.csv" in tables:
-        for metric in ("dd", "hd"):
-            points = entropy_by_sl(window, metric, base=config.entropy_base_value)
-            analyses.entropy_points[metric], analyses.entropy_gated[metric] = split_gated(
-                points, config.min_bucket
-            )
-    if "trend.csv" in tables:
-        analyses.mdd_series, analyses.mhd_series = mean_metric_by_sl(window)
-        analyses.crossings = find_intersection(window)
-    if "corr.csv" in tables:
-        analyses.corr_points, analyses.corr_gated = split_gated(
-            spearman_by_sl(window), config.min_bucket
-        )
-    if "valency.csv" in tables:
-        analyses.valency_cells, analyses.lexicon_misses = valency_conditioned_counts(window)
-        analyses.valency_fits = fit_valency_models(
-            analyses.valency_cells, log_base=config.log_base_value
-        )
-    return analyses
+        single_node = {1: corpus.single_node_count} if corpus.single_node_count else {}
+        results["length_histogram"] = {**single_node, **_analysis().length_histogram(stats)}
+    return results
 
 
-# --- rendering ---------------------------------------------------------------
+# --- the table registry --------------------------------------------------------
 
 
 def _f4(x: float) -> str:
     return f"{x:.4f}"
 
 
-def _prob(x: float) -> str:
-    return f"{x:.6f}"
-
-
-def _pval(x: float) -> str:
-    return f"{x:.6g}"
-
-
-def render_dist_csv(config: RunConfig, analyses: Analyses) -> str:
-    lines = ["metric,sl_bucket,value,count,probability"]
+def _dist_rows(config: RunConfig, results: Any) -> Iterator[str]:
+    pooled, conditional = results
     for metric in ("dd", "hd"):
-        conditional = analyses.conditional[metric]
-        buckets = [(f"{config.sl_min}-{config.sl_max}", analyses.pooled[metric])]
-        buckets += [(str(sl), conditional[sl]) for sl in sorted(conditional)]
+        buckets = [(f"{config.sl_min}-{config.sl_max}", pooled[metric])]
+        buckets += [(str(sl), dist) for sl, dist in conditional[metric].items()]
         for bucket, dist in buckets:
             total = dist.total
             for value in dist.support():
                 count = dist.counts[value]
-                lines.append(f"{metric},{bucket},{value},{count},{_prob(count / total)}")
-    return "\n".join(lines) + "\n"
-
-
-def _entropy_csv(points_by_metric: dict[str, list[SeriesPoint]]) -> str:
-    lines = ["metric,sl,entropy_bits,n"]
-    for metric in ("dd", "hd"):
-        for point in points_by_metric.get(metric, []):
-            lines.append(f"{metric},{point.sl},{_f4(point.value)},{point.n}")
-    return "\n".join(lines) + "\n"
-
-
-def render_entropy_csv(analyses: Analyses) -> str:
-    return _entropy_csv(analyses.entropy_points)
-
-
-def render_entropy_gated_csv(analyses: Analyses) -> str:
-    return _entropy_csv(analyses.entropy_gated)
-
-
-def render_trend_csv(analyses: Analyses) -> str:
-    lines = ["sl,mean_mdd,mean_mhd,n"]
-    for mdd_point, mhd_point in zip(analyses.mdd_series, analyses.mhd_series):
-        lines.append(
-            f"{mdd_point.sl},{_f4(mdd_point.value)},{_f4(mhd_point.value)},{mdd_point.n}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _corr_csv(points: Sequence[CorrelationPoint]) -> str:
-    lines = ["sl,rho,p_value,n"]
-    for point in points:
-        lines.append(f"{point.sl},{_f4(point.rho)},{_pval(point.p_value)},{point.n}")
-    return "\n".join(lines) + "\n"
-
-
-def render_corr_csv(analyses: Analyses) -> str:
-    return _corr_csv(analyses.corr_points)
-
-
-def render_corr_gated_csv(analyses: Analyses) -> str:
-    return _corr_csv(analyses.corr_gated)
-
-
-def render_valency_csv(analyses: Analyses) -> str:
-    lines = ["valency,sl,avg_dd1,avg_hd1,n"]
-    for cell in analyses.valency_cells:
-        lines.append(f"{cell.valency},{cell.sl},{_f4(cell.avg_dd1)},{_f4(cell.avg_hd1)},{cell.n}")
-    return "\n".join(lines) + "\n"
-
-
-def render_valency_fit_csv(analyses: Analyses) -> str:
-    from .stats import significance_stars
-
-    lines = [
-        "metric,valency,n,slope,se_slope,stars_slope,intercept,se_intercept,stars_intercept,model,adj_r2"
-    ]
-    for fit in analyses.valency_fits:
-        r = fit.result
-        lines.append(
-            ",".join(
-                [
-                    fit.metric,
-                    str(fit.valency),
-                    str(r.n),
-                    _f4(r.slope),
-                    _f4(r.se_slope),
-                    significance_stars(r.p_slope),
-                    _f4(r.intercept),
-                    _f4(r.se_intercept),
-                    significance_stars(r.p_intercept),
-                    f'"{r.model_string()}"',
-                    _f4(r.adj_r2),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+                yield f"{metric},{bucket},{value},{count},{count / total:.6f}"
 
 
 def _dist_json(dist: Distribution) -> dict[str, object]:
@@ -583,15 +433,195 @@ def _dist_json(dist: Distribution) -> dict[str, object]:
     }
 
 
-def _entropy_json(points_by_metric: dict[str, list[SeriesPoint]]) -> dict[str, object]:
+def _read_entropy(window: Any, config: RunConfig) -> dict[str, tuple[list[SeriesPoint], list[SeriesPoint]]]:
+    """Each metric's entropy series, split into lengths of ``min_bucket`` or more sentences and the rest."""
+    analysis = _analysis()
     return {
-        m: [{"sl": p.sl, "entropy": round(p.value, 4), "n": p.n} for p in points_by_metric[m]]
+        metric: analysis.split_gated(
+            analysis.entropy_by_sl(window, metric, base=config.entropy_base_value), config.min_bucket
+        )
+        for metric in ("dd", "hd")
+    }
+
+
+def _entropy_rows(results: Any, part: int) -> Iterator[str]:
+    for metric in ("dd", "hd"):
+        for point in results[metric][part]:
+            yield f"{metric},{point.sl},{_f4(point.value)},{point.n}"
+
+
+def _entropy_json(results: Any, part: int) -> dict[str, object]:
+    return {
+        m: [{"sl": p.sl, "entropy": round(p.value, 4), "n": p.n} for p in results[m][part]]
         for m in ("dd", "hd")
     }
 
 
+def _crossings(results: Any) -> dict[str, object]:
+    return {"crossings": [list(interval) for interval in results[2]]}
+
+
+def _corr_rows(points: Sequence[CorrelationPoint]) -> Iterator[str]:
+    return (f"{p.sl},{_f4(p.rho)},{p.p_value:.6g},{p.n}" for p in points)
+
+
 def _correlation_json(points: Sequence[CorrelationPoint]) -> list[dict[str, object]]:
-    return [{"sl": p.sl, "rho": round(p.rho, 4), "p_value": p.p_value, "n": p.n} for p in points]
+    return [{**p._asdict(), "rho": round(p.rho, 4)} for p in points]
+
+
+def _read_valency(window: Any, config: RunConfig) -> tuple[list[ValencyCell], int, list[ValencyFit]]:
+    """The valency cells, the count of sentences whose root lemma the lexicon lacks, and the fits."""
+    analysis = _analysis()
+    cells, misses = analysis.valency_conditioned_counts(window)
+    return cells, misses, analysis.fit_valency_models(cells, log_base=config.log_base_value)
+
+
+def _fit_rows(config: RunConfig, results: Any) -> Iterator[str]:
+    from .stats import significance_stars
+
+    for fit in results[2]:
+        r = fit.result
+        stars = significance_stars(r.p_slope), significance_stars(r.p_intercept)
+        yield (f"{fit.metric},{fit.valency},{r.n},{_f4(r.slope)},{_f4(r.se_slope)},{stars[0]},"
+               f'{_f4(r.intercept)},{_f4(r.se_intercept)},{stars[1]},"{r.model_string()}",{_f4(r.adj_r2)}')
+
+
+def _valency_json(config: RunConfig, results: Any) -> dict[str, object]:
+    cells, misses, fits = results
+    return {"valency": {
+        "mode": config.valency_mode,
+        "lexicon_misses": misses,
+        "cells": [
+            {**c._asdict(), "avg_dd1": round(c.avg_dd1, 4), "avg_hd1": round(c.avg_hd1, 4)} for c in cells
+        ],
+        "fits": [
+            {
+                "metric": f.metric,
+                "valency": f.valency,
+                "n": f.result.n,
+                "p_slope": f.result.p_slope,
+                "p_intercept": f.result.p_intercept,
+                "model": f.result.model_string(),
+                **{
+                    key: round(getattr(f.result, key), 4)
+                    for key in ("slope", "se_slope", "intercept", "se_intercept", "adj_r2")
+                },
+            }
+            for f in fits
+        ],
+    }}
+
+
+class Table(NamedTuple):
+    """One table command of :data:`TABLES`.
+
+    ``read(window, config)`` reads its results from the fold restricted to
+    the length window. Each of ``files`` is a CSV file's name, header and
+    ``rows(config, results)``, the lines below it. ``report_json(config,
+    results)`` gives its keys of report.json (``gated`` joins the report's
+    ``gated``), and ``meta(results)`` what it adds to its own meta.json.
+    It takes the flags of ``settings``, the ``RunConfig`` settings it reads
+    besides the length window and the output directory.
+    """
+
+    help: str
+    settings: tuple[str, ...]
+    read: Callable[[Any, RunConfig], Any]
+    files: tuple[tuple[str, str, Callable[[RunConfig, Any], Iterable[str]]], ...]
+    report_json: Callable[[RunConfig, Any], dict[str, object]]
+    meta: Callable[[Any], dict[str, object]] = lambda results: {}
+
+
+#: The table commands, in the order in which ``report`` reads and writes them.
+TABLES: dict[str, Table] = {
+    "dist": Table(  # results: the pooled distribution, and those of dist_sls, of each metric
+        help="pooled and length-conditioned DD/HD distributions",
+        settings=("dist_sls",),
+        read=lambda window, config: (
+            {metric: _analysis().pooled_distribution(window, metric) for metric in ("dd", "hd")},
+            _analysis().conditional_distributions(window, config.dist_sls),
+        ),
+        files=(("dist.csv", "metric,sl_bucket,value,count,probability", _dist_rows),),
+        report_json=lambda config, results: {
+            "pooled_distribution": {m: _dist_json(results[0][m]) for m in ("dd", "hd")},
+            "conditional_distributions": {
+                m: {str(sl): _dist_json(d) for sl, d in results[1][m].items()} for m in ("dd", "hd")
+            },
+        },
+    ),
+    "entropy": Table(
+        help="entropy of length-conditioned distributions",
+        settings=("min_bucket", "entropy_base"),
+        read=_read_entropy,
+        files=(
+            ("entropy.csv", "metric,sl,entropy_bits,n", lambda config, results: _entropy_rows(results, 0)),
+            ("entropy_gated.csv", "metric,sl,entropy_bits,n",
+             lambda config, results: _entropy_rows(results, 1)),
+        ),
+        report_json=lambda config, results: {
+            "entropy_by_sl": {"base": config.entropy_base, "series": _entropy_json(results, 0)},
+            "gated": {"entropy": _entropy_json(results, 1)},
+        },
+    ),
+    "trend": Table(  # results: the mean MDD and MHD series, and where they cross
+        help="mean MDD/MHD by sentence length",
+        settings=(),
+        read=lambda window, config: (
+            *_analysis().mean_metric_by_sl(window), _analysis().find_intersection(window)
+        ),
+        files=(("trend.csv", "sl,mean_mdd,mean_mhd,n", lambda config, results: (
+            f"{m.sl},{_f4(m.value)},{_f4(h.value)},{m.n}" for m, h in zip(results[0], results[1])
+        )),),
+        report_json=lambda config, results: {
+            "trend": [
+                {"sl": m.sl, "mean_mdd": round(m.value, 4), "mean_mhd": round(h.value, 4), "n": m.n}
+                for m, h in zip(results[0], results[1])
+            ],
+            **_crossings(results),
+        },
+        meta=_crossings,
+    ),
+    "corr": Table(  # results: the points of at least min_bucket sentences, and the rest
+        help="per-length Spearman correlation of MDD and MHD",
+        settings=("min_bucket",),
+        read=lambda window, config: _analysis().split_gated(_analysis().spearman_by_sl(window),
+                                                            config.min_bucket),
+        files=(
+            ("corr.csv", "sl,rho,p_value,n", lambda config, results: _corr_rows(results[0])),
+            ("corr_gated.csv", "sl,rho,p_value,n", lambda config, results: _corr_rows(results[1])),
+        ),
+        report_json=lambda config, results: {
+            "correlation_by_sl": _correlation_json(results[0]),
+            "gated": {"correlation": _correlation_json(results[1])},
+        },
+    ),
+    "valency": Table(
+        help="valency-conditioned DD=1/HD=1 counts and fits",
+        settings=("valency_mode", "lexicon_path", "log_base"),
+        read=_read_valency,
+        files=(
+            ("valency.csv", "valency,sl,avg_dd1,avg_hd1,n", lambda config, results: (
+                f"{c.valency},{c.sl},{_f4(c.avg_dd1)},{_f4(c.avg_hd1)},{c.n}" for c in results[0]
+            )),
+            ("valency_fit.csv", "metric,valency,n,slope,se_slope,stars_slope,intercept,se_intercept,"
+             "stars_intercept,model,adj_r2", _fit_rows),
+        ),
+        report_json=_valency_json,
+        meta=lambda results: {"lexicon_misses": results[1]},
+    ),
+}
+
+
+def table_commands(command: str) -> list[str]:
+    """The entries of :data:`TABLES` that ``command`` runs: every one for ``report``."""
+    return list(TABLES) if command == "report" else [command]
+
+
+#: The tables each table command writes, in order; ``report`` also writes report.json.
+COMMAND_TABLES = {
+    command: tuple(file[0] for name in table_commands(command) for file in TABLES[name].files)
+    for command in (*TABLES, "report")
+}
 
 
 def run_meta(config: RunConfig, corpus: CorpusData, command: str) -> dict[str, object]:
@@ -618,88 +648,44 @@ def run_meta(config: RunConfig, corpus: CorpusData, command: str) -> dict[str, o
     }
 
 
-def report_json_dict(config: RunConfig, corpus: CorpusData, analyses: Analyses) -> dict[str, object]:
-    return {
+def report_json_dict(config: RunConfig, corpus: CorpusData, results: dict[str, Any]) -> dict[str, object]:
+    gated: dict[str, object] = {"min_bucket": config.min_bucket}
+    report = {
         "meta": run_meta(config, corpus, "report"),
-        "length_histogram": {str(sl): count for sl, count in analyses.length_hist.items()},
-        "pooled_distribution": {m: _dist_json(analyses.pooled[m]) for m in ("dd", "hd")},
-        "conditional_distributions": {
-            m: {str(sl): _dist_json(d) for sl, d in sorted(analyses.conditional[m].items())}
-            for m in ("dd", "hd")
-        },
-        "entropy_by_sl": {"base": config.entropy_base, "series": _entropy_json(analyses.entropy_points)},
-        "trend": [
-            {"sl": m.sl, "mean_mdd": round(m.value, 4), "mean_mhd": round(h.value, 4), "n": m.n}
-            for m, h in zip(analyses.mdd_series, analyses.mhd_series)
-        ],
-        "crossings": [list(interval) for interval in analyses.crossings],
-        "correlation_by_sl": _correlation_json(analyses.corr_points),
-        "valency": {
-            "mode": config.valency_mode,
-            "lexicon_misses": analyses.lexicon_misses,
-            "cells": [
-                {
-                    "valency": c.valency,
-                    "sl": c.sl,
-                    "avg_dd1": round(c.avg_dd1, 4),
-                    "avg_hd1": round(c.avg_hd1, 4),
-                    "n": c.n,
-                }
-                for c in analyses.valency_cells
-            ],
-            "fits": [
-                {
-                    "metric": f.metric,
-                    "valency": f.valency,
-                    "n": f.result.n,
-                    "slope": round(f.result.slope, 4),
-                    "se_slope": round(f.result.se_slope, 4),
-                    "p_slope": f.result.p_slope,
-                    "intercept": round(f.result.intercept, 4),
-                    "se_intercept": round(f.result.se_intercept, 4),
-                    "p_intercept": f.result.p_intercept,
-                    "model": f.result.model_string(),
-                    "adj_r2": round(f.result.adj_r2, 4),
-                }
-                for f in analyses.valency_fits
-            ],
-        },
-        "gated": {
-            "min_bucket": config.min_bucket,
-            "entropy": _entropy_json(analyses.entropy_gated),
-            "correlation": _correlation_json(analyses.corr_gated),
-        },
+        "length_histogram": {str(sl): count for sl, count in results["length_histogram"].items()},
+        "gated": gated,
         "rejections": [
             {"source": r.source, "reason": r.reason, "sentence_id": r.sentence_id}
             for r in corpus.rejections
         ],
     }
+    for name, table in TABLES.items():
+        part = table.report_json(config, results[name])
+        gated.update(part.pop("gated", {}))  # type: ignore[call-overload]
+        report.update(part)
+    return report
 
 
 def json_text(obj: object) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
-REPORT_RENDERERS = {
-    "dist.csv": lambda cfg, a: render_dist_csv(cfg, a),
-    "entropy.csv": lambda cfg, a: render_entropy_csv(a),
-    "entropy_gated.csv": lambda cfg, a: render_entropy_gated_csv(a),
-    "trend.csv": lambda cfg, a: render_trend_csv(a),
-    "corr.csv": lambda cfg, a: render_corr_csv(a),
-    "corr_gated.csv": lambda cfg, a: render_corr_gated_csv(a),
-    "valency.csv": lambda cfg, a: render_valency_csv(a),
-    "valency_fit.csv": lambda cfg, a: render_valency_fit_csv(a),
-}
-
-#: The tables each table command writes, in order; ``report`` also writes report.json.
-COMMAND_TABLES = {
-    "dist": ("dist.csv",),
-    "entropy": ("entropy.csv", "entropy_gated.csv"),
-    "trend": ("trend.csv",),
-    "corr": ("corr.csv", "corr_gated.csv"),
-    "valency": ("valency.csv", "valency_fit.csv"),
-    "report": tuple(REPORT_RENDERERS),
-}
+def render_outputs(
+    config: RunConfig, corpus: CorpusData, command: str, results: dict[str, Any]
+) -> dict[str, str]:
+    """The texts that table command ``command`` writes, by file name, in order: its CSV tables,
+    report.json for ``report``, and meta.json, to which another command's entry adds."""
+    files = {}
+    for name in table_commands(command):
+        for file_name, header, rows in TABLES[name].files:
+            files[file_name] = "\n".join([header, *rows(config, results[name])]) + "\n"
+    meta = run_meta(config, corpus, command)
+    if command == "report":
+        files["report.json"] = json_text(report_json_dict(config, corpus, results))
+    else:
+        meta.update(TABLES[command].meta(results[command]))
+    files["meta.json"] = json_text(meta)
+    return files
 
 
 def write_files(files: dict[Path, Iterable[str]]) -> None:

@@ -5,7 +5,7 @@ length, as the toolkit did before ``CorpusStats``: means are sums of exact
 ``Fraction``s, crossings compare float differences, Spearman takes the
 per-sentence means in corpus order, and valency counts walk the records
 beside their sentences. ``reference_analyses`` strings them together the way
-``report.compute_analyses`` does, so a test can require equal ``Analyses``.
+``report.compute_analyses`` does, so a test can require equal results.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from depmetrics.analysis import (
 )
 from depmetrics.errors import DegenerateInput, EmptyLexicon, EmptySelection
 from depmetrics.metrics import MetricRecord, metric_record
-from depmetrics.report import VALENCY_MODES, Analyses, RunConfig
+from depmetrics.report import VALENCY_MODES, RunConfig
 from depmetrics.stats import Distribution, entropy, spearman
 from depmetrics.treebank import Sentence, ValencyLexicon
 
@@ -62,24 +62,26 @@ def pooled_distribution(
 
 
 def conditional_distributions(
-    records: Iterable[MetricRecord], metric: str, sl_list: Sequence[int]
-) -> dict[int, Distribution]:
+    records: Iterable[MetricRecord], sl_list: Sequence[int]
+) -> dict[str, dict[int, Distribution]]:
     for sl in sl_list:
         if sl < 2:
             raise ValueError(f"requested sentence lengths must be >= 2, got {sl}")
     wanted = sorted(set(sl_list))
-    by_sl: dict[int, Counter[int]] = {sl: Counter() for sl in wanted}
+    by_sl: dict[int, dict[str, Counter[int]]] = {sl: {"dd": Counter(), "hd": Counter()} for sl in wanted}
     seen: Counter[int] = Counter()
     for record in records:
         if record.sl in by_sl:
-            by_sl[record.sl].update(_hist(record, metric))
+            for metric, counts in by_sl[record.sl].items():
+                counts.update(_hist(record, metric))
             seen[record.sl] += 1
-    result = {}
+    result: dict[str, dict[int, Distribution]] = {"dd": {}, "hd": {}}
     for sl in wanted:
         if seen[sl] == 0:
-            log.warning("no sentences of length %d; omitting its %s distribution", sl, metric)
+            log.warning("no sentences of length %d; omitting its dd and hd distributions", sl)
             continue
-        result[sl] = Distribution(counts=dict(by_sl[sl]))
+        for metric, distributions in result.items():
+            distributions[sl] = Distribution(counts=dict(by_sl[sl][metric]))
     return result
 
 
@@ -198,8 +200,8 @@ def valency_conditioned_counts(
 
 def reference_analyses(
     config: RunConfig, sentences: Sequence[Sentence], lexicon: ValencyLexicon | None = None
-) -> Analyses:
-    """Every table of a run over ``sentences``, computed record by record."""
+) -> dict[str, object]:
+    """Every table of a run over ``sentences``, computed record by record, in the form of ``compute_analyses``."""
     record_sentences = [s for s in sentences if len(s) >= 2]
     records = [metric_record(s) for s in record_sentences]
     single_node = len(sentences) - len(records)
@@ -214,29 +216,21 @@ def reference_analyses(
     win_records = [record for record, _ in window]
     win_sentences = [sentence for _, sentence in window]
     pooled = {m: pooled_distribution(records, m, config.sl_min, config.sl_max) for m in ("dd", "hd")}
-    conditional = {m: conditional_distributions(win_records, m, config.dist_sls) for m in ("dd", "hd")}
-    entropy_points = {}
-    entropy_gated = {}
-    for metric in ("dd", "hd"):
-        points = entropy_by_sl(win_records, metric, base=config.entropy_base_value)
-        entropy_points[metric], entropy_gated[metric] = split_gated(points, config.min_bucket)
+    conditional = conditional_distributions(win_records, config.dist_sls)
+    entropy_split = {
+        metric: split_gated(entropy_by_sl(win_records, metric, config.entropy_base_value), config.min_bucket)
+        for metric in ("dd", "hd")
+    }
     mdd_series, mhd_series = mean_metric_by_sl(win_records)
     corr_points, corr_gated = split_gated(spearman_by_sl(win_records), config.min_bucket)
     cells, misses = valency_conditioned_counts(
         win_records, win_sentences, lexicon=lexicon, valency_mode=config.valency_mode
     )
-    return Analyses(
-        length_hist=hist,
-        pooled=pooled,
-        conditional=conditional,
-        entropy_points=entropy_points,
-        entropy_gated=entropy_gated,
-        mdd_series=mdd_series,
-        mhd_series=mhd_series,
-        crossings=find_intersection(mdd_series, mhd_series),
-        corr_points=corr_points,
-        corr_gated=corr_gated,
-        valency_cells=cells,
-        valency_fits=fit_valency_models(cells, log_base=config.log_base_value),
-        lexicon_misses=misses,
-    )
+    return {
+        "length_histogram": hist,
+        "dist": (pooled, conditional),
+        "entropy": entropy_split,
+        "trend": (mdd_series, mhd_series, find_intersection(mdd_series, mhd_series)),
+        "corr": (corr_points, corr_gated),
+        "valency": (cells, misses, fit_valency_models(cells, log_base=config.log_base_value)),
+    }

@@ -190,7 +190,7 @@ def test_criterion_07_conditional_merge_equals_pooled():
         for metric in ("dd", "hd"):
             pooled = pooled_distribution(stats.window(2, 12), metric)
             merged: Counter = Counter()
-            for dist in conditional_distributions(stats, metric, lengths).values():
+            for dist in conditional_distributions(stats, lengths)[metric].values():
                 merged.update(dist.counts)
             assert dict(merged) == dict(pooled.counts)
 

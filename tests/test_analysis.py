@@ -138,12 +138,12 @@ def test_pooled_total_matches_per_length_dependency_count():
 def test_conditional_distributions_skip_missing_lengths(caplog):
     records = fold([rec(star_heads(5), id=f"s{i}") for i in range(3)])
     with caplog.at_level("WARNING"):
-        result = conditional_distributions(records, "hd", [5, 10])
-    assert list(result) == [5]
-    assert result[5].probabilities() == {1: 1.0}
-    assert "length 10" in caplog.text
+        result = conditional_distributions(records, [5, 10])
+    assert list(result["dd"]) == list(result["hd"]) == [5]
+    assert result["hd"][5].probabilities() == {1: 1.0}
+    assert caplog.messages == ["no sentences of length 10; omitting its dd and hd distributions"]
     with pytest.raises(ValueError):
-        conditional_distributions(records, "hd", [1, 5])
+        conditional_distributions(records, [1, 5])
 
 
 # --- entropy by length ----------------------------------------------------------
@@ -347,7 +347,7 @@ def test_fit_valency_models_omits_small_classes(caplog):
     ]
     with caplog.at_level("WARNING"):
         assert fit_valency_models(cells) == []
-    assert "omitted" in caplog.text
+    assert caplog.messages == ["valency class 2 has only 2 length points; dd1 and hd1 fits omitted"]
 
 
 # --- cross-module identities -----------------------------------------------------------
@@ -361,7 +361,7 @@ def test_merging_conditionals_reproduces_pooled_distribution():
     for metric in ("dd", "hd"):
         pooled = pooled_distribution(records.window(2, 10), metric)
         lengths = sorted(records.by_sl)
-        conditionals = conditional_distributions(records, metric, lengths)
+        conditionals = conditional_distributions(records, lengths)[metric]
         merged: Counter = Counter()
         for dist in conditionals.values():
             merged.update(dist.counts)

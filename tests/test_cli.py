@@ -227,7 +227,16 @@ def test_single_analysis_commands_log_only_the_warnings_of_their_tables(data_dir
     assert not [r for r in caplog.records if "distribution" in r.getMessage()]
     caplog.clear()
     assert main(["dist", sample, "--output-dir", str(tmp_path / "dist")]) == 0
-    assert [r for r in caplog.records if "omitting its dd distribution" in r.getMessage()]
+    lengths = {len(s) for s in iter_conllu((data_dir / "sample_ud.conllu").read_bytes(), errors="skip",
+                                           rejections=[])}
+    missing = [sl for sl in (5, 10, 15, 20, 25, 30) if sl > 20 or sl not in lengths]  # the defaults
+    assert [m for m in caplog.messages if "distribution" in m] == [
+        f"no sentences of length {sl}; omitting its dd and hd distributions" for sl in missing
+    ]
+    caplog.clear()
+    assert main(["valency", str(data_dir / "sample.cabocha"), "--output-dir", str(tmp_path / "valency")]) == 0
+    thin = [m.split(" has ")[0] for m in caplog.messages if m.endswith("; dd1 and hd1 fits omitted")]
+    assert thin and len(thin) == len(set(thin)) == len(caplog.messages)
 
 
 def test_valency_lexicon_mode_via_cli(data_dir, tmp_path, capsys):

@@ -28,8 +28,10 @@ from pathlib import Path
 import pytest
 
 import depmetrics
-from depmetrics.cli import main
-from depmetrics.report import COMMAND_TABLES, json_text
+from depmetrics.cli import SETTING_FLAGS, build_config, build_parser, main
+from depmetrics.report import COMMAND_TABLES, TABLES, compute_analyses, json_text, load_corpus
+
+from .command_flags import COMMAND_FLAGS, WINDOW
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = DATA_DIR / "golden"
@@ -125,6 +127,26 @@ def test_single_table_command_writes_the_report_golden_tables(case, command, tmp
     if command == "valency":
         meta["lexicon_misses"] = report["valency"]["lexicon_misses"]
     assert actual["meta.json"] == json_text(meta).encode()
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_INPUTS_AND_SETTINGS))
+def test_report_is_the_union_of_the_registry_entries(case, tmp_path, monkeypatch):
+    actual = run_case(case, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    config = build_config(build_parser().parse_args(CASES[case][1]))
+    results = compute_analyses(config, load_corpus(config))
+    entry_keys = set().union(*(table.report_json(config, results[name]) for name, table in TABLES.items()))
+    report_keys = set(json.loads(actual["report.json"]))
+    assert report_keys == entry_keys | {"meta", "length_histogram", "gated", "rejections"}
+    files = tuple(file_name for table in TABLES.values() for file_name, _, _ in table.files)
+    assert COMMAND_TABLES["report"] == files
+    assert sorted(actual) == sorted([*files, "report.json", "meta.json", "stdout"])
+    # each entry's settings map to the flags of tests/command_flags.py beyond the window's
+    every_setting = [setting for table in TABLES.values() for setting in table.settings]
+    for command, settings in [*((name, table.settings) for name, table in TABLES.items()),
+                              ("report", tuple(dict.fromkeys(every_setting)))]:
+        flags = tuple(SETTING_FLAGS[setting][0] for setting in settings)
+        assert flags == tuple(flag for flag in COMMAND_FLAGS[command] if flag not in WINDOW), command
 
 
 # Runs the package's __main__ as ``python -m depmetrics`` does, with cli.main
