@@ -23,8 +23,9 @@ checks that ``python -m depmetrics CMD -h`` lists exactly the long flags of
 ``tests/command_flags.py`` for each corpus command, and that a flag the
 command does not take exits 2 with nothing on stdout. So must the refused
 runs of ``REFUSED_RUNS``: a config file past int()'s digit limit or json's
-nesting depth, which both differ between versions, and an integer flag in
-a form that int() reads but the CLI does not take. Last, it checks the
+nesting depth, which both differ between versions, config files with values
+of the wrong type (a bool for an int, a number for a path), and an integer
+flag in a form that int() reads but the CLI does not take. Last, it checks the
 cases of ``tests/startup_modules.py``: importing the CLI and running
 ``metrics`` load none of ``dataclasses``, the analyses, the statistics or
 the generator, ``report`` loads the analyses and the statistics only, and
@@ -99,6 +100,10 @@ REFUSED_RUNS = {
     "config file with a 5,000-digit integer": ({"run.json": '{"sl_max": 1' + "0" * 5000 + "}"}, CONFIG_RUN,
                                                "config error:"),
     "config file nested 100,000 deep": ({"run.json": "[" * 100_000}, CONFIG_RUN, "config error:"),
+    "config file with min_bucket true": ({"run.json": '{"min_bucket": true}'}, CONFIG_RUN,
+                                         "config error: run.json: 'min_bucket' must be int, got true"),
+    "config file with lexicon_path 3": ({"run.json": '{"lexicon_path": 3}'}, CONFIG_RUN,
+                                        "config error: run.json: 'lexicon_path' must be str | None, got 3"),
     "trend --sl-max \uff11\uff12": ({}, ["trend", SAMPLE, "--sl-max", "\uff11\uff12"], "invalid integer value"),
     "generate --count 1_0": ({}, ["generate", "--n", "5", "--seed", "1", "--count", "1_0"],
                              "invalid integer value"),

@@ -251,8 +251,9 @@ def spearman_by_sl(stats: CorpusStats) -> list[CorrelationPoint]:
 
     Length 2 is always excluded (MDD and MHD are both identically 1 there);
     buckets with fewer than 3 sentences or a constant vector are skipped
-    with a warning. The two vectors are the sentences' (DD sum, HD sum)
-    pairs, expanded in sorted order; Spearman does not depend on the order.
+    with a warning. The two vectors are the sentences' DD and HD sums,
+    expanded in sorted order: Spearman reads only their ranks, which are
+    those of the means, since one length shares n - 1, and not their order.
     """
     points = []
     for sl, cell in stats.sorted_cells():
@@ -262,14 +263,13 @@ def spearman_by_sl(stats: CorpusStats) -> list[CorrelationPoint]:
         if cell.n < 3:
             log.warning("length %d has only %d sentences; correlation skipped", sl, cell.n)
             continue
-        deps = sl - 1
-        mdds: list[float] = []
-        mhds: list[float] = []
+        dd_totals: list[int] = []
+        hd_totals: list[int] = []
         for (dd_total, hd_total), count in sorted(cell.pairs.items()):
-            mdds += [dd_total / deps] * count
-            mhds += [hd_total / deps] * count
+            dd_totals += [dd_total] * count
+            hd_totals += [hd_total] * count
         try:
-            result = spearman(mdds, mhds)
+            result = spearman(dd_totals, hd_totals)
         except DegenerateInput as exc:
             log.warning("length %d: correlation skipped (%s)", sl, exc)
             continue

@@ -22,8 +22,7 @@ import tempfile
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from types import UnionType
-from typing import Any, Iterable, Iterator, Union, get_args, get_origin, get_type_hints
+from typing import Any, Iterable, Iterator
 
 from . import __version__
 from .errors import INPUT_ERRORS, ConfigError
@@ -55,21 +54,8 @@ _EXTENSION_FORMATS = {
     ".ndjson": "canonical",
 }
 
-# Config-file keys are the RunConfig settings; values are checked against their annotations.
+# Config-file keys are the RunConfig settings; a value must have the type of the setting's default.
 _CONFIG_ANNOTATIONS: dict[str, str] = RunConfig.__annotations__
-_CONFIG_TYPES = get_type_hints(RunConfig)
-
-
-def _json_matches(value: object, hint: object) -> bool:
-    """Whether a JSON value fits a RunConfig annotation; a JSON list stands for list or tuple."""
-    if get_origin(hint) in (Union, UnionType):
-        return any(_json_matches(value, arg) for arg in get_args(hint))
-    if get_origin(hint) in (list, tuple):
-        item = get_args(hint)[0]
-        return isinstance(value, list) and all(_json_matches(v, item) for v in value)
-    if hint is type(None):
-        return value is None
-    return type(value) is hint  # exact: a bool is no int, an int no float
 
 
 def infer_format(path: str) -> str:
@@ -122,15 +108,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         for key, value in raw.items():
             if key not in _CONFIG_ANNOTATIONS:
                 raise ConfigError(f"{args.config}: unknown config key {key!r}")
+            expected = _CONFIG_ANNOTATIONS[key]
             if key == "inputs":
                 expected = 'a list of {"path": str, "format"?: str} objects'
                 ok = isinstance(value, list) and all(map(_is_input_entry, value))
                 for entry_key in chain.from_iterable(value if ok else []):
                     if entry_key not in ("path", "format"):
                         raise ConfigError(f"{args.config}: unknown input entry key {entry_key!r}")
-            else:
-                expected = _CONFIG_ANNOTATIONS[key]
-                ok = _json_matches(value, _CONFIG_TYPES[key])
+            elif key == "dist_sls":  # a JSON list for the tuple
+                ok = isinstance(value, list) and all(type(sl) is int for sl in value)
+            elif key == "lexicon_path":  # a path, or null as by default
+                ok = value is None or type(value) is str
+            else:  # exact: a bool is no int, an int no float
+                ok = type(value) is type(getattr(RunConfig, key))
             if not ok:
                 raise ConfigError(f"{args.config}: {key!r} must be {expected}, got {json.dumps(value)}")
             values[key] = value

@@ -24,7 +24,7 @@ import threading
 from functools import partial
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Protocol, Sequence, TypeVar,
+    TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TypeVar,
 )
 
 from . import __version__, treebank
@@ -118,19 +118,6 @@ class RunConfig:
         return echo
 
 
-class Fold(Protocol):
-    """What :func:`load_corpus` feeds each accepted sentence of two or more nodes to.
-
-    Each worker fills one fold per input file with ``add``; the parent then
-    combines them with ``merge`` in (file, shard) order, the order of a
-    serial pass.
-    """
-
-    def add(self, sentence: Sentence) -> None: ...
-
-    def merge(self, other: Any) -> None: ...
-
-
 class CountOnly:
     """The fold of ``validate``: it keeps nothing, since load_corpus counts the sentences."""
 
@@ -146,7 +133,7 @@ class InputFile:
 
     __slots__ = ("path", "format", "version", "fold", "sha256", "accepted", "single_node", "rejections")
 
-    def __init__(self, path: str, format: str, version: tuple[int, ...], fold: Fold) -> None:
+    def __init__(self, path: str, format: str, version: tuple[int, ...], fold: Any) -> None:
         self.path = path
         self.format = format
         self.version = version  # device, inode, size and mtime of the file read
@@ -222,20 +209,22 @@ def worker_count(paths: Sequence[str]) -> int:
     return max(1, min(cpus or os.cpu_count() or 1, MAX_WORKERS, size // MIN_SHARD_BYTES))
 
 
-def load_corpus(config: RunConfig, new_fold: Callable[[], Fold] | None = None) -> CorpusData:
+def load_corpus(config: RunConfig, new_fold: Callable[[], Any] | None = None) -> CorpusData:
     """Parse all configured inputs, skipping invalid sentences with a reason, and fold them.
 
-    The default fold is a :class:`~depmetrics.analysis.CorpusStats` with
-    the lexicon of :func:`load_lexicon`, which is read and checked first,
-    before any input; a fold given here reads no lexicon. Each
-    input is split into :func:`worker_count` byte ranges of about equal
-    size, cut between sentences (:func:`~depmetrics.treebank.iter_byte_range`).
-    The parent forks a child for every range but the first, loads the first
-    itself, and merges the workers' records of each file in range order, so
-    the result, the rejection warnings and an error raised while loading are
-    those of one serial pass. A file whose workers read different versions
-    of it is an error. No sentence is kept, and no worker holds more of an
-    input than ``CHUNK_BYTES`` and a sentence.
+    ``new_fold()`` makes an empty fold, which takes each accepted sentence of
+    two or more nodes by ``add`` and a later fold of its kind by ``merge``.
+    The default is a :class:`~depmetrics.analysis.CorpusStats` with the
+    lexicon of :func:`load_lexicon`, which is read and checked first, before
+    any input; a fold given here reads no lexicon. Each input is split into
+    :func:`worker_count` byte ranges of about equal size, cut between
+    sentences (:func:`~depmetrics.treebank.iter_byte_range`), each filling a
+    fold of its own. The parent forks a child for every range but the first,
+    loads the first itself, and merges the records and folds in (file, range)
+    order, so the result, the rejection warnings and an error raised while
+    loading are those of one serial pass. A file whose workers read
+    different versions of it is an error. No sentence is kept, and no worker
+    holds more of an input than ``CHUNK_BYTES`` and a sentence.
     """
     if new_fold is None:
         from .analysis import CorpusStats
@@ -260,7 +249,7 @@ def load_corpus(config: RunConfig, new_fold: Callable[[], Fold] | None = None) -
 
 
 def _load_shard(
-    config: RunConfig, new_fold: Callable[[], Fold], k: int, parts: int
+    config: RunConfig, new_fold: Callable[[], Any], k: int, parts: int
 ) -> tuple[list[InputFile], Exception | None]:
     """Load byte range k of ``parts`` of every input, in order, one file at a time.
 
@@ -413,6 +402,18 @@ def _f4(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _read_dist(window: Any, config: RunConfig) -> tuple[dict[str, Distribution], dict[str, Any]]:
+    """Each metric's pooled distribution, and its distributions of the ``dist_sls`` lengths in the window."""
+    inside = [sl for sl in config.dist_sls if config.sl_min <= sl <= config.sl_max]
+    outside = sorted(set(config.dist_sls) - set(inside))
+    if outside:
+        log.warning("lengths %s lie outside the window [%d, %d]; omitting their dd and hd distributions",
+                    ", ".join(map(str, outside)), config.sl_min, config.sl_max)
+    analysis = _analysis()
+    pooled = {metric: analysis.pooled_distribution(window, metric) for metric in ("dd", "hd")}
+    return pooled, analysis.conditional_distributions(window, inside)
+
+
 def _dist_rows(config: RunConfig, results: Any) -> Iterator[str]:
     pooled, conditional = results
     for metric in ("dd", "hd"):
@@ -534,13 +535,10 @@ class Table(NamedTuple):
 
 #: The table commands, in the order in which ``report`` reads and writes them.
 TABLES: dict[str, Table] = {
-    "dist": Table(  # results: the pooled distribution, and those of dist_sls, of each metric
+    "dist": Table(  # results: the pooled distribution, and those of dist_sls in the window, of each metric
         help="pooled and length-conditioned DD/HD distributions",
         settings=("dist_sls",),
-        read=lambda window, config: (
-            {metric: _analysis().pooled_distribution(window, metric) for metric in ("dd", "hd")},
-            _analysis().conditional_distributions(window, config.dist_sls),
-        ),
+        read=_read_dist,
         files=(("dist.csv", "metric,sl_bucket,value,count,probability", _dist_rows),),
         report_json=lambda config, results: {
             "pooled_distribution": {m: _dist_json(results[0][m]) for m in ("dd", "hd")},

@@ -21,10 +21,10 @@ Each format has one generator (``iter_conllu``, ``iter_cabocha``,
 ``iter_canonical``, dispatched by ``iter_parse``) that yields the sentences
 one at a time, so a caller can fold a corpus without holding it;
 :func:`parse` returns the same sentences as a list. Lines end in LF
-or CRLF; no other character breaks a line. A binary input is read, decoded
-and split ``CHUNK_BYTES`` at a time, and :func:`iter_byte_range` parses one
-of several byte ranges of a file, so that processes can share a file
-without any of them decoding all of it.
+or CRLF; no other character breaks a line. Every input, a ``str`` as its
+UTF-8 bytes, is read, decoded and split ``CHUNK_BYTES`` at a time, and
+:func:`iter_byte_range` parses one of several byte ranges of a file, so
+that processes can share a file without any of them decoding all of it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import re
 from itertools import chain
 from json.encoder import encode_basestring
 from operator import eq
-from typing import IO, Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     CycleDetected,
@@ -52,8 +52,8 @@ from .errors import (
 
 FORMATS = ("canonical", "cabocha", "conllu")
 
-#: What a parser reads: text, a binary file, or lines already split off.
-Text = Union[IO, str, bytes, Iterable[str]]
+#: What a parser reads: a str, bytes, a binary file, or lines already split off.
+Text = Union[BinaryIO, str, bytes, Iterable[str]]
 
 
 class Node(NamedTuple):
@@ -310,16 +310,18 @@ def _text_lines(stream: Text, source: str = "<input>") -> Iterator[str]:
     """The lines of a text, split on LF only; one CR before each LF is dropped.
 
     ``str.splitlines`` would also break a line at U+0085, U+2028, U+2029,
-    VT, FF and FS/GS/RS, which may stand inside a field. Bytes and binary
-    files go through :func:`_read_lines`; a text file is read whole, and any
-    other iterable is taken to hold the lines already.
+    VT, FF and FS/GS/RS, which may stand inside a field. A ``str`` goes to
+    :func:`_read_lines` as its UTF-8 bytes, like bytes and binary files: a
+    BOM at its start is dropped, and a lone surrogate raises InvalidEncoding.
+    A text-mode file, which would also break lines at a lone CR, is refused;
+    any other iterable is taken to hold the lines already.
     """
     if isinstance(stream, str):
-        return iter(_split(stream))
+        stream = stream.encode("utf-8", "surrogatepass")
     if isinstance(stream, bytes):
         stream = io.BytesIO(stream)
     if isinstance(stream, io.TextIOBase):
-        return iter(_split(stream.read()))
+        raise TypeError(f"{source}: a parser reads a file opened in binary mode ('rb'), not in text mode")
     if hasattr(stream, "read"):
         return _read_lines(stream, source)  # type: ignore[arg-type]
     return iter(stream)

@@ -229,9 +229,10 @@ def test_single_analysis_commands_log_only_the_warnings_of_their_tables(data_dir
     assert main(["dist", sample, "--output-dir", str(tmp_path / "dist")]) == 0
     lengths = {len(s) for s in iter_conllu((data_dir / "sample_ud.conllu").read_bytes(), errors="skip",
                                            rejections=[])}
-    missing = [sl for sl in (5, 10, 15, 20, 25, 30) if sl > 20 or sl not in lengths]  # the defaults
+    missing = [sl for sl in (5, 10, 15, 20) if sl not in lengths]  # the defaults inside the window 2-20
     assert [m for m in caplog.messages if "distribution" in m] == [
-        f"no sentences of length {sl}; omitting its dd and hd distributions" for sl in missing
+        "lengths 25, 30 lie outside the window [2, 20]; omitting their dd and hd distributions",
+        *(f"no sentences of length {sl}; omitting its dd and hd distributions" for sl in missing),
     ]
     caplog.clear()
     assert main(["valency", str(data_dir / "sample.cabocha"), "--output-dir", str(tmp_path / "valency")]) == 0
@@ -690,9 +691,12 @@ def test_config_file_input_entry_with_an_unknown_key_is_a_config_error(data_dir,
         {"dist_sls": "5,10"},
         {"dist_sls": [5, "10"]},
         {"dist_sls": 5},
+        {"dist_sls": [5, True]},
         {"drop_punct": "yes"},
+        {"drop_punct": 0},
         {"valency_mode": 3},
         {"lexicon_path": ["a.tsv"]},
+        {"lexicon_path": 3},
         {"output_dir": None},
         {"entropy_base": 2},
         {"inputs": "corpus.jsonl"},

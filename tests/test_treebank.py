@@ -1,3 +1,4 @@
+import io
 import itertools
 import re
 
@@ -5,6 +6,7 @@ import pytest
 
 from depmetrics.errors import (
     CycleDetected,
+    InvalidEncoding,
     InvalidTree,
     MalformedChunkHeader,
     MalformedLine,
@@ -553,3 +555,45 @@ def test_crlf_line_ends_read_like_lf(fmt, text):
     crlf = parse(text.replace("\n", "\r\n"), fmt)
     assert crlf == expected
     assert [s.source for s in crlf] == [s.source for s in expected]
+
+
+# One document per format: a sentence to accept, with a lone CR inside a line, and one to reject.
+DOCUMENTS = {
+    "conllu": "# sent_id = s1\n" + conllu_block((2, 0), lemma="a\rb") + "\n" + conllu_block((2, 1)),
+    "cabocha": "* 0 -1D\nx\ry\tn,*,*,*,*,*,x\ry\nEOS\n* 0 0D\nw\tn,*,*,*,*,*,w\nEOS\n",
+    "canonical": '# run\n{"id": "a",\r"nodes": [{"index": 1, "head": 0}]}\n{"id": "b", "nodes": []}\n',
+}
+# The lines of the accepted sentence: a lone CR breaks no line.
+ACCEPTED_SPANS = {"conllu": "<conllu>:1-3", "cabocha": "<cabocha>:1-3", "canonical": "<canonical>:2"}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_str_bytes_and_binary_file_read_alike_through_bom_crlf_and_lone_cr(fmt):
+    lf = DOCUMENTS[fmt]
+    text = "\ufeff" + lf.replace("\n", "\r\n")
+    outcomes = []
+    for stream in (lf.encode(), text, text.encode(), io.BytesIO(text.encode())):
+        rejections = []
+        sentences = parse(stream, fmt, errors="skip", rejections=rejections)
+        outcomes.append((sentences, [s.source for s in sentences], rejections))
+    assert outcomes[0][1] == [ACCEPTED_SPANS[fmt]] and len(outcomes[0][2]) == 1
+    assert outcomes[1:] == [outcomes[0]] * 3
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_text_mode_file_is_refused_before_any_line_is_read(fmt, tmp_path):
+    path = tmp_path / "corpus"
+    path.write_bytes(DOCUMENTS[fmt].encode())
+    with io.StringIO(DOCUMENTS[fmt]) as memory, open(path, encoding="utf-8") as file:
+        for handle in (memory, file):
+            with pytest.raises(TypeError, match="binary mode"):
+                parse(handle, fmt)
+            assert handle.tell() == 0
+    with pytest.raises(TypeError, match="binary mode"):
+        ValencyLexicon.from_tsv(io.StringIO("行く\t2\n"))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_str_with_a_lone_surrogate_is_invalid_encoding(fmt):
+    with pytest.raises(InvalidEncoding, match="byte 2 is not UTF-8"):
+        parse("ab\ud800\n", fmt, errors="skip", rejections=[])
