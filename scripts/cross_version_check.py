@@ -9,7 +9,13 @@ script compares the writer with the ``json.dumps`` reference of
 ``tests/reference_metrics.py`` on N seeded random trees of 2-60 nodes with
 random ids (quotes, backslashes, control characters, non-ASCII and
 non-BMP characters, lone surrogates, U+2028/U+2029), and on trees whose
-histogram keys pass the writer's 1,024-key table. It then runs the
+histogram keys pass the writer's 1,024-key table. It writes a root lemma
+holding each of those special characters, and one holding all of them, with
+``treebank.serialize_canonical`` and reads it back with ``iter_canonical``:
+the line must be the ``json.dumps`` text of ``tests/reference_treebank.py``,
+one line to ``str.splitlines`` (U+0085, U+2028 and U+2029 escaped), and give
+the lemma back, or, for a lone surrogate, which has no UTF-8 form, raise
+``InvalidEncoding``. It then runs the
 ``metrics_jsonl``, ``generate_random``, ``generate_capped``, ``report_conllu``
 and ``report_cabocha_lexicon`` golden cases through ``python -m depmetrics``
 and compares the bytes, and runs each single-table command on the inputs of
@@ -52,8 +58,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from depmetrics.metrics import metric_record  # noqa: E402
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads  # noqa: E402
 from depmetrics.report import COMMAND_TABLES, TABLES, json_text  # noqa: E402
-from depmetrics.treebank import Sentence, validate_tree  # noqa: E402
-from tests import closed_stdout, reference_metrics, startup_modules  # noqa: E402
+from depmetrics.errors import InvalidEncoding  # noqa: E402
+from depmetrics.treebank import Sentence, iter_canonical, serialize_canonical, validate_tree  # noqa: E402
+from tests import closed_stdout, reference_metrics, reference_treebank, startup_modules  # noqa: E402
 from tests.command_flags import COMMAND_FLAGS  # noqa: E402
 
 SPECIAL_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029",
@@ -134,6 +141,27 @@ def writer_mismatches(examples: int) -> tuple[int, list[str]]:
         if record.json_line() != reference_metrics.json_line(record):
             bad.append(ascii(sent_id))
     return len(cases), bad
+
+
+def root_lemma_mismatches() -> tuple[int, list[str]]:
+    """The number of root lemmas written and read back, and those whose line or read-back is wrong."""
+    lemmas = [f"a{char}b" for char in SPECIAL_CHARS] + ["".join(SPECIAL_CHARS)]
+    bad = []
+    for seed, lemma in enumerate(lemmas):
+        heads = random_tree(GeneratorConfig(n=1 + seed % 8, seed=seed)).heads()
+        sentence = Sentence.from_heads(heads, id=lemma, root_lemma=lemma)
+        line = serialize_canonical(sentence)
+        try:
+            [again] = iter_canonical(line.encode("utf-8", "surrogatepass"))
+            got: object = (again.id, again.heads(), again.root_lemma)
+        except InvalidEncoding:
+            got = InvalidEncoding
+        readable = not any("\ud800" <= char <= "\udfff" for char in lemma)
+        want = (lemma, heads, lemma) if readable else InvalidEncoding
+        one_line = len(line.splitlines()) == 1
+        if line != reference_treebank.serialize_canonical(sentence) or not one_line or got != want:
+            bad.append(ascii(lemma))
+    return len(lemmas), bad
 
 
 def run_on_fixtures(case: str, argv: list[str], files: dict[str, str]) -> dict[str, bytes] | None:
@@ -225,6 +253,10 @@ def main() -> int:
     print(f"json_line vs json.dumps: {compared - len(bad)} of {compared} agree"
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
     ok = not bad
+    compared, bad = root_lemma_mismatches()
+    print(f"root lemma written and read back: {compared - len(bad)} of {compared} agree"
+          + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
+    ok &= not bad
     for case in GOLDEN_CASES:
         golden = golden_case_matches(case)
         ok &= golden

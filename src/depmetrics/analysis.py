@@ -144,7 +144,7 @@ class CorpusStats:
         if self.lexicon is None:
             valency = min(out_degree, MAX_VALENCY_CLASS)
         else:
-            valency = self.lexicon.get(sentence.lemmas[root - 1] if sentence.lemmas else None)
+            valency = self.lexicon.get(sentence.root_lemma)
         tally = cell.valency.get(valency)
         if tally is None:
             tally = cell.valency[valency] = [0, 0, 0]

@@ -13,9 +13,10 @@ first bad sentence (``errors="raise"``, the default) or skip it and record a
 (``errors="skip"``), which is what the CLI uses so that a noisy corpus does
 not abort a run and every bad sentence is counted.
 
-A sentence keeps what the measures read: its head vector and the lemmas,
-which the valency lexicon looks up. The surface text (CoNLL-U FORM, the
-CaboCha morpheme surfaces, a canonical ``form``) is read past, not kept.
+A sentence keeps what the measures read: its head vector and its root's
+lemma, which the valency lexicon looks up. Every other lemma and the
+surface text (CoNLL-U FORM, the CaboCha morpheme surfaces, a canonical
+``form``) are read past, not kept.
 
 Each format has one generator (``iter_conllu``, ``iter_cabocha``,
 ``iter_canonical``, dispatched by ``iter_parse``) that yields the sentences
@@ -57,46 +58,42 @@ Text = Union[BinaryIO, str, bytes, Iterable[str]]
 
 
 class Node(NamedTuple):
-    """One token/segment. ``head`` is the 1-based index of its governor; 0 marks the root.
-
-    ``lemma`` is None when the input gives none; a node has no surface text.
-    """
+    """One token/segment. ``head`` is the 1-based index of its governor; 0 marks the root."""
 
     index: int
     head: int
-    lemma: str | None = None
 
 
 class Sentence:
     """A sentence as a head vector: ``head_vector[i - 1]`` governs position i, 0 marks the root.
 
-    ``lemmas`` holds each position's lemma, or is None when no position has
-    one; the valency lexicon looks up the root's. No surface text is kept:
-    no measure reads it. ``source`` is a provenance tag (file and line range).
+    ``root_lemma`` is the root's lemma, or None when the input gives none;
+    the valency lexicon looks it up. No other lemma and no surface text is
+    kept: no measure reads them. ``source`` is a provenance tag (file and line range).
     ``depths`` holds each position's hierarchical distance once
     :func:`validate_tree` has accepted the sentence; it is derived data and
     takes no part in equality, hashing or the repr. A sentence is not
     changed once built: :func:`validate_tree` returns a new one.
     """
 
-    __slots__ = ("id", "head_vector", "lemmas", "source", "depths")
+    __slots__ = ("id", "head_vector", "root_lemma", "source", "depths")
 
     def __init__(
         self,
         id: str,
         head_vector: tuple[int, ...],
-        lemmas: tuple[str | None, ...] | None = None,
+        root_lemma: str | None = None,
         source: str = "",
         depths: tuple[int, ...] | None = None,
     ) -> None:
         self.id = id
         self.head_vector = head_vector
-        self.lemmas = lemmas
+        self.root_lemma = root_lemma
         self.source = source
         self.depths = depths
 
     def _key(self) -> tuple[object, ...]:
-        return (self.id, self.head_vector, self.lemmas, self.source)
+        return (self.id, self.head_vector, self.root_lemma, self.source)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -109,7 +106,7 @@ class Sentence:
     def __repr__(self) -> str:
         return (
             f"Sentence(id={self.id!r}, head_vector={self.head_vector!r},"
-            f" lemmas={self.lemmas!r}, source={self.source!r})"
+            f" root_lemma={self.root_lemma!r}, source={self.source!r})"
         )
 
     def __len__(self) -> int:
@@ -118,8 +115,7 @@ class Sentence:
     @property
     def nodes(self) -> tuple[Node, ...]:
         """The positions as :class:`Node` objects, built on each access."""
-        n = len(self.head_vector)
-        return tuple(map(Node, range(1, n + 1), self.head_vector, self.lemmas or (None,) * n))
+        return tuple(map(Node, range(1, len(self.head_vector) + 1), self.head_vector))
 
     def heads(self) -> tuple[int, ...]:
         return self.head_vector
@@ -129,19 +125,11 @@ class Sentence:
         cls,
         heads: Sequence[int],
         id: str = "",
-        lemmas: Sequence[str | None] | None = None,
+        root_lemma: str | None = None,
         source: str = "",
     ) -> "Sentence":
-        """Build a sentence from a head vector (not validated here) and, if given, one lemma per head."""
-        heads = tuple(heads)
-        if lemmas is not None and len(lemmas) != len(heads):
-            raise ValueError(f"{len(lemmas)} lemmas for {len(heads)} heads")
-        return cls(id, heads, None if lemmas is None else _text_column(lemmas), source)
-
-
-def _text_column(values: Sequence[str | None]) -> tuple[str | None, ...] | None:
-    """One value per position as a tuple, or None when no position has one."""
-    return None if values.count(None) == len(values) else tuple(values)
+        """Build a sentence from a head vector (not validated here) and, if given, its root's lemma."""
+        return cls(id, tuple(heads), root_lemma, source)
 
 
 class Rejection(NamedTuple):
@@ -273,24 +261,25 @@ def validate_tree(sentence: Sentence) -> Sentence:
     """
     heads = sentence.head_vector
     depths = tree_depths(heads, sentence.id, sentence.source)
-    return Sentence(sentence.id, heads, sentence.lemmas, sentence.source, depths)
+    return Sentence(sentence.id, heads, sentence.root_lemma, sentence.source, depths)
 
 
 def serialize_canonical(sentence: Sentence) -> str:
     """Render one canonical-JSONL line; :func:`iter_canonical` inverts it.
 
-    Each node has ``head``, ``index`` and, when it has one, ``lemma``; no
-    ``form`` is written, since a sentence keeps none. Writes the text of
-    ``json.dumps(obj, ensure_ascii=False, sort_keys=True)`` without building
-    ``obj``: sorted keys, default separators, json's encoder.
+    Each node has ``head`` and ``index``, and the first node whose head is 0
+    also ``lemma`` when the sentence has a root lemma (a ``ValueError`` if no
+    node has head 0); no ``form`` is written, since a sentence keeps none.
+    Writes the text of ``json.dumps(obj, ensure_ascii=False, sort_keys=True)``
+    without building ``obj``: sorted keys, default separators, json's encoder.
     """
-    n = len(sentence)
-    nodes = []
-    for index, head, lemma in zip(range(1, n + 1), sentence.head_vector, sentence.lemmas or (None,) * n):
-        node = f'"head": {head}, "index": {index}'
-        if lemma is not None:
-            node = f'{node}, "lemma": {encode_basestring(lemma)}'
-        nodes.append(f"{{{node}}}")
+    heads = sentence.head_vector
+    nodes = [f'{{"head": {head}, "index": {index}}}' for index, head in enumerate(heads, 1)]
+    if sentence.root_lemma is not None:
+        if 0 not in heads:
+            raise ValueError(f"{sentence.id!r}: a root lemma, but no node has head 0")
+        root = heads.index(0)
+        nodes[root] = f'{{"head": 0, "index": {root + 1}, "lemma": {encode_basestring(sentence.root_lemma)}}}'
     line = f'{{"id": {encode_basestring(sentence.id)}, "nodes": [{", ".join(nodes)}]}}'
     return line if line.isascii() else line.translate(_UNESCAPED_BREAKS)
 
@@ -313,18 +302,23 @@ def _text_lines(stream: Text, source: str = "<input>") -> Iterator[str]:
     VT, FF and FS/GS/RS, which may stand inside a field. A ``str`` goes to
     :func:`_read_lines` as its UTF-8 bytes, like bytes and binary files: a
     BOM at its start is dropped, and a lone surrogate raises InvalidEncoding.
-    A text-mode file, which would also break lines at a lone CR, is refused;
-    any other iterable is taken to hold the lines already.
+    A text-mode file, which would also break lines at a lone CR, is refused
+    (another reader that gives ``str``, by :func:`_decoded_pieces` at its
+    first read); any other iterable is taken to hold the lines already.
     """
     if isinstance(stream, str):
         stream = stream.encode("utf-8", "surrogatepass")
     if isinstance(stream, bytes):
         stream = io.BytesIO(stream)
     if isinstance(stream, io.TextIOBase):
-        raise TypeError(f"{source}: a parser reads a file opened in binary mode ('rb'), not in text mode")
+        raise _text_mode_error(source)
     if hasattr(stream, "read"):
         return _read_lines(stream, source)  # type: ignore[arg-type]
     return iter(stream)
+
+
+def _text_mode_error(name: str) -> TypeError:
+    return TypeError(f"{name}: a parser reads a file opened in binary mode ('rb'), not in text mode")
 
 
 def _split(text: str) -> list[str]:
@@ -363,6 +357,8 @@ def _decoded_pieces(
     while True:
         size = CHUNK_BYTES if stop is None else min(CHUNK_BYTES, stop - position)
         data = handle.read(size) if size > 0 else b""
+        if isinstance(data, str):
+            raise _text_mode_error(name)
         if data:
             position += len(data)
             if digest is not None:
@@ -604,8 +600,8 @@ def _conllu_sentence(
 ) -> Sentence:
     ids: list[int] = []
     heads: list[int] = []
-    lemmas: list[str | None] = []
-    upos: list[str] = []
+    upos: list[str] = []  # filled only to drop punctuation
+    root_lemma: str | None = None
     for lineno, line in enumerate(lines, first_lineno):
         if line[0] == "#":
             continue
@@ -624,26 +620,27 @@ def _conllu_sentence(
         try:
             if not (raw_head.isascii() and raw_head.isdigit()):
                 raise ValueError
-            heads.append(int(raw_head))
+            head = int(raw_head)
         except ValueError:
             raise MalformedLine(f"line {lineno}: non-integer HEAD {raw_head!r}") from None
-        lemmas.append(None if lemma == "_" else lemma)
-        upos.append(tag)
+        heads.append(head)
+        if drop_punct:
+            upos.append(tag)
+        if not head and not (drop_punct and tag == "PUNCT"):  # a dropped node is no root
+            root_lemma = None if lemma == "_" else lemma
     if not heads:
         raise InvalidTree(f"{sent_id}: sentence block has no token lines")
     if ids != list(range(1, len(ids) + 1)):
         raise InvalidTree(f"{sent_id}: token IDs are not consecutive from 1")
     if drop_punct:
-        heads, lemmas = _drop_punct(heads, lemmas, upos, sent_id)
-    return validate_tree(Sentence(sent_id, tuple(heads), _text_column(lemmas), span))
+        heads = _drop_punct(heads, upos, sent_id)
+    return validate_tree(Sentence(sent_id, tuple(heads), root_lemma, span))
 
 
-def _drop_punct(
-    heads: list[int], lemmas: list[str | None], upos: list[str], sent_id: str
-) -> tuple[list[int], list[str | None]]:
+def _drop_punct(heads: list[int], upos: list[str], sent_id: str) -> list[int]:
     dropped = {index for index, tag in enumerate(upos, 1) if tag == "PUNCT"}
     if not dropped:
-        return heads, lemmas
+        return heads
     for head in heads:
         if head in dropped:
             raise InvalidTree(f"{sent_id}: dropped punctuation node {head} has dependents")
@@ -654,10 +651,7 @@ def _drop_punct(
     for new_index, index in enumerate(kept, 1):
         remap[index] = new_index
     # an out-of-range head keeps its value, so validation reports it
-    return (
-        [remap.get(heads[i - 1], heads[i - 1]) for i in kept],
-        [lemmas[i - 1] for i in kept],
-    )
+    return [remap.get(heads[i - 1], heads[i - 1]) for i in kept]
 
 
 # --- CaboCha lattice -------------------------------------------------------
@@ -676,9 +670,10 @@ def iter_cabocha(
 
     Chunk headers look like ``* 3 5D 0/1 1.23``; the second field is the
     0-based chunk index, the third the head chunk index suffixed with 'D'
-    (-1D marks the root). A chunk keeps only its lemma: the first base form
-    (seventh feature) its morpheme lines carry; the surfaces are not read,
-    and once a chunk's lemma is known its morpheme lines are not split.
+    (-1D marks the root). The sentence keeps only the root chunk's lemma:
+    the first base form (seventh feature, unless ``*`` or empty) its
+    morpheme lines carry. No surface is read, and no morpheme line is split
+    but the root chunk's, up to the first that gives its lemma.
     ``EOS`` ends a sentence; a stream that ends mid-sentence is rejected
     with :class:`MissingEOS`.
 
@@ -688,7 +683,8 @@ def iter_cabocha(
     _check_error_mode(errors, rejections)
     start: int | None = None  # number of the pending sentence's first line
     heads: list[int] = []  # one entry per chunk header so far
-    lemmas: list[str | None] = []
+    root_lemma: str | None = None
+    seeking_lemma = False  # the current chunk is a root, and the root lemma is still missing
     fault: Exception | None = None  # the pending sentence's first error
     lineno = first_line - 1
     for lineno, raw in enumerate(_text_lines(stream, source), first_line):
@@ -719,7 +715,7 @@ def iter_cabocha(
                 )
                 continue
             heads.append(0 if head == -1 else head + 1)
-            lemmas.append(None)
+            seeking_lemma = head == -1 and root_lemma is None
         elif not raw or raw.isspace():
             continue
         elif raw.startswith("EOS") and raw.rstrip() == "EOS":
@@ -735,10 +731,10 @@ def iter_cabocha(
                 except InvalidTree as exc:
                     fault = exc
             if fault is None:
-                yield Sentence(sent_id, head_vector, _text_column(lemmas), span, depths)
+                yield Sentence(sent_id, head_vector, root_lemma, span, depths)
             else:
                 _reject(fault, errors, rejections, span, sent_id)
-            start, heads, lemmas, fault = None, [], [], None
+            start, heads, root_lemma, seeking_lemma, fault = None, [], None, False, None
         else:  # morpheme line: SURFACE<TAB>FEATURES
             if start is None:
                 start = lineno
@@ -747,10 +743,11 @@ def iter_cabocha(
             if not heads:
                 fault = MalformedLine(f"line {lineno}: morpheme line before any chunk header")
                 continue
-            if lemmas[-1] is None:
+            if seeking_lemma:
                 fields = raw.partition("\t")[2].split(",", 7)
                 if len(fields) > 6 and fields[6] not in ("*", ""):
-                    lemmas[-1] = fields[6]
+                    root_lemma = fields[6]
+                    seeking_lemma = False
 
     if start is not None:
         exc = MissingEOS(f"{source}: stream ended inside a sentence (missing EOS)")
@@ -773,9 +770,9 @@ def iter_canonical(
     Each line is ``{"id": str, "nodes": [{"index": int, "head": int,
     "form"?: str | null, "lemma"?: str | null}, ...]}``. ``index`` and
     ``head`` must be JSON integers (not floats or booleans), the indices must
-    run 1..n in order, and a line that breaks either rule is rejected. A
-    ``form`` is checked to be a string or null like ``lemma``, and then
-    dropped: a sentence keeps no surface text.
+    run 1..n in order, and a line that breaks either rule is rejected. Every
+    node's ``form`` and ``lemma`` is checked to be a string or null; the
+    sentence keeps only the lemma of the node whose head is 0.
     Blank lines and lines starting with '#' (used for run metadata by the
     generator) are skipped.
     """
@@ -809,7 +806,7 @@ def _canonical_sentence(line: str, lineno: int, span: str) -> Sentence:
         raise MalformedLine(f"line {lineno}: 'id' must be a string")
     indices: list[int] = []
     heads: list[int] = []
-    lemmas: list[str | None] = []
+    root_lemma: str | None = None
     for entry in obj["nodes"]:
         if not isinstance(entry, dict):
             raise MalformedLine(f"line {lineno}: node entries must be objects")
@@ -824,11 +821,12 @@ def _canonical_sentence(line: str, lineno: int, span: str) -> Sentence:
             raise MalformedLine(f"line {lineno}: node 'form' and 'lemma' must be strings or null")
         indices.append(index)
         heads.append(head)
-        lemmas.append(lemma)
+        if not head:
+            root_lemma = lemma
     n = len(heads)
     if indices != list(range(1, n + 1)):
         raise InvalidTree(f"{sent_id}: node indices are not consecutive from 1 (got {indices})")
-    return validate_tree(Sentence(sent_id, tuple(heads), _text_column(lemmas), span))
+    return validate_tree(Sentence(sent_id, tuple(heads), root_lemma, span))
 
 
 # --- dispatch --------------------------------------------------------------

@@ -27,8 +27,8 @@ def demo7() -> Sentence:
     return validate_tree(Sentence.from_heads(DEMO7_HEADS, id="demo7"))
 
 
-def make_sentence(heads, id="s", lemmas=None) -> Sentence:
-    return validate_tree(Sentence.from_heads(tuple(heads), id=id, lemmas=lemmas))
+def make_sentence(heads, id="s", root_lemma=None) -> Sentence:
+    return validate_tree(Sentence.from_heads(tuple(heads), id=id, root_lemma=root_lemma))
 
 
 def exact_means(record) -> tuple[Fraction, Fraction]:

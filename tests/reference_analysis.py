@@ -174,8 +174,7 @@ def valency_conditioned_counts(
     for record, sentence in zip(records, sentences):
         if valency_mode == "lexicon":
             assert lexicon is not None
-            root = sentence.head_vector.index(0) + 1
-            valency = lexicon.get(sentence.lemmas[root - 1] if sentence.lemmas else None)
+            valency = lexicon.get(sentence.root_lemma)
             if valency is None:
                 misses += 1
                 continue

@@ -1,9 +1,14 @@
 """Reference CaboCha reader and canonical writer: the versions the one-pass reader and the direct writer replaced.
 
 ``iter_cabocha`` walks every line looking for ``EOS``; ``_cabocha_sentence``
-then walks the sentence's lines again to read its chunks. The property tests
+then walks the sentence's lines again to read its chunks, and a lemma for
+every chunk, and takes the root's from that list. The property tests
 require ``treebank.iter_cabocha`` to yield the same sentences and record (or
 raise) the same rejections as this reader.
+
+``lemma_columns`` reads every position's head, lemma and UPOS in each of the
+three formats, with no checks, so that a test can look up the lemma at the
+position whose head is 0.
 
 ``serialize_canonical`` builds one dict per node and renders the sentence
 with ``json.dumps``; the property tests require ``treebank.serialize_canonical``
@@ -23,7 +28,6 @@ from depmetrics.treebank import (
     Sentence,
     _check_error_mode,
     _reject,
-    _text_column,
     _text_lines,
     validate_tree,
 )
@@ -95,17 +99,71 @@ def _cabocha_sentence(lines: list[str], first_lineno: int, sent_id: str, span: s
                 features = feature_str.split(",", 7)
                 if len(features) > 6 and features[6] not in ("*", ""):
                     lemmas[-1] = features[6]
-    return validate_tree(Sentence(sent_id, tuple(heads), _text_column(lemmas), span))
+    root_lemma = lemmas[heads.index(0)] if 0 in heads else None
+    return validate_tree(Sentence(sent_id, tuple(heads), root_lemma, span))
+
+
+def lemma_columns(text: str, fmt: str, source: str = "f") -> dict[str, tuple[list[int], list, list]]:
+    """Each sentence's head, lemma and UPOS columns, by the id the parser gives it.
+
+    The text is split at LF only and read whole, with no checks: a head is
+    whatever ``int`` reads, and a CoNLL-U sentence needs a ``sent_id``
+    comment. The lemma is the one the format gives: ``_`` stands for none in
+    CoNLL-U, and in CaboCha it is the chunk's first base form that is not
+    ``*`` or empty. Only CoNLL-U has UPOS.
+    """
+    columns: dict[str, tuple[list[int], list, list]] = {}
+    if fmt == "canonical":
+        for line in text.split("\n"):
+            if line.strip() and not line.strip().startswith("#"):
+                obj = json.loads(line)
+                nodes = obj["nodes"]
+                columns[obj["id"]] = ([n["head"] for n in nodes], [n.get("lemma") for n in nodes], [])
+        return columns
+    if fmt == "conllu":
+        for block in text.split("\n\n"):
+            rows = block.split("\n")
+            ids = [row[len("# sent_id = ") :] for row in rows if row.startswith("# sent_id = ")]
+            tokens = [row.split("\t") for row in rows if row and not row.startswith("#")]
+            tokens = [fields for fields in tokens if "-" not in fields[0] and "." not in fields[0]]
+            if ids:
+                columns[ids[-1]] = (
+                    [int(fields[6]) for fields in tokens],
+                    [None if fields[2] == "_" else fields[2] for fields in tokens],
+                    [fields[3] for fields in tokens],
+                )
+        return columns
+    ordinal = 0
+    heads: list[int] = []
+    lemmas: list = []
+    for line in text.split("\n"):
+        if line == "EOS":
+            ordinal += 1
+            columns[f"{source}#{ordinal}"] = (heads, lemmas, [])
+            heads, lemmas = [], []
+        elif line.startswith("* "):
+            head = int(line.split()[2][:-1])
+            heads.append(0 if head == -1 else head + 1)
+            lemmas.append(None)
+        elif heads and lemmas[-1] is None:
+            features = line.partition("\t")[2].split(",")
+            if len(features) > 6 and features[6] not in ("*", ""):
+                lemmas[-1] = features[6]
+    return columns
 
 
 def serialize_canonical(sentence: Sentence) -> str:
-    n = len(sentence)
     nodes = []
-    for index, head, lemma in zip(range(1, n + 1), sentence.head_vector, sentence.lemmas or (None,) * n):
+    root = None  # the first node whose head is 0
+    for index, head in enumerate(sentence.head_vector, 1):
         entry: dict[str, object] = {"index": index, "head": head}
-        if lemma is not None:
-            entry["lemma"] = lemma
+        if head == 0 and root is None:
+            root = entry
         nodes.append(entry)
+    if sentence.root_lemma is not None:
+        if root is None:
+            raise ValueError(f"{sentence.id!r}: a root lemma, but no node has head 0")
+        root["lemma"] = sentence.root_lemma
     line = json.dumps({"id": sentence.id, "nodes": nodes}, ensure_ascii=False, sort_keys=True)
     return line if line.isascii() else line.translate(UNESCAPED_BREAKS)
 

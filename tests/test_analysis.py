@@ -29,8 +29,8 @@ from .conftest import make_sentence
 from .reference_randtree import enumerate_trees
 
 
-def rec(heads, id="s", lemmas=None):
-    return make_sentence(heads, id=id, lemmas=lemmas)
+def rec(heads, id="s", root_lemma=None):
+    return make_sentence(heads, id=id, root_lemma=root_lemma)
 
 
 def fold(sentences, lexicon=None):
@@ -276,8 +276,8 @@ def test_valency_counts_cap_at_four():
 
 def test_valency_counts_lexicon_mode(data_dir):
     lexicon = ValencyLexicon.from_tsv((data_dir / "lexicon.tsv").read_bytes())
-    known = make_sentence((2, 0), id="known", lemmas=[None, "trade"])
-    unknown = make_sentence((2, 0), id="unknown", lemmas=[None, "zzz"])
+    known = make_sentence((2, 0), id="known", root_lemma="trade")
+    unknown = make_sentence((2, 0), id="unknown", root_lemma="zzz")
     cells, misses = valency_conditioned_counts(fold([known, unknown], lexicon))
     assert misses == 1
     assert cells == [ValencyCell(valency=4, sl=2, avg_dd1=1.0, avg_hd1=1.0, n=1)]
@@ -292,9 +292,7 @@ def test_the_valency_tally_holds_a_class_not_a_lemma():
     sentences = []
     for i in range(200):  # 200 distinct root lemmas, about 40 sentences of each length
         heads = random_tree(GeneratorConfig(n=2 + i % 5, seed=11), i).heads()
-        lemmas = [None] * len(heads)
-        lemmas[heads.index(0)] = f"w{i}"
-        sentences.append(rec(heads, id=f"s{i}", lemmas=lemmas))
+        sentences.append(rec(heads, id=f"s{i}", root_lemma=f"w{i}"))
     lexicon = ValencyLexicon({f"w{i}": 1 + i % 4 for i in range(0, 200, 2)})  # every other lemma
     for stats, most in ((fold(sentences), 4), (fold(sentences, lexicon), 5)):  # 4 classes, plus misses
         for cell in stats.by_sl.values():

@@ -45,9 +45,7 @@ def corpora(draw, max_size=80):
     sentences = []
     for i in range(draw(st.integers(min_value=1, max_value=max_size))):
         heads = random_tree(GeneratorConfig(n=rng.randint(2, 12), seed=rng.getrandbits(32))).heads()
-        lemmas = [None] * len(heads)
-        lemmas[heads.index(0)] = rng.choice(ROOT_LEMMAS)
-        sentences.append(make_sentence(heads, id=f"s{i}", lemmas=lemmas))
+        sentences.append(make_sentence(heads, id=f"s{i}", root_lemma=rng.choice(ROOT_LEMMAS)))
     return sentences
 
 

@@ -136,7 +136,7 @@ def test_validate_tree_attaches_the_walk_depths(heads):
 def test_the_fold_and_the_metric_record_agree(n, seed, validated, with_lemmas):
     heads = random_tree(GeneratorConfig(n=n, seed=seed)).heads()
     lemmas = [f"w{i}" for i in range(1, n + 1)] if with_lemmas else None
-    sentence = Sentence.from_heads(heads, id="s", lemmas=lemmas)
+    sentence = Sentence.from_heads(heads, id="s", root_lemma=lemmas and lemmas[heads.index(0)])
     if validated:
         sentence = validate_tree(sentence)
         assert dependency_terms(sentence)[1] is sentence.depths  # read, not copied or walked again
@@ -183,28 +183,26 @@ text_or_none = st.one_of(st.none(), st.text(max_size=4))
 
 
 @settings(max_examples=300, deadline=None)
-@given(valid_head_vectors(), st.data())
-def test_canonical_round_trip_of_random_trees(heads, data):
-    n = len(heads)
-    lemmas = data.draw(st.one_of(st.none(), st.lists(text_or_none, min_size=n, max_size=n)))
-    sentence = Sentence.from_heads(heads, id=data.draw(st.text(max_size=6)), lemmas=lemmas)
+@given(valid_head_vectors(), text_or_none, st.data())
+def test_canonical_round_trip_of_random_trees(heads, root_lemma, data):
+    sentence = Sentence.from_heads(heads, id=data.draw(st.text(max_size=6)), root_lemma=root_lemma)
     again = list(iter_canonical(serialize_canonical(sentence)))[0]
     assert again.heads() == sentence.heads()
     assert again.nodes == sentence.nodes
     assert again.id == sentence.id
+    assert again.root_lemma == root_lemma
 
 
 def write_conllu(sentences):
-    """CoNLL-U text: per sentence a sent_id comment and one 10-column row per node, then a blank line.
+    """CoNLL-U text: per sentence, given as (id, heads, lemmas), a sent_id comment and one 10-column row
+    per node, then a blank line.
 
     A missing lemma is written as ``_``, which the reader takes for none; every FORM is ``_``.
     """
     blocks = []
-    for sentence in sentences:
-        rows = [f"# sent_id = {sentence.id}"]
-        for index, (head, lemma) in enumerate(
-            zip(sentence.head_vector, sentence.lemmas or (None,) * len(sentence)), 1
-        ):
+    for sent_id, heads, lemmas in sentences:
+        rows = [f"# sent_id = {sent_id}"]
+        for index, (head, lemma) in enumerate(zip(heads, lemmas or (None,) * len(heads)), 1):
             columns = [str(index), "_", "_" if lemma is None else lemma]
             rows.append("\t".join([*columns, "X", "_", "_", str(head), "dep", "_", "_"]))
         blocks.append("\n".join(rows) + "\n")
@@ -227,9 +225,10 @@ def test_conllu_round_trip_of_random_trees(trees, data):
     for heads, sent_id in trees:
         n = len(heads)
         columns = st.one_of(st.none(), st.lists(st.one_of(st.none(), conllu_fields), min_size=n, max_size=n))
-        sentences.append(Sentence.from_heads(heads, id=sent_id, lemmas=data.draw(columns)))
+        sentences.append((sent_id, heads, data.draw(columns)))
     again = list(iter_conllu(write_conllu(sentences).encode("utf-8")))
-    assert [(s.id, s.heads(), s.lemmas) for s in again] == [(s.id, s.heads(), s.lemmas) for s in sentences]
+    want = [(sent_id, heads, lemmas and lemmas[heads.index(0)]) for sent_id, heads, lemmas in sentences]
+    assert [(s.id, s.heads(), s.root_lemma) for s in again] == want
 
 
 # Characters json escapes or leaves raw, and the ones a line reader could split on.
@@ -241,13 +240,21 @@ json_chars = st.one_of(
 json_text = st.text(json_chars, max_size=8)
 
 
+def _written(writer, sentence):
+    try:
+        return writer(sentence)
+    except ValueError as exc:
+        return str(exc)
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.lists(st.integers(-3, 10 ** 6), max_size=8), json_text, st.data())
-def test_canonical_writer_matches_the_json_dumps_reference(heads, sent_id, data):
-    n = len(heads)
-    columns = st.one_of(st.none(), st.lists(st.one_of(st.none(), json_text), min_size=n, max_size=n))
-    sentence = Sentence.from_heads(heads, id=sent_id, lemmas=data.draw(columns))
-    assert serialize_canonical(sentence) == reference_treebank.serialize_canonical(sentence)
+@given(st.lists(st.integers(-3, 10 ** 6), max_size=8), json_text, st.one_of(st.none(), json_text))
+@example([1, 0, 0], "s", "x")  # the lemma goes on the first of two roots
+@example([1, 2], "s", "x")  # no root to put a lemma on
+def test_canonical_writer_matches_the_json_dumps_reference(heads, sent_id, root_lemma):
+    sentence = Sentence.from_heads(heads, id=sent_id, root_lemma=root_lemma)
+    want = _written(reference_treebank.serialize_canonical, sentence)
+    assert _written(serialize_canonical, sentence) == want
 
 
 @settings(max_examples=400, deadline=None)
@@ -367,7 +374,9 @@ def form_documents(draw):
             cabocha += [FORM, "\tx\n"]  # a morpheme line before any chunk header
         for i, (head, lemma) in enumerate(zip(heads, lemmas)):
             cabocha += [f"* {i} {head - 1 if head else -1}D\n"]
-            for tail in draw(st.lists(st.sampled_from(["\tx\n", "\n", f"\tx,*,*,*,*,*,{lemma}\n"]), max_size=2)):
+            # fewer than seven features, no features, a base form, and base forms that give no lemma
+            tails = ["\tx\n", "\n", f"\tx,*,*,*,*,*,{lemma}\n", "\tx,*,*,*,*,*,*\n", "\tx,*,*,*,*,*,\n"]
+            for tail in draw(st.lists(st.sampled_from(tails), max_size=3)):
                 cabocha += [FORM, tail]
         if number < len(trees) - 1 or draw(st.booleans()):  # the last sentence may miss its EOS
             cabocha += ["EOS\n"]
@@ -391,6 +400,25 @@ def test_surface_forms_change_no_sentence_and_no_rejection(documents, data):
         for options in ({}, {"drop_punct": True}) if fmt == "conllu" else ({},):
             first, second = (_serial_outcome(text.encode("utf-8"), fmt, **options) for text in texts)
             assert first == second
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_documents(), st.data())
+def test_root_lemma_is_the_reference_lemma_of_the_position_whose_head_is_0(documents, data):
+    for fmt, parts in documents.items():
+        count = sum(part is FORM for part in parts)
+        forms = iter(data.draw(st.lists(FORM_TEXT[fmt], min_size=count, max_size=count)))
+        text = "".join(ENCODE_FORM[fmt](next(forms)) if part is FORM else part for part in parts)
+        columns = reference_treebank.lemma_columns(text, fmt)
+        for drop_punct in (False, True) if fmt == "conllu" else (False,):
+            options = {"drop_punct": True} if drop_punct else {}
+            # the lines as the reference splits them, so that no BOM rule applies
+            lines = text.split("\n")
+            for sentence in iter_parse(lines, fmt, source="f", errors="skip", rejections=[], **options):
+                heads, lemmas, upos = columns[sentence.id]
+                kept = [not drop_punct or tag != "PUNCT" for tag in upos] if upos else [True] * len(heads)
+                [root] = [i for i, head in enumerate(heads) if not head and kept[i]]
+                assert sentence.root_lemma == lemmas[root]
 
 
 # Lines that are blank, EOS or a comment only once decoded, or that hold a BOM or a

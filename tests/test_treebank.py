@@ -1,3 +1,4 @@
+import codecs
 import io
 import itertools
 import re
@@ -52,7 +53,7 @@ def test_parse_conllu_minimal_two_tokens():
     sent = sentences[0]
     assert len(sent) == 2
     assert sent.heads() == (2, 0)
-    assert sent.lemmas == ("the", "cat")
+    assert sent.root_lemma == "cat"
     assert sent.heads().index(0) + 1 == 2
 
 
@@ -86,7 +87,7 @@ def test_parse_conllu_skips_ranges_and_empty_nodes(data_dir):
     ranged = by_id["ranges6"]
     assert len(ranged) == 6
     assert ranged.heads() == (3, 3, 6, 6, 6, 0)
-    assert ranged.lemmas == ("it", "be", "eat", "we", "all", "eat")  # the 1-2 and 5.1 lines are not nodes
+    assert ranged.root_lemma == "eat"  # the 1-2 and 5.1 lines are not nodes
 
 
 def test_parse_conllu_rejects_id_gap():
@@ -120,7 +121,7 @@ def test_parse_conllu_skip_mode_keeps_good_sentences(data_dir):
 
 def test_parse_conllu_underscore_fields_become_none():
     sent = list(iter_conllu(conllu_line(1, 0, lemma="_") + "\n"))[0]
-    assert sent.nodes[0].lemma is None
+    assert sent.root_lemma is None
 
 
 # Integer fields that are not a run of ASCII digits, though int() reads all but the empty one,
@@ -152,7 +153,7 @@ def test_drop_punct_removes_leaf_and_renumbers(data_dir):
     trimmed = by_id["punct4"]
     assert len(trimmed) == 3
     assert trimmed.heads() == (2, 0, 2)
-    assert trimmed.lemmas == ("bird", "run", "loud")
+    assert trimmed.root_lemma == "run"
 
 
 def test_drop_punct_rejects_punct_with_dependents(data_dir):
@@ -161,6 +162,18 @@ def test_drop_punct_rejects_punct_with_dependents(data_dir):
     sentences = list(iter_conllu(text, drop_punct=True, errors="skip", rejections=rejections))
     assert "punctdep5" not in {s.id for s in sentences}
     assert any("punctuation" in r.reason for r in rejections)
+
+
+def test_conllu_root_lemma_is_the_lemma_of_the_kept_line_whose_head_is_0():
+    dot_first = conllu_line(1, 0, lemma="dot", upos="PUNCT") + "\n" + conllu_line(2, 0, lemma="go") + "\n"
+    go_first = conllu_line(1, 0, lemma="go") + "\n" + conllu_line(2, 0, lemma="dot", upos="PUNCT") + "\n"
+    for text in (dot_first, go_first):
+        with pytest.raises(MultipleRoots):
+            list(iter_conllu(text))
+        [sentence] = iter_conllu(text, drop_punct=True)
+        assert (sentence.heads(), sentence.root_lemma) == ((0,), "go")
+    text = conllu_line(1, 2, lemma="bird") + "\n" + conllu_line(2, 0, lemma="_") + "\n"
+    assert [s.root_lemma for s in iter_conllu(text)] == [None]  # another line's lemma is not the root's
 
 
 def test_drop_punct_keeps_out_of_range_head_for_validation():
@@ -178,7 +191,7 @@ def test_parse_cabocha_single_chunk():
     sentences = list(iter_cabocha(text))
     assert len(sentences) == 1
     assert sentences[0].heads() == (0,)
-    assert sentences[0].nodes[0].lemma == "hai"
+    assert sentences[0].root_lemma == "hai"
 
 
 def test_parse_cabocha_sample_file(data_dir):
@@ -186,9 +199,10 @@ def test_parse_cabocha_sample_file(data_dir):
     assert len(sentences) == 3
     first, single, last = sentences
     assert first.heads() == DEMO7_HEADS
-    assert first.nodes[1].lemma == "hito"  # base form of the first morpheme
+    assert first.root_lemma == "hitoda"  # base form of the root chunk's first morpheme
     assert single.heads() == (0,)
     assert last.heads() == (3, 3, 0)
+    assert [single.root_lemma, last.root_lemma] == ["hai", "tobu"]
 
 
 def test_parse_cabocha_demo_structure_metrics(data_dir):
@@ -237,9 +251,44 @@ def test_parse_cabocha_skip_mode_rejects_only_bad_sentence():
     )
     rejections = []
     sentences = list(iter_cabocha(text, errors="skip", rejections=rejections))
-    assert [s.nodes[0].lemma for s in sentences] == ["ok"]
+    assert [s.root_lemma for s in sentences] == ["ok"]
     assert len(rejections) == 1
     assert "chunk header" in rejections[0].reason
+
+
+def test_cabocha_root_lemma_is_the_first_base_form_of_the_root_chunk():
+    root_without_lemma = "* 0 -1D\na\tx,*,*,*,*,*,*\nb\tx,*,*,*,*,*,\nEOS\n"
+    assert [s.root_lemma for s in iter_cabocha(root_without_lemma)] == [None]
+    short_features = "* 0 1D\nw\tn,x\n* 1 -1D\nv\tshort\nu\tv,*,*,*,*,*,go\nEOS\n"  # fewer than seven
+    [sentence] = iter_cabocha(short_features)
+    assert (sentence.heads(), sentence.root_lemma) == ((2, 0), "go")
+    non_root_only = "* 0 1D\nw\tn,*,*,*,*,*,word\n* 1 -1D\nv\tv,*,*,*,*,*,*\nEOS\n"
+    assert [s.root_lemma for s in iter_cabocha(non_root_only)] == [None]
+
+
+def _counting_lines(text, split):
+    """The lines of ``text`` as ``str`` objects that append themselves to ``split`` when partitioned."""
+
+    class Line(str):
+        def partition(self, sep):
+            split.append(str(self))
+            return super().partition(sep)
+
+    return [Line(line) for line in text.split("\n")]
+
+
+def test_cabocha_splits_only_the_root_chunks_morpheme_lines_up_to_its_lemma(data_dir):
+    split = []
+    text = (data_dir / "sample.cabocha").read_text(encoding="utf-8")
+    sentences = list(iter_cabocha(_counting_lines(text, split)))
+    assert [line.split("\t")[0] for line in split] == ["hitoda", "hai", "tobu"]
+    assert [s.root_lemma for s in sentences] == ["hitoda", "hai", "tobu"]
+    split = []
+    text = "* 0 1D\nw\tn,*,*,*,*,*,w\n* 1 -1D\na\tx,*,*,*,*,*,*\nb\tx,*,*,*,*,*,\nc\tv,*,*,*,*,*,go\n"
+    text += "d\tv,*,*,*,*,*,went\n* 2 1D\ne\tp,*,*,*,*,*,e\nEOS\n"
+    [sentence] = iter_cabocha(_counting_lines(text, split))
+    assert [line[0] for line in split] == ["a", "b", "c"]
+    assert (sentence.heads(), sentence.root_lemma) == ((2, 0, 2), "go")
 
 
 def test_parse_cabocha_morpheme_before_header():
@@ -310,9 +359,11 @@ def test_parse_canonical_rejects_json_python_cannot_load(nodes):
 
 @pytest.mark.parametrize("field", ['"form": 3', '"lemma": [1]', '"lemma": {"a": 1}', '"form": false'])
 def test_parse_canonical_requires_text_or_null(field):
-    line = '{"id": "s", "nodes": [{"index": 1, "head": 0, ' + field + "}]}"
-    with pytest.raises(MalformedLine, match="'form' and 'lemma' must be strings or null"):
-        list(iter_canonical(line))
+    on_root = '{"id": "s", "nodes": [{"index": 1, "head": 0, ' + field + "}]}"
+    on_dependent = '{"id": "s", "nodes": [{"index": 1, "head": 0}, {"index": 2, "head": 1, ' + field + "}]}"
+    for line in (on_root, on_dependent):  # every node's, though only the root's lemma is kept
+        with pytest.raises(MalformedLine, match="'form' and 'lemma' must be strings or null"):
+            list(iter_canonical(line))
 
 
 @pytest.mark.parametrize("sent_id", ["null", "5", "true", "[1]", '{"a": 1}'])
@@ -325,10 +376,18 @@ def test_parse_canonical_requires_a_string_id(sent_id):
     assert [(r.reason, r.sentence_id) for r in rejections] == [("line 1: 'id' must be a string", None)]
 
 
+def test_parse_canonical_keeps_only_the_root_lemma():
+    line = '{"id": "s", "nodes": [{"index": 1, "head": 2, "lemma": "x"}, {"index": 2, "head": 0}]}'
+    assert [s.root_lemma for s in iter_canonical(line)] == [None]
+    line = line.replace('"head": 0}', '"head": 0, "lemma": "y"}')
+    assert [s.root_lemma for s in iter_canonical(line)] == ["y"]
+
+
 def test_parse_canonical_accepts_null_text_fields():
     line = '{"id": "s", "nodes": [{"index": 1, "head": 0, "form": null, "lemma": "go"}]}'
     sent = list(iter_canonical(line))[0]
-    assert sent.nodes[0] == Node(index=1, head=0, lemma="go")
+    assert sent.nodes[0] == Node(index=1, head=0)
+    assert sent.root_lemma == "go"
 
 
 def test_canonical_round_trip_over_bundled_samples(data_dir):
@@ -363,16 +422,25 @@ def test_validate_tree_examples():
         list(iter_canonical('{"id": "", "nodes": []}'))
 
 
-@pytest.mark.parametrize("heads, lemmas", [((0,), ["a", "b"]), ((2, 0), ["a"]), ((2, 0), [])])
-def test_from_heads_refuses_a_lemma_list_of_another_length(heads, lemmas):
-    with pytest.raises(ValueError, match=f"^{len(lemmas)} lemmas for {len(heads)} heads$"):
-        Sentence.from_heads(heads, lemmas=lemmas)
+@pytest.mark.parametrize("heads", [(), (2, 3, 1), (1, 2)], ids=["empty", "cycle", "self-loops"])
+def test_serialize_canonical_refuses_a_root_lemma_without_a_root(heads):
+    sentence = Sentence.from_heads(heads, id="s", root_lemma="a")
+    with pytest.raises(ValueError, match="^'s': a root lemma, but no node has head 0$"):
+        serialize_canonical(sentence)
+    assert serialize_canonical(Sentence.from_heads(heads, id="s")).startswith('{"id": "s", "nodes": [')
 
 
-def test_from_heads_keeps_one_lemma_per_head():
-    assert Sentence.from_heads((2, 0), lemmas=["a", None]).lemmas == ("a", None)
-    assert Sentence.from_heads((2, 0), lemmas=[None, None]).lemmas is None
-    assert Sentence.from_heads((), lemmas=[]).lemmas is None
+def test_from_heads_keeps_the_root_lemma():
+    assert Sentence.from_heads((2, 0), root_lemma="a").root_lemma == "a"
+    assert Sentence.from_heads((2, 0)).root_lemma is None
+    assert Sentence.from_heads((2, 0), root_lemma="a") != Sentence.from_heads((2, 0), root_lemma="b")
+    assert repr(Sentence.from_heads((0,), id="s", root_lemma="a")) == (
+        "Sentence(id='s', head_vector=(0,), root_lemma='a', source='')"
+    )
+    assert serialize_canonical(Sentence.from_heads((2, 0, 2), id="s", root_lemma="a")) == (
+        '{"id": "s", "nodes": [{"head": 2, "index": 1}, {"head": 0, "index": 2, "lemma": "a"},'
+        ' {"head": 2, "index": 3}]}'
+    )
 
 
 def test_validate_tree_rejects_nonconsecutive_indices():
@@ -523,13 +591,13 @@ NON_LF_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u20
 @pytest.mark.parametrize("char", NON_LF_BREAKS)
 def test_conllu_lemma_may_hold_a_non_lf_line_break(char):
     sentence = list(iter_conllu(conllu_block((0,), lemma=f"a{char}b")))[0]
-    assert sentence.lemmas == (f"a{char}b",)
+    assert sentence.root_lemma == f"a{char}b"
 
 
 def test_cabocha_surface_may_hold_a_next_line_character():
     text = "* 0 -1D 0/0 0.0\nx\x85y\tnoun,*,*,*,*,*,x\x85y\nEOS\n"
     [sentence] = iter_cabocha(text)
-    assert sentence.lemmas == ("x\x85y",)
+    assert sentence.root_lemma == "x\x85y"
     assert sentence.source == "<cabocha>:1-3"
 
 
@@ -538,7 +606,7 @@ def test_canonical_line_with_raw_line_separator_in_a_string_is_one_sentence():
     rejections = []
     sentences = list(iter_canonical(line, errors="skip", rejections=rejections))
     assert rejections == []
-    assert [(s.id, s.lemmas) for s in sentences] == [("a\u2028b", ("x\u2028y",))]
+    assert [(s.id, s.root_lemma) for s in sentences] == [("a\u2028b", "x\u2028y")]
 
 
 @pytest.mark.parametrize(
@@ -591,6 +659,18 @@ def test_text_mode_file_is_refused_before_any_line_is_read(fmt, tmp_path):
             assert handle.tell() == 0
     with pytest.raises(TypeError, match="binary mode"):
         ValencyLexicon.from_tsv(io.StringIO("行く\t2\n"))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_reader_that_gives_str_is_refused_before_any_line_is_parsed(fmt):
+    reader = codecs.getreader("utf-8")(io.BytesIO(DOCUMENTS[fmt].encode()))
+    rejections = []
+    message = f"^<{fmt}>: a parser reads a file opened in binary mode \\('rb'\\), not in text mode$"
+    with pytest.raises(TypeError, match=message):
+        parse(reader, fmt, errors="skip", rejections=rejections)
+    assert rejections == []
+    with pytest.raises(TypeError, match="^<lexicon>: a parser reads a file opened in binary mode"):
+        ValencyLexicon.from_tsv(codecs.getreader("utf-8")(io.BytesIO("行く\t2\n".encode())))
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
