@@ -15,7 +15,16 @@ holding each of those special characters, and one holding all of them, with
 the line must be the ``json.dumps`` text of ``tests/reference_treebank.py``,
 one line to ``str.splitlines`` (U+0085, U+2028 and U+2029 escaped), and give
 the lemma back, or, for a lone surrogate, which has no UTF-8 form, raise
-``InvalidEncoding``. It then runs the
+``InvalidEncoding``. The CoNLL-U and CaboCha readers look ID, HEAD and
+chunk numbers up in a table of "0" to "1023" and check any other text
+as ``str.isdigit`` and ``int()`` do, whose Unicode tables and digit limit
+differ between versions: so each reader must give the sentences, the
+rejections and the raised error of ``tests/reference_treebank.py``, which
+reads every number by that rule, for each text of ``DECIMAL_TEXTS`` (the
+table's edges, leading zeros, forms ``int()`` reads but the readers refuse)
+and each non-ASCII character that ``str.isdigit`` takes, as an ID, a HEAD,
+a chunk index and a chunk head, and for a 1,100-token and a 1,100-chunk
+sentence. It then runs the
 ``metrics_jsonl``, ``generate_random``, ``generate_capped``, ``report_conllu``
 and ``report_cabocha_lexicon`` golden cases through ``python -m depmetrics``
 and compares the bytes, and runs each single-table command on the inputs of
@@ -58,8 +67,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from depmetrics.metrics import metric_record  # noqa: E402
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads  # noqa: E402
 from depmetrics.report import COMMAND_TABLES, TABLES, json_text  # noqa: E402
-from depmetrics.errors import InvalidEncoding  # noqa: E402
-from depmetrics.treebank import Sentence, iter_canonical, serialize_canonical, validate_tree  # noqa: E402
+from depmetrics.errors import DepMetricsError, InvalidEncoding  # noqa: E402
+from depmetrics.treebank import (  # noqa: E402
+    Sentence,
+    iter_cabocha,
+    iter_canonical,
+    iter_conllu,
+    serialize_canonical,
+    validate_tree,
+)
 from tests import closed_stdout, reference_metrics, reference_treebank, startup_modules  # noqa: E402
 from tests.command_flags import COMMAND_FLAGS  # noqa: E402
 
@@ -115,6 +131,10 @@ REFUSED_RUNS = {
     "generate --count 1_0": ({}, ["generate", "--n", "5", "--seed", "1", "--count", "1_0"],
                              "invalid integer value"),
 }
+# ID, HEAD and chunk-number texts: the edges of the readers' decimal table, leading zeros, and forms
+# that int() reads though the readers refuse them; every non-ASCII digit is added at run time
+DECIMAL_TEXTS = ["0", "00", "01", "1023", "01023", "1024", "1" * 5000, "+1", " 1", "1 ", "1_0", "-1", "-0",
+                 "-01", ""]
 OPTION_LINE = re.compile(r"  (-\S.*?)(?:  |$)")  # an option's flags and metavars, at the start of a help line
 
 
@@ -162,6 +182,52 @@ def root_lemma_mismatches() -> tuple[int, list[str]]:
         if line != reference_treebank.serialize_canonical(sentence) or not one_line or got != want:
             bad.append(ascii(lemma))
     return len(lemmas), bad
+
+
+def decimal_field_documents() -> list[tuple[str, str]]:
+    """(format, text) pairs with each decimal text as a CoNLL-U ID and HEAD and a CaboCha index and head."""
+    texts = DECIMAL_TEXTS + [chr(code) for code in range(0x80, 0x110000) if chr(code).isdigit()]
+    token = "{}\tw\tl\tX\t_\t_\t{}\t_\t_\t_\n"
+    documents = []
+    for text in texts:
+        documents += [
+            ("conllu", token.format(text, 0) + "\n"),
+            ("conllu", token.format(1, 0) + token.format(text, 1) + "\n"),
+            ("conllu", token.format(1, 0) + token.format(2, text) + "\n"),
+            ("cabocha", f"* {text} -1D\nw\tx,*,*,*,*,*,l\nEOS\n"),
+            ("cabocha", f"* 0 -1D\nw\tx,*,*,*,*,*,l\n* 1 {text}D\nv\tx\nEOS\n"),
+        ]
+    heads = chain_heads(1100)
+    documents.append(("conllu", "".join(token.format(i, head) for i, head in enumerate(heads, 1))))
+    chunks = "".join(f"* {i - 1} {head - 1}D\nw\tx\n" for i, head in enumerate(heads, 1))
+    documents.append(("cabocha", chunks + "EOS\n"))
+    return documents
+
+
+def read_outcome(reader, text: str) -> tuple[object, ...]:
+    """The sentences and rejections of skip mode; the sentences before the error, and the error, of raise mode."""
+    rejections: list = []
+    skipped = [(s, s.depths) for s in reader(text, source="f", errors="skip", rejections=rejections)]
+    raised = []
+    try:
+        for sentence in reader(text, source="f"):
+            raised.append((sentence, sentence.depths))
+    except DepMetricsError as exc:
+        return skipped, rejections, raised, type(exc), str(exc)
+    return skipped, rejections, raised, None, None
+
+
+def decimal_field_mismatches() -> tuple[int, list[str]]:
+    """The number of documents read, and those the readers read unlike the reference readers."""
+    readers = {"conllu": (iter_conllu, reference_treebank.iter_conllu),
+               "cabocha": (iter_cabocha, reference_treebank.iter_cabocha)}
+    documents = decimal_field_documents()
+    bad = []
+    for fmt, text in documents:
+        reader, reference = readers[fmt]
+        if read_outcome(reader, text) != read_outcome(reference, text):
+            bad.append(f"{fmt} {ascii(text[:40])}")
+    return len(documents), bad
 
 
 def run_on_fixtures(case: str, argv: list[str], files: dict[str, str]) -> dict[str, bytes] | None:
@@ -255,6 +321,10 @@ def main() -> int:
     ok = not bad
     compared, bad = root_lemma_mismatches()
     print(f"root lemma written and read back: {compared - len(bad)} of {compared} agree"
+          + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
+    ok &= not bad
+    compared, bad = decimal_field_mismatches()
+    print(f"decimal fields vs the reference readers: {compared - len(bad)} of {compared} agree"
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
     ok &= not bad
     for case in GOLDEN_CASES:

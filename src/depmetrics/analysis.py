@@ -110,23 +110,42 @@ class CorpusStats:
     A sentence's valency class is decided as it is folded: the root lemma's
     class in ``lexicon``, None on a miss, or without a lexicon the root's
     out-degree capped at ``MAX_VALENCY_CLASS``.
+
+    ``window``, a pair (sl_min, sl_max), bounds the lengths that get totals
+    in ``by_sl``: a sentence of another length is only counted, in
+    ``outside``, since no table but the length histogram reads it. Without a
+    window every length gets totals.
     """
 
-    __slots__ = ("by_sl", "lexicon")
+    __slots__ = ("by_sl", "lexicon", "bounds", "outside")
 
     def __init__(
-        self, by_sl: dict[int, LengthStats] | None = None, lexicon: ValencyLexicon | None = None
+        self,
+        by_sl: dict[int, LengthStats] | None = None,
+        lexicon: ValencyLexicon | None = None,
+        window: tuple[int, int] | None = None,
     ) -> None:
         self.by_sl = {} if by_sl is None else by_sl
         self.lexicon = lexicon
+        self.bounds = window
+        self.outside: dict[int, int] = {}  # length outside the window -> sentence count
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.by_sl == other.by_sl and self.lexicon == other.lexicon
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def add(self, sentence: Sentence) -> None:
-        """Fold one sentence of n >= 2 nodes in, from :func:`~depmetrics.metrics.dependency_terms`."""
+        """Fold one sentence of n >= 2 nodes in, from :func:`~depmetrics.metrics.dependency_terms`.
+
+        A sentence whose length is outside the window is only counted.
+        """
+        bounds = self.bounds
+        if bounds is not None:
+            n = len(sentence.head_vector)
+            if not bounds[0] <= n <= bounds[1] and n >= 2:
+                self.outside[n] = self.outside.get(n, 0) + 1
+                return
         dds, depths, root = dependency_terms(sentence)
         n = len(depths)
         dd_total = sum(dds)
@@ -153,9 +172,11 @@ class CorpusStats:
         tally[2] += 1
 
     def merge(self, other: CorpusStats) -> None:
-        """Add another fold's per-length totals; the totals are integers, so order does not matter."""
+        """Add another fold's per-length totals and counts; they are integers, so order does not matter."""
         for sl, cell in other.by_sl.items():
             self.by_sl.setdefault(sl, LengthStats()).merge(cell)
+        for sl, count in other.outside.items():
+            self.outside[sl] = self.outside.get(sl, 0) + count
 
     def window(self, sl_min: int, sl_max: int) -> CorpusStats:
         """The fold restricted to lengths in [sl_min, sl_max]; it shares the totals and the lexicon."""
@@ -167,8 +188,11 @@ class CorpusStats:
 
 
 def length_histogram(stats: CorpusStats) -> dict[int, int]:
-    """Sentence count per length, over the whole fold (no window)."""
-    return {sl: cell.n for sl, cell in stats.sorted_cells()}
+    """Sentence count per length, in length order, over the whole fold: the window and the counts outside it."""
+    counts = Counter(stats.outside)
+    for sl, cell in stats.by_sl.items():
+        counts[sl] += cell.n
+    return dict(sorted(counts.items()))
 
 
 def pooled_distribution(stats: CorpusStats, metric: str) -> Distribution:

@@ -214,9 +214,10 @@ def load_corpus(config: RunConfig, new_fold: Callable[[], Any] | None = None) ->
 
     ``new_fold()`` makes an empty fold, which takes each accepted sentence of
     two or more nodes by ``add`` and a later fold of its kind by ``merge``.
-    The default is a :class:`~depmetrics.analysis.CorpusStats` with the
-    lexicon of :func:`load_lexicon`, which is read and checked first, before
-    any input; a fold given here reads no lexicon. Each input is split into
+    The default is a :class:`~depmetrics.analysis.CorpusStats` bounded to the
+    window [sl_min, sl_max], with the lexicon of :func:`load_lexicon`, which
+    is read and checked first, before any input; a fold given here reads no
+    lexicon. Each input is split into
     :func:`worker_count` byte ranges of about equal size, cut between
     sentences (:func:`~depmetrics.treebank.iter_byte_range`), each filling a
     fold of its own. The parent forks a child for every range but the first,
@@ -229,7 +230,8 @@ def load_corpus(config: RunConfig, new_fold: Callable[[], Any] | None = None) ->
     if new_fold is None:
         from .analysis import CorpusStats
 
-        new_fold = partial(CorpusStats, lexicon=load_lexicon(config))
+        window = (config.sl_min, config.sl_max)
+        new_fold = partial(CorpusStats, lexicon=load_lexicon(config), window=window)
     workers = worker_count([path for path, _ in config.inputs])
     shards = _in_workers(workers, lambda k: _load_shard(config, new_fold, k, workers))
     fold = new_fold()

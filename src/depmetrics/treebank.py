@@ -448,9 +448,9 @@ def iter_byte_range(
     if not 0 <= k < parts:
         raise ValueError(f"need 0 <= k < parts, got k={k}, parts={parts}")
     _check_error_mode(options.get("errors", "raise"), options.get("rejections"))  # before any read
-    lo = _sentence_break(handle, fmt, k * size // parts)
-    hi = None if k == parts - 1 else _sentence_break(handle, fmt, (k + 1) * size // parts)
-    lines_before, sentences_before = _count_before(handle, fmt, lo)
+    lo = _sentence_break(handle, fmt, k * size // parts, name)
+    hi = None if k == parts - 1 else _sentence_break(handle, fmt, (k + 1) * size // parts, name)
+    lines_before, sentences_before = _count_before(handle, fmt, lo, name)
     if fmt in _SENTENCE_START:  # canonical ids come from the file, not from a count
         options["ordinal"] = sentences_before
     if parts > 1:  # finding the breaks moved the handle; a lone range never seeks, so a pipe streams
@@ -460,14 +460,15 @@ def iter_byte_range(
     )
 
 
-def _sentence_break(handle: BinaryIO, fmt: str, position: int) -> int:
+def _sentence_break(handle: BinaryIO, fmt: str, position: int, name: str) -> int:
     """The first offset at or after ``position`` where a byte range may begin.
 
     That is 0, the end of the file, or the first line start from
     ``position`` on at which no sentence is open: the end of a blank line in
     CoNLL-U or of an EOS line in CaboCha that begins at or after
     ``position``, any line start in canonical JSONL. A line that a read cuts
-    is searched again with the next read.
+    is searched again with the next read. A read that gives ``str`` is
+    refused as from a text-mode file, named ``name``.
     """
     if not position:
         return 0
@@ -476,6 +477,8 @@ def _sentence_break(handle: BinaryIO, fmt: str, position: int) -> int:
     buffer = b""
     while True:
         data = handle.read(CHUNK_BYTES)
+        if isinstance(data, str):
+            raise _text_mode_error(name)
         if not data:
             return base + len(buffer)
         buffer += data
@@ -487,7 +490,7 @@ def _sentence_break(handle: BinaryIO, fmt: str, position: int) -> int:
         buffer = buffer[cut:]
 
 
-def _count_before(handle: BinaryIO, fmt: str, end: int) -> tuple[int, int]:
+def _count_before(handle: BinaryIO, fmt: str, end: int, name: str) -> tuple[int, int]:
     """The lines and the sentences in bytes [0, end) of a file, where ``end`` is a sentence break.
 
     The bytes are read ``CHUNK_BYTES`` at a time, each piece cut at a
@@ -497,7 +500,7 @@ def _count_before(handle: BinaryIO, fmt: str, end: int) -> tuple[int, int]:
     lines = sentences = 0
     start = 0
     while start < end:
-        stop = min(_sentence_break(handle, fmt, start + CHUNK_BYTES), end)
+        stop = min(_sentence_break(handle, fmt, start + CHUNK_BYTES, name), end)
         handle.seek(start)
         data = handle.read(stop - start)
         lines += data.count(b"\n")
@@ -532,6 +535,14 @@ def _check_error_mode(errors: str, rejections: list[Rejection] | None) -> None:
         raise ValueError(f"errors must be 'raise' or 'skip', got {errors!r}")
     if errors == "skip" and rejections is None:
         raise ValueError("errors='skip' needs a rejections list to record the skipped sentences in")
+
+
+# Almost every ID, HEAD and chunk number is a short decimal text, read by
+# one lookup; any other text takes the checks that the lookup stands in for.
+_DECIMAL_TABLE = 1 << 10
+_DECIMAL = {str(value): value for value in range(_DECIMAL_TABLE)}
+# A CaboCha head field to its head-vector value: -1D is the root (0), kD is chunk k, at position k + 1.
+_CHUNK_HEAD = {"-1D": 0, **{f"{value}D": value + 1 for value in range(_DECIMAL_TABLE)}}
 
 
 # --- CoNLL-U --------------------------------------------------------------
@@ -609,20 +620,15 @@ def _conllu_sentence(
         if len(fields) < 8:
             raise MalformedLine(f"line {lineno}: expected >= 8 tab-separated fields, got {len(fields)}")
         raw_id, _, lemma, tag, _, _, raw_head, _ = fields
-        if "-" in raw_id or "." in raw_id:
-            continue  # multiword-token range / empty node
-        try:
-            if not (raw_id.isascii() and raw_id.isdigit()):
-                raise ValueError
-            ids.append(int(raw_id))
-        except ValueError:  # also past int()'s digit limit
-            raise MalformedLine(f"line {lineno}: non-integer ID {raw_id!r}") from None
-        try:
-            if not (raw_head.isascii() and raw_head.isdigit()):
-                raise ValueError
-            head = int(raw_head)
-        except ValueError:
-            raise MalformedLine(f"line {lineno}: non-integer HEAD {raw_head!r}") from None
+        index = _DECIMAL.get(raw_id)
+        if index is None:
+            if "-" in raw_id or "." in raw_id:
+                continue  # multiword-token range / empty node
+            index = _number(raw_id, "ID", lineno)
+        ids.append(index)
+        head = _DECIMAL.get(raw_head)
+        if head is None:
+            head = _number(raw_head, "HEAD", lineno)
         heads.append(head)
         if drop_punct:
             upos.append(tag)
@@ -635,6 +641,16 @@ def _conllu_sentence(
     if drop_punct:
         heads = _drop_punct(heads, upos, sent_id)
     return validate_tree(Sentence(sent_id, tuple(heads), root_lemma, span))
+
+
+def _number(raw: str, what: str, lineno: int) -> int:
+    """A decimal field that :data:`_DECIMAL` lacks: a run of ASCII digits that ``int()`` reads."""
+    try:
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError
+        return int(raw)
+    except ValueError:  # also past int()'s digit limit
+        raise MalformedLine(f"line {lineno}: non-integer {what} {raw!r}") from None
 
 
 def _drop_punct(heads: list[int], upos: list[str], sent_id: str) -> list[int]:
@@ -694,28 +710,31 @@ def iter_cabocha(
             if fault is not None:
                 continue
             parts = raw.split(None, 3)  # the fields after the head are not read
-            try:
-                if len(parts) < 3 or not parts[2].endswith("D"):
-                    raise ValueError
-                index_field, head_field = parts[1], parts[2][:-1]
-                if not (
-                    index_field.isdigit()
-                    and (head_field.isdigit() or head_field == "-1")
-                    and (raw.isascii() or (index_field + head_field).isascii())  # isascii() is O(1)
-                ):
-                    raise ValueError
-                index = int(index_field)
-                head = int(head_field)
-            except ValueError:  # also past int()'s digit limit
-                fault = MalformedChunkHeader(f"line {lineno}: bad chunk header {raw!r}")
-                continue
+            index = _DECIMAL.get(parts[1]) if len(parts) > 2 else None
+            head = None if index is None else _CHUNK_HEAD.get(parts[2])
+            if head is None:  # a header the tables lack: the checks that they stand in for
+                try:
+                    if len(parts) < 3 or not parts[2].endswith("D"):
+                        raise ValueError
+                    index_field, head_field = parts[1], parts[2][:-1]
+                    if not (
+                        index_field.isdigit()
+                        and (head_field.isdigit() or head_field == "-1")
+                        and (raw.isascii() or (index_field + head_field).isascii())  # isascii() is O(1)
+                    ):
+                        raise ValueError
+                    index = int(index_field)
+                    head = int(head_field) + 1  # the head-vector value: -1D, the root, gives 0
+                except ValueError:  # also past int()'s digit limit
+                    fault = MalformedChunkHeader(f"line {lineno}: bad chunk header {raw!r}")
+                    continue
             if index != len(heads):
                 fault = MalformedChunkHeader(
                     f"line {lineno}: chunk index {index} out of sequence (expected {len(heads)})"
                 )
                 continue
-            heads.append(0 if head == -1 else head + 1)
-            seeking_lemma = head == -1 and root_lemma is None
+            heads.append(head)
+            seeking_lemma = not head and root_lemma is None
         elif not raw or raw.isspace():
             continue
         elif raw.startswith("EOS") and raw.rstrip() == "EOS":

@@ -6,6 +6,12 @@ every chunk, and takes the root's from that list. The property tests
 require ``treebank.iter_cabocha`` to yield the same sentences and record (or
 raise) the same rejections as this reader.
 
+``iter_conllu`` reads every CoNLL-U ID and HEAD by the rule that
+``treebank``'s decimal lookup tables stand in for: a run of ASCII digits
+that ``int()`` reads. It takes no ``drop_punct``. The property tests require
+``treebank.iter_conllu`` to yield the same sentences and record (or raise)
+the same rejections for any spelling of the numbers.
+
 ``lemma_columns`` reads every position's head, lemma and UPOS in each of the
 three formats, with no checks, so that a test can look up the lemma at the
 position whose head is 0.
@@ -21,7 +27,7 @@ import json
 import re
 from typing import IO, Iterator
 
-from depmetrics.errors import MalformedChunkHeader, MalformedLine, MissingEOS
+from depmetrics.errors import InvalidTree, MalformedChunkHeader, MalformedLine, MissingEOS
 from depmetrics.treebank import (
     _REJECTABLE,
     Rejection,
@@ -100,6 +106,73 @@ def _cabocha_sentence(lines: list[str], first_lineno: int, sent_id: str, span: s
                 if len(features) > 6 and features[6] not in ("*", ""):
                     lemmas[-1] = features[6]
     root_lemma = lemmas[heads.index(0)] if 0 in heads else None
+    return validate_tree(Sentence(sent_id, tuple(heads), root_lemma, span))
+
+
+def iter_conllu(
+    stream: IO | str | bytes,
+    *,
+    source: str = "<conllu>",
+    errors: str = "raise",
+    rejections: list[Rejection] | None = None,
+) -> Iterator[Sentence]:
+    _check_error_mode(errors, rejections)
+    lines = list(_text_lines(stream))
+    ordinal = 0
+    start: int | None = None  # index of the pending block's first line
+    for i, line in enumerate([*lines, ""]):  # a blank line ends the last block
+        if line and not line.isspace():
+            if start is None:
+                start = i
+            continue
+        if start is None:
+            continue
+        block, first_lineno, start = lines[start:i], start + 1, None
+        comments = [row for row in block if row[0] == "#"]
+        if len(comments) == len(block):
+            continue  # a comment-only block: not a sentence
+        ordinal += 1
+        span = f"{source}:{first_lineno}-{i}"
+        sent_id = f"{source}#{ordinal}"
+        for comment in comments:
+            key, _, value = comment[1:].partition("=")
+            if key.strip() == "sent_id" and value.strip():
+                sent_id = value.strip()
+        try:
+            sentence = _conllu_sentence(block, first_lineno, sent_id, span)
+        except _REJECTABLE as exc:
+            _reject(exc, errors, rejections, span, sent_id)
+        else:
+            yield sentence
+
+
+def _conllu_sentence(lines: list[str], first_lineno: int, sent_id: str, span: str) -> Sentence:
+    ids: list[int] = []
+    heads: list[int] = []
+    root_lemma: str | None = None
+    for lineno, line in enumerate(lines, first_lineno):
+        if line[0] == "#":
+            continue
+        fields = line.split("\t", 7)
+        if len(fields) < 8:
+            raise MalformedLine(f"line {lineno}: expected >= 8 tab-separated fields, got {len(fields)}")
+        raw_id, _, lemma, _, _, _, raw_head, _ = fields
+        if "-" in raw_id or "." in raw_id:
+            continue  # multiword-token range / empty node
+        for what, raw in (("ID", raw_id), ("HEAD", raw_head)):
+            try:
+                if not (raw.isascii() and raw.isdigit()):
+                    raise ValueError
+                value = int(raw)
+            except ValueError:  # also past int()'s digit limit
+                raise MalformedLine(f"line {lineno}: non-integer {what} {raw!r}") from None
+            (ids if what == "ID" else heads).append(value)
+        if not heads[-1]:
+            root_lemma = None if lemma == "_" else lemma
+    if not heads:
+        raise InvalidTree(f"{sent_id}: sentence block has no token lines")
+    if ids != list(range(1, len(ids) + 1)):
+        raise InvalidTree(f"{sent_id}: token IDs are not consecutive from 1")
     return validate_tree(Sentence(sent_id, tuple(heads), root_lemma, span))
 
 

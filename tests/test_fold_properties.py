@@ -3,7 +3,8 @@
 ``reference_analysis`` keeps the analyses the fold replaced; every table
 read from the fold must equal its table, for random corpora and settings.
 The CLI's report must also not depend on sentence order or on how the
-sentences are split into files.
+sentences are split into files, and a fold bounded to the length window
+must read as the window of the whole fold.
 """
 
 from __future__ import annotations
@@ -14,16 +15,18 @@ import random
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depmetrics.analysis import CorpusStats
+from depmetrics.analysis import CorpusStats, length_histogram
 from depmetrics.cli import main
-from depmetrics.errors import DepMetricsError
+from depmetrics.errors import DepMetricsError, TooShort
 from depmetrics.randtree import GeneratorConfig, random_tree
 from depmetrics.report import (
     ENTROPY_BASES,
     LOG_BASES,
+    TABLES,
     VALENCY_MODES,
     CorpusData,
     RunConfig,
@@ -121,8 +124,8 @@ def test_report_does_not_depend_on_sentence_order_or_file_split(sentences, rng, 
         assert _report_bytes(split, Path(many), flags) == _report_bytes([sentences], Path(one), flags)
 
 
-def _fold(sentences, lexicon: ValencyLexicon | None) -> CorpusStats:
-    stats = CorpusStats(lexicon=lexicon)
+def _fold(sentences, lexicon: ValencyLexicon | None, window: tuple[int, int] | None = None) -> CorpusStats:
+    stats = CorpusStats(lexicon=lexicon, window=window)
     for sentence in sentences:
         stats.add(sentence)
     return stats
@@ -144,3 +147,28 @@ def test_merged_shard_folds_in_any_order_give_the_one_fold_tables(sentences, set
         return _outcome(lambda: compute_analyses(config, CorpusData(inputs=[], fold=stats)))
 
     assert tables(merged) == tables(_fold(sentences, lexicon))
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora(), settings_and_lexicons(), st.randoms(use_true_random=False), st.integers(1, 5))
+def test_a_fold_bounded_to_the_window_reads_as_the_window_of_the_whole_fold(sentences, setup, rng, parts):
+    config, entries = setup
+    lexicon = ValencyLexicon(entries) if config.valency_mode == "lexicon" else None
+    window = (config.sl_min, config.sl_max)
+    cuts = sorted(rng.randint(0, len(sentences)) for _ in range(parts - 1))
+    folds = [_fold(sentences[a:b], lexicon, window) for a, b in zip([0, *cuts], [*cuts, len(sentences)])]
+    rng.shuffle(folds)
+    bounded = CorpusStats(lexicon=lexicon, window=window)
+    for fold in folds:
+        bounded.merge(fold)
+    whole = _fold(sentences, lexicon)
+    assert set(bounded.by_sl) == set(whole.window(*window).by_sl)
+    for name, table in TABLES.items():
+        assert _outcome(lambda: table.read(bounded, config)) == _outcome(
+            lambda: table.read(whole.window(*window), config)
+        ), name
+    histogram = length_histogram(bounded)
+    assert list(histogram.items()) == list(length_histogram(whole).items())  # in length order too
+    assert list(histogram) == sorted(histogram)
+    with pytest.raises(TooShort):
+        bounded.add(make_sentence((0,)))

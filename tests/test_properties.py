@@ -615,3 +615,57 @@ def test_one_pass_cabocha_reader_matches_the_two_walk_reference(text, bom, chunk
     assert _raise_mode_outcome(iter_cabocha, text) == _raise_mode_outcome(
         reference_treebank.iter_cabocha, text
     )
+
+
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+# Numbers at the edges of the readers' decimal lookup table, which holds "0" to "1023".
+TABLE_EDGES = [0, 1, 1023, 1024]
+
+
+def _decimal_text(value):
+    """A number as a treebank writes it, with leading zeros, or in a form int() reads but the readers refuse."""
+    text = str(value)
+    return st.sampled_from(
+        [text] * 3 + ["0" + text, "00" + text]
+        + [f"+{text}", text.translate(FULLWIDTH_DIGITS), text.translate(ARABIC_INDIC_DIGITS)]
+    )
+
+
+@st.composite
+def decimal_field_documents(draw):
+    """A CoNLL-U and a CaboCha text of chains whose numbers are drawn by :func:`_decimal_text`.
+
+    Each ID, HEAD and chunk number is now and then a value at an edge of the
+    table instead, and a chunk's head field now and then ends in 'd'.
+    """
+    conllu, cabocha = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        size = draw(st.integers(min_value=1, max_value=4))
+        for index in range(1, size + 1):
+            raw_id = draw(_decimal_text(draw(st.sampled_from([index] * 6 + TABLE_EDGES))))
+            head = draw(st.sampled_from([index + 1 if index < size else 0] * 6 + TABLE_EDGES))
+            conllu.append(f"{raw_id}\tw\tl{index}\tX\t_\t_\t{draw(_decimal_text(head))}\t_\t_\t_")
+            chunk = draw(_decimal_text(draw(st.sampled_from([index - 1] * 6 + TABLE_EDGES))))
+            chunk_head = draw(st.sampled_from([index if index < size else -1] * 6 + TABLE_EDGES))
+            suffix = draw(st.sampled_from("DDDDd"))
+            cabocha += [f"* {chunk} {draw(_decimal_text(chunk_head))}{suffix}", f"w\tx,*,*,*,*,*,l{index}"]
+        conllu.append("")
+        cabocha.append("EOS")
+    return "".join(line + "\n" for line in conllu), "".join(line + "\n" for line in cabocha)
+
+
+@settings(max_examples=500, deadline=None)
+@given(decimal_field_documents())
+@example(("01\tw\t_\t_\t_\t_\t0\t_\t_\t_\n\n", "* 00 -1D\nw\tx\nEOS\n"))
+@example(("1\tw\t_\t_\t_\t_\t1024\t_\t_\t_\n\n", "* 0 -01D\nw\tx\nEOS\n* 0 -1d\nw\tx\nEOS\n"))
+def test_decimal_fields_are_read_as_the_reference_reads_them(documents):
+    conllu, cabocha = documents
+    for text, reader, reference in (
+        (conllu, iter_conllu, reference_treebank.iter_conllu),
+        (cabocha, iter_cabocha, reference_treebank.iter_cabocha),
+    ):
+        got, want = [], []
+        sentences = _with_depths(reader(text, source="f", errors="skip", rejections=got))
+        assert sentences == _with_depths(reference(text, source="f", errors="skip", rejections=want))
+        assert got == want
+        assert _raise_mode_outcome(reader, text) == _raise_mode_outcome(reference, text)

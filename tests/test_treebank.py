@@ -146,6 +146,37 @@ def test_conllu_id_and_head_take_ascii_digits_only(field, raw):
     assert [rejection.reason for rejection in rejections] == [reason]
 
 
+@pytest.mark.parametrize("raw", ["0", "01", "1023", "1024"])
+def test_conllu_id_and_head_at_the_edges_of_the_decimal_table(raw):
+    one_token = conllu_line(raw, 0) + "\n"
+    two_tokens = conllu_line(1, 0) + "\n" + conllu_line(2, raw) + "\n"
+    if raw == "01":  # a leading zero misses the table and is read as int() reads it
+        assert [s.heads() for s in iter_conllu(one_token)] == [(0,)]
+        assert [s.heads() for s in iter_conllu(two_tokens)] == [(0, 1)]
+        return
+    with pytest.raises(InvalidTree, match="^<conllu>#1: token IDs are not consecutive from 1$"):
+        list(iter_conllu(one_token))
+    if raw == "0":
+        with pytest.raises(MultipleRoots):
+            list(iter_conllu(two_tokens))
+    else:
+        with pytest.raises(InvalidTree, match=f"^<conllu>#1: node 2 head {raw} out of range 1\\.\\.2$"):
+            list(iter_conllu(two_tokens))
+
+
+def test_conllu_sentence_past_the_decimal_table():
+    n = 1100
+    heads = tuple(range(2, n + 1)) + (0,)
+    raw_ids = [str(i) for i in range(1, n + 1)]
+    raw_ids[1049] = "01050"  # a leading zero past the table too
+    text = "".join(conllu_line(raw_id, head) + "\n" for raw_id, head in zip(raw_ids, heads))
+    [sentence] = iter_conllu(text)
+    assert sentence.heads() == heads
+    assert sentence.depths == tuple(range(n - 1, -1, -1))
+    with pytest.raises(InvalidTree, match="^<conllu>#1: node 1 head 1101 out of range 1\\.\\.1100$"):
+        list(iter_conllu(text.replace("\t2\t", "\t1101\t", 1)))
+
+
 def test_drop_punct_removes_leaf_and_renumbers(data_dir):
     text = (data_dir / "sample_ud.conllu").read_bytes()
     sentences = list(iter_conllu(text, drop_punct=True, errors="skip", rejections=[]))
@@ -242,6 +273,22 @@ def test_cabocha_chunk_index_and_head_take_ascii_digits_only(header):
     rejections = []
     assert list(iter_cabocha(text, errors="skip", rejections=rejections)) == []
     assert [rejection.reason for rejection in rejections] == [reason]
+
+
+def test_cabocha_header_numbers_with_leading_zeros_or_past_the_decimal_table():
+    assert [s.heads() for s in iter_cabocha("* 00 -1D\nw\tx\nEOS\n")] == [(0,)]
+    assert [s.heads() for s in iter_cabocha("* 0 01D\nw\tx\n* 1 -1D\nv\tx\nEOS\n")] == [(2, 0)]
+    for header in ("* 0 -01D", "* 0 1d"):
+        reason = f"line 1: bad chunk header {header!r}"
+        with pytest.raises(MalformedChunkHeader, match=f"^{re.escape(reason)}$"):
+            list(iter_cabocha(header + "\nw\tx\n* 1 -1D\nv\tx\nEOS\n"))
+    n = 1100
+    chunks = [f"* {index} {index + 1}D\nw\tx\n" for index in range(n - 1)] + [f"* {n - 1} -1D\nv\tx\n"]
+    [sentence] = iter_cabocha("".join(chunks) + "EOS\n")
+    assert sentence.heads() == tuple(range(2, n + 1)) + (0,)
+    reason = f"line {2 * n - 1}: chunk index 1100 out of sequence (expected 1099)"
+    with pytest.raises(MalformedChunkHeader, match=f"^{re.escape(reason)}$"):
+        list(iter_cabocha("".join(chunks[:-1]) + f"* {n} -1D\nv\tx\nEOS\n"))
 
 
 def test_parse_cabocha_skip_mode_rejects_only_bad_sentence():
@@ -671,6 +718,18 @@ def test_a_reader_that_gives_str_is_refused_before_any_line_is_parsed(fmt):
     assert rejections == []
     with pytest.raises(TypeError, match="^<lexicon>: a parser reads a file opened in binary mode"):
         ValencyLexicon.from_tsv(codecs.getreader("utf-8")(io.BytesIO("行く\t2\n".encode())))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_reader_that_gives_str_is_refused_in_a_byte_range_before_any_line_is_parsed(fmt, k):
+    data = (DOCUMENTS[fmt] * 50).encode()
+    reader = codecs.getreader("utf-8")(io.BytesIO(data))
+    rejections = []
+    message = "^f: a parser reads a file opened in binary mode \\('rb'\\), not in text mode$"
+    with pytest.raises(TypeError, match=message):
+        list(iter_byte_range(reader, fmt, k, 2, len(data), name="f", errors="skip", rejections=rejections))
+    assert rejections == []
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
