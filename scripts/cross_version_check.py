@@ -15,15 +15,19 @@ holding each of those special characters, and one holding all of them, with
 the line must be the ``json.dumps`` text of ``tests/reference_treebank.py``,
 one line to ``str.splitlines`` (U+0085, U+2028 and U+2029 escaped), and give
 the lemma back, or, for a lone surrogate, which has no UTF-8 form, raise
-``InvalidEncoding``. The CoNLL-U and CaboCha readers look ID, HEAD and
-chunk numbers up in a table of "0" to "1023" and check any other text
-as ``str.isdigit`` and ``int()`` do, whose Unicode tables and digit limit
-differ between versions: so each reader must give the sentences, the
-rejections and the raised error of ``tests/reference_treebank.py``, which
-reads every number by that rule, for each text of ``DECIMAL_TEXTS`` (the
-table's edges, leading zeros, forms ``int()`` reads but the readers refuse)
-and each non-ASCII character that ``str.isdigit`` takes, as an ID, a HEAD,
-a chunk index and a chunk head, and for a 1,100-token and a 1,100-chunk
+``InvalidEncoding``. ``serialize_canonical`` builds node text from
+pieces for numbers up to 1,023 and formats any other node by hand, so it
+also writes generated trees of 1,023, 1,024, 1,100 and 3,000 nodes, with
+and without a root lemma, which must give the reference's line. The
+CoNLL-U and CaboCha readers look ID, HEAD and chunk numbers up in a
+table of "0" to "1023" and check any other text as ``str.isdigit`` and
+``int()`` do, whose Unicode tables and digit limit differ between
+versions: so each reader must give the sentences, the rejections and the
+raised error of ``tests/reference_treebank.py``, which reads every
+number by that rule, for each text of ``DECIMAL_TEXTS`` (the table's
+edges, leading zeros, forms ``int()`` reads but the readers refuse) and
+each non-ASCII character that ``str.isdigit`` takes, as an ID, a HEAD, a
+chunk index and a chunk head, and for a 1,100-token and a 1,100-chunk
 sentence. It then runs the
 ``metrics_jsonl``, ``generate_random``, ``generate_capped``, ``report_conllu``
 and ``report_cabocha_lexicon`` golden cases through ``python -m depmetrics``
@@ -32,7 +36,10 @@ both report cases, which must write that case's tables of the command byte
 for byte, and its meta.json, as ``tests/test_golden.py`` requires. It runs the
 closed-stdout cases of ``tests/closed_stdout.py``, with the child's stdout
 buffered and unbuffered: when a write into a closed pipe fails, and whether
-the interpreter's last flush reports it, differ between versions. Last,
+the interpreter's last flush reports it, differ between versions. With
+``PYTHONIOENCODING=ascii``, ``validate`` of a CaboCha file whose rejection
+reason holds a non-ASCII character must exit 1, and ``trend`` into a
+non-ASCII ``--output-dir`` exit 0, each writing the text escaped. Last,
 since argparse's parsing and help output differ between versions too, it
 checks that ``python -m depmetrics CMD -h`` lists exactly the long flags of
 ``tests/command_flags.py`` for each corpus command, and that a flag the
@@ -66,7 +73,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from depmetrics.metrics import metric_record  # noqa: E402
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads  # noqa: E402
-from depmetrics.report import COMMAND_TABLES, TABLES, json_text  # noqa: E402
+from depmetrics.report import TABLES, json_text  # noqa: E402
 from depmetrics.errors import DepMetricsError, InvalidEncoding  # noqa: E402
 from depmetrics.treebank import (  # noqa: E402
     Sentence,
@@ -77,7 +84,7 @@ from depmetrics.treebank import (  # noqa: E402
     validate_tree,
 )
 from tests import closed_stdout, reference_metrics, reference_treebank, startup_modules  # noqa: E402
-from tests.command_flags import COMMAND_FLAGS  # noqa: E402
+from tests.command_flags import COMMAND_FLAGS, COMMAND_TABLES  # noqa: E402
 
 SPECIAL_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029",
                  "\ud800", "\udfff", "\U0001f600", "\u00e9"]
@@ -184,6 +191,25 @@ def root_lemma_mismatches() -> tuple[int, list[str]]:
     return len(lemmas), bad
 
 
+def canonical_writer_mismatches() -> tuple[int, list[str]]:
+    """The number of long trees written, and those whose line differs from the ``json.dumps`` reference.
+
+    ``serialize_canonical`` builds node text from pieces for numbers up to
+    1,023 and formats every node of a longer tree; each tree is written with
+    and without a root lemma.
+    """
+    bad = []
+    cases = 0
+    for n in (1023, 1024, 1100, 3000):
+        heads = random_tree(GeneratorConfig(n=n, seed=n)).heads()
+        for root_lemma in (None, "\u8a9e"):
+            sentence = Sentence.from_heads(heads, id=f"random-{n}", root_lemma=root_lemma)
+            cases += 1
+            if serialize_canonical(sentence) != reference_treebank.serialize_canonical(sentence):
+                bad.append(f"random-{n}" + (" with a root lemma" if root_lemma else ""))
+    return cases, bad
+
+
 def decimal_field_documents() -> list[tuple[str, str]]:
     """(format, text) pairs with each decimal text as a CoNLL-U ID and HEAD and a CaboCha index and head."""
     texts = DECIMAL_TEXTS + [chr(code) for code in range(0x80, 0x110000) if chr(code).isdigit()]
@@ -284,6 +310,29 @@ def closed_stdout_outcomes() -> list[tuple[str, bool, str]]:
     return outcomes
 
 
+def ascii_stdout_outcomes() -> list[tuple[str, bool, str]]:
+    """Runs whose stdout is ASCII with a strict error handler, as ``PYTHONIOENCODING=ascii`` sets it:
+    a rejection reason and an output path it cannot encode must be written escaped, not end in exit 3.
+    Each run's name, whether it passed, and what it gave."""
+    runs = {
+        "validate, a rejection reason": (["validate", "bad.cabocha"], 1, "bad chunk header '* 0 \\u3042D'"),
+        "trend, an output path": (["trend", "ok.conllu", "--output-dir", "\u51fa\u529b"], 0,
+                                  "wrote \\u51fa\\u529b/trend.csv"),
+    }
+    outcomes = []
+    for name, (argv, status, line) in runs.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            Path(tmp, "bad.cabocha").write_text("* 0 \u3042D\nx\ty,z\nEOS\n", encoding="utf-8")
+            shutil.copyfile(ROOT / "tests" / "data" / "sample_ud.conllu", Path(tmp) / "ok.conllu")
+            result = subprocess.run([sys.executable, "-m", "depmetrics", *argv], cwd=tmp,
+                                    env=dict(CHILD_ENV, PYTHONIOENCODING="ascii"), capture_output=True)
+        written = line in result.stdout.decode("ascii", "backslashreplace")
+        last = (result.stderr.decode("ascii", "backslashreplace").splitlines() or [""])[-1]
+        got = f"stdout holds {line!r}" if written else f"stderr {last[:100]!r}"
+        outcomes.append((name, result.returncode == status and written, f"exit {result.returncode}; {got}"))
+    return outcomes
+
+
 def help_flags(command: str) -> set[str]:
     """The long flags that ``python -m depmetrics COMMAND -h`` lists."""
     result = subprocess.run([sys.executable, "-m", "depmetrics", command, "-h"],
@@ -323,6 +372,10 @@ def main() -> int:
     print(f"root lemma written and read back: {compared - len(bad)} of {compared} agree"
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
     ok &= not bad
+    compared, bad = canonical_writer_mismatches()
+    print(f"serialize_canonical of long trees vs json.dumps: {compared - len(bad)} of {compared} agree"
+          + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
+    ok &= not bad
     compared, bad = decimal_field_mismatches()
     print(f"decimal fields vs the reference readers: {compared - len(bad)} of {compared} agree"
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
@@ -339,6 +392,9 @@ def main() -> int:
     for name, passed, got in closed_stdout_outcomes():
         ok &= passed
         print(f"closed stdout, {name}: {got}")
+    for name, passed, got in ascii_stdout_outcomes():
+        ok &= passed
+        print(f"ascii stdout, {name}: {got}")
     for command, flags in COMMAND_FLAGS.items():
         expected = {"--help", "--format", "--config", *flags} | ({"--output"} if command == "metrics" else set())
         listed = help_flags(command)

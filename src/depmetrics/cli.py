@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import logging
 import os
@@ -359,11 +360,17 @@ def entry_point() -> int:
     them at exit. ``main`` itself never freezes, because a process that
     calls it many times would keep the garbage of each call.
 
-    When stdout was closed under the command, fd 1 then points at the null
-    device, so that the interpreter's last flush at exit stays silent.
-    ``main`` never touches fd 1, since it may run inside another program.
+    A strict stdout is switched to ``backslashreplace``, as stderr already
+    is: a character that its encoding lacks, in a path or a rejection
+    reason, is written as ``\\uXXXX``. When stdout was closed under the
+    command, fd 1 then points at the null device, so that the interpreter's
+    last flush at exit stays silent. ``main`` touches neither the stream
+    nor fd 1, since it may run inside another program.
     """
     gc.freeze()
+    # None when the process started without fd 1; a handler other than strict was chosen on purpose
+    if isinstance(sys.stdout, io.TextIOWrapper) and sys.stdout.errors == "strict":
+        sys.stdout.reconfigure(errors="backslashreplace")
     status = main()
     if status == EXIT_CLOSED_STDOUT:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -617,13 +617,6 @@ def table_commands(command: str) -> list[str]:
     return list(TABLES) if command == "report" else [command]
 
 
-#: The tables each table command writes, in order; ``report`` also writes report.json.
-COMMAND_TABLES = {
-    command: tuple(file[0] for name in table_commands(command) for file in TABLES[name].files)
-    for command in (*TABLES, "report")
-}
-
-
 def run_meta(config: RunConfig, corpus: CorpusData, command: str) -> dict[str, object]:
     return {
         "tool": TOOL_NAME,

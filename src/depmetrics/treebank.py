@@ -34,9 +34,10 @@ import codecs
 import io
 import json
 import re
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring
-from operator import eq
+from operator import add, eq
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -271,10 +272,24 @@ def serialize_canonical(sentence: Sentence) -> str:
     also ``lemma`` when the sentence has a root lemma (a ``ValueError`` if no
     node has head 0); no ``form`` is written, since a sentence keeps none.
     Writes the text of ``json.dumps(obj, ensure_ascii=False, sort_keys=True)``
-    without building ``obj``: sorted keys, default separators, json's encoder.
+    without building ``obj`` (sorted keys, default separators, json's string
+    encoder), except that U+0085, U+2028 and U+2029, which json leaves raw,
+    are written as ``\\u0085``, ``\\u2028`` and ``\\u2029``.
+
+    A node's text is two precomputed pieces, ``{"head": H`` and
+    ``, "index": I}``, for H and I up to 1023 (:func:`_node_pieces`). A
+    vector with a negative head, a head or an index past the pieces, or a
+    head that is not an int (a float is no list index) has each node
+    formatted by an f-string instead.
     """
     heads = sentence.head_vector
-    nodes = [f'{{"head": {head}, "index": {index}}}' for index, head in enumerate(heads, 1)]
+    head_text, index_text = _node_pieces()
+    try:
+        if min(heads) < 0 or len(heads) >= _DECIMAL_TABLE:  # a negative list index would wrap
+            raise IndexError
+        nodes = list(map(add, map(head_text.__getitem__, heads), index_text[1:len(heads) + 1]))
+    except (ValueError, IndexError, TypeError):  # ValueError: min() of no heads
+        nodes = [f'{{"head": {head}, "index": {index}}}' for index, head in enumerate(heads, 1)]
     if sentence.root_lemma is not None:
         if 0 not in heads:
             raise ValueError(f"{sentence.id!r}: a root lemma, but no node has head 0")
@@ -282,6 +297,13 @@ def serialize_canonical(sentence: Sentence) -> str:
         nodes[root] = f'{{"head": 0, "index": {root + 1}, "lemma": {encode_basestring(sentence.root_lemma)}}}'
     line = f'{{"id": {encode_basestring(sentence.id)}, "nodes": [{", ".join(nodes)}]}}'
     return line if line.isascii() else line.translate(_UNESCAPED_BREAKS)
+
+
+@cache
+def _node_pieces() -> tuple[list[str], list[str]]:
+    """The head and index pieces of a canonical node's text, by number: built on first use."""
+    numbers = range(_DECIMAL_TABLE)
+    return [f'{{"head": {value}' for value in numbers], [f', "index": {value}}}' for value in numbers]
 
 
 # Line breaks to ``str.splitlines`` that json's string encoder leaves raw;

@@ -4,6 +4,9 @@ Besides these, every corpus command takes ``PATH...``, ``--format`` and
 ``--config``, and ``metrics`` takes ``-o/--output``. ``tests/test_cli.py``
 and ``scripts/cross_version_check.py`` check the command line against this
 table, which the README's table of flags gives as well.
+
+``COMMAND_TABLES`` gives the tables each table command writes, in order;
+``tests/test_golden.py`` checks the outputs against it.
 """
 
 WINDOW = ("--drop-punct", "--sl-min", "--sl-max", "--output-dir")
@@ -21,3 +24,15 @@ COMMAND_FLAGS: dict[str, tuple[str, ...]] = {
 }
 
 RUN_CONFIG_FLAGS = COMMAND_FLAGS["report"]
+
+# command -> the CSV tables it writes into --output-dir, in order; each also writes meta.json,
+# and report writes report.json between its tables and meta.json
+COMMAND_TABLES: dict[str, tuple[str, ...]] = {
+    "dist": ("dist.csv",),
+    "entropy": ("entropy.csv", "entropy_gated.csv"),
+    "trend": ("trend.csv",),
+    "corr": ("corr.csv", "corr_gated.csv"),
+    "valency": ("valency.csv", "valency_fit.csv"),
+    "report": ("dist.csv", "entropy.csv", "entropy_gated.csv", "trend.csv", "corr.csv", "corr_gated.csv",
+               "valency.csv", "valency_fit.csv"),
+}

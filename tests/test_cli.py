@@ -11,13 +11,13 @@ import tracemalloc
 
 import pytest
 
-from depmetrics import errors
+from depmetrics import __version__, errors
 from depmetrics.cli import main
 from depmetrics.metrics import metric_record
-from depmetrics.randtree import GeneratorConfig, generate
+from depmetrics.randtree import GeneratorConfig, generate, random_tree
 from depmetrics.treebank import iter_canonical, iter_conllu, serialize_canonical
 
-from . import closed_stdout, reference_metrics
+from . import closed_stdout, reference_metrics, reference_treebank
 from .command_flags import COMMAND_FLAGS, RUN_CONFIG_FLAGS
 from .conftest import DEMO7_HEADS, make_sentence
 
@@ -776,6 +776,15 @@ def test_generate_reproducible_and_parseable(tmp_path, capsys):
     assert meta["seed"] == 7 and meta["n"] == 5 and meta["count"] == 3
 
 
+def test_generate_writes_trees_past_the_writer_pieces_as_the_json_dumps_reference(tmp_path, capsys):
+    path = tmp_path / "long.jsonl"
+    code, _, _ = run(["generate", "--n", "1100", "--count", "3", "--seed", "5", "-o", str(path)], capsys)
+    assert code == 0
+    config = GeneratorConfig(n=1100, seed=5, count=3)
+    want = [reference_treebank.serialize_canonical(random_tree(config, index)) for index in range(3)]
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == want
+
+
 def test_generate_respects_out_degree_cap(tmp_path, capsys):
     path = tmp_path / "capped.jsonl"
     code, _, _ = run(
@@ -1010,6 +1019,42 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "depmetrics" in result.stdout
+
+
+def _child_env(**variables):
+    """The environment of a child that imports this checkout's package from any directory."""
+    src = os.pathsep.join(filter(None, [str(closed_stdout.ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=src, **variables)
+
+
+def _run_with_ascii_stdout(argv, cwd):
+    """``python -m depmetrics ARGV`` in ``cwd`` with an ASCII stdout whose error handler is strict."""
+    return subprocess.run([sys.executable, "-m", "depmetrics", *argv], cwd=cwd,
+                          env=_child_env(PYTHONIOENCODING="ascii"), capture_output=True, encoding="ascii")
+
+
+def test_a_rejection_reason_that_an_ascii_stdout_cannot_encode_is_written_escaped(tmp_path):
+    (tmp_path / "bad.cabocha").write_text("* 0 \u3042D\nx\ty,z\nEOS\n", encoding="utf-8")
+    result = _run_with_ascii_stdout(["validate", "bad.cabocha"], tmp_path)
+    assert result.returncode == 1, result.stderr
+    assert "internal error" not in result.stderr
+    reason = "line 1: bad chunk header '* 0 \\u3042D'"
+    assert result.stdout.splitlines()[-3:] == [
+        "bad.cabocha: 0 accepted, 1 rejected", f"  bad.cabocha:1-3: {reason}", "TOTAL: 0 accepted, 1 rejected"]
+
+
+def test_an_output_path_that_an_ascii_stdout_cannot_encode_is_written_escaped(data_dir, tmp_path):
+    result = _run_with_ascii_stdout(["trend", str(data_dir / "sample_ud.conllu"), "--output-dir", "\u51fa\u529b"],
+                                    tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "wrote \\u51fa\\u529b/trend.csv\nwrote \\u51fa\\u529b/meta.json\n"
+    assert sorted(path.name for path in (tmp_path / "\u51fa\u529b").iterdir()) == ["meta.json", "trend.csv"]
+
+
+def test_the_entry_point_starts_without_a_stdout():
+    result = subprocess.run([sys.executable, "-m", "depmetrics", "--version"], stderr=subprocess.PIPE,
+                            preexec_fn=lambda: os.close(1), env=_child_env(), text=True)
+    assert (result.returncode, result.stderr) == (0, f"depmetrics {__version__}\n")
 
 
 def test_failed_write_keeps_previous_outputs_intact(tmp_path):

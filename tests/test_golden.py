@@ -29,9 +29,9 @@ import pytest
 
 import depmetrics
 from depmetrics.cli import SETTING_FLAGS, build_config, build_parser, main
-from depmetrics.report import COMMAND_TABLES, TABLES, compute_analyses, json_text, load_corpus
+from depmetrics.report import TABLES, compute_analyses, json_text, load_corpus, render_outputs
 
-from .command_flags import COMMAND_FLAGS, WINDOW
+from .command_flags import COMMAND_FLAGS, COMMAND_TABLES, WINDOW
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = DATA_DIR / "golden"
@@ -134,13 +134,15 @@ def test_report_is_the_union_of_the_registry_entries(case, tmp_path, monkeypatch
     actual = run_case(case, tmp_path)
     monkeypatch.chdir(tmp_path)
     config = build_config(build_parser().parse_args(CASES[case][1]))
-    results = compute_analyses(config, load_corpus(config))
+    corpus = load_corpus(config)
+    results = compute_analyses(config, corpus)
     entry_keys = set().union(*(table.report_json(config, results[name]) for name, table in TABLES.items()))
     report_keys = set(json.loads(actual["report.json"]))
     assert report_keys == entry_keys | {"meta", "length_histogram", "gated", "rejections"}
-    files = tuple(file_name for table in TABLES.values() for file_name, _, _ in table.files)
-    assert COMMAND_TABLES["report"] == files
-    assert sorted(actual) == sorted([*files, "report.json", "meta.json", "stdout"])
+    for command, tables in COMMAND_TABLES.items():
+        rest = ("report.json", "meta.json") if command == "report" else ("meta.json",)
+        assert tuple(render_outputs(config, corpus, command, results)) == (*tables, *rest), command
+    assert sorted(actual) == sorted([*COMMAND_TABLES["report"], "report.json", "meta.json", "stdout"])
     # each entry's settings map to the flags of tests/command_flags.py beyond the window's
     every_setting = [setting for table in TABLES.values() for setting in table.settings]
     for command, settings in [*((name, table.settings) for name, table in TABLES.items()),

@@ -251,6 +251,14 @@ def _written(writer, sentence):
 @given(st.lists(st.integers(-3, 10 ** 6), max_size=8), json_text, st.one_of(st.none(), json_text))
 @example([1, 0, 0], "s", "x")  # the lemma goes on the first of two roots
 @example([1, 2], "s", "x")  # no root to put a lemma on
+@example(list(chain_heads(1024)), "s", None)  # indices up to 1,024, the first past the writer's pieces
+@example(list(chain_heads(1025)), "s", "x")
+@example([0] + [1] * 1024, "s", "x")  # indices past the pieces, every head inside them
+@example([1023, 0], "s", None)  # the last head in the pieces
+@example([1024, 0], "s", None)  # the first head past them
+@example([1.0, 0], "s", "x")  # no list index: written as json writes the float
+@example([-1, 0], "s", None)  # as a list index, -1 would take the last piece
+@example([], "s", None)
 def test_canonical_writer_matches_the_json_dumps_reference(heads, sent_id, root_lemma):
     sentence = Sentence.from_heads(heads, id=sent_id, root_lemma=root_lemma)
     want = _written(reference_treebank.serialize_canonical, sentence)
