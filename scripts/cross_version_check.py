@@ -18,7 +18,10 @@ the lemma back, or, for a lone surrogate, which has no UTF-8 form, raise
 ``InvalidEncoding``. ``serialize_canonical`` builds node text from
 pieces for numbers up to 1,023 and formats any other node by hand, so it
 also writes generated trees of 1,023, 1,024, 1,100 and 3,000 nodes, with
-and without a root lemma, which must give the reference's line. The
+and without a root lemma, which must give the reference's line; a bool,
+a float and a str head must raise a ``TypeError`` from
+``Sentence.from_heads``, and the float and the str one from
+``serialize_canonical`` too. The
 CoNLL-U and CaboCha readers look ID, HEAD and chunk numbers up in a
 table of "0" to "1023" and check any other text as ``str.isdigit`` and
 ``int()`` do, whose Unicode tables and digit limit differ between
@@ -36,7 +39,8 @@ both report cases, which must write that case's tables of the command byte
 for byte, and its meta.json, as ``tests/test_golden.py`` requires. It runs the
 closed-stdout cases of ``tests/closed_stdout.py``, with the child's stdout
 buffered and unbuffered: when a write into a closed pipe fails, and whether
-the interpreter's last flush reports it, differ between versions. With
+the interpreter's last flush reports it, differ between versions;
+``validate`` and ``metrics`` started without fd 1 must exit 0. With
 ``PYTHONIOENCODING=ascii``, ``validate`` of a CaboCha file whose rejection
 reason holds a non-ASCII character must exit 1, and ``trend`` into a
 non-ASCII ``--output-dir`` exit 0, each writing the text escaped. Last,
@@ -66,6 +70,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -210,6 +215,24 @@ def canonical_writer_mismatches() -> tuple[int, list[str]]:
     return cases, bad
 
 
+def non_int_head_outcomes() -> list[tuple[str, bool, str]]:
+    """A bool, a float and a str head: ``Sentence.from_heads`` must refuse each with a TypeError, and
+    ``serialize_canonical`` the float and the str of a sentence built directly. Each case's name,
+    whether it passed, and what it gave."""
+    outcomes = []
+    for head in (True, 2.0, "1"):
+        builds = {"from_heads": partial(Sentence.from_heads, (head, 0), id="c")}
+        if head is not True:
+            builds["serialize_canonical"] = partial(serialize_canonical, Sentence("c", (head, 0)))
+        for name, build in builds.items():
+            try:
+                got = f"gave {build()!r}"[:80]
+            except TypeError as exc:
+                got = f"TypeError: {exc}"
+            outcomes.append((f"{name}, head {head!r}", got.startswith("TypeError: 'c': the head at position 1"), got))
+    return outcomes
+
+
 def decimal_field_documents() -> list[tuple[str, str]]:
     """(format, text) pairs with each decimal text as a CoNLL-U ID and HEAD and a CaboCha index and head."""
     texts = DECIMAL_TEXTS + [chr(code) for code in range(0x80, 0x110000) if chr(code).isdigit()]
@@ -231,13 +254,17 @@ def decimal_field_documents() -> list[tuple[str, str]]:
 
 
 def read_outcome(reader, text: str) -> tuple[object, ...]:
-    """The sentences and rejections of skip mode; the sentences before the error, and the error, of raise mode."""
+    """The sentences and rejections of skip mode; the sentences before the error, and the error, of raise mode.
+    A sentence is its fields, with its depths."""
+    def fields(s: Sentence) -> tuple[object, ...]:
+        return s.id, s.head_vector, s.root_lemma, s.source, s.depths
+
     rejections: list = []
-    skipped = [(s, s.depths) for s in reader(text, source="f", errors="skip", rejections=rejections)]
+    skipped = list(map(fields, reader(text, source="f", errors="skip", rejections=rejections)))
     raised = []
     try:
         for sentence in reader(text, source="f"):
-            raised.append((sentence, sentence.depths))
+            raised.append(fields(sentence))
     except DepMetricsError as exc:
         return skipped, rejections, raised, type(exc), str(exc)
     return skipped, rejections, raised, None, None
@@ -310,6 +337,19 @@ def closed_stdout_outcomes() -> list[tuple[str, bool, str]]:
     return outcomes
 
 
+def no_stdout_outcomes() -> list[tuple[str, bool, str]]:
+    """``validate`` and ``metrics`` started without fd 1 must exit 0, with no internal error.
+    Each command, whether it passed, and what it gave."""
+    outcomes = []
+    for command in ("validate", "metrics"):
+        result = subprocess.run([sys.executable, "-m", "depmetrics", command, SAMPLE], env=CHILD_ENV,
+                                stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), text=True)
+        last = (result.stderr.splitlines() or [""])[-1]
+        passed = result.returncode == 0 and "internal error" not in result.stderr
+        outcomes.append((command, passed, f"exit {result.returncode}" + (f"; stderr {last[:100]!r}" if last else "")))
+    return outcomes
+
+
 def ascii_stdout_outcomes() -> list[tuple[str, bool, str]]:
     """Runs whose stdout is ASCII with a strict error handler, as ``PYTHONIOENCODING=ascii`` sets it:
     a rejection reason and an output path it cannot encode must be written escaped, not end in exit 3.
@@ -376,6 +416,9 @@ def main() -> int:
     print(f"serialize_canonical of long trees vs json.dumps: {compared - len(bad)} of {compared} agree"
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
     ok &= not bad
+    for name, passed, got in non_int_head_outcomes():
+        ok &= passed
+        print(f"{name}: {got}")
     compared, bad = decimal_field_mismatches()
     print(f"decimal fields vs the reference readers: {compared - len(bad)} of {compared} agree"
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
@@ -392,6 +435,9 @@ def main() -> int:
     for name, passed, got in closed_stdout_outcomes():
         ok &= passed
         print(f"closed stdout, {name}: {got}")
+    for name, passed, got in no_stdout_outcomes():
+        ok &= passed
+        print(f"no stdout, {name}: {got}")
     for name, passed, got in ascii_stdout_outcomes():
         ok &= passed
         print(f"ascii stdout, {name}: {got}")

@@ -76,11 +76,6 @@ class LengthStats:
         # valency class (None: a lexicon miss) -> [DD=1 count, HD=1 count, sentences]
         self.valency: dict[int | None, list[int]] = {}
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
     def merge(self, other: LengthStats) -> None:
         """Add another fold's totals for the same length."""
         self.n += other.n
@@ -129,11 +124,6 @@ class CorpusStats:
         self.lexicon = lexicon
         self.bounds = window
         self.outside: dict[int, int] = {}  # length outside the window -> sentence count
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def add(self, sentence: Sentence) -> None:
         """Fold one sentence of n >= 2 nodes in, from :func:`~depmetrics.metrics.dependency_terms`.
@@ -287,11 +277,7 @@ def spearman_by_sl(stats: CorpusStats) -> list[CorrelationPoint]:
         if cell.n < 3:
             log.warning("length %d has only %d sentences; correlation skipped", sl, cell.n)
             continue
-        dd_totals: list[int] = []
-        hd_totals: list[int] = []
-        for (dd_total, hd_total), count in sorted(cell.pairs.items()):
-            dd_totals += [dd_total] * count
-            hd_totals += [hd_total] * count
+        dd_totals, hd_totals = zip(*sorted(cell.pairs.elements()))
         try:
             result = spearman(dd_totals, hd_totals)
         except DegenerateInput as exc:

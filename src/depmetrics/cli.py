@@ -217,10 +217,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _write_text(output: str | None, pieces: Iterable[str]) -> None:
-    """Write the pieces to the ``-o`` file, replacing it only once all are written, or to stdout."""
+    """Write the pieces to the ``-o`` file, replacing it only once all are written, or to stdout, if any."""
     if output:
         write_files({Path(output): pieces})
-    else:
+    elif sys.stdout is not None:  # None when the process started without fd 1, where print() writes nothing
         sys.stdout.writelines(pieces)
 
 
@@ -336,7 +336,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         status = args.func(args)
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return status
     except BrokenPipeError:  # the reader of stdout has gone: nothing to tell it
         return EXIT_CLOSED_STDOUT

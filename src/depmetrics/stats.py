@@ -9,6 +9,7 @@ suite cross-checks it against scipy.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DegenerateInput, EmptyDistribution, NonPositiveX
@@ -26,14 +27,6 @@ class Distribution:
         self.counts = counts
         if self.total <= 0:
             raise EmptyDistribution("distribution has no observations")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.counts == other.counts
-
-    def __repr__(self) -> str:
-        return f"Distribution(counts={self.counts!r})"
 
     @property
     def total(self) -> int:
@@ -168,19 +161,13 @@ def t_two_sided_p(t: float, df: int) -> float:
 
 def midranks(values: Sequence[float]) -> list[float]:
     """Ranks starting at 1; tied values share the average of their ranks."""
-    n = len(values)
-    order = sorted(range(n), key=values.__getitem__)
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = rank
-        i = j + 1
-    return ranks
+    counts = Counter(values)
+    ranks: dict[float, float] = {}
+    below = 0
+    for value in sorted(counts):
+        ranks[value] = below + (counts[value] + 1) / 2
+        below += counts[value]
+    return [ranks[value] for value in values]
 
 
 def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

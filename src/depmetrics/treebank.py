@@ -72,9 +72,9 @@ class Sentence:
     the valency lexicon looks it up. No other lemma and no surface text is
     kept: no measure reads them. ``source`` is a provenance tag (file and line range).
     ``depths`` holds each position's hierarchical distance once
-    :func:`validate_tree` has accepted the sentence; it is derived data and
-    takes no part in equality, hashing or the repr. A sentence is not
-    changed once built: :func:`validate_tree` returns a new one.
+    :func:`validate_tree` has accepted the sentence. A sentence is not
+    changed once built: :func:`validate_tree` returns a new one. It compares
+    and hashes by identity; the constructor checks nothing.
     """
 
     __slots__ = ("id", "head_vector", "root_lemma", "source", "depths")
@@ -92,23 +92,6 @@ class Sentence:
         self.root_lemma = root_lemma
         self.source = source
         self.depths = depths
-
-    def _key(self) -> tuple[object, ...]:
-        return (self.id, self.head_vector, self.root_lemma, self.source)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"Sentence(id={self.id!r}, head_vector={self.head_vector!r},"
-            f" root_lemma={self.root_lemma!r}, source={self.source!r})"
-        )
 
     def __len__(self) -> int:
         return len(self.head_vector)
@@ -129,8 +112,16 @@ class Sentence:
         root_lemma: str | None = None,
         source: str = "",
     ) -> "Sentence":
-        """Build a sentence from a head vector (not validated here) and, if given, its root's lemma."""
-        return cls(id, tuple(heads), root_lemma, source)
+        """Build a sentence from int heads (not validated as a tree; a bool raises a TypeError) and its root's lemma."""
+        heads = tuple(heads)
+        _check_int_heads(heads, id)
+        return cls(id, heads, root_lemma, source)
+
+
+def _check_int_heads(heads: Sequence[object], id: str) -> None:
+    for position, head in enumerate(heads, 1):
+        if type(head) is not int:
+            raise TypeError(f"{id!r}: the head at position {position} is {head!r}, not an int")
 
 
 class Rejection(NamedTuple):
@@ -151,14 +142,6 @@ class ValencyLexicon:
             if cls not in (1, 2, 3, 4):
                 raise ValueError(f"valency class for {lemma!r} must be 1..4, got {cls}")
         self.entries = entries
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"ValencyLexicon(entries={self.entries!r})"
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -278,9 +261,9 @@ def serialize_canonical(sentence: Sentence) -> str:
 
     A node's text is two precomputed pieces, ``{"head": H`` and
     ``, "index": I}``, for H and I up to 1023 (:func:`_node_pieces`). A
-    vector with a negative head, a head or an index past the pieces, or a
-    head that is not an int (a float is no list index) has each node
-    formatted by an f-string instead.
+    vector with a negative head or a head or an index past them is formatted
+    by an f-string, and a head that is no int raises a ``TypeError``. A
+    ``bool`` head of a sentence built by ``Sentence(...)`` is not checked.
     """
     heads = sentence.head_vector
     head_text, index_text = _node_pieces()
@@ -289,6 +272,7 @@ def serialize_canonical(sentence: Sentence) -> str:
             raise IndexError
         nodes = list(map(add, map(head_text.__getitem__, heads), index_text[1:len(heads) + 1]))
     except (ValueError, IndexError, TypeError):  # ValueError: min() of no heads
+        _check_int_heads(heads, sentence.id)
         nodes = [f'{{"head": {head}, "index": {index}}}' for index, head in enumerate(heads, 1)]
     if sentence.root_lemma is not None:
         if 0 not in heads:

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from depmetrics.treebank import Sentence, validate_tree
+from depmetrics.analysis import CorpusStats, LengthStats
+from depmetrics.stats import Distribution
+from depmetrics.treebank import Sentence, ValencyLexicon, validate_tree
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -29,6 +31,24 @@ def demo7() -> Sentence:
 
 def make_sentence(heads, id="s", root_lemma=None) -> Sentence:
     return validate_tree(Sentence.from_heads(tuple(heads), id=id, root_lemma=root_lemma))
+
+
+def fields(value):
+    """``value`` as the tests compare it, through lists, tuples and dicts: a sentence as (id, head_vector,
+    root_lemma, source), a fold or a length's totals as its slots, a ``Distribution`` as its counts."""
+    if isinstance(value, Sentence):
+        return value.id, value.head_vector, value.root_lemma, value.source
+    if isinstance(value, Distribution):
+        return value.counts
+    if isinstance(value, (CorpusStats, LengthStats, ValencyLexicon)):
+        return {name: fields(getattr(value, name)) for name in value.__slots__}
+    if type(value) is dict:  # a Counter stays one: its equality treats a missing value as 0
+        return {key: fields(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return list(map(fields, value))
+    if isinstance(value, tuple):
+        return tuple(map(fields, value))
+    return value
 
 
 def exact_means(record) -> tuple[Fraction, Fraction]:

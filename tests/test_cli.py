@@ -1057,6 +1057,14 @@ def test_the_entry_point_starts_without_a_stdout():
     assert (result.returncode, result.stderr) == (0, f"depmetrics {__version__}\n")
 
 
+@pytest.mark.parametrize("command", ["validate", "metrics"])
+def test_a_corpus_command_runs_without_a_stdout(command, data_dir):
+    result = subprocess.run([sys.executable, "-m", "depmetrics", command, str(data_dir / "sample_200.jsonl")],
+                            stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), env=_child_env(), text=True)
+    assert result.returncode == 0, result.stderr
+    assert "internal error" not in result.stderr
+
+
 def test_failed_write_keeps_previous_outputs_intact(tmp_path):
     from depmetrics.report import write_outputs
 

@@ -35,7 +35,7 @@ from depmetrics.report import (
 )
 from depmetrics.treebank import ValencyLexicon, serialize_canonical
 
-from .conftest import make_sentence
+from .conftest import fields, make_sentence
 from .reference_analysis import reference_analyses
 
 ROOT_LEMMAS = ("give", "go", "put", "say", "see", None)
@@ -72,7 +72,7 @@ def settings_and_lexicons(draw):
 
 def _outcome(compute):
     try:
-        return compute()
+        return fields(compute())
     except DepMetricsError as exc:
         return type(exc), str(exc)
 

@@ -45,6 +45,7 @@ from depmetrics.treebank import (
 )
 
 from . import reference_metrics, reference_treebank
+from .conftest import fields
 
 
 def ordered_checks_oracle(heads, id):
@@ -128,7 +129,7 @@ def test_tree_depths_matches_ordered_checks_and_bfs(heads):
 def test_validate_tree_attaches_the_walk_depths(heads):
     sentence = validate_tree(Sentence.from_heads(heads, id="s"))
     assert sentence.depths == bfs_depths(heads)
-    assert sentence == Sentence.from_heads(heads, id="s")  # depths take no part in equality
+    assert fields(sentence) == fields(Sentence.from_heads(heads, id="s"))
 
 
 @settings(max_examples=300, deadline=None)
@@ -256,7 +257,6 @@ def _written(writer, sentence):
 @example([0] + [1] * 1024, "s", "x")  # indices past the pieces, every head inside them
 @example([1023, 0], "s", None)  # the last head in the pieces
 @example([1024, 0], "s", None)  # the first head past them
-@example([1.0, 0], "s", "x")  # no list index: written as json writes the float
 @example([-1, 0], "s", None)  # as a list index, -1 would take the last piece
 @example([], "s", None)
 def test_canonical_writer_matches_the_json_dumps_reference(heads, sent_id, root_lemma):
@@ -340,13 +340,14 @@ def test_streaming_parsers_yield_only_validated_trees_or_record_rejections(text)
             assert sentence.depths == tree_depths(sentence.head_vector)
         assert all(isinstance(rejection, Rejection) for rejection in rejections)
         again = []
-        assert list(generator(text, errors="skip", rejections=again, **options)) == sentences
+        again_sentences = list(generator(text, errors="skip", rejections=again, **options))
+        assert fields(again_sentences) == fields(sentences)
         assert again == rejections
 
 
 def _with_depths(sentences):
-    """Each sentence with its depths, which take no part in equality."""
-    return [(sentence, sentence.depths) for sentence in sentences]
+    """Each sentence's fields with its depths."""
+    return [(fields(sentence), sentence.depths) for sentence in sentences]
 
 
 FORM = object()  # where a drawn document holds a surface form

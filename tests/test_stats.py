@@ -3,6 +3,8 @@ import random
 
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depmetrics.errors import DegenerateInput, EmptyDistribution, NonPositiveX
 from depmetrics.stats import (
@@ -79,6 +81,32 @@ def test_entropy_base_rescaling():
 
 def test_midranks_with_ties():
     assert midranks([10, 20, 20, 40]) == [1.0, 2.5, 2.5, 4.0]
+
+
+def reference_midranks(values):
+    """Ranks by walking the sorted positions one run of equal values at a time."""
+    n = len(values)
+    order = sorted(range(n), key=values.__getitem__)
+    ranks = [0.0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        rank = (i + j) / 2.0 + 1.0
+        for k in range(i, j + 1):
+            ranks[order[k]] = rank
+        i = j + 1
+    return ranks
+
+
+# Few distinct values, so that most lists hold ties: ints, floats, and an int equal to a float.
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(-3, 3) | st.sampled_from([-0.0, 0.0, 0.5, 2.0, math.inf]) | st.floats(allow_nan=False)))
+def test_midranks_match_the_tie_loop_reference(values):
+    ranks = midranks(values)
+    assert ranks == reference_midranks(values)
+    assert all(type(rank) is float for rank in ranks)
 
 
 def test_spearman_perfect_monotone():

@@ -14,7 +14,7 @@ from depmetrics.analysis import CorpusStats
 from depmetrics.report import InputFile, RunConfig
 from depmetrics.treebank import Rejection, ValencyLexicon
 
-from .conftest import make_sentence
+from .conftest import fields, make_sentence
 
 # The settings of a run, in the order of the config echo: the keys a config file may set.
 SETTINGS = [
@@ -52,7 +52,7 @@ def test_an_input_record_with_a_lexicon_fold_survives_the_worker_pipe():
     record.rejections.append(Rejection("a.cabocha:9-12", "cycle through node 2", "a.cabocha#4"))
     copy = pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
     for name in InputFile.__slots__:
-        assert getattr(copy, name) == getattr(record, name)
+        assert fields(getattr(copy, name)) == fields(getattr(record, name))
     assert copy.fold.lexicon.entries == {"go": 2}
     assert copy.fold.by_sl[3].valency == {2: [2, 2, 1]} and copy.fold.by_sl[2].valency == {None: [1, 1, 1]}
     assert copy.rejections[0].sentence_id == "a.cabocha#4"
