@@ -18,12 +18,13 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter, defaultdict
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateInput, EmptyLexicon, EmptySelection
 from .metrics import dependency_terms
 from .stats import Distribution, RegressionResult, entropy, ols_fit, spearman
-from .treebank import Sentence, ValencyLexicon
+from .treebank import Sentence, ValencyLexicon, tree_depths
 
 log = logging.getLogger(__name__)
 
@@ -64,14 +65,12 @@ class ValencyFit(NamedTuple):
 class LengthStats:
     """Integer totals over the sentences of one length."""
 
-    __slots__ = ("n", "dd", "hd", "dd_total", "hd_total", "pairs", "valency")
+    __slots__ = ("n", "dd", "hd", "pairs", "valency")
 
     def __init__(self) -> None:
         self.n = 0
         self.dd: Counter[int] = Counter()  # DD value -> count
         self.hd: Counter[int] = Counter()  # depth -> count; each root counts at 0
-        self.dd_total = 0
-        self.hd_total = 0
         self.pairs: Counter[tuple[int, int]] = Counter()  # per-sentence (DD sum, HD sum)
         # valency class (None: a lexicon miss) -> [DD=1 count, HD=1 count, sentences]
         self.valency: dict[int | None, list[int]] = {}
@@ -81,14 +80,16 @@ class LengthStats:
         self.n += other.n
         self.dd.update(other.dd)
         self.hd.update(other.hd)
-        self.dd_total += other.dd_total
-        self.hd_total += other.hd_total
         self.pairs.update(other.pairs)
         for key, (dd1, hd1, n) in other.valency.items():
             tally = self.valency.setdefault(key, [0, 0, 0])
             tally[0] += dd1
             tally[1] += hd1
             tally[2] += n
+
+    def totals(self) -> tuple[int, int]:
+        """The DD sum and the HD sum over the sentences of the length."""
+        return sum(map(mul, self.dd, self.dd.values())), sum(map(mul, self.hd, self.hd.values()))
 
     def value_counts(self, metric: str) -> dict[int, int]:
         """DD or HD value counts of the dependencies (the roots left out)."""
@@ -106,40 +107,33 @@ class CorpusStats:
     class in ``lexicon``, None on a miss, or without a lexicon the root's
     out-degree capped at ``MAX_VALENCY_CLASS``.
 
-    ``window``, a pair (sl_min, sl_max), bounds the lengths that get totals
-    in ``by_sl``: a sentence of another length is only counted, in
-    ``outside``, since no table but the length histogram reads it. Without a
-    window every length gets totals.
+    ``window``, a pair (sl_min, sl_max), is required: it bounds the lengths
+    that get totals in ``by_sl``, which every table but the length histogram
+    reads. ``outside`` holds, for each length of two or more nodes outside
+    the window, only its sentence count.
     """
 
-    __slots__ = ("by_sl", "lexicon", "bounds", "outside")
+    __slots__ = ("by_sl", "lexicon", "window", "outside")
 
-    def __init__(
-        self,
-        by_sl: dict[int, LengthStats] | None = None,
-        lexicon: ValencyLexicon | None = None,
-        window: tuple[int, int] | None = None,
-    ) -> None:
-        self.by_sl = {} if by_sl is None else by_sl
+    def __init__(self, window: tuple[int, int], lexicon: ValencyLexicon | None = None) -> None:
+        self.by_sl: dict[int, LengthStats] = {}
         self.lexicon = lexicon
-        self.bounds = window
+        self.window = window
         self.outside: dict[int, int] = {}  # length outside the window -> sentence count
 
     def add(self, sentence: Sentence) -> None:
         """Fold one sentence of n >= 2 nodes in, from :func:`~depmetrics.metrics.dependency_terms`.
 
-        A sentence whose length is outside the window is only counted.
+        A sentence whose length is outside the window is only checked, if it
+        carries no depths, and counted.
         """
-        bounds = self.bounds
-        if bounds is not None:
-            n = len(sentence.head_vector)
-            if not bounds[0] <= n <= bounds[1] and n >= 2:
-                self.outside[n] = self.outside.get(n, 0) + 1
-                return
+        n = len(sentence.head_vector)
+        if not self.window[0] <= n <= self.window[1] and n >= 2:
+            if sentence.depths is None:
+                tree_depths(sentence.head_vector, sentence.id, sentence.source)
+            self.outside[n] = self.outside.get(n, 0) + 1
+            return
         dds, depths, root = dependency_terms(sentence)
-        n = len(depths)
-        dd_total = sum(dds)
-        hd_total = sum(depths)
         out_degree = sentence.head_vector.count(root)
         cell = self.by_sl.get(n)
         if cell is None:
@@ -147,9 +141,7 @@ class CorpusStats:
         cell.n += 1
         cell.dd.update(dds)
         cell.hd.update(depths)
-        cell.dd_total += dd_total
-        cell.hd_total += hd_total
-        cell.pairs[dd_total, hd_total] += 1
+        cell.pairs[sum(dds), sum(depths)] += 1
         if self.lexicon is None:
             valency = min(out_degree, MAX_VALENCY_CLASS)
         else:
@@ -168,11 +160,6 @@ class CorpusStats:
         for sl, count in other.outside.items():
             self.outside[sl] = self.outside.get(sl, 0) + count
 
-    def window(self, sl_min: int, sl_max: int) -> CorpusStats:
-        """The fold restricted to lengths in [sl_min, sl_max]; it shares the totals and the lexicon."""
-        window = {sl: cell for sl, cell in self.by_sl.items() if sl_min <= sl <= sl_max}
-        return CorpusStats(window, self.lexicon)
-
     def sorted_cells(self) -> list[tuple[int, LengthStats]]:
         return sorted(self.by_sl.items())
 
@@ -186,7 +173,7 @@ def length_histogram(stats: CorpusStats) -> dict[int, int]:
 
 
 def pooled_distribution(stats: CorpusStats, metric: str) -> Distribution:
-    """Merge the value counts of every length in the fold (a window of it: :meth:`CorpusStats.window`)."""
+    """Merge the value counts of every length in the fold's window."""
     if not stats.by_sl:
         raise EmptySelection("no sentences to pool: the fold is empty")
     merged: Counter[int] = Counter()
@@ -229,14 +216,15 @@ def mean_metric_by_sl(stats: CorpusStats) -> tuple[list[SeriesPoint], list[Serie
     """Per-length arithmetic means of per-sentence MDD and MHD.
 
     A mean over N sentences of length sl is sum / ((sl - 1) * N) of integer
-    totals, and int true division rounds correctly.
+    totals (:meth:`LengthStats.totals`), and int true division rounds correctly.
     """
     mdd_series = []
     mhd_series = []
     for sl, cell in stats.sorted_cells():
         deps = (sl - 1) * cell.n
-        mdd_series.append(SeriesPoint(sl=sl, value=cell.dd_total / deps, n=cell.n))
-        mhd_series.append(SeriesPoint(sl=sl, value=cell.hd_total / deps, n=cell.n))
+        dd_total, hd_total = cell.totals()
+        mdd_series.append(SeriesPoint(sl=sl, value=dd_total / deps, n=cell.n))
+        mhd_series.append(SeriesPoint(sl=sl, value=hd_total / deps, n=cell.n))
     return mdd_series, mhd_series
 
 
@@ -248,10 +236,10 @@ def find_intersection(stats: CorpusStats) -> list[tuple[int, int]]:
     where the means are exactly equal. Both means of one length share their
     denominator, so the sign is that of the integer DD sum minus the HD sum.
     """
-    signs = [
-        (sl, (cell.dd_total > cell.hd_total) - (cell.dd_total < cell.hd_total))
-        for sl, cell in stats.sorted_cells()
-    ]
+    signs = []
+    for sl, cell in stats.sorted_cells():
+        dd_total, hd_total = cell.totals()
+        signs.append((sl, (dd_total > hd_total) - (dd_total < hd_total)))
     crossings = [(sl, sl) for sl, sign in signs if sign == 0]
     for (sl_a, sign_a), (sl_b, sign_b) in zip(signs, signs[1:]):
         if sign_a * sign_b < 0:

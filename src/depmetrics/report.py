@@ -230,8 +230,7 @@ def load_corpus(config: RunConfig, new_fold: Callable[[], Any] | None = None) ->
     if new_fold is None:
         from .analysis import CorpusStats
 
-        window = (config.sl_min, config.sl_max)
-        new_fold = partial(CorpusStats, lexicon=load_lexicon(config), window=window)
+        new_fold = partial(CorpusStats, (config.sl_min, config.sl_max), load_lexicon(config))
     workers = worker_count([path for path, _ in config.inputs])
     shards = _in_workers(workers, lambda k: _load_shard(config, new_fold, k, workers))
     fold = new_fold()
@@ -383,17 +382,16 @@ def _analysis() -> Any:
 def compute_analyses(config: RunConfig, corpus: CorpusData, command: str = "report") -> dict[str, Any]:
     """The results of each entry of :data:`TABLES` that ``command`` runs, by name, and nothing else.
 
-    The entries read the fold restricted to [sl_min, sl_max], which must hold a sentence. ``report`` also
-    gets the ``length_histogram`` of the full corpus, single-node sentences included.
+    The entries read the fold, bounded to [sl_min, sl_max] when it was filled, which must hold a sentence.
+    ``report`` also gets the ``length_histogram`` of the full corpus, single-node sentences included.
     """
-    stats = corpus.fold
-    window = stats.window(config.sl_min, config.sl_max)
-    if not window.by_sl:
+    fold = corpus.fold
+    if not fold.by_sl:
         raise EmptySelection(f"no sentences with length in [{config.sl_min}, {config.sl_max}]")
-    results = {name: TABLES[name].read(window, config) for name in table_commands(command)}
+    results = {name: TABLES[name].read(fold, config) for name in table_commands(command)}
     if command == "report":
         single_node = {1: corpus.single_node_count} if corpus.single_node_count else {}
-        results["length_histogram"] = {**single_node, **_analysis().length_histogram(stats)}
+        results["length_histogram"] = {**single_node, **_analysis().length_histogram(fold)}
     return results
 
 
@@ -404,7 +402,7 @@ def _f4(x: float) -> str:
     return f"{x:.4f}"
 
 
-def _read_dist(window: Any, config: RunConfig) -> tuple[dict[str, Distribution], dict[str, Any]]:
+def _read_dist(fold: Any, config: RunConfig) -> tuple[dict[str, Distribution], dict[str, Any]]:
     """Each metric's pooled distribution, and its distributions of the ``dist_sls`` lengths in the window."""
     inside = [sl for sl in config.dist_sls if config.sl_min <= sl <= config.sl_max]
     outside = sorted(set(config.dist_sls) - set(inside))
@@ -412,8 +410,8 @@ def _read_dist(window: Any, config: RunConfig) -> tuple[dict[str, Distribution],
         log.warning("lengths %s lie outside the window [%d, %d]; omitting their dd and hd distributions",
                     ", ".join(map(str, outside)), config.sl_min, config.sl_max)
     analysis = _analysis()
-    pooled = {metric: analysis.pooled_distribution(window, metric) for metric in ("dd", "hd")}
-    return pooled, analysis.conditional_distributions(window, inside)
+    pooled = {metric: analysis.pooled_distribution(fold, metric) for metric in ("dd", "hd")}
+    return pooled, analysis.conditional_distributions(fold, inside)
 
 
 def _dist_rows(config: RunConfig, results: Any) -> Iterator[str]:
@@ -436,12 +434,12 @@ def _dist_json(dist: Distribution) -> dict[str, object]:
     }
 
 
-def _read_entropy(window: Any, config: RunConfig) -> dict[str, tuple[list[SeriesPoint], list[SeriesPoint]]]:
+def _read_entropy(fold: Any, config: RunConfig) -> dict[str, tuple[list[SeriesPoint], list[SeriesPoint]]]:
     """Each metric's entropy series, split into lengths of ``min_bucket`` or more sentences and the rest."""
     analysis = _analysis()
     return {
         metric: analysis.split_gated(
-            analysis.entropy_by_sl(window, metric, base=config.entropy_base_value), config.min_bucket
+            analysis.entropy_by_sl(fold, metric, base=config.entropy_base_value), config.min_bucket
         )
         for metric in ("dd", "hd")
     }
@@ -472,10 +470,10 @@ def _correlation_json(points: Sequence[CorrelationPoint]) -> list[dict[str, obje
     return [{**p._asdict(), "rho": round(p.rho, 4)} for p in points]
 
 
-def _read_valency(window: Any, config: RunConfig) -> tuple[list[ValencyCell], int, list[ValencyFit]]:
+def _read_valency(fold: Any, config: RunConfig) -> tuple[list[ValencyCell], int, list[ValencyFit]]:
     """The valency cells, the count of sentences whose root lemma the lexicon lacks, and the fits."""
     analysis = _analysis()
-    cells, misses = analysis.valency_conditioned_counts(window)
+    cells, misses = analysis.valency_conditioned_counts(fold)
     return cells, misses, analysis.fit_valency_models(cells, log_base=config.log_base_value)
 
 
@@ -518,11 +516,11 @@ def _valency_json(config: RunConfig, results: Any) -> dict[str, object]:
 class Table(NamedTuple):
     """One table command of :data:`TABLES`.
 
-    ``read(window, config)`` reads its results from the fold restricted to
-    the length window. Each of ``files`` is a CSV file's name, header and
-    ``rows(config, results)``, the lines below it. ``report_json(config,
-    results)`` gives its keys of report.json (``gated`` joins the report's
-    ``gated``), and ``meta(results)`` what it adds to its own meta.json.
+    ``read(fold, config)`` reads its results from the fold. Each of
+    ``files`` is a CSV file's name, header and ``rows(config, results)``,
+    the lines below it. ``report_json(config, results)`` gives its keys of
+    report.json (``gated`` joins the report's ``gated``), and
+    ``meta(results)`` what it adds to its own meta.json.
     It takes the flags of ``settings``, the ``RunConfig`` settings it reads
     besides the length window and the output directory.
     """
@@ -566,9 +564,7 @@ TABLES: dict[str, Table] = {
     "trend": Table(  # results: the mean MDD and MHD series, and where they cross
         help="mean MDD/MHD by sentence length",
         settings=(),
-        read=lambda window, config: (
-            *_analysis().mean_metric_by_sl(window), _analysis().find_intersection(window)
-        ),
+        read=lambda fold, config: (*_analysis().mean_metric_by_sl(fold), _analysis().find_intersection(fold)),
         files=(("trend.csv", "sl,mean_mdd,mean_mhd,n", lambda config, results: (
             f"{m.sl},{_f4(m.value)},{_f4(h.value)},{m.n}" for m, h in zip(results[0], results[1])
         )),),
@@ -584,8 +580,8 @@ TABLES: dict[str, Table] = {
     "corr": Table(  # results: the points of at least min_bucket sentences, and the rest
         help="per-length Spearman correlation of MDD and MHD",
         settings=("min_bucket",),
-        read=lambda window, config: _analysis().split_gated(_analysis().spearman_by_sl(window),
-                                                            config.min_bucket),
+        read=lambda fold, config: _analysis().split_gated(_analysis().spearman_by_sl(fold),
+                                                          config.min_bucket),
         files=(
             ("corr.csv", "sl,rho,p_value,n", lambda config, results: _corr_rows(results[0])),
             ("corr_gated.csv", "sl,rho,p_value,n", lambda config, results: _corr_rows(results[1])),

@@ -133,12 +133,14 @@ class Rejection(NamedTuple):
 
 
 class ValencyLexicon:
-    """Mapping from predicate lemma to valency class 1..4."""
+    """Mapping from predicate lemma to valency class, an ``int`` 1..4 (not a ``bool`` or a ``float``)."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Mapping[str, int]) -> None:
         for lemma, cls in entries.items():
+            if type(cls) is not int:  # a bool or a float would reach the tables as True or 2.0
+                raise TypeError(f"valency class for {lemma!r} must be an int, got {type(cls).__name__}")
             if cls not in (1, 2, 3, 4):
                 raise ValueError(f"valency class for {lemma!r} must be 1..4, got {cls}")
         self.entries = entries

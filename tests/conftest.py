@@ -33,6 +33,14 @@ def make_sentence(heads, id="s", root_lemma=None) -> Sentence:
     return validate_tree(Sentence.from_heads(tuple(heads), id=id, root_lemma=root_lemma))
 
 
+def fold(sentences, window, lexicon=None) -> CorpusStats:
+    """The fold of ``sentences``, bounded to the length window ``window``."""
+    stats = CorpusStats(window, lexicon)
+    for sentence in sentences:
+        stats.add(sentence)
+    return stats
+
+
 def fields(value):
     """``value`` as the tests compare it, through lists, tuples and dicts: a sentence as (id, head_vector,
     root_lemma, source), a fold or a length's totals as its slots, a ``Distribution`` as its counts."""

@@ -18,8 +18,8 @@ from pathlib import Path
 import pytest
 
 from depmetrics.analysis import (
-    CorpusStats,
     conditional_distributions,
+    length_histogram,
     mean_metric_by_sl,
     pooled_distribution,
     valency_conditioned_counts,
@@ -30,7 +30,7 @@ from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_
 from depmetrics.stats import Distribution, entropy, midranks, ols_fit, spearman
 from depmetrics.treebank import Sentence, iter_canonical, iter_conllu, iter_parse, validate_tree
 
-from .conftest import DATA_DIR, DEMO7_HEADS, exact_means
+from .conftest import DATA_DIR, DEMO7_HEADS, exact_means, fold
 from .reference_randtree import enumerate_trees
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -133,10 +133,7 @@ def test_criterion_05_hd1_equals_root_out_degree():
             if metric_record(s).root_out_degree == target_degree
         ][:80]
         assert sentences
-        stats = CorpusStats()
-        for sentence in sentences:
-            stats.add(sentence)
-        cells, misses = valency_conditioned_counts(stats)
+        cells, misses = valency_conditioned_counts(fold(sentences, (5, 6)))
         assert misses == 0
         for cell in cells:
             assert cell.valency == target_degree
@@ -183,12 +180,13 @@ def test_criterion_06_statistics_kernels():
 def test_criterion_07_conditional_merge_equals_pooled():
     for corpus_index in range(50):
         rng = random.Random(1000 + corpus_index)
-        stats = CorpusStats()
-        for i in range(1000):
-            stats.add(random_tree(GeneratorConfig(n=rng.randint(2, 12), seed=corpus_index), i))
+        stats = fold(
+            (random_tree(GeneratorConfig(n=rng.randint(2, 12), seed=corpus_index), i) for i in range(1000)),
+            (2, 12),
+        )
         lengths = sorted(stats.by_sl)
         for metric in ("dd", "hd"):
-            pooled = pooled_distribution(stats.window(2, 12), metric)
+            pooled = pooled_distribution(stats, metric)
             merged: Counter = Counter()
             for dist in conditional_distributions(stats, lengths)[metric].values():
                 merged.update(dist.counts)
@@ -225,15 +223,13 @@ def test_criterion_09b_directional_check_on_real_treebank():
     fmt = {"conllu": "conllu", ".conllu": "conllu", ".cabocha": "cabocha", ".jsonl": "canonical"}.get(
         suffix, "conllu"
     )
-    stats = CorpusStats()
-    for sentence in iter_parse(Path(treebank).read_bytes(), fmt, errors="skip", rejections=[]):
-        if len(sentence) >= 2:
-            stats.add(sentence)
-    assert sum(cell.n for cell in stats.by_sl.values()) >= 10_000
-    p_dd1 = pooled_distribution(stats.window(2, 20), "dd").probabilities().get(1, 0.0)
-    p_hd1 = pooled_distribution(stats.window(2, 20), "hd").probabilities().get(1, 0.0)
+    sentences = iter_parse(Path(treebank).read_bytes(), fmt, errors="skip", rejections=[])
+    stats = fold((sentence for sentence in sentences if len(sentence) >= 2), (2, 20))
+    assert sum(length_histogram(stats).values()) >= 10_000
+    p_dd1 = pooled_distribution(stats, "dd").probabilities().get(1, 0.0)
+    p_hd1 = pooled_distribution(stats, "hd").probabilities().get(1, 0.0)
     assert p_dd1 > p_hd1
-    mdd_series, mhd_series = mean_metric_by_sl(stats.window(2, 20))
+    mdd_series, mhd_series = mean_metric_by_sl(stats)
     for series in (mdd_series, mhd_series):
         trend = spearman([p.sl for p in series], [p.value for p in series])
         assert trend.rho > 0  # increasing in length, direction only

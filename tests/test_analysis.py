@@ -25,19 +25,14 @@ from depmetrics.metrics import metric_record
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads
 from depmetrics.treebank import Sentence, ValencyLexicon, iter_canonical, iter_conllu
 
-from .conftest import fields, make_sentence
+from .conftest import fields, fold, make_sentence
 from .reference_randtree import enumerate_trees
+
+WINDOW = (2, 20)  # the report's default length window
 
 
 def rec(heads, id="s", root_lemma=None):
     return make_sentence(heads, id=id, root_lemma=root_lemma)
-
-
-def fold(sentences, lexicon=None):
-    stats = CorpusStats(lexicon=lexicon)
-    for sentence in sentences:
-        stats.add(sentence)
-    return stats
 
 
 @pytest.fixture
@@ -54,11 +49,11 @@ def chain5_record():
 
 
 def test_fold_totals_of_the_demo_sentence(demo7):
-    cell = fold([demo7]).by_sl[7]
+    cell = fold([demo7], WINDOW).by_sl[7]
     assert cell.n == 1
     assert cell.dd == {1: 4, 5: 1, 2: 1}
     assert cell.value_counts("hd") == {2: 2, 1: 3, 3: 1}
-    assert (cell.dd_total, cell.hd_total) == (11, 10)
+    assert cell.totals() == (11, 10)
     assert cell.pairs == {(11, 10): 1}
     assert cell.valency == {3: [4, 3, 1]}
 
@@ -66,30 +61,34 @@ def test_fold_totals_of_the_demo_sentence(demo7):
 def test_fold_of_an_unvalidated_sentence_walks_its_depths(demo7):
     bare = Sentence.from_heads(demo7.heads(), id="demo7")
     assert bare.depths is None
-    assert fields(fold([bare])) == fields(fold([demo7]))
+    assert fields(fold([bare], WINDOW)) == fields(fold([demo7], WINDOW))
 
 
 def test_fold_needs_two_nodes():
     with pytest.raises(TooShort):
-        CorpusStats().add(make_sentence((0,)))
+        CorpusStats(WINDOW).add(make_sentence((0,)))
 
 
-def test_window_keeps_lengths_in_range():
-    stats = fold([rec((2, 0)), rec(chain_heads(3)), rec(chain_heads(5))])
-    assert sorted(stats.window(3, 4).by_sl) == [3]
-    assert stats.window(6, 9).by_sl == {}
+def test_a_fold_keeps_totals_for_the_lengths_of_its_window_and_counts_the_rest():
+    sentences = [rec((2, 0)), rec(chain_heads(3)), rec(chain_heads(5))]
+    stats = fold(sentences, (3, 4))
+    assert sorted(stats.by_sl) == [3]
+    assert stats.outside == {2: 1, 5: 1}
+    stats = fold(sentences, (6, 9))
+    assert stats.by_sl == {}
+    assert stats.outside == {2: 1, 3: 1, 5: 1}
 
 
 # --- length histogram -------------------------------------------------------
 
 
 def test_length_histogram_counts():
-    records = fold([rec((2, 0)), rec((2, 0)), rec((2, 3, 0))])
-    assert length_histogram(records) == {2: 2, 3: 1}
+    records = fold([rec((2, 0)), rec((2, 0)), rec((2, 3, 0))], (3, 20))  # length 2 only counted
+    assert list(length_histogram(records).items()) == [(2, 2), (3, 1)]
 
 
 def test_length_histogram_empty():
-    assert length_histogram(CorpusStats()) == {}
+    assert length_histogram(CorpusStats(WINDOW)) == {}
 
 
 def test_length_histogram_matches_line_count_oracle(data_dir):
@@ -100,43 +99,42 @@ def test_length_histogram_matches_line_count_oracle(data_dir):
         if line.strip() and not line.startswith("#")
     )
     sentences = list(iter_canonical(raw))
-    assert length_histogram(fold(sentences)) == dict(oracle)
+    assert length_histogram(fold(sentences, WINDOW)) == dict(oracle)
 
 
 # --- pooled / conditional distributions ---------------------------------------
 
 
 def test_pooled_distribution_star(star5_record):
-    dd_dist = pooled_distribution(fold([star5_record]).window(2, 20), "dd")
+    dd_dist = pooled_distribution(fold([star5_record], WINDOW), "dd")
     assert dd_dist.probabilities() == {1: 0.25, 2: 0.25, 3: 0.25, 4: 0.25}
-    hd_dist = pooled_distribution(fold([star5_record]).window(2, 20), "hd")
+    hd_dist = pooled_distribution(fold([star5_record], WINDOW), "hd")
     assert hd_dist.probabilities() == {1: 1.0}
 
 
 def test_pooled_distribution_pair():
-    record = fold([rec((2, 0))])
+    record = fold([rec((2, 0))], WINDOW)
     for metric in ("dd", "hd"):
-        assert pooled_distribution(record.window(2, 20), metric).probabilities() == {1: 1.0}
+        assert pooled_distribution(record, metric).probabilities() == {1: 1.0}
 
 
 def test_pooled_distribution_window_and_errors(star5_record):
-    stats = fold([star5_record])
     with pytest.raises(EmptySelection):
-        pooled_distribution(stats.window(6, 20), "dd")
+        pooled_distribution(fold([star5_record], (6, 20)), "dd")
     with pytest.raises(ValueError):
-        pooled_distribution(stats.window(2, 20), "xx")
+        pooled_distribution(fold([star5_record], WINDOW), "xx")
 
 
 def test_pooled_total_matches_per_length_dependency_count():
     rng = random.Random(8)
     sentences = [random_tree(GeneratorConfig(n=rng.randint(2, 9), seed=3), i) for i in range(120)]
-    dist = pooled_distribution(fold(sentences).window(2, 6), "dd")
+    dist = pooled_distribution(fold(sentences, (2, 6)), "dd")
     by_sl = Counter(len(s) for s in sentences if 2 <= len(s) <= 6)
     assert dist.total == sum((sl - 1) * count for sl, count in by_sl.items())
 
 
 def test_conditional_distributions_skip_missing_lengths(caplog):
-    records = fold([rec(star_heads(5), id=f"s{i}") for i in range(3)])
+    records = fold([rec(star_heads(5), id=f"s{i}") for i in range(3)], WINDOW)
     with caplog.at_level("WARNING"):
         result = conditional_distributions(records, [5, 10])
     assert list(result["dd"]) == list(result["hd"]) == [5]
@@ -150,12 +148,12 @@ def test_conditional_distributions_skip_missing_lengths(caplog):
 
 
 def test_entropy_by_sl_single_length_two():
-    points = entropy_by_sl(fold([rec((2, 0)), rec((2, 0))]), "dd")
+    points = entropy_by_sl(fold([rec((2, 0)), rec((2, 0))], WINDOW), "dd")
     assert points == [SeriesPoint(sl=2, value=0.0, n=2)]
 
 
 def test_entropy_by_sl_chains():
-    records = fold([rec(chain_heads(5), id=f"c{i}") for i in range(4)])
+    records = fold([rec(chain_heads(5), id=f"c{i}") for i in range(4)], WINDOW)
     dd_points = entropy_by_sl(records, "dd")
     hd_points = entropy_by_sl(records, "hd")
     assert dd_points[0].value == 0.0  # every link adjacent
@@ -164,26 +162,26 @@ def test_entropy_by_sl_chains():
 
 
 def test_entropy_by_sl_empty():
-    assert entropy_by_sl(CorpusStats(), "dd") == []
+    assert entropy_by_sl(CorpusStats(WINDOW), "dd") == []
 
 
 # --- trend and crossings ----------------------------------------------------------
 
 
 def test_mean_metric_by_sl_length_two_is_exactly_one():
-    mdd_series, mhd_series = mean_metric_by_sl(fold([rec((2, 0)), rec((2, 0)), rec((2, 0))]))
+    mdd_series, mhd_series = mean_metric_by_sl(fold([rec((2, 0)), rec((2, 0)), rec((2, 0))], WINDOW))
     assert mdd_series == [SeriesPoint(sl=2, value=1.0, n=3)]
     assert mhd_series == [SeriesPoint(sl=2, value=1.0, n=3)]
 
 
 def test_mean_metric_by_sl_mixed_shapes(star5_record, chain5_record):
-    mdd_series, mhd_series = mean_metric_by_sl(fold([star5_record, chain5_record]))
+    mdd_series, mhd_series = mean_metric_by_sl(fold([star5_record, chain5_record], WINDOW))
     assert mdd_series == [SeriesPoint(sl=5, value=1.75, n=2)]
     assert mhd_series == [SeriesPoint(sl=5, value=1.75, n=2)]
 
 
 def test_mean_metric_by_sl_orders_lengths():
-    records = fold([rec(chain_heads(4)), rec((2, 0)), rec(chain_heads(3))])
+    records = fold([rec(chain_heads(4)), rec((2, 0)), rec(chain_heads(3))], WINDOW)
     mdd_series, _ = mean_metric_by_sl(records)
     assert [p.sl for p in mdd_series] == [2, 3, 4]
 
@@ -192,18 +190,18 @@ def test_mean_metric_by_sl_orders_lengths():
 
 
 def test_find_intersection_sign_change():
-    stats = fold([rec(star_heads(4)), rec(star_heads(5)), rec(chain_heads(6))])
+    stats = fold([rec(star_heads(4)), rec(star_heads(5)), rec(chain_heads(6))], WINDOW)
     assert find_intersection(stats) == [(5, 6)]
 
 
 def test_find_intersection_none_when_dominating():
-    stats = fold([rec(star_heads(3)), rec(star_heads(4))])
+    stats = fold([rec(star_heads(3)), rec(star_heads(4))], WINDOW)
     assert find_intersection(stats) == []
 
 
 def test_find_intersection_exact_tie_is_degenerate_interval():
     # length 4: star (DD sum 6, HD sum 3) and chain (3, 6) tie exactly
-    stats = fold([rec(star_heads(3)), rec(star_heads(4)), rec(chain_heads(4)), rec(chain_heads(5))])
+    stats = fold([rec(star_heads(3)), rec(star_heads(4)), rec(chain_heads(4)), rec(chain_heads(5))], WINDOW)
     assert find_intersection(stats) == [(4, 4)]
 
 
@@ -225,7 +223,7 @@ def test_spearman_by_sl_perfect_negative():
         _record_with_totals(6, 7, 9, id="b"),
         _record_with_totals(6, 8, 8, id="c"),
     ]
-    points = spearman_by_sl(fold(records))
+    points = spearman_by_sl(fold(records, WINDOW))
     assert len(points) == 1
     assert points[0].sl == 6
     assert points[0].rho == -1.0
@@ -237,14 +235,14 @@ def test_spearman_by_sl_skips_length_two_and_small_buckets(caplog):
     records = [rec((2, 0), id="p1"), rec((2, 0), id="p2"), rec((2, 0), id="p3")]
     records += [_record_with_totals(5, 5, 6, id="x"), _record_with_totals(5, 6, 5, id="y")]
     with caplog.at_level("WARNING"):
-        assert spearman_by_sl(fold(records)) == []
+        assert spearman_by_sl(fold(records, WINDOW)) == []
     assert "only 2 sentences" in caplog.text
 
 
 def test_spearman_by_sl_skips_constant_bucket(caplog):
     records = [_record_with_totals(4, 4, k + 3, id=str(k)) for k in range(4)]
     with caplog.at_level("WARNING"):
-        assert spearman_by_sl(fold(records)) == []
+        assert spearman_by_sl(fold(records, WINDOW)) == []
     assert "skipped" in caplog.text
 
 
@@ -259,7 +257,7 @@ def test_split_gated_partitions_by_sample_count():
 
 
 def test_valency_counts_root_out_degree_mode(star5_record, chain5_record):
-    cells, misses = valency_conditioned_counts(fold([star5_record, chain5_record]))
+    cells, misses = valency_conditioned_counts(fold([star5_record, chain5_record], WINDOW))
     assert misses == 0
     assert cells == [
         ValencyCell(valency=1, sl=5, avg_dd1=4.0, avg_hd1=1.0, n=1),
@@ -269,7 +267,7 @@ def test_valency_counts_root_out_degree_mode(star5_record, chain5_record):
 
 def test_valency_counts_cap_at_four():
     sent = make_sentence(star_heads(7))
-    cells, _ = valency_conditioned_counts(fold([sent]))
+    cells, _ = valency_conditioned_counts(fold([sent], WINDOW))
     assert cells[0].valency == 4  # out-degree 6, capped
     assert cells[0].avg_hd1 == 6.0
 
@@ -278,14 +276,14 @@ def test_valency_counts_lexicon_mode(data_dir):
     lexicon = ValencyLexicon.from_tsv((data_dir / "lexicon.tsv").read_bytes())
     known = make_sentence((2, 0), id="known", root_lemma="trade")
     unknown = make_sentence((2, 0), id="unknown", root_lemma="zzz")
-    cells, misses = valency_conditioned_counts(fold([known, unknown], lexicon))
+    cells, misses = valency_conditioned_counts(fold([known, unknown], WINDOW, lexicon))
     assert misses == 1
     assert cells == [ValencyCell(valency=4, sl=2, avg_dd1=1.0, avg_hd1=1.0, n=1)]
 
 
 def test_valency_counts_lexicon_mode_requires_lexicon(star5_record):
     with pytest.raises(EmptyLexicon):
-        valency_conditioned_counts(fold([star5_record], ValencyLexicon(entries={})))
+        valency_conditioned_counts(fold([star5_record], WINDOW, ValencyLexicon(entries={})))
 
 
 def test_the_valency_tally_holds_a_class_not_a_lemma():
@@ -294,18 +292,19 @@ def test_the_valency_tally_holds_a_class_not_a_lemma():
         heads = random_tree(GeneratorConfig(n=2 + i % 5, seed=11), i).heads()
         sentences.append(rec(heads, id=f"s{i}", root_lemma=f"w{i}"))
     lexicon = ValencyLexicon({f"w{i}": 1 + i % 4 for i in range(0, 200, 2)})  # every other lemma
-    for stats, most in ((fold(sentences), 4), (fold(sentences, lexicon), 5)):  # 4 classes, plus misses
+    # 4 classes, plus misses with the lexicon
+    for stats, most in ((fold(sentences, WINDOW), 4), (fold(sentences, WINDOW, lexicon), 5)):
         for cell in stats.by_sl.values():
             assert len(cell.valency) <= most
             assert sum(n for _, _, n in cell.valency.values()) == cell.n
-    _, misses = valency_conditioned_counts(fold(sentences, lexicon))
+    _, misses = valency_conditioned_counts(fold(sentences, WINDOW, lexicon))
     assert misses == 100
 
 
 def test_valency_cell_bounds_on_random_corpus():
     rng = random.Random(5)
     sentences = [random_tree(GeneratorConfig(n=rng.randint(2, 12), seed=6), i) for i in range(150)]
-    cells, _ = valency_conditioned_counts(fold(sentences))
+    cells, _ = valency_conditioned_counts(fold(sentences, WINDOW))
     for cell in cells:
         assert 1 <= cell.valency <= 4
         assert 0 <= cell.avg_dd1 <= cell.sl - 1
@@ -354,10 +353,10 @@ def test_fit_valency_models_omits_small_classes(caplog):
 def test_merging_conditionals_reproduces_pooled_distribution():
     rng = random.Random(77)
     records = fold(
-        random_tree(GeneratorConfig(n=rng.randint(2, 10), seed=21), i) for i in range(400)
+        (random_tree(GeneratorConfig(n=rng.randint(2, 10), seed=21), i) for i in range(400)), (2, 10)
     )
     for metric in ("dd", "hd"):
-        pooled = pooled_distribution(records.window(2, 10), metric)
+        pooled = pooled_distribution(records, metric)
         lengths = sorted(records.by_sl)
         conditionals = conditional_distributions(records, lengths)[metric]
         merged: Counter = Counter()

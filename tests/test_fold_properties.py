@@ -1,10 +1,10 @@
 """Property tests of the corpus fold against the per-record reference.
 
 ``reference_analysis`` keeps the analyses the fold replaced; every table
-read from the fold must equal its table, for random corpora and settings.
-The CLI's report must also not depend on sentence order or on how the
-sentences are split into files, and a fold bounded to the length window
-must read as the window of the whole fold.
+read from the fold, bounded to the length window and merged from shards
+in any order, must equal its table, for random corpora and settings. The
+CLI's report must also not depend on sentence order or on how the sentences
+are split into files.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 from depmetrics.analysis import CorpusStats, length_histogram
 from depmetrics.cli import main
 from depmetrics.errors import DepMetricsError, TooShort
+from depmetrics.metrics import metric_record
 from depmetrics.randtree import GeneratorConfig, random_tree
 from depmetrics.report import (
     ENTROPY_BASES,
     LOG_BASES,
-    TABLES,
     VALENCY_MODES,
     CorpusData,
     RunConfig,
@@ -35,7 +35,8 @@ from depmetrics.report import (
 )
 from depmetrics.treebank import ValencyLexicon, serialize_canonical
 
-from .conftest import fields, make_sentence
+from .conftest import fields, fold, make_sentence
+from .reference_analysis import length_histogram as reference_length_histogram
 from .reference_analysis import reference_analyses
 
 ROOT_LEMMAS = ("give", "go", "put", "say", "see", None)
@@ -77,9 +78,20 @@ def _outcome(compute):
         return type(exc), str(exc)
 
 
+def _merged_shards(sentences, window, lexicon, rng, parts) -> CorpusStats:
+    """The fold of ``sentences`` cut into ``parts`` shards, each folded alone, merged in a random order."""
+    cuts = sorted(rng.randint(0, len(sentences)) for _ in range(parts - 1))
+    shards = [fold(sentences[a:b], window, lexicon) for a, b in zip([0, *cuts], [*cuts, len(sentences)])]
+    rng.shuffle(shards)
+    merged = CorpusStats(window, lexicon)
+    for shard in shards:
+        merged.merge(shard)
+    return merged
+
+
 @settings(max_examples=300, deadline=None)
-@given(corpora(), settings_and_lexicons())
-def test_every_table_of_the_fold_equals_the_per_record_reference(sentences, setup):
+@given(corpora(), settings_and_lexicons(), st.randoms(use_true_random=False), st.integers(1, 5))
+def test_every_table_of_the_fold_equals_the_per_record_reference(sentences, setup, rng, parts):
     config, entries = setup
     with tempfile.TemporaryDirectory() as tmp:
         lexicon_path = Path(tmp) / "lexicon.tsv"
@@ -87,10 +99,14 @@ def test_every_table_of_the_fold_equals_the_per_record_reference(sentences, setu
         if config.valency_mode == "lexicon":
             config.lexicon_path = str(lexicon_path)
         config.validate()
-        stats = _fold(sentences, load_lexicon(config))
+        stats = _merged_shards(sentences, (config.sl_min, config.sl_max), load_lexicon(config), rng, parts)
     got = _outcome(lambda: compute_analyses(config, CorpusData(inputs=[], fold=stats)))
     want = _outcome(lambda: reference_analyses(config, sentences, ValencyLexicon(entries)))
     assert got == want
+    want_histogram = reference_length_histogram(metric_record(s) for s in sentences)
+    assert list(length_histogram(stats).items()) == list(want_histogram.items())  # in length order too
+    with pytest.raises(TooShort):
+        stats.add(make_sentence((0,)))
 
 
 def _report_bytes(corpus_files: list[list], workdir: Path, flags: list[str]) -> dict[str, bytes]:
@@ -124,51 +140,15 @@ def test_report_does_not_depend_on_sentence_order_or_file_split(sentences, rng, 
         assert _report_bytes(split, Path(many), flags) == _report_bytes([sentences], Path(one), flags)
 
 
-def _fold(sentences, lexicon: ValencyLexicon | None, window: tuple[int, int] | None = None) -> CorpusStats:
-    stats = CorpusStats(lexicon=lexicon, window=window)
-    for sentence in sentences:
-        stats.add(sentence)
-    return stats
-
-
 @settings(max_examples=200, deadline=None)
 @given(corpora(), settings_and_lexicons(), st.randoms(use_true_random=False), st.integers(1, 5))
 def test_merged_shard_folds_in_any_order_give_the_one_fold_tables(sentences, setup, rng, parts):
     config, entries = setup
     lexicon = ValencyLexicon(entries) if config.valency_mode == "lexicon" else None
-    cuts = sorted(rng.randint(0, len(sentences)) for _ in range(parts - 1))
-    folds = [_fold(sentences[a:b], lexicon) for a, b in zip([0, *cuts], [*cuts, len(sentences)])]
-    rng.shuffle(folds)
-    merged = CorpusStats(lexicon=lexicon)
-    for fold in folds:
-        merged.merge(fold)
+    window = (config.sl_min, config.sl_max)
+    merged = _merged_shards(sentences, window, lexicon, rng, parts)
 
     def tables(stats):
         return _outcome(lambda: compute_analyses(config, CorpusData(inputs=[], fold=stats)))
 
-    assert tables(merged) == tables(_fold(sentences, lexicon))
-
-
-@settings(max_examples=200, deadline=None)
-@given(corpora(), settings_and_lexicons(), st.randoms(use_true_random=False), st.integers(1, 5))
-def test_a_fold_bounded_to_the_window_reads_as_the_window_of_the_whole_fold(sentences, setup, rng, parts):
-    config, entries = setup
-    lexicon = ValencyLexicon(entries) if config.valency_mode == "lexicon" else None
-    window = (config.sl_min, config.sl_max)
-    cuts = sorted(rng.randint(0, len(sentences)) for _ in range(parts - 1))
-    folds = [_fold(sentences[a:b], lexicon, window) for a, b in zip([0, *cuts], [*cuts, len(sentences)])]
-    rng.shuffle(folds)
-    bounded = CorpusStats(lexicon=lexicon, window=window)
-    for fold in folds:
-        bounded.merge(fold)
-    whole = _fold(sentences, lexicon)
-    assert set(bounded.by_sl) == set(whole.window(*window).by_sl)
-    for name, table in TABLES.items():
-        assert _outcome(lambda: table.read(bounded, config)) == _outcome(
-            lambda: table.read(whole.window(*window), config)
-        ), name
-    histogram = length_histogram(bounded)
-    assert list(histogram.items()) == list(length_histogram(whole).items())  # in length order too
-    assert list(histogram) == sorted(histogram)
-    with pytest.raises(TooShort):
-        bounded.add(make_sentence((0,)))
+    assert tables(merged) == tables(fold(sentences, window, lexicon))

@@ -45,7 +45,7 @@ from depmetrics.treebank import (
 )
 
 from . import reference_metrics, reference_treebank
-from .conftest import fields
+from .conftest import fields, fold
 
 
 def ordered_checks_oracle(heads, id):
@@ -143,13 +143,11 @@ def test_the_fold_and_the_metric_record_agree(n, seed, validated, with_lemmas):
         assert dependency_terms(sentence)[1] is sentence.depths  # read, not copied or walked again
     record = metric_record(sentence)
     lexicon = ValencyLexicon({f"w{i}": 1 + i % 4 for i in range(1, n + 1, 2)}) if with_lemmas else None
-    stats = CorpusStats(lexicon=lexicon)
-    stats.add(sentence)
-    [(sl, cell)] = stats.by_sl.items()
+    [(sl, cell)] = fold([sentence], (n, n), lexicon).by_sl.items()
     assert (sl, cell.n) == (record.sl, 1)
     assert dict(cell.value_counts("dd")) == record.dd_hist
     assert dict(cell.value_counts("hd")) == record.hd_hist
-    assert (cell.dd_total, cell.hd_total) == (record.dd_total, record.hd_total)
+    assert cell.totals() == (record.dd_total, record.hd_total)
     if lexicon is None:
         valency = min(record.root_out_degree, MAX_VALENCY_CLASS)
     else:  # the root lemma's class, None for an even position
@@ -162,7 +160,8 @@ def test_the_fold_and_the_metric_record_agree(n, seed, validated, with_lemmas):
 def test_the_fold_and_the_metric_record_reject_a_bad_tree_alike(heads):
     sentence = Sentence.from_heads(heads, id="s")
     kind, reason = _outcome(tree_depths, heads)
-    for consume in (metric_record, CorpusStats().add):
+    n = len(heads)  # one fold holds the tree's length in its window, the other only counts it
+    for consume in (metric_record, CorpusStats((n, n)).add, CorpusStats((n + 1, n + 1)).add):
         if kind == "ok":
             consume(sentence)
             continue
@@ -175,7 +174,8 @@ def test_the_fold_and_the_metric_record_reject_a_bad_tree_alike(heads):
     "heads, error", [((2, 1), NoRoot), ((0, 3, 2), CycleDetected), ((0, 0), MultipleRoots)]
 )
 def test_an_unvalidated_cyclic_or_rootless_tree_raises_the_same_error_from_both(heads, error):
-    for consume in (metric_record, CorpusStats().add):
+    # the fold checks the tree whether its length is inside the window (2-20) or not (4-20)
+    for consume in (metric_record, CorpusStats(window=(2, 20)).add, CorpusStats(window=(4, 20)).add):
         with pytest.raises(error):
             consume(Sentence.from_heads(heads, id="s"))
 

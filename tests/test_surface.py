@@ -10,11 +10,10 @@ import pytest
 
 import depmetrics
 from depmetrics import cli
-from depmetrics.analysis import CorpusStats
 from depmetrics.report import InputFile, RunConfig
 from depmetrics.treebank import Rejection, ValencyLexicon
 
-from .conftest import fields, make_sentence
+from .conftest import fields, fold, make_sentence
 
 # The settings of a run, in the order of the config echo: the keys a config file may set.
 SETTINGS = [
@@ -45,9 +44,8 @@ def test_dir_lists_the_public_names_and_an_unknown_name_is_an_attribute_error():
 
 
 def test_an_input_record_with_a_lexicon_fold_survives_the_worker_pipe():
-    record = InputFile("a.cabocha", "cabocha", (1, 2, 3, 4), CorpusStats(lexicon=ValencyLexicon({"go": 2})))
-    record.fold.add(make_sentence((2, 0, 2), root_lemma="go"))
-    record.fold.add(make_sentence((0, 1), root_lemma="stay"))
+    sentences = [make_sentence((2, 0, 2), root_lemma="go"), make_sentence((0, 1), root_lemma="stay")]
+    record = InputFile("a.cabocha", "cabocha", (1, 2, 3, 4), fold(sentences, (2, 20), ValencyLexicon({"go": 2})))
     record.accepted, record.single_node, record.sha256 = 3, 1, "ab" * 32
     record.rejections.append(Rejection("a.cabocha:9-12", "cycle through node 2", "a.cabocha#4"))
     copy = pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))

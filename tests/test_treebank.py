@@ -571,6 +571,12 @@ def test_valency_lexicon_rejects_bad_rows():
         ValencyLexicon(entries={"w": 9})
 
 
+@pytest.mark.parametrize("cls", [True, 2.0, "2"], ids=ascii)
+def test_valency_lexicon_refuses_a_class_that_is_not_an_int(cls):
+    with pytest.raises(TypeError, match=f"^valency class for 'see' must be an int, got {type(cls).__name__}$"):
+        ValencyLexicon({"go": 1, "see": cls})
+
+
 @pytest.mark.parametrize("raw", ["+3", " 3", "\uff13", "\u0663", "0_3", "-3", "3.0"], ids=ascii)
 def test_valency_lexicon_class_takes_ascii_digits_only(raw):
     with pytest.raises(MalformedLine, match=f"^x\\.tsv:2: non-integer valency {re.escape(repr(raw))}$"):
