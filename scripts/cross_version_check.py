@@ -31,9 +31,8 @@ number by that rule, for each text of ``DECIMAL_TEXTS`` (the table's
 edges, leading zeros, forms ``int()`` reads but the readers refuse) and
 each non-ASCII character that ``str.isdigit`` takes, as an ID, a HEAD, a
 chunk index and a chunk head, and for a 1,100-token and a 1,100-chunk
-sentence. It then runs the
-``metrics_jsonl``, ``generate_random``, ``generate_capped``, ``report_conllu``
-and ``report_cabocha_lexicon`` golden cases through ``python -m depmetrics``
+sentence. It then runs each
+golden case of ``tests/golden_cases.py`` through ``python -m depmetrics``
 and compares the bytes, and runs each single-table command on the inputs of
 both report cases, which must write that case's tables of the command byte
 for byte, and its meta.json, as ``tests/test_golden.py`` requires. It runs the
@@ -62,7 +61,6 @@ when all of them pass.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import re
@@ -78,7 +76,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from depmetrics.metrics import metric_record  # noqa: E402
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads  # noqa: E402
-from depmetrics.report import TABLES, json_text  # noqa: E402
+from depmetrics.report import TABLES  # noqa: E402
 from depmetrics.errors import DepMetricsError, InvalidEncoding  # noqa: E402
 from depmetrics.treebank import (  # noqa: E402
     Sentence,
@@ -88,33 +86,11 @@ from depmetrics.treebank import (  # noqa: E402
     serialize_canonical,
     validate_tree,
 )
-from tests import closed_stdout, reference_metrics, reference_treebank, startup_modules  # noqa: E402
-from tests.command_flags import COMMAND_FLAGS, COMMAND_TABLES  # noqa: E402
+from tests import closed_stdout, golden_cases, reference_metrics, reference_treebank, startup_modules  # noqa: E402
+from tests.command_flags import COMMAND_FLAGS  # noqa: E402
 
 SPECIAL_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029",
                  "\ud800", "\udfff", "\U0001f600", "\u00e9"]
-GOLDEN = ROOT / "tests" / "data" / "golden"
-# golden case -> (fixtures to copy, CLI arguments), as in tests/test_golden.py
-GOLDEN_CASES = {
-    "metrics_jsonl": (("sample_200.jsonl", "noisy.jsonl"),
-                      ["metrics", "sample_200.jsonl", "noisy.jsonl", "-o", "out/metrics.jsonl"]),
-    "generate_random": ((), ["generate", "--n", "12", "--count", "300", "--seed", "5",
-                             "-o", "out/random.jsonl"]),
-    "generate_capped": ((), ["generate", "--n", "40", "--count", "60", "--seed", "2",
-                             "--max-root-out-degree", "3", "-o", "out/capped.jsonl"]),
-    "report_conllu": (("sample_ud.conllu", "mixed.conllu"),
-                      ["report", "sample_ud.conllu", "mixed.conllu", "--output-dir", "out"]),
-    "report_cabocha_lexicon": (("sample.cabocha", "lexicon.tsv"),
-                               ["report", "sample.cabocha", "--valency-mode", "lexicon", "--lexicon",
-                                "lexicon.tsv", "--output-dir", "out"]),
-}
-# report case -> its inputs, and the settings beside --output-dir, which go into a config file
-# since a single-table command may lack their flags
-REPORT_INPUTS_AND_SETTINGS = {
-    "report_conllu": (("sample_ud.conllu", "mixed.conllu"), {}),
-    "report_cabocha_lexicon": (("sample.cabocha",), {"valency_mode": "lexicon", "lexicon_path": "lexicon.tsv"}),
-}
-
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                                       os.environ.get("PYTHONPATH")])))
 # a flag that each corpus command does not take; report takes every RunConfig flag, but no seed
@@ -285,42 +261,29 @@ def decimal_field_mismatches() -> tuple[int, list[str]]:
 
 def run_on_fixtures(case: str, argv: list[str], files: dict[str, str]) -> dict[str, bytes] | None:
     """Run ``python -m depmetrics`` with ``argv`` beside the fixtures of a golden case and ``files``;
-    return its stdout and every file it wrote into ``out``, or None when it does not exit 0."""
+    return its stdout and every file it wrote into the output directory, or None when it does not exit 0."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name in GOLDEN_CASES[case][0]:
-            shutil.copyfile(ROOT / "tests" / "data" / name, Path(tmp) / name)
+        for name in golden_cases.CASES[case][0]:
+            shutil.copyfile(golden_cases.DATA_DIR / name, Path(tmp) / name)
         for name, text in files.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
-        (Path(tmp) / "out").mkdir()
+        (Path(tmp) / golden_cases.OUTPUT_DIR).mkdir()
         result = subprocess.run([sys.executable, "-m", "depmetrics", *argv],
                                 cwd=tmp, env=CHILD_ENV, capture_output=True)
-        actual = {path.name: path.read_bytes() for path in (Path(tmp) / "out").iterdir()}
+        actual = {path.name: path.read_bytes() for path in (Path(tmp) / golden_cases.OUTPUT_DIR).iterdir()}
     return {**actual, "stdout": result.stdout} if result.returncode == 0 else None
 
 
 def golden_case_matches(case: str) -> bool:
     """Whether ``python -m depmetrics`` writes the stdout and every file of a golden case."""
-    expected = {path.name: path.read_bytes() for path in (GOLDEN / case).iterdir()}
-    return run_on_fixtures(case, GOLDEN_CASES[case][1], {}) == expected
+    return run_on_fixtures(case, golden_cases.CASES[case][1], {}) == golden_cases.golden_files(case)
 
 
 def single_table_matches(case: str, command: str) -> bool:
     """Whether a single-table command, run on the inputs and settings of a report case, writes that
     case's tables of the command and the case's meta.json with its own command and additions."""
-    inputs, settings = REPORT_INPUTS_AND_SETTINGS[case]
-    argv = [command, *inputs, "--config", "run.json", "--output-dir", "out"]
-    golden = GOLDEN / case
-    expected = {name: (golden / name).read_bytes() for name in COMMAND_TABLES[command]}
-    meta = json.loads((golden / "meta.json").read_bytes())
-    report = json.loads((golden / "report.json").read_bytes())
-    meta["command"] = command
-    if command == "trend":
-        meta["crossings"] = report["crossings"]
-    if command == "valency":
-        meta["lexicon_misses"] = report["valency"]["lexicon_misses"]
-    expected["meta.json"] = json_text(meta).encode()
-    expected["stdout"] = "".join(f"wrote out/{name}\n" for name in expected).encode()
-    return run_on_fixtures(case, argv, {"run.json": json.dumps(settings)}) == expected
+    argv, files, expected = golden_cases.single_table_case(case, command)
+    return run_on_fixtures(case, argv, files) == expected
 
 
 def closed_stdout_outcomes() -> list[tuple[str, bool, str]]:
@@ -423,11 +386,11 @@ def main() -> int:
     print(f"decimal fields vs the reference readers: {compared - len(bad)} of {compared} agree"
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
     ok &= not bad
-    for case in GOLDEN_CASES:
+    for case in golden_cases.CASES:
         golden = golden_case_matches(case)
         ok &= golden
         print(f"{case} golden via python -m depmetrics: {'identical' if golden else 'DIFFERS'}")
-    for case in REPORT_INPUTS_AND_SETTINGS:
+    for case in golden_cases.REPORT_INPUTS_AND_SETTINGS:
         for command in TABLES:
             golden = single_table_matches(case, command)
             ok &= golden

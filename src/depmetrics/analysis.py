@@ -22,9 +22,9 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateInput, EmptyLexicon, EmptySelection
-from .metrics import dependency_terms
+from .metrics import dependency_terms, node_depths
 from .stats import Distribution, RegressionResult, entropy, ols_fit, spearman
-from .treebank import Sentence, ValencyLexicon, tree_depths
+from .treebank import Sentence, ValencyLexicon
 
 log = logging.getLogger(__name__)
 
@@ -129,8 +129,7 @@ class CorpusStats:
         """
         n = len(sentence.head_vector)
         if not self.window[0] <= n <= self.window[1] and n >= 2:
-            if sentence.depths is None:
-                tree_depths(sentence.head_vector, sentence.id, sentence.source)
+            node_depths(sentence)
             self.outside[n] = self.outside.get(n, 0) + 1
             return
         dds, depths, root = dependency_terms(sentence)
@@ -154,7 +153,10 @@ class CorpusStats:
         tally[2] += 1
 
     def merge(self, other: CorpusStats) -> None:
-        """Add another fold's per-length totals and counts; they are integers, so order does not matter."""
+        """Add the per-length totals and counts of a fold of the same window and lexicon, in any order."""
+        entries = [getattr(fold.lexicon, "entries", None) for fold in (self, other)]
+        if other.window != self.window or entries[0] != entries[1]:
+            raise ValueError(f"cannot merge a fold of window {other.window} or other lexicon into {self.window}")
         for sl, cell in other.by_sl.items():
             self.by_sl.setdefault(sl, LengthStats()).merge(cell)
         for sl, count in other.outside.items():

@@ -44,7 +44,7 @@ from .report import (
     write_files,
     write_outputs,
 )
-from .treebank import FORMATS, Sentence, serialize_canonical
+from .treebank import FORMATS, Sentence, _ascii_int, serialize_canonical
 
 _EXTENSION_FORMATS = {
     ".conllu": "conllu",
@@ -70,10 +70,9 @@ def infer_format(path: str) -> str:
 
 def integer(text: str) -> int:
     """The type of every integer flag: an optional '-' and then ASCII digits, not all that int() reads."""
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(text)
-    return int(text)  # past its digit limit also a ValueError, which argparse reports
+    if text.startswith("-"):
+        return -_ascii_int(text[1:])
+    return _ascii_int(text)
 
 
 def _parse_dist_sls(value: str) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ from operator import mul, sub
 from typing import Mapping, NamedTuple
 
 from .errors import TooShort
-from .treebank import Sentence, tree_depths
+from .treebank import _DECIMAL_TABLE, Sentence, tree_depths
 
 
 def node_depths(sentence: Sentence) -> tuple[int, ...]:
@@ -93,9 +93,8 @@ class MetricRecord(NamedTuple):
         )
 
 
-_KEY_TABLE = 1 << 10  # histogram keys whose JSON text and text order are precomputed
-_KEY_TEXT = [f'"{key}": ' for key in range(_KEY_TABLE)]
-_KEY_RANK = {key: rank for rank, key in enumerate(sorted(range(_KEY_TABLE), key=str))}
+_KEY_TEXT = [f'"{key}": ' for key in range(_DECIMAL_TABLE)]  # histogram keys' JSON text and text order
+_KEY_RANK = {key: rank for rank, key in enumerate(sorted(range(_DECIMAL_TABLE), key=str))}
 
 
 def _hist_json(hist: Mapping[int, int]) -> str:

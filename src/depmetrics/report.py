@@ -101,14 +101,6 @@ class RunConfig:
             if "\0" in path:
                 raise ConfigError(f"{name} {path!r} holds a NUL character")
 
-    @property
-    def entropy_base_value(self) -> float:
-        return ENTROPY_BASES[self.entropy_base]
-
-    @property
-    def log_base_value(self) -> float:
-        return LOG_BASES[self.log_base]
-
     def to_json_dict(self) -> dict[str, object]:
         # output_dir is deliberately not echoed: the same corpus and settings
         # must produce byte-identical outputs wherever they are written.
@@ -420,10 +412,8 @@ def _dist_rows(config: RunConfig, results: Any) -> Iterator[str]:
         buckets = [(f"{config.sl_min}-{config.sl_max}", pooled[metric])]
         buckets += [(str(sl), dist) for sl, dist in conditional[metric].items()]
         for bucket, dist in buckets:
-            total = dist.total
-            for value in dist.support():
-                count = dist.counts[value]
-                yield f"{metric},{bucket},{value},{count},{count / total:.6f}"
+            for value, p in dist.probabilities().items():
+                yield f"{metric},{bucket},{value},{dist.counts[value]},{p:.6f}"
 
 
 def _dist_json(dist: Distribution) -> dict[str, object]:
@@ -439,7 +429,7 @@ def _read_entropy(fold: Any, config: RunConfig) -> dict[str, tuple[list[SeriesPo
     analysis = _analysis()
     return {
         metric: analysis.split_gated(
-            analysis.entropy_by_sl(fold, metric, base=config.entropy_base_value), config.min_bucket
+            analysis.entropy_by_sl(fold, metric, base=ENTROPY_BASES[config.entropy_base]), config.min_bucket
         )
         for metric in ("dd", "hd")
     }
@@ -474,7 +464,7 @@ def _read_valency(fold: Any, config: RunConfig) -> tuple[list[ValencyCell], int,
     """The valency cells, the count of sentences whose root lemma the lexicon lacks, and the fits."""
     analysis = _analysis()
     cells, misses = analysis.valency_conditioned_counts(fold)
-    return cells, misses, analysis.fit_valency_models(cells, log_base=config.log_base_value)
+    return cells, misses, analysis.fit_valency_models(cells, log_base=LOG_BASES[config.log_base])
 
 
 def _fit_rows(config: RunConfig, results: Any) -> Iterator[str]:

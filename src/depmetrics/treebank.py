@@ -138,6 +138,7 @@ class ValencyLexicon:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Mapping[str, int]) -> None:
+        entries = dict(entries)  # a copy, so a later change to the caller's mapping skips no check
         for lemma, cls in entries.items():
             if type(cls) is not int:  # a bool or a float would reach the tables as True or 2.0
                 raise TypeError(f"valency class for {lemma!r} must be an int, got {type(cls).__name__}")
@@ -166,10 +167,8 @@ class ValencyLexicon:
             if len(fields) != 2:
                 raise MalformedLine(f"{source}:{lineno}: expected 2 tab-separated fields")
             try:
-                if not (fields[1].isascii() and fields[1].isdigit()):
-                    raise ValueError
-                valency = int(fields[1])
-            except ValueError:  # also past int()'s digit limit
+                valency = _ascii_int(fields[1])
+            except ValueError:
                 raise MalformedLine(f"{source}:{lineno}: non-integer valency {fields[1]!r}") from None
             if valency not in (1, 2, 3, 4):
                 raise MalformedLine(f"{source}:{lineno}: valency must be 1..4, got {valency}")
@@ -546,11 +545,18 @@ def _check_error_mode(errors: str, rejections: list[Rejection] | None) -> None:
 
 
 # Almost every ID, HEAD and chunk number is a short decimal text, read by
-# one lookup; any other text takes the checks that the lookup stands in for.
+# one lookup; any other text is read by _ascii_int, the rule the lookup stands in for.
 _DECIMAL_TABLE = 1 << 10
 _DECIMAL = {str(value): value for value in range(_DECIMAL_TABLE)}
 # A CaboCha head field to its head-vector value: -1D is the root (0), kD is chunk k, at position k + 1.
 _CHUNK_HEAD = {"-1D": 0, **{f"{value}D": value + 1 for value in range(_DECIMAL_TABLE)}}
+
+
+def _ascii_int(text: str) -> int:
+    """A run of ASCII digits as an int; any other text, or one past int()'s digit limit, raises ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a run of ASCII digits: {text!r}")
+    return int(text)
 
 
 # --- CoNLL-U --------------------------------------------------------------
@@ -652,12 +658,10 @@ def _conllu_sentence(
 
 
 def _number(raw: str, what: str, lineno: int) -> int:
-    """A decimal field that :data:`_DECIMAL` lacks: a run of ASCII digits that ``int()`` reads."""
+    """A decimal field that :data:`_DECIMAL` lacks, read by :func:`_ascii_int`."""
     try:
-        if not (raw.isascii() and raw.isdigit()):
-            raise ValueError
-        return int(raw)
-    except ValueError:  # also past int()'s digit limit
+        return _ascii_int(raw)
+    except ValueError:
         raise MalformedLine(f"line {lineno}: non-integer {what} {raw!r}") from None
 
 
@@ -724,16 +728,9 @@ def iter_cabocha(
                 try:
                     if len(parts) < 3 or not parts[2].endswith("D"):
                         raise ValueError
-                    index_field, head_field = parts[1], parts[2][:-1]
-                    if not (
-                        index_field.isdigit()
-                        and (head_field.isdigit() or head_field == "-1")
-                        and (raw.isascii() or (index_field + head_field).isascii())  # isascii() is O(1)
-                    ):
-                        raise ValueError
-                    index = int(index_field)
-                    head = int(head_field) + 1  # the head-vector value: -1D, the root, gives 0
-                except ValueError:  # also past int()'s digit limit
+                    index = _ascii_int(parts[1])
+                    head = 0 if parts[2] == "-1D" else _ascii_int(parts[2][:-1]) + 1
+                except ValueError:
                     fault = MalformedChunkHeader(f"line {lineno}: bad chunk header {raw!r}")
                     continue
             if index != len(heads):

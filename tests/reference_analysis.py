@@ -25,7 +25,7 @@ from depmetrics.analysis import (
 )
 from depmetrics.errors import DegenerateInput, EmptyLexicon, EmptySelection
 from depmetrics.metrics import MetricRecord, metric_record
-from depmetrics.report import VALENCY_MODES, RunConfig
+from depmetrics.report import ENTROPY_BASES, LOG_BASES, VALENCY_MODES, RunConfig
 from depmetrics.stats import Distribution, entropy, spearman
 from depmetrics.treebank import Sentence, ValencyLexicon
 
@@ -217,7 +217,7 @@ def reference_analyses(
     pooled = {m: pooled_distribution(records, m, config.sl_min, config.sl_max) for m in ("dd", "hd")}
     conditional = conditional_distributions(win_records, config.dist_sls)
     entropy_split = {
-        metric: split_gated(entropy_by_sl(win_records, metric, config.entropy_base_value), config.min_bucket)
+        metric: split_gated(entropy_by_sl(win_records, metric, ENTROPY_BASES[config.entropy_base]), config.min_bucket)
         for metric in ("dd", "hd")
     }
     mdd_series, mhd_series = mean_metric_by_sl(win_records)
@@ -231,5 +231,5 @@ def reference_analyses(
         "entropy": entropy_split,
         "trend": (mdd_series, mhd_series, find_intersection(mdd_series, mhd_series)),
         "corr": (corr_points, corr_gated),
-        "valency": (cells, misses, fit_valency_models(cells, log_base=config.log_base_value)),
+        "valency": (cells, misses, fit_valency_models(cells, log_base=LOG_BASES[config.log_base])),
     }

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -77,6 +78,19 @@ def test_a_fold_keeps_totals_for_the_lengths_of_its_window_and_counts_the_rest()
     stats = fold(sentences, (6, 9))
     assert stats.by_sl == {}
     assert stats.outside == {2: 1, 3: 1, 5: 1}
+
+
+def test_a_fold_merges_only_a_fold_of_its_window_and_lexicon_entries():
+    sentences = [rec(chain_heads(12), root_lemma="go"), rec(star_heads(5), root_lemma="go")]
+    lexicon = ValencyLexicon({"go": 1})
+    for window, other_lexicon in (((2, 20), lexicon), ((2, 10), None), ((2, 10), ValencyLexicon({"go": 2}))):
+        with pytest.raises(ValueError, match=rf"^cannot merge a fold of window \({window[0]}, {window[1]}\) "
+                                             r"or other lexicon into \(2, 10\)$"):
+            CorpusStats((2, 10), lexicon).merge(fold(sentences, window, other_lexicon))
+    merged = CorpusStats((2, 10), ValencyLexicon({"go": 1}))
+    merged.merge(pickle.loads(pickle.dumps(fold(sentences, (2, 10), lexicon))))  # as a shard fold comes back
+    assert fields(merged) == fields(fold(sentences, (2, 10), lexicon))
+    assert sorted(merged.by_sl) == [5] and merged.outside == {12: 1}
 
 
 # --- length histogram -------------------------------------------------------

@@ -1,10 +1,10 @@
 """Golden-output regression test: CLI runs on the bundled fixtures must keep
 writing the same bytes.
 
-Each case copies its fixtures into an empty directory, runs the CLI there
-with relative paths (so ``meta.json`` and the ``wrote ...`` lines do not
-depend on where the test runs) and compares stdout and every written file
-with ``tests/data/golden/<case>/``. ``stdout`` is stored as a file of that
+Each case of ``tests/golden_cases.py`` copies its fixtures into an empty
+directory, runs the CLI there with relative paths (so ``meta.json`` and the
+``wrote ...`` lines do not depend on where the test runs) and compares
+stdout and every written file with ``tests/data/golden/<case>/``. ``stdout`` is stored as a file of that
 name. The ``metrics_jsonl`` case also runs in a child process through the
 package's ``__main__``, which must freeze the heap before ``main`` starts.
 To regenerate the files after an intended output change, run
@@ -29,43 +29,12 @@ import pytest
 
 import depmetrics
 from depmetrics.cli import SETTING_FLAGS, build_config, build_parser, main
-from depmetrics.report import TABLES, compute_analyses, json_text, load_corpus, render_outputs
+from depmetrics.report import TABLES, compute_analyses, load_corpus, render_outputs
 
 from .command_flags import COMMAND_FLAGS, COMMAND_TABLES, WINDOW
-
-DATA_DIR = Path(__file__).parent / "data"
-GOLDEN_DIR = DATA_DIR / "golden"
-OUTPUT_DIR = "out"
-
-# case name -> (fixtures to copy, CLI arguments)
-CASES: dict[str, tuple[tuple[str, ...], list[str]]] = {
-    "report_conllu": (
-        ("sample_ud.conllu", "mixed.conllu"),
-        ["report", "sample_ud.conllu", "mixed.conllu", "--output-dir", OUTPUT_DIR],
-    ),
-    "report_cabocha_lexicon": (
-        ("sample.cabocha", "lexicon.tsv"),
-        ["report", "sample.cabocha", "--valency-mode", "lexicon", "--lexicon", "lexicon.tsv",
-         "--output-dir", OUTPUT_DIR],
-    ),
-    "metrics_jsonl": (
-        ("sample_200.jsonl", "noisy.jsonl"),
-        ["metrics", "sample_200.jsonl", "noisy.jsonl", "-o", f"{OUTPUT_DIR}/metrics.jsonl"],
-    ),
-    "validate_jsonl": (
-        ("sample_200.jsonl", "noisy.jsonl"),
-        ["validate", "sample_200.jsonl", "noisy.jsonl"],
-    ),
-    "generate_random": (
-        (),
-        ["generate", "--n", "12", "--count", "300", "--seed", "5", "-o", f"{OUTPUT_DIR}/random.jsonl"],
-    ),
-    "generate_capped": (
-        (),
-        ["generate", "--n", "40", "--count", "60", "--seed", "2", "--max-root-out-degree", "3",
-         "-o", f"{OUTPUT_DIR}/capped.jsonl"],
-    ),
-}
+from .golden_cases import (
+    CASES, DATA_DIR, GOLDEN_DIR, OUTPUT_DIR, REPORT_INPUTS_AND_SETTINGS, golden_files, single_table_case,
+)
 
 
 def run_case(name: str, workdir: Path, argv: list[str] | None = None) -> dict[str, bytes]:
@@ -91,42 +60,24 @@ def run_case(name: str, workdir: Path, argv: list[str] | None = None) -> dict[st
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
-    expected = {path.name: path.read_bytes() for path in (GOLDEN_DIR / name).iterdir()}
+    expected = golden_files(name)
     actual = run_case(name, tmp_path)
     assert sorted(actual) == sorted(expected)
     for file_name, data in expected.items():
         assert actual[file_name] == data, f"{name}/{file_name} differs from the golden copy"
 
 
-# report case -> its inputs, and the settings beside --output-dir, which go into a config file
-# since a single-table command may lack their flags
-REPORT_INPUTS_AND_SETTINGS: dict[str, tuple[tuple[str, ...], dict[str, str]]] = {
-    "report_conllu": (("sample_ud.conllu", "mixed.conllu"), {}),
-    "report_cabocha_lexicon": (("sample.cabocha",), {"valency_mode": "lexicon", "lexicon_path": "lexicon.tsv"}),
-}
-
-
 @pytest.mark.parametrize("command", ["dist", "entropy", "trend", "corr", "valency"])
 @pytest.mark.parametrize("case", sorted(REPORT_INPUTS_AND_SETTINGS))
 def test_single_table_command_writes_the_report_golden_tables(case, command, tmp_path):
-    inputs, settings = REPORT_INPUTS_AND_SETTINGS[case]
-    (tmp_path / "run.json").write_text(json.dumps(settings), encoding="utf-8")
-    argv = [command, *inputs, "--config", "run.json", "--output-dir", OUTPUT_DIR]
+    argv, files, expected = single_table_case(case, command)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     actual = run_case(case, tmp_path, argv)
-    names = (*COMMAND_TABLES[command], "meta.json")
-    assert actual.pop("stdout") == "".join(f"wrote {OUTPUT_DIR}/{name}\n" for name in names).encode()
-    assert sorted(actual) == sorted(names)
-    golden = GOLDEN_DIR / case
-    for name in COMMAND_TABLES[command]:
-        assert actual[name] == (golden / name).read_bytes(), f"{command} {name} differs from {case}"
-    meta = json.loads((golden / "meta.json").read_bytes())
-    report = json.loads((golden / "report.json").read_bytes())
-    meta["command"] = command
-    if command == "trend":
-        meta["crossings"] = report["crossings"]
-    if command == "valency":
-        meta["lexicon_misses"] = report["valency"]["lexicon_misses"]
-    assert actual["meta.json"] == json_text(meta).encode()
+    assert actual.pop("stdout") == expected.pop("stdout")
+    assert sorted(actual) == sorted(expected)
+    for name, data in expected.items():
+        assert actual[name] == data, f"{command} {name} differs from {case}"
 
 
 @pytest.mark.parametrize("case", sorted(REPORT_INPUTS_AND_SETTINGS))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from depmetrics import treebank
 from depmetrics.analysis import MAX_VALENCY_CLASS, CorpusStats
+from depmetrics.cli import integer
 from depmetrics.errors import (
     CycleDetected,
     DepMetricsError,
@@ -678,3 +679,37 @@ def test_decimal_fields_are_read_as_the_reference_reads_them(documents):
         assert sentences == _with_depths(reference(text, source="f", errors="skip", rejections=want))
         assert got == want
         assert _raise_mode_outcome(reader, text) == _raise_mode_outcome(reference, text)
+
+
+def _read_or_refuse(read, text):
+    """``read(text)``, or ValueError when it raises one."""
+    try:
+        return read(text)
+    except ValueError:
+        return ValueError
+
+
+def _ascii_digits_by_regex(text):
+    if re.fullmatch("[0-9]+", text) is None:
+        raise ValueError(text)
+    return int(text)  # past its digit limit also a ValueError
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.text(st.sampled_from("0123456789\u0661\uff11+-_ \t")),
+    st.integers(min_value=0).map(str),
+    st.integers(min_value=4290, max_value=5000).map("9".__mul__),
+))
+@example("1" * 5000)
+@example("\u0661")
+@example("\uff11")
+@example("-0")
+@example("")
+def test_every_number_the_tool_reads_is_a_run_of_ascii_digits(text):
+    want = _read_or_refuse(_ascii_digits_by_regex, text)
+    assert _read_or_refuse(treebank._ascii_int, text) == want
+    assert _read_or_refuse(integer, "-" + text) == (want if want is ValueError else -want)
+    if not text.startswith("-"):
+        assert _read_or_refuse(integer, text) == want

@@ -577,6 +577,13 @@ def test_valency_lexicon_refuses_a_class_that_is_not_an_int(cls):
         ValencyLexicon({"go": 1, "see": cls})
 
 
+def test_valency_lexicon_keeps_its_own_copy_of_the_entries():
+    entries = {"go": 1}
+    lexicon = ValencyLexicon(entries)
+    entries["go"] = True
+    assert lexicon.entries == {"go": 1} and type(lexicon.entries["go"]) is int
+
+
 @pytest.mark.parametrize("raw", ["+3", " 3", "\uff13", "\u0663", "0_3", "-3", "3.0"], ids=ascii)
 def test_valency_lexicon_class_takes_ascii_digits_only(raw):
     with pytest.raises(MalformedLine, match=f"^x\\.tsv:2: non-integer valency {re.escape(repr(raw))}$"):
