@@ -15,7 +15,13 @@ holding each of those special characters, and one holding all of them, with
 the line must be the ``json.dumps`` text of ``tests/reference_treebank.py``,
 one line to ``str.splitlines`` (U+0085, U+2028 and U+2029 escaped), and give
 the lemma back, or, for a lone surrogate, which has no UTF-8 form, raise
-``InvalidEncoding``. ``serialize_canonical`` builds node text from
+``InvalidEncoding``. The canonical reader takes a line that
+``serialize_canonical`` writes by two regexes and the writer, not by
+``json.loads``, so on generated lines (valid and broken trees, plain and
+special-character ids, with and without a root lemma, up to 1,100 nodes)
+and on every ``CANONICAL_MUTATIONS`` edit of them it must give the
+sentence or the rejection of the ``json.loads`` reference reader of
+``tests/reference_treebank.py``. ``serialize_canonical`` builds node text from
 pieces for numbers up to 1,023 and formats any other node by hand, so it
 also writes generated trees of 1,023, 1,024, 1,100 and 3,000 nodes, with
 and without a root lemma, which must give the reference's line; a bool,
@@ -80,6 +86,7 @@ from depmetrics.report import TABLES  # noqa: E402
 from depmetrics.errors import DepMetricsError, InvalidEncoding  # noqa: E402
 from depmetrics.treebank import (  # noqa: E402
     Sentence,
+    _canonical_sentence,
     iter_cabocha,
     iter_canonical,
     iter_conllu,
@@ -189,6 +196,34 @@ def canonical_writer_mismatches() -> tuple[int, list[str]]:
             if serialize_canonical(sentence) != reference_treebank.serialize_canonical(sentence):
                 bad.append(f"random-{n}" + (" with a root lemma" if root_lemma else ""))
     return cases, bad
+
+
+def canonical_reader_mismatches() -> tuple[int, list[str]]:
+    """The number of lines read, and those that the reader reads unlike the ``json.loads`` reference.
+
+    The lines are written by ``serialize_canonical``, then edited by each of
+    ``CANONICAL_MUTATIONS`` at a few places. No id or lemma holds a lone
+    surrogate, which the reader refuses since the reference was written.
+    """
+    rng = random.Random(20261019)
+    written = []
+    for seed in range(300):
+        heads = list(random_tree(GeneratorConfig(n=rng.randint(1, 60), seed=seed)).heads())
+        if rng.random() < 0.5:  # a cycle, a self-loop, a second root or a head out of range, mostly
+            heads[rng.randrange(len(heads))] = rng.randint(-1, len(heads) + 2)
+        texts = [f"s{seed}" if rng.random() < 0.5 else
+                 "".join(char for char in random_id(rng) if not "\ud800" <= char <= "\udfff") for _ in range(2)]
+        root_lemma = texts[1] if 0 in heads and rng.random() < 0.3 else None
+        written.append(Sentence(texts[0], tuple(heads), root_lemma))
+    written += [Sentence(f"long-{n}", random_tree(GeneratorConfig(n=n, seed=n)).heads()) for n in (1023, 1024, 1100)]
+    written.append(Sentence("chain-1100", chain_heads(1100), "\u8a9e"))
+    lines = list(map(serialize_canonical, written))
+    lines += [mutate(line, k) for line in lines for mutate in reference_treebank.CANONICAL_MUTATIONS.values()
+              for k in (0, 1, rng.randrange(1 << 16))]
+    bad = [ascii(line[:60]) for line in lines
+           if reference_treebank.canonical_outcome(_canonical_sentence, line)
+           != reference_treebank.canonical_outcome(reference_treebank.canonical_sentence, line)]
+    return len(lines), bad
 
 
 def non_int_head_outcomes() -> list[tuple[str, bool, str]]:
@@ -377,6 +412,10 @@ def main() -> int:
     ok &= not bad
     compared, bad = canonical_writer_mismatches()
     print(f"serialize_canonical of long trees vs json.dumps: {compared - len(bad)} of {compared} agree"
+          + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
+    ok &= not bad
+    compared, bad = canonical_reader_mismatches()
+    print(f"canonical lines vs the json.loads reader: {compared - len(bad)} of {compared} agree"
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
     ok &= not bad
     for name, passed, got in non_int_head_outcomes():

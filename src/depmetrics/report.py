@@ -646,7 +646,11 @@ def report_json_dict(config: RunConfig, corpus: CorpusData, results: dict[str, A
 
 
 def json_text(obj: object) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    """``obj`` as indented JSON with sorted keys; non-ASCII text is written raw, except a lone surrogate
+    (such as the ``\\udcff`` that stands for a file name's byte that is not UTF-8), which has no UTF-8
+    form and is written as its escape, which json reads back as the same character."""
+    text = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    return text if text.isascii() else text.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def render_outputs(

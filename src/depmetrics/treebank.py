@@ -796,9 +796,17 @@ def iter_canonical(
     ``head`` must be JSON integers (not floats or booleans), the indices must
     run 1..n in order, and a line that breaks either rule is rejected. Every
     node's ``form`` and ``lemma`` is checked to be a string or null; the
-    sentence keeps only the lemma of the node whose head is 0.
+    sentence keeps only the lemma of the node whose head is 0. A line whose
+    id, ``form`` or ``lemma`` holds a lone surrogate (a ``\\ud800`` escape),
+    which has no UTF-8 form, is rejected.
     Blank lines and lines starting with '#' (used for run metadata by the
     generator) are skipped.
+
+    A line exactly as :func:`serialize_canonical` writes a sentence with no
+    root lemma, such as each line of ``depmetrics generate``, is read without
+    the JSON decoder: its id and heads are taken by two regexes and accepted
+    only if writing them back gives the same text. The sentence, or the
+    rejection, is the one the decoder's path gives.
     """
     _check_error_mode(errors, rejections)
     for lineno, raw in enumerate(_text_lines(stream, source), first_line):
@@ -815,6 +823,19 @@ def iter_canonical(
 
 
 def _canonical_sentence(line: str, lineno: int, span: str) -> Sentence:
+    # A line that serialize_canonical would write for its id and heads is the
+    # json.dumps text of that sentence, so json.loads would give exactly it.
+    match_start, find_heads = _writer_patterns()
+    start = match_start(line)
+    if start is not None:
+        try:
+            heads = tuple(map(_DECIMAL.__getitem__, find_heads(line, start.end())))
+        except KeyError:  # no text of 0..1023, such as 1024 or 01
+            pass
+        else:
+            sentence = Sentence(start[1], heads, None, span)
+            if serialize_canonical(sentence) == line:
+                return validate_tree(sentence)
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -847,10 +868,24 @@ def _canonical_sentence(line: str, lineno: int, span: str) -> Sentence:
         heads.append(head)
         if not head:
             root_lemma = lemma
+    if "\\" in line:  # decoded UTF-8 holds no lone surrogate, an escape may; "\\" is found by memchr, "\\u" is not
+        texts = "".join([sent_id, *(entry.get(key) or "" for entry in obj["nodes"] for key in ("form", "lemma"))])
+        if any("\ud800" <= char <= "\udfff" for char in texts):
+            raise MalformedLine(f"line {lineno}: a string holds a lone surrogate, which has no UTF-8 form")
     n = len(heads)
     if indices != list(range(1, n + 1)):
         raise InvalidTree(f"{sent_id}: node indices are not consecutive from 1 (got {indices})")
     return validate_tree(Sentence(sent_id, tuple(heads), root_lemma, span))
+
+
+@cache
+def _writer_patterns() -> tuple[Any, Any]:
+    """The match of a written line's start, up to its first node (group 1 is an id with no quote and
+    no backslash), and the finder of each ``"head": H``: built on first use."""
+    return (
+        re.compile(r'\{"id": "([^"\\]*)", "nodes": \[(?=\{"head": )').match,
+        re.compile(r'"head": (\d+)').findall,
+    )
 
 
 # --- dispatch --------------------------------------------------------------

@@ -19,13 +19,21 @@ position whose head is 0.
 ``serialize_canonical`` builds one dict per node and renders the sentence
 with ``json.dumps``; the property tests require ``treebank.serialize_canonical``
 to return the same string.
+
+``canonical_sentence`` reads every canonical line with ``json.loads``, as
+the reader did before it read the writer's own lines without the decoder.
+The property tests and ``scripts/cross_version_check.py`` require
+``treebank._canonical_sentence`` to give the same sentence, or the same
+rejection, on lines from the writer and on the ``CANONICAL_MUTATIONS`` of
+them (:func:`canonical_outcome`). It predates the refusal of a lone
+surrogate escape, so lines compared with it hold none.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 from depmetrics.errors import InvalidTree, MalformedChunkHeader, MalformedLine, MissingEOS
 from depmetrics.treebank import (
@@ -242,3 +250,99 @@ def serialize_canonical(sentence: Sentence) -> str:
 
 
 UNESCAPED_BREAKS = {ord(char): f"\\u{ord(char):04x}" for char in "\x85\u2028\u2029"}
+
+
+def canonical_sentence(line: str, lineno: int, span: str) -> Sentence:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedLine(f"line {lineno}: invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # integer digit limit, nesting depth
+        raise MalformedLine(f"line {lineno}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict) or "id" not in obj or "nodes" not in obj:
+        raise MalformedLine(f"line {lineno}: expected an object with 'id' and 'nodes'")
+    if not isinstance(obj["nodes"], list):
+        raise MalformedLine(f"line {lineno}: 'nodes' must be a list")
+    sent_id = obj["id"]
+    if type(sent_id) is not str:
+        raise MalformedLine(f"line {lineno}: 'id' must be a string")
+    indices: list[int] = []
+    heads: list[int] = []
+    root_lemma: str | None = None
+    for entry in obj["nodes"]:
+        if not isinstance(entry, dict):
+            raise MalformedLine(f"line {lineno}: node entries must be objects")
+        index = entry.get("index")
+        head = entry.get("head")
+        # type(...) is int also rules out bool, which json gives for true/false
+        if type(index) is not int or type(head) is not int:
+            raise MalformedLine(f"line {lineno}: node needs integer 'index' and 'head'")
+        form = entry.get("form")
+        lemma = entry.get("lemma")
+        if not (form is None or type(form) is str) or not (lemma is None or type(lemma) is str):
+            raise MalformedLine(f"line {lineno}: node 'form' and 'lemma' must be strings or null")
+        indices.append(index)
+        heads.append(head)
+        if not head:
+            root_lemma = lemma
+    n = len(heads)
+    if indices != list(range(1, n + 1)):
+        raise InvalidTree(f"{sent_id}: node indices are not consecutive from 1 (got {indices})")
+    return validate_tree(Sentence(sent_id, tuple(heads), root_lemma, span))
+
+
+def canonical_outcome(read: Callable[[str, int, str], Sentence], line: str) -> tuple[object, ...]:
+    """What ``read`` makes of ``line`` as line 7 of ``f``: the sentence's fields and depths, or the
+    rejection's type and message."""
+    try:
+        sentence = read(line, 7, "f:7")
+    except _REJECTABLE as exc:
+        return type(exc), str(exc)
+    return sentence.id, sentence.head_vector, sentence.root_lemma, sentence.source, sentence.depths
+
+
+def _at(pattern: str, replace: Callable[[re.Match], str]) -> Callable[[str, int], str]:
+    """A mutation that replaces the k-th match of ``pattern`` (k modulo their number) by ``replace(match)``;
+    a line with no match stays as it is."""
+    def mutate(line: str, k: int) -> str:
+        matches = list(re.finditer(pattern, line))
+        if not matches:
+            return line
+        match = matches[k % len(matches)]
+        return line[: match.start()] + replace(match) + line[match.end() :]
+
+    return mutate
+
+
+def _in_id(text: str) -> Callable[[str, int], str]:
+    """A mutation that puts ``text`` at the start of the id."""
+    return lambda line, k: line.replace('{"id": "', '{"id": "' + text, 1)
+
+
+# Edits of a written line, each (line, k) -> line, where k picks the place. Each gives a line that
+# serialize_canonical does not write, though json may read it as the same sentence, another
+# sentence, or no sentence; or, as a raw é or DEL in the id, one that it does write.
+CANONICAL_MUTATIONS: dict[str, Callable[[str, int], str]] = {
+    "a space added": _at(r"[:,] ", lambda m: m[0] + " "),
+    "a space dropped": _at(r"[:,] ", lambda m: m[0][0]),
+    "head and index swapped": _at(r'"head": (-?\d+), "index": (\d+)', lambda m: f'"index": {m[2]}, "head": {m[1]}'),
+    "a form added": _at(r'\{"head"', lambda m: '{"form": "w", "head"'),
+    "a lemma added": _at(r'\}', lambda m: ', "lemma": "x"}'),
+    "an escaped quote in the id": _in_id('\\"'),
+    "an escaped backslash in the id": _in_id("\\\\"),
+    "an escaped e-acute in the id": _in_id("\\u00e9"),
+    "a raw e-acute in the id": _in_id("\u00e9"),
+    "a raw U+2028 in the id": _in_id("\u2028"),
+    "a raw U+0085 in the id": _in_id("\x85"),
+    "a raw DEL in the id": _in_id("\x7f"),
+    "a control character in the id": lambda line, k: _in_id(chr(k % 32))(line, k),
+    "a leading zero": _at(r'"head": (\d+)', lambda m: f'"head": 0{m[1]}'),
+    "a minus sign": _at(r'"head": (\d+)', lambda m: f'"head": -{m[1]}'),
+    "a float": _at(r'"head": (\d+)', lambda m: f'"head": {m[1]}.0'),
+    "true for a head": _at(r'"head": (\d+)', lambda m: '"head": true'),
+    "an index off by one": _at(r'"index": (\d+)', lambda m: f'"index": {int(m[1]) + 1}'),
+    "a duplicate key": _at(r'\{"head": (\d+)', lambda m: '{"head": 1, ' + m[0][1:]),
+    "a key after the nodes": lambda line, k: line[:-1] + ', "x": 1}' if line.endswith("}") else line,
+    "a number for the id": lambda line, k: re.sub(r'^\{"id": "[^"\\]*"', '{"id": 1', line),
+    "truncated": lambda line, k: line[: k % max(len(line), 1)],
+}

@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from depmetrics import __version__, errors
+from depmetrics import __version__, errors, treebank
 from depmetrics.cli import main
 from depmetrics.metrics import metric_record
 from depmetrics.randtree import GeneratorConfig, generate, random_tree
@@ -785,6 +785,32 @@ def test_generate_writes_trees_past_the_writer_pieces_as_the_json_dumps_referenc
     assert path.read_text(encoding="utf-8").splitlines()[1:] == want
 
 
+def test_generated_and_json_dumps_lines_are_read_without_the_json_decoder(tmp_path, capsys, monkeypatch):
+    """Each line of ``generate``, and lines of good and bad trees as ``json.dumps(..., sort_keys=True)``
+    writes them, are read without ``json.loads``; a line with a form is read with it, once."""
+    path = tmp_path / "g.jsonl"
+    assert run(["generate", "--n", "60", "--count", "20", "--seed", "3", "-o", str(path)], capsys)[0] == 0
+    bad = [(2, 1, 0), (1, 0), (0, 0, 1), (2, 0, 7)]
+    dumped = "".join(
+        json.dumps({"id": f"b{k}", "nodes": [{"head": h, "index": i} for i, h in enumerate(heads, 1)]},
+                   sort_keys=True) + "\n"
+        for k, heads in enumerate([(2, 0), *bad])
+    )
+    with_form = '{"id": "f", "nodes": [{"form": "w", "head": 0, "index": 1}]}'
+    calls = []
+    loads = treebank.json.loads
+    monkeypatch.setattr(treebank.json, "loads", lambda text: calls.append(text) or loads(text))
+    assert len(list(iter_canonical(path.read_bytes()))) == 20
+    rejections = []
+    assert [s.id for s in iter_canonical(dumped, errors="skip", rejections=rejections)] == ["b0"]
+    assert [r.reason for r in rejections] == [
+        "b1: cycle through node 1", "b2: node 1 heads itself", "b3: multiple roots at positions [1, 2]",
+        "b4: node 3 head 7 out of range 1..3"]
+    assert calls == []
+    assert [s.id for s in iter_canonical(with_form)] == ["f"]
+    assert calls == [with_form]
+
+
 def test_generate_respects_out_degree_cap(tmp_path, capsys):
     path = tmp_path / "capped.jsonl"
     code, _, _ = run(
@@ -1049,6 +1075,38 @@ def test_an_output_path_that_an_ascii_stdout_cannot_encode_is_written_escaped(da
     assert result.returncode == 0, result.stderr
     assert result.stdout == "wrote \\u51fa\\u529b/trend.csv\nwrote \\u51fa\\u529b/meta.json\n"
     assert sorted(path.name for path in (tmp_path / "\u51fa\u529b").iterdir()) == ["meta.json", "trend.csv"]
+
+
+def test_a_lone_surrogate_escape_is_a_counted_rejection(tmp_path):
+    """Its rejection reason would quote the string, which report.json and a C-locale stdout
+    (surrogateescape) cannot encode; the line is refused without quoting it."""
+    lines = ['{"id": "a\\ud800", "nodes": [{"head": 2, "index": 1}, {"head": 1, "index": 2}]}',
+             '{"id": "b", "nodes": [{"head": 0, "index": 1}, {"head": 1, "index": 2}]}',
+             '{"id": "c", "nodes": [{"head": 2, "index": 1}, {"head": 0, "index": 2}]}']
+    (tmp_path / "s.jsonl").write_text("\n".join(lines) + "\n", encoding="ascii")
+    reason = "line 1: a string holds a lone surrogate, which has no UTF-8 form"
+    result = subprocess.run([sys.executable, "-m", "depmetrics", "report", "s.jsonl", "--output-dir", "out"],
+                            cwd=tmp_path, env=_child_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["meta"]["sentence_counts"] == {"accepted": 2, "rejected": 1, "single_node": 0}
+    assert report["rejections"] == [{"reason": reason, "sentence_id": None, "source": "s.jsonl:1"}]
+    result = subprocess.run([sys.executable, "-m", "depmetrics", "validate", "s.jsonl"],
+                            cwd=tmp_path, env=_child_env(LC_ALL="C"), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-3:] == [
+        "s.jsonl: 2 accepted, 1 rejected", f"  s.jsonl:1: {reason}", "TOTAL: 2 accepted, 1 rejected"]
+
+
+def test_an_input_name_that_is_not_utf8_is_written_as_its_json_escape(data_dir, tmp_path):
+    name = os.fsdecode(b"x\xff.jsonl")  # "x\udcff.jsonl"
+    (tmp_path / name).write_bytes((data_dir / "sample_200.jsonl").read_bytes())
+    result = subprocess.run([sys.executable, "-m", "depmetrics", "report", name, "--output-dir", "out"],
+                            cwd=tmp_path, env=_child_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    meta = (tmp_path / "out" / "meta.json").read_bytes()
+    assert [entry["path"] for entry in json.loads(meta)["inputs"]] == [name]
+    assert b'"path": "x\\udcff.jsonl"' in meta
 
 
 def test_the_entry_point_starts_without_a_stdout():

@@ -1,5 +1,6 @@
 """Property tests: the fused validate-and-depth walk, the two consumers of the per-sentence kernel,
-the canonical and CoNLL-U round trips, the canonical and ``metrics`` line writers, and the streaming
+the canonical and CoNLL-U round trips, the canonical and ``metrics`` line writers, the canonical
+reader's two paths, and the streaming
 parsers: on arbitrary text and bytes, in byte ranges, the one-pass CaboCha reader, and on documents
 that differ only in their surface forms."""
 
@@ -264,6 +265,46 @@ def test_canonical_writer_matches_the_json_dumps_reference(heads, sent_id, root_
     sentence = Sentence.from_heads(heads, id=sent_id, root_lemma=root_lemma)
     want = _written(reference_treebank.serialize_canonical, sentence)
     assert _written(serialize_canonical, sentence) == want
+
+
+# Ids and lemmas with the characters json escapes or leaves raw, but no lone surrogate, which
+# the reader refuses since the reference reader was written.
+canonical_texts = st.one_of(
+    st.from_regex(r"[a-z0-9-]{0,8}", fullmatch=True),
+    st.text(st.one_of(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029", "é"]),
+                      st.characters(exclude_categories=("Cs",))), max_size=8),
+)
+long_trees = st.tuples(st.integers(1024, 1100), st.integers(0, 2**32)).map(
+    lambda drawn: random_tree(GeneratorConfig(n=drawn[0], seed=drawn[1])).heads())
+
+
+@st.composite
+def canonical_lines(draw):
+    """Lines as serialize_canonical writes them: valid trees, cyclic, multi-root and out-of-range heads,
+    trees of 1,024 nodes and more, with and without a root lemma."""
+    heads = draw(st.one_of(
+        valid_head_vectors(),
+        head_vectors(),
+        st.lists(st.integers(-3, 1100), max_size=8),
+        long_trees,
+        st.integers(1020, 1100).map(chain_heads),
+    ))
+    root_lemma = draw(st.one_of(st.none(), canonical_texts)) if 0 in heads else None
+    return serialize_canonical(Sentence(draw(canonical_texts), tuple(heads), root_lemma))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(canonical_lines(), st.one_of(st.none(), st.sampled_from(sorted(reference_treebank.CANONICAL_MUTATIONS))),
+       st.integers(0, 10**6))
+@example('{"id": "e", "nodes": []}', None, 0)
+@example('{"id": "s", "nodes": [{"head": 1024, "index": 1}, {"head": 0, "index": 2}]}', None, 0)
+@example('{"id": "s", "nodes": [{"head": 2, "index": 1}, {"head": 0, "index": 2}]}', "a minus sign", 1)
+@example('{"id": "s", "nodes": [{"head": 2, "index": 1}, {"head": 0, "index": 2}]}', "a duplicate key", 1)
+def test_a_line_reads_as_the_json_decoder_reads_it(line, mutation, k):
+    if mutation is not None:
+        line = reference_treebank.CANONICAL_MUTATIONS[mutation](line, k)
+    want = reference_treebank.canonical_outcome(reference_treebank.canonical_sentence, line)
+    assert reference_treebank.canonical_outcome(treebank._canonical_sentence, line) == want
 
 
 @settings(max_examples=400, deadline=None)

@@ -423,6 +423,19 @@ def test_parse_canonical_requires_a_string_id(sent_id):
     assert [(r.reason, r.sentence_id) for r in rejections] == [("line 1: 'id' must be a string", None)]
 
 
+@pytest.mark.parametrize("escape", ["\\ud800", "\\udfff", "\\ude00\\ud83d"])  # the last, a pair in the wrong order
+@pytest.mark.parametrize("line", [
+    '{"id": "aSTR", "nodes": [{"head": 0, "index": 1}]}',
+    '{"id": "a", "nodes": [{"head": 0, "index": 1}, {"form": "STR", "head": 1, "index": 2}]}',
+    '{"id": "a", "nodes": [{"head": 0, "index": 1, "lemma": "STR"}]}',
+])
+def test_parse_canonical_refuses_a_lone_surrogate_escape(line, escape):
+    rejections = []
+    assert list(iter_canonical(line.replace("STR", escape), errors="skip", rejections=rejections)) == []
+    assert [r.reason for r in rejections] == ["line 1: a string holds a lone surrogate, which has no UTF-8 form"]
+    assert len(list(iter_canonical(line.replace("STR", "\\ud83d\\ude00")))) == 1  # a pair is one character
+
+
 def test_parse_canonical_keeps_only_the_root_lemma():
     line = '{"id": "s", "nodes": [{"index": 1, "head": 2, "lemma": "x"}, {"index": 2, "head": 0}]}'
     assert [s.root_lemma for s in iter_canonical(line)] == [None]
