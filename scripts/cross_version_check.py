@@ -11,11 +11,13 @@ random ids (quotes, backslashes, control characters, non-ASCII and
 non-BMP characters, lone surrogates, U+2028/U+2029), and on trees whose
 histogram keys pass the writer's 1,024-key table. It writes a root lemma
 holding each of those special characters, and one holding all of them, with
-``treebank.serialize_canonical`` and reads it back with ``iter_canonical``:
-the line must be the ``json.dumps`` text of ``tests/reference_treebank.py``,
-one line to ``str.splitlines`` (U+0085, U+2028 and U+2029 escaped), and give
-the lemma back, or, for a lone surrogate, which has no UTF-8 form, raise
-``InvalidEncoding``. The canonical reader takes a line that
+``treebank.serialize_canonical`` and reads it back with ``iter_parse``, as
+a ``str`` and as its bytes: the line must be the ``json.dumps`` text of
+``tests/reference_treebank.py``, one line to ``str.splitlines`` (U+0085,
+U+2028 and U+2029 escaped), and give the lemma back, or, for a lone
+surrogate, which has no UTF-8 form, raise ``InvalidEncoding``. So must the
+line of each special character as the id of a sentence with no root lemma,
+which the reader takes without ``json.loads`` when it needs no escape. The canonical reader takes a line that
 ``serialize_canonical`` writes by two regexes and the writer, not by
 ``json.loads``, so on generated lines (valid and broken trees, plain and
 special-character ids, with and without a root lemma, up to 1,100 nodes)
@@ -87,9 +89,7 @@ from depmetrics.errors import DepMetricsError, InvalidEncoding  # noqa: E402
 from depmetrics.treebank import (  # noqa: E402
     Sentence,
     _canonical_sentence,
-    iter_cabocha,
-    iter_canonical,
-    iter_conllu,
+    iter_parse,
     serialize_canonical,
     validate_tree,
 )
@@ -159,24 +159,33 @@ def writer_mismatches(examples: int) -> tuple[int, list[str]]:
 
 
 def root_lemma_mismatches() -> tuple[int, list[str]]:
-    """The number of root lemmas written and read back, and those whose line or read-back is wrong."""
-    lemmas = [f"a{char}b" for char in SPECIAL_CHARS] + ["".join(SPECIAL_CHARS)]
+    """The number of lines written and read back, and those whose line or read-back is wrong.
+
+    Each text is written as a root lemma and its id, and as the id of a
+    sentence with no root lemma; each line is read as a ``str`` and as its bytes.
+    """
+    texts = [f"a{char}b" for char in SPECIAL_CHARS] + ["".join(SPECIAL_CHARS)]
     bad = []
-    for seed, lemma in enumerate(lemmas):
+    cases = 0
+    for seed, text in enumerate(texts):
         heads = random_tree(GeneratorConfig(n=1 + seed % 8, seed=seed)).heads()
-        sentence = Sentence.from_heads(heads, id=lemma, root_lemma=lemma)
-        line = serialize_canonical(sentence)
-        try:
-            [again] = iter_canonical(line.encode("utf-8", "surrogatepass"))
-            got: object = (again.id, again.heads(), again.root_lemma)
-        except InvalidEncoding:
-            got = InvalidEncoding
-        readable = not any("\ud800" <= char <= "\udfff" for char in lemma)
-        want = (lemma, heads, lemma) if readable else InvalidEncoding
-        one_line = len(line.splitlines()) == 1
-        if line != reference_treebank.serialize_canonical(sentence) or not one_line or got != want:
-            bad.append(ascii(lemma))
-    return len(lemmas), bad
+        readable = not any("\ud800" <= char <= "\udfff" for char in text)
+        for root_lemma in (text, None):
+            sentence = Sentence.from_heads(heads, id=text, root_lemma=root_lemma)
+            line = serialize_canonical(sentence)
+            want = (text, heads, root_lemma) if readable else InvalidEncoding
+            one_line = len(line.splitlines()) == 1
+            for stream in (line, line.encode("utf-8", "surrogatepass")):
+                cases += 1
+                try:
+                    [again] = iter_parse(stream, "canonical")
+                    got: object = (again.id, again.heads(), again.root_lemma)
+                except InvalidEncoding:
+                    got = InvalidEncoding
+                if line != reference_treebank.serialize_canonical(sentence) or not one_line or got != want:
+                    bad.append(f"{ascii(text)} as {type(stream).__name__}"
+                               + (" with a root lemma" if root_lemma else ""))
+    return cases, bad
 
 
 def canonical_writer_mismatches() -> tuple[int, list[str]]:
@@ -283,13 +292,11 @@ def read_outcome(reader, text: str) -> tuple[object, ...]:
 
 def decimal_field_mismatches() -> tuple[int, list[str]]:
     """The number of documents read, and those the readers read unlike the reference readers."""
-    readers = {"conllu": (iter_conllu, reference_treebank.iter_conllu),
-               "cabocha": (iter_cabocha, reference_treebank.iter_cabocha)}
+    references = {"conllu": reference_treebank.iter_conllu, "cabocha": reference_treebank.iter_cabocha}
     documents = decimal_field_documents()
     bad = []
     for fmt, text in documents:
-        reader, reference = readers[fmt]
-        if read_outcome(reader, text) != read_outcome(reference, text):
+        if read_outcome(partial(iter_parse, fmt=fmt), text) != read_outcome(references[fmt], text):
             bad.append(f"{fmt} {ascii(text[:40])}")
     return len(documents), bad
 
@@ -407,7 +414,7 @@ def main() -> int:
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
     ok = not bad
     compared, bad = root_lemma_mismatches()
-    print(f"root lemma written and read back: {compared - len(bad)} of {compared} agree"
+    print(f"root lemma and id written and read back: {compared - len(bad)} of {compared} agree"
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
     ok &= not bad
     compared, bad = canonical_writer_mismatches()

@@ -18,14 +18,14 @@ lemma, which the valency lexicon looks up. Every other lemma and the
 surface text (CoNLL-U FORM, the CaboCha morpheme surfaces, a canonical
 ``form``) are read past, not kept.
 
-Each format has one generator (``iter_conllu``, ``iter_cabocha``,
-``iter_canonical``, dispatched by ``iter_parse``) that yields the sentences
-one at a time, so a caller can fold a corpus without holding it;
-:func:`parse` returns the same sentences as a list. Lines end in LF
-or CRLF; no other character breaks a line. Every input, a ``str`` as its
-UTF-8 bytes, is read, decoded and split ``CHUNK_BYTES`` at a time, and
-:func:`iter_byte_range` parses one of several byte ranges of a file, so
-that processes can share a file without any of them decoding all of it.
+An input is a ``str``, bytes or a binary file. :func:`iter_byte_range` is
+the one place where it becomes lines: it reads, decodes and splits the
+bytes (a ``str``'s UTF-8 bytes) ``CHUNK_BYTES`` at a time for the format's
+line reader, whole or as one of several byte ranges, so that processes can
+share a file without any of them decoding all of it. Lines end in LF or
+CRLF; no other character breaks a line. :func:`iter_parse` yields the
+sentences of a whole input one at a time, so a caller can fold a corpus
+without holding it; :func:`parse` returns them as a list.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from .errors import (
 
 FORMATS = ("canonical", "cabocha", "conllu")
 
-#: What a parser reads: a str, bytes, a binary file, or lines already split off.
-Text = Union[BinaryIO, str, bytes, Iterable[str]]
+#: What a parser reads: a str, bytes or a binary file.
+Text = Union[BinaryIO, str, bytes]
 
 
 class Node(NamedTuple):
@@ -159,7 +159,7 @@ class ValencyLexicon:
         """Load a two-column TSV (lemma, valency class). '#' lines are comments."""
         entries: dict[str, int] = {}
         first_lines: dict[str, int] = {}  # lemma -> the line that gave its class
-        for lineno, raw in enumerate(_text_lines(stream, source), 1):
+        for lineno, raw in enumerate(_read_lines(_binary(stream, source), source), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -250,7 +250,7 @@ def validate_tree(sentence: Sentence) -> Sentence:
 
 
 def serialize_canonical(sentence: Sentence) -> str:
-    """Render one canonical-JSONL line; :func:`iter_canonical` inverts it.
+    """Render one canonical-JSONL line; :func:`parse` of it in the ``canonical`` format inverts it.
 
     Each node has ``head`` and ``index``, and the first node whose head is 0
     also ``lemma`` when the sentence has a root lemma (a ``ValueError`` if no
@@ -302,26 +302,21 @@ _UNESCAPED_BREAKS = {ord(char): f"\\u{ord(char):04x}" for char in "\x85\u2028\u2
 CHUNK_BYTES = 1 << 16  # bytes read, decoded and split at a time
 
 
-def _text_lines(stream: Text, source: str = "<input>") -> Iterator[str]:
-    """The lines of a text, split on LF only; one CR before each LF is dropped.
+def _binary(stream: Text, name: str) -> BinaryIO:
+    """``stream`` as a binary file; a ``str`` is its UTF-8 bytes, a lone surrogate kept to fail the decode.
 
-    ``str.splitlines`` would also break a line at U+0085, U+2028, U+2029,
-    VT, FF and FS/GS/RS, which may stand inside a field. A ``str`` goes to
-    :func:`_read_lines` as its UTF-8 bytes, like bytes and binary files: a
-    BOM at its start is dropped, and a lone surrogate raises InvalidEncoding.
-    A text-mode file, which would also break lines at a lone CR, is refused
-    (another reader that gives ``str``, by :func:`_decoded_pieces` at its
-    first read); any other iterable is taken to hold the lines already.
+    A text-mode file (it would break lines at a lone CR too) or an object with
+    no ``read`` is a TypeError; a reader that gives ``str`` fails at its first read.
     """
     if isinstance(stream, str):
         stream = stream.encode("utf-8", "surrogatepass")
     if isinstance(stream, bytes):
-        stream = io.BytesIO(stream)
+        return io.BytesIO(stream)
     if isinstance(stream, io.TextIOBase):
-        raise _text_mode_error(source)
-    if hasattr(stream, "read"):
-        return _read_lines(stream, source)  # type: ignore[arg-type]
-    return iter(stream)
+        raise _text_mode_error(name)
+    if not hasattr(stream, "read"):
+        raise TypeError(f"{name}: a parser reads a str, bytes or a binary file, not {type(stream).__name__}")
+    return stream
 
 
 def _text_mode_error(name: str) -> TypeError:
@@ -329,6 +324,7 @@ def _text_mode_error(name: str) -> TypeError:
 
 
 def _split(text: str) -> list[str]:
+    """Split at LF only: str.splitlines also breaks at U+0085, U+2028, VT, FF and more, which may stand in a field."""
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     lines = text.split("\n")
@@ -427,7 +423,7 @@ _SENTENCE_START = {
 
 
 def iter_byte_range(
-    handle: BinaryIO,
+    handle: Text,
     fmt: str,
     k: int,
     parts: int,
@@ -435,6 +431,8 @@ def iter_byte_range(
     *,
     name: str,
     digest: Any = None,
+    errors: str = "raise",
+    rejections: list[Rejection] | None = None,
     **options: Any,
 ) -> Iterator[Sentence]:
     """:func:`iter_parse` over the k-th of ``parts`` byte ranges of a binary file of ``size`` bytes.
@@ -448,23 +446,27 @@ def iter_byte_range(
     the range are counted in its bytes, not decoded, so that the line
     numbers, ids and spans are those of the whole file. The only range of
     one part is read to its end from where ``handle`` stands, with no seek:
-    a pipe streams through.
+    a pipe streams through. ``handle`` may also be a str or bytes (:func:`_binary`),
+    looked at only once the format, the range and the error mode are checked.
+    The other options, ``source`` (required) and ``drop_punct``, go to the format's
+    line reader as they are: one that it does not take is a TypeError, raised at once.
     """
     if fmt not in _PARSERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     if not 0 <= k < parts:
         raise ValueError(f"need 0 <= k < parts, got k={k}, parts={parts}")
-    _check_error_mode(options.get("errors", "raise"), options.get("rejections"))  # before any read
+    if errors not in ("raise", "skip"):
+        raise ValueError(f"errors must be 'raise' or 'skip', got {errors!r}")
+    if errors == "skip" and rejections is None:  # a skipped sentence is always counted
+        raise ValueError("errors='skip' needs a rejections list to record the skipped sentences in")
+    handle = _binary(handle, name)
     lo = _sentence_break(handle, fmt, k * size // parts, name)
     hi = None if k == parts - 1 else _sentence_break(handle, fmt, (k + 1) * size // parts, name)
     lines_before, sentences_before = _count_before(handle, fmt, lo, name)
-    if fmt in _SENTENCE_START:  # canonical ids come from the file, not from a count
-        options["ordinal"] = sentences_before
     if parts > 1:  # finding the breaks moved the handle; a lone range never seeks, so a pipe streams
         handle.seek(lo)
-    return iter_parse(
-        _read_lines(handle, name, lo, hi, digest), fmt, first_line=lines_before + 1, **options
-    )
+    lines = _read_lines(handle, name, lo, hi, digest)
+    return _PARSERS[fmt](lines, lines_before + 1, sentences_before, errors=errors, rejections=rejections, **options)
 
 
 def _sentence_break(handle: BinaryIO, fmt: str, position: int, name: str) -> int:
@@ -536,14 +538,6 @@ def _reject(
     rejections.append(Rejection(source=source, reason=str(exc), sentence_id=sentence_id))
 
 
-def _check_error_mode(errors: str, rejections: list[Rejection] | None) -> None:
-    """Refuse an unknown mode, and skip mode without a list: a skipped sentence is always counted."""
-    if errors not in ("raise", "skip"):
-        raise ValueError(f"errors must be 'raise' or 'skip', got {errors!r}")
-    if errors == "skip" and rejections is None:
-        raise ValueError("errors='skip' needs a rejections list to record the skipped sentences in")
-
-
 # Almost every ID, HEAD and chunk number is a short decimal text, read by
 # one lookup; any other text is read by _ascii_int, the rule the lookup stands in for.
 _DECIMAL_TABLE = 1 << 10
@@ -562,17 +556,17 @@ def _ascii_int(text: str) -> int:
 # --- CoNLL-U --------------------------------------------------------------
 
 
-def iter_conllu(
-    stream: Text,
+def _conllu(
+    lines: Iterable[str],
+    first_line: int,
+    ordinal: int,
     *,
+    source: str,
+    errors: str,
+    rejections: list[Rejection] | None,
     drop_punct: bool = False,
-    source: str = "<conllu>",
-    errors: str = "raise",
-    rejections: list[Rejection] | None = None,
-    first_line: int = 1,
-    ordinal: int = 0,
 ) -> Iterator[Sentence]:
-    """Yield the validated sentences of CoNLL-U text.
+    """Yield the validated sentences of CoNLL-U lines.
 
     Multiword-token ranges (ID with '-') and empty nodes (ID with '.') are
     skipped; the remaining token IDs must already run 1..n, otherwise the
@@ -583,16 +577,15 @@ def iter_conllu(
     With ``drop_punct``, nodes whose UPOS is PUNCT are removed and the rest
     renumbered; a sentence where a dropped node had dependents is rejected.
 
-    ``first_line`` is the number of the first line read and ``ordinal`` the
-    number of sentences before it, for a stream that starts inside a file.
-    :func:`iter_cabocha` takes both; :func:`iter_canonical` takes only
-    ``first_line``, since its ids come from the file.
+    ``first_line`` is the number of the first line and ``ordinal`` the
+    number of sentences before it, for lines that start inside a file. The
+    line readers take the same arguments, and only :func:`iter_byte_range`
+    calls them.
     """
-    _check_error_mode(errors, rejections)
     block: list[str] = []
     first_lineno = first_line  # of the current block
     # a blank line ends the last block
-    for lineno, line in enumerate(chain(_text_lines(stream, source), ("",)), first_line):
+    for lineno, line in enumerate(chain(lines, ("",)), first_line):
         if line and not line.isspace():
             if not block:
                 first_lineno = lineno
@@ -685,14 +678,14 @@ def _drop_punct(heads: list[int], upos: list[str], sent_id: str) -> list[int]:
 # --- CaboCha lattice -------------------------------------------------------
 
 
-def iter_cabocha(
-    stream: Text,
+def _cabocha(
+    lines: Iterable[str],
+    first_line: int,
+    ordinal: int,
     *,
-    source: str = "<cabocha>",
-    errors: str = "raise",
-    rejections: list[Rejection] | None = None,
-    first_line: int = 1,
-    ordinal: int = 0,
+    source: str,
+    errors: str,
+    rejections: list[Rejection] | None,
 ) -> Iterator[Sentence]:
     """Yield the sentences of CaboCha lattice output; each bunsetsu chunk becomes one node.
 
@@ -708,14 +701,13 @@ def iter_cabocha(
     One walk reads every line once. A sentence's first fault is kept and
     reported at its ``EOS``, so a sentence is never cut short.
     """
-    _check_error_mode(errors, rejections)
     start: int | None = None  # number of the pending sentence's first line
     heads: list[int] = []  # one entry per chunk header so far
     root_lemma: str | None = None
     seeking_lemma = False  # the current chunk is a root, and the root lemma is still missing
     fault: Exception | None = None  # the pending sentence's first error
     lineno = first_line - 1
-    for lineno, raw in enumerate(_text_lines(stream, source), first_line):
+    for lineno, raw in enumerate(lines, first_line):
         if raw.startswith("* "):  # chunk header
             if start is None:
                 start = lineno
@@ -781,13 +773,14 @@ def iter_cabocha(
 # --- canonical JSONL -------------------------------------------------------
 
 
-def iter_canonical(
-    stream: Text,
+def _canonical(
+    lines: Iterable[str],
+    first_line: int,
+    ordinal: int,
     *,
-    source: str = "<canonical>",
-    errors: str = "raise",
-    rejections: list[Rejection] | None = None,
-    first_line: int = 1,
+    source: str,
+    errors: str,
+    rejections: list[Rejection] | None,
 ) -> Iterator[Sentence]:
     """Yield the sentences of the toolkit's JSONL format: one sentence object per line.
 
@@ -806,10 +799,10 @@ def iter_canonical(
     root lemma, such as each line of ``depmetrics generate``, is read without
     the JSON decoder: its id and heads are taken by two regexes and accepted
     only if writing them back gives the same text. The sentence, or the
-    rejection, is the one the decoder's path gives.
+    rejection, is the one the decoder's path gives. ``ordinal`` is not read:
+    the ids come from the file.
     """
-    _check_error_mode(errors, rejections)
-    for lineno, raw in enumerate(_text_lines(stream, source), first_line):
+    for lineno, raw in enumerate(lines, first_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -890,10 +883,11 @@ def _writer_patterns() -> tuple[Any, Any]:
 
 # --- dispatch --------------------------------------------------------------
 
+# Each format's line reader; :func:`iter_byte_range` is its only caller.
 _PARSERS = {
-    "conllu": iter_conllu,
-    "cabocha": iter_cabocha,
-    "canonical": iter_canonical,
+    "conllu": _conllu,
+    "cabocha": _cabocha,
+    "canonical": _canonical,
 }
 
 
@@ -902,15 +896,14 @@ def parse(stream: Text, fmt: str, **options: Any) -> list[Sentence]:
     return list(iter_parse(stream, fmt, **options))
 
 
-def iter_parse(stream: Text, fmt: str, **options: Any) -> Iterator[Sentence]:
+def iter_parse(stream: Text, fmt: str, *, source: str | None = None, **options: Any) -> Iterator[Sentence]:
     """Iterate over the sentences of ``stream`` in the named format ('conllu', 'cabocha', 'canonical').
 
-    The options go to the format's parser (:func:`iter_conllu`,
-    :func:`iter_cabocha` or :func:`iter_canonical`) as they are: one that
-    parser does not take, such as ``drop_punct`` outside CoNLL-U or
-    ``ordinal`` for canonical JSONL, raises ``TypeError``. Both that and an
-    unknown format (``ValueError``) are raised at once, before any line is read.
+    ``stream`` (a str, bytes or a binary file) is read as the one byte range
+    of :func:`iter_byte_range`, with the options ``errors``, ``rejections``
+    and, for CoNLL-U, ``drop_punct``; ``source`` (by default ``<fmt>``) names
+    it. Any other option, an unknown format or an input of another type
+    raises at once, before any line is read.
     """
-    if fmt not in _PARSERS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    return _PARSERS[fmt](stream, **options)
+    source = f"<{fmt}>" if source is None else source
+    return iter_byte_range(stream, fmt, 0, 1, 0, name=source, source=source, digest=None, **options)

@@ -3,14 +3,17 @@
 ``iter_cabocha`` walks every line looking for ``EOS``; ``_cabocha_sentence``
 then walks the sentence's lines again to read its chunks, and a lemma for
 every chunk, and takes the root's from that list. The property tests
-require ``treebank.iter_cabocha`` to yield the same sentences and record (or
-raise) the same rejections as this reader.
+require the CaboCha parser of ``treebank`` to yield the same sentences and
+record (or raise) the same rejections as this reader.
 
 ``iter_conllu`` reads every CoNLL-U ID and HEAD by the rule that
 ``treebank``'s decimal lookup tables stand in for: a run of ASCII digits
 that ``int()`` reads. It takes no ``drop_punct``. The property tests require
-``treebank.iter_conllu`` to yield the same sentences and record (or raise)
-the same rejections for any spelling of the numbers.
+the CoNLL-U parser of ``treebank`` to yield the same sentences and record
+(or raise) the same rejections for any spelling of the numbers.
+
+Both read a ``str`` or bytes, split into lines by ``split_lines`` at once,
+not by the chunked reader of ``treebank``, and check no error mode.
 
 ``lemma_columns`` reads every position's head, lemma and UPOS in each of the
 three formats, with no checks, so that a test can look up the lemma at the
@@ -33,29 +36,30 @@ from __future__ import annotations
 
 import json
 import re
-from typing import IO, Callable, Iterator
+from typing import Callable, Iterator
 
 from depmetrics.errors import InvalidTree, MalformedChunkHeader, MalformedLine, MissingEOS
-from depmetrics.treebank import (
-    _REJECTABLE,
-    Rejection,
-    Sentence,
-    _check_error_mode,
-    _reject,
-    _text_lines,
-    validate_tree,
-)
+from depmetrics.treebank import _REJECTABLE, Rejection, Sentence, _reject, validate_tree
+
+
+def split_lines(stream: str | bytes) -> list[str]:
+    """The lines of a text, or of its UTF-8 bytes, all at once: one BOM at the start is dropped, and
+    the text is split at each LF, with one CR before it dropped."""
+    text = (stream.encode("utf-8", "surrogatepass") if isinstance(stream, str) else stream).decode("utf-8")
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text ended with a line break, or is empty
+    return lines
 
 
 def iter_cabocha(
-    stream: IO | str | bytes,
+    stream: str | bytes,
     *,
     source: str = "<cabocha>",
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
 ) -> Iterator[Sentence]:
-    _check_error_mode(errors, rejections)
-    lines = list(_text_lines(stream))
+    lines = split_lines(stream)
     ordinal = 0
     start: int | None = None  # index of the pending sentence's first non-blank line
     for i, raw in enumerate(lines):
@@ -118,14 +122,13 @@ def _cabocha_sentence(lines: list[str], first_lineno: int, sent_id: str, span: s
 
 
 def iter_conllu(
-    stream: IO | str | bytes,
+    stream: str | bytes,
     *,
     source: str = "<conllu>",
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
 ) -> Iterator[Sentence]:
-    _check_error_mode(errors, rejections)
-    lines = list(_text_lines(stream))
+    lines = split_lines(stream)
     ordinal = 0
     start: int | None = None  # index of the pending block's first line
     for i, line in enumerate([*lines, ""]):  # a blank line ends the last block

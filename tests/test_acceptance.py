@@ -28,7 +28,7 @@ from depmetrics.cli import main
 from depmetrics.metrics import metric_record
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads
 from depmetrics.stats import Distribution, entropy, midranks, ols_fit, spearman
-from depmetrics.treebank import Sentence, iter_canonical, iter_conllu, iter_parse, validate_tree
+from depmetrics.treebank import Sentence, iter_parse, validate_tree
 
 from .conftest import DATA_DIR, DEMO7_HEADS, exact_means, fold
 from .reference_randtree import enumerate_trees
@@ -50,7 +50,7 @@ def test_criterion_01_worked_example_golden():
     text = "\n".join(
         f"{i}\tw{i}\t_\t_\t_\t_\t{h}\t_\t_\t_" for i, h in enumerate(DEMO7_HEADS, 1)
     )
-    sentence = list(iter_conllu(text))[0]
+    sentence = list(iter_parse(text, "conllu"))[0]
     record = metric_record(sentence)
     elapsed = time.monotonic() - started
     assert record.sl == 7
@@ -61,9 +61,9 @@ def test_criterion_01_worked_example_golden():
 
 def test_criterion_02_sl2_identity():
     pairs = [s for s in enumerate_trees(2)]
-    pairs += [s for s in iter_canonical((DATA_DIR / "sample_200.jsonl").read_bytes()) if len(s) == 2]
+    pairs += [s for s in iter_parse((DATA_DIR / "sample_200.jsonl").read_bytes(), "canonical") if len(s) == 2]
     ud = (DATA_DIR / "sample_ud.conllu").read_bytes()
-    pairs += [s for s in iter_conllu(ud, errors="skip", rejections=[]) if len(s) == 2]
+    pairs += [s for s in iter_parse(ud, "conllu", errors="skip", rejections=[]) if len(s) == 2]
     assert len(pairs) >= 12
     for sentence in pairs:
         record = metric_record(sentence)
@@ -120,7 +120,7 @@ def test_criterion_05_hd1_equals_root_out_degree():
         for sentence in enumerate_trees(n):
             record = metric_record(sentence)
             assert record.hd_hist.get(1, 0) == record.root_out_degree
-    for sentence in iter_canonical((DATA_DIR / "sample_200.jsonl").read_bytes()):
+    for sentence in iter_parse((DATA_DIR / "sample_200.jsonl").read_bytes(), "canonical"):
         record = metric_record(sentence)
         assert record.hd_hist.get(1, 0) == record.root_out_degree
 

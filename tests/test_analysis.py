@@ -24,7 +24,7 @@ from depmetrics.analysis import SeriesPoint
 from depmetrics.errors import EmptyLexicon, EmptySelection, TooShort
 from depmetrics.metrics import metric_record
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads
-from depmetrics.treebank import Sentence, ValencyLexicon, iter_canonical, iter_conllu
+from depmetrics.treebank import Sentence, ValencyLexicon, iter_parse
 
 from .conftest import fields, fold, make_sentence
 from .reference_randtree import enumerate_trees
@@ -112,7 +112,7 @@ def test_length_histogram_matches_line_count_oracle(data_dir):
         for line in raw.splitlines()
         if line.strip() and not line.startswith("#")
     )
-    sentences = list(iter_canonical(raw))
+    sentences = list(iter_parse(raw, "canonical"))
     assert length_histogram(fold(sentences, WINDOW)) == dict(oracle)
 
 
@@ -380,8 +380,8 @@ def test_merging_conditionals_reproduces_pooled_distribution():
 
 
 def test_hd1_count_equals_root_out_degree_corpus_wide(data_dir):
-    sentences = list(iter_conllu((data_dir / "sample_ud.conllu").read_bytes(), errors="skip", rejections=[]))
-    sentences += list(iter_canonical((data_dir / "sample_200.jsonl").read_bytes()))
+    sentences = list(iter_parse((data_dir / "sample_ud.conllu").read_bytes(), "conllu", errors="skip", rejections=[]))
+    sentences += list(iter_parse((data_dir / "sample_200.jsonl").read_bytes(), "canonical"))
     for sent in sentences:
         if len(sent) >= 2:
             record = metric_record(sent)

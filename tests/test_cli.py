@@ -15,7 +15,7 @@ from depmetrics import __version__, errors, treebank
 from depmetrics.cli import main
 from depmetrics.metrics import metric_record
 from depmetrics.randtree import GeneratorConfig, generate, random_tree
-from depmetrics.treebank import iter_canonical, iter_conllu, serialize_canonical
+from depmetrics.treebank import iter_parse, serialize_canonical
 
 from . import closed_stdout, reference_metrics, reference_treebank
 from .command_flags import COMMAND_FLAGS, RUN_CONFIG_FLAGS
@@ -110,7 +110,7 @@ def test_metrics_dump_matches_library(data_dir, tmp_path, capsys):
     assert lines[0].startswith("# ")
     meta = json.loads(lines[0][2:])
     assert meta["command"] == "metrics"
-    sentences = list(iter_conllu((data_dir / "sample_ud.conllu").read_bytes(), errors="skip", rejections=[]))
+    sentences = list(iter_parse((data_dir / "sample_ud.conllu").read_bytes(), "conllu", errors="skip", rejections=[]))
     expected = [metric_record(s) for s in sentences if len(s) >= 2]
     assert lines[1:] == [reference_metrics.json_line(record) for record in expected]
     assert [json.loads(line) for line in lines[1:]] == list(map(reference_metrics.json_dict, expected))
@@ -227,7 +227,7 @@ def test_single_analysis_commands_log_only_the_warnings_of_their_tables(data_dir
     assert not [r for r in caplog.records if "distribution" in r.getMessage()]
     caplog.clear()
     assert main(["dist", sample, "--output-dir", str(tmp_path / "dist")]) == 0
-    lengths = {len(s) for s in iter_conllu((data_dir / "sample_ud.conllu").read_bytes(), errors="skip",
+    lengths = {len(s) for s in iter_parse((data_dir / "sample_ud.conllu").read_bytes(), "conllu", errors="skip",
                                            rejections=[])}
     missing = [sl for sl in (5, 10, 15, 20) if sl not in lengths]  # the defaults inside the window 2-20
     assert [m for m in caplog.messages if "distribution" in m] == [
@@ -768,7 +768,7 @@ def test_generate_reproducible_and_parseable(tmp_path, capsys):
         code, _, _ = run(["generate", "--n", "5", "--count", "3", "--seed", "7", "-o", str(path)], capsys)
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
-    sentences = list(iter_canonical(a.read_bytes()))
+    sentences = list(iter_parse(a.read_bytes(), "canonical"))
     assert len(sentences) == 3
     header = a.read_text(encoding="utf-8").splitlines()[0]
     assert header.startswith("# ")
@@ -800,14 +800,14 @@ def test_generated_and_json_dumps_lines_are_read_without_the_json_decoder(tmp_pa
     calls = []
     loads = treebank.json.loads
     monkeypatch.setattr(treebank.json, "loads", lambda text: calls.append(text) or loads(text))
-    assert len(list(iter_canonical(path.read_bytes()))) == 20
+    assert len(list(iter_parse(path.read_bytes(), "canonical"))) == 20
     rejections = []
-    assert [s.id for s in iter_canonical(dumped, errors="skip", rejections=rejections)] == ["b0"]
+    assert [s.id for s in iter_parse(dumped, "canonical", errors="skip", rejections=rejections)] == ["b0"]
     assert [r.reason for r in rejections] == [
         "b1: cycle through node 1", "b2: node 1 heads itself", "b3: multiple roots at positions [1, 2]",
         "b4: node 3 head 7 out of range 1..3"]
     assert calls == []
-    assert [s.id for s in iter_canonical(with_form)] == ["f"]
+    assert [s.id for s in iter_parse(with_form, "canonical")] == ["f"]
     assert calls == [with_form]
 
 
@@ -818,7 +818,7 @@ def test_generate_respects_out_degree_cap(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    for sent in iter_canonical(path.read_bytes()):
+    for sent in iter_parse(path.read_bytes(), "canonical"):
         assert metric_record(sent).root_out_degree <= 4
 
 

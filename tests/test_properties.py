@@ -12,6 +12,7 @@ import json
 import re
 import sys
 from collections import deque
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,9 +38,6 @@ from depmetrics.treebank import (
     Sentence,
     ValencyLexicon,
     iter_byte_range,
-    iter_cabocha,
-    iter_canonical,
-    iter_conllu,
     iter_parse,
     serialize_canonical,
     tree_depths,
@@ -189,7 +187,7 @@ text_or_none = st.one_of(st.none(), st.text(max_size=4))
 @given(valid_head_vectors(), text_or_none, st.data())
 def test_canonical_round_trip_of_random_trees(heads, root_lemma, data):
     sentence = Sentence.from_heads(heads, id=data.draw(st.text(max_size=6)), root_lemma=root_lemma)
-    again = list(iter_canonical(serialize_canonical(sentence)))[0]
+    again = list(iter_parse(serialize_canonical(sentence), "canonical"))[0]
     assert again.heads() == sentence.heads()
     assert again.nodes == sentence.nodes
     assert again.id == sentence.id
@@ -229,7 +227,7 @@ def test_conllu_round_trip_of_random_trees(trees, data):
         n = len(heads)
         columns = st.one_of(st.none(), st.lists(st.one_of(st.none(), conllu_fields), min_size=n, max_size=n))
         sentences.append((sent_id, heads, data.draw(columns)))
-    again = list(iter_conllu(write_conllu(sentences).encode("utf-8")))
+    again = list(iter_parse(write_conllu(sentences).encode("utf-8"), "conllu"))
     want = [(sent_id, heads, lemmas and lemmas[heads.index(0)]) for sent_id, heads, lemmas in sentences]
     assert [(s.id, s.heads(), s.root_lemma) for s in again] == want
 
@@ -363,26 +361,26 @@ texts = st.one_of(
     ).map(lambda parts: "".join(line + end for line, end in parts)),
 )
 STREAMING = [
-    (iter_conllu, {}),
-    (iter_conllu, {"drop_punct": True}),
-    (iter_cabocha, {}),
-    (iter_canonical, {}),
+    ("conllu", {}),
+    ("conllu", {"drop_punct": True}),
+    ("cabocha", {}),
+    ("canonical", {}),
 ]
 
 
 @settings(max_examples=500, deadline=None)
 @given(texts)
 def test_streaming_parsers_yield_only_validated_trees_or_record_rejections(text):
-    for generator, options in STREAMING:
+    for fmt, options in STREAMING:
         rejections = []
-        sentences = list(generator(text, errors="skip", rejections=rejections, **options))
+        sentences = list(iter_parse(text, fmt, errors="skip", rejections=rejections, **options))
         for sentence in sentences:
             assert isinstance(sentence, Sentence)
             assert len(sentence.depths) == len(sentence.head_vector)
             assert sentence.depths == tree_depths(sentence.head_vector)
         assert all(isinstance(rejection, Rejection) for rejection in rejections)
         again = []
-        again_sentences = list(generator(text, errors="skip", rejections=again, **options))
+        again_sentences = list(iter_parse(text, fmt, errors="skip", rejections=again, **options))
         assert fields(again_sentences) == fields(sentences)
         assert again == rejections
 
@@ -465,7 +463,7 @@ def test_root_lemma_is_the_reference_lemma_of_the_position_whose_head_is_0(docum
             options = {"drop_punct": True} if drop_punct else {}
             # the lines as the reference splits them, so that no BOM rule applies
             lines = text.split("\n")
-            for sentence in iter_parse(lines, fmt, source="f", errors="skip", rejections=[], **options):
+            for sentence in treebank._PARSERS[fmt](lines, 1, 0, source="f", errors="skip", rejections=[], **options):
                 heads, lemmas, upos = columns[sentence.id]
                 kept = [not drop_punct or tag != "PUNCT" for tag in upos] if upos else [True] * len(heads)
                 [root] = [i for i, head in enumerate(heads) if not head and kept[i]]
@@ -508,7 +506,8 @@ chunk_sizes = st.sampled_from([1, 2, 3, 5, 8, 1 << 20])
 
 def _serial_outcome(data, fmt, **options):
     """The parse of the whole decoded text, split at each LF or CRLF, or the error the first byte that
-    is not UTF-8 raises. The parser gets the lines, since a str would go through the BOM rule again."""
+    is not UTF-8 raises. The format's line reader gets the lines, since a str would go through the BOM
+    rule again."""
     skipped = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
         text = data[skipped:].decode("utf-8")
@@ -518,7 +517,7 @@ def _serial_outcome(data, fmt, **options):
     if not lines[-1]:
         lines.pop()  # the text ended with a line break, or is empty
     rejections = []
-    sentences = list(iter_parse(lines, fmt, source="f", errors="skip", rejections=rejections, **options))
+    sentences = list(treebank._PARSERS[fmt](lines, 1, 0, source="f", errors="skip", rejections=rejections, **options))
     return _with_depths(sentences), rejections
 
 
@@ -663,7 +662,7 @@ def test_one_pass_cabocha_reader_matches_the_two_walk_reference(text, bom, chunk
         patch.setattr(treebank, "CHUNK_BYTES", chunk)
         for parts in range(1, 5):
             assert _ranges_outcome(data, "cabocha", parts) == (_with_depths(want), want_rejections)
-    assert _raise_mode_outcome(iter_cabocha, text) == _raise_mode_outcome(
+    assert _raise_mode_outcome(partial(iter_parse, fmt="cabocha"), text) == _raise_mode_outcome(
         reference_treebank.iter_cabocha, text
     )
 
@@ -712,8 +711,8 @@ def decimal_field_documents(draw):
 def test_decimal_fields_are_read_as_the_reference_reads_them(documents):
     conllu, cabocha = documents
     for text, reader, reference in (
-        (conllu, iter_conllu, reference_treebank.iter_conllu),
-        (cabocha, iter_cabocha, reference_treebank.iter_cabocha),
+        (conllu, partial(iter_parse, fmt="conllu"), reference_treebank.iter_conllu),
+        (cabocha, partial(iter_parse, fmt="cabocha"), reference_treebank.iter_cabocha),
     ):
         got, want = [], []
         sentences = _with_depths(reader(text, source="f", errors="skip", rejections=got))

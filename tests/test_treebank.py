@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from depmetrics import treebank
 from depmetrics.errors import (
     CycleDetected,
     InvalidEncoding,
@@ -22,10 +23,7 @@ from depmetrics.treebank import (
     Node,
     Sentence,
     ValencyLexicon,
-    iter_cabocha,
     iter_byte_range,
-    iter_canonical,
-    iter_conllu,
     iter_parse,
     parse,
     serialize_canonical,
@@ -48,7 +46,7 @@ def conllu_block(heads, **kw):
 
 def test_parse_conllu_minimal_two_tokens():
     text = conllu_line(1, 2, lemma="the") + "\n" + conllu_line(2, 0, lemma="cat") + "\n"
-    sentences = list(iter_conllu(text))
+    sentences = list(iter_parse(text, "conllu"))
     assert len(sentences) == 1
     sent = sentences[0]
     assert len(sent) == 2
@@ -58,31 +56,31 @@ def test_parse_conllu_minimal_two_tokens():
 
 
 def test_parse_conllu_empty_input():
-    assert list(iter_conllu("")) == []
-    assert list(iter_conllu(b"\n\n")) == []
+    assert list(iter_parse("", "conllu")) == []
+    assert list(iter_parse(b"\n\n", "conllu")) == []
 
 
 def test_parse_conllu_demo7_mdd():
-    sentences = list(iter_conllu(conllu_block(DEMO7_HEADS)))
+    sentences = list(iter_parse(conllu_block(DEMO7_HEADS), "conllu"))
     assert len(sentences) == 1
     assert metric_record(sentences[0]).mdd == pytest.approx(1.8333, abs=5e-5)
 
 
 def test_parse_conllu_uses_sent_id_comment():
     text = "# sent_id = xyz\n" + conllu_block((2, 0))
-    assert list(iter_conllu(text))[0].id == "xyz"
+    assert list(iter_parse(text, "conllu"))[0].id == "xyz"
 
 
 def test_parse_conllu_matches_the_sent_id_key_exactly():
     block = conllu_block((2, 0))
-    assert list(iter_conllu("# sent_id = real\n# sent_id_orig = other\n" + block))[0].id == "real"
-    assert list(iter_conllu("# sent_idx = 7\n" + block, source="f"))[0].id == "f#1"
-    assert list(iter_conllu("#sent_id=tight\n" + block))[0].id == "tight"
-    assert list(iter_conllu("# sent_id =\n" + block, source="f"))[0].id == "f#1"  # no value
+    assert list(iter_parse("# sent_id = real\n# sent_id_orig = other\n" + block, "conllu"))[0].id == "real"
+    assert list(iter_parse("# sent_idx = 7\n" + block, "conllu", source="f"))[0].id == "f#1"
+    assert list(iter_parse("#sent_id=tight\n" + block, "conllu"))[0].id == "tight"
+    assert list(iter_parse("# sent_id =\n" + block, "conllu", source="f"))[0].id == "f#1"  # no value
 
 
 def test_parse_conllu_skips_ranges_and_empty_nodes(data_dir):
-    sentences = list(iter_conllu((data_dir / "sample_ud.conllu").read_bytes(), source="sample_ud.conllu"))
+    sentences = list(iter_parse((data_dir / "sample_ud.conllu").read_bytes(), "conllu", source="sample_ud.conllu"))
     by_id = {s.id: s for s in sentences}
     ranged = by_id["ranges6"]
     assert len(ranged) == 6
@@ -93,26 +91,26 @@ def test_parse_conllu_skips_ranges_and_empty_nodes(data_dir):
 def test_parse_conllu_rejects_id_gap():
     text = conllu_line(1, 3) + "\n" + conllu_line(3, 0) + "\n"
     with pytest.raises(InvalidTree):
-        list(iter_conllu(text))
+        list(iter_parse(text, "conllu"))
     rejections = []
-    assert list(iter_conllu(text, errors="skip", rejections=rejections)) == []
+    assert list(iter_parse(text, "conllu", errors="skip", rejections=rejections)) == []
     assert len(rejections) == 1
     assert "consecutive" in rejections[0].reason
 
 
 def test_parse_conllu_malformed_lines():
     with pytest.raises(MalformedLine):
-        list(iter_conllu("1\tonly\tthree\n"))
+        list(iter_parse("1\tonly\tthree\n", "conllu"))
     with pytest.raises(MalformedLine):
-        list(iter_conllu(conllu_line("x", 0)))
+        list(iter_parse(conllu_line("x", 0), "conllu"))
     with pytest.raises(MalformedLine):
-        list(iter_conllu(conllu_line(1, "zero")))
+        list(iter_parse(conllu_line(1, "zero"), "conllu"))
 
 
 def test_parse_conllu_skip_mode_keeps_good_sentences(data_dir):
     rejections = []
     sentences = list(
-        iter_conllu((data_dir / "mixed.conllu").read_bytes(), errors="skip", rejections=rejections)
+        iter_parse((data_dir / "mixed.conllu").read_bytes(), "conllu", errors="skip", rejections=rejections)
     )
     assert [s.id for s in sentences] == ["good1", "good2"]
     assert len(rejections) == 2
@@ -120,7 +118,7 @@ def test_parse_conllu_skip_mode_keeps_good_sentences(data_dir):
 
 
 def test_parse_conllu_underscore_fields_become_none():
-    sent = list(iter_conllu(conllu_line(1, 0, lemma="_") + "\n"))[0]
+    sent = list(iter_parse(conllu_line(1, 0, lemma="_") + "\n", "conllu"))[0]
     assert sent.root_lemma is None
 
 
@@ -140,9 +138,9 @@ def test_conllu_id_and_head_take_ascii_digits_only(field, raw):
     text = first + "\n" + conllu_line(2, 0) + "\n"
     reason = f"line 1: non-integer {field} {raw!r}"
     with pytest.raises(MalformedLine, match=f"^{re.escape(reason)}$"):
-        list(iter_conllu(text))
+        list(iter_parse(text, "conllu"))
     rejections = []
-    assert list(iter_conllu(text, errors="skip", rejections=rejections)) == []
+    assert list(iter_parse(text, "conllu", errors="skip", rejections=rejections)) == []
     assert [rejection.reason for rejection in rejections] == [reason]
 
 
@@ -151,17 +149,17 @@ def test_conllu_id_and_head_at_the_edges_of_the_decimal_table(raw):
     one_token = conllu_line(raw, 0) + "\n"
     two_tokens = conllu_line(1, 0) + "\n" + conllu_line(2, raw) + "\n"
     if raw == "01":  # a leading zero misses the table and is read as int() reads it
-        assert [s.heads() for s in iter_conllu(one_token)] == [(0,)]
-        assert [s.heads() for s in iter_conllu(two_tokens)] == [(0, 1)]
+        assert [s.heads() for s in iter_parse(one_token, "conllu")] == [(0,)]
+        assert [s.heads() for s in iter_parse(two_tokens, "conllu")] == [(0, 1)]
         return
     with pytest.raises(InvalidTree, match="^<conllu>#1: token IDs are not consecutive from 1$"):
-        list(iter_conllu(one_token))
+        list(iter_parse(one_token, "conllu"))
     if raw == "0":
         with pytest.raises(MultipleRoots):
-            list(iter_conllu(two_tokens))
+            list(iter_parse(two_tokens, "conllu"))
     else:
         with pytest.raises(InvalidTree, match=f"^<conllu>#1: node 2 head {raw} out of range 1\\.\\.2$"):
-            list(iter_conllu(two_tokens))
+            list(iter_parse(two_tokens, "conllu"))
 
 
 def test_conllu_sentence_past_the_decimal_table():
@@ -170,16 +168,16 @@ def test_conllu_sentence_past_the_decimal_table():
     raw_ids = [str(i) for i in range(1, n + 1)]
     raw_ids[1049] = "01050"  # a leading zero past the table too
     text = "".join(conllu_line(raw_id, head) + "\n" for raw_id, head in zip(raw_ids, heads))
-    [sentence] = iter_conllu(text)
+    [sentence] = iter_parse(text, "conllu")
     assert sentence.heads() == heads
     assert sentence.depths == tuple(range(n - 1, -1, -1))
     with pytest.raises(InvalidTree, match="^<conllu>#1: node 1 head 1101 out of range 1\\.\\.1100$"):
-        list(iter_conllu(text.replace("\t2\t", "\t1101\t", 1)))
+        list(iter_parse(text.replace("\t2\t", "\t1101\t", 1), "conllu"))
 
 
 def test_drop_punct_removes_leaf_and_renumbers(data_dir):
     text = (data_dir / "sample_ud.conllu").read_bytes()
-    sentences = list(iter_conllu(text, drop_punct=True, errors="skip", rejections=[]))
+    sentences = list(iter_parse(text, "conllu", drop_punct=True, errors="skip", rejections=[]))
     by_id = {s.id: s for s in sentences}
     trimmed = by_id["punct4"]
     assert len(trimmed) == 3
@@ -190,7 +188,7 @@ def test_drop_punct_removes_leaf_and_renumbers(data_dir):
 def test_drop_punct_rejects_punct_with_dependents(data_dir):
     rejections = []
     text = (data_dir / "sample_ud.conllu").read_bytes()
-    sentences = list(iter_conllu(text, drop_punct=True, errors="skip", rejections=rejections))
+    sentences = list(iter_parse(text, "conllu", drop_punct=True, errors="skip", rejections=rejections))
     assert "punctdep5" not in {s.id for s in sentences}
     assert any("punctuation" in r.reason for r in rejections)
 
@@ -200,18 +198,18 @@ def test_conllu_root_lemma_is_the_lemma_of_the_kept_line_whose_head_is_0():
     go_first = conllu_line(1, 0, lemma="go") + "\n" + conllu_line(2, 0, lemma="dot", upos="PUNCT") + "\n"
     for text in (dot_first, go_first):
         with pytest.raises(MultipleRoots):
-            list(iter_conllu(text))
-        [sentence] = iter_conllu(text, drop_punct=True)
+            list(iter_parse(text, "conllu"))
+        [sentence] = iter_parse(text, "conllu", drop_punct=True)
         assert (sentence.heads(), sentence.root_lemma) == ((0,), "go")
     text = conllu_line(1, 2, lemma="bird") + "\n" + conllu_line(2, 0, lemma="_") + "\n"
-    assert [s.root_lemma for s in iter_conllu(text)] == [None]  # another line's lemma is not the root's
+    assert [s.root_lemma for s in iter_parse(text, "conllu")] == [None]  # another line's lemma is not the root's
 
 
 def test_drop_punct_keeps_out_of_range_head_for_validation():
     text = conllu_line(1, 3) + "\n" + conllu_line(2, 3, upos="PUNCT") + "\n"
     text += conllu_line(3, 0) + "\n" + conllu_line(4, 9) + "\n"
     with pytest.raises(InvalidTree, match=r"node 3 head 9 out of range 1\.\.3$"):
-        list(iter_conllu(text, drop_punct=True))
+        list(iter_parse(text, "conllu", drop_punct=True))
 
 
 # --- CaboCha ----------------------------------------------------------------
@@ -219,14 +217,14 @@ def test_drop_punct_keeps_out_of_range_head_for_validation():
 
 def test_parse_cabocha_single_chunk():
     text = "* 0 -1D 0/0 0.0\nhai\tint,*,*,*,*,*,hai,HAI,HAI\nEOS\n"
-    sentences = list(iter_cabocha(text))
+    sentences = list(iter_parse(text, "cabocha"))
     assert len(sentences) == 1
     assert sentences[0].heads() == (0,)
     assert sentences[0].root_lemma == "hai"
 
 
 def test_parse_cabocha_sample_file(data_dir):
-    sentences = list(iter_cabocha((data_dir / "sample.cabocha").read_bytes(), source="sample.cabocha"))
+    sentences = list(iter_parse((data_dir / "sample.cabocha").read_bytes(), "cabocha", source="sample.cabocha"))
     assert len(sentences) == 3
     first, single, last = sentences
     assert first.heads() == DEMO7_HEADS
@@ -237,24 +235,24 @@ def test_parse_cabocha_sample_file(data_dir):
 
 
 def test_parse_cabocha_demo_structure_metrics(data_dir):
-    first = list(iter_cabocha((data_dir / "sample.cabocha").read_bytes()))[0]
+    first = list(iter_parse((data_dir / "sample.cabocha").read_bytes(), "cabocha"))[0]
     assert metric_record(first).mdd == pytest.approx(1.8333, abs=5e-5)
 
 
 def test_parse_cabocha_missing_eos():
     text = "* 0 -1D\nword\tnoun,*,*,*,*,*,word,W,W\n"
     with pytest.raises(MissingEOS):
-        list(iter_cabocha(text))
+        list(iter_parse(text, "cabocha"))
     rejections = []
-    assert list(iter_cabocha(text, errors="skip", rejections=rejections)) == []
+    assert list(iter_parse(text, "cabocha", errors="skip", rejections=rejections)) == []
     assert len(rejections) == 1
 
 
 def test_parse_cabocha_malformed_header():
     with pytest.raises(MalformedChunkHeader):
-        list(iter_cabocha("* 0 nohead\nw\tx\nEOS\n"))
+        list(iter_parse("* 0 nohead\nw\tx\nEOS\n", "cabocha"))
     with pytest.raises(MalformedChunkHeader):
-        list(iter_cabocha("* 5 -1D\nw\tx\nEOS\n"))  # index out of sequence
+        list(iter_parse("* 5 -1D\nw\tx\nEOS\n", "cabocha"))  # index out of sequence
 
 
 @pytest.mark.parametrize(
@@ -265,30 +263,30 @@ def test_parse_cabocha_malformed_header():
 )
 def test_cabocha_chunk_index_and_head_take_ascii_digits_only(header):
     sentence = "{}\nw\tx\n* 1 -1D\nv\tx\nEOS\n"
-    assert list(iter_cabocha(sentence.format("* 0 1D")))[0].heads() == (2, 0)
+    assert list(iter_parse(sentence.format("* 0 1D"), "cabocha"))[0].heads() == (2, 0)
     text = sentence.format(header)
     reason = f"line 1: bad chunk header {header!r}"
     with pytest.raises(MalformedChunkHeader, match=f"^{re.escape(reason)}$"):
-        list(iter_cabocha(text))
+        list(iter_parse(text, "cabocha"))
     rejections = []
-    assert list(iter_cabocha(text, errors="skip", rejections=rejections)) == []
+    assert list(iter_parse(text, "cabocha", errors="skip", rejections=rejections)) == []
     assert [rejection.reason for rejection in rejections] == [reason]
 
 
 def test_cabocha_header_numbers_with_leading_zeros_or_past_the_decimal_table():
-    assert [s.heads() for s in iter_cabocha("* 00 -1D\nw\tx\nEOS\n")] == [(0,)]
-    assert [s.heads() for s in iter_cabocha("* 0 01D\nw\tx\n* 1 -1D\nv\tx\nEOS\n")] == [(2, 0)]
+    assert [s.heads() for s in iter_parse("* 00 -1D\nw\tx\nEOS\n", "cabocha")] == [(0,)]
+    assert [s.heads() for s in iter_parse("* 0 01D\nw\tx\n* 1 -1D\nv\tx\nEOS\n", "cabocha")] == [(2, 0)]
     for header in ("* 0 -01D", "* 0 1d"):
         reason = f"line 1: bad chunk header {header!r}"
         with pytest.raises(MalformedChunkHeader, match=f"^{re.escape(reason)}$"):
-            list(iter_cabocha(header + "\nw\tx\n* 1 -1D\nv\tx\nEOS\n"))
+            list(iter_parse(header + "\nw\tx\n* 1 -1D\nv\tx\nEOS\n", "cabocha"))
     n = 1100
     chunks = [f"* {index} {index + 1}D\nw\tx\n" for index in range(n - 1)] + [f"* {n - 1} -1D\nv\tx\n"]
-    [sentence] = iter_cabocha("".join(chunks) + "EOS\n")
+    [sentence] = iter_parse("".join(chunks) + "EOS\n", "cabocha")
     assert sentence.heads() == tuple(range(2, n + 1)) + (0,)
     reason = f"line {2 * n - 1}: chunk index 1100 out of sequence (expected 1099)"
     with pytest.raises(MalformedChunkHeader, match=f"^{re.escape(reason)}$"):
-        list(iter_cabocha("".join(chunks[:-1]) + f"* {n} -1D\nv\tx\nEOS\n"))
+        list(iter_parse("".join(chunks[:-1]) + f"* {n} -1D\nv\tx\nEOS\n", "cabocha"))
 
 
 def test_parse_cabocha_skip_mode_rejects_only_bad_sentence():
@@ -297,7 +295,7 @@ def test_parse_cabocha_skip_mode_rejects_only_bad_sentence():
         "* 0 -1D\nok\tnoun,*,*,*,*,*,ok,O,O\nEOS\n"
     )
     rejections = []
-    sentences = list(iter_cabocha(text, errors="skip", rejections=rejections))
+    sentences = list(iter_parse(text, "cabocha", errors="skip", rejections=rejections))
     assert [s.root_lemma for s in sentences] == ["ok"]
     assert len(rejections) == 1
     assert "chunk header" in rejections[0].reason
@@ -305,12 +303,12 @@ def test_parse_cabocha_skip_mode_rejects_only_bad_sentence():
 
 def test_cabocha_root_lemma_is_the_first_base_form_of_the_root_chunk():
     root_without_lemma = "* 0 -1D\na\tx,*,*,*,*,*,*\nb\tx,*,*,*,*,*,\nEOS\n"
-    assert [s.root_lemma for s in iter_cabocha(root_without_lemma)] == [None]
+    assert [s.root_lemma for s in iter_parse(root_without_lemma, "cabocha")] == [None]
     short_features = "* 0 1D\nw\tn,x\n* 1 -1D\nv\tshort\nu\tv,*,*,*,*,*,go\nEOS\n"  # fewer than seven
-    [sentence] = iter_cabocha(short_features)
+    [sentence] = iter_parse(short_features, "cabocha")
     assert (sentence.heads(), sentence.root_lemma) == ((2, 0), "go")
     non_root_only = "* 0 1D\nw\tn,*,*,*,*,*,word\n* 1 -1D\nv\tv,*,*,*,*,*,*\nEOS\n"
-    assert [s.root_lemma for s in iter_cabocha(non_root_only)] == [None]
+    assert [s.root_lemma for s in iter_parse(non_root_only, "cabocha")] == [None]
 
 
 def _counting_lines(text, split):
@@ -324,23 +322,28 @@ def _counting_lines(text, split):
     return [Line(line) for line in text.split("\n")]
 
 
+def _cabocha_lines(lines):
+    """The CaboCha line reader over ``lines``, given as they are."""
+    return treebank._PARSERS["cabocha"](lines, 1, 0, source="<cabocha>", errors="raise", rejections=None)
+
+
 def test_cabocha_splits_only_the_root_chunks_morpheme_lines_up_to_its_lemma(data_dir):
     split = []
     text = (data_dir / "sample.cabocha").read_text(encoding="utf-8")
-    sentences = list(iter_cabocha(_counting_lines(text, split)))
+    sentences = list(_cabocha_lines(_counting_lines(text, split)))
     assert [line.split("\t")[0] for line in split] == ["hitoda", "hai", "tobu"]
     assert [s.root_lemma for s in sentences] == ["hitoda", "hai", "tobu"]
     split = []
     text = "* 0 1D\nw\tn,*,*,*,*,*,w\n* 1 -1D\na\tx,*,*,*,*,*,*\nb\tx,*,*,*,*,*,\nc\tv,*,*,*,*,*,go\n"
     text += "d\tv,*,*,*,*,*,went\n* 2 1D\ne\tp,*,*,*,*,*,e\nEOS\n"
-    [sentence] = iter_cabocha(_counting_lines(text, split))
+    [sentence] = _cabocha_lines(_counting_lines(text, split))
     assert [line[0] for line in split] == ["a", "b", "c"]
     assert (sentence.heads(), sentence.root_lemma) == ((2, 0, 2), "go")
 
 
 def test_parse_cabocha_morpheme_before_header():
     with pytest.raises(MalformedLine):
-        list(iter_cabocha("stray\tnoun\nEOS\n"))
+        list(iter_parse("stray\tnoun\nEOS\n", "cabocha"))
 
 
 # --- canonical JSONL ---------------------------------------------------------
@@ -348,7 +351,7 @@ def test_parse_cabocha_morpheme_before_header():
 
 def test_parse_canonical_trivial():
     line = '{"id":"s1","nodes":[{"index":1,"head":2},{"index":2,"head":0}]}'
-    sentences = list(iter_canonical(line))
+    sentences = list(iter_parse(line, "canonical"))
     assert len(sentences) == 1
     assert sentences[0].id == "s1"
     assert sentences[0].heads() == (2, 0)
@@ -357,17 +360,17 @@ def test_parse_canonical_trivial():
 def test_parse_canonical_multiple_roots_rejected():
     line = '{"id":"bad","nodes":[{"index":1,"head":0},{"index":2,"head":0}]}'
     with pytest.raises(MultipleRoots):
-        list(iter_canonical(line))
+        list(iter_parse(line, "canonical"))
 
 
 def test_parse_canonical_bad_json_reports_line_number():
     with pytest.raises(MalformedLine, match="line 2"):
-        list(iter_canonical('{"id":"a","nodes":[{"index":1,"head":0}]}\n{broken\n'))
+        list(iter_parse('{"id":"a","nodes":[{"index":1,"head":0}]}\n{broken\n', "canonical"))
 
 
 def test_parse_canonical_skips_comments_and_blanks():
     text = '# generated corpus\n\n{"id":"a","nodes":[{"index":1,"head":0}]}\n'
-    assert len(list(iter_canonical(text))) == 1
+    assert len(list(iter_parse(text, "canonical"))) == 1
 
 
 @pytest.mark.parametrize(
@@ -386,9 +389,9 @@ def test_parse_canonical_skips_comments_and_blanks():
 def test_parse_canonical_requires_json_integers(node):
     line = '{"id": "s", "nodes": [{"index": 2, "head": 0}, ' + node + "]}"
     with pytest.raises(MalformedLine, match="^line 1: node needs integer 'index' and 'head'$"):
-        list(iter_canonical(line))
+        list(iter_parse(line, "canonical"))
     rejections = []
-    assert list(iter_canonical(line, errors="skip", rejections=rejections)) == []
+    assert list(iter_parse(line, "canonical", errors="skip", rejections=rejections)) == []
     assert len(rejections) == 1
 
 
@@ -400,7 +403,7 @@ def test_parse_canonical_requires_json_integers(node):
 def test_parse_canonical_rejects_json_python_cannot_load(nodes):
     line = '{"id": "s", "nodes": ' + nodes + "}"
     rejections = []
-    assert list(iter_canonical(line, errors="skip", rejections=rejections)) == []
+    assert list(iter_parse(line, "canonical", errors="skip", rejections=rejections)) == []
     assert rejections[0].reason.startswith("line 1: invalid JSON: ")
 
 
@@ -410,16 +413,16 @@ def test_parse_canonical_requires_text_or_null(field):
     on_dependent = '{"id": "s", "nodes": [{"index": 1, "head": 0}, {"index": 2, "head": 1, ' + field + "}]}"
     for line in (on_root, on_dependent):  # every node's, though only the root's lemma is kept
         with pytest.raises(MalformedLine, match="'form' and 'lemma' must be strings or null"):
-            list(iter_canonical(line))
+            list(iter_parse(line, "canonical"))
 
 
 @pytest.mark.parametrize("sent_id", ["null", "5", "true", "[1]", '{"a": 1}'])
 def test_parse_canonical_requires_a_string_id(sent_id):
     line = '{"id": ' + sent_id + ', "nodes": [{"index": 1, "head": 0}]}'
     with pytest.raises(MalformedLine, match="^line 1: 'id' must be a string$"):
-        list(iter_canonical(line))
+        list(iter_parse(line, "canonical"))
     rejections = []
-    assert list(iter_canonical(line, errors="skip", rejections=rejections)) == []
+    assert list(iter_parse(line, "canonical", errors="skip", rejections=rejections)) == []
     assert [(r.reason, r.sentence_id) for r in rejections] == [("line 1: 'id' must be a string", None)]
 
 
@@ -431,32 +434,32 @@ def test_parse_canonical_requires_a_string_id(sent_id):
 ])
 def test_parse_canonical_refuses_a_lone_surrogate_escape(line, escape):
     rejections = []
-    assert list(iter_canonical(line.replace("STR", escape), errors="skip", rejections=rejections)) == []
+    assert list(iter_parse(line.replace("STR", escape), "canonical", errors="skip", rejections=rejections)) == []
     assert [r.reason for r in rejections] == ["line 1: a string holds a lone surrogate, which has no UTF-8 form"]
-    assert len(list(iter_canonical(line.replace("STR", "\\ud83d\\ude00")))) == 1  # a pair is one character
+    assert len(list(iter_parse(line.replace("STR", "\\ud83d\\ude00"), "canonical"))) == 1  # a pair is one character
 
 
 def test_parse_canonical_keeps_only_the_root_lemma():
     line = '{"id": "s", "nodes": [{"index": 1, "head": 2, "lemma": "x"}, {"index": 2, "head": 0}]}'
-    assert [s.root_lemma for s in iter_canonical(line)] == [None]
+    assert [s.root_lemma for s in iter_parse(line, "canonical")] == [None]
     line = line.replace('"head": 0}', '"head": 0, "lemma": "y"}')
-    assert [s.root_lemma for s in iter_canonical(line)] == ["y"]
+    assert [s.root_lemma for s in iter_parse(line, "canonical")] == ["y"]
 
 
 def test_parse_canonical_accepts_null_text_fields():
     line = '{"id": "s", "nodes": [{"index": 1, "head": 0, "form": null, "lemma": "go"}]}'
-    sent = list(iter_canonical(line))[0]
+    sent = list(iter_parse(line, "canonical"))[0]
     assert sent.nodes[0] == Node(index=1, head=0)
     assert sent.root_lemma == "go"
 
 
 def test_canonical_round_trip_over_bundled_samples(data_dir):
-    originals = list(iter_conllu((data_dir / "sample_ud.conllu").read_bytes(), errors="skip", rejections=[]))
-    originals += list(iter_cabocha((data_dir / "sample.cabocha").read_bytes()))
-    originals += list(iter_canonical((data_dir / "sample_200.jsonl").read_bytes()))
+    originals = list(iter_parse((data_dir / "sample_ud.conllu").read_bytes(), "conllu", errors="skip", rejections=[]))
+    originals += list(iter_parse((data_dir / "sample.cabocha").read_bytes(), "cabocha"))
+    originals += list(iter_parse((data_dir / "sample_200.jsonl").read_bytes(), "canonical"))
     assert len(originals) == 12 + 3 + 200
     for sent in originals:
-        again = list(iter_canonical(serialize_canonical(sent)))[0]
+        again = list(iter_parse(serialize_canonical(sent), "canonical"))[0]
         assert again.id == sent.id
         assert again.nodes == sent.nodes
 
@@ -479,7 +482,7 @@ def test_validate_tree_examples():
     with pytest.raises(InvalidTree, match="^empty: sentence has no nodes$"):
         validate_tree(Sentence.from_heads((), id="empty"))
     with pytest.raises(InvalidTree, match="^<canonical>:1: sentence has no nodes$"):
-        list(iter_canonical('{"id": "", "nodes": []}'))
+        list(iter_parse('{"id": "", "nodes": []}', "canonical"))
 
 
 @pytest.mark.parametrize("heads", [(), (2, 3, 1), (1, 2)], ids=["empty", "cycle", "self-loops"])
@@ -515,7 +518,7 @@ def test_validate_tree_rejects_nonconsecutive_indices():
     # a head vector has no indices to skip, so the check lives in the parser
     line = '{"id": "gap", "nodes": [{"index": 1, "head": 3}, {"index": 3, "head": 0}]}'
     with pytest.raises(InvalidTree, match=r"^gap: node indices are not consecutive from 1 \(got \[1, 3\]\)$"):
-        list(iter_canonical(line))
+        list(iter_parse(line, "canonical"))
 
 
 def _is_rooted_tree_oracle(heads):
@@ -557,7 +560,7 @@ def test_validator_accept_set_matches_oracle(n):
 
 
 def test_accepted_sentences_have_n_minus_1_dependencies(data_dir):
-    for sent in iter_canonical((data_dir / "sample_200.jsonl").read_bytes()):
+    for sent in iter_parse((data_dir / "sample_200.jsonl").read_bytes(), "canonical"):
         assert sum(1 for node in sent.nodes if node.head != 0) == len(sent) - 1
 
 
@@ -630,12 +633,22 @@ def test_iter_parse_rejects_unknown_format_before_reading():
         iter_parse("", "xml")
 
 
+DOCUMENT = {
+    "conllu": conllu_block((0,)),
+    "cabocha": "* 0 -1D 0/0 0.0\n行く\t動詞,自立,*,*,*,*,行く\nEOS\n",
+    "canonical": '{"id": "a", "nodes": [{"index": 1, "head": 0}]}\n',
+}
+
+
 def test_parse_option_the_format_parser_does_not_take_is_a_type_error():
-    cabocha = "* 0 -1D 0/0 0.0\n行く\t動詞,自立,*,*,*,*,行く\nEOS\n"
     with pytest.raises(TypeError):
-        iter_parse(cabocha, "cabocha", drop_punct=True)  # raised before any line is read
+        iter_parse(DOCUMENT["cabocha"], "cabocha", drop_punct=True)  # raised before any line is read
     with pytest.raises(TypeError):
-        parse('{"id": "a", "nodes": [{"index": 1, "head": 0}]}', "canonical", ordinal=1)
+        parse(DOCUMENT["canonical"], "canonical", ordinal=1)
+    for fmt in FORMATS:  # where a read starts, and what it hashes, are the byte range's to set
+        for option in ("first_line", "ordinal", "digest"):
+            with pytest.raises(TypeError):
+                iter_parse(DOCUMENT[fmt], fmt, **{option: 1})
 
 
 class _Untouchable:
@@ -650,16 +663,38 @@ class _Untouchable:
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_skip_mode_without_a_rejections_list_is_refused_before_any_line_is_read(fmt):
-    parser = {"conllu": iter_conllu, "cabocha": iter_cabocha, "canonical": iter_canonical}[fmt]
-    with pytest.raises(ValueError, match="needs a rejections list"):
-        next(parser(_Untouchable(), errors="skip"))
     with pytest.raises(ValueError, match="needs a rejections list"):
         next(iter_parse(_Untouchable(), fmt, errors="skip"))
     for k in (0, 1):
         with pytest.raises(ValueError, match="needs a rejections list"):
             iter_byte_range(_Untouchable(), fmt, k, 2, 100, name="f", errors="skip")
-    assert list(parser("", errors="skip", rejections=[])) == []  # skip mode with a list
-    assert list(parser("")) == []  # raise mode needs none
+    assert list(iter_parse("", fmt, errors="skip", rejections=[])) == []  # skip mode with a list
+    assert list(iter_parse("", fmt)) == []  # raise mode needs none
+
+
+class _UntouchedLines(list):
+    """Lines already split, which fail if anything reads them."""
+
+    def __iter__(self):
+        raise AssertionError("the lines were iterated")
+
+    def __len__(self):
+        raise AssertionError("the lines were measured")
+
+    def __getitem__(self, index):
+        raise AssertionError("a line was read")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_lines_already_split_are_a_type_error_before_any_is_read(fmt):
+    lines = _UntouchedLines(DOCUMENT[fmt].split("\n"))
+    message = f"^<{fmt}>: a parser reads a str, bytes or a binary file, not _UntouchedLines$"
+    with pytest.raises(TypeError, match=message):
+        iter_parse(lines, fmt)
+    with pytest.raises(TypeError, match="not list$"):
+        parse(DOCUMENT[fmt].split("\n"), fmt, errors="skip", rejections=[])
+    with pytest.raises(TypeError, match="not list$"):
+        ValencyLexicon.from_tsv(["go\t1"])
 
 
 
@@ -671,13 +706,13 @@ NON_LF_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u20
 
 @pytest.mark.parametrize("char", NON_LF_BREAKS)
 def test_conllu_lemma_may_hold_a_non_lf_line_break(char):
-    sentence = list(iter_conllu(conllu_block((0,), lemma=f"a{char}b")))[0]
+    sentence = list(iter_parse(conllu_block((0,), lemma=f"a{char}b"), "conllu"))[0]
     assert sentence.root_lemma == f"a{char}b"
 
 
 def test_cabocha_surface_may_hold_a_next_line_character():
     text = "* 0 -1D 0/0 0.0\nx\x85y\tnoun,*,*,*,*,*,x\x85y\nEOS\n"
-    [sentence] = iter_cabocha(text)
+    [sentence] = iter_parse(text, "cabocha")
     assert sentence.root_lemma == "x\x85y"
     assert sentence.source == "<cabocha>:1-3"
 
@@ -685,7 +720,7 @@ def test_cabocha_surface_may_hold_a_next_line_character():
 def test_canonical_line_with_raw_line_separator_in_a_string_is_one_sentence():
     line = '{"id": "a\u2028b", "nodes": [{"index": 1, "head": 0, "lemma": "x\u2028y"}]}\n'
     rejections = []
-    sentences = list(iter_canonical(line, errors="skip", rejections=rejections))
+    sentences = list(iter_parse(line, "canonical", errors="skip", rejections=rejections))
     assert rejections == []
     assert [(s.id, s.root_lemma) for s in sentences] == [("a\u2028b", "x\u2028y")]
 
@@ -770,3 +805,10 @@ def test_a_reader_that_gives_str_is_refused_in_a_byte_range_before_any_line_is_p
 def test_str_with_a_lone_surrogate_is_invalid_encoding(fmt):
     with pytest.raises(InvalidEncoding, match="byte 2 is not UTF-8"):
         parse("ab\ud800\n", fmt, errors="skip", rejections=[])
+    # canonical lines: one in the writer's form, read without the JSON decoder, and one with an escape
+    for line, byte in (
+        ('{"id": "a\ud800", "nodes": [{"head": 0, "index": 1}]}', 9),
+        ('{"id": "a\\"\ud800", "nodes": [{"head": 0, "index": 1}]}', 11),
+    ):
+        with pytest.raises(InvalidEncoding, match=f"^<{fmt}>: byte {byte} is not UTF-8 "):
+            parse(line, fmt)

@@ -24,7 +24,7 @@ import pytest
 from depmetrics import cli, report, treebank
 from depmetrics.analysis import CorpusStats
 from depmetrics.cli import main
-from depmetrics.treebank import iter_canonical
+from depmetrics.treebank import iter_parse
 
 from . import test_golden
 
@@ -90,7 +90,7 @@ def test_two_file_metrics_keeps_file_order(data_dir, monkeypatch, capsys):
     expected = [
         sentence.id
         for path in paths
-        for sentence in iter_canonical(Path(path).read_bytes(), errors="skip", rejections=[])
+        for sentence in iter_parse(Path(path).read_bytes(), "canonical", errors="skip", rejections=[])
         if len(sentence) >= 2
     ]
     assert ids == expected
