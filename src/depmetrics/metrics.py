@@ -18,17 +18,17 @@ from operator import mul, sub
 from typing import Mapping, NamedTuple
 
 from .errors import TooShort
-from .treebank import _DECIMAL_TABLE, Sentence, tree_depths
+from .treebank import _DECIMAL_TABLE, Sentence, validate_tree
 
 
 def node_depths(sentence: Sentence) -> tuple[int, ...]:
     """HD of every node, indexed by position - 1. Root depth is 0.
 
     The depths that :func:`validate_tree` attached; an unvalidated sentence
-    costs one :func:`tree_depths` walk, so a malformed one raises ``InvalidTree``.
+    costs one :func:`validate_tree` walk, so a malformed one raises ``InvalidTree``.
     """
     if sentence.depths is None:
-        return tree_depths(sentence.head_vector, sentence.id, sentence.source)
+        return validate_tree(sentence).depths
     return sentence.depths
 
 

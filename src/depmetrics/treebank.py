@@ -6,12 +6,14 @@ Three input formats are supported:
 * CaboCha lattice output (``* IDX HEADD ...`` chunk headers, ``EOS``),
 * a toolkit-native "canonical" JSONL format, one sentence object per line.
 
-Every sentence is checked for tree well-formedness (exactly one root,
-acyclic, fully connected) before it is returned. Parsers either raise on the
-first bad sentence (``errors="raise"``, the default) or skip it and record a
-:class:`Rejection` in the ``rejections`` list that skip mode requires
-(``errors="skip"``), which is what the CLI uses so that a noisy corpus does
-not abort a run and every bad sentence is counted.
+Every sentence of every format goes through :func:`validate_tree`, the one
+check of a head vector (exactly one root, acyclic, fully connected), before
+it is returned. Parsers either raise on the first bad sentence
+(``errors="raise"``, the default) or skip it and record a :class:`Rejection`
+in the ``rejections`` list that skip mode requires (``errors="skip"``),
+which is what the CLI uses so that a noisy corpus does not abort a run and
+every bad sentence is counted. The mode is settled once per byte range,
+not at each bad sentence.
 
 A sentence keeps what the measures read: its head vector and its root's
 lemma, which the valency lexicon looks up. Every other lemma and the
@@ -38,7 +40,7 @@ from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring
 from operator import add, eq
-from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     CycleDetected,
@@ -185,20 +187,22 @@ class ValencyLexicon:
 _ON_CHAIN = -2  # depth marker for a node on the head chain being walked
 
 
-def tree_depths(heads: Sequence[int], id: str = "", source: str = "") -> tuple[int, ...]:
-    """Check that ``heads`` forms one rooted tree and return every node's depth.
+def validate_tree(sentence: Sentence) -> Sentence:
+    """Check that the head vector forms one rooted tree; return the sentence with its node depths.
 
-    The checks run in a fixed order, and the first failure raises: no nodes,
-    root count, then per node a self-loop or an out-of-range head, then a
-    cycle. Depth is the number of head links up to the root (root 0), in
-    position order. ``source`` labels the empty-sentence error when ``id`` is
-    empty. One O(n) walk does both jobs: it follows each head chain until it
-    reaches a node of known depth, and meeting a node of the current chain
-    again is a cycle.
+    The checks run in a fixed order, and the first failure raises its typed
+    :class:`InvalidTree`: no nodes, root count, then per node a self-loop or
+    an out-of-range head, then a cycle. ``source`` labels the empty-sentence
+    error when the id is empty. Depth is the number of head links up to the
+    root (root 0), in position order, so every accepted sentence of n nodes
+    carries exactly n - 1 dependencies. One O(n) walk does both jobs: it
+    follows each head chain until it reaches a node of known depth, and
+    meeting a node of the current chain again is a cycle.
     """
+    id, heads = sentence.id, sentence.head_vector
     n = len(heads)
     if not n:
-        raise InvalidTree(f"{id or source}: sentence has no nodes")
+        raise InvalidTree(f"{id or sentence.source}: sentence has no nodes")
     roots = heads.count(0)
     if not roots:
         raise NoRoot(f"{id}: no node has head 0")
@@ -234,19 +238,7 @@ def tree_depths(heads: Sequence[int], id: str = "", source: str = "") -> tuple[i
             d += 1
             depth[u] = d
     del depth[0]
-    return tuple(depth)  # type: ignore[arg-type]
-
-
-def validate_tree(sentence: Sentence) -> Sentence:
-    """Check single root, acyclicity and connectivity; attach the node depths.
-
-    Returns the sentence with ``depths`` set, or raises the typed error of
-    :func:`tree_depths`. Every accepted sentence of n nodes therefore carries
-    exactly n - 1 dependencies.
-    """
-    heads = sentence.head_vector
-    depths = tree_depths(heads, sentence.id, sentence.source)
-    return Sentence(sentence.id, heads, sentence.root_lemma, sentence.source, depths)
+    return Sentence(id, heads, sentence.root_lemma, sentence.source, tuple(depth))  # type: ignore[arg-type]
 
 
 def serialize_canonical(sentence: Sentence) -> str:
@@ -448,8 +440,10 @@ def iter_byte_range(
     one part is read to its end from where ``handle`` stands, with no seek:
     a pipe streams through. ``handle`` may also be a str or bytes (:func:`_binary`),
     looked at only once the format, the range and the error mode are checked.
-    The other options, ``source`` (required) and ``drop_punct``, go to the format's
-    line reader as they are: one that it does not take is a TypeError, raised at once.
+    The error mode becomes the one ``reject`` callable that the line reader
+    calls with each bad sentence. The other options, ``source`` (required) and
+    ``drop_punct``, go to the format's line reader as they are: one that it
+    does not take is a TypeError, raised at once.
     """
     if fmt not in _PARSERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -465,8 +459,14 @@ def iter_byte_range(
     lines_before, sentences_before = _count_before(handle, fmt, lo, name)
     if parts > 1:  # finding the breaks moved the handle; a lone range never seeks, so a pipe streams
         handle.seek(lo)
+    if errors == "raise":
+        def reject(exc: Exception, span: str, sentence_id: str | None) -> None:
+            raise exc
+    else:
+        def reject(exc: Exception, span: str, sentence_id: str | None) -> None:
+            rejections.append(Rejection(span, str(exc), sentence_id))
     lines = _read_lines(handle, name, lo, hi, digest)
-    return _PARSERS[fmt](lines, lines_before + 1, sentences_before, errors=errors, rejections=rejections, **options)
+    return _PARSERS[fmt](lines, lines_before + 1, sentences_before, reject=reject, **options)
 
 
 def _sentence_break(handle: BinaryIO, fmt: str, position: int, name: str) -> int:
@@ -525,19 +525,6 @@ def _count_before(handle: BinaryIO, fmt: str, end: int, name: str) -> tuple[int,
 _REJECTABLE = (MalformedLine, MalformedChunkHeader, MissingEOS, InvalidTree)
 
 
-def _reject(
-    exc: Exception,
-    errors: str,
-    rejections: list[Rejection] | None,
-    source: str,
-    sentence_id: str | None,
-) -> None:
-    """Apply the error policy to one bad sentence: re-raise, or record it in the list skip mode has."""
-    if errors == "raise":
-        raise exc
-    rejections.append(Rejection(source=source, reason=str(exc), sentence_id=sentence_id))
-
-
 # Almost every ID, HEAD and chunk number is a short decimal text, read by
 # one lookup; any other text is read by _ascii_int, the rule the lookup stands in for.
 _DECIMAL_TABLE = 1 << 10
@@ -562,8 +549,7 @@ def _conllu(
     ordinal: int,
     *,
     source: str,
-    errors: str,
-    rejections: list[Rejection] | None,
+    reject: Callable[[Exception, str, str | None], None],
     drop_punct: bool = False,
 ) -> Iterator[Sentence]:
     """Yield the validated sentences of CoNLL-U lines.
@@ -578,9 +564,10 @@ def _conllu(
     renumbered; a sentence where a dropped node had dependents is rejected.
 
     ``first_line`` is the number of the first line and ``ordinal`` the
-    number of sentences before it, for lines that start inside a file. The
-    line readers take the same arguments, and only :func:`iter_byte_range`
-    calls them.
+    number of sentences before it, for lines that start inside a file.
+    ``reject(exc, span, sentence_id)`` raises ``exc`` or records a
+    :class:`Rejection`, as :func:`iter_byte_range` settled. The line readers
+    take the same arguments, and only :func:`iter_byte_range` calls them.
     """
     block: list[str] = []
     first_lineno = first_line  # of the current block
@@ -607,7 +594,7 @@ def _conllu(
         try:
             sentence = _conllu_sentence(block, first_lineno, sent_id, span, drop_punct)
         except _REJECTABLE as exc:
-            _reject(exc, errors, rejections, span, sent_id)
+            reject(exc, span, sent_id)
         else:
             yield sentence
         block = []
@@ -684,8 +671,7 @@ def _cabocha(
     ordinal: int,
     *,
     source: str,
-    errors: str,
-    rejections: list[Rejection] | None,
+    reject: Callable[[Exception, str, str | None], None],
 ) -> Iterator[Sentence]:
     """Yield the sentences of CaboCha lattice output; each bunsetsu chunk becomes one node.
 
@@ -741,15 +727,14 @@ def _cabocha(
             span = f"{source}:{start}-{lineno}"
             sent_id = f"{source}#{ordinal}"
             if fault is None:
-                head_vector = tuple(heads)
                 try:
-                    depths = tree_depths(head_vector, sent_id, span)
+                    sentence = validate_tree(Sentence(sent_id, tuple(heads), root_lemma, span))
                 except InvalidTree as exc:
                     fault = exc
             if fault is None:
-                yield Sentence(sent_id, head_vector, root_lemma, span, depths)
+                yield sentence
             else:
-                _reject(fault, errors, rejections, span, sent_id)
+                reject(fault, span, sent_id)
             start, heads, root_lemma, seeking_lemma, fault = None, [], None, False, None
         else:  # morpheme line: SURFACE<TAB>FEATURES
             if start is None:
@@ -767,7 +752,7 @@ def _cabocha(
 
     if start is not None:
         exc = MissingEOS(f"{source}: stream ended inside a sentence (missing EOS)")
-        _reject(exc, errors, rejections, f"{source}:{start}-{lineno}", None)
+        reject(exc, f"{source}:{start}-{lineno}", None)
 
 
 # --- canonical JSONL -------------------------------------------------------
@@ -779,8 +764,7 @@ def _canonical(
     ordinal: int,
     *,
     source: str,
-    errors: str,
-    rejections: list[Rejection] | None,
+    reject: Callable[[Exception, str, str | None], None],
 ) -> Iterator[Sentence]:
     """Yield the sentences of the toolkit's JSONL format: one sentence object per line.
 
@@ -810,7 +794,7 @@ def _canonical(
         try:
             sentence = _canonical_sentence(line, lineno, span)
         except _REJECTABLE as exc:
-            _reject(exc, errors, rejections, span, None)
+            reject(exc, span, None)
         else:
             yield sentence
 

@@ -10,7 +10,7 @@ import pytest
 
 from depmetrics.analysis import CorpusStats, LengthStats
 from depmetrics.stats import Distribution
-from depmetrics.treebank import Sentence, ValencyLexicon, validate_tree
+from depmetrics.treebank import Rejection, Sentence, ValencyLexicon, validate_tree
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -31,6 +31,18 @@ def demo7() -> Sentence:
 
 def make_sentence(heads, id="s", root_lemma=None) -> Sentence:
     return validate_tree(Sentence.from_heads(tuple(heads), id=id, root_lemma=root_lemma))
+
+
+def rejecter(rejections=None):
+    """A line reader's ``reject(exc, span, sentence_id)``, as ``iter_byte_range`` builds it: it raises
+    ``exc`` when ``rejections`` is None and records a ``Rejection`` in it otherwise."""
+    if rejections is None:
+        def reject(exc, span, sentence_id):
+            raise exc
+    else:
+        def reject(exc, span, sentence_id):
+            rejections.append(Rejection(span, str(exc), sentence_id))
+    return reject
 
 
 def fold(sentences, window, lexicon=None) -> CorpusStats:

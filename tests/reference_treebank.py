@@ -13,7 +13,8 @@ the CoNLL-U parser of ``treebank`` to yield the same sentences and record
 (or raise) the same rejections for any spelling of the numbers.
 
 Both read a ``str`` or bytes, split into lines by ``split_lines`` at once,
-not by the chunked reader of ``treebank``, and check no error mode.
+not by the chunked reader of ``treebank``. They check no error mode, and
+apply it to each bad sentence with their own ``_reject``, not ``treebank``'s code.
 
 ``lemma_columns`` reads every position's head, lemma and UPOS in each of the
 three formats, with no checks, so that a test can look up the lemma at the
@@ -39,7 +40,16 @@ import re
 from typing import Callable, Iterator
 
 from depmetrics.errors import InvalidTree, MalformedChunkHeader, MalformedLine, MissingEOS
-from depmetrics.treebank import _REJECTABLE, Rejection, Sentence, _reject, validate_tree
+from depmetrics.treebank import Rejection, Sentence, validate_tree
+
+REJECTABLE = (MalformedLine, MalformedChunkHeader, MissingEOS, InvalidTree)
+
+
+def _reject(exc: Exception, errors: str, rejections: list[Rejection] | None, span: str, sentence_id) -> None:
+    """Apply the error mode to one bad sentence: raise ``exc``, or record it in the skip mode's list."""
+    if errors == "raise":
+        raise exc
+    rejections.append(Rejection(span, str(exc), sentence_id))
 
 
 def split_lines(stream: str | bytes) -> list[str]:
@@ -73,7 +83,7 @@ def iter_cabocha(
             sent_id = f"{source}#{ordinal}"
             try:
                 sentence = _cabocha_sentence(lines[start:i], start + 1, sent_id, span)
-            except _REJECTABLE as exc:
+            except REJECTABLE as exc:
                 _reject(exc, errors, rejections, span, sent_id)
             else:
                 yield sentence
@@ -151,7 +161,7 @@ def iter_conllu(
                 sent_id = value.strip()
         try:
             sentence = _conllu_sentence(block, first_lineno, sent_id, span)
-        except _REJECTABLE as exc:
+        except REJECTABLE as exc:
             _reject(exc, errors, rejections, span, sent_id)
         else:
             yield sentence
@@ -299,7 +309,7 @@ def canonical_outcome(read: Callable[[str, int, str], Sentence], line: str) -> t
     rejection's type and message."""
     try:
         sentence = read(line, 7, "f:7")
-    except _REJECTABLE as exc:
+    except REJECTABLE as exc:
         return type(exc), str(exc)
     return sentence.id, sentence.head_vector, sentence.root_lemma, sentence.source, sentence.depths
 

@@ -40,12 +40,11 @@ from depmetrics.treebank import (
     iter_byte_range,
     iter_parse,
     serialize_canonical,
-    tree_depths,
     validate_tree,
 )
 
 from . import reference_metrics, reference_treebank
-from .conftest import fields, fold
+from .conftest import fields, fold, rejecter
 
 
 def ordered_checks_oracle(heads, id):
@@ -105,6 +104,11 @@ def valid_head_vectors(draw):
     return random_tree(GeneratorConfig(n=n, seed=seed)).heads()
 
 
+def tree_walk(heads, id=""):
+    """The depths that ``validate_tree`` attaches to a bare head vector."""
+    return validate_tree(Sentence(id, tuple(heads))).depths
+
+
 def _outcome(check, heads):
     try:
         return "ok", check(heads, "s")
@@ -114,9 +118,9 @@ def _outcome(check, heads):
 
 @settings(max_examples=1000, deadline=None)
 @given(st.one_of(head_vectors(), valid_head_vectors()))
-def test_tree_depths_matches_ordered_checks_and_bfs(heads):
+def test_validate_tree_matches_ordered_checks_and_bfs(heads):
     expected_kind, expected = _outcome(ordered_checks_oracle, heads)
-    kind, result = _outcome(tree_depths, heads)
+    kind, result = _outcome(tree_walk, heads)
     assert kind == expected_kind
     if kind == "ok":
         assert result == bfs_depths(heads)
@@ -159,7 +163,7 @@ def test_the_fold_and_the_metric_record_agree(n, seed, validated, with_lemmas):
 @given(head_vectors().filter(lambda heads: len(heads) >= 2))
 def test_the_fold_and_the_metric_record_reject_a_bad_tree_alike(heads):
     sentence = Sentence.from_heads(heads, id="s")
-    kind, reason = _outcome(tree_depths, heads)
+    kind, reason = _outcome(tree_walk, heads)
     n = len(heads)  # one fold holds the tree's length in its window, the other only counts it
     for consume in (metric_record, CorpusStats((n, n)).add, CorpusStats((n + 1, n + 1)).add):
         if kind == "ok":
@@ -377,7 +381,7 @@ def test_streaming_parsers_yield_only_validated_trees_or_record_rejections(text)
         for sentence in sentences:
             assert isinstance(sentence, Sentence)
             assert len(sentence.depths) == len(sentence.head_vector)
-            assert sentence.depths == tree_depths(sentence.head_vector)
+            assert sentence.depths == tree_walk(sentence.head_vector)
         assert all(isinstance(rejection, Rejection) for rejection in rejections)
         again = []
         again_sentences = list(iter_parse(text, fmt, errors="skip", rejections=again, **options))
@@ -463,7 +467,7 @@ def test_root_lemma_is_the_reference_lemma_of_the_position_whose_head_is_0(docum
             options = {"drop_punct": True} if drop_punct else {}
             # the lines as the reference splits them, so that no BOM rule applies
             lines = text.split("\n")
-            for sentence in treebank._PARSERS[fmt](lines, 1, 0, source="f", errors="skip", rejections=[], **options):
+            for sentence in treebank._PARSERS[fmt](lines, 1, 0, source="f", reject=rejecter([]), **options):
                 heads, lemmas, upos = columns[sentence.id]
                 kept = [not drop_punct or tag != "PUNCT" for tag in upos] if upos else [True] * len(heads)
                 [root] = [i for i, head in enumerate(heads) if not head and kept[i]]
@@ -517,7 +521,7 @@ def _serial_outcome(data, fmt, **options):
     if not lines[-1]:
         lines.pop()  # the text ended with a line break, or is empty
     rejections = []
-    sentences = list(treebank._PARSERS[fmt](lines, 1, 0, source="f", errors="skip", rejections=rejections, **options))
+    sentences = list(treebank._PARSERS[fmt](lines, 1, 0, source="f", reject=rejecter(rejections), **options))
     return _with_depths(sentences), rejections
 
 

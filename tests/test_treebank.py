@@ -30,7 +30,7 @@ from depmetrics.treebank import (
     validate_tree,
 )
 
-from .conftest import DEMO7_HEADS, fields
+from .conftest import DEMO7_HEADS, fields, rejecter
 
 
 def conllu_line(i, head, lemma="_", upos="X"):
@@ -324,7 +324,7 @@ def _counting_lines(text, split):
 
 def _cabocha_lines(lines):
     """The CaboCha line reader over ``lines``, given as they are."""
-    return treebank._PARSERS["cabocha"](lines, 1, 0, source="<cabocha>", errors="raise", rejections=None)
+    return treebank._PARSERS["cabocha"](lines, 1, 0, source="<cabocha>", reject=rejecter())
 
 
 def test_cabocha_splits_only_the_root_chunks_morpheme_lines_up_to_its_lemma(data_dir):
@@ -483,6 +483,25 @@ def test_validate_tree_examples():
         validate_tree(Sentence.from_heads((), id="empty"))
     with pytest.raises(InvalidTree, match="^<canonical>:1: sentence has no nodes$"):
         list(iter_parse('{"id": "", "nodes": []}', "canonical"))
+
+
+@pytest.mark.parametrize(
+    "name, fmt", [("sample.cabocha", "cabocha"), ("sample_ud.conllu", "conllu"), ("noisy.jsonl", "canonical")]
+)
+def test_every_format_yields_only_sentences_that_validate_tree_returned(data_dir, monkeypatch, name, fmt):
+    returned = []
+    check = treebank.validate_tree
+
+    def recording(sentence):
+        returned.append(check(sentence))
+        return returned[-1]
+
+    monkeypatch.setattr(treebank, "validate_tree", recording)
+    rejections = []
+    with open(data_dir / name, "rb") as handle:
+        sentences = list(iter_parse(handle, fmt, errors="skip", rejections=rejections))
+    assert returned and sentences
+    assert {id(sentence) for sentence in sentences} <= {id(sentence) for sentence in returned}
 
 
 @pytest.mark.parametrize("heads", [(), (2, 3, 1), (1, 2)], ids=["empty", "cycle", "self-loops"])
