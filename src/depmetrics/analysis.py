@@ -24,11 +24,9 @@ from typing import NamedTuple, Sequence
 from .errors import DegenerateInput, EmptyLexicon, EmptySelection
 from .metrics import dependency_terms, node_depths
 from .stats import Distribution, RegressionResult, entropy, ols_fit, spearman
-from .treebank import Sentence, ValencyLexicon
+from .treebank import MAX_VALENCY_CLASS, Sentence, ValencyLexicon
 
 log = logging.getLogger(__name__)
-
-MAX_VALENCY_CLASS = 4
 
 
 class SeriesPoint(NamedTuple):

@@ -24,10 +24,11 @@ An input is a ``str``, bytes or a binary file. :func:`iter_byte_range` is
 the one place where it becomes lines: it reads, decodes and splits the
 bytes (a ``str``'s UTF-8 bytes) ``CHUNK_BYTES`` at a time for the format's
 line reader, whole or as one of several byte ranges, so that processes can
-share a file without any of them decoding all of it. Lines end in LF or
-CRLF; no other character breaks a line. :func:`iter_parse` yields the
-sentences of a whole input one at a time, so a caller can fold a corpus
-without holding it; :func:`parse` returns them as a list.
+share a file without any of them decoding all of it. A reader that gives
+``str`` is refused when the parser is called, by one zero-byte read, before
+anything is read. Lines end in LF or CRLF; no other character breaks a line.
+:func:`iter_parse` yields the sentences of a whole input one at a time, so a
+caller can fold a corpus without holding it; :func:`parse` returns them as a list.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .errors import (
 )
 
 FORMATS = ("canonical", "cabocha", "conllu")
+MAX_VALENCY_CLASS = 4
 
 #: What a parser reads: a str, bytes or a binary file.
 Text = Union[BinaryIO, str, bytes]
@@ -144,7 +146,7 @@ class ValencyLexicon:
         for lemma, cls in entries.items():
             if type(cls) is not int:  # a bool or a float would reach the tables as True or 2.0
                 raise TypeError(f"valency class for {lemma!r} must be an int, got {type(cls).__name__}")
-            if cls not in (1, 2, 3, 4):
+            if not 1 <= cls <= MAX_VALENCY_CLASS:
                 raise ValueError(f"valency class for {lemma!r} must be 1..4, got {cls}")
         self.entries = entries
 
@@ -172,7 +174,7 @@ class ValencyLexicon:
                 valency = _ascii_int(fields[1])
             except ValueError:
                 raise MalformedLine(f"{source}:{lineno}: non-integer valency {fields[1]!r}") from None
-            if valency not in (1, 2, 3, 4):
+            if not 1 <= valency <= MAX_VALENCY_CLASS:
                 raise MalformedLine(f"{source}:{lineno}: valency must be 1..4, got {valency}")
             lemma = fields[0]
             if entries.setdefault(lemma, valency) != valency:
@@ -297,22 +299,19 @@ CHUNK_BYTES = 1 << 16  # bytes read, decoded and split at a time
 def _binary(stream: Text, name: str) -> BinaryIO:
     """``stream`` as a binary file; a ``str`` is its UTF-8 bytes, a lone surrogate kept to fail the decode.
 
-    A text-mode file (it would break lines at a lone CR too) or an object with
-    no ``read`` is a TypeError; a reader that gives ``str`` fails at its first read.
+    An object with no ``read`` is a TypeError. So is a reader that gives ``str``, such as a
+    text-mode file (it would break lines at a lone CR too) or a ``codecs`` reader, found by one
+    ``read(0)``: it consumes nothing, so a pipe still streams from its first byte.
     """
     if isinstance(stream, str):
         stream = stream.encode("utf-8", "surrogatepass")
     if isinstance(stream, bytes):
         return io.BytesIO(stream)
-    if isinstance(stream, io.TextIOBase):
-        raise _text_mode_error(name)
     if not hasattr(stream, "read"):
         raise TypeError(f"{name}: a parser reads a str, bytes or a binary file, not {type(stream).__name__}")
+    if not isinstance(stream.read(0), bytes):
+        raise TypeError(f"{name}: a parser reads a file opened in binary mode ('rb'), not in text mode")
     return stream
-
-
-def _text_mode_error(name: str) -> TypeError:
-    return TypeError(f"{name}: a parser reads a file opened in binary mode ('rb'), not in text mode")
 
 
 def _split(text: str) -> list[str]:
@@ -352,8 +351,6 @@ def _decoded_pieces(
     while True:
         size = CHUNK_BYTES if stop is None else min(CHUNK_BYTES, stop - position)
         data = handle.read(size) if size > 0 else b""
-        if isinstance(data, str):
-            raise _text_mode_error(name)
         if data:
             position += len(data)
             if digest is not None:
@@ -439,7 +436,8 @@ def iter_byte_range(
     numbers, ids and spans are those of the whole file. The only range of
     one part is read to its end from where ``handle`` stands, with no seek:
     a pipe streams through. ``handle`` may also be a str or bytes (:func:`_binary`),
-    looked at only once the format, the range and the error mode are checked.
+    looked at only once the format, the range and the error mode are checked;
+    a reader that gives ``str`` is refused then, by one zero-byte read, before any byte is read.
     The error mode becomes the one ``reject`` callable that the line reader
     calls with each bad sentence. The other options, ``source`` (required) and
     ``drop_punct``, go to the format's line reader as they are: one that it
@@ -454,9 +452,9 @@ def iter_byte_range(
     if errors == "skip" and rejections is None:  # a skipped sentence is always counted
         raise ValueError("errors='skip' needs a rejections list to record the skipped sentences in")
     handle = _binary(handle, name)
-    lo = _sentence_break(handle, fmt, k * size // parts, name)
-    hi = None if k == parts - 1 else _sentence_break(handle, fmt, (k + 1) * size // parts, name)
-    lines_before, sentences_before = _count_before(handle, fmt, lo, name)
+    lo = _sentence_break(handle, fmt, k * size // parts)
+    hi = None if k == parts - 1 else _sentence_break(handle, fmt, (k + 1) * size // parts)
+    lines_before, sentences_before = _count_before(handle, fmt, lo)
     if parts > 1:  # finding the breaks moved the handle; a lone range never seeks, so a pipe streams
         handle.seek(lo)
     if errors == "raise":
@@ -469,15 +467,15 @@ def iter_byte_range(
     return _PARSERS[fmt](lines, lines_before + 1, sentences_before, reject=reject, **options)
 
 
-def _sentence_break(handle: BinaryIO, fmt: str, position: int, name: str) -> int:
+def _sentence_break(handle: BinaryIO, fmt: str, position: int) -> int:
     """The first offset at or after ``position`` where a byte range may begin.
 
     That is 0, the end of the file, or the first line start from
     ``position`` on at which no sentence is open: the end of a blank line in
     CoNLL-U or of an EOS line in CaboCha that begins at or after
     ``position``, any line start in canonical JSONL. A line that a read cuts
-    is searched again with the next read. A read that gives ``str`` is
-    refused as from a text-mode file, named ``name``.
+    is searched again with the next read. The handle reads bytes:
+    :func:`_binary` has refused one that gives ``str``.
     """
     if not position:
         return 0
@@ -486,8 +484,6 @@ def _sentence_break(handle: BinaryIO, fmt: str, position: int, name: str) -> int
     buffer = b""
     while True:
         data = handle.read(CHUNK_BYTES)
-        if isinstance(data, str):
-            raise _text_mode_error(name)
         if not data:
             return base + len(buffer)
         buffer += data
@@ -499,7 +495,7 @@ def _sentence_break(handle: BinaryIO, fmt: str, position: int, name: str) -> int
         buffer = buffer[cut:]
 
 
-def _count_before(handle: BinaryIO, fmt: str, end: int, name: str) -> tuple[int, int]:
+def _count_before(handle: BinaryIO, fmt: str, end: int) -> tuple[int, int]:
     """The lines and the sentences in bytes [0, end) of a file, where ``end`` is a sentence break.
 
     The bytes are read ``CHUNK_BYTES`` at a time, each piece cut at a
@@ -509,7 +505,7 @@ def _count_before(handle: BinaryIO, fmt: str, end: int, name: str) -> tuple[int,
     lines = sentences = 0
     start = 0
     while start < end:
-        stop = min(_sentence_break(handle, fmt, start + CHUNK_BYTES, name), end)
+        stop = min(_sentence_break(handle, fmt, start + CHUNK_BYTES), end)
         handle.seek(start)
         data = handle.read(stop - start)
         lines += data.count(b"\n")

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from depmetrics.analysis import (
-    MAX_VALENCY_CLASS,
     CorrelationPoint,
     SeriesPoint,
     ValencyCell,
@@ -30,6 +29,10 @@ from depmetrics.stats import Distribution, entropy, spearman
 from depmetrics.treebank import Sentence, ValencyLexicon
 
 log = logging.getLogger(__name__)
+
+# The highest valency class, written here rather than imported, so that the
+# reference does not share the value it checks.
+MAX_VALENCY_CLASS = 4
 
 
 def _hist(record: MetricRecord, metric: str) -> Mapping[int, int]:

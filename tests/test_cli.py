@@ -721,6 +721,36 @@ def test_config_file_value_of_wrong_type_is_config_error(data_dir, tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "setting,reason",
+    [
+        ({"valency_mode": "lexicons"}, "unknown valency mode 'lexicons'"),
+        ({"entropy_base": "3"}, "entropy base must be one of ['10', '2', 'e']"),
+        ({"log_base": "2"}, "log base must be one of ['10', 'e']"),
+        ({"dist_sls": [1, 5]}, "distribution lengths must all be >= 2, got [1, 5]"),
+        ({"inputs": "xml"}, "unknown input format 'xml'; expected one of ('canonical', 'cabocha', 'conllu')"),
+    ],
+    ids=lambda value: json.dumps(value) if isinstance(value, dict) else None,
+)
+def test_config_file_value_out_of_range_is_config_error(setting, reason, data_dir, tmp_path, capsys, monkeypatch):
+    corpus = str(data_dir / "sample_200.jsonl")
+    paths = [corpus]
+    if "inputs" in setting:  # the corpus comes from the config file, in the format it names
+        setting, paths = {"inputs": [{"path": corpus, "format": setting["inputs"]}]}, []
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(setting), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(["report", *paths, "--config", str(config_path)], capsys) == (2, "", f"config error: {reason}\n")
+    assert list(tmp_path.iterdir()) == [config_path]
+
+
+def test_generate_count_below_zero_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["generate", "--n", "5", "--seed", "1", "--count", "-1"]
+    assert run(argv, capsys) == (2, "", "config error: count must be >= 0, got -1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_typed_values_are_accepted(data_dir, tmp_path, capsys):
     config = {
         "inputs": [{"path": str(data_dir / "sample_200.jsonl")}],

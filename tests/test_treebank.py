@@ -1,6 +1,7 @@
 import codecs
 import io
 import itertools
+import os
 import re
 
 import pytest
@@ -687,6 +688,10 @@ def test_skip_mode_without_a_rejections_list_is_refused_before_any_line_is_read(
     for k in (0, 1):
         with pytest.raises(ValueError, match="needs a rejections list"):
             iter_byte_range(_Untouchable(), fmt, k, 2, 100, name="f", errors="skip")
+    with pytest.raises(ValueError, match=r"^need 0 <= k < parts, got k=2, parts=2$"):
+        iter_byte_range(_Untouchable(), fmt, 2, 2, 100, name="f")
+    with pytest.raises(ValueError, match=r"^errors must be 'raise' or 'skip', got 'ignore'$"):
+        iter_byte_range(_Untouchable(), fmt, 0, 2, 100, name="f", errors="ignore", rejections=[])
     assert list(iter_parse("", fmt, errors="skip", rejections=[])) == []  # skip mode with a list
     assert list(iter_parse("", fmt)) == []  # raise mode needs none
 
@@ -818,6 +823,55 @@ def test_a_reader_that_gives_str_is_refused_in_a_byte_range_before_any_line_is_p
     with pytest.raises(TypeError, match=message):
         list(iter_byte_range(reader, fmt, k, 2, len(data), name="f", errors="skip", rejections=rejections))
     assert rejections == []
+
+
+class _RecordingReader:
+    """A ``codecs`` UTF-8 reader, which gives ``str``, that records the size of each ``read`` call."""
+
+    def __init__(self, data):
+        self.reader = codecs.getreader("utf-8")(io.BytesIO(data))
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return self.reader.read(size)
+
+    def __getattr__(self, name):
+        return getattr(self.reader, name)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_reader_that_gives_str_is_refused_at_the_call_by_one_zero_byte_read(fmt):
+    data = (DOCUMENTS[fmt] * 50).encode()
+    message = "a parser reads a file opened in binary mode \\('rb'\\), not in text mode$"
+    reader = _RecordingReader(data)
+    with pytest.raises(TypeError, match=f"^<{fmt}>: {message}"):
+        iter_parse(reader, fmt)
+    assert reader.sizes == [0]
+    for k in (0, 1):
+        reader, rejections = _RecordingReader(data), []
+        with pytest.raises(TypeError, match=f"^f: {message}"):
+            iter_byte_range(reader, fmt, k, 2, len(data), name="f", errors="skip", rejections=rejections)
+        assert reader.sizes == [0] and rejections == []
+    reader = _RecordingReader("行く\t2\n".encode())
+    with pytest.raises(TypeError, match=f"^<lexicon>: {message}"):
+        ValencyLexicon.from_tsv(reader)
+    assert reader.sizes == [0]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_pipe_is_read_from_its_first_byte(fmt):
+    data = codecs.BOM_UTF8 + DOCUMENTS[fmt].encode()  # a BOM is dropped at byte 0 only
+    read_fd, write_fd = os.pipe()
+    with open(write_fd, "wb") as writer:
+        writer.write(data)
+    expected_rejections, rejections = [], []
+    expected = parse(data, fmt, errors="skip", rejections=expected_rejections)
+    with open(read_fd, "rb") as pipe:
+        sentences = list(iter_parse(pipe, fmt, errors="skip", rejections=rejections))
+    assert fields(sentences) == fields(expected)
+    assert [s.source for s in sentences] == [s.source for s in expected]
+    assert rejections == expected_rejections and len(expected) == len(rejections) == 1
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
