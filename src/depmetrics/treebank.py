@@ -21,10 +21,12 @@ surface text (CoNLL-U FORM, the CaboCha morpheme surfaces, a canonical
 ``form``) are read past, not kept.
 
 An input is a ``str``, bytes or a binary file. :func:`iter_byte_range` is
-the one place where it becomes lines: it reads, decodes and splits the
-bytes (a ``str``'s UTF-8 bytes) ``CHUNK_BYTES`` at a time for the format's
-line reader, whole or as one of several byte ranges, so that processes can
-share a file without any of them decoding all of it. A reader that gives
+the one place where it is read: it reads and decodes the bytes (a ``str``'s
+UTF-8 bytes) ``CHUNK_BYTES`` at a time, whole or as one of several byte
+ranges, so that processes can share a file without any of them decoding all
+of it. It splits them into lines for the CoNLL-U and canonical readers; the
+CaboCha reader takes the decoded text a sentence block at a time, and only
+a block its fast path cannot take whole becomes lines. A reader that gives
 ``str`` is refused when the parser is called, by one zero-byte read, before
 anything is read. Lines end in LF or CRLF; no other character breaks a line.
 :func:`iter_parse` yields the sentences of a whole input one at a time, so a
@@ -41,7 +43,7 @@ from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring
 from operator import add, eq
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Any, BinaryIO, Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     CycleDetected,
@@ -316,8 +318,6 @@ def _binary(stream: Text, name: str) -> BinaryIO:
 
 def _split(text: str) -> list[str]:
     """Split at LF only: str.splitlines also breaks at U+0085, U+2028, VT, FF and more, which may stand in a field."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the text ended with a line break, or is empty
@@ -346,6 +346,7 @@ def _read_lines(
 def _decoded_pieces(
     handle: BinaryIO, name: str, offset: int, stop: int | None, digest: Any
 ) -> Iterator[str]:
+    """The decoded text that :func:`_read_lines` splits, in pieces that end after an LF or at the end, CRLF folded to LF."""
     rest = b""  # read after the last LF so far
     position = offset  # of the next byte to read
     while True:
@@ -375,7 +376,7 @@ def _decoded_pieces(
                 f"{name}: byte {offset + exc.start} is not UTF-8 ({exc.reason})"
             ) from None
         offset += len(data)
-        yield text
+        yield text.replace("\r\n", "\n") if "\r" in text else text
 
 
 # One character of a blank line other than LF, in UTF-8: whatever str.isspace() accepts.
@@ -438,10 +439,13 @@ def iter_byte_range(
     a pipe streams through. ``handle`` may also be a str or bytes (:func:`_binary`),
     looked at only once the format, the range and the error mode are checked;
     a reader that gives ``str`` is refused then, by one zero-byte read, before any byte is read.
-    The error mode becomes the one ``reject`` callable that the line reader
-    calls with each bad sentence. The other options, ``source`` (required) and
-    ``drop_punct``, go to the format's line reader as they are: one that it
-    does not take is a TypeError, raised at once.
+    The CoNLL-U and canonical line readers get the range's lines; the CaboCha
+    reader :func:`_cabocha_blocks` gets its decoded pieces, reads them a
+    sentence block at a time and hands any block it cannot take whole to the
+    line walk :func:`_cabocha`. The error mode becomes the one ``reject``
+    callable that the reader calls with each bad sentence. The other options,
+    ``source`` (required) and ``drop_punct``, go to the format's reader as
+    they are: one that it does not take is a TypeError, raised at once.
     """
     if fmt not in _PARSERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -463,6 +467,9 @@ def iter_byte_range(
     else:
         def reject(exc: Exception, span: str, sentence_id: str | None) -> None:
             rejections.append(Rejection(span, str(exc), sentence_id))
+    if fmt == "cabocha":
+        pieces = _decoded_pieces(handle, name, lo, hi, digest)
+        return _cabocha_blocks(pieces, lines_before + 1, sentences_before, reject=reject, **options)
     lines = _read_lines(handle, name, lo, hi, digest)
     return _PARSERS[fmt](lines, lines_before + 1, sentences_before, reject=reject, **options)
 
@@ -563,7 +570,8 @@ def _conllu(
     number of sentences before it, for lines that start inside a file.
     ``reject(exc, span, sentence_id)`` raises ``exc`` or records a
     :class:`Rejection`, as :func:`iter_byte_range` settled. The line readers
-    take the same arguments, and only :func:`iter_byte_range` calls them.
+    take the same arguments; :func:`iter_byte_range` calls the CoNLL-U and
+    canonical ones, and :func:`_cabocha_blocks` the CaboCha one.
     """
     block: list[str] = []
     first_lineno = first_line  # of the current block
@@ -668,7 +676,7 @@ def _cabocha(
     *,
     source: str,
     reject: Callable[[Exception, str, str | None], None],
-) -> Iterator[Sentence]:
+) -> Generator[Sentence, None, int]:
     """Yield the sentences of CaboCha lattice output; each bunsetsu chunk becomes one node.
 
     Chunk headers look like ``* 3 5D 0/1 1.23``; the second field is the
@@ -681,7 +689,10 @@ def _cabocha(
     with :class:`MissingEOS`.
 
     One walk reads every line once. A sentence's first fault is kept and
-    reported at its ``EOS``, so a sentence is never cut short.
+    reported at its ``EOS``, so a sentence is never cut short. It returns
+    the number of sentences before the lines and in them, for
+    :func:`_cabocha_blocks`, which hands it the blocks that its fast path
+    cannot take and defines what that path must give.
     """
     start: int | None = None  # number of the pending sentence's first line
     heads: list[int] = []  # one entry per chunk header so far
@@ -741,14 +752,99 @@ def _cabocha(
                 fault = MalformedLine(f"line {lineno}: morpheme line before any chunk header")
                 continue
             if seeking_lemma:
-                fields = raw.partition("\t")[2].split(",", 7)
-                if len(fields) > 6 and fields[6] not in ("*", ""):
-                    root_lemma = fields[6]
-                    seeking_lemma = False
+                root_lemma = _base_form(raw)
+                seeking_lemma = root_lemma is None
 
     if start is not None:
         exc = MissingEOS(f"{source}: stream ended inside a sentence (missing EOS)")
         reject(exc, f"{source}:{start}-{lineno}", None)
+    return ordinal
+
+
+def _base_form(line: str) -> str | None:
+    """A morpheme line's base form, its seventh feature, or None when that is ``*``, empty or missing."""
+    fields = line.partition("\t")[2].split(",", 7)
+    return fields[6] if len(fields) > 6 and fields[6] not in ("*", "") else None
+
+
+def _cabocha_blocks(
+    pieces: Iterator[str],
+    first_line: int,
+    ordinal: int,
+    *,
+    source: str,
+    reject: Callable[[Exception, str, str | None], None],
+) -> Iterator[Sentence]:
+    """:func:`_cabocha` over decoded pieces (:func:`_decoded_pieces`), a sentence block at a time.
+
+    Each run of complete sentences is cut at exact ``EOS`` lines, and each
+    sentence block between two of them at line-start ``* `` into chunks. A
+    chunk's IDX and HEAD are read by :data:`_DECIMAL` and :data:`_CHUNK_HEAD`,
+    and only the root chunk's lines are split, for its lemma: no other
+    morpheme line takes a Python step. A block that :func:`_chunk_heads`
+    cannot read goes to :func:`_cabocha`, with its ``EOS`` line, its first
+    line number and its ordinal. So do the lines after the last exact
+    ``EOS``, and the rest of the range once a sentence is still open after
+    more than ``CHUNK_BYTES``, so that about one piece and the open sentence are held.
+    The sentences, ids, spans, rejections and errors are those of :func:`_cabocha`.
+    """
+    line = first_line  # the number of the first line of text
+    text = ""  # the lines after the last exact EOS line so far
+    for piece in pieces:
+        text += piece
+        cut = text.rfind("\nEOS\n")
+        if cut >= 0:
+            run, text = text[:cut], text[cut + 5 :]
+            for block in run.split("\nEOS\n"):
+                eos = line + block.count("\n") + 1  # the number of the block's EOS line
+                parsed = _chunk_heads(block)
+                if parsed is None:
+                    lines = [*block.split("\n"), "EOS"]
+                    ordinal = yield from _cabocha(lines, line, ordinal, source=source, reject=reject)
+                else:
+                    heads, chunks = parsed
+                    ordinal += 1
+                    span = f"{source}:{line}-{eos}"
+                    sent_id = f"{source}#{ordinal}"
+                    root_lemma = None
+                    if 0 in heads:
+                        root = chunks[heads.index(0)].split("\n")  # its header's rest, then its morpheme lines
+                        root_lemma = next(filter(None, map(_base_form, root[1:])), None)
+                    try:
+                        sentence = validate_tree(Sentence(sent_id, heads, root_lemma, span))
+                    except InvalidTree as exc:
+                        reject(exc, span, sent_id)
+                    else:
+                        yield sentence
+                line = eos + 1
+        if len(text) > CHUNK_BYTES:
+            break  # a long open sentence: the line walk reads the rest of the range
+    lines = chain(_split(text), chain.from_iterable(map(_split, pieces)))
+    yield from _cabocha(lines, line, ordinal, source=source, reject=reject)
+
+
+def _chunk_heads(block: str) -> tuple[tuple[int, ...], list[str]] | None:
+    """The head vector of a sentence block, and its chunks' text after each ``* ``.
+
+    None when the block does not start with ``* `` or holds a line that
+    starts with ``EOS`` (an ``EOS`` line with trailing spaces, a second
+    ``EOS`` in a row, or a morpheme line), or a header's first two fields are
+    not keys of the tables each followed by a single space, or its index is
+    out of sequence: then :func:`_cabocha` reads the block.
+    """
+    if not block.startswith("* ") or "\nEOS" in block:
+        return None
+    chunks = block[2:].split("\n* ")
+    heads: list[int] = []
+    try:
+        for chunk in chunks:
+            index, head, _ = chunk.split(" ", 2)
+            if _DECIMAL.get(index) != len(heads):
+                return None
+            heads.append(_CHUNK_HEAD[head])
+    except (ValueError, KeyError):  # fewer than three fields; a head the table lacks
+        return None
+    return tuple(heads), chunks
 
 
 # --- canonical JSONL -------------------------------------------------------
@@ -863,7 +959,9 @@ def _writer_patterns() -> tuple[Any, Any]:
 
 # --- dispatch --------------------------------------------------------------
 
-# Each format's line reader; :func:`iter_byte_range` is its only caller.
+# Each format's line reader. :func:`iter_byte_range` calls the CoNLL-U and
+# canonical ones; it reads CaboCha by :func:`_cabocha_blocks`, which hands the
+# line walk only the blocks its fast path cannot take whole.
 _PARSERS = {
     "conllu": _conllu,
     "cabocha": _cabocha,

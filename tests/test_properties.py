@@ -9,10 +9,12 @@ from __future__ import annotations
 import codecs
 import io
 import json
+import random
 import re
 import sys
 from collections import deque
 from functools import partial
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -426,7 +428,8 @@ def form_documents(draw):
         if not heads:
             cabocha += [FORM, "\tx\n"]  # a morpheme line before any chunk header
         for i, (head, lemma) in enumerate(zip(heads, lemmas)):
-            cabocha += [f"* {i} {head - 1 if head else -1}D\n"]
+            # with the fields after the head, as CaboCha writes them, or without
+            cabocha += [f"* {i} {head - 1 if head else -1}D{draw(st.sampled_from(['', ' 0/1 0.5']))}\n"]
             # fewer than seven features, no features, a base form, and base forms that give no lemma
             tails = ["\tx\n", "\n", f"\tx,*,*,*,*,*,{lemma}\n", "\tx,*,*,*,*,*,*\n", "\tx,*,*,*,*,*,\n"]
             for tail in draw(st.lists(st.sampled_from(tails), max_size=3)):
@@ -441,6 +444,10 @@ def form_documents(draw):
     return documents
 
 
+# CaboCha read in byte ranges: a read size that cuts sentences and one that holds each document whole
+CABOCHA_RANGE_READS = [(ranges, chunk) for ranges in (1, 3) for chunk in (64, 1 << 16)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(form_documents(), st.data())
 def test_surface_forms_change_no_sentence_and_no_rejection(documents, data):
@@ -453,6 +460,12 @@ def test_surface_forms_change_no_sentence_and_no_rejection(documents, data):
         for options in ({}, {"drop_punct": True}) if fmt == "conllu" else ({},):
             first, second = (_serial_outcome(text.encode("utf-8"), fmt, **options) for text in texts)
             assert first == second
+        if fmt == "cabocha":  # the block reader gives the line walk's outcome whatever the surfaces
+            for ranges, chunk in CABOCHA_RANGE_READS:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(treebank, "CHUNK_BYTES", chunk)
+                    for text in texts:
+                        assert _ranges_outcome(text.encode("utf-8"), fmt, ranges) == first
 
 
 @settings(max_examples=300, deadline=None)
@@ -467,11 +480,29 @@ def test_root_lemma_is_the_reference_lemma_of_the_position_whose_head_is_0(docum
             options = {"drop_punct": True} if drop_punct else {}
             # the lines as the reference splits them, so that no BOM rule applies
             lines = text.split("\n")
-            for sentence in treebank._PARSERS[fmt](lines, 1, 0, source="f", reject=rejecter([]), **options):
+            readings = [treebank._PARSERS[fmt](lines, 1, 0, source="f", reject=rejecter([]), **options)]
+            if fmt == "cabocha":  # and through the block reader, which finds the root lemma itself
+                encoded = text.encode("utf-8")
+                readings += [_range_sentences(encoded, ranges, chunk) for ranges, chunk in CABOCHA_RANGE_READS]
+            for sentence in chain.from_iterable(readings):
                 heads, lemmas, upos = columns[sentence.id]
                 kept = [not drop_punct or tag != "PUNCT" for tag in upos] if upos else [True] * len(heads)
                 [root] = [i for i, head in enumerate(heads) if not head and kept[i]]
                 assert sentence.root_lemma == lemmas[root]
+
+
+def _range_sentences(data, parts, chunk):
+    """The sentences of CaboCha ``data`` read as byte ranges 0..parts-1, ``chunk`` bytes at a time, in skip mode."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(treebank, "CHUNK_BYTES", chunk)
+        handle = io.BytesIO(data)
+        return [
+            sentence
+            for k in range(parts)
+            for sentence in iter_byte_range(
+                handle, "cabocha", k, parts, len(data), name="f", source="f", errors="skip", rejections=[]
+            )
+        ]
 
 
 # Lines that are blank, EOS or a comment only once decoded, or that hold a BOM or a
@@ -669,6 +700,119 @@ def test_one_pass_cabocha_reader_matches_the_two_walk_reference(text, bom, chunk
     assert _raise_mode_outcome(partial(iter_parse, fmt="cabocha"), text) == _raise_mode_outcome(
         reference_treebank.iter_cabocha, text
     )
+
+
+PLAIN, ODD = "plain", "odd"  # the surfaces of sentences the block reader reads, and of those it hands on
+
+
+def _bench_shaped_sentence(rng, mark, heads=None):
+    """The lines of a sentence as the benchmark writes it, 1-3 morphemes a chunk, each surface starting with ``mark``.
+
+    The root chunk's first morpheme now and then has no base form, so that
+    its lemma is the second one's or none.
+    """
+    if heads is None:
+        heads = list(random_tree(GeneratorConfig(n=rng.randint(1, 16), seed=rng.randrange(2**32))).heads())
+        if rng.random() < 0.15:  # a head vector that is no tree
+            heads[rng.randrange(len(heads))] = rng.randrange(len(heads) + 1)
+    lines = []
+    for i, head in enumerate(heads):
+        morphemes = rng.randint(1, 3)
+        lines.append(f"* {i} {head - 1 if head else -1}D 0/{morphemes - 1} {rng.random() * 3:.6f}")
+        first = rng.choice([f"l{i}", f"l{i}", "*", ""]) if not head else f"l{i}"
+        lines.append(f"{mark}{i}\t名詞,一般,*,*,*,*,{first},{first},{first}")
+        for _ in range(morphemes - 1):
+            surface = f"{mark}{rng.choice('がをにはで')}"
+            lines.append(f"{surface}\t助詞,格助詞,*,*,*,*,{surface},{surface},{surface}")
+    return lines
+
+
+def _odd(rng, header, edit):
+    """An odd sentence, with one of its chunk headers (or morpheme lines, if not ``header``) changed by ``edit``."""
+    lines = _bench_shaped_sentence(rng, ODD, [2, 0, 2])
+    at = rng.choice([i for i, line in enumerate(lines) if line.startswith("* ") == header])
+    lines[at] = edit(lines[at])
+    return lines + ["EOS"]
+
+
+def _planted_cabocha(seed):
+    """Bench-shaped plain sentences, in their text, with every anomaly the block reader hands on planted among them."""
+    rng = random.Random(seed)
+    header, morpheme = True, False
+    anomalies = [
+        lambda: _bench_shaped_sentence(rng, ODD) + ["EOS "] + _bench_shaped_sentence(rng, ODD) + ["EOS"],
+        lambda: _bench_shaped_sentence(rng, ODD) + ["EOS\u3000"] + _bench_shaped_sentence(rng, ODD) + ["EOS"],
+        lambda: ["EOS"] + _bench_shaped_sentence(rng, ODD) + ["EOS"],  # two EOS lines in a row
+        lambda: _bench_shaped_sentence(rng, ODD) + ["EOS\t", "", "EOS"],  # an inexact EOS just before an exact one
+        lambda: [""] + _bench_shaped_sentence(rng, ODD) + ["EOS"],  # a blank line between sentences
+        lambda: _odd(rng, header, lambda line: re.sub(" (\\S+D) ", "\t\\1 ", line, count=1)),
+        lambda: _odd(rng, header, lambda line: re.sub(" (\\S+D) ", "  \\1 ", line, count=1)),
+        lambda: _odd(rng, header, lambda line: line.rsplit(" ", 2)[0]),  # * 0 -1D
+        lambda: _odd(rng, header, lambda line: re.sub("^\\* \\d+", "* 1024", line)),
+        lambda: _odd(rng, header, lambda line: re.sub(" \\S+D ", " 1024D ", line, count=1)),
+        lambda: _odd(rng, morpheme, lambda line: "EOS" + line),
+        lambda: _odd(rng, morpheme, lambda line: "EOS\r" + line),
+        lambda: [f"{ODD}\tx"] + _bench_shaped_sentence(rng, ODD) + ["EOS"],  # a morpheme line before any header
+        # a tab, not a space, after the first header's *: a morpheme line before any header
+        lambda: ["*\t" + line[2:] if not i else line for i, line in enumerate(_bench_shaped_sentence(rng, ODD))]
+        + ["EOS"],
+    ]
+    rng.shuffle(anomalies)
+    lines = []
+    for anomaly in anomalies:
+        for _ in range(rng.randint(0, 4)):
+            lines += _bench_shaped_sentence(rng, PLAIN) + ["EOS"]
+        lines += anomaly()
+    plain = _bench_shaped_sentence(rng, PLAIN, [0, 1, 1])
+    plain[1] = "*" + plain[1]  # the root chunk's first morpheme line starts with *
+    plain[-1] = plain[-1].replace(PLAIN, f"{PLAIN}\r", 1)  # a lone CR
+    text = "\n".join(lines + plain + ["EOS"]) + "\n"
+    text += "\r\n".join(_bench_shaped_sentence(rng, PLAIN) + ["EOS", ""])  # CRLF
+    text += "\n".join(_bench_shaped_sentence(rng, PLAIN) + ["EOS"]) + "\n"
+    return text + "\n".join(_bench_shaped_sentence(rng, ODD)) + "\n"  # with no EOS
+
+
+def _line_walk_raising(text, source):
+    """The CaboCha line walk over the lines of ``text`` in raise mode."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return treebank._PARSERS["cabocha"](lines, 1, 0, source=source, reject=rejecter())
+
+
+def _ranges_raising(text, source, parts):
+    """The sentences of byte ranges 0..parts-1 of ``text`` read as CaboCha in raise mode, in order."""
+    data = text.encode("utf-8")
+    handle = io.BytesIO(data)
+    for k in range(parts):
+        yield from iter_byte_range(handle, "cabocha", k, parts, len(data), name=source, source=source)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_block_reader_gives_the_line_walk_outcome_and_hands_it_only_odd_sentences(seed, monkeypatch):
+    text = _planted_cabocha(seed)
+    data = text.encode("utf-8")
+    want = _serial_outcome(data, "cabocha")
+    want_raised = _raise_mode_outcome(_line_walk_raising, text)
+    assert len(want[0]) > 20 and want[1]  # sentences taken, and sentences rejected
+    walked = []  # the lines the block reader hands to the line walk
+    line_walk = treebank._cabocha
+
+    def counted(lines, first_line, ordinal, **options):
+        lines = list(lines)
+        walked.extend(lines)
+        return (yield from line_walk(lines, first_line, ordinal, **options))
+
+    monkeypatch.setattr(treebank, "_cabocha", counted)
+    for chunk in (1, 7, 1 << 16):
+        monkeypatch.setattr(treebank, "CHUNK_BYTES", chunk)
+        for parts in range(1, 5):
+            walked.clear()
+            assert _ranges_outcome(data, "cabocha", parts) == want
+            if chunk == 1 << 16:
+                assert any(ODD in line for line in walked)
+                assert not any(PLAIN in line for line in walked)
+            assert _raise_mode_outcome(partial(_ranges_raising, parts=parts), text) == want_raised
 
 
 ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))

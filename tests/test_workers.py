@@ -3,8 +3,9 @@
 The fixtures are far below the input size at which ``load_corpus`` forks, so
 these tests force three workers: they lower the input bytes per worker,
 raise the cap on workers and report three usable CPUs. Every test that forks
-checks afterwards that no child process is left. The last test checks that
-loading holds a chunk of an input at a time, not the whole of it.
+checks afterwards that no child process is left. The last two tests check
+that loading holds a chunk of an input at a time, not the whole of it, nor
+the whole of a CaboCha sentence that never ends.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from depmetrics.cli import main
 from depmetrics.treebank import iter_parse
 
 from . import test_golden
+from .conftest import rejecter
 
 
 def force_workers(monkeypatch, workers: int = 3) -> list[int]:
@@ -289,6 +291,36 @@ def test_loading_holds_a_chunk_not_the_input(data_dir, tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
         assert corpus.accepted == 3 * repeats
+        return high
+
+    assert peak(64) < 2 * peak(8)
+
+
+def test_loading_holds_a_chunk_of_a_cabocha_sentence_that_never_ends(data_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(treebank, "CHUNK_BYTES", 1 << 12)
+    data = (data_dir / "sample.cabocha").read_bytes()
+    header = b"* 0 -1D 0/0 0.000000\n"
+    morpheme = b"hai\tinterjection,*,*,*,*,*,hai,HAI,HAI\n"
+
+    def peak(repeats: int) -> int:
+        path = tmp_path / f"open{repeats}.cabocha"
+        path.write_bytes(data + header + morpheme * (200 * repeats))  # no EOS
+        config = report.RunConfig(inputs=[(str(path), "cabocha")])
+        assert report.worker_count([str(path)]) == 1
+        tracemalloc.start()
+        try:
+            corpus = report.load_corpus(config)
+            _, high = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert corpus.accepted == 3
+        want = []  # the line walk's rejection
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        list(treebank._PARSERS["cabocha"](lines, 1, 0, source=path.name, reject=rejecter(want)))
+        assert corpus.inputs[0].rejections == want
+        assert [rejection.reason for rejection in want] == [
+            f"{path.name}: stream ended inside a sentence (missing EOS)"
+        ]
         return high
 
     assert peak(64) < 2 * peak(8)
