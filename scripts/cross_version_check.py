@@ -39,9 +39,10 @@ number by that rule, for each text of ``DECIMAL_TEXTS`` (the table's
 edges, leading zeros, forms ``int()`` reads but the readers refuse) and
 each non-ASCII character that ``str.isdigit`` takes, as an ID, a HEAD, a
 chunk index and a chunk head, and for a 1,100-token and a 1,100-chunk
-sentence. Each CaboCha case stands between two sentences that the CaboCha
-reader reads by its block path, so that a block it hands to its line walk
-is read among blocks it does not. It then runs each
+sentence. Each case stands between two sentences that the reader of its
+format reads by its block path, the first CoNLL-U one with a multiword-token
+range, so that a block it hands to its line walk is read among blocks it
+does not. It then runs each
 golden case of ``tests/golden_cases.py`` through ``python -m depmetrics``
 and compares the bytes, and runs each single-table command on the inputs of
 both report cases, which must write that case's tables of the command byte
@@ -259,18 +260,22 @@ def decimal_field_documents() -> list[tuple[str, str]]:
     """(format, text) pairs with each decimal text as a CoNLL-U ID and HEAD and a CaboCha index and head."""
     texts = DECIMAL_TEXTS + [chr(code) for code in range(0x80, 0x110000) if chr(code).isdigit()]
     token = "{}\tw\tl\tX\t_\t_\t{}\t_\t_\t_\n"
-    plain = "* 0 1D 0/0 0.5\nw\tx,*,*,*,*,*,a\n* 1 -1D 0/0 0.0\nv\tx,*,*,*,*,*,b\nEOS\n"  # a block the fast path reads
+    # sentences the fast paths read, the first CoNLL-U one with a multiword-token range
+    before = "# sent_id = a\n1-2\tww" + "\t_" * 8 + "\n" + token.format(1, 2) + token.format(2, 0) + "\n"
+    after = token.format(1, 0) + token.format(2, 1) + "\n"
+    plain = "* 0 1D 0/0 0.5\nw\tx,*,*,*,*,*,a\n* 1 -1D 0/0 0.0\nv\tx,*,*,*,*,*,b\nEOS\n"
     documents = []
     for text in texts:
         documents += [
-            ("conllu", token.format(text, 0) + "\n"),
-            ("conllu", token.format(1, 0) + token.format(text, 1) + "\n"),
-            ("conllu", token.format(1, 0) + token.format(2, text) + "\n"),
+            ("conllu", f"{before}{token.format(text, 0)}\n{after}"),
+            ("conllu", f"{before}{token.format(1, 0)}{token.format(text, 1)}\n{after}"),
+            ("conllu", f"{before}{token.format(1, 0)}{token.format(2, text)}\n{after}"),
             ("cabocha", f"{plain}* {text} -1D 0/0 0.0\nw\tx,*,*,*,*,*,l\nEOS\n{plain}"),
             ("cabocha", f"{plain}* 0 -1D 0/0 0.0\nw\tx,*,*,*,*,*,l\n* 1 {text}D 0/0 0.0\nv\tx\nEOS\n{plain}"),
         ]
     heads = chain_heads(1100)
-    documents.append(("conllu", "".join(token.format(i, head) for i, head in enumerate(heads, 1))))
+    tokens = "".join(token.format(i, head) for i, head in enumerate(heads, 1))
+    documents.append(("conllu", f"{before}{tokens}\n{after}"))
     chunks = "".join(f"* {i - 1} {head - 1}D 0/0 0.0\nw\tx\n" for i, head in enumerate(heads, 1))
     documents.append(("cabocha", f"{plain}{chunks}EOS\n{plain}"))
     return documents

@@ -24,11 +24,12 @@ An input is a ``str``, bytes or a binary file. :func:`iter_byte_range` is
 the one place where it is read: it reads and decodes the bytes (a ``str``'s
 UTF-8 bytes) ``CHUNK_BYTES`` at a time, whole or as one of several byte
 ranges, so that processes can share a file without any of them decoding all
-of it. It splits them into lines for the CoNLL-U and canonical readers; the
-CaboCha reader takes the decoded text a sentence block at a time, and only
-a block its fast path cannot take whole becomes lines. A reader that gives
-``str`` is refused when the parser is called, by one zero-byte read, before
-anything is read. Lines end in LF or CRLF; no other character breaks a line.
+of it. It splits them into lines for the canonical reader; the CoNLL-U and
+CaboCha readers take the decoded text a sentence block at a time, cut at
+empty lines and at exact ``EOS`` lines, and only a block that a fast path
+cannot take whole becomes lines. A reader that gives ``str`` is refused
+when the parser is called, by one zero-byte read, before anything is read.
+Lines end in LF or CRLF; no other character breaks a line.
 :func:`iter_parse` yields the sentences of a whole input one at a time, so a
 caller can fold a corpus without holding it; :func:`parse` returns them as a list.
 """
@@ -40,7 +41,7 @@ import io
 import json
 import re
 from functools import cache
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import encode_basestring
 from operator import add, eq
 from typing import Any, BinaryIO, Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -439,10 +440,11 @@ def iter_byte_range(
     a pipe streams through. ``handle`` may also be a str or bytes (:func:`_binary`),
     looked at only once the format, the range and the error mode are checked;
     a reader that gives ``str`` is refused then, by one zero-byte read, before any byte is read.
-    The CoNLL-U and canonical line readers get the range's lines; the CaboCha
-    reader :func:`_cabocha_blocks` gets its decoded pieces, reads them a
-    sentence block at a time and hands any block it cannot take whole to the
-    line walk :func:`_cabocha`. The error mode becomes the one ``reject``
+    The canonical line reader gets the range's lines; the CoNLL-U and CaboCha
+    block readers (:func:`_conllu_blocks`, :func:`_cabocha_blocks`) get its
+    decoded pieces, read them a sentence block at a time and hand any block
+    they cannot take whole to their line walks, :func:`_conllu` and
+    :func:`_cabocha`. The error mode becomes the one ``reject``
     callable that the reader calls with each bad sentence. The other options,
     ``source`` (required) and ``drop_punct``, go to the format's reader as
     they are: one that it does not take is a TypeError, raised at once.
@@ -467,11 +469,11 @@ def iter_byte_range(
     else:
         def reject(exc: Exception, span: str, sentence_id: str | None) -> None:
             rejections.append(Rejection(span, str(exc), sentence_id))
-    if fmt == "cabocha":
-        pieces = _decoded_pieces(handle, name, lo, hi, digest)
-        return _cabocha_blocks(pieces, lines_before + 1, sentences_before, reject=reject, **options)
-    lines = _read_lines(handle, name, lo, hi, digest)
-    return _PARSERS[fmt](lines, lines_before + 1, sentences_before, reject=reject, **options)
+    if fmt == "canonical":
+        lines = _read_lines(handle, name, lo, hi, digest)
+        return _canonical(lines, lines_before + 1, sentences_before, reject=reject, **options)
+    pieces = _decoded_pieces(handle, name, lo, hi, digest)
+    return _BLOCK_READERS[fmt](pieces, lines_before + 1, sentences_before, reject=reject, **options)
 
 
 def _sentence_break(handle: BinaryIO, fmt: str, position: int) -> int:
@@ -543,6 +545,63 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
+def _sentence_blocks(
+    pieces: Iterator[str],
+    first_line: int,
+    ordinal: int,
+    separator: str,
+    read_block: Callable[[str, int, int, int, dict[str, Any]], tuple[Sentence, ...] | None],
+    line_walk: Callable[..., Generator[Sentence, None, int]],
+    options: dict[str, Any],
+) -> Iterator[Sentence]:
+    """The sentences of a line walk, read from decoded pieces (:func:`_decoded_pieces`) a sentence block at a time.
+
+    Each run of complete sentences is cut at ``separator``: an LF, the line
+    that ends a sentence (empty in CoNLL-U, ``EOS`` in CaboCha) and its LF.
+    LFs that start a block are blank lines, counted in its first line's
+    number. ``read_block(block, start, end, number, options)`` reads a
+    block of lines ``start`` to ``end`` as sentence ``number``: it returns
+    the sentence in a tuple, or an empty tuple once it has rejected it, or
+    None to hand the block and its separator's line to ``line_walk``. So go
+    the lines after the last separator, and the rest of the range once a
+    sentence is still open after more than ``CHUNK_BYTES``, so that about
+    one piece and the open sentence are held. ``options`` are the line
+    walk's keyword arguments; ``read_block`` gets them as one dict, since
+    unpacking them at each of the 9,000 blocks of the CaboCha bench corpus
+    cost about 3 ms. The line walk defines every sentence, id, span,
+    rejection and error; it returns the number of sentences before its lines
+    and in them.
+    """
+    line = first_line  # the number of the first line of text
+    text = ""  # the lines after the last separator so far
+    end_line = separator[1:-1]  # the separator's own line
+    for piece in pieces:
+        text += piece
+        cut = text.rfind(separator)
+        if cut >= 0:
+            run, text = text[:cut], text[cut + len(separator) :]
+            for block in run.split(separator):
+                start = line
+                line += block.count("\n") + 2  # past the block and its separator's line
+                if not block or block[0] == "\n":
+                    stripped = block.lstrip("\n")
+                    start += len(block) - len(stripped)
+                    block = stripped
+                    if not block:
+                        continue  # blank lines: no sentence
+                sentences = read_block(block, start, line - 2, ordinal + 1, options)
+                if sentences is None:
+                    lines = [*block.split("\n"), end_line]
+                    ordinal = yield from line_walk(lines, start, ordinal, **options)
+                else:
+                    ordinal += 1
+                    yield from sentences
+        if len(text) > CHUNK_BYTES:
+            break  # a long open sentence: the line walk reads the rest of the range
+    lines = chain.from_iterable(map(_split, chain((text,), pieces)))  # one flat chain: one iterator step a line
+    yield from line_walk(lines, line, ordinal, **options)
+
+
 # --- CoNLL-U --------------------------------------------------------------
 
 
@@ -554,7 +613,7 @@ def _conllu(
     source: str,
     reject: Callable[[Exception, str, str | None], None],
     drop_punct: bool = False,
-) -> Iterator[Sentence]:
+) -> Generator[Sentence, None, int]:
     """Yield the validated sentences of CoNLL-U lines.
 
     Multiword-token ranges (ID with '-') and empty nodes (ID with '.') are
@@ -570,8 +629,11 @@ def _conllu(
     number of sentences before it, for lines that start inside a file.
     ``reject(exc, span, sentence_id)`` raises ``exc`` or records a
     :class:`Rejection`, as :func:`iter_byte_range` settled. The line readers
-    take the same arguments; :func:`iter_byte_range` calls the CoNLL-U and
-    canonical ones, and :func:`_cabocha_blocks` the CaboCha one.
+    take the same arguments; :func:`iter_byte_range` calls the canonical
+    one. :func:`_conllu_blocks` hands this walk the blocks that
+    :func:`_conllu_block` cannot take, and the text after the last blank
+    line, and this walk defines what that path must give. It returns the
+    number of sentences before the lines and in them.
     """
     block: list[str] = []
     first_lineno = first_line  # of the current block
@@ -602,6 +664,7 @@ def _conllu(
         else:
             yield sentence
         block = []
+    return ordinal
 
 
 def _conllu_sentence(
@@ -649,7 +712,7 @@ def _number(raw: str, what: str, lineno: int) -> int:
         raise MalformedLine(f"line {lineno}: non-integer {what} {raw!r}") from None
 
 
-def _drop_punct(heads: list[int], upos: list[str], sent_id: str) -> list[int]:
+def _drop_punct(heads: Sequence[int], upos: list[str], sent_id: str) -> Sequence[int]:
     dropped = {index for index, tag in enumerate(upos, 1) if tag == "PUNCT"}
     if not dropped:
         return heads
@@ -664,6 +727,89 @@ def _drop_punct(heads: list[int], upos: list[str], sent_id: str) -> list[int]:
         remap[index] = new_index
     # an out-of-range head keeps its value, so validation reports it
     return [remap.get(heads[i - 1], heads[i - 1]) for i in kept]
+
+
+def _conllu_blocks(
+    pieces: Iterator[str],
+    first_line: int,
+    ordinal: int,
+    *,
+    source: str,
+    reject: Callable[[Exception, str, str | None], None],
+    drop_punct: bool = False,
+) -> Iterator[Sentence]:
+    """:func:`_conllu` over decoded pieces, cut at empty lines by :func:`_sentence_blocks` and read by
+    :func:`_conllu_block`."""
+    options = {"source": source, "reject": reject, "drop_punct": drop_punct}
+    return _sentence_blocks(pieces, first_line, ordinal, "\n\n", _conllu_block, _conllu, options)
+
+
+# The ID fields of a sentence's token lines as _conllu_block splits them: an LF, then 1 to 1023 in order.
+_TOKEN_IDS = ["\n" + text for text in list(_DECIMAL)[1:]]
+
+
+def _conllu_block(
+    block: str, start: int, end: int, number: int, options: dict[str, Any]
+) -> tuple[Sentence, ...] | None:
+    """Sentence ``number``: lines ``start`` to ``end``, before an empty line, with every column taken by one split.
+
+    The leading ``#`` comments give the id, by :func:`_conllu`'s rule. The
+    token lines, each after an LF and each LF after a tab, are split once at
+    tabs. Only a line's first field then starts with an LF. So when the n
+    lines give w fields each on average, and every w-th field is an LF and
+    the next ID, 1 to n, every line has exactly w fields: ten in CoNLL-U,
+    and any other number from eight on, which the line walk reads alike.
+    Multiword-token ranges and empty nodes are deleted by slice, as the line
+    walk skips them. The root lemma is the LEMMA of the one token an
+    accepted sentence has with HEAD 0, and ``drop_punct`` goes through
+    :func:`_drop_punct`. None, for :func:`_conllu`, when the block holds
+    only comments, lines of fewer than eight fields or of unequal numbers of
+    fields, a comment among its token lines, no token line, other IDs or a
+    HEAD that :data:`_DECIMAL` lacks.
+    """
+    source = options["source"]
+    sent_id = f"{source}#{number}"
+    n = end - start + 1  # the token lines, once the comments are counted off
+    at = 0  # the offset of the first token line
+    while block.startswith("#", at):
+        lf = block.find("\n", at)
+        if lf < 0:
+            return None  # comments only
+        key, _, value = block[at + 1 : lf].partition("=")
+        if key.strip() == "sent_id" and value.strip():
+            sent_id = value.strip()
+        at, n = lf + 1, n - 1
+    fields = (block[at - 1 :] if at else "\n" + block).replace("\n", "\t\n").split("\t")
+    width, rest = divmod(len(fields) - 1, n)  # the fields of each line, if all have as many
+    if rest or width < 8:
+        return None
+    ids = fields[1::width]
+    if ids != _TOKEN_IDS[:n]:
+        joined = "".join(ids)
+        if joined.count("\n") != n or "\n#" in joined:
+            return None  # lines with unequal numbers of fields, or a comment among the token lines
+        for i in reversed([i for i, raw in enumerate(ids) if "-" in raw or "." in raw]):
+            del fields[width * i + 1 : width * (i + 1) + 1]
+        n = len(fields) // width
+        if not n or fields[1::width] != _TOKEN_IDS[:n]:
+            return None
+    try:
+        heads = tuple(map(_DECIMAL.__getitem__, fields[7::width]))
+    except KeyError:
+        return None
+    lemmas = fields[3::width]
+    span = f"{source}:{start}-{end}"
+    try:
+        if options["drop_punct"]:
+            tags = fields[4::width]
+            if "PUNCT" in tags:
+                heads = tuple(_drop_punct(heads, tags, sent_id))
+                lemmas = list(compress(lemmas, map("PUNCT".__ne__, tags)))
+        root_lemma = lemmas[heads.index(0)] if 0 in heads else None  # an accepted sentence has one root
+        return (validate_tree(Sentence(sent_id, heads, None if root_lemma == "_" else root_lemma, span)),)
+    except InvalidTree as exc:
+        options["reject"](exc, span, sent_id)
+        return ()
 
 
 # --- CaboCha lattice -------------------------------------------------------
@@ -775,62 +921,24 @@ def _cabocha_blocks(
     source: str,
     reject: Callable[[Exception, str, str | None], None],
 ) -> Iterator[Sentence]:
-    """:func:`_cabocha` over decoded pieces (:func:`_decoded_pieces`), a sentence block at a time.
+    """:func:`_cabocha` over decoded pieces, cut at exact ``EOS`` lines by :func:`_sentence_blocks` and read by
+    :func:`_cabocha_block`."""
+    options = {"source": source, "reject": reject}
+    return _sentence_blocks(pieces, first_line, ordinal, "\nEOS\n", _cabocha_block, _cabocha, options)
 
-    Each run of complete sentences is cut at exact ``EOS`` lines, and each
-    sentence block between two of them at line-start ``* `` into chunks. A
-    chunk's IDX and HEAD are read by :data:`_DECIMAL` and :data:`_CHUNK_HEAD`,
+
+def _cabocha_block(
+    block: str, start: int, end: int, number: int, options: dict[str, Any]
+) -> tuple[Sentence, ...] | None:
+    """Sentence ``number``: lines ``start`` to ``end``, before an exact ``EOS`` line, cut at line-start ``* ``.
+
+    A chunk's IDX and HEAD are read by :data:`_DECIMAL` and :data:`_CHUNK_HEAD`,
     and only the root chunk's lines are split, for its lemma: no other
-    morpheme line takes a Python step. A block that :func:`_chunk_heads`
-    cannot read goes to :func:`_cabocha`, with its ``EOS`` line, its first
-    line number and its ordinal. So do the lines after the last exact
-    ``EOS``, and the rest of the range once a sentence is still open after
-    more than ``CHUNK_BYTES``, so that about one piece and the open sentence are held.
-    The sentences, ids, spans, rejections and errors are those of :func:`_cabocha`.
-    """
-    line = first_line  # the number of the first line of text
-    text = ""  # the lines after the last exact EOS line so far
-    for piece in pieces:
-        text += piece
-        cut = text.rfind("\nEOS\n")
-        if cut >= 0:
-            run, text = text[:cut], text[cut + 5 :]
-            for block in run.split("\nEOS\n"):
-                eos = line + block.count("\n") + 1  # the number of the block's EOS line
-                parsed = _chunk_heads(block)
-                if parsed is None:
-                    lines = [*block.split("\n"), "EOS"]
-                    ordinal = yield from _cabocha(lines, line, ordinal, source=source, reject=reject)
-                else:
-                    heads, chunks = parsed
-                    ordinal += 1
-                    span = f"{source}:{line}-{eos}"
-                    sent_id = f"{source}#{ordinal}"
-                    root_lemma = None
-                    if 0 in heads:
-                        root = chunks[heads.index(0)].split("\n")  # its header's rest, then its morpheme lines
-                        root_lemma = next(filter(None, map(_base_form, root[1:])), None)
-                    try:
-                        sentence = validate_tree(Sentence(sent_id, heads, root_lemma, span))
-                    except InvalidTree as exc:
-                        reject(exc, span, sent_id)
-                    else:
-                        yield sentence
-                line = eos + 1
-        if len(text) > CHUNK_BYTES:
-            break  # a long open sentence: the line walk reads the rest of the range
-    lines = chain(_split(text), chain.from_iterable(map(_split, pieces)))
-    yield from _cabocha(lines, line, ordinal, source=source, reject=reject)
-
-
-def _chunk_heads(block: str) -> tuple[tuple[int, ...], list[str]] | None:
-    """The head vector of a sentence block, and its chunks' text after each ``* ``.
-
-    None when the block does not start with ``* `` or holds a line that
-    starts with ``EOS`` (an ``EOS`` line with trailing spaces, a second
-    ``EOS`` in a row, or a morpheme line), or a header's first two fields are
-    not keys of the tables each followed by a single space, or its index is
-    out of sequence: then :func:`_cabocha` reads the block.
+    morpheme line takes a Python step. None, for :func:`_cabocha`, when the
+    block does not start with ``* `` or holds a line that starts with ``EOS``
+    (an ``EOS`` line with trailing spaces, a second ``EOS`` in a row, or a
+    morpheme line), or a header's first two fields are not keys of the tables
+    each followed by a single space, or its index is out of sequence.
     """
     if not block.startswith("* ") or "\nEOS" in block:
         return None
@@ -844,7 +952,17 @@ def _chunk_heads(block: str) -> tuple[tuple[int, ...], list[str]] | None:
             heads.append(_CHUNK_HEAD[head])
     except (ValueError, KeyError):  # fewer than three fields; a head the table lacks
         return None
-    return tuple(heads), chunks
+    root_lemma = None
+    if 0 in heads:
+        root = chunks[heads.index(0)].split("\n")  # its header's rest, then its morpheme lines
+        root_lemma = next(filter(None, map(_base_form, root[1:])), None)
+    source = options["source"]
+    sent_id, span = f"{source}#{number}", f"{source}:{start}-{end + 1}"
+    try:
+        return (validate_tree(Sentence(sent_id, tuple(heads), root_lemma, span)),)
+    except InvalidTree as exc:
+        options["reject"](exc, span, sent_id)
+        return ()
 
 
 # --- canonical JSONL -------------------------------------------------------
@@ -959,14 +1077,15 @@ def _writer_patterns() -> tuple[Any, Any]:
 
 # --- dispatch --------------------------------------------------------------
 
-# Each format's line reader. :func:`iter_byte_range` calls the CoNLL-U and
-# canonical ones; it reads CaboCha by :func:`_cabocha_blocks`, which hands the
-# line walk only the blocks its fast path cannot take whole.
+# Each format's line reader. :func:`iter_byte_range` calls the canonical one;
+# it reads CoNLL-U and CaboCha by their block readers, which hand the line walk
+# only the blocks their fast paths cannot take whole.
 _PARSERS = {
     "conllu": _conllu,
     "cabocha": _cabocha,
     "canonical": _canonical,
 }
+_BLOCK_READERS = {"conllu": _conllu_blocks, "cabocha": _cabocha_blocks}
 
 
 def parse(stream: Text, fmt: str, **options: Any) -> list[Sentence]:

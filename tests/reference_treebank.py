@@ -215,8 +215,13 @@ def lemma_columns(text: str, fmt: str, source: str = "f") -> dict[str, tuple[lis
                 columns[obj["id"]] = ([n["head"] for n in nodes], [n.get("lemma") for n in nodes], [])
         return columns
     if fmt == "conllu":
-        for block in text.split("\n\n"):
-            rows = block.split("\n")
+        blocks: list[list[str]] = [[]]
+        for row in text.split("\n"):  # a line that is empty or holds only whitespace ends a block
+            if row.strip():
+                blocks[-1].append(row)
+            elif blocks[-1]:
+                blocks.append([])
+        for rows in blocks:
             ids = [row[len("# sent_id = ") :] for row in rows if row.startswith("# sent_id = ")]
             tokens = [row.split("\t") for row in rows if row and not row.startswith("#")]
             tokens = [fields for fields in tokens if "-" not in fields[0] and "." not in fields[0]]

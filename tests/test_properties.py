@@ -421,9 +421,12 @@ def form_documents(draw):
         conllu += [f"# sent_id = s{number}\n"]
         if draw(st.booleans()):
             conllu += ["1-2\t", FORM, "\t_" * 8 + "\n"]  # a multiword-token range
+        empty_node = draw(st.integers(min_value=0, max_value=len(heads)))  # after this token, if not 0
         for i, (head, lemma, tag) in enumerate(zip(heads, lemmas, upos), 1):
             conllu += [f"{i}\t", FORM, f"\t{lemma}\t{tag}\t_\t_\t{head}\tdep\t_\t_\n"]
-        conllu += ["\n"]
+            if i == empty_node:
+                conllu += [f"{i}.1\t", FORM, f"\t_\t{tag}\t_\t_\t_\t_\t{i}:dep\t_\n"]
+        conllu += [draw(st.sampled_from(["\n", "\n", " \n"]))]  # a blank line, or one that holds a space
         cabocha = documents["cabocha"]
         if not heads:
             cabocha += [FORM, "\tx\n"]  # a morpheme line before any chunk header
@@ -444,8 +447,8 @@ def form_documents(draw):
     return documents
 
 
-# CaboCha read in byte ranges: a read size that cuts sentences and one that holds each document whole
-CABOCHA_RANGE_READS = [(ranges, chunk) for ranges in (1, 3) for chunk in (64, 1 << 16)]
+# CoNLL-U and CaboCha read in byte ranges: a read size that cuts sentences and one that holds each document whole
+RANGE_READS = [(ranges, chunk) for ranges in (1, 3) for chunk in (64, 1 << 16)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -460,12 +463,12 @@ def test_surface_forms_change_no_sentence_and_no_rejection(documents, data):
         for options in ({}, {"drop_punct": True}) if fmt == "conllu" else ({},):
             first, second = (_serial_outcome(text.encode("utf-8"), fmt, **options) for text in texts)
             assert first == second
-        if fmt == "cabocha":  # the block reader gives the line walk's outcome whatever the surfaces
-            for ranges, chunk in CABOCHA_RANGE_READS:
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(treebank, "CHUNK_BYTES", chunk)
-                    for text in texts:
-                        assert _ranges_outcome(text.encode("utf-8"), fmt, ranges) == first
+            if fmt != "canonical":  # the block reader gives the line walk's outcome whatever the surfaces
+                for ranges, chunk in RANGE_READS:
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(treebank, "CHUNK_BYTES", chunk)
+                        for text in texts:
+                            assert _ranges_outcome(text.encode("utf-8"), fmt, ranges, **options) == first
 
 
 @settings(max_examples=300, deadline=None)
@@ -481,9 +484,9 @@ def test_root_lemma_is_the_reference_lemma_of_the_position_whose_head_is_0(docum
             # the lines as the reference splits them, so that no BOM rule applies
             lines = text.split("\n")
             readings = [treebank._PARSERS[fmt](lines, 1, 0, source="f", reject=rejecter([]), **options)]
-            if fmt == "cabocha":  # and through the block reader, which finds the root lemma itself
+            if fmt != "canonical":  # and through the block reader, which finds the root lemma itself
                 encoded = text.encode("utf-8")
-                readings += [_range_sentences(encoded, ranges, chunk) for ranges, chunk in CABOCHA_RANGE_READS]
+                readings += [_range_sentences(encoded, fmt, ranges, chunk, **options) for ranges, chunk in RANGE_READS]
             for sentence in chain.from_iterable(readings):
                 heads, lemmas, upos = columns[sentence.id]
                 kept = [not drop_punct or tag != "PUNCT" for tag in upos] if upos else [True] * len(heads)
@@ -491,8 +494,8 @@ def test_root_lemma_is_the_reference_lemma_of_the_position_whose_head_is_0(docum
                 assert sentence.root_lemma == lemmas[root]
 
 
-def _range_sentences(data, parts, chunk):
-    """The sentences of CaboCha ``data`` read as byte ranges 0..parts-1, ``chunk`` bytes at a time, in skip mode."""
+def _range_sentences(data, fmt, parts, chunk, **options):
+    """The sentences of ``data`` read as byte ranges 0..parts-1, ``chunk`` bytes at a time, in skip mode."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(treebank, "CHUNK_BYTES", chunk)
         handle = io.BytesIO(data)
@@ -500,7 +503,7 @@ def _range_sentences(data, parts, chunk):
             sentence
             for k in range(parts)
             for sentence in iter_byte_range(
-                handle, "cabocha", k, parts, len(data), name="f", source="f", errors="skip", rejections=[]
+                handle, fmt, k, parts, len(data), name="f", source="f", errors="skip", rejections=[], **options
             )
         ]
 
@@ -744,7 +747,8 @@ def _planted_cabocha(seed):
         lambda: _bench_shaped_sentence(rng, ODD) + ["EOS\u3000"] + _bench_shaped_sentence(rng, ODD) + ["EOS"],
         lambda: ["EOS"] + _bench_shaped_sentence(rng, ODD) + ["EOS"],  # two EOS lines in a row
         lambda: _bench_shaped_sentence(rng, ODD) + ["EOS\t", "", "EOS"],  # an inexact EOS just before an exact one
-        lambda: [""] + _bench_shaped_sentence(rng, ODD) + ["EOS"],  # a blank line between sentences
+        # blank lines after an EOS: the block reader counts them and reads the sentence after them itself
+        lambda: [""] * rng.randint(1, 3) + _bench_shaped_sentence(rng, PLAIN) + ["EOS"],
         lambda: _odd(rng, header, lambda line: re.sub(" (\\S+D) ", "\t\\1 ", line, count=1)),
         lambda: _odd(rng, header, lambda line: re.sub(" (\\S+D) ", "  \\1 ", line, count=1)),
         lambda: _odd(rng, header, lambda line: line.rsplit(" ", 2)[0]),  # * 0 -1D

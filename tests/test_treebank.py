@@ -2,6 +2,7 @@ import codecs
 import io
 import itertools
 import os
+import random
 import re
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from depmetrics import treebank
 from depmetrics.errors import (
     CycleDetected,
+    DepMetricsError,
     InvalidEncoding,
     InvalidTree,
     MalformedChunkHeader,
@@ -19,6 +21,7 @@ from depmetrics.errors import (
     SelfLoop,
 )
 from depmetrics.metrics import metric_record
+from depmetrics.randtree import GeneratorConfig, random_tree
 from depmetrics.treebank import (
     FORMATS,
     Node,
@@ -211,6 +214,186 @@ def test_drop_punct_keeps_out_of_range_head_for_validation():
     text += conllu_line(3, 0) + "\n" + conllu_line(4, 9) + "\n"
     with pytest.raises(InvalidTree, match=r"node 3 head 9 out of range 1\.\.3$"):
         list(iter_parse(text, "conllu", drop_punct=True))
+
+
+PLAIN, ODD = "plain", "odd"  # marks in the sentences the block reader reads itself, and in those it hands on
+UPOS = ["NOUN", "VERB", "ADJ", "ADP", "PUNCT"]
+
+
+def _bench_conllu(rng, mark, heads=None):
+    """The lines of a sentence as the benchmark writes it, every comment and FORM holding ``mark``.
+
+    Its id comes from a ``sent_id`` comment, spaced in one of two ways, or
+    from its ordinal; now and then a fifth of its tokens are PUNCT.
+    """
+    if heads is None:
+        heads = list(random_tree(GeneratorConfig(n=rng.randint(1, 16), seed=rng.randrange(2**32))).head_vector)
+        if rng.random() < 0.15:  # a head vector that is no tree
+            heads[rng.randrange(len(heads))] = rng.randrange(len(heads) + 1)
+    punct = rng.choice([0, 0, 0.2])
+    number = rng.randrange(10**6)
+    lines = rng.choice([[f"# sent_id = {mark}-{number}"], [f"#sent_id={mark}-{number}"], []])
+    lines.append(f"# text = {mark}")
+    for i, head in enumerate(heads, 1):
+        tag = "PUNCT" if rng.random() < punct else rng.choice(UPOS[:4])
+        lemma = rng.choice([f"l{i}", "_"])
+        lines.append(f"{i}\t{mark}{i}\t{lemma}\t{tag}\t_\t_\t{head}\t{'dep' if head else 'root'}\t_\t_")
+    return lines
+
+
+def _token_rows(lines):
+    """The positions of a sentence's token lines."""
+    return [i for i, line in enumerate(lines) if not line.startswith("#")]
+
+
+def _with_multiword_range(rng, lines):
+    """The lines with a multiword-token range before one of the tokens."""
+    rows = _token_rows(lines)
+    at = rng.randrange(len(rows))
+    token = at + 1
+    lines.insert(rows[at], f"{token}-{token + 1}\t{lines[0][2:]}mw" + "\t_" * 8)
+    return lines
+
+
+def _with_empty_node(rng, lines):
+    """The lines with an empty node after one of the tokens."""
+    rows = _token_rows(lines)
+    at = rng.randrange(len(rows))
+    lines.insert(rows[at] + 1, f"{at + 1}.1\t{lines[-1].split(chr(9))[1]}e\t_\t_\t_\t_\t_\t_\t{at + 1}:dep\t_")
+    return lines
+
+
+def _edited(rng, edit, heads=(2, 0, 2)):
+    """An odd sentence, one of whose token lines ``edit`` changes (or inserts lines before)."""
+    lines = _bench_conllu(rng, ODD, list(heads))
+    at = rng.choice(_token_rows(lines)[1:])
+    lines[at : at + 1] = edit(lines[at]).split("\n")
+    return lines
+
+
+def _out_of_order(rng):
+    """An odd sentence whose last two token lines are swapped: IDs 1, 3, 2."""
+    lines = _bench_conllu(rng, ODD, [2, 0, 2])
+    lines[-2], lines[-1] = lines[-1], lines[-2]
+    return lines
+
+
+def _shifted(rng):
+    """An odd sentence with a second line of eleven fields, the last holding '-', a third of nine and IDs 1, 2, 3, 3.
+
+    Every tenth field is an ID or that '-' field, and there are ten fields a
+    line, but the tenth fields do not start each line.
+    """
+    lines = _bench_conllu(rng, ODD, [0, 1, 1, 1])
+    rows = _token_rows(lines)
+    lines[rows[1]] += "\t3-4"
+    lines[rows[2]] = lines[rows[2]].rsplit("\t", 1)[0]
+    lines[rows[3]] = _field(lines[rows[3]], 0, "3")
+    return lines
+
+
+def _field(line, index, value):
+    fields = line.split("\t")
+    fields[index] = value
+    return "\t".join(fields)
+
+
+def _planted_conllu(seed):
+    """Bench-shaped CoNLL-U, with a BOM, that plants every form the block reader reads past or hands on."""
+    rng = random.Random(seed)
+    comment_row = "# sent_id = odd-tabs" + "\t_" * 9  # nine tabs and a '-' in its first field: still a comment
+    plain = [  # sentences whose only odd feature the block reader reads itself
+        lambda: _with_multiword_range(rng, _bench_conllu(rng, PLAIN)),
+        lambda: _with_empty_node(rng, _bench_conllu(rng, PLAIN)),
+        lambda: _with_empty_node(rng, _with_multiword_range(rng, _bench_conllu(rng, PLAIN))),
+        lambda: _bench_conllu(rng, PLAIN, [0, 1, 1]),
+        lambda: [_field(line, 3, "PUNCT") if line.endswith("root\t_\t_") else line
+                 for line in _bench_conllu(rng, PLAIN, [0, 1, 2])],  # a PUNCT root
+        lambda: [_field(line, 3, "PUNCT") if line.startswith("1\t") else line
+                 for line in _bench_conllu(rng, PLAIN, [0, 1, 1])],  # a PUNCT token with dependents
+        lambda: [""] + _bench_conllu(rng, PLAIN),  # two blank lines in a row before it
+        # eight fields a line, and twelve: the line walk reads any eight or more alike
+        lambda: [line if line.startswith("#") else line.rsplit("\t", 2)[0] for line in _bench_conllu(rng, PLAIN)],
+        lambda: [line if line.startswith("#") else line + "\t_\t_" for line in _bench_conllu(rng, PLAIN)],
+        lambda: ["", ""] + _bench_conllu(rng, PLAIN),  # three
+    ]
+    odd = [
+        lambda: _edited(rng, lambda line: f"# {ODD} comment\n{line}"),
+        lambda: _edited(rng, lambda line: f"{comment_row}\n{line}"),
+        lambda: _edited(rng, lambda line: f"\t\u3000\n{line}"),  # a line that holds only whitespace
+        lambda: _edited(rng, lambda line: line.rsplit("\t", 1)[0]),  # nine fields
+        lambda: _edited(rng, lambda line: line + "\t_"),  # eleven fields
+        lambda: [line if line.startswith("#") else line.rsplit("\t", 3)[0] for line in _bench_conllu(rng, ODD)],  # 7
+        lambda: _edited(rng, lambda line: _field(line, 6, "1024")),
+        lambda: _edited(rng, lambda line: _field(line, 6, "0" + line.split("\t")[6])),  # HEAD 00 or 02
+        lambda: _edited(rng, lambda line: _field(line, 0, "0" + line.split("\t")[0])),  # ID 02 or 03
+        lambda: _edited(rng, lambda line: _field(line, 0, "01")),  # IDs 1, 1, 3 or 1, 2, 1
+        lambda: _out_of_order(rng),
+        lambda: _shifted(rng),
+        lambda: _bench_conllu(rng, ODD, [2, 0])[:-1] + ["2\todd2\t_\tX\t_\t_\t0"],  # a last line of seven fields
+        lambda: _with_multiword_range(rng, _edited(rng, lambda line: line.rsplit("\t", 1)[0])),
+        lambda: _with_empty_node(rng, _edited(rng, lambda line: _field(line, 6, "1024"))),
+        lambda: _with_multiword_range(rng, _edited(rng, lambda line: f"# {ODD} comment\n{line}")),
+        lambda: [f"# {ODD}: comments only", f"# sent_id = {ODD}-c"],
+        lambda: _bench_conllu(rng, ODD) + [" "] + _bench_conllu(rng, ODD),  # ended by a line that holds a space
+    ]
+    sentences = []
+    for anomaly in rng.sample(plain + odd, len(plain + odd)):
+        sentences += [_bench_conllu(rng, PLAIN) for _ in range(rng.randint(0, 3))]
+        sentences.append(anomaly())
+    text = "\ufeff" + "".join("\n".join(lines) + "\n\n" for lines in sentences)
+    text += "\r\n".join(_bench_conllu(rng, PLAIN) + ["", ""])  # CRLF line ends
+    return text + "\n".join(_bench_conllu(rng, ODD))  # no final blank line, and no final LF
+
+
+def _conllu_outcome(read):
+    """``read(rejections)``'s sentences, with their depths, and rejections, and the error it raises, if any."""
+    sentences, rejections = [], []
+    try:
+        for sentence in read(rejections):
+            sentences.append((fields(sentence), sentence.depths))
+    except DepMetricsError as exc:
+        return sentences, rejections, type(exc), str(exc)
+    return sentences, rejections, None, None
+
+
+def _conllu_ranges(data, parts, errors, rejections, **options):
+    handle = io.BytesIO(data)
+    for k in range(parts):
+        yield from iter_byte_range(
+            handle, "conllu", k, parts, len(data), name="f", source="f", errors=errors, rejections=rejections, **options
+        )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_conllu_block_reader_gives_the_line_walk_outcome_and_hands_it_only_odd_sentences(seed, monkeypatch):
+    text = _planted_conllu(seed)
+    data = text.encode("utf-8")
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").split("\n")
+    line_walk = treebank._conllu
+    walked = []  # the lines the block reader hands to the line walk
+
+    def recorded(lines, first_line, ordinal, **options):
+        lines = list(lines)
+        walked.extend(lines)
+        return (yield from line_walk(lines, first_line, ordinal, **options))
+
+    monkeypatch.setattr(treebank, "_conllu", recorded)
+    for options in ({}, {"drop_punct": True}):
+        want = _conllu_outcome(lambda found: line_walk(lines, 1, 0, source="f", reject=rejecter(found), **options))
+        want_raised = _conllu_outcome(lambda found: line_walk(lines, 1, 0, source="f", reject=rejecter(), **options))
+        assert len(want[0]) > 20 and want[1]  # sentences taken, and sentences rejected
+        assert want_raised[2] is not None
+        for chunk in (1, 7, 1 << 16):
+            monkeypatch.setattr(treebank, "CHUNK_BYTES", chunk)
+            for parts in range(1, 5):
+                walked.clear()
+                assert _conllu_outcome(lambda found: _conllu_ranges(data, parts, "skip", found, **options)) == want
+                if chunk == 1 << 16:
+                    assert any(ODD in line for line in walked)
+                    assert not any(PLAIN in line for line in walked)
+                raised = _conllu_outcome(lambda found: _conllu_ranges(data, parts, "raise", None, **options))
+                assert raised == want_raised
 
 
 # --- CaboCha ----------------------------------------------------------------

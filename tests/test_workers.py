@@ -3,9 +3,10 @@
 The fixtures are far below the input size at which ``load_corpus`` forks, so
 these tests force three workers: they lower the input bytes per worker,
 raise the cap on workers and report three usable CPUs. Every test that forks
-checks afterwards that no child process is left. The last two tests check
+checks afterwards that no child process is left. The last three tests check
 that loading holds a chunk of an input at a time, not the whole of it, nor
-the whole of a CaboCha sentence that never ends.
+the whole of a CaboCha sentence that never ends, nor the whole of a CoNLL-U
+input whose blank lines hold a space, which has no empty line to cut at.
 """
 
 from __future__ import annotations
@@ -321,6 +322,29 @@ def test_loading_holds_a_chunk_of_a_cabocha_sentence_that_never_ends(data_dir, t
         assert [rejection.reason for rejection in want] == [
             f"{path.name}: stream ended inside a sentence (missing EOS)"
         ]
+        return high
+
+    assert peak(64) < 2 * peak(8)
+
+
+def test_loading_holds_a_chunk_of_conllu_whose_blank_lines_hold_a_space(data_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(treebank, "CHUNK_BYTES", 1 << 12)
+    text = (data_dir / "sample_ud.conllu").read_bytes().rstrip(b"\n")
+    data = text.replace(b"\n\n", b"\n \n") + b"\n \n"  # every sentence, the last too, ends in a line " "
+    serial = list(iter_parse(data, "conllu", errors="skip", rejections=[]))
+
+    def peak(repeats: int) -> int:
+        path = tmp_path / f"spaced{repeats}.conllu"
+        path.write_bytes(data * repeats)
+        config = report.RunConfig(inputs=[(str(path), "conllu")])
+        assert report.worker_count([str(path)]) == 1
+        tracemalloc.start()
+        try:
+            corpus = report.load_corpus(config)
+            _, high = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert corpus.accepted == len(serial) * repeats
         return high
 
     assert peak(64) < 2 * peak(8)
