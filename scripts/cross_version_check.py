@@ -39,10 +39,10 @@ number by that rule, for each text of ``DECIMAL_TEXTS`` (the table's
 edges, leading zeros, forms ``int()`` reads but the readers refuse) and
 each non-ASCII character that ``str.isdigit`` takes, as an ID, a HEAD, a
 chunk index and a chunk head, and for a 1,100-token and a 1,100-chunk
-sentence. Each case stands between two sentences that the reader of its
-format reads by its block path, the first CoNLL-U one with a multiword-token
-range, so that a block it hands to its line walk is read among blocks it
-does not. It then runs each
+sentence. Each case stands between two sentences that the block reader of
+its format reads by its fast path, the first CoNLL-U one with a
+multiword-token range, so that a block that its line branch reads stands
+among blocks that it does not. It then runs each
 golden case of ``tests/golden_cases.py`` through ``python -m depmetrics``
 and compares the bytes, and runs each single-table command on the inputs of
 both report cases, which must write that case's tables of the command byte

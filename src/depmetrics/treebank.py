@@ -24,10 +24,11 @@ An input is a ``str``, bytes or a binary file. :func:`iter_byte_range` is
 the one place where it is read: it reads and decodes the bytes (a ``str``'s
 UTF-8 bytes) ``CHUNK_BYTES`` at a time, whole or as one of several byte
 ranges, so that processes can share a file without any of them decoding all
-of it. It splits them into lines for the canonical reader; the CoNLL-U and
-CaboCha readers take the decoded text a sentence block at a time, cut at
-empty lines and at exact ``EOS`` lines, and only a block that a fast path
-cannot take whole becomes lines. A reader that gives ``str`` is refused
+of it. It splits them into lines for the canonical reader. CoNLL-U and
+CaboCha are cut into sentence blocks at every sentence break, a blank line
+or an ``EOS`` line, and each format has one block reader: a fast path that
+takes a block by a few splits, and a line branch that reads any other
+block a line at a time, in place. A reader that gives ``str`` is refused
 when the parser is called, by one zero-byte read, before anything is read.
 Lines end in LF or CRLF; no other character breaks a line.
 :func:`iter_parse` yields the sentences of a whole input one at a time, so a
@@ -44,7 +45,7 @@ from functools import cache
 from itertools import chain, compress
 from json.encoder import encode_basestring
 from operator import add, eq
-from typing import Any, BinaryIO, Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     CycleDetected,
@@ -347,7 +348,8 @@ def _read_lines(
 def _decoded_pieces(
     handle: BinaryIO, name: str, offset: int, stop: int | None, digest: Any
 ) -> Iterator[str]:
-    """The decoded text that :func:`_read_lines` splits, in pieces that end after an LF or at the end, CRLF folded to LF."""
+    """The decoded text that :func:`_read_lines` splits, in pieces that each end after an LF, CRLF folded to
+    LF: a last line with no LF gets one after the fold, so that a CR that ends it stays."""
     rest = b""  # read after the last LF so far
     position = offset  # of the next byte to read
     while True:
@@ -377,7 +379,8 @@ def _decoded_pieces(
                 f"{name}: byte {offset + exc.start} is not UTF-8 ({exc.reason})"
             ) from None
         offset += len(data)
-        yield text.replace("\r\n", "\n") if "\r" in text else text
+        text = text.replace("\r\n", "\n") if "\r" in text else text
+        yield text if text.endswith("\n") else text + "\n"  # only the last piece may lack it
 
 
 # One character of a blank line other than LF, in UTF-8: whatever str.isspace() accepts.
@@ -386,9 +389,18 @@ _SPACE = (
     rb"|\xe2\x80[\x80-\x8a\xa8\xa9\xaf]|\xe2\x81\x9f|\xe3\x80\x80)"
 )
 _END_OF_LINE = rb"(?:\n|\Z)"
-# An LF and the line after it, if no sentence is open at the end of that
-# line, so that a byte range may begin there: a blank line in CoNLL-U, EOS
-# in CaboCha. In canonical JSONL a range may begin at any line.
+# A sentence break in decoded CoNLL-U and CaboCha: an LF and the line after
+# it that ends a sentence, blank or EOS, with any trailing whitespace
+# ([^\S\n] is what _SPACE is in UTF-8). The LF that ends that line is left
+# to start the next block, so that two breaks in a row are both found.
+_BREAK = {
+    "conllu": re.compile(r"\n[^\S\n]*(?=\n)"),
+    "cabocha": re.compile(r"\nEOS[^\S\n]*(?=\n)"),
+}
+# The same break in bytes, and its line's LF, so that a byte range may begin
+# after it; a property test requires both to find the same breaks, and this
+# and _SENTENCE_START to count the sentences the text cut gives. In canonical
+# JSONL a range may begin at any line.
 _SENTENCE_BREAK = {
     "conllu": re.compile(rb"\n%s*\n" % _SPACE),
     "cabocha": re.compile(rb"\nEOS%s*\n" % _SPACE),
@@ -440,16 +452,15 @@ def iter_byte_range(
     a pipe streams through. ``handle`` may also be a str or bytes (:func:`_binary`),
     looked at only once the format, the range and the error mode are checked;
     a reader that gives ``str`` is refused then, by one zero-byte read, before any byte is read.
-    The canonical line reader gets the range's lines; the CoNLL-U and CaboCha
-    block readers (:func:`_conllu_blocks`, :func:`_cabocha_blocks`) get its
-    decoded pieces, read them a sentence block at a time and hand any block
-    they cannot take whole to their line walks, :func:`_conllu` and
-    :func:`_cabocha`. The error mode becomes the one ``reject``
+    The canonical line reader gets the range's lines; CoNLL-U and CaboCha are
+    cut into sentence blocks by :func:`_sentence_blocks`, and each block is
+    read by its format's block reader. The error mode becomes the one ``reject``
     callable that the reader calls with each bad sentence. The other options,
-    ``source`` (required) and ``drop_punct``, go to the format's reader as
-    they are: one that it does not take is a TypeError, raised at once.
+    ``source`` (required) and ``drop_punct``, go to the format's reader, as
+    keywords or as one dict (:data:`_BLOCK_OPTIONS`): one that it does not
+    take is a TypeError, raised at once.
     """
-    if fmt not in _PARSERS:
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     if not 0 <= k < parts:
         raise ValueError(f"need 0 <= k < parts, got k={k}, parts={parts}")
@@ -471,9 +482,10 @@ def iter_byte_range(
             rejections.append(Rejection(span, str(exc), sentence_id))
     if fmt == "canonical":
         lines = _read_lines(handle, name, lo, hi, digest)
-        return _canonical(lines, lines_before + 1, sentences_before, reject=reject, **options)
+        return _canonical(lines, lines_before + 1, reject=reject, **options)
+    options = _BLOCK_OPTIONS[fmt](reject=reject, **options)
     pieces = _decoded_pieces(handle, name, lo, hi, digest)
-    return _BLOCK_READERS[fmt](pieces, lines_before + 1, sentences_before, reject=reject, **options)
+    return _sentence_blocks(pieces, lines_before + 1, sentences_before, fmt, options)
 
 
 def _sentence_break(handle: BinaryIO, fmt: str, position: int) -> int:
@@ -528,6 +540,7 @@ def _count_before(handle: BinaryIO, fmt: str, end: int) -> tuple[int, int]:
 
 
 _REJECTABLE = (MalformedLine, MalformedChunkHeader, MissingEOS, InvalidTree)
+_REJECTED = object()  # what a block reader returns for a sentence it has rejected
 
 
 # Almost every ID, HEAD and chunk number is a short decimal text, read by
@@ -546,130 +559,135 @@ def _ascii_int(text: str) -> int:
 
 
 def _sentence_blocks(
-    pieces: Iterator[str],
-    first_line: int,
-    ordinal: int,
-    separator: str,
-    read_block: Callable[[str, int, int, int, dict[str, Any]], tuple[Sentence, ...] | None],
-    line_walk: Callable[..., Generator[Sentence, None, int]],
-    options: dict[str, Any],
+    pieces: Iterator[str], line: int, ordinal: int, fmt: str, options: dict[str, Any]
 ) -> Iterator[Sentence]:
-    """The sentences of a line walk, read from decoded pieces (:func:`_decoded_pieces`) a sentence block at a time.
+    """The sentences of decoded CoNLL-U or CaboCha, from line ``line`` on, cut at every sentence break (:data:`_BREAK`).
 
-    Each run of complete sentences is cut at ``separator``: an LF, the line
-    that ends a sentence (empty in CoNLL-U, ``EOS`` in CaboCha) and its LF.
-    LFs that start a block are blank lines, counted in its first line's
-    number. ``read_block(block, start, end, number, options)`` reads a
-    block of lines ``start`` to ``end`` as sentence ``number``: it returns
-    the sentence in a tuple, or an empty tuple once it has rejected it, or
-    None to hand the block and its separator's line to ``line_walk``. So go
-    the lines after the last separator, and the rest of the range once a
-    sentence is still open after more than ``CHUNK_BYTES``, so that about
-    one piece and the open sentence are held. ``options`` are the line
-    walk's keyword arguments; ``read_block`` gets them as one dict, since
-    unpacking them at each of the 9,000 blocks of the CaboCha bench corpus
-    cost about 3 ms. The line walk defines every sentence, id, span,
-    rejection and error; it returns the number of sentences before its lines
-    and in them.
+    A block holds its ``n`` lines, each after an LF. The format's reader
+    reads it as ``read(block, line, n, ordinal + 1, options)``: the sentence,
+    :data:`_REJECTED` once rejected, or None for no sentence. The lines
+    after the last break are read with ``ended`` set: the range's end ends
+    them. ``options`` is one dict, since unpacking it at each of the 9,000
+    blocks of the CaboCha bench corpus cost about 3 ms. An open block is
+    held whole, each piece searched from its last LF on, except that a
+    CaboCha sentence open past ``CHUNK_BYTES`` is walked
+    (:func:`_cabocha_lines`) and only the walk is held, as ``options["held"]``.
     """
-    line = first_line  # the number of the first line of text
-    text = ""  # the lines after the last separator so far
-    end_line = separator[1:-1]  # the separator's own line
+    breaks = _BREAK[fmt]
+    read = _BLOCK_READERS[fmt]
+    fold = fmt == "cabocha"
+    text = "\n"  # the open block: the LF before its first line, and its lines so far
     for piece in pieces:
+        mark = len(text) - 1  # the open block's last LF: no new break starts before it
         text += piece
-        cut = text.rfind(separator)
-        if cut >= 0:
-            run, text = text[:cut], text[cut + len(separator) :]
-            for block in run.split(separator):
-                start = line
-                line += block.count("\n") + 2  # past the block and its separator's line
-                if not block or block[0] == "\n":
-                    stripped = block.lstrip("\n")
-                    start += len(block) - len(stripped)
-                    block = stripped
-                    if not block:
-                        continue  # blank lines: no sentence
-                sentences = read_block(block, start, line - 2, ordinal + 1, options)
-                if sentences is None:
-                    lines = [*block.split("\n"), end_line]
-                    ordinal = yield from line_walk(lines, start, ordinal, **options)
-                else:
-                    ordinal += 1
-                    yield from sentences
-        if len(text) > CHUNK_BYTES:
-            break  # a long open sentence: the line walk reads the rest of the range
-    lines = chain.from_iterable(map(_split, chain((text,), pieces)))  # one flat chain: one iterator step a line
-    yield from line_walk(lines, line, ordinal, **options)
+        if mark > CHUNK_BYTES and not breaks.search(text, mark):
+            continue  # a long block, still open
+        *blocks, text = breaks.split(text)
+        for block in blocks:
+            n = block.count("\n")
+            sentence = read(block, line, n, ordinal + 1, options)
+            if sentence is not None:
+                ordinal += 1
+                if sentence is not _REJECTED:
+                    yield sentence
+            line += n + 1  # past the block and its break's line
+        if fold and len(text) > CHUNK_BYTES:
+            options["held"] = _cabocha_lines(text, line, options["held"])
+            line += text.count("\n") - 1
+            text = "\n"
+    block = text[:-1]  # the lines after the last break, up to the range's end
+    if (sentence := read(block, line, block.count("\n"), ordinal + 1, options, True)) not in (None, _REJECTED):
+        yield sentence
 
 
 # --- CoNLL-U --------------------------------------------------------------
 
 
-def _conllu(
-    lines: Iterable[str],
-    first_line: int,
-    ordinal: int,
-    *,
-    source: str,
-    reject: Callable[[Exception, str, str | None], None],
-    drop_punct: bool = False,
-) -> Generator[Sentence, None, int]:
-    """Yield the validated sentences of CoNLL-U lines.
+# The ID fields of a sentence's token lines as _conllu_block splits them: an LF, then 1 to 1023 in order.
+_TOKEN_IDS = ["\n" + text for text in list(_DECIMAL)[1:]]
+
+
+def _conllu_block(
+    block: str, line: int, n: int, number: int, options: dict[str, Any], ended: bool = False
+) -> Sentence | object | None:
+    """Sentence ``number`` of CoNLL-U: the ``n`` lines of ``block``, from line ``line`` on.
 
     Multiword-token ranges (ID with '-') and empty nodes (ID with '.') are
-    skipped; the remaining token IDs must already run 1..n, otherwise the
-    sentence is rejected. Only ID, LEMMA and HEAD (and UPOS when
-    ``drop_punct`` is set) are consumed; FORM, DEPREL and the enhanced
-    dependencies are ignored.
+    skipped; the other IDs must run 1..n, or the sentence is rejected. Only
+    ID, HEAD, the root's LEMMA and, with ``drop_punct``, UPOS are read; PUNCT
+    nodes are then removed and the rest renumbered, and a sentence where one
+    had dependents is rejected. The last ``sent_id`` of its ``#`` comments
+    names the sentence; a block of comments only is none (None). The
+    range's end (``ended``) ends a sentence as a blank line does.
 
-    With ``drop_punct``, nodes whose UPOS is PUNCT are removed and the rest
-    renumbered; a sentence where a dropped node had dependents is rejected.
-
-    ``first_line`` is the number of the first line and ``ordinal`` the
-    number of sentences before it, for lines that start inside a file.
-    ``reject(exc, span, sentence_id)`` raises ``exc`` or records a
-    :class:`Rejection`, as :func:`iter_byte_range` settled. The line readers
-    take the same arguments; :func:`iter_byte_range` calls the canonical
-    one. :func:`_conllu_blocks` hands this walk the blocks that
-    :func:`_conllu_block` cannot take, and the text after the last blank
-    line, and this walk defines what that path must give. It returns the
-    number of sentences before the lines and in them.
+    The fast path reads the leading comments, then splits the token lines
+    once at tabs, each LF after a tab. When every w-th of the fields is an
+    LF and the next ID, 1 to n, every line has exactly w fields: ten, or any
+    other number from eight on, which the line branch reads alike. Ranges
+    and empty nodes are deleted by slice. Any other block (too few or unequal
+    fields, a comment among the token lines, other IDs, a HEAD that
+    :data:`_DECIMAL` lacks) is read a line at a time by :func:`_conllu_sentence`.
     """
-    block: list[str] = []
-    first_lineno = first_line  # of the current block
-    # a blank line ends the last block
-    for lineno, line in enumerate(chain(lines, ("",)), first_line):
-        if line and not line.isspace():
-            if not block:
-                first_lineno = lineno
-            block.append(line)
-            continue
-        if not block:
-            continue
-        comments = [row for row in block if row[0] == "#"]
-        if len(comments) == len(block):
-            block = []
-            continue  # a comment-only block: not a sentence
-        ordinal += 1
-        span = f"{source}:{first_lineno}-{lineno - 1}"
-        sent_id = f"{source}#{ordinal}"
+    if not n:
+        return None  # two breaks in a row
+    source = options["source"]
+    span = f"{source}:{line}-{line + n - 1}"
+    sent_id = f"{source}#{number}"
+    at = 0  # the LF before the first token line
+    while block.startswith("\n#", at) and (lf := block.find("\n", at + 1)) > 0:
+        key, _, value = block[at + 2 : lf].partition("=")
+        if key.strip() == "sent_id" and value.strip():
+            sent_id = value.strip()
+        at, n = lf, n - 1
+    fields = block[at:].replace("\n", "\t\n").split("\t")
+    width, rest = divmod(len(fields) - 1, n)  # the fields of each line, if all have as many
+    try:  # a KeyError sends the block to the line branch
+        if rest or width < 8:
+            raise KeyError
+        ids = fields[1::width]
+        if ids != _TOKEN_IDS[:n]:
+            joined = "".join(ids)
+            if joined.count("\n") != n or "\n#" in joined:
+                raise KeyError  # lines with unequal numbers of fields, or a comment among the token lines
+            for i in reversed([i for i, raw in enumerate(ids) if "-" in raw or "." in raw]):
+                del fields[width * i + 1 : width * (i + 1) + 1]
+            n = len(fields) // width
+            if not n or fields[1::width] != _TOKEN_IDS[:n]:
+                raise KeyError
+        heads = (*map(_DECIMAL.__getitem__, fields[7::width]),)  # a tuple display: built at its exact size
+    except KeyError:
+        rows = block[1:].split("\n")
+        comments = [row for row in rows if row[0] == "#"]
+        if len(comments) == len(rows):
+            return None  # a comment-only block: not a sentence
+        sent_id = f"{source}#{number}"
         for comment in comments:
             key, _, value = comment[1:].partition("=")
             if key.strip() == "sent_id" and value.strip():
                 sent_id = value.strip()
         try:
-            sentence = _conllu_sentence(block, first_lineno, sent_id, span, drop_punct)
+            return _conllu_sentence(rows, line, sent_id, span, options["drop_punct"])
         except _REJECTABLE as exc:
-            reject(exc, span, sent_id)
-        else:
-            yield sentence
-        block = []
-    return ordinal
+            options["reject"](exc, span, sent_id)
+            return _REJECTED
+    lemmas = fields[3::width]
+    try:
+        if options["drop_punct"]:
+            tags = fields[4::width]
+            if "PUNCT" in tags:
+                heads = tuple(_drop_punct(heads, tags, sent_id))
+                lemmas = list(compress(lemmas, map("PUNCT".__ne__, tags)))
+        root_lemma = lemmas[heads.index(0)] if 0 in heads else None  # an accepted sentence has one root
+        return validate_tree(Sentence(sent_id, heads, None if root_lemma == "_" else root_lemma, span))
+    except InvalidTree as exc:
+        options["reject"](exc, span, sent_id)
+        return _REJECTED
 
 
 def _conllu_sentence(
     lines: list[str], first_lineno: int, sent_id: str, span: str, drop_punct: bool
 ) -> Sentence:
+    """The sentence of CoNLL-U lines that hold no blank line, read a line at a time."""
     ids: list[int] = []
     heads: list[int] = []
     upos: list[str] = []  # filled only to drop punctuation
@@ -729,124 +747,72 @@ def _drop_punct(heads: Sequence[int], upos: list[str], sent_id: str) -> Sequence
     return [remap.get(heads[i - 1], heads[i - 1]) for i in kept]
 
 
-def _conllu_blocks(
-    pieces: Iterator[str],
-    first_line: int,
-    ordinal: int,
-    *,
-    source: str,
-    reject: Callable[[Exception, str, str | None], None],
-    drop_punct: bool = False,
-) -> Iterator[Sentence]:
-    """:func:`_conllu` over decoded pieces, cut at empty lines by :func:`_sentence_blocks` and read by
-    :func:`_conllu_block`."""
-    options = {"source": source, "reject": reject, "drop_punct": drop_punct}
-    return _sentence_blocks(pieces, first_line, ordinal, "\n\n", _conllu_block, _conllu, options)
-
-
-# The ID fields of a sentence's token lines as _conllu_block splits them: an LF, then 1 to 1023 in order.
-_TOKEN_IDS = ["\n" + text for text in list(_DECIMAL)[1:]]
-
-
-def _conllu_block(
-    block: str, start: int, end: int, number: int, options: dict[str, Any]
-) -> tuple[Sentence, ...] | None:
-    """Sentence ``number``: lines ``start`` to ``end``, before an empty line, with every column taken by one split.
-
-    The leading ``#`` comments give the id, by :func:`_conllu`'s rule. The
-    token lines, each after an LF and each LF after a tab, are split once at
-    tabs. Only a line's first field then starts with an LF. So when the n
-    lines give w fields each on average, and every w-th field is an LF and
-    the next ID, 1 to n, every line has exactly w fields: ten in CoNLL-U,
-    and any other number from eight on, which the line walk reads alike.
-    Multiword-token ranges and empty nodes are deleted by slice, as the line
-    walk skips them. The root lemma is the LEMMA of the one token an
-    accepted sentence has with HEAD 0, and ``drop_punct`` goes through
-    :func:`_drop_punct`. None, for :func:`_conllu`, when the block holds
-    only comments, lines of fewer than eight fields or of unequal numbers of
-    fields, a comment among its token lines, no token line, other IDs or a
-    HEAD that :data:`_DECIMAL` lacks.
-    """
-    source = options["source"]
-    sent_id = f"{source}#{number}"
-    n = end - start + 1  # the token lines, once the comments are counted off
-    at = 0  # the offset of the first token line
-    while block.startswith("#", at):
-        lf = block.find("\n", at)
-        if lf < 0:
-            return None  # comments only
-        key, _, value = block[at + 1 : lf].partition("=")
-        if key.strip() == "sent_id" and value.strip():
-            sent_id = value.strip()
-        at, n = lf + 1, n - 1
-    fields = (block[at - 1 :] if at else "\n" + block).replace("\n", "\t\n").split("\t")
-    width, rest = divmod(len(fields) - 1, n)  # the fields of each line, if all have as many
-    if rest or width < 8:
-        return None
-    ids = fields[1::width]
-    if ids != _TOKEN_IDS[:n]:
-        joined = "".join(ids)
-        if joined.count("\n") != n or "\n#" in joined:
-            return None  # lines with unequal numbers of fields, or a comment among the token lines
-        for i in reversed([i for i, raw in enumerate(ids) if "-" in raw or "." in raw]):
-            del fields[width * i + 1 : width * (i + 1) + 1]
-        n = len(fields) // width
-        if not n or fields[1::width] != _TOKEN_IDS[:n]:
-            return None
-    try:
-        heads = tuple(map(_DECIMAL.__getitem__, fields[7::width]))
-    except KeyError:
-        return None
-    lemmas = fields[3::width]
-    span = f"{source}:{start}-{end}"
-    try:
-        if options["drop_punct"]:
-            tags = fields[4::width]
-            if "PUNCT" in tags:
-                heads = tuple(_drop_punct(heads, tags, sent_id))
-                lemmas = list(compress(lemmas, map("PUNCT".__ne__, tags)))
-        root_lemma = lemmas[heads.index(0)] if 0 in heads else None  # an accepted sentence has one root
-        return (validate_tree(Sentence(sent_id, heads, None if root_lemma == "_" else root_lemma, span)),)
-    except InvalidTree as exc:
-        options["reject"](exc, span, sent_id)
-        return ()
-
-
 # --- CaboCha lattice -------------------------------------------------------
 
 
-def _cabocha(
-    lines: Iterable[str],
-    first_line: int,
-    ordinal: int,
-    *,
-    source: str,
-    reject: Callable[[Exception, str, str | None], None],
-) -> Generator[Sentence, None, int]:
-    """Yield the sentences of CaboCha lattice output; each bunsetsu chunk becomes one node.
+def _cabocha_block(
+    block: str, line: int, n: int, number: int, options: dict[str, Any], ended: bool = False
+) -> Sentence | object | None:
+    """Sentence ``number`` of CaboCha: the ``n`` lines of ``block``, from line ``line`` on, and the ``EOS`` after them.
 
-    Chunk headers look like ``* 3 5D 0/1 1.23``; the second field is the
-    0-based chunk index, the third the head chunk index suffixed with 'D'
-    (-1D marks the root). The sentence keeps only the root chunk's lemma:
-    the first base form (seventh feature, unless ``*`` or empty) its
-    morpheme lines carry. No surface is read, and no morpheme line is split
-    but the root chunk's, up to the first that gives its lemma.
-    ``EOS`` ends a sentence; a stream that ends mid-sentence is rejected
-    with :class:`MissingEOS`.
+    Each bunsetsu chunk is a node. A header ``* 3 5D 0/1 1.23`` gives the
+    0-based chunk index and its head's, -1D for the root. Only the root
+    chunk's lemma is kept: the first base form (seventh feature, unless
+    ``*`` or empty) of its morpheme lines, which are split up to it; no
+    other morpheme line is. A sentence's first fault is reported at its
+    ``EOS``. Blank lines are no sentence (None). When the range's end ends
+    the block (``ended``), no ``EOS`` does, and a sentence there is rejected
+    as :class:`MissingEOS`, with no id and no number, its span ending at the
+    range's last line.
 
-    One walk reads every line once. A sentence's first fault is kept and
-    reported at its ``EOS``, so a sentence is never cut short. It returns
-    the number of sentences before the lines and in them, for
-    :func:`_cabocha_blocks`, which hands it the blocks that its fast path
-    cannot take and defines what that path must give.
+    The fast path cuts a block whose first line that is not blank is a
+    header at each line-start ``* ``, and reads each header as ``IDX HEAD
+    REST``, split at single spaces, IDX and HEAD by :data:`_DECIMAL` and
+    :data:`_CHUNK_HEAD`. Any other block (a header of two fields among
+    them), and the rest of a sentence whose first lines were walked
+    (``options["held"]``), is read by :func:`_cabocha_lines`.
     """
-    start: int | None = None  # number of the pending sentence's first line
-    heads: list[int] = []  # one entry per chunk header so far
-    root_lemma: str | None = None
-    seeking_lemma = False  # the current chunk is a root, and the root lemma is still missing
-    fault: Exception | None = None  # the pending sentence's first error
-    lineno = first_line - 1
-    for lineno, raw in enumerate(lines, first_line):
+    try:  # a KeyError or a ValueError sends the block to the line branch
+        blank, *chunks = block.split("\n* ")  # the blank lines before the first header, if any, and the chunks
+        if not chunks or blank and not blank.isspace() or options["held"] is not None:
+            raise KeyError
+        heads = []
+        for chunk in chunks:
+            index, head, _ = chunk.split(" ", 2)
+            if _DECIMAL.get(index) != len(heads):
+                raise KeyError
+            heads.append(_CHUNK_HEAD[head])
+        root_lemma = None
+        if 0 in heads:
+            root = chunks[heads.index(0)].split("\n")  # its header's rest, then its morpheme lines
+            root_lemma = next(filter(None, map(_base_form, root[1:])), None)
+        start, fault = line + blank.count("\n"), None
+    except (KeyError, ValueError):
+        start, heads, root_lemma, _, fault = _cabocha_lines(block, line, options["held"])
+        options["held"] = None
+        if start is None:
+            return None  # blank lines, or no line between two EOS lines
+    source = options["source"]
+    if ended:
+        exc = MissingEOS(f"{source}: stream ended inside a sentence (missing EOS)")
+        options["reject"](exc, f"{source}:{start}-{line + n - 1}", None)
+        return None
+    sent_id, span = f"{source}#{number}", f"{source}:{start}-{line + n}"
+    if fault is None:
+        try:
+            return validate_tree(Sentence(sent_id, tuple(heads), root_lemma, span))
+        except InvalidTree as exc:
+            fault = exc
+    options["reject"](fault, span, sent_id)
+    return _REJECTED
+
+
+def _cabocha_lines(block: str, line: int, held: tuple[Any, ...] | None) -> tuple[Any, ...]:
+    """The walk of a CaboCha block's lines, on from ``held``, the walk of the lines before them: the sentence's
+    first line (None while all are blank), its chunks' heads, its root lemma, whether that is still sought, its
+    first fault."""
+    start, heads, root_lemma, seeking_lemma, fault = held or (None, [], None, False, None)
+    for lineno, raw in enumerate(block.split("\n"), line - 1):  # the LF before each line
         if raw.startswith("* "):  # chunk header
             if start is None:
                 start = lineno
@@ -871,25 +837,7 @@ def _cabocha(
                 continue
             heads.append(head)
             seeking_lemma = not head and root_lemma is None
-        elif not raw or raw.isspace():
-            continue
-        elif raw.startswith("EOS") and raw.rstrip() == "EOS":
-            if start is None:
-                continue  # bare EOS, nothing to parse
-            ordinal += 1
-            span = f"{source}:{start}-{lineno}"
-            sent_id = f"{source}#{ordinal}"
-            if fault is None:
-                try:
-                    sentence = validate_tree(Sentence(sent_id, tuple(heads), root_lemma, span))
-                except InvalidTree as exc:
-                    fault = exc
-            if fault is None:
-                yield sentence
-            else:
-                reject(fault, span, sent_id)
-            start, heads, root_lemma, seeking_lemma, fault = None, [], None, False, None
-        else:  # morpheme line: SURFACE<TAB>FEATURES
+        elif raw and not raw.isspace():  # morpheme line: SURFACE<TAB>FEATURES
             if start is None:
                 start = lineno
             if fault is not None:
@@ -900,11 +848,7 @@ def _cabocha(
             if seeking_lemma:
                 root_lemma = _base_form(raw)
                 seeking_lemma = root_lemma is None
-
-    if start is not None:
-        exc = MissingEOS(f"{source}: stream ended inside a sentence (missing EOS)")
-        reject(exc, f"{source}:{start}-{lineno}", None)
-    return ordinal
+    return start, heads, root_lemma, seeking_lemma, fault
 
 
 def _base_form(line: str) -> str | None:
@@ -913,65 +857,12 @@ def _base_form(line: str) -> str | None:
     return fields[6] if len(fields) > 6 and fields[6] not in ("*", "") else None
 
 
-def _cabocha_blocks(
-    pieces: Iterator[str],
-    first_line: int,
-    ordinal: int,
-    *,
-    source: str,
-    reject: Callable[[Exception, str, str | None], None],
-) -> Iterator[Sentence]:
-    """:func:`_cabocha` over decoded pieces, cut at exact ``EOS`` lines by :func:`_sentence_blocks` and read by
-    :func:`_cabocha_block`."""
-    options = {"source": source, "reject": reject}
-    return _sentence_blocks(pieces, first_line, ordinal, "\nEOS\n", _cabocha_block, _cabocha, options)
-
-
-def _cabocha_block(
-    block: str, start: int, end: int, number: int, options: dict[str, Any]
-) -> tuple[Sentence, ...] | None:
-    """Sentence ``number``: lines ``start`` to ``end``, before an exact ``EOS`` line, cut at line-start ``* ``.
-
-    A chunk's IDX and HEAD are read by :data:`_DECIMAL` and :data:`_CHUNK_HEAD`,
-    and only the root chunk's lines are split, for its lemma: no other
-    morpheme line takes a Python step. None, for :func:`_cabocha`, when the
-    block does not start with ``* `` or holds a line that starts with ``EOS``
-    (an ``EOS`` line with trailing spaces, a second ``EOS`` in a row, or a
-    morpheme line), or a header's first two fields are not keys of the tables
-    each followed by a single space, or its index is out of sequence.
-    """
-    if not block.startswith("* ") or "\nEOS" in block:
-        return None
-    chunks = block[2:].split("\n* ")
-    heads: list[int] = []
-    try:
-        for chunk in chunks:
-            index, head, _ = chunk.split(" ", 2)
-            if _DECIMAL.get(index) != len(heads):
-                return None
-            heads.append(_CHUNK_HEAD[head])
-    except (ValueError, KeyError):  # fewer than three fields; a head the table lacks
-        return None
-    root_lemma = None
-    if 0 in heads:
-        root = chunks[heads.index(0)].split("\n")  # its header's rest, then its morpheme lines
-        root_lemma = next(filter(None, map(_base_form, root[1:])), None)
-    source = options["source"]
-    sent_id, span = f"{source}#{number}", f"{source}:{start}-{end + 1}"
-    try:
-        return (validate_tree(Sentence(sent_id, tuple(heads), root_lemma, span)),)
-    except InvalidTree as exc:
-        options["reject"](exc, span, sent_id)
-        return ()
-
-
 # --- canonical JSONL -------------------------------------------------------
 
 
 def _canonical(
     lines: Iterable[str],
     first_line: int,
-    ordinal: int,
     *,
     source: str,
     reject: Callable[[Exception, str, str | None], None],
@@ -993,8 +884,7 @@ def _canonical(
     root lemma, such as each line of ``depmetrics generate``, is read without
     the JSON decoder: its id and heads are taken by two regexes and accepted
     only if writing them back gives the same text. The sentence, or the
-    rejection, is the one the decoder's path gives. ``ordinal`` is not read:
-    the ids come from the file.
+    rejection, is the one the decoder's path gives.
     """
     for lineno, raw in enumerate(lines, first_line):
         line = raw.strip()
@@ -1016,7 +906,7 @@ def _canonical_sentence(line: str, lineno: int, span: str) -> Sentence:
     start = match_start(line)
     if start is not None:
         try:
-            heads = tuple(map(_DECIMAL.__getitem__, find_heads(line, start.end())))
+            heads = (*map(_DECIMAL.__getitem__, find_heads(line, start.end())),)  # built at its exact size
         except KeyError:  # no text of 0..1023, such as 1024 or 01
             pass
         else:
@@ -1077,15 +967,18 @@ def _writer_patterns() -> tuple[Any, Any]:
 
 # --- dispatch --------------------------------------------------------------
 
-# Each format's line reader. :func:`iter_byte_range` calls the canonical one;
-# it reads CoNLL-U and CaboCha by their block readers, which hand the line walk
-# only the blocks their fast paths cannot take whole.
-_PARSERS = {
-    "conllu": _conllu,
-    "cabocha": _cabocha,
-    "canonical": _canonical,
-}
-_BLOCK_READERS = {"conllu": _conllu_blocks, "cabocha": _cabocha_blocks}
+
+def _conllu_options(*, source: str, reject: Any, drop_punct: bool = False) -> dict[str, Any]:
+    return dict(source=source, reject=reject, drop_punct=drop_punct)
+
+
+def _cabocha_options(*, source: str, reject: Any) -> dict[str, Any]:
+    return dict(source=source, reject=reject, held=None)  # held: the walk of a long open sentence's first lines
+
+
+_BLOCK_READERS = {"conllu": _conllu_block, "cabocha": _cabocha_block}
+# The options of each block format's reader, as one dict: one it does not take is a TypeError.
+_BLOCK_OPTIONS = {"conllu": _conllu_options, "cabocha": _cabocha_options}
 
 
 def parse(stream: Text, fmt: str, **options: Any) -> list[Sentence]:

@@ -4,13 +4,17 @@
 then walks the sentence's lines again to read its chunks, and a lemma for
 every chunk, and takes the root's from that list. The property tests
 require the CaboCha parser of ``treebank`` to yield the same sentences and
-record (or raise) the same rejections as this reader.
+record (or raise) the same rejections as this reader, on every form that
+its fast path reads or hands to its line branch.
 
 ``iter_conllu`` reads every CoNLL-U ID and HEAD by the rule that
 ``treebank``'s decimal lookup tables stand in for: a run of ASCII digits
-that ``int()`` reads. It takes no ``drop_punct``. The property tests require
-the CoNLL-U parser of ``treebank`` to yield the same sentences and record
-(or raise) the same rejections for any spelling of the numbers.
+that ``int()`` reads. With ``drop_punct`` it removes the PUNCT tokens after
+the other checks, and refuses a sentence in which one of them has a
+dependent or no token is left. The property tests require the CoNLL-U
+parser of ``treebank`` to yield the same sentences and record (or raise)
+the same rejections for any spelling of the numbers, and on every form
+that its fast path reads or hands to its line branch.
 
 Both read a ``str`` or bytes, split into lines by ``split_lines`` at once,
 not by the chunked reader of ``treebank``. They check no error mode, and
@@ -137,6 +141,7 @@ def iter_conllu(
     source: str = "<conllu>",
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
+    drop_punct: bool = False,
 ) -> Iterator[Sentence]:
     lines = split_lines(stream)
     ordinal = 0
@@ -160,24 +165,25 @@ def iter_conllu(
             if key.strip() == "sent_id" and value.strip():
                 sent_id = value.strip()
         try:
-            sentence = _conllu_sentence(block, first_lineno, sent_id, span)
+            sentence = _conllu_sentence(block, first_lineno, sent_id, span, drop_punct)
         except REJECTABLE as exc:
             _reject(exc, errors, rejections, span, sent_id)
         else:
             yield sentence
 
 
-def _conllu_sentence(lines: list[str], first_lineno: int, sent_id: str, span: str) -> Sentence:
+def _conllu_sentence(lines: list[str], first_lineno: int, sent_id: str, span: str, drop_punct: bool) -> Sentence:
     ids: list[int] = []
     heads: list[int] = []
-    root_lemma: str | None = None
+    lemmas: list[str] = []
+    punct: list[int] = []  # the IDs of the PUNCT tokens
     for lineno, line in enumerate(lines, first_lineno):
         if line[0] == "#":
             continue
         fields = line.split("\t", 7)
         if len(fields) < 8:
             raise MalformedLine(f"line {lineno}: expected >= 8 tab-separated fields, got {len(fields)}")
-        raw_id, _, lemma, _, _, _, raw_head, _ = fields
+        raw_id, _, lemma, upos, _, _, raw_head, _ = fields
         if "-" in raw_id or "." in raw_id:
             continue  # multiword-token range / empty node
         for what, raw in (("ID", raw_id), ("HEAD", raw_head)):
@@ -188,12 +194,25 @@ def _conllu_sentence(lines: list[str], first_lineno: int, sent_id: str, span: st
             except ValueError:  # also past int()'s digit limit
                 raise MalformedLine(f"line {lineno}: non-integer {what} {raw!r}") from None
             (ids if what == "ID" else heads).append(value)
-        if not heads[-1]:
-            root_lemma = None if lemma == "_" else lemma
+        lemmas.append(lemma)
+        if upos == "PUNCT":
+            punct.append(len(heads))
     if not heads:
         raise InvalidTree(f"{sent_id}: sentence block has no token lines")
     if ids != list(range(1, len(ids) + 1)):
         raise InvalidTree(f"{sent_id}: token IDs are not consecutive from 1")
+    if drop_punct and punct:
+        for head in heads:
+            if head in punct:
+                raise InvalidTree(f"{sent_id}: dropped punctuation node {head} has dependents")
+        kept = [index for index in range(1, len(heads) + 1) if index not in punct]
+        if not kept:
+            raise InvalidTree(f"{sent_id}: no nodes left after dropping punctuation")
+        renumbered = {index: new for new, index in enumerate(kept, 1)}
+        heads = [renumbered.get(heads[index - 1], heads[index - 1]) for index in kept]  # 0 and out of range stay
+        lemmas = [lemmas[index - 1] for index in kept]
+    roots = [lemma for head, lemma in zip(heads, lemmas) if not head]
+    root_lemma = None if not roots or roots[-1] == "_" else roots[-1]  # the last line's, if several
     return validate_tree(Sentence(sent_id, tuple(heads), root_lemma, span))
 
 

@@ -1,8 +1,9 @@
 """Property tests: the fused validate-and-depth walk, the two consumers of the per-sentence kernel,
 the canonical and CoNLL-U round trips, the canonical and ``metrics`` line writers, the canonical
 reader's two paths, and the streaming
-parsers: on arbitrary text and bytes, in byte ranges, the one-pass CaboCha reader, and on documents
-that differ only in their surface forms."""
+parsers: on arbitrary text and bytes, in byte ranges, the one-pass CaboCha reader, the sentence
+breaks that the text cut and the byte ranges find, and on documents that differ only in their
+surface forms."""
 
 from __future__ import annotations
 
@@ -463,7 +464,7 @@ def test_surface_forms_change_no_sentence_and_no_rejection(documents, data):
         for options in ({}, {"drop_punct": True}) if fmt == "conllu" else ({},):
             first, second = (_serial_outcome(text.encode("utf-8"), fmt, **options) for text in texts)
             assert first == second
-            if fmt != "canonical":  # the block reader gives the line walk's outcome whatever the surfaces
+            if fmt != "canonical":  # the block reader gives the reference's outcome whatever the surfaces
                 for ranges, chunk in RANGE_READS:
                     with pytest.MonkeyPatch.context() as patch:
                         patch.setattr(treebank, "CHUNK_BYTES", chunk)
@@ -481,12 +482,8 @@ def test_root_lemma_is_the_reference_lemma_of_the_position_whose_head_is_0(docum
         columns = reference_treebank.lemma_columns(text, fmt)
         for drop_punct in (False, True) if fmt == "conllu" else (False,):
             options = {"drop_punct": True} if drop_punct else {}
-            # the lines as the reference splits them, so that no BOM rule applies
-            lines = text.split("\n")
-            readings = [treebank._PARSERS[fmt](lines, 1, 0, source="f", reject=rejecter([]), **options)]
-            if fmt != "canonical":  # and through the block reader, which finds the root lemma itself
-                encoded = text.encode("utf-8")
-                readings += [_range_sentences(encoded, fmt, ranges, chunk, **options) for ranges, chunk in RANGE_READS]
+            encoded = text.encode("utf-8")
+            readings = [_range_sentences(encoded, fmt, ranges, chunk, **options) for ranges, chunk in RANGE_READS]
             for sentence in chain.from_iterable(readings):
                 heads, lemmas, upos = columns[sentence.id]
                 kept = [not drop_punct or tag != "PUNCT" for tag in upos] if upos else [True] * len(heads)
@@ -544,19 +541,25 @@ chunk_sizes = st.sampled_from([1, 2, 3, 5, 8, 1 << 20])
 
 def _serial_outcome(data, fmt, **options):
     """The parse of the whole decoded text, split at each LF or CRLF, or the error the first byte that
-    is not UTF-8 raises. The format's line reader gets the lines, since a str would go through the BOM
-    rule again."""
+    is not UTF-8 raises: by the reference readers of CoNLL-U and CaboCha, which drop the BOM themselves,
+    and by the canonical line reader, which gets the lines, since a str would go through the BOM rule again."""
     skipped = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
         text = data[skipped:].decode("utf-8")
     except UnicodeDecodeError as exc:
         return f"f: byte {skipped + exc.start} is not UTF-8 ({exc.reason})"
-    lines = text.replace("\r\n", "\n").split("\n")
-    if not lines[-1]:
-        lines.pop()  # the text ended with a line break, or is empty
     rejections = []
-    sentences = list(treebank._PARSERS[fmt](lines, 1, 0, source="f", reject=rejecter(rejections), **options))
+    if fmt in REFERENCES:
+        sentences = list(REFERENCES[fmt](data, source="f", errors="skip", rejections=rejections, **options))
+    else:
+        lines = text.replace("\r\n", "\n").split("\n")
+        if not lines[-1]:
+            lines.pop()  # the text ended with a line break, or is empty
+        sentences = list(treebank._canonical(lines, 1, source="f", reject=rejecter(rejections)))
     return _with_depths(sentences), rejections
+
+
+REFERENCES = {"conllu": reference_treebank.iter_conllu, "cabocha": reference_treebank.iter_cabocha}
 
 
 def _ranges_outcome(data, fmt, parts, **options):
@@ -599,10 +602,50 @@ def test_shards_in_order_give_the_serial_parse(data, chunk):
 def test_blank_line_bytes_are_the_characters_str_isspace_accepts():
     space = re.compile(treebank._SPACE)
     for code in range(sys.maxunicode + 1):
-        if 0xD800 <= code <= 0xDFFF:
-            continue  # surrogates have no UTF-8 form
         char = chr(code)
-        assert bool(space.fullmatch(char.encode("utf-8"))) == (char.isspace() and char != "\n"), hex(code)
+        blank = char.isspace() and char != "\n"
+        # the text cut's [^\S\n], after an LF or after EOS, ends at the character only if it is blank
+        for before, pattern in (("\n", treebank._BREAK["conllu"]), ("\nEOS", treebank._BREAK["cabocha"])):
+            match = pattern.match(before + char + "\n")
+            assert (match is not None and match.end() == len(before) + 1) == blank, hex(code)
+        if not 0xD800 <= code <= 0xDFFF:  # surrogates have no UTF-8 form
+            assert bool(space.fullmatch(char.encode("utf-8"))) == blank, hex(code)
+
+
+def _break_lines(text, lf, pattern, search_from):
+    """The numbers of the lines that ``pattern`` finds as sentence breaks in ``text``, whose line 1
+    follows its first LF, ``lf``; each search starts at ``search_from(match)``."""
+    lines = []
+    match = pattern.search(text)
+    while match:
+        lines.append(text.count(lf, 0, match.start() + 1))
+        match = pattern.search(text, search_from(match))
+    return lines
+
+
+def _holds_a_sentence(block, fmt):
+    """Whether a block of the text cut holds a sentence: a line that is not blank, and in CoNLL-U no comment."""
+    rows = [row for row in block.split("\n") if row.strip()]
+    return any(not row.startswith("#") for row in rows) if fmt == "conllu" else bool(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(range_texts)
+@example("EOS\nEOS\n* 0 -1D\n")  # two EOS lines in a row, and a break on the first line
+@example(" \n\n1\t_\n\n")  # blank lines in a row, the first holding a space
+def test_the_text_cut_and_the_byte_patterns_find_the_same_sentence_breaks(text):
+    data = text.encode("utf-8", "surrogatepass")
+    text = text.replace("\r\n", "\n")  # as it is decoded
+    if not text.endswith("\n"):  # and as the last piece ends
+        text, data = text + "\n", data + b"\n"
+    for fmt in ("conllu", "cabocha"):
+        breaks = treebank._BREAK[fmt]
+        before, starts = treebank._SENTENCE_START[fmt]
+        want = _break_lines("\n" + text, "\n", breaks, lambda match: match.end())
+        found = _break_lines(b"\n" + data, b"\n", treebank._SENTENCE_BREAK[fmt], lambda match: match.end() - 1)
+        assert found == want
+        sentences = sum(_holds_a_sentence(block, fmt) for block in breaks.split("\n" + text))
+        assert len(starts.findall(before + data)) == sentences
 
 
 # Lines the CaboCha reader branches on, for the comparison with the two-walk reference.
@@ -705,7 +748,7 @@ def test_one_pass_cabocha_reader_matches_the_two_walk_reference(text, bom, chunk
     )
 
 
-PLAIN, ODD = "plain", "odd"  # the surfaces of sentences the block reader reads, and of those it hands on
+PLAIN, ODD = "plain", "odd"  # the surfaces of sentences the fast path reads, and of those it hands on
 
 
 def _bench_shaped_sentence(rng, mark, heads=None):
@@ -730,37 +773,50 @@ def _bench_shaped_sentence(rng, mark, heads=None):
     return lines
 
 
-def _odd(rng, header, edit):
-    """An odd sentence, with one of its chunk headers (or morpheme lines, if not ``header``) changed by ``edit``."""
-    lines = _bench_shaped_sentence(rng, ODD, [2, 0, 2])
+def _edited_sentence(rng, mark, header, edit):
+    """A sentence, with one of its chunk headers (or morpheme lines, if not ``header``) changed by ``edit``."""
+    lines = _bench_shaped_sentence(rng, mark, [2, 0, 2])
     at = rng.choice([i for i, line in enumerate(lines) if line.startswith("* ") == header])
     lines[at] = edit(lines[at])
     return lines + ["EOS"]
 
 
+def _two_field_headers(lines):
+    """The lines with every chunk header cut to its index and head: ``* 0 -1D``."""
+    return [" ".join(line.split(" ")[:3]) if line.startswith("* ") else line for line in lines]
+
+
 def _planted_cabocha(seed):
-    """Bench-shaped plain sentences, in their text, with every anomaly the block reader hands on planted among them."""
+    """Bench-shaped plain sentences, in their text, with every form the fast path reads past or hands on planted among them."""
     rng = random.Random(seed)
     header, morpheme = True, False
-    anomalies = [
-        lambda: _bench_shaped_sentence(rng, ODD) + ["EOS "] + _bench_shaped_sentence(rng, ODD) + ["EOS"],
-        lambda: _bench_shaped_sentence(rng, ODD) + ["EOS\u3000"] + _bench_shaped_sentence(rng, ODD) + ["EOS"],
-        lambda: ["EOS"] + _bench_shaped_sentence(rng, ODD) + ["EOS"],  # two EOS lines in a row
-        lambda: _bench_shaped_sentence(rng, ODD) + ["EOS\t", "", "EOS"],  # an inexact EOS just before an exact one
-        # blank lines after an EOS: the block reader counts them and reads the sentence after them itself
+    plain = [  # sentences whose only odd feature the fast path reads itself
+        lambda: _bench_shaped_sentence(rng, PLAIN) + ["EOS "] + _bench_shaped_sentence(rng, PLAIN) + ["EOS"],
+        lambda: _bench_shaped_sentence(rng, PLAIN) + ["EOS\u3000"] + _bench_shaped_sentence(rng, PLAIN) + ["EOS"],
+        lambda: ["EOS"] + _bench_shaped_sentence(rng, PLAIN) + ["EOS"],  # two EOS lines in a row
+        lambda: _bench_shaped_sentence(rng, PLAIN) + ["EOS\t", "", "EOS"],  # an EOS with a tab, a blank line, an EOS
+        # blank lines after an EOS, one of them holding whitespace
+        lambda: [""] * rng.randint(0, 2) + [" \u3000"] + _bench_shaped_sentence(rng, PLAIN) + ["EOS"],
         lambda: [""] * rng.randint(1, 3) + _bench_shaped_sentence(rng, PLAIN) + ["EOS"],
-        lambda: _odd(rng, header, lambda line: re.sub(" (\\S+D) ", "\t\\1 ", line, count=1)),
-        lambda: _odd(rng, header, lambda line: re.sub(" (\\S+D) ", "  \\1 ", line, count=1)),
-        lambda: _odd(rng, header, lambda line: line.rsplit(" ", 2)[0]),  # * 0 -1D
-        lambda: _odd(rng, header, lambda line: re.sub("^\\* \\d+", "* 1024", line)),
-        lambda: _odd(rng, header, lambda line: re.sub(" \\S+D ", " 1024D ", line, count=1)),
-        lambda: _odd(rng, morpheme, lambda line: "EOS" + line),
-        lambda: _odd(rng, morpheme, lambda line: "EOS\r" + line),
+        lambda: _edited_sentence(rng, PLAIN, morpheme, lambda line: "EOS" + line),  # a morpheme line, not EOS
+        lambda: _edited_sentence(rng, PLAIN, morpheme, lambda line: "EOS\r" + line),
+    ]
+    odd = [
+        lambda: _edited_sentence(rng, ODD, header, lambda line: re.sub(" (\\S+D) ", "\t\\1 ", line, count=1)),
+        lambda: _edited_sentence(rng, ODD, header, lambda line: re.sub(" (\\S+D) ", "  \\1 ", line, count=1)),
+        lambda: _two_field_headers(_bench_shaped_sentence(rng, ODD)) + ["EOS"],
+        # one header of two fields among headers of four: * 0 -1D
+        lambda: _edited_sentence(rng, ODD, header, lambda line: line.rsplit(" ", 2)[0]),
+        lambda: _edited_sentence(rng, ODD, header, lambda line: re.sub("^\\* \\d+", "* 1024", line)),
+        lambda: _edited_sentence(rng, ODD, header, lambda line: re.sub(" \\S+D ", " 1024D ", line, count=1)),
         lambda: [f"{ODD}\tx"] + _bench_shaped_sentence(rng, ODD) + ["EOS"],  # a morpheme line before any header
         # a tab, not a space, after the first header's *: a morpheme line before any header
         lambda: ["*\t" + line[2:] if not i else line for i, line in enumerate(_bench_shaped_sentence(rng, ODD))]
         + ["EOS"],
+        # a blank line, then a first line that starts with a space: a morpheme line before any header
+        lambda: ["", " " + _bench_shaped_sentence(rng, ODD)[0]] + _bench_shaped_sentence(rng, ODD)[1:] + ["EOS"],
     ]
+    anomalies = plain + odd
     rng.shuffle(anomalies)
     lines = []
     for anomaly in anomalies:
@@ -776,14 +832,6 @@ def _planted_cabocha(seed):
     return text + "\n".join(_bench_shaped_sentence(rng, ODD)) + "\n"  # with no EOS
 
 
-def _line_walk_raising(text, source):
-    """The CaboCha line walk over the lines of ``text`` in raise mode."""
-    lines = text.replace("\r\n", "\n").split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return treebank._PARSERS["cabocha"](lines, 1, 0, source=source, reject=rejecter())
-
-
 def _ranges_raising(text, source, parts):
     """The sentences of byte ranges 0..parts-1 of ``text`` read as CaboCha in raise mode, in order."""
     data = text.encode("utf-8")
@@ -793,21 +841,20 @@ def _ranges_raising(text, source, parts):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_the_block_reader_gives_the_line_walk_outcome_and_hands_it_only_odd_sentences(seed, monkeypatch):
+def test_the_block_reader_gives_the_reference_outcome_and_walks_only_odd_sentences(seed, monkeypatch):
     text = _planted_cabocha(seed)
     data = text.encode("utf-8")
     want = _serial_outcome(data, "cabocha")
-    want_raised = _raise_mode_outcome(_line_walk_raising, text)
+    want_raised = _raise_mode_outcome(reference_treebank.iter_cabocha, text)
     assert len(want[0]) > 20 and want[1]  # sentences taken, and sentences rejected
-    walked = []  # the lines the block reader hands to the line walk
-    line_walk = treebank._cabocha
+    walked = []  # the lines that the block reader's line branch walks
+    line_branch = treebank._cabocha_lines
 
-    def counted(lines, first_line, ordinal, **options):
-        lines = list(lines)
-        walked.extend(lines)
-        return (yield from line_walk(lines, first_line, ordinal, **options))
+    def recorded(block, line, held):
+        walked.extend(block.split("\n"))
+        return line_branch(block, line, held)
 
-    monkeypatch.setattr(treebank, "_cabocha", counted)
+    monkeypatch.setattr(treebank, "_cabocha_lines", recorded)
     for chunk in (1, 7, 1 << 16):
         monkeypatch.setattr(treebank, "CHUNK_BYTES", chunk)
         for parts in range(1, 5):

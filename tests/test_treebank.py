@@ -4,6 +4,7 @@ import itertools
 import os
 import random
 import re
+from functools import partial
 
 import pytest
 
@@ -34,7 +35,8 @@ from depmetrics.treebank import (
     validate_tree,
 )
 
-from .conftest import DEMO7_HEADS, fields, rejecter
+from . import reference_treebank
+from .conftest import DEMO7_HEADS, fields
 
 
 def conllu_line(i, head, lemma="_", upos="X"):
@@ -216,7 +218,7 @@ def test_drop_punct_keeps_out_of_range_head_for_validation():
         list(iter_parse(text, "conllu", drop_punct=True))
 
 
-PLAIN, ODD = "plain", "odd"  # marks in the sentences the block reader reads itself, and in those it hands on
+PLAIN, ODD = "plain", "odd"  # marks in the sentences the fast path reads, and in those it hands to the line branch
 UPOS = ["NOUN", "VERB", "ADJ", "ADP", "PUNCT"]
 
 
@@ -299,10 +301,10 @@ def _field(line, index, value):
 
 
 def _planted_conllu(seed):
-    """Bench-shaped CoNLL-U, with a BOM, that plants every form the block reader reads past or hands on."""
+    """Bench-shaped CoNLL-U, with a BOM, that plants every form the fast path reads past or hands on."""
     rng = random.Random(seed)
     comment_row = "# sent_id = odd-tabs" + "\t_" * 9  # nine tabs and a '-' in its first field: still a comment
-    plain = [  # sentences whose only odd feature the block reader reads itself
+    plain = [  # sentences whose only odd feature the fast path reads itself
         lambda: _with_multiword_range(rng, _bench_conllu(rng, PLAIN)),
         lambda: _with_empty_node(rng, _bench_conllu(rng, PLAIN)),
         lambda: _with_empty_node(rng, _with_multiword_range(rng, _bench_conllu(rng, PLAIN))),
@@ -312,7 +314,9 @@ def _planted_conllu(seed):
         lambda: [_field(line, 3, "PUNCT") if line.startswith("1\t") else line
                  for line in _bench_conllu(rng, PLAIN, [0, 1, 1])],  # a PUNCT token with dependents
         lambda: [""] + _bench_conllu(rng, PLAIN),  # two blank lines in a row before it
-        # eight fields a line, and twelve: the line walk reads any eight or more alike
+        lambda: [" \t"] + _bench_conllu(rng, PLAIN),  # and a blank line that holds whitespace
+        lambda: _bench_conllu(rng, PLAIN) + ["\u3000"] + _bench_conllu(rng, PLAIN),  # ended by a line of whitespace
+        # eight fields a line, and twelve: the line branch reads any eight or more alike
         lambda: [line if line.startswith("#") else line.rsplit("\t", 2)[0] for line in _bench_conllu(rng, PLAIN)],
         lambda: [line if line.startswith("#") else line + "\t_\t_" for line in _bench_conllu(rng, PLAIN)],
         lambda: ["", ""] + _bench_conllu(rng, PLAIN),  # three
@@ -320,7 +324,7 @@ def _planted_conllu(seed):
     odd = [
         lambda: _edited(rng, lambda line: f"# {ODD} comment\n{line}"),
         lambda: _edited(rng, lambda line: f"{comment_row}\n{line}"),
-        lambda: _edited(rng, lambda line: f"\t\u3000\n{line}"),  # a line that holds only whitespace
+        lambda: _edited(rng, lambda line: f"\t\u3000\n{line}"),  # a line of whitespace: IDs from 2 after it
         lambda: _edited(rng, lambda line: line.rsplit("\t", 1)[0]),  # nine fields
         lambda: _edited(rng, lambda line: line + "\t_"),  # eleven fields
         lambda: [line if line.startswith("#") else line.rsplit("\t", 3)[0] for line in _bench_conllu(rng, ODD)],  # 7
@@ -335,7 +339,6 @@ def _planted_conllu(seed):
         lambda: _with_empty_node(rng, _edited(rng, lambda line: _field(line, 6, "1024"))),
         lambda: _with_multiword_range(rng, _edited(rng, lambda line: f"# {ODD} comment\n{line}")),
         lambda: [f"# {ODD}: comments only", f"# sent_id = {ODD}-c"],
-        lambda: _bench_conllu(rng, ODD) + [" "] + _bench_conllu(rng, ODD),  # ended by a line that holds a space
     ]
     sentences = []
     for anomaly in rng.sample(plain + odd, len(plain + odd)):
@@ -366,22 +369,21 @@ def _conllu_ranges(data, parts, errors, rejections, **options):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_the_conllu_block_reader_gives_the_line_walk_outcome_and_hands_it_only_odd_sentences(seed, monkeypatch):
+def test_the_conllu_block_reader_gives_the_reference_outcome_and_walks_only_odd_sentences(seed, monkeypatch):
     text = _planted_conllu(seed)
     data = text.encode("utf-8")
-    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").split("\n")
-    line_walk = treebank._conllu
-    walked = []  # the lines the block reader hands to the line walk
+    line_branch = treebank._conllu_sentence
+    walked = []  # the lines that the block reader's line branch reads
 
-    def recorded(lines, first_line, ordinal, **options):
-        lines = list(lines)
+    def recorded(lines, *args):
         walked.extend(lines)
-        return (yield from line_walk(lines, first_line, ordinal, **options))
+        return line_branch(lines, *args)
 
-    monkeypatch.setattr(treebank, "_conllu", recorded)
+    monkeypatch.setattr(treebank, "_conllu_sentence", recorded)
     for options in ({}, {"drop_punct": True}):
-        want = _conllu_outcome(lambda found: line_walk(lines, 1, 0, source="f", reject=rejecter(found), **options))
-        want_raised = _conllu_outcome(lambda found: line_walk(lines, 1, 0, source="f", reject=rejecter(), **options))
+        reference = partial(reference_treebank.iter_conllu, data, source="f", **options)
+        want = _conllu_outcome(lambda found: reference(errors="skip", rejections=found))
+        want_raised = _conllu_outcome(lambda found: reference())
         assert len(want[0]) > 20 and want[1]  # sentences taken, and sentences rejected
         assert want_raised[2] is not None
         for chunk in (1, 7, 1 << 16):
@@ -394,6 +396,27 @@ def test_the_conllu_block_reader_gives_the_line_walk_outcome_and_hands_it_only_o
                     assert not any(PLAIN in line for line in walked)
                 raised = _conllu_outcome(lambda found: _conllu_ranges(data, parts, "raise", None, **options))
                 assert raised == want_raised
+
+
+def test_a_long_open_conllu_block_is_searched_once_for_its_end(monkeypatch):
+    monkeypatch.setattr(treebank, "CHUNK_BYTES", 64)
+    breaks = treebank._BREAK["conllu"]
+    scanned = []  # the characters that each search for a sentence break reads
+
+    class Counted:
+        def search(self, text, pos=0):
+            scanned.append(len(text) - pos)
+            return breaks.search(text, pos)
+
+        def split(self, text):
+            scanned.append(len(text))
+            return breaks.split(text)
+
+    monkeypatch.setitem(treebank._BREAK, "conllu", Counted())
+    rows = "".join(f"{i}\tw\tl\tX\t_\t_\t{i - 1}\t_\t_\t_\n" for i in range(1, 1001))  # ~30 KB, ~470 reads
+    sentences = list(iter_parse(rows + "\n" + rows, "conllu"))
+    assert [sentence.heads() for sentence in sentences] == [tuple(range(1000))] * 2
+    assert sum(scanned) < 4 * len(rows)  # not once more for each piece read
 
 
 # --- CaboCha ----------------------------------------------------------------
@@ -495,34 +518,36 @@ def test_cabocha_root_lemma_is_the_first_base_form_of_the_root_chunk():
     assert [s.root_lemma for s in iter_parse(non_root_only, "cabocha")] == [None]
 
 
-def _counting_lines(text, split):
-    """The lines of ``text`` as ``str`` objects that append themselves to ``split`` when partitioned."""
+@pytest.mark.parametrize("line_branch", [False, True])
+def test_cabocha_splits_only_the_root_chunks_morpheme_lines_up_to_its_lemma(line_branch, data_dir, monkeypatch):
+    split = []  # the morpheme lines whose features are split
+    base_form = treebank._base_form
+    walk = treebank._cabocha_lines
+    walked = []  # the blocks read a line at a time
 
-    class Line(str):
-        def partition(self, sep):
-            split.append(str(self))
-            return super().partition(sep)
+    def recorded_base_form(line):
+        split.append(line)
+        return base_form(line)
 
-    return [Line(line) for line in text.split("\n")]
+    def recorded_walk(block, line, held):
+        walked.append(block)
+        return walk(block, line, held)
 
-
-def _cabocha_lines(lines):
-    """The CaboCha line reader over ``lines``, given as they are."""
-    return treebank._PARSERS["cabocha"](lines, 1, 0, source="<cabocha>", reject=rejecter())
-
-
-def test_cabocha_splits_only_the_root_chunks_morpheme_lines_up_to_its_lemma(data_dir):
-    split = []
+    monkeypatch.setattr(treebank, "_base_form", recorded_base_form)
+    monkeypatch.setattr(treebank, "_cabocha_lines", recorded_walk)
+    if line_branch:  # with no head in the table, the fast path reads no block, and the line branch reads them all
+        monkeypatch.setattr(treebank, "_CHUNK_HEAD", {})
     text = (data_dir / "sample.cabocha").read_text(encoding="utf-8")
-    sentences = list(_cabocha_lines(_counting_lines(text, split)))
+    sentences = list(iter_parse(text, "cabocha"))
     assert [line.split("\t")[0] for line in split] == ["hitoda", "hai", "tobu"]
     assert [s.root_lemma for s in sentences] == ["hitoda", "hai", "tobu"]
-    split = []
-    text = "* 0 1D\nw\tn,*,*,*,*,*,w\n* 1 -1D\na\tx,*,*,*,*,*,*\nb\tx,*,*,*,*,*,\nc\tv,*,*,*,*,*,go\n"
-    text += "d\tv,*,*,*,*,*,went\n* 2 1D\ne\tp,*,*,*,*,*,e\nEOS\n"
-    [sentence] = _cabocha_lines(_counting_lines(text, split))
+    split.clear()
+    text = "* 0 1D 0/0 0.0\nw\tn,*,*,*,*,*,w\n* 1 -1D 0/3 0.0\na\tx,*,*,*,*,*,*\nb\tx,*,*,*,*,*,\n"
+    text += "c\tv,*,*,*,*,*,go\nd\tv,*,*,*,*,*,went\n* 2 1D 0/0 0.0\ne\tp,*,*,*,*,*,e\nEOS\n"
+    [sentence] = iter_parse(text, "cabocha")
     assert [line[0] for line in split] == ["a", "b", "c"]
     assert (sentence.heads(), sentence.root_lemma) == ((2, 0, 2), "go")
+    assert any(walked) == line_branch  # the empty text after each range's last EOS is walked either way
 
 
 def test_parse_cabocha_morpheme_before_header():
