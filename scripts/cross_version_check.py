@@ -42,7 +42,13 @@ chunk index and a chunk head, and for a 1,100-token and a 1,100-chunk
 sentence. Each case stands between two sentences that the block reader of
 its format reads by its fast path, the first CoNLL-U one with a
 multiword-token range, so that a block that its line branch reads stands
-among blocks that it does not. It then runs each
+among blocks that it does not. ``stats.spearman_from_counts``, which
+``report`` reads its correlations with, takes integer sums of doubled
+ranks where the reference of ``tests/reference_analysis.py`` takes
+``math.fsum`` Pearson sums of the ranks of the pairs expanded: the two
+must give the same bits, or the same ``DegenerateInput``, on N seeded
+random pair counts of up to 300 pairs with many ties, ints and floats, and
+on one of 100,000 pairs. It then runs each
 golden case of ``tests/golden_cases.py`` through ``python -m depmetrics``
 and compares the bytes, and runs each single-table command on the inputs of
 both report cases, which must write that case's tables of the command byte
@@ -79,6 +85,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -88,7 +95,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from depmetrics.metrics import metric_record  # noqa: E402
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads  # noqa: E402
 from depmetrics.report import TABLES  # noqa: E402
-from depmetrics.errors import DepMetricsError, InvalidEncoding  # noqa: E402
+from depmetrics.stats import spearman_from_counts  # noqa: E402
+from depmetrics.errors import DegenerateInput, DepMetricsError, InvalidEncoding  # noqa: E402
 from depmetrics.treebank import (  # noqa: E402
     Sentence,
     _canonical_sentence,
@@ -96,7 +104,14 @@ from depmetrics.treebank import (  # noqa: E402
     serialize_canonical,
     validate_tree,
 )
-from tests import closed_stdout, golden_cases, reference_metrics, reference_treebank, startup_modules  # noqa: E402
+from tests import (  # noqa: E402
+    closed_stdout,
+    golden_cases,
+    reference_analysis,
+    reference_metrics,
+    reference_treebank,
+    startup_modules,
+)
 from tests.command_flags import COMMAND_FLAGS  # noqa: E402
 
 SPECIAL_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029",
@@ -309,6 +324,36 @@ def decimal_field_mismatches() -> tuple[int, list[str]]:
     return len(documents), bad
 
 
+def spearman_outcome(correlate, *args: object) -> tuple[object, ...]:
+    """A correlation's floats as their bits, or the message of its ``DegenerateInput``."""
+    try:
+        result = correlate(*args)
+    except DegenerateInput as exc:
+        return "DegenerateInput", str(exc)
+    return result.rho.hex(), result.p_value.hex(), result.n
+
+
+def spearman_mismatches(examples: int) -> tuple[int, list[str]]:
+    """The number of pair counts compared, and those whose ``spearman_from_counts`` result differs from
+    the reference's on the pairs expanded. The ys follow the xs up, down or not at all, with noise."""
+    rng = random.Random(20261021)
+    sizes = [rng.randint(0, 300) for _ in range(examples)] + [100_000]
+    bad = []
+    for k, n in enumerate(sizes):
+        spread = rng.randint(0, min(n, 400))
+        slope = rng.choice([-2, -1, 0, 1, 3])
+        scale = rng.choice([1, 7.0, 0.1])  # 1: ints; otherwise floats
+        pairs: Counter = Counter()
+        for _ in range(n):
+            x = rng.randint(0, spread)
+            y = slope * x + rng.randint(0, spread // 2)
+            pairs[(x, y) if scale == 1 else (x / scale, y * scale)] += 1
+        xs, ys = zip(*pairs.elements()) if pairs else ((), ())
+        if spearman_outcome(spearman_from_counts, pairs) != spearman_outcome(reference_analysis.spearman, xs, ys):
+            bad.append(f"case {k} ({n} pairs)")
+    return len(sizes), bad
+
+
 def run_on_fixtures(case: str, argv: list[str], files: dict[str, str]) -> dict[str, bytes] | None:
     """Run ``python -m depmetrics`` with ``argv`` beside the fixtures of a golden case and ``files``;
     return its stdout and every file it wrote into the output directory, or None when it does not exit 0."""
@@ -414,7 +459,8 @@ def refused_outcome(argv: list[str], files: dict[str, str], reason: str) -> tupl
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--examples", type=int, default=2000, help="random trees to compare (default 2000)")
+    parser.add_argument("--examples", type=int, default=2000,
+                        help="random trees and pair counts to compare (default 2000)")
     args = parser.parse_args()
     print(f"python {sys.version.split()[0]}")
     compared, bad = writer_mismatches(args.examples)
@@ -438,6 +484,10 @@ def main() -> int:
         print(f"{name}: {got}")
     compared, bad = decimal_field_mismatches()
     print(f"decimal fields vs the reference readers: {compared - len(bad)} of {compared} agree"
+          + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
+    ok &= not bad
+    compared, bad = spearman_mismatches(args.examples)
+    print(f"spearman_from_counts vs the expanded rank-Pearson reference: {compared - len(bad)} of {compared} agree"
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
     ok &= not bad
     for case in golden_cases.CASES:

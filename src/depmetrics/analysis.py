@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter, defaultdict
-from operator import mul
+from collections import Counter, _count_elements, defaultdict
+from operator import mul, sub
 from typing import NamedTuple, Sequence
 
-from .errors import DegenerateInput, EmptyLexicon, EmptySelection
-from .metrics import dependency_terms, node_depths
-from .stats import Distribution, RegressionResult, entropy, ols_fit, spearman
-from .treebank import MAX_VALENCY_CLASS, Sentence, ValencyLexicon
+from .errors import DegenerateInput, EmptyLexicon, EmptySelection, TooShort
+from .stats import Distribution, RegressionResult, entropy, ols_fit, spearman_from_counts
+from .treebank import MAX_VALENCY_CLASS, Sentence, ValencyLexicon, validate_tree
 
 log = logging.getLogger(__name__)
 
@@ -120,25 +119,36 @@ class CorpusStats:
         self.outside: dict[int, int] = {}  # length outside the window -> sentence count
 
     def add(self, sentence: Sentence) -> None:
-        """Fold one sentence of n >= 2 nodes in, from :func:`~depmetrics.metrics.dependency_terms`.
+        """Fold one sentence of n >= 2 nodes in; its DDs are read off the head vector.
 
-        A sentence whose length is outside the window is only checked, if it
-        carries no depths, and counted.
+        The depths are those that :func:`~depmetrics.treebank.validate_tree`
+        attached; a sentence without them is validated, inside the window or
+        outside it, so a malformed one raises ``InvalidTree``. A sentence
+        whose length is outside the window is only counted. The work per node
+        is done in C: by ``map``, ``sum``, ``count`` and the counting loop of
+        ``Counter.update``.
         """
-        n = len(sentence.head_vector)
-        if not self.window[0] <= n <= self.window[1] and n >= 2:
-            node_depths(sentence)
+        heads = sentence.head_vector
+        n = len(heads)
+        if n < 2:
+            raise TooShort(f"{sentence.id}: need >= 2 nodes, got {n}")
+        depths = sentence.depths
+        if depths is None:
+            depths = validate_tree(sentence).depths
+        if not self.window[0] <= n <= self.window[1]:
             self.outside[n] = self.outside.get(n, 0) + 1
             return
-        dds, depths, root = dependency_terms(sentence)
-        out_degree = sentence.head_vector.count(root)
+        root = heads.index(0) + 1
+        dds = list(map(abs, map(sub, heads, range(1, n + 1))))
+        del dds[root - 1]  # the root has no DD; its entry is abs(0 - root)
         cell = self.by_sl.get(n)
         if cell is None:
             cell = self.by_sl[n] = LengthStats()
         cell.n += 1
-        cell.dd.update(dds)
-        cell.hd.update(depths)
-        cell.pairs[sum(dds), sum(depths)] += 1
+        _count_elements(cell.dd, dds)  # Counter.update's counting, without its Mapping check
+        _count_elements(cell.hd, depths)
+        _count_elements(cell.pairs, [(sum(dds), sum(depths))])
+        out_degree = heads.count(root)  # the depth-1 nodes are the root's dependents
         if self.lexicon is None:
             valency = min(out_degree, MAX_VALENCY_CLASS)
         else:
@@ -147,7 +157,7 @@ class CorpusStats:
         if tally is None:
             tally = cell.valency[valency] = [0, 0, 0]
         tally[0] += dds.count(1)
-        tally[1] += out_degree  # the depth-1 nodes are the root's dependents
+        tally[1] += out_degree
         tally[2] += 1
 
     def merge(self, other: CorpusStats) -> None:
@@ -253,9 +263,11 @@ def spearman_by_sl(stats: CorpusStats) -> list[CorrelationPoint]:
 
     Length 2 is always excluded (MDD and MHD are both identically 1 there);
     buckets with fewer than 3 sentences or a constant vector are skipped
-    with a warning. The two vectors are the sentences' DD and HD sums,
-    expanded in sorted order: Spearman reads only their ranks, which are
-    those of the means, since one length shares n - 1, and not their order.
+    with a warning. The correlation is read from the counts of the
+    sentences' (DD sum, HD sum) pairs by
+    :func:`~depmetrics.stats.spearman_from_counts`: Spearman reads only
+    ranks, and the ranks of the sums are those of the means, since one
+    length shares n - 1.
     """
     points = []
     for sl, cell in stats.sorted_cells():
@@ -265,9 +277,8 @@ def spearman_by_sl(stats: CorpusStats) -> list[CorrelationPoint]:
         if cell.n < 3:
             log.warning("length %d has only %d sentences; correlation skipped", sl, cell.n)
             continue
-        dd_totals, hd_totals = zip(*sorted(cell.pairs.elements()))
         try:
-            result = spearman(dd_totals, hd_totals)
+            result = spearman_from_counts(cell.pairs)
         except DegenerateInput as exc:
             log.warning("length %d: correlation skipped (%s)", sl, exc)
             continue

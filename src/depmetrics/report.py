@@ -256,6 +256,7 @@ def _load_shard(
         for path, fmt in config.inputs:
             with open(path, "rb") as handle:
                 part = InputFile(path, fmt, _version(handle), new_fold())
+                add = part.fold.add
                 digest = hashlib.sha256() if k == 0 else None
                 for sentence in iter_byte_range(
                     handle,
@@ -271,8 +272,8 @@ def _load_shard(
                     **options,
                 ):
                     part.accepted += 1
-                    if len(sentence) >= 2:
-                        part.fold.add(sentence)
+                    if len(sentence.head_vector) >= 2:
+                        add(sentence)
                     else:
                         part.single_node += 1
                 if digest is not None:

@@ -159,50 +159,61 @@ def t_two_sided_p(t: float, df: int) -> float:
 # --- Spearman rank correlation ---------------------------------------------
 
 
-def midranks(values: Sequence[float]) -> list[float]:
-    """Ranks starting at 1; tied values share the average of their ranks."""
-    counts = Counter(values)
-    ranks: dict[float, float] = {}
+def _doubled_midranks(counts: Mapping[float, int]) -> dict[float, int]:
+    """Twice the midrank of each value counted: ranks start at 1 and tied values share their average."""
+    ranks = {}
     below = 0
     for value in sorted(counts):
-        ranks[value] = below + (counts[value] + 1) / 2
-        below += counts[value]
-    return [ranks[value] for value in values]
+        count = counts[value]
+        ranks[value] = 2 * below + count + 1
+        below += count
+    return ranks
 
 
-def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    n = len(xs)
-    mean_x = math.fsum(xs) / n
-    mean_y = math.fsum(ys) / n
-    sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    sxx = math.fsum((x - mean_x) ** 2 for x in xs)
-    syy = math.fsum((y - mean_y) ** 2 for y in ys)
-    if sxx <= 0.0 or syy <= 0.0:
-        raise DegenerateInput("constant vector: correlation is undefined")
-    r = sxy / math.sqrt(sxx * syy)
-    return max(-1.0, min(1.0, r))
+def midranks(values: Sequence[float]) -> list[float]:
+    """Ranks starting at 1; tied values share the average of their ranks."""
+    ranks = _doubled_midranks(Counter(values))
+    return [ranks[value] / 2 for value in values]
 
 
-def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
-    """Spearman correlation with mid-ranks for ties.
+def spearman_from_counts(pairs: Mapping[tuple[float, float], int]) -> CorrelationResult:
+    """Spearman correlation, with mid-ranks for ties, of pairs (x, y) each taken as often as it is counted.
 
-    The p-value comes from the t approximation (two-sided, n - 2 degrees of
+    A doubled midrank less n + 1 is an integer, so the co-moment and the two
+    squared sums of the ranks are exact integers, four times the Pearson
+    sums; each becomes a float in one correctly rounded division by 4. The
+    p-value comes from the t approximation (two-sided, n - 2 degrees of
     freedom).
     """
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    n = len(xs)
+    n = sum(pairs.values())
     if n < 3:
         raise DegenerateInput(f"need >= 3 observations, got {n}")
-    rank_x = midranks(xs)
-    rank_y = midranks(ys)
-    rho = _pearson(rank_x, rank_y)
+    x_counts: dict[float, int] = {}
+    y_counts: dict[float, int] = {}
+    for (x, y), count in pairs.items():
+        x_counts[x] = x_counts.get(x, 0) + count
+        y_counts[y] = y_counts.get(y, 0) + count
+    rank_x = {x: rank - n - 1 for x, rank in _doubled_midranks(x_counts).items()}
+    rank_y = {y: rank - n - 1 for y, rank in _doubled_midranks(y_counts).items()}
+    sxy = sum([count * rank_x[x] * rank_y[y] for (x, y), count in pairs.items()]) / 4
+    sxx = sum([count * rank_x[x] ** 2 for x, count in x_counts.items()]) / 4
+    syy = sum([count * rank_y[y] ** 2 for y, count in y_counts.items()]) / 4
+    if sxx <= 0.0 or syy <= 0.0:
+        raise DegenerateInput("constant vector: correlation is undefined")
+    rho = max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
     if abs(rho) >= 1.0:
         p = 0.0
     else:
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
         p = t_two_sided_p(t, n - 2)
     return CorrelationResult(rho=rho, p_value=p, n=n)
+
+
+def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
+    """Spearman correlation of xs and ys, position by position: :func:`spearman_from_counts` of their pairs."""
+    if len(xs) != len(ys):
+        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    return spearman_from_counts(Counter(zip(xs, ys)))
 
 
 # --- ordinary least squares --------------------------------------------------

@@ -2,15 +2,17 @@
 
 Each analysis here regroups a list of per-sentence ``MetricRecord``s by
 length, as the toolkit did before ``CorpusStats``: means are sums of exact
-``Fraction``s, crossings compare float differences, Spearman takes the
-per-sentence means in corpus order, and valency counts walk the records
-beside their sentences. ``reference_analyses`` strings them together the way
+``Fraction``s, crossings compare float differences, Spearman is the
+``fsum`` Pearson correlation of the mid-ranks of the per-sentence means in
+corpus order, and valency counts walk the records beside their sentences.
+``reference_analyses`` strings them together the way
 ``report.compute_analyses`` does, so a test can require equal results.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -25,7 +27,7 @@ from depmetrics.analysis import (
 from depmetrics.errors import DegenerateInput, EmptyLexicon, EmptySelection
 from depmetrics.metrics import MetricRecord, metric_record
 from depmetrics.report import ENTROPY_BASES, LOG_BASES, VALENCY_MODES, RunConfig
-from depmetrics.stats import Distribution, entropy, spearman
+from depmetrics.stats import CorrelationResult, Distribution, entropy, t_two_sided_p
 from depmetrics.treebank import Sentence, ValencyLexicon
 
 log = logging.getLogger(__name__)
@@ -139,6 +141,52 @@ def find_intersection(
             crossings.append((sl_a, sl_b))
     crossings.sort()
     return crossings
+
+
+def midranks(values: Sequence[float]) -> list[float]:
+    """Ranks by walking the sorted positions one run of equal values at a time."""
+    n = len(values)
+    order = sorted(range(n), key=values.__getitem__)
+    ranks = [0.0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        rank = (i + j) / 2.0 + 1.0
+        for k in range(i, j + 1):
+            ranks[order[k]] = rank
+        i = j + 1
+    return ranks
+
+
+def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
+    n = len(xs)
+    mean_x = math.fsum(xs) / n
+    mean_y = math.fsum(ys) / n
+    sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    sxx = math.fsum((x - mean_x) ** 2 for x in xs)
+    syy = math.fsum((y - mean_y) ** 2 for y in ys)
+    if sxx <= 0.0 or syy <= 0.0:
+        raise DegenerateInput("constant vector: correlation is undefined")
+    r = sxy / math.sqrt(sxx * syy)
+    return max(-1.0, min(1.0, r))
+
+
+def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
+    """Spearman correlation as the Pearson correlation of the mid-ranks, with the t-approximation p-value."""
+    if len(xs) != len(ys):
+        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    n = len(xs)
+    if n < 3:
+        raise DegenerateInput(f"need >= 3 observations, got {n}")
+    rho = _pearson(midranks(xs), midranks(ys))
+    if abs(rho) >= 1.0:
+        p = 0.0
+    else:
+        t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+        p = t_two_sided_p(t, n - 2)
+    return CorrelationResult(rho=rho, p_value=p, n=n)
 
 
 def spearman_by_sl(records: Iterable[MetricRecord]) -> list[CorrelationPoint]:

@@ -21,7 +21,7 @@ from depmetrics.analysis import (
     valency_conditioned_counts,
 )
 from depmetrics.analysis import SeriesPoint
-from depmetrics.errors import EmptyLexicon, EmptySelection, TooShort
+from depmetrics.errors import CycleDetected, EmptyLexicon, EmptySelection, TooShort
 from depmetrics.metrics import metric_record
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads
 from depmetrics.treebank import Sentence, ValencyLexicon, iter_parse
@@ -66,8 +66,20 @@ def test_fold_of_an_unvalidated_sentence_walks_its_depths(demo7):
 
 
 def test_fold_needs_two_nodes():
-    with pytest.raises(TooShort):
-        CorpusStats(WINDOW).add(make_sentence((0,)))
+    for sentence in (make_sentence((0,)), Sentence.from_heads((0,)), Sentence.from_heads(())):
+        stats = CorpusStats(WINDOW)
+        with pytest.raises(TooShort, match=r"need >= 2 nodes, got [01]$"):
+            stats.add(sentence)
+        assert stats.outside == {} and stats.by_sl == {}
+
+
+def test_fold_validates_an_unvalidated_sentence_outside_its_window():
+    stats = CorpusStats((2, 3))
+    with pytest.raises(CycleDetected):
+        stats.add(Sentence.from_heads((0, 3, 4, 2), id="cycle4"))
+    assert stats.outside == {} and stats.by_sl == {}
+    stats.add(Sentence.from_heads(chain_heads(5), id="chain5"))
+    assert stats.outside == {5: 1} and stats.by_sl == {}
 
 
 def test_a_fold_keeps_totals_for_the_lengths_of_its_window_and_counts_the_rest():

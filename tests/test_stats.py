@@ -14,8 +14,12 @@ from depmetrics.stats import (
     ols_fit,
     significance_stars,
     spearman,
+    spearman_from_counts,
     t_two_sided_p,
 )
+
+from .reference_analysis import midranks as reference_midranks
+from .reference_analysis import spearman as reference_spearman
 
 
 # --- Distribution ------------------------------------------------------------
@@ -83,26 +87,12 @@ def test_midranks_with_ties():
     assert midranks([10, 20, 20, 40]) == [1.0, 2.5, 2.5, 4.0]
 
 
-def reference_midranks(values):
-    """Ranks by walking the sorted positions one run of equal values at a time."""
-    n = len(values)
-    order = sorted(range(n), key=values.__getitem__)
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = rank
-        i = j + 1
-    return ranks
-
-
 # Few distinct values, so that most lists hold ties: ints, floats, and an int equal to a float.
+TIED_VALUES = st.integers(-3, 3) | st.sampled_from([-0.0, 0.0, 0.5, 2.0, math.inf]) | st.floats(allow_nan=False)
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.lists(st.integers(-3, 3) | st.sampled_from([-0.0, 0.0, 0.5, 2.0, math.inf]) | st.floats(allow_nan=False)))
+@given(st.lists(TIED_VALUES))
 def test_midranks_match_the_tie_loop_reference(values):
     ranks = midranks(values)
     assert ranks == reference_midranks(values)
@@ -156,6 +146,53 @@ def test_spearman_tie_free_matches_classic_formula():
         d2 = sum((a - b) ** 2 for a, b in zip(rx, ry))
         classic = 1 - 6 * d2 / (n * (n * n - 1))
         assert rho == pytest.approx(classic, abs=1e-12)
+
+
+@st.composite
+def paired_samples(draw):
+    """Two samples of one length: short ones drawn value by value, or up to 4,000 seeded values
+    over a drawn number of distinct ints or floats, the ys a noisy function of the xs."""
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(TIED_VALUES, TIED_VALUES), max_size=30))
+        return [x for x, _ in pairs], [y for _, y in pairs]
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(min_value=3, max_value=4000))
+    spread = draw(st.integers(min_value=0, max_value=n))
+    slope = draw(st.sampled_from([-2, -1, 0, 1, 3]))
+    scale = draw(st.sampled_from([1, 7.0, 0.1]))  # 1: ints; otherwise floats
+    xs = [rng.randint(0, spread) for _ in range(n)]
+    ys = [slope * x + rng.randint(0, spread // 2) for x in xs]
+    if scale != 1:
+        xs = [x / scale for x in xs]
+        ys = [y * scale for y in ys]
+    return xs, ys
+
+
+def _outcome(correlate, xs, ys):
+    """The result's floats as their bits, or the message of a ``DegenerateInput``."""
+    try:
+        result = correlate(xs, ys)
+    except DegenerateInput as exc:
+        return "DegenerateInput", str(exc)
+    return result.rho.hex(), result.p_value.hex(), result.n
+
+
+@settings(max_examples=300, deadline=None)
+@given(paired_samples())
+def test_spearman_equals_the_rank_pearson_reference_bit_for_bit(samples):
+    xs, ys = samples
+    assert _outcome(spearman, xs, ys) == _outcome(reference_spearman, xs, ys)
+
+
+def test_spearman_from_counts_takes_each_pair_as_often_as_it_is_counted():
+    xs, ys = (1, 1, 1, 2, 5, 5), (3, 3, 3, 1, 4, 2)
+    assert spearman_from_counts({(1, 3): 3, (2, 1): 1, (5, 4): 1, (5, 2): 1}) == spearman(xs, ys)
+    unseen = {(1, 3): 3, (2, 1): 0, (5, 4): 1, (5, 2): 1}
+    assert spearman_from_counts(unseen) == spearman(xs[:3] + xs[4:], ys[:3] + ys[4:])
+    with pytest.raises(DegenerateInput, match="^need >= 3 observations, got 2$"):
+        spearman_from_counts({(1, 3): 1, (2, 1): 1})
+    with pytest.raises(DegenerateInput, match="^constant vector: correlation is undefined$"):
+        spearman_from_counts({(1, 3): 2, (1, 4): 1})
 
 
 def test_spearman_p_matches_scipy_on_random_data():
