@@ -48,7 +48,10 @@ ranks where the reference of ``tests/reference_analysis.py`` takes
 ``math.fsum`` Pearson sums of the ranks of the pairs expanded: the two
 must give the same bits, or the same ``DegenerateInput``, on N seeded
 random pair counts of up to 300 pairs with many ties, ints and floats, and
-on one of 100,000 pairs. It then runs each
+on one of 100,000 pairs. ``analysis.CorpusStats.add`` counts with
+``collections._count_elements``, a private name that it replaces by
+``Counter.update`` where it is missing; the check fails there, so that the
+fold's slower path shows. It then runs each
 golden case of ``tests/golden_cases.py`` through ``python -m depmetrics``
 and compares the bytes, and runs each single-table command on the inputs of
 both report cases, which must write that case's tables of the command byte
@@ -78,6 +81,7 @@ when all of them pass.
 from __future__ import annotations
 
 import argparse
+import collections
 import os
 import random
 import re
@@ -490,6 +494,9 @@ def main() -> int:
     print(f"spearman_from_counts vs the expanded rank-Pearson reference: {compared - len(bad)} of {compared} agree"
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
     ok &= not bad
+    counting = hasattr(collections, "_count_elements")
+    ok &= counting
+    print(f"collections._count_elements for the corpus fold: {'present' if counting else 'MISSING'}")
     for case in golden_cases.CASES:
         golden = golden_case_matches(case)
         ok &= golden

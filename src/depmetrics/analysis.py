@@ -17,13 +17,22 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter, _count_elements, defaultdict
-from operator import mul, sub
+from collections import Counter, defaultdict
+from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import DegenerateInput, EmptyLexicon, EmptySelection, TooShort
+from .errors import DegenerateInput, EmptyLexicon, EmptySelection
+from .metrics import dependency_terms, node_depths
 from .stats import Distribution, RegressionResult, entropy, ols_fit, spearman_from_counts
-from .treebank import MAX_VALENCY_CLASS, Sentence, ValencyLexicon, validate_tree
+from .treebank import MAX_VALENCY_CLASS, Sentence, ValencyLexicon
+
+try:
+    # The counting loop of Counter.update without its Mapping check, which costs
+    # as much again per call. A private CPython name (3.6 to 3.13), so fall back
+    # to the public method where it is missing.
+    from collections import _count_elements
+except ImportError:
+    _count_elements = Counter.update
 
 log = logging.getLogger(__name__)
 
@@ -119,36 +128,26 @@ class CorpusStats:
         self.outside: dict[int, int] = {}  # length outside the window -> sentence count
 
     def add(self, sentence: Sentence) -> None:
-        """Fold one sentence of n >= 2 nodes in; its DDs are read off the head vector.
+        """Fold one sentence of n >= 2 nodes in, from :func:`~depmetrics.metrics.dependency_terms`.
 
-        The depths are those that :func:`~depmetrics.treebank.validate_tree`
-        attached; a sentence without them is validated, inside the window or
-        outside it, so a malformed one raises ``InvalidTree``. A sentence
-        whose length is outside the window is only counted. The work per node
-        is done in C: by ``map``, ``sum``, ``count`` and the counting loop of
-        ``Counter.update``.
+        A sentence whose length is outside the window is only checked, if it
+        carries no depths, and counted. The values are counted by the C loop
+        of ``Counter.update``.
         """
-        heads = sentence.head_vector
-        n = len(heads)
-        if n < 2:
-            raise TooShort(f"{sentence.id}: need >= 2 nodes, got {n}")
-        depths = sentence.depths
-        if depths is None:
-            depths = validate_tree(sentence).depths
-        if not self.window[0] <= n <= self.window[1]:
+        n = len(sentence.head_vector)
+        if not self.window[0] <= n <= self.window[1] and n >= 2:
+            node_depths(sentence)
             self.outside[n] = self.outside.get(n, 0) + 1
             return
-        root = heads.index(0) + 1
-        dds = list(map(abs, map(sub, heads, range(1, n + 1))))
-        del dds[root - 1]  # the root has no DD; its entry is abs(0 - root)
+        dds, depths, root = dependency_terms(sentence)
+        out_degree = sentence.head_vector.count(root)
         cell = self.by_sl.get(n)
         if cell is None:
             cell = self.by_sl[n] = LengthStats()
         cell.n += 1
-        _count_elements(cell.dd, dds)  # Counter.update's counting, without its Mapping check
+        _count_elements(cell.dd, dds)
         _count_elements(cell.hd, depths)
-        _count_elements(cell.pairs, [(sum(dds), sum(depths))])
-        out_degree = heads.count(root)  # the depth-1 nodes are the root's dependents
+        cell.pairs[sum(dds), sum(depths)] += 1
         if self.lexicon is None:
             valency = min(out_degree, MAX_VALENCY_CLASS)
         else:
@@ -157,7 +156,7 @@ class CorpusStats:
         if tally is None:
             tally = cell.valency[valency] = [0, 0, 0]
         tally[0] += dds.count(1)
-        tally[1] += out_degree
+        tally[1] += out_degree  # the depth-1 nodes are the root's dependents
         tally[2] += 1
 
     def merge(self, other: CorpusStats) -> None:

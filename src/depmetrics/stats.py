@@ -170,12 +170,6 @@ def _doubled_midranks(counts: Mapping[float, int]) -> dict[float, int]:
     return ranks
 
 
-def midranks(values: Sequence[float]) -> list[float]:
-    """Ranks starting at 1; tied values share the average of their ranks."""
-    ranks = _doubled_midranks(Counter(values))
-    return [ranks[value] / 2 for value in values]
-
-
 def spearman_from_counts(pairs: Mapping[tuple[float, float], int]) -> CorrelationResult:
     """Spearman correlation, with mid-ranks for ties, of pairs (x, y) each taken as often as it is counted.
 

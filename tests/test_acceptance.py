@@ -27,10 +27,11 @@ from depmetrics.analysis import (
 from depmetrics.cli import main
 from depmetrics.metrics import metric_record
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads
-from depmetrics.stats import Distribution, entropy, midranks, ols_fit, spearman
+from depmetrics.stats import Distribution, entropy, ols_fit, spearman
 from depmetrics.treebank import Sentence, iter_parse, validate_tree
 
 from .conftest import DATA_DIR, DEMO7_HEADS, exact_means, fold
+from .reference_analysis import midranks
 from .reference_randtree import enumerate_trees
 
 README = Path(__file__).resolve().parent.parent / "README.md"

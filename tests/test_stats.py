@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 import scipy.stats
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from depmetrics.errors import DegenerateInput, EmptyDistribution, NonPositiveX
 from depmetrics.stats import (
     Distribution,
+    _doubled_midranks,
     entropy,
-    midranks,
     ols_fit,
     significance_stars,
     spearman,
@@ -83,8 +84,15 @@ def test_entropy_base_rescaling():
 # --- Spearman -------------------------------------------------------------------
 
 
+def midranks(values):
+    """Each value's rank, read from the doubled midranks of the value counts."""
+    ranks = _doubled_midranks(Counter(values))
+    return [ranks[value] / 2 for value in values]
+
+
 def test_midranks_with_ties():
-    assert midranks([10, 20, 20, 40]) == [1.0, 2.5, 2.5, 4.0]
+    assert _doubled_midranks(Counter([10, 20, 20, 40])) == {10: 2, 20: 5, 40: 8}
+    assert midranks([10, 20, 20, 40]) == reference_midranks([10, 20, 20, 40]) == [1.0, 2.5, 2.5, 4.0]
 
 
 # Few distinct values, so that most lists hold ties: ints, floats, and an int equal to a float.
