@@ -28,7 +28,8 @@ of it. It splits them into lines for the canonical reader. CoNLL-U and
 CaboCha are cut into sentence blocks at every sentence break, a blank line
 or an ``EOS`` line, and each format has one block reader: a fast path that
 takes a block by a few splits, and a line branch that reads any other
-block a line at a time, in place. A reader that gives ``str`` is refused
+block a line at a time, in place; both CoNLL-U branches end in one tail
+that validates the sentence. A reader that gives ``str`` is refused
 when the parser is called, by one zero-byte read, before anything is read.
 Lines end in LF or CRLF; no other character breaks a line.
 :func:`iter_parse` yields the sentences of a whole input one at a time, so a
@@ -319,11 +320,9 @@ def _binary(stream: Text, name: str) -> BinaryIO:
 
 
 def _split(text: str) -> list[str]:
-    """Split at LF only: str.splitlines also breaks at U+0085, U+2028, VT, FF and more, which may stand in a field."""
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the text ended with a line break, or is empty
-    return lines
+    """Split at LF only: str.splitlines also breaks at U+0085, U+2028, VT, FF and more, which may stand in a field.
+    Every piece of :func:`_decoded_pieces` ends in an LF, the end of its last line."""
+    return text[:-1].split("\n")
 
 
 def _read_lines(
@@ -433,10 +432,11 @@ def iter_byte_range(
     size: int,
     *,
     name: str,
+    source: str | None = None,
     digest: Any = None,
     errors: str = "raise",
     rejections: list[Rejection] | None = None,
-    **options: Any,
+    drop_punct: bool | None = None,
 ) -> Iterator[Sentence]:
     """:func:`iter_parse` over the k-th of ``parts`` byte ranges of a binary file of ``size`` bytes.
 
@@ -455,10 +455,10 @@ def iter_byte_range(
     The canonical line reader gets the range's lines; CoNLL-U and CaboCha are
     cut into sentence blocks by :func:`_sentence_blocks`, and each block is
     read by its format's block reader. The error mode becomes the one ``reject``
-    callable that the reader calls with each bad sentence. The other options,
-    ``source`` (required) and ``drop_punct``, go to the format's reader, as
-    keywords or as one dict (:data:`_BLOCK_OPTIONS`): one that it does not
-    take is a TypeError, raised at once.
+    callable that the reader calls with each bad sentence. ``source``, the name
+    in spans and ids, is required, and ``drop_punct`` is taken by CoNLL-U only:
+    a missing ``source``, or a ``drop_punct`` for another format, is a
+    TypeError, raised once the handle is checked, before any byte is read.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -469,6 +469,10 @@ def iter_byte_range(
     if errors == "skip" and rejections is None:  # a skipped sentence is always counted
         raise ValueError("errors='skip' needs a rejections list to record the skipped sentences in")
     handle = _binary(handle, name)
+    if source is None:
+        raise TypeError(f"{name}: a parser needs a source, the name in its spans and ids")
+    if drop_punct is not None and fmt != "conllu":
+        raise TypeError(f"{name}: drop_punct is an option of CoNLL-U only, not of {fmt}")
     lo = _sentence_break(handle, fmt, k * size // parts)
     hi = None if k == parts - 1 else _sentence_break(handle, fmt, (k + 1) * size // parts)
     lines_before, sentences_before = _count_before(handle, fmt, lo)
@@ -482,8 +486,9 @@ def iter_byte_range(
             rejections.append(Rejection(span, str(exc), sentence_id))
     if fmt == "canonical":
         lines = _read_lines(handle, name, lo, hi, digest)
-        return _canonical(lines, lines_before + 1, reject=reject, **options)
-    options = _BLOCK_OPTIONS[fmt](reject=reject, **options)
+        return _canonical(lines, lines_before + 1, source=source, reject=reject)
+    # held: the walk of a long open CaboCha sentence's first lines (_sentence_blocks)
+    options = {"source": source, "reject": reject, "drop_punct": bool(drop_punct), "held": None}
     pieces = _decoded_pieces(handle, name, lo, hi, digest)
     return _sentence_blocks(pieces, lines_before + 1, sentences_before, fmt, options)
 
@@ -614,9 +619,9 @@ def _conllu_block(
 
     Multiword-token ranges (ID with '-') and empty nodes (ID with '.') are
     skipped; the other IDs must run 1..n, or the sentence is rejected. Only
-    ID, HEAD, the root's LEMMA and, with ``drop_punct``, UPOS are read; PUNCT
-    nodes are then removed and the rest renumbered, and a sentence where one
-    had dependents is rejected. The last ``sent_id`` of its ``#`` comments
+    ID, HEAD, LEMMA and UPOS are read; with ``drop_punct``, PUNCT nodes are
+    then removed and the rest renumbered, and a sentence where one had
+    dependents is rejected. The last ``sent_id`` of its ``#`` comments
     names the sentence; a block of comments only is none (None). The
     range's end (``ended``) ends a sentence as a blank line does.
 
@@ -626,7 +631,9 @@ def _conllu_block(
     other number from eight on, which the line branch reads alike. Ranges
     and empty nodes are deleted by slice. Any other block (too few or unequal
     fields, a comment among the token lines, other IDs, a HEAD that
-    :data:`_DECIMAL` lacks) is read a line at a time by :func:`_conllu_sentence`.
+    :data:`_DECIMAL` lacks) is read a line at a time by :func:`_conllu_columns`.
+    Both hand HEAD, LEMMA and UPOS to one tail: it drops PUNCT, takes the
+    root's lemma, validates the tree and rejects a sentence that fails.
     """
     if not n:
         return None  # two breaks in a row
@@ -641,58 +648,49 @@ def _conllu_block(
         at, n = lf, n - 1
     fields = block[at:].replace("\n", "\t\n").split("\t")
     width, rest = divmod(len(fields) - 1, n)  # the fields of each line, if all have as many
-    try:  # a KeyError sends the block to the line branch
-        if rest or width < 8:
-            raise KeyError
-        ids = fields[1::width]
-        if ids != _TOKEN_IDS[:n]:
-            joined = "".join(ids)
-            if joined.count("\n") != n or "\n#" in joined:
-                raise KeyError  # lines with unequal numbers of fields, or a comment among the token lines
-            for i in reversed([i for i, raw in enumerate(ids) if "-" in raw or "." in raw]):
-                del fields[width * i + 1 : width * (i + 1) + 1]
-            n = len(fields) // width
-            if not n or fields[1::width] != _TOKEN_IDS[:n]:
-                raise KeyError
-        heads = (*map(_DECIMAL.__getitem__, fields[7::width]),)  # a tuple display: built at its exact size
-    except KeyError:
-        rows = block[1:].split("\n")
-        comments = [row for row in rows if row[0] == "#"]
-        if len(comments) == len(rows):
-            return None  # a comment-only block: not a sentence
-        sent_id = f"{source}#{number}"
-        for comment in comments:
-            key, _, value = comment[1:].partition("=")
-            if key.strip() == "sent_id" and value.strip():
-                sent_id = value.strip()
-        try:
-            return _conllu_sentence(rows, line, sent_id, span, options["drop_punct"])
-        except _REJECTABLE as exc:
-            options["reject"](exc, span, sent_id)
-            return _REJECTED
-    lemmas = fields[3::width]
     try:
-        if options["drop_punct"]:
-            tags = fields[4::width]
-            if "PUNCT" in tags:
-                heads = tuple(_drop_punct(heads, tags, sent_id))
-                lemmas = list(compress(lemmas, map("PUNCT".__ne__, tags)))
+        try:  # a KeyError sends the block to the line branch
+            if rest or width < 8:
+                raise KeyError
+            ids = fields[1::width]
+            if ids != _TOKEN_IDS[:n]:
+                joined = "".join(ids)
+                if joined.count("\n") != n or "\n#" in joined:
+                    raise KeyError  # lines with unequal numbers of fields, or a comment among the token lines
+                for i in reversed([i for i, raw in enumerate(ids) if "-" in raw or "." in raw]):
+                    del fields[width * i + 1 : width * (i + 1) + 1]
+                n = len(fields) // width
+                if not n or fields[1::width] != _TOKEN_IDS[:n]:
+                    raise KeyError
+            heads = (*map(_DECIMAL.__getitem__, fields[7::width]),)  # a tuple display: built at its exact size
+            lemmas, tags = fields[3::width], fields[4::width]
+        except KeyError:
+            rows = block[1:].split("\n")
+            comments = [row for row in rows if row[0] == "#"]
+            if len(comments) == len(rows):
+                return None  # a comment-only block: not a sentence
+            for comment in comments:  # the leading ones again, and any after them
+                key, _, value = comment[1:].partition("=")
+                if key.strip() == "sent_id" and value.strip():
+                    sent_id = value.strip()
+            heads, lemmas, tags = _conllu_columns(rows, line, sent_id)
+        if options["drop_punct"] and "PUNCT" in tags:
+            heads = tuple(_drop_punct(heads, tags, sent_id))
+            lemmas = list(compress(lemmas, map("PUNCT".__ne__, tags)))
         root_lemma = lemmas[heads.index(0)] if 0 in heads else None  # an accepted sentence has one root
         return validate_tree(Sentence(sent_id, heads, None if root_lemma == "_" else root_lemma, span))
-    except InvalidTree as exc:
+    except _REJECTABLE as exc:
         options["reject"](exc, span, sent_id)
         return _REJECTED
 
 
-def _conllu_sentence(
-    lines: list[str], first_lineno: int, sent_id: str, span: str, drop_punct: bool
-) -> Sentence:
-    """The sentence of CoNLL-U lines that hold no blank line, read a line at a time."""
+def _conllu_columns(rows: list[str], first_lineno: int, sent_id: str) -> tuple[tuple[int, ...], list[str], list[str]]:
+    """The HEAD, LEMMA and UPOS columns of CoNLL-U lines that hold no blank line, read a line at a time."""
     ids: list[int] = []
     heads: list[int] = []
-    upos: list[str] = []  # filled only to drop punctuation
-    root_lemma: str | None = None
-    for lineno, line in enumerate(lines, first_lineno):
+    lemmas: list[str] = []
+    upos: list[str] = []
+    for lineno, line in enumerate(rows, first_lineno):
         if line[0] == "#":
             continue
         fields = line.split("\t", 7)
@@ -709,17 +707,13 @@ def _conllu_sentence(
         if head is None:
             head = _number(raw_head, "HEAD", lineno)
         heads.append(head)
-        if drop_punct:
-            upos.append(tag)
-        if not head and not (drop_punct and tag == "PUNCT"):  # a dropped node is no root
-            root_lemma = None if lemma == "_" else lemma
+        lemmas.append(lemma)
+        upos.append(tag)
     if not heads:
         raise InvalidTree(f"{sent_id}: sentence block has no token lines")
     if ids != list(range(1, len(ids) + 1)):
         raise InvalidTree(f"{sent_id}: token IDs are not consecutive from 1")
-    if drop_punct:
-        heads = _drop_punct(heads, upos, sent_id)
-    return validate_tree(Sentence(sent_id, tuple(heads), root_lemma, span))
+    return tuple(heads), lemmas, upos
 
 
 def _number(raw: str, what: str, lineno: int) -> int:
@@ -730,10 +724,8 @@ def _number(raw: str, what: str, lineno: int) -> int:
         raise MalformedLine(f"line {lineno}: non-integer {what} {raw!r}") from None
 
 
-def _drop_punct(heads: Sequence[int], upos: list[str], sent_id: str) -> Sequence[int]:
+def _drop_punct(heads: Sequence[int], upos: list[str], sent_id: str) -> list[int]:
     dropped = {index for index, tag in enumerate(upos, 1) if tag == "PUNCT"}
-    if not dropped:
-        return heads
     for head in heads:
         if head in dropped:
             raise InvalidTree(f"{sent_id}: dropped punctuation node {head} has dependents")
@@ -968,17 +960,7 @@ def _writer_patterns() -> tuple[Any, Any]:
 # --- dispatch --------------------------------------------------------------
 
 
-def _conllu_options(*, source: str, reject: Any, drop_punct: bool = False) -> dict[str, Any]:
-    return dict(source=source, reject=reject, drop_punct=drop_punct)
-
-
-def _cabocha_options(*, source: str, reject: Any) -> dict[str, Any]:
-    return dict(source=source, reject=reject, held=None)  # held: the walk of a long open sentence's first lines
-
-
 _BLOCK_READERS = {"conllu": _conllu_block, "cabocha": _cabocha_block}
-# The options of each block format's reader, as one dict: one it does not take is a TypeError.
-_BLOCK_OPTIONS = {"conllu": _conllu_options, "cabocha": _cabocha_options}
 
 
 def parse(stream: Text, fmt: str, **options: Any) -> list[Sentence]:

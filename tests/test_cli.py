@@ -624,6 +624,16 @@ def test_config_file_seed_is_an_unknown_key(data_dir, tmp_path, capsys):
     assert err == f"config error: {config_path}: unknown config key 'seed'\n"
 
 
+@pytest.mark.parametrize("text", ["[]", '"x"', "3"], ids=["list", "string", "number"])
+def test_config_file_whose_top_level_is_not_an_object_is_a_config_error(text, data_dir, tmp_path, capsys, monkeypatch):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["report", str(data_dir / "sample_200.jsonl"), "--config", str(config_path)], capsys)
+    assert (code, out, err) == (2, "", f"config error: {config_path}: top level must be an object\n")
+    assert list(tmp_path.iterdir()) == [config_path]
+
+
 def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     config_path = tmp_path / "run.json"
     config_path.write_bytes(b'{"sl_max": \xff}')

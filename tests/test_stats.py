@@ -302,6 +302,8 @@ def test_ols_degenerate_and_nonpositive_inputs():
         ols_fit((0, 1, 2), (1, 2, 3), model_form="log-linear")
     with pytest.raises(ValueError):
         ols_fit((1, 2, 3), (1, 2, 3), model_form="quadratic")
+    with pytest.raises(ValueError, match="^length mismatch: 3 vs 2$"):
+        ols_fit((1, 2, 3), (1, 2))
 
 
 def test_ols_constant_response():

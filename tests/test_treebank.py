@@ -372,14 +372,14 @@ def _conllu_ranges(data, parts, errors, rejections, **options):
 def test_the_conllu_block_reader_gives_the_reference_outcome_and_walks_only_odd_sentences(seed, monkeypatch):
     text = _planted_conllu(seed)
     data = text.encode("utf-8")
-    line_branch = treebank._conllu_sentence
+    line_branch = treebank._conllu_columns
     walked = []  # the lines that the block reader's line branch reads
 
     def recorded(lines, *args):
         walked.extend(lines)
         return line_branch(lines, *args)
 
-    monkeypatch.setattr(treebank, "_conllu_sentence", recorded)
+    monkeypatch.setattr(treebank, "_conllu_columns", recorded)
     for options in ({}, {"drop_punct": True}):
         reference = partial(reference_treebank.iter_conllu, data, source="f", **options)
         want = _conllu_outcome(lambda found: reference(errors="skip", rejections=found))
@@ -396,6 +396,23 @@ def test_the_conllu_block_reader_gives_the_reference_outcome_and_walks_only_odd_
                     assert not any(PLAIN in line for line in walked)
                 raised = _conllu_outcome(lambda found: _conllu_ranges(data, parts, "raise", None, **options))
                 assert raised == want_raised
+
+
+def _conllu_outcomes(data, options):
+    """The outcome of reading ``data`` as two byte ranges in skip mode, and in raise mode."""
+    skipped = _conllu_outcome(lambda found: _conllu_ranges(data, 2, "skip", found, **options))
+    return skipped, _conllu_outcome(lambda found: _conllu_ranges(data, 2, "raise", None, **options))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_conllu_line_branch_finishes_every_sentence_as_the_fast_path_does(seed, monkeypatch):
+    data = _planted_conllu(seed).encode("utf-8")
+    for options in ({}, {"drop_punct": True}):
+        want = _conllu_outcomes(data, options)
+        assert want[0][1] and want[1][2] is not None  # sentences rejected, and an error raised
+        with monkeypatch.context() as patched:
+            patched.setattr(treebank, "_TOKEN_IDS", [])  # no block passes the fast path's ID check
+            assert _conllu_outcomes(data, options) == want
 
 
 def test_a_long_open_conllu_block_is_searched_once_for_its_end(monkeypatch):
@@ -877,6 +894,27 @@ def test_parse_option_the_format_parser_does_not_take_is_a_type_error():
         for option in ("first_line", "ordinal", "digest"):
             with pytest.raises(TypeError):
                 iter_parse(DOCUMENT[fmt], fmt, **{option: 1})
+
+
+class _Unread(io.BytesIO):
+    """A binary file that answers the zero-byte read of the type check, and fails on any other read."""
+
+    def read(self, size=-1):
+        if size:
+            raise AssertionError("a byte was read")
+        return b""
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_missing_source_or_drop_punct_for_another_format_is_a_type_error_before_any_byte_is_read(fmt):
+    with pytest.raises(TypeError, match="^f: a parser needs a source, the name in its spans and ids$"):
+        iter_byte_range(_Unread(), fmt, 0, 1, 0, name="f")
+    for drop_punct in (True, False):
+        if fmt == "conllu":
+            assert list(iter_parse(DOCUMENT[fmt], fmt, drop_punct=drop_punct))
+        else:
+            with pytest.raises(TypeError, match=f"^f: drop_punct is an option of CoNLL-U only, not of {fmt}$"):
+                iter_byte_range(_Unread(), fmt, 0, 1, 0, name="f", source="f", drop_punct=drop_punct)
 
 
 class _Untouchable:
