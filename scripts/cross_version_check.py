@@ -18,12 +18,15 @@ U+2028 and U+2029 escaped), and give the lemma back, or, for a lone
 surrogate, which has no UTF-8 form, raise ``InvalidEncoding``. So must the
 line of each special character as the id of a sentence with no root lemma,
 which the reader takes without ``json.loads`` when it needs no escape. The canonical reader takes a line that
-``serialize_canonical`` writes by two regexes and the writer, not by
+``serialize_canonical`` writes by one split at its quotes, not by
 ``json.loads``, so on generated lines (valid and broken trees, plain and
 special-character ids, with and without a root lemma, up to 1,100 nodes)
 and on every ``CANONICAL_MUTATIONS`` edit of them it must give the
 sentence or the rejection of the ``json.loads`` reference reader of
-``tests/reference_treebank.py``. ``serialize_canonical`` builds node text from
+``tests/reference_treebank.py``; and no generated line of fewer than 1,024
+nodes with no root lemma, a plain id and heads of 0 to 1,023 may reach
+``json.loads``, since a reader that sent every line there would give the
+same outcomes and lose the gain. ``serialize_canonical`` builds node text from
 pieces for numbers up to 1,023 and formats any other node by hand, so it
 also writes generated trees of 1,023, 1,024, 1,100 and 3,000 nodes, with
 and without a root lemma, which must give the reference's line; a bool,
@@ -48,10 +51,10 @@ ranks where the reference of ``tests/reference_analysis.py`` takes
 ``math.fsum`` Pearson sums of the ranks of the pairs expanded: the two
 must give the same bits, or the same ``DegenerateInput``, on N seeded
 random pair counts of up to 300 pairs with many ties, ints and floats, and
-on one of 100,000 pairs. ``analysis.CorpusStats.add`` counts with
-``collections._count_elements``, a private name that it replaces by
+on one of 100,000 pairs. ``metrics.metric_record`` and ``analysis.CorpusStats.add`` count with
+``collections._count_elements``, a private name that ``metrics`` replaces by
 ``Counter.update`` where it is missing; the check fails there, so that the
-fold's slower path shows. It then runs each
+slower path shows. It then runs each
 golden case of ``tests/golden_cases.py`` through ``python -m depmetrics``
 and compares the bytes, and runs each single-table command on the inputs of
 both report cases, which must write that case's tables of the command byte
@@ -98,6 +101,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from depmetrics.metrics import metric_record  # noqa: E402
 from depmetrics.randtree import GeneratorConfig, chain_heads, random_tree, star_heads  # noqa: E402
+from depmetrics import treebank  # noqa: E402
 from depmetrics.report import TABLES  # noqa: E402
 from depmetrics.stats import spearman_from_counts  # noqa: E402
 from depmetrics.errors import DegenerateInput, DepMetricsError, InvalidEncoding  # noqa: E402
@@ -229,8 +233,10 @@ def canonical_writer_mismatches() -> tuple[int, list[str]]:
     return cases, bad
 
 
-def canonical_reader_mismatches() -> tuple[int, list[str]]:
-    """The number of lines read, and those that the reader reads unlike the ``json.loads`` reference.
+def canonical_reader_mismatches() -> tuple[int, list[str], list[str]]:
+    """The number of lines read, those that the reader reads unlike the ``json.loads`` reference, and
+    the writer's lines that its split must take: fewer than 1,024 nodes, no root lemma, a plain id
+    and heads of 0 to 1,023.
 
     The lines are written by ``serialize_canonical``, then edited by each of
     ``CANONICAL_MUTATIONS`` at a few places. No id or lemma holds a lone
@@ -249,12 +255,33 @@ def canonical_reader_mismatches() -> tuple[int, list[str]]:
     written += [Sentence(f"long-{n}", random_tree(GeneratorConfig(n=n, seed=n)).heads()) for n in (1023, 1024, 1100)]
     written.append(Sentence("chain-1100", chain_heads(1100), "\u8a9e"))
     lines = list(map(serialize_canonical, written))
+    plain = [line for sentence, line in zip(written, lines)
+             if sentence.root_lemma is None and len(sentence) < 1024 and min(sentence.head_vector) >= 0
+             and re.fullmatch(r"[a-z0-9-]+", sentence.id)]
     lines += [mutate(line, k) for line in lines for mutate in reference_treebank.CANONICAL_MUTATIONS.values()
               for k in (0, 1, rng.randrange(1 << 16))]
     bad = [ascii(line[:60]) for line in lines
            if reference_treebank.canonical_outcome(_canonical_sentence, line)
            != reference_treebank.canonical_outcome(reference_treebank.canonical_sentence, line)]
-    return len(lines), bad
+    return len(lines), bad, plain
+
+
+def json_decoded(lines: list[str]) -> list[str]:
+    """Those of the lines that the canonical reader hands to ``json.loads``."""
+    decoded = []
+    loads = treebank.json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        decoded.append(text)
+        return loads(text, *args, **kwargs)
+
+    treebank.json.loads = counting_loads
+    try:
+        for line in lines:
+            reference_treebank.canonical_outcome(_canonical_sentence, line)
+    finally:
+        treebank.json.loads = loads
+    return decoded
 
 
 def non_int_head_outcomes() -> list[tuple[str, bool, str]]:
@@ -479,10 +506,14 @@ def main() -> int:
     print(f"serialize_canonical of long trees vs json.dumps: {compared - len(bad)} of {compared} agree"
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
     ok &= not bad
-    compared, bad = canonical_reader_mismatches()
+    compared, bad, plain = canonical_reader_mismatches()
     print(f"canonical lines vs the json.loads reader: {compared - len(bad)} of {compared} agree"
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
     ok &= not bad
+    decoded = json_decoded(plain)
+    print(f"plain writer lines read without json.loads: {len(plain) - len(decoded)} of {len(plain)}"
+          + (f"; decoded: {', '.join(ascii(line[:60]) for line in decoded[:5])}" if decoded else ""))
+    ok &= bool(plain) and not decoded
     for name, passed, got in non_int_head_outcomes():
         ok &= passed
         print(f"{name}: {got}")
@@ -496,7 +527,8 @@ def main() -> int:
     ok &= not bad
     counting = hasattr(collections, "_count_elements")
     ok &= counting
-    print(f"collections._count_elements for the corpus fold: {'present' if counting else 'MISSING'}")
+    print("collections._count_elements for metric_record and the corpus fold: "
+          + ("present" if counting else "MISSING"))
     for case in golden_cases.CASES:
         golden = golden_case_matches(case)
         ok &= golden

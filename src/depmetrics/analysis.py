@@ -22,17 +22,9 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateInput, EmptyLexicon, EmptySelection
-from .metrics import dependency_terms, node_depths
+from .metrics import _count_elements, dependency_terms, node_depths
 from .stats import Distribution, RegressionResult, entropy, ols_fit, spearman_from_counts
 from .treebank import MAX_VALENCY_CLASS, Sentence, ValencyLexicon
-
-try:
-    # The counting loop of Counter.update without its Mapping check, which costs
-    # as much again per call. A private CPython name (3.6 to 3.13), so fall back
-    # to the public method where it is missing.
-    from collections import _count_elements
-except ImportError:
-    _count_elements = Counter.update
 
 log = logging.getLogger(__name__)
 

@@ -208,6 +208,11 @@ class MetricLines:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     config = build_config(args)
+    if args.output and os.path.exists(args.output):
+        for path, _ in config.inputs:
+            if os.path.exists(path) and os.path.samefile(path, args.output):
+                raise ConfigError(
+                    f"the output {args.output!r} is the input {path!r}; writing it would replace the corpus")
     with tempfile.TemporaryDirectory(prefix="depmetrics-") as directory:
         corpus = load_corpus(config, partial(MetricLines, directory))
         header = "# " + json.dumps(run_meta(config, corpus, "metrics"), sort_keys=True)

@@ -20,6 +20,14 @@ from typing import Mapping, NamedTuple
 from .errors import TooShort
 from .treebank import _DECIMAL_TABLE, Sentence, validate_tree
 
+try:
+    # The counting loop of Counter.update without its Mapping check, which costs
+    # as much again per call; it counts into any dict. A private CPython name
+    # (3.6 to 3.13), so fall back to the public method where it is missing.
+    from collections import _count_elements
+except ImportError:
+    _count_elements = Counter.update
+
 
 def node_depths(sentence: Sentence) -> tuple[int, ...]:
     """HD of every node, indexed by position - 1. Root depth is 0.
@@ -109,12 +117,15 @@ def _hist_json(hist: Mapping[int, int]) -> str:
 def metric_record(sentence: Sentence) -> MetricRecord:
     """Compute the full metric summary for one sentence (n >= 2) from :func:`dependency_terms`."""
     dds, depths, root = dependency_terms(sentence)
-    hd_hist = Counter(depths)
+    dd_hist: dict[int, int] = {}
+    hd_hist: dict[int, int] = {}
+    _count_elements(dd_hist, dds)
+    _count_elements(hd_hist, depths)
     del hd_hist[0]  # the root is the only node at depth 0
     return MetricRecord(
         sentence_id=sentence.id,
         sl=len(depths),
-        dd_hist=dict(Counter(dds)),
-        hd_hist=dict(hd_hist),
+        dd_hist=dd_hist,
+        hd_hist=hd_hist,
         root_out_degree=sentence.head_vector.count(root),
     )

@@ -681,7 +681,7 @@ def write_files(files: dict[Path, Iterable[str]]) -> None:
     its target resolves to (:func:`os.path.realpath`); only when every text
     is written are they renamed into place, so a failure leaves the previous
     files as they were and a symlink stays a symlink. The temporary files
-    are removed on failure.
+    are removed on failure. An error in creating one names its target.
     """
     pending: list[tuple[Path, Path]] = []
     in_place: list[tuple[Path, Iterable[str]]] = []
@@ -692,7 +692,10 @@ def write_files(files: dict[Path, Iterable[str]]) -> None:
                 continue
             real = Path(os.path.realpath(target))
             temporary = real.with_name(f".{real.name}.{secrets.token_hex(4)}.tmp")
-            handle = open(temporary, "xb")  # "x": never truncate a file that is not ours
+            try:
+                handle = open(temporary, "xb")  # "x": never truncate a file that is not ours
+            except OSError as exc:  # name the file asked for, not the hidden one beside it
+                raise type(exc)(exc.errno, exc.strerror, str(target)) from None
             pending.append((temporary, real))
             with handle:
                 handle.writelines(piece.encode("utf-8") for piece in pieces)

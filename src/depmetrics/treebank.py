@@ -872,11 +872,12 @@ def _canonical(
     Blank lines and lines starting with '#' (used for run metadata by the
     generator) are skipped.
 
-    A line exactly as :func:`serialize_canonical` writes a sentence with no
-    root lemma, such as each line of ``depmetrics generate``, is read without
-    the JSON decoder: its id and heads are taken by two regexes and accepted
-    only if writing them back gives the same text. The sentence, or the
-    rejection, is the one the decoder's path gives.
+    A line exactly as :func:`serialize_canonical` writes a sentence of fewer
+    than 1,024 nodes with no root lemma, such as each line of ``depmetrics
+    generate``, is read without the JSON decoder: it is split at its quotes,
+    and accepted only if every piece but the id and the heads is the
+    writer's, the id needs no escape and each head is the text of 0..1023.
+    The sentence, or the rejection, is the one the decoder's path gives.
     """
     for lineno, raw in enumerate(lines, first_line):
         line = raw.strip()
@@ -892,19 +893,32 @@ def _canonical(
 
 
 def _canonical_sentence(line: str, lineno: int, span: str) -> Sentence:
-    # A line that serialize_canonical would write for its id and heads is the
-    # json.dumps text of that sentence, so json.loads would give exactly it.
-    match_start, find_heads = _writer_patterns()
-    start = match_start(line)
-    if start is not None:
-        try:
-            heads = (*map(_DECIMAL.__getitem__, find_heads(line, start.end())),)  # built at its exact size
-        except KeyError:  # no text of 0..1023, such as 1024 or 01
-            pass
-        else:
-            sentence = Sentence(start[1], heads, None, span)
-            if serialize_canonical(sentence) == line:
-                return validate_tree(sentence)
+    # A line of n nodes that serialize_canonical writes with no root lemma splits at its quotes into
+    # 4n + 7 pieces: '{', 'id', ': ', the id, ', ', 'nodes', ': [{', then 'head', ': H, ', 'index',
+    # ': I}, {' for each node, the last index piece ': n}]}'. Pieces equal to the writer's are its
+    # text, since joined by quotes they are the line, so json.loads would give exactly that sentence.
+    parts = line.split('"')
+    n, odd = divmod(len(parts) - 7, 4)
+    if not odd and 0 < n < _DECIMAL_TABLE:
+        head_pieces, index_pieces, last_pieces = _writer_pieces()
+        sent_id = parts[3]
+        if (
+            parts[-1] == last_pieces[n]
+            and parts[10:-1:4] == index_pieces[1:n]
+            and parts[7::4].count("head") == n
+            and parts[9::4].count("index") == n
+            and parts[:3] == ["{", "id", ": "]
+            and parts[4:7] == [", ", "nodes", ": [{"]
+            and encode_basestring(sent_id) == f'"{sent_id}"'  # no backslash, no control character
+            # and no U+0085, U+2028 or U+2029, which the writer escapes though json need not
+            and (sent_id.isascii() or sent_id == sent_id.translate(_UNESCAPED_BREAKS))
+        ):
+            try:
+                heads = (*map(head_pieces.__getitem__, parts[8::4]),)  # built at its exact size
+            except KeyError:  # a head past 1023, or not the writer's text of one
+                pass
+            else:
+                return validate_tree(Sentence(sent_id, heads, None, span))
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -948,12 +962,14 @@ def _canonical_sentence(line: str, lineno: int, span: str) -> Sentence:
 
 
 @cache
-def _writer_patterns() -> tuple[Any, Any]:
-    """The match of a written line's start, up to its first node (group 1 is an id with no quote and
-    no backslash), and the finder of each ``"head": H``: built on first use."""
+def _writer_pieces() -> tuple[dict[str, int], list[str], list[str]]:
+    """The pieces of a written line between quotes, by number up to 1023: each head piece to its
+    head, each index piece but the last, and the last one. Built on first use."""
+    numbers = range(_DECIMAL_TABLE)
     return (
-        re.compile(r'\{"id": "([^"\\]*)", "nodes": \[(?=\{"head": )').match,
-        re.compile(r'"head": (\d+)').findall,
+        {f": {value}, ": value for value in numbers},
+        [f": {value}}}, {{" for value in numbers],
+        [f": {value}}}]}}" for value in numbers],
     )
 
 

@@ -358,7 +358,8 @@ def _in_id(text: str) -> Callable[[str, int], str]:
 
 # Edits of a written line, each (line, k) -> line, where k picks the place. Each gives a line that
 # serialize_canonical does not write, though json may read it as the same sentence, another
-# sentence, or no sentence; or, as a raw é or DEL in the id, one that it does write.
+# sentence, or no sentence; or, as a raw é or DEL in the id or an id that is a key name, one that
+# it does write.
 CANONICAL_MUTATIONS: dict[str, Callable[[str, int], str]] = {
     "a space added": _at(r"[:,] ", lambda m: m[0] + " "),
     "a space dropped": _at(r"[:,] ", lambda m: m[0][0]),
@@ -382,4 +383,12 @@ CANONICAL_MUTATIONS: dict[str, Callable[[str, int], str]] = {
     "a key after the nodes": lambda line, k: line[:-1] + ', "x": 1}' if line.endswith("}") else line,
     "a number for the id": lambda line, k: re.sub(r'^\{"id": "[^"\\]*"', '{"id": 1', line),
     "truncated": lambda line, k: line[: k % max(len(line), 1)],
+    "a head key renamed": _at(r'"head"', lambda m: '"heads"'),
+    "an index key renamed": _at(r'"index"', lambda m: '"indexx"'),
+    "a node's brace dropped": _at(r'\d\}', lambda m: m[0][0]),
+    "a node's brace doubled": _at(r'\d\}', lambda m: m[0] + "}"),
+    "text after the nodes": lambda line, k: line + ("}", "]}", "x", " 1")[k % 4],
+    "a space before a head's comma": _at(r'"head": (\d+),', lambda m: f'"head": {m[1]} ,'),
+    "a key name for the id": lambda line, k: re.sub(r'^\{"id": "[^"\\]*"', '{"id": "%s"' % ("head", "index")[k % 2],
+                                                    line),
 }

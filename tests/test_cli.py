@@ -1200,6 +1200,36 @@ def test_output_file_is_replaced_only_once_written(argv, data_dir, tmp_path, cap
     assert [p.name for p in tmp_path.iterdir()] == ["previous.txt"]
 
 
+@pytest.mark.parametrize("argv", [["metrics", "in.jsonl"], ["generate", "--n", "5", "--seed", "1"]])
+def test_an_output_that_cannot_be_created_is_named_and_nothing_is_left(argv, data_dir, tmp_path):
+    (tmp_path / "in.jsonl").write_bytes((data_dir / "sample_200.jsonl").read_bytes())
+    (tmp_path / "tmp").mkdir()  # the metrics command's batch files go here
+    result = subprocess.run([sys.executable, "-m", "depmetrics", *argv, "-o", "nodir/x.jsonl"], cwd=tmp_path,
+                            env=_child_env(TMPDIR=str(tmp_path / "tmp")), capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "input error: [Errno 2] No such file or directory: 'nodir/x.jsonl'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "tmp"]
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+@pytest.mark.parametrize("output", ["two.jsonl", "link.jsonl"])
+def test_metrics_refuses_an_output_that_is_one_of_its_inputs(output, data_dir, tmp_path):
+    corpus = (data_dir / "sample_200.jsonl").read_bytes()
+    (tmp_path / "two.jsonl").write_bytes(corpus)
+    (tmp_path / "link.jsonl").symlink_to("two.jsonl")
+    os.mkfifo(tmp_path / "first.jsonl")  # no writer: reading any byte of it would block
+    argv = ["metrics", "first.jsonl", "two.jsonl", "-o", output]
+    result = subprocess.run([sys.executable, "-m", "depmetrics", *argv], cwd=tmp_path, env=_child_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (f"config error: the output {output!r} is the input 'two.jsonl'; "
+                             "writing it would replace the corpus\n")
+    assert (tmp_path / "two.jsonl").read_bytes() == corpus
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.jsonl", "link.jsonl", "two.jsonl"]
+
+
 # --- output targets that are not regular files ---------------------------------------
 
 GENERATE = ["generate", "--n", "5", "--count", "2", "--seed", "1"]

@@ -312,6 +312,18 @@ def test_a_line_reads_as_the_json_decoder_reads_it(line, mutation, k):
     assert reference_treebank.canonical_outcome(treebank._canonical_sentence, line) == want
 
 
+@settings(max_examples=1000, deadline=None)
+@given(canonical_lines(), st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 10**6),
+       st.sampled_from('"{}[],: 0123456789abcdefghijklmnopqrstuvwxyz'))
+@example('{"id": "s", "nodes": [{"head": 2, "index": 1}, {"head": 0, "index": 2}]}', "insert", 23, '"')
+@example('{"id": "s", "nodes": [{"head": 2, "index": 1}, {"head": 0, "index": 2}]}', "replace", 76, " ")
+def test_a_line_with_one_character_edited_reads_as_the_json_decoder_reads_it(line, edit, k, char):
+    at = k % (len(line) + 1)
+    line = line[:at] + (char if edit != "delete" else "") + line[at + (edit != "insert"):]
+    want = reference_treebank.canonical_outcome(reference_treebank.canonical_sentence, line)
+    assert reference_treebank.canonical_outcome(treebank._canonical_sentence, line) == want
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.integers(2, 60), st.integers(0, 2**32), st.text(json_chars))
 def test_metric_json_line_matches_the_json_dumps_reference(n, seed, sent_id):
