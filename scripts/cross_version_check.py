@@ -45,7 +45,14 @@ chunk index and a chunk head, and for a 1,100-token and a 1,100-chunk
 sentence. Each case stands between two sentences that the block reader of
 its format reads by its fast path, the first CoNLL-U one with a
 multiword-token range, so that a block that its line branch reads stands
-among blocks that it does not. ``stats.spearman_from_counts``, which
+among blocks that it does not. A byte range begins after a sentence break,
+and the lines and sentences before it are counted, by the one break pattern
+of each format, whose ``[^\\S\\n]`` takes the whitespace of a blank or ``EOS``
+line by the version's Unicode tables: so the 28 code points it takes must be
+``BREAK_SPACES``, and for each of them a CoNLL-U and a CaboCha document whose
+blank and ``EOS`` lines end with it, read in 1-4 byte ranges a few bytes at a
+time, must give the sentences and rejections of the reference reader's
+serial parse. ``stats.spearman_from_counts``, which
 ``report`` reads its correlations with, takes integer sums of doubled
 ranks where the reference of ``tests/reference_analysis.py`` takes
 ``math.fsum`` Pearson sums of the ranks of the pairs expanded: the two
@@ -85,6 +92,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import io
 import os
 import random
 import re
@@ -156,6 +164,11 @@ REFUSED_RUNS = {
 # that int() reads though the readers refuse them; every non-ASCII digit is added at run time
 DECIMAL_TEXTS = ["0", "00", "01", "1023", "01023", "1024", "1" * 5000, "+1", " 1", "1 ", "1_0", "-1", "-0",
                  "-01", ""]
+# The characters that a sentence break's [^\S\n] takes after a blank line's LF or after EOS: those
+# str.isspace() accepts, but LF. The same on 3.10.13, 3.11, 3.12.1 and 3.13.0; another Unicode table would
+# move sentence breaks, so a change fails the check.
+BREAK_SPACES = [0x09, 0x0B, 0x0C, 0x0D, *range(0x1C, 0x21), 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028,
+                0x2029, 0x202F, 0x205F, 0x3000]
 OPTION_LINE = re.compile(r"  (-\S.*?)(?:  |$)")  # an option's flags and metavars, at the start of a help line
 
 
@@ -355,6 +368,67 @@ def decimal_field_mismatches() -> tuple[int, list[str]]:
     return len(documents), bad
 
 
+def break_spaces() -> list[int]:
+    """The code points that the CoNLL-U sentence break takes as the whitespace of a blank line."""
+    breaks = treebank._BREAK["conllu"]
+    return [code for code in range(sys.maxunicode + 1)
+            if (match := breaks.match(f"\n{chr(code)}\n")) is not None and match.end() == 2]
+
+
+def break_space_documents(char: str) -> list[tuple[str, bytes]]:
+    """(format, bytes) of a CoNLL-U and a CaboCha document whose blank and EOS lines end with ``char``:
+    accepted and rejected sentences, a comment-only block, and breaks in a row."""
+    token = "{}\tw\tl{}\tX\t_\t_\t{}\t_\t_\t_\n"
+    conllu = [
+        "# sent_id = s1\n" + token.format(1, 1, 2) + token.format(2, 2, 0),
+        "# a comment only\n",
+        token.format(1, 1, 0) + token.format(2, 2, 1) + token.format(3, 3, 2),
+        token.format(1, 1, 2) + token.format(2, 2, 1),  # a cycle
+        token.format(1, 1, 0),
+    ]
+    plain = "* 0 1D 0/0 0.5\nw\tx,*,*,*,*,*,a\n* 1 -1D 0/0 0.0\nv\tx,*,*,*,*,*,b\n"
+    cabocha = [plain, "* 0 0D 0/0 0.0\nw\tx\n", f"{char}\n{plain}", "", plain]  # a self-loop; two EOS in a row
+    blanks = [f"{char}\n", f" {char}\n", f"{char}\n{char}\n"]
+    return [
+        ("conllu", "".join(block + blanks[i % 3] for i, block in enumerate(conllu * 2)).encode()),
+        ("cabocha", "".join(block + f"EOS{char}\n" for block in cabocha * 2).encode()),
+    ]
+
+
+def range_outcome(data: bytes, fmt: str, parts: int, chunk: int) -> tuple[object, ...]:
+    """The sentences, as their fields, and the rejections of ``data`` read as byte ranges 0..parts-1, ``chunk``
+    bytes at a time."""
+    chunk_bytes, treebank.CHUNK_BYTES = treebank.CHUNK_BYTES, chunk
+    try:
+        handle = io.BytesIO(data)
+        rejections: list = []
+        sentences = [(s.id, s.head_vector, s.root_lemma, s.source, s.depths)
+                     for k in range(parts)
+                     for s in treebank.iter_byte_range(handle, fmt, k, parts, len(data), name="f", source="f",
+                                                       errors="skip", rejections=rejections)]
+    finally:
+        treebank.CHUNK_BYTES = chunk_bytes
+    return sentences, rejections
+
+
+def range_split_mismatches() -> tuple[int, list[str]]:
+    """The number of reads in byte ranges, and those that differ from the reference reader's serial parse."""
+    references = {"conllu": reference_treebank.iter_conllu, "cabocha": reference_treebank.iter_cabocha}
+    bad = []
+    reads = 0
+    for code in BREAK_SPACES:
+        for fmt, data in break_space_documents(chr(code)):
+            rejections: list = []
+            serial = [(s.id, s.head_vector, s.root_lemma, s.source, s.depths)
+                      for s in references[fmt](data, source="f", errors="skip", rejections=rejections)]
+            for parts in range(1, 5):
+                for chunk in (3, 16):
+                    reads += 1
+                    if range_outcome(data, fmt, parts, chunk) != (serial, rejections):
+                        bad.append(f"{fmt} U+{code:04X} in {parts} ranges of {chunk}-byte reads")
+    return reads, bad
+
+
 def spearman_outcome(correlate, *args: object) -> tuple[object, ...]:
     """A correlation's floats as their bits, or the message of its ``DegenerateInput``."""
     try:
@@ -519,6 +593,15 @@ def main() -> int:
         print(f"{name}: {got}")
     compared, bad = decimal_field_mismatches()
     print(f"decimal fields vs the reference readers: {compared - len(bad)} of {compared} agree"
+          + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
+    ok &= not bad
+    spaces = break_spaces()
+    ok &= spaces == BREAK_SPACES
+    print(f"sentence-break whitespace: {len(spaces)} code points" + ("" if spaces == BREAK_SPACES else
+          f"; DIFFERS: extra {[hex(c) for c in set(spaces) - set(BREAK_SPACES)]},"
+          f" missing {[hex(c) for c in set(BREAK_SPACES) - set(spaces)]}"))
+    compared, bad = range_split_mismatches()
+    print(f"byte ranges vs the serial parse, breaks ending in each of them: {compared - len(bad)} of {compared} agree"
           + (f"; differ: {', '.join(bad[:5])}" if bad else ""))
     ok &= not bad
     compared, bad = spearman_mismatches(args.examples)

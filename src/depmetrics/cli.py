@@ -38,6 +38,7 @@ from .report import (
     RunConfig,
     compute_analyses,
     load_corpus,
+    output_names,
     render_outputs,
     run_meta,
     table_commands,
@@ -206,13 +207,24 @@ class MetricLines:
         yield "".join(line + "\n" for line in self.lines)
 
 
+def _refuse_inputs_as_outputs(config: RunConfig, outputs: Iterable[str]) -> None:
+    """Refuse, before any input is read, an output that is one of the inputs: writing it would replace the corpus."""
+    for output in outputs:
+        if os.path.exists(output):
+            for path, _ in config.inputs:
+                if os.path.exists(path) and os.path.samefile(path, output):
+                    raise ConfigError(
+                        f"the output {output!r} is the input {path!r}; writing it would replace the corpus")
+
+
 def cmd_metrics(args: argparse.Namespace) -> int:
     config = build_config(args)
-    if args.output and os.path.exists(args.output):
-        for path, _ in config.inputs:
-            if os.path.exists(path) and os.path.samefile(path, args.output):
-                raise ConfigError(
-                    f"the output {args.output!r} is the input {path!r}; writing it would replace the corpus")
+    if args.output:
+        _refuse_inputs_as_outputs(config, [args.output])
+        try:  # a missing directory: the error that writing the output would raise once the corpus is read
+            os.stat(os.path.join(os.path.dirname(os.path.realpath(args.output)), ""))
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, str(Path(args.output))) from None
     with tempfile.TemporaryDirectory(prefix="depmetrics-") as directory:
         corpus = load_corpus(config, partial(MetricLines, directory))
         header = "# " + json.dumps(run_meta(config, corpus, "metrics"), sort_keys=True)
@@ -231,6 +243,7 @@ def _write_text(output: str | None, pieces: Iterable[str]) -> None:
 def cmd_tables(args: argparse.Namespace, command: str) -> int:
     """Write the files of table command ``command`` (``report.render_outputs``)."""
     config = build_config(args)
+    _refuse_inputs_as_outputs(config, [str(Path(config.output_dir) / name) for name in output_names(command)])
     corpus = load_corpus(config)
     files = render_outputs(config, corpus, command, compute_analyses(config, corpus, command))
     for path in write_outputs(config.output_dir, files):

@@ -672,6 +672,12 @@ def render_outputs(
     return files
 
 
+def output_names(command: str) -> list[str]:
+    """The names of the files that table command ``command`` writes, in :func:`render_outputs`' order."""
+    tables = [file_name for name in table_commands(command) for file_name, _, _ in TABLES[name].files]
+    return [*tables, "report.json", "meta.json"] if command == "report" else [*tables, "meta.json"]
+
+
 def write_files(files: dict[Path, Iterable[str]]) -> None:
     """Write each text, given as an iterable of pieces, as UTF-8: all of them or none.
 

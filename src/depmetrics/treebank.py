@@ -23,8 +23,8 @@ surface text (CoNLL-U FORM, the CaboCha morpheme surfaces, a canonical
 An input is a ``str``, bytes or a binary file. :func:`iter_byte_range` is
 the one place where it is read: it reads and decodes the bytes (a ``str``'s
 UTF-8 bytes) ``CHUNK_BYTES`` at a time, whole or as one of several byte
-ranges, so that processes can share a file without any of them decoding all
-of it. It splits them into lines for the canonical reader. CoNLL-U and
+ranges, so that processes can share a file, each parsing only its own range.
+It splits them into lines for the canonical reader. CoNLL-U and
 CaboCha are cut into sentence blocks at every sentence break, a blank line
 or an ``EOS`` line, and each format has one block reader: a fast path that
 takes a block by a few splits, and a line branch that reads any other
@@ -382,46 +382,17 @@ def _decoded_pieces(
         yield text if text.endswith("\n") else text + "\n"  # only the last piece may lack it
 
 
-# One character of a blank line other than LF, in UTF-8: whatever str.isspace() accepts.
-_SPACE = (
-    rb"(?:[\t\x0b\x0c\r\x1c-\x1f ]|\xc2[\x85\xa0]|\xe1\x9a\x80"
-    rb"|\xe2\x80[\x80-\x8a\xa8\xa9\xaf]|\xe2\x81\x9f|\xe3\x80\x80)"
-)
-_END_OF_LINE = rb"(?:\n|\Z)"
-# A sentence break in decoded CoNLL-U and CaboCha: an LF and the line after
-# it that ends a sentence, blank or EOS, with any trailing whitespace
-# ([^\S\n] is what _SPACE is in UTF-8). The LF that ends that line is left
-# to start the next block, so that two breaks in a row are both found.
+# A sentence break in decoded text: an LF and the line after it that ends a sentence, blank in CoNLL-U
+# or EOS in CaboCha, with any trailing whitespace; in canonical JSONL, any LF. The LF that ends that
+# line is left to start the next block, so that two breaks in a row are both found.
 _BREAK = {
     "conllu": re.compile(r"\n[^\S\n]*(?=\n)"),
     "cabocha": re.compile(r"\nEOS[^\S\n]*(?=\n)"),
+    "canonical": re.compile(r"(?=\n)"),
 }
-# The same break in bytes, and its line's LF, so that a byte range may begin
-# after it; a property test requires both to find the same breaks, and this
-# and _SENTENCE_START to count the sentences the text cut gives. In canonical
-# JSONL a range may begin at any line.
-_SENTENCE_BREAK = {
-    "conllu": re.compile(rb"\n%s*\n" % _SPACE),
-    "cabocha": re.compile(rb"\nEOS%s*\n" % _SPACE),
-    "canonical": re.compile(rb"\n"),
-}
-# One match per sentence in bytes that begin after a sentence break, once
-# the prefix is put before them: in CoNLL-U a block with a line that is no
-# comment, in CaboCha the EOS line (or blank lines) before a sentence's
-# first line. Canonical ids do not count sentences.
-_SENTENCE_START = {
-    "conllu": (
-        b"\n\n",
-        re.compile(rb"\n%s*\n(?:#[^\n]*\n)*(?!%s*%s)[^#\n]" % (_SPACE, _SPACE, _END_OF_LINE)),
-    ),
-    "cabocha": (
-        b"\nEOS\n",
-        re.compile(
-            rb"\nEOS%s*\n(?:%s*\n)*(?!%s*%s|EOS%s*%s)"
-            % (_SPACE, _SPACE, _SPACE, _END_OF_LINE, _SPACE, _END_OF_LINE)
-        ),
-    ),
-}
+# Whether a block of the cut holds a sentence, as the block readers decide it: in CoNLL-U a line
+# that is no comment (no line of a block is blank), in CaboCha a line that is not blank.
+_HOLDS_SENTENCE = {"conllu": re.compile(r"\n[^#]").search, "cabocha": lambda block: block and not block.isspace()}
 
 
 def iter_byte_range(
@@ -446,8 +417,8 @@ def iter_byte_range(
     JSONL. The ranges 0..parts-1 therefore hold each sentence exactly once, and
     each range is read, decoded and split on its own (``name`` and
     ``digest`` as for :func:`_read_lines`). The lines and sentences before
-    the range are counted in its bytes, not decoded, so that the line
-    numbers, ids and spans are those of the whole file. The only range of
+    the range are counted in the decoded text cut at :data:`_BREAK`, so that
+    the line numbers, ids and spans are those of the whole file. The only range of
     one part is read to its end from where ``handle`` stands, with no seek:
     a pipe streams through. ``handle`` may also be a str or bytes (:func:`_binary`),
     looked at only once the format, the range and the error mode are checked;
@@ -475,9 +446,9 @@ def iter_byte_range(
         raise TypeError(f"{name}: drop_punct is an option of CoNLL-U only, not of {fmt}")
     lo = _sentence_break(handle, fmt, k * size // parts)
     hi = None if k == parts - 1 else _sentence_break(handle, fmt, (k + 1) * size // parts)
-    lines_before, sentences_before = _count_before(handle, fmt, lo)
     if parts > 1:  # finding the breaks moved the handle; a lone range never seeks, so a pipe streams
-        handle.seek(lo)
+        handle.seek(0)
+    lines_before, sentences_before = _count_before(handle, fmt, lo, name)  # it leaves the handle at lo
     if errors == "raise":
         def reject(exc: Exception, span: str, sentence_id: str | None) -> None:
             raise exc
@@ -499,48 +470,46 @@ def _sentence_break(handle: BinaryIO, fmt: str, position: int) -> int:
     That is 0, the end of the file, or the first line start from
     ``position`` on at which no sentence is open: the end of a blank line in
     CoNLL-U or of an EOS line in CaboCha that begins at or after
-    ``position``, any line start in canonical JSONL. A line that a read cuts
-    is searched again with the next read. The handle reads bytes:
-    :func:`_binary` has refused one that gives ``str``.
+    ``position``, any line start in canonical JSONL. The bytes up to the last
+    LF read are searched with :data:`_BREAK` as text, a byte that is not UTF-8
+    kept by ``surrogateescape``, so that the text matched encodes back to its
+    bytes. The handle reads bytes: :func:`_binary` has refused one that gives ``str``.
     """
     if not position:
         return 0
     base = position - 1  # file offset of buffer[0]
     handle.seek(base)
     buffer = b""
-    while True:
-        data = handle.read(CHUNK_BYTES)
-        if not data:
-            return base + len(buffer)
-        buffer += data
-        match = _SENTENCE_BREAK[fmt].search(buffer)
-        if match:
-            return base + match.end()
-        cut = max(buffer.rfind(b"\n"), 0)
-        base += cut
-        buffer = buffer[cut:]
+    while data := handle.read(CHUNK_BYTES):
+        lines, lf, rest = (buffer + data).rpartition(b"\n")
+        text = (lines + lf).decode("utf-8", "surrogateescape")
+        match = _BREAK[fmt].search(text)
+        if match:  # the range begins after the LF that ends the break's line
+            return base + len(text[: match.end()].encode("utf-8", "surrogateescape")) + 1
+        base, buffer = base + len(lines), lf + rest  # a break may begin at that LF
+    return base + len(buffer)
 
 
-def _count_before(handle: BinaryIO, fmt: str, end: int) -> tuple[int, int]:
-    """The lines and the sentences in bytes [0, end) of a file, where ``end`` is a sentence break.
+def _count_before(handle: BinaryIO, fmt: str, end: int, name: str) -> tuple[int, int]:
+    """The lines and the sentences in bytes [0, end) of a file, read from byte 0, where ``end`` is where a range begins.
 
-    The bytes are read ``CHUNK_BYTES`` at a time, each piece cut at a
-    sentence break, and counted by ``bytes.count`` and a regex: no piece is
-    decoded and no line takes a Python step.
+    The bytes are decoded as the readers decode them (:func:`_decoded_pieces`:
+    a byte that is not UTF-8 raises their :class:`InvalidEncoding`), cut as
+    :func:`_sentence_blocks` cuts them, and each block that holds a sentence
+    is counted. Canonical ids do not count sentences.
     """
     lines = sentences = 0
-    start = 0
-    while start < end:
-        stop = min(_sentence_break(handle, fmt, start + CHUNK_BYTES), end)
-        handle.seek(start)
-        data = handle.read(stop - start)
-        lines += data.count(b"\n")
-        if fmt in _SENTENCE_START:
-            if not start and data.startswith(codecs.BOM_UTF8):
-                data = data[len(codecs.BOM_UTF8) :]
-            before, pattern = _SENTENCE_START[fmt]
-            sentences += len(pattern.findall(before + data))
-        start = stop
+    text = "\n"  # the open block
+    for piece in _decoded_pieces(handle, name, 0, end, None):
+        lines += piece.count("\n")
+        if fmt == "canonical":
+            continue
+        mark = len(text) - 1
+        text += piece
+        if mark > CHUNK_BYTES and not _BREAK[fmt].search(text, mark):
+            continue  # a long block, still open
+        *blocks, text = _BREAK[fmt].split(text)
+        sentences += sum(1 for block in blocks if _HOLDS_SENTENCE[fmt](block))
     return lines, sentences
 
 

@@ -1200,16 +1200,19 @@ def test_output_file_is_replaced_only_once_written(argv, data_dir, tmp_path, cap
     assert [p.name for p in tmp_path.iterdir()] == ["previous.txt"]
 
 
-@pytest.mark.parametrize("argv", [["metrics", "in.jsonl"], ["generate", "--n", "5", "--seed", "1"]])
+# noisy.jsonl: its rejection warnings would come first if the corpus were read before the output is checked
+@pytest.mark.parametrize("argv", [["metrics", "in.jsonl"], ["metrics", "noisy.jsonl"],
+                                  ["generate", "--n", "5", "--seed", "1"]])
 def test_an_output_that_cannot_be_created_is_named_and_nothing_is_left(argv, data_dir, tmp_path):
     (tmp_path / "in.jsonl").write_bytes((data_dir / "sample_200.jsonl").read_bytes())
+    (tmp_path / "noisy.jsonl").write_bytes((data_dir / "noisy.jsonl").read_bytes())
     (tmp_path / "tmp").mkdir()  # the metrics command's batch files go here
     result = subprocess.run([sys.executable, "-m", "depmetrics", *argv, "-o", "nodir/x.jsonl"], cwd=tmp_path,
                             env=_child_env(TMPDIR=str(tmp_path / "tmp")), capture_output=True, text=True)
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == "input error: [Errno 2] No such file or directory: 'nodir/x.jsonl'\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "tmp"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "noisy.jsonl", "tmp"]
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
@@ -1228,6 +1231,31 @@ def test_metrics_refuses_an_output_that_is_one_of_its_inputs(output, data_dir, t
                              "writing it would replace the corpus\n")
     assert (tmp_path / "two.jsonl").read_bytes() == corpus
     assert sorted(p.name for p in tmp_path.iterdir()) == ["first.jsonl", "link.jsonl", "two.jsonl"]
+
+
+@pytest.mark.parametrize("command, name, output_dir, output", [
+    ("report", "out/report.json", "out", "out/report.json"),  # the input itself
+    ("trend", "link.jsonl", "out", "out/meta.json"),  # a link to the input
+    ("report", "out/dist.csv", "alias", "alias/dist.csv"),  # the input's directory through a link
+])
+def test_a_table_command_refuses_an_output_dir_that_would_replace_an_input(
+    command, name, output_dir, output, data_dir, tmp_path
+):
+    corpus = (data_dir / "sample_200.jsonl").read_bytes()
+    (tmp_path / "out").mkdir()
+    (tmp_path / "alias").symlink_to("out")
+    (tmp_path / "link.jsonl").symlink_to("out/meta.json")
+    (tmp_path / output).write_bytes(corpus)
+    os.mkfifo(tmp_path / "first.jsonl")  # no writer: reading any byte of it would block
+    argv = [command, "--format", "canonical", "first.jsonl", name, "--output-dir", output_dir]
+    result = subprocess.run([sys.executable, "-m", "depmetrics", *argv], cwd=tmp_path, env=_child_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (f"config error: the output {output!r} is the input {name!r}; "
+                             "writing it would replace the corpus\n")
+    assert (tmp_path / name).read_bytes() == corpus
+    assert [path.name for path in (tmp_path / "out").iterdir()] == [os.path.basename(output)]
 
 
 # --- output targets that are not regular files ---------------------------------------

@@ -29,7 +29,7 @@ import pytest
 
 import depmetrics
 from depmetrics.cli import SETTING_FLAGS, build_config, build_parser, main
-from depmetrics.report import TABLES, compute_analyses, load_corpus, render_outputs
+from depmetrics.report import TABLES, compute_analyses, load_corpus, output_names, render_outputs
 
 from .command_flags import COMMAND_FLAGS, COMMAND_TABLES, WINDOW
 from .golden_cases import (
@@ -93,6 +93,7 @@ def test_report_is_the_union_of_the_registry_entries(case, tmp_path, monkeypatch
     for command, tables in COMMAND_TABLES.items():
         rest = ("report.json", "meta.json") if command == "report" else ("meta.json",)
         assert tuple(render_outputs(config, corpus, command, results)) == (*tables, *rest), command
+        assert output_names(command) == [*tables, *rest], command
     assert sorted(actual) == sorted([*COMMAND_TABLES["report"], "report.json", "meta.json", "stdout"])
     # each entry's settings map to the flags of tests/command_flags.py beyond the window's
     every_setting = [setting for table in TABLES.values() for setting in table.settings]

@@ -611,8 +611,7 @@ def test_shards_in_order_give_the_serial_parse(data, chunk):
                     assert _ranges_outcome(data, fmt, parts, **options) == serial
 
 
-def test_blank_line_bytes_are_the_characters_str_isspace_accepts():
-    space = re.compile(treebank._SPACE)
+def test_blank_line_characters_are_those_str_isspace_accepts():
     for code in range(sys.maxunicode + 1):
         char = chr(code)
         blank = char.isspace() and char != "\n"
@@ -620,44 +619,47 @@ def test_blank_line_bytes_are_the_characters_str_isspace_accepts():
         for before, pattern in (("\n", treebank._BREAK["conllu"]), ("\nEOS", treebank._BREAK["cabocha"])):
             match = pattern.match(before + char + "\n")
             assert (match is not None and match.end() == len(before) + 1) == blank, hex(code)
-        if not 0xD800 <= code <= 0xDFFF:  # surrogates have no UTF-8 form
-            assert bool(space.fullmatch(char.encode("utf-8"))) == blank, hex(code)
 
 
-def _break_lines(text, lf, pattern, search_from):
-    """The numbers of the lines that ``pattern`` finds as sentence breaks in ``text``, whose line 1
-    follows its first LF, ``lf``; each search starts at ``search_from(match)``."""
-    lines = []
-    match = pattern.search(text)
-    while match:
-        lines.append(text.count(lf, 0, match.start() + 1))
-        match = pattern.search(text, search_from(match))
-    return lines
-
-
-def _holds_a_sentence(block, fmt):
-    """Whether a block of the text cut holds a sentence: a line that is not blank, and in CoNLL-U no comment."""
-    rows = [row for row in block.split("\n") if row.strip()]
-    return any(not row.startswith("#") for row in rows) if fmt == "conllu" else bool(rows)
+def _numbered(data, fmt):
+    """The sentences that the reference reader numbers in ``data``: accepted, or rejected with an id."""
+    if fmt not in REFERENCES:
+        return 0  # canonical ids do not count sentences
+    rejections = []
+    accepted = list(REFERENCES[fmt](data, source="f", errors="skip", rejections=rejections))
+    return len(accepted) + sum(rejection.sentence_id is not None for rejection in rejections)
 
 
 @settings(max_examples=300, deadline=None)
-@given(range_texts)
-@example("EOS\nEOS\n* 0 -1D\n")  # two EOS lines in a row, and a break on the first line
-@example(" \n\n1\t_\n\n")  # blank lines in a row, the first holding a space
-def test_the_text_cut_and_the_byte_patterns_find_the_same_sentence_breaks(text):
-    data = text.encode("utf-8", "surrogatepass")
-    text = text.replace("\r\n", "\n")  # as it is decoded
-    if not text.endswith("\n"):  # and as the last piece ends
-        text, data = text + "\n", data + b"\n"
-    for fmt in ("conllu", "cabocha"):
-        breaks = treebank._BREAK[fmt]
-        before, starts = treebank._SENTENCE_START[fmt]
-        want = _break_lines("\n" + text, "\n", breaks, lambda match: match.end())
-        found = _break_lines(b"\n" + data, b"\n", treebank._SENTENCE_BREAK[fmt], lambda match: match.end() - 1)
-        assert found == want
-        sentences = sum(_holds_a_sentence(block, fmt) for block in breaks.split("\n" + text))
-        assert len(starts.findall(before + data)) == sentences
+@given(range_texts, chunk_sizes)
+@example("EOS\nEOS\n* 0 -1D\n", 1)  # two EOS lines in a row, and a break on the first line
+@example(" \n\n1\t_\n\n", 1)  # blank lines in a row, the first holding a space
+@example("\ufeffEOS\n* 0 -1D\nw\nEOS\n", 3)  # a break on the first line, after the BOM
+def test_ranges_begin_at_the_breaks_of_the_serial_cut_and_count_what_precedes_them(text, chunk):
+    data = text.encode("utf-8")
+    decoded = text.removeprefix("\ufeff").replace("\r\n", "\n")  # as the readers decode it
+    if not decoded.endswith("\n"):  # and as the last piece ends
+        decoded += "\n"
+    starts = [0, *(i + 1 for i, byte in enumerate(data) if byte == ord("\n"))]  # line L begins at starts[L - 1]
+    handle = io.BytesIO(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(treebank, "CHUNK_BYTES", chunk)
+        for fmt in FORMATS:
+            if fmt == "canonical":  # a range may begin at any line start
+                breaks = [(start, start) for start in starts[1:]]
+            else:  # where the serial cut's break line begins, and where a range may begin after it
+                cut = "\n" + decoded
+                lines = [cut.count("\n", 0, match.start() + 1) for match in treebank._BREAK[fmt].finditer(cut)]
+                breaks = [(starts[line - 1], starts[line] if line < len(starts) else len(data)) for line in lines]
+            for position in range(1, len(data) + 1):
+                want = min((end for begin, end in breaks if begin >= position), default=len(data))
+                assert treebank._sentence_break(handle, fmt, position) == want, (fmt, position)
+            assert treebank._sentence_break(handle, fmt, 0) == 0
+            for end in {end for _, end in breaks if data[end - 1 : end] == b"\n"}:
+                want = (data.count(b"\n", 0, end), _numbered(data[:end], fmt))
+                handle.seek(0)
+                assert treebank._count_before(handle, fmt, end, "f") == want, (fmt, end)
+                assert handle.tell() == end  # where the range begins
 
 
 # Lines the CaboCha reader branches on, for the comparison with the two-walk reference.

@@ -275,6 +275,19 @@ def test_a_byte_that_is_not_utf8_is_named_by_file_and_offset(
     assert_no_child_left()
 
 
+def traced_load(path: Path, fmt: str) -> tuple[report.CorpusData, int]:
+    """Load ``path`` in one process; return the corpus and the peak of the memory traced while loading it."""
+    config = report.RunConfig(inputs=[(str(path), fmt)])
+    assert report.worker_count([str(path)]) == 1
+    tracemalloc.start()
+    try:
+        corpus = report.load_corpus(config)
+        _, high = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return corpus, high
+
+
 # An input of each format, as the lines of a test file, and what keeps two copies of it apart.
 # The canonical input is the first 40 lines of its file, which hold no 20-node sentence: CPython
 # 3.11 keeps every freed 20-item tuple on its free list and never reuses one, so the traced peak
@@ -297,14 +310,7 @@ def test_loading_holds_a_chunk_not_the_input(fmt, data_dir, tmp_path, monkeypatc
     def peak(repeats: int) -> int:
         path = tmp_path / f"x{repeats}.{fmt}"
         path.write_bytes(data * repeats)
-        config = report.RunConfig(inputs=[(str(path), fmt)])
-        assert report.worker_count([str(path)]) == 1
-        tracemalloc.start()
-        try:
-            corpus = report.load_corpus(config)
-            _, high = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        corpus, high = traced_load(path, fmt)
         assert corpus.accepted == sentences * repeats
         return high
 
@@ -321,14 +327,7 @@ def test_loading_holds_a_chunk_of_a_cabocha_sentence_that_never_ends(data_dir, t
     def peak(repeats: int) -> int:
         path = tmp_path / f"open{repeats}.cabocha"
         path.write_bytes(data + header + morpheme * (200 * repeats))  # no EOS
-        config = report.RunConfig(inputs=[(str(path), "cabocha")])
-        assert report.worker_count([str(path)]) == 1
-        tracemalloc.start()
-        try:
-            corpus = report.load_corpus(config)
-            _, high = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        corpus, high = traced_load(path, "cabocha")
         assert corpus.accepted == 3
         want = []  # the reference's rejection
         list(reference_treebank.iter_cabocha(path.read_bytes(), source=path.name, errors="skip", rejections=want))
@@ -350,14 +349,7 @@ def test_loading_holds_a_chunk_of_conllu_whose_blank_lines_hold_a_space(data_dir
     def peak(repeats: int) -> int:
         path = tmp_path / f"spaced{repeats}.conllu"
         path.write_bytes(data * repeats)
-        config = report.RunConfig(inputs=[(str(path), "conllu")])
-        assert report.worker_count([str(path)]) == 1
-        tracemalloc.start()
-        try:
-            corpus = report.load_corpus(config)
-            _, high = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        corpus, high = traced_load(path, "conllu")
         assert corpus.accepted == len(serial) * repeats
         return high
 
